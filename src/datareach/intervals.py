@@ -489,23 +489,31 @@ def meet(a, b, tol: float = 0.0, pad: float = 0.0):
     outward margin to the result so repeated cuts cannot erode soundness.
     """
     a._check_same(b)
-    lo = np.maximum(a.lo, b.lo)
-    hi = np.minimum(a.hi, b.hi)
+    lo, hi, genuine = meet_arrays(a.lo, a.hi, b.lo, b.hi, tol, pad)
+    if np.any(genuine):
+        idx = tuple(int(i) for i in np.argwhere(genuine)[0])
+        raise EmptyIntersection(f"empty intersection at component {idx}", index=idx)
+    return type(a)(lo, hi)
+
+
+def meet_arrays(alo, ahi, blo, bhi, tol: float = 0.0, pad: float = 0.0):
+    """Array kernel of `meet` for broadcastable lo/hi arrays; does not raise.
+
+    Returns (lo, hi, genuine), where `genuine` marks the crossings larger than
+    the tolerance (there lo and hi are meaningless).
+    """
+    lo = np.maximum(alo, blo)
+    hi = np.minimum(ahi, bhi)
     gap = lo - hi
-    if np.any(gap > 0.0):
-        scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-        genuine = gap > tol * scale
-        if np.any(genuine):
-            idx = tuple(int(i) for i in np.argwhere(genuine)[0])
-            raise EmptyIntersection(
-                f"empty intersection at component {idx}", index=idx
-            )
+    genuine = gap > 0.0
+    if np.any(genuine):
+        genuine = gap > tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
     if pad:
         margin = pad * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
         lo = lo - margin
         hi = hi + margin
-    return type(a)(lo, hi)
+    return lo, hi, genuine
 
 
 def clamp_into(child, prior):

@@ -98,13 +98,13 @@ def write_steps_csv(path, report: RunReport) -> None:
         writer = csv.writer(fh)
         writer.writerow(
             ["i", "t"] + [f"u_{l+1}" for l in range(m)]
-            + ["cost", "bound", "solver_iters", "micros"]
+            + ["cost", "bound", "solver_iters", "micros", "kb_micros"]
         )
         for log in report.logs:
             writer.writerow(
                 [log.i, _fmt(log.t)] + [_fmt(v) for v in log.u]
                 + [_fmt(log.realized_cost), _fmt(log.bound), log.iters,
-                   _fmt(log.micros)]
+                   _fmt(log.micros), _fmt(log.kb_micros)]
             )
 
 

@@ -8,13 +8,14 @@ satisfy ``xdot in f_over(x) + G_over(x) u`` everywhere.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .errors import EmptyIntersection, InconsistentSample
-from .intervals import IMatrix, ITensor3, Interval, IVector, clamp_into, imat_vec, meet
+from .intervals import IMatrix, ITensor3, Interval, IVector, _out, meet, meet_arrays
 
 
 # crossings below this (relative) size are float artifacts of touching
@@ -146,17 +147,15 @@ class KnowledgeEntry:
     C_G: IMatrix
 
 
-class _QueryCache:
-    """Stacked entry arrays and dependency groups for vectorized queries."""
+class _Groups:
+    """Distinct dependency masks of the f rows and G entries.
 
-    def __init__(self, entries, lip: LipschitzBounds, side: SideInfoSet):
+    Distances from a query to the entry states are computed once per mask;
+    ``f_group`` (n,) and ``g_group`` (n, m) pick each component's mask.
+    """
+
+    def __init__(self, lip: LipschitzBounds, side: SideInfoSet):
         n, m = lip.n, lip.m
-        self.xs = np.array([e.x for e in entries])            # (N, n)
-        self.cf_lo = np.array([e.C_F.lo for e in entries])    # (N, n)
-        self.cf_hi = np.array([e.C_F.hi for e in entries])
-        self.cg_lo = np.array([e.C_G.lo for e in entries])    # (N, n, m)
-        self.cg_hi = np.array([e.C_G.hi for e in entries])
-
         dec = side.decoupling
         f_masks = dec.f_depends if dec is not None else np.ones((n, n), bool)
         g_masks = dec.G_depends if dec is not None else np.ones((n, m, n), bool)
@@ -174,40 +173,83 @@ class _QueryCache:
         )
         self.masks = [mask for _, mask in sorted(masks.values())]
 
-    def dists_point(self, x):
-        """Per-group Euclidean distances |x - x_i| over dependent coordinates."""
-        diff = self.xs - x[None, :]
-        return [
-            np.sqrt((diff[:, mask] ** 2).sum(axis=1)) for mask in self.masks
-        ]
-
-    def dists_sup(self, X: IVector):
-        """Per-group upper bounds of |y - x_i| over all y in the box X."""
-        far = np.maximum(np.abs(X.lo[None, :] - self.xs), np.abs(X.hi[None, :] - self.xs))
-        return [np.sqrt((far[:, mask] ** 2).sum(axis=1)) for mask in self.masks]
+    def dists(self, offsets):
+        """Per-group Euclidean norms of the offsets (..., n) -> (..., ngroups)."""
+        out = np.empty(offsets.shape[:-1] + (len(self.masks),))
+        for g, mask in enumerate(self.masks):
+            np.sqrt((offsets[..., mask] ** 2).sum(axis=-1), out=out[..., g])
+        return out
 
 
-@dataclass(frozen=True)
+class _Entries(Sequence):
+    """The rows of a knowledge base as `KnowledgeEntry` objects, built on access."""
+
+    def __init__(self, kb: "KnowledgeBase"):
+        self._kb = kb
+
+    def __len__(self):
+        return self._kb.xs.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        kb = self._kb
+        return KnowledgeEntry(
+            kb.xs[i], IVector(kb.cf_lo[i], kb.cf_hi[i]), IMatrix(kb.cg_lo[i], kb.cg_hi[i])
+        )
+
+
 class KnowledgeBase:
     """The set of contracted enclosures defining the differential inclusion.
 
+    Stored as stacked read-only arrays, one row per entry: states ``xs``
+    (N, n), f enclosures ``cf_lo``/``cf_hi`` (N, n) and G enclosures
+    ``cg_lo``/``cg_hi`` (N, n, m).  Row 0 is the seed entry and row i + 1 the
+    entry of sample i; ``entries`` presents the rows as `KnowledgeEntry`
+    objects.
+
     ``lip`` bounds the part learned from data (the residual when partial
     dynamics are known); ``lip_total`` bounds the full system and is what
-    step-size conditions must use.
+    step-size conditions must use.  ``passes`` and ``residual`` record the
+    invariance run of `build_knowledge` / `rebuild` that produced the base:
+    how many passes it ran and the largest endpoint change of the last one
+    (0 and None for a base made any other way).
     """
 
-    entries: tuple
-    lip: LipschitzBounds
-    lip_total: LipschitzBounds
-    side: SideInfoSet = field(default_factory=SideInfoSet)
-
-    def __post_init__(self):
-        if len(self.entries) == 0:
+    def __init__(self, entries, lip: LipschitzBounds, lip_total: LipschitzBounds,
+                 side: Optional[SideInfoSet] = None):
+        entries = tuple(entries)
+        if len(entries) == 0:
             raise ValueError("a knowledge base needs at least its seed entry")
-        object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(
-            self, "_cache", _QueryCache(self.entries, self.lip, self.side)
+        self.lip, self.lip_total = lip, lip_total
+        self.side = side if side is not None else SideInfoSet()
+        self._groups = _Groups(lip, self.side)
+        self._set_rows(
+            np.array([e.x for e in entries], dtype=float),
+            np.array([e.C_F.lo for e in entries]),
+            np.array([e.C_F.hi for e in entries]),
+            np.array([e.C_G.lo for e in entries]),
+            np.array([e.C_G.hi for e in entries]),
         )
+
+    def _set_rows(self, xs, cf_lo, cf_hi, cg_lo, cg_hi, passes=0, residual=None):
+        for a in (xs, cf_lo, cf_hi, cg_lo, cg_hi):
+            a.flags.writeable = False
+        self.xs, self.cf_lo, self.cf_hi = xs, cf_lo, cf_hi
+        self.cg_lo, self.cg_hi = cg_lo, cg_hi
+        self.passes, self.residual = passes, residual
+
+    def _rows(self):
+        return self.xs, self.cf_lo, self.cf_hi, self.cg_lo, self.cg_hi
+
+    def _with_rows(self, rows, passes=0, residual=None) -> "KnowledgeBase":
+        """A base with this one's bounds and side information and the given rows."""
+        kb = object.__new__(KnowledgeBase)
+        kb.lip, kb.lip_total, kb.side, kb._groups = (
+            self.lip, self.lip_total, self.side, self._groups
+        )
+        kb._set_rows(*rows, passes=passes, residual=residual)
+        return kb
 
     @property
     def n(self) -> int:
@@ -217,13 +259,122 @@ class KnowledgeBase:
     def m(self) -> int:
         return self.lip.m
 
-    def with_entries(self, entries) -> "KnowledgeBase":
-        return KnowledgeBase(tuple(entries), self.lip, self.lip_total, self.side)
+    @property
+    def entries(self) -> Sequence:
+        return _Entries(self)
+
+    def _point_dists(self, X):
+        """Per-group distances (k, N, ngroups) from the rows of X to the entry states."""
+        return self._groups.dists(self.xs - X[:, None, :])
+
+    def _box_dists(self, X: IVector):
+        """Per-group upper bounds (1, N, ngroups) of |y - x_i| over all y in the box X."""
+        far = np.maximum(np.abs(X.lo[None, :] - self.xs), np.abs(X.hi[None, :] - self.xs))
+        return self._groups.dists(far[None])
+
+
+# ---------------------------------------------------------------------------
+# stacked interval kernels
+# ---------------------------------------------------------------------------
+# The contraction pass and the queries work on rows stacked along a leading
+# sample axis.  Instead of raising, a kernel returns the mask of components
+# whose intersection came out genuinely empty, so that a batch can report the
+# failure a per-sample loop would have hit first.
+
+# a batched pass cuts the sample axis into chunks so that no temporary holds
+# more float64s than this (a chunk has at least one sample)
+_CHUNK_FLOATS = 1 << 15
+
+
+def _settle(lo, hi):
+    """Absorb float-level crossings of the entry intersection; flag real ones."""
+    return meet_arrays(lo, hi, lo, hi, _MEET_TOL, _PAD)
+
+
+def _first_index(mask):
+    return tuple(int(i) for i in np.argwhere(mask)[0])
+
+
+def _empty(what, index) -> EmptyIntersection:
+    """The error of a genuine crossing in a settle ("f" / "G") or a meet (None)."""
+    if what is None:
+        return EmptyIntersection(f"empty intersection at component {index}", index=index)
+    return EmptyIntersection(
+        f"{what}-enclosure empty at component {index}: Lipschitz bounds and "
+        "data are mutually inconsistent",
+        index=index,
+    )
+
+
+def _first_failure(stages):
+    """(row, kind, component) of the lowest failing row, or None.
+
+    ``stages`` lists (mask, kind) pairs in the order one sample evaluates
+    them; a row's failure is its first stage with a set mask entry.
+    """
+    hit = np.stack([bad.reshape(bad.shape[0], -1).any(axis=1) for bad, _ in stages])
+    failing = np.flatnonzero(hit.any(axis=0))
+    if failing.size == 0:
+        return None
+    row = int(failing[0])
+    bad, kind = stages[int(np.argmax(hit[:, row]))]
+    return row, kind, _first_index(bad[row])
 
 
 # ---------------------------------------------------------------------------
 # contraction at a data point
 # ---------------------------------------------------------------------------
+
+def _contract(xdot, u, F_lo, F_hi, G_lo, G_hi):
+    """`contract_fg` on stacked rows: xdot (k, n), u (k, m), F (k, n), G (k, n, m).
+
+    Returns the contracted f and G rows and the (mask, "contract") failure
+    stages of its intersections.
+    """
+    m = u.shape[1]
+    uc = u[:, None, :]
+    col_lo = np.minimum(G_lo * uc, G_hi * uc)
+    col_hi = np.maximum(G_lo * uc, G_hi * uc)
+    gu_lo, gu_hi = _out(col_lo.sum(axis=2), col_hi.sum(axis=2))
+    lo, hi, bad = meet_arrays(
+        F_lo, F_hi, *_out(xdot - gu_hi, xdot - gu_lo), _MEET_TOL, _PAD
+    )
+    stages = [bad]
+    cf_lo = np.clip(lo, F_lo, F_hi)
+    cf_hi = np.clip(hi, cf_lo, F_hi)
+    s_lo, s_hi, bad = meet_arrays(
+        *_out(xdot - cf_hi, xdot - cf_lo), gu_lo, gu_hi, _MEET_TOL, _PAD
+    )
+    stages.append(bad)
+    cg_lo, cg_hi = G_lo.copy(), G_hi.copy()
+    # suffix sums over columns l+1..m-1 of G u
+    for l in range(m):
+        tail_lo = col_lo[:, :, l + 1 :].sum(axis=2)
+        tail_hi = col_hi[:, :, l + 1 :].sum(axis=2)
+        ul = u[:, l : l + 1]
+        live = np.abs(ul) > _U_ZERO_TOL
+        if live.any():
+            num_lo, num_hi, bad = meet_arrays(
+                *_out(s_lo - tail_hi, s_hi - tail_lo), col_lo[:, :, l], col_hi[:, :, l],
+                _MEET_TOL,
+            )
+            stages.append(bad & live)
+            safe = np.where(live, ul, 1.0)
+            a, b = num_lo / safe, num_hi / safe
+            # dividing amplifies rounding by 1/|u_l|; pad accordingly
+            div_pad = 1e-14 * (1.0 + np.maximum(np.abs(num_lo), np.abs(num_hi))) / np.abs(safe)
+            lo = np.clip(np.minimum(a, b) - div_pad, G_lo[:, :, l], G_hi[:, :, l])
+            hi = np.clip(np.maximum(a, b) + div_pad, lo, G_hi[:, :, l])
+            cg_lo[:, :, l] = np.where(live, lo, G_lo[:, :, l])
+            cg_hi[:, :, l] = np.where(live, hi, G_hi[:, :, l])
+        used_lo = np.minimum(cg_lo[:, :, l] * ul, cg_hi[:, :, l] * ul)
+        used_hi = np.maximum(cg_lo[:, :, l] * ul, cg_hi[:, :, l] * ul)
+        s_lo, s_hi, bad = meet_arrays(
+            s_lo - used_hi, s_hi - used_lo, tail_lo, tail_hi, _MEET_TOL, _PAD
+        )
+        stages.append(bad)
+    return cf_lo, cf_hi, cg_lo, cg_hi, [(bad, "contract") for bad in stages]
+
 
 def contract_fg(s: Sample, F: IVector, G: IMatrix) -> Tuple[IVector, IMatrix]:
     """Contract enclosures of f(x) and G(x) against xdot = f(x) + G(x) u.
@@ -234,37 +385,18 @@ def contract_fg(s: Sample, F: IVector, G: IMatrix) -> Tuple[IVector, IMatrix]:
     component leaves its column untouched (no information, and dividing by it
     would amplify rounding).
     """
-    n, m = G.shape
-    u = s.u
-    try:
-        Gu = imat_vec(G, u)
-        C_F = clamp_into(meet(F, s.xdot - Gu, _MEET_TOL, _PAD), F)
-        srun = meet(IVector.point(s.xdot) - C_F, Gu, _MEET_TOL, _PAD)
-        cg_lo = np.array(G.lo)
-        cg_hi = np.array(G.hi)
-        # suffix sums over columns l+1..m-1 of G u
-        col_lo = np.minimum(G.lo * u[None, :], G.hi * u[None, :])
-        col_hi = np.maximum(G.lo * u[None, :], G.hi * u[None, :])
-        for l in range(m):
-            tail_lo = col_lo[:, l + 1 :].sum(axis=1)
-            tail_hi = col_hi[:, l + 1 :].sum(axis=1)
-            tail = IVector(tail_lo, tail_hi)
-            if abs(u[l]) > _U_ZERO_TOL:
-                num = meet(srun - tail, IVector(col_lo[:, l], col_hi[:, l]), _MEET_TOL)
-                a, b = num.lo / u[l], num.hi / u[l]
-                # dividing amplifies rounding by 1/|u_l|; pad accordingly
-                div_pad = 1e-14 * (1.0 + np.maximum(np.abs(num.lo), np.abs(num.hi))) / abs(u[l])
-                cg_lo[:, l] = np.clip(np.minimum(a, b) - div_pad, G.lo[:, l], G.hi[:, l])
-                cg_hi[:, l] = np.clip(np.maximum(a, b) + div_pad, cg_lo[:, l], G.hi[:, l])
-            used_lo = np.minimum(cg_lo[:, l] * u[l], cg_hi[:, l] * u[l])
-            used_hi = np.maximum(cg_lo[:, l] * u[l], cg_hi[:, l] * u[l])
-            srun = meet(IVector(srun.lo - used_hi, srun.hi - used_lo), tail, _MEET_TOL, _PAD)
-    except EmptyIntersection as exc:
+    *rows, stages = _contract(
+        s.xdot[None], s.u[None], F.lo[None], F.hi[None], G.lo[None], G.hi[None]
+    )
+    failure = _first_failure(stages)
+    if failure is not None:
+        exc = _empty(None, failure[2])
         raise InconsistentSample(
             f"data point contradicts the current enclosures ({exc})",
             component=exc.index,
         ) from exc
-    return C_F, IMatrix(cg_lo, cg_hi)
+    cf_lo, cf_hi, cg_lo, cg_hi = rows
+    return IVector(cf_lo[0], cf_hi[0]), IMatrix(cg_lo[0], cg_hi[0])
 
 
 # ---------------------------------------------------------------------------
@@ -272,50 +404,29 @@ def contract_fg(s: Sample, F: IVector, G: IMatrix) -> Tuple[IVector, IMatrix]:
 # ---------------------------------------------------------------------------
 
 def _unknown_f(kb: KnowledgeBase, dists) -> Tuple[np.ndarray, np.ndarray]:
-    c = kb._cache
-    D = np.stack([dists[g] for g in c.f_group], axis=1)  # (N, n)
-    slack = kb.lip.L_f[None, :] * D
-    lo = (c.cf_lo - slack).max(axis=0)
-    hi = (c.cf_hi + slack).min(axis=0)
-    return lo, hi
+    """Lipschitz envelope (k, n) of the learned f, from distances (k, N, ngroups)."""
+    slack = kb.lip.L_f * dists[..., kb._groups.f_group]            # (k, N, n)
+    return (kb.cf_lo - slack).max(axis=-2), (kb.cf_hi + slack).min(axis=-2)
 
 
 def _unknown_G(kb: KnowledgeBase, dists) -> Tuple[np.ndarray, np.ndarray]:
-    c = kb._cache
-    n, m = kb.n, kb.m
-    dist_stack = np.stack(dists, axis=0)                 # (ngroups, N)
-    D = dist_stack[c.g_group.reshape(-1)]                # (n*m, N)
-    D = D.reshape(n, m, -1).transpose(2, 0, 1)           # (N, n, m)
-    slack = kb.lip.L_G[None, :, :] * D
-    lo = (c.cg_lo - slack).max(axis=0)
-    hi = (c.cg_hi + slack).min(axis=0)
-    return lo, hi
+    """Lipschitz envelope (k, n, m) of the learned G, from distances (k, N, ngroups)."""
+    slack = kb.lip.L_G * dists[..., kb._groups.g_group]            # (k, N, n, m)
+    return (kb.cg_lo - slack).max(axis=-3), (kb.cg_hi + slack).min(axis=-3)
 
 
-def _settle(lo, hi, what):
-    """Absorb float-level crossings of the entry intersection; raise on real ones."""
-    gap = lo - hi
-    scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    if np.any(gap > 0.0):
-        genuine = gap > _MEET_TOL * scale
-        if np.any(genuine):
-            idx = tuple(int(i) for i in np.argwhere(genuine)[0])
-            raise EmptyIntersection(
-                f"{what}-enclosure empty at component {idx}: Lipschitz bounds and "
-                "data are mutually inconsistent",
-                index=idx,
-            )
-        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    margin = _PAD * scale
-    return lo - margin, hi + margin
+def _settled(lo, hi, what):
+    """The settled envelope of a single query; raises on a genuine crossing."""
+    lo, hi, bad = _settle(lo, hi)
+    if bad.any():
+        raise _empty(what, _first_index(bad[0]))
+    return lo[0], hi[0]
 
 
 def f_over(x: np.ndarray, kb: KnowledgeBase) -> IVector:
     """Interval enclosure of f(x) from the knowledge base (Lipschitz envelope)."""
     x = np.asarray(x, dtype=float)
-    dists = kb._cache.dists_point(x)
-    lo, hi = _settle(*_unknown_f(kb, dists), "f")
-    enc = IVector(lo, hi)
+    enc = IVector(*_settled(*_unknown_f(kb, kb._point_dists(x[None])), "f"))
     pd = kb.side.partial_dynamics
     if pd is not None:
         enc = enc + pd.f_known(x)
@@ -328,9 +439,7 @@ def f_over(x: np.ndarray, kb: KnowledgeBase) -> IVector:
 def G_over(x: np.ndarray, kb: KnowledgeBase) -> IMatrix:
     """Interval enclosure of G(x) from the knowledge base."""
     x = np.asarray(x, dtype=float)
-    dists = kb._cache.dists_point(x)
-    lo, hi = _settle(*_unknown_G(kb, dists), "G")
-    enc = IMatrix(lo, hi)
+    enc = IMatrix(*_settled(*_unknown_G(kb, kb._point_dists(x[None])), "G"))
     pd = kb.side.partial_dynamics
     if pd is not None:
         enc = enc + pd.G_known(x)
@@ -342,9 +451,7 @@ def G_over(x: np.ndarray, kb: KnowledgeBase) -> IMatrix:
 
 def f_over_iv(X: IVector, kb: KnowledgeBase) -> IVector:
     """Inclusion-isotone interval extension of f_over to state boxes."""
-    dists = kb._cache.dists_sup(X)
-    lo, hi = _settle(*_unknown_f(kb, dists), "f")
-    enc = IVector(lo, hi)
+    enc = IVector(*_settled(*_unknown_f(kb, kb._box_dists(X)), "f"))
     pd = kb.side.partial_dynamics
     if pd is not None:
         enc = enc + pd.f_known_iv(X)
@@ -356,9 +463,7 @@ def f_over_iv(X: IVector, kb: KnowledgeBase) -> IVector:
 
 def G_over_iv(X: IVector, kb: KnowledgeBase) -> IMatrix:
     """Inclusion-isotone interval extension of G_over to state boxes."""
-    dists = kb._cache.dists_sup(X)
-    lo, hi = _settle(*_unknown_G(kb, dists), "G")
-    enc = IMatrix(lo, hi)
+    enc = IMatrix(*_settled(*_unknown_G(kb, kb._box_dists(X)), "G"))
     pd = kb.side.partial_dynamics
     if pd is not None:
         enc = enc + pd.G_known_iv(X)
@@ -379,22 +484,88 @@ def _residual_sample(s: Sample, pd: Optional[PartialDynamics]) -> Sample:
     return Sample(s.x, resid, s.u, s.t)
 
 
-def _residual_queries(kb: KnowledgeBase, x) -> Tuple[IVector, IMatrix]:
-    """Enclosures of the learned (residual) part at a point, range bounds applied."""
-    dists = kb._cache.dists_point(np.asarray(x, dtype=float))
-    flo, fhi = _settle(*_unknown_f(kb, dists), "f")
-    glo, ghi = _settle(*_unknown_G(kb, dists), "G")
-    F, G = IVector(flo, fhi), IMatrix(glo, ghi)
+def _stack(samples, n, m):
+    """States, derivatives and controls of the samples as (k, n), (k, n), (k, m)."""
+    k = len(samples)
+    return (
+        np.array([s.x for s in samples], dtype=float).reshape(k, n),
+        np.array([s.xdot for s in samples], dtype=float).reshape(k, n),
+        np.array([s.u for s in samples], dtype=float).reshape(k, m),
+    )
+
+
+def _residual_queries(kb: KnowledgeBase, X):
+    """Enclosures of the learned (residual) part at the rows of X, range bounds applied.
+
+    Returns F lo/hi (k, n), G lo/hi (k, n, m) and the failure stages of the
+    settles and range meets, in the order one query evaluates them.
+    """
+    dists = kb._point_dists(X)
+    flo, fhi, f_bad = _settle(*_unknown_f(kb, dists))
+    glo, ghi, g_bad = _settle(*_unknown_G(kb, dists))
+    stages = [(f_bad, "f"), (g_bad, "G")]
     vb = kb.side.vf_bounds
-    if vb is not None and vb.region.contains(x):
+    if vb is not None:
+        inside = np.all((vb.region.lo <= X) & (X <= vb.region.hi), axis=1)
+        fb = (vb.f_range.lo, vb.f_range.hi)
+        gb = (vb.G_range.lo, vb.G_range.hi)
         pd = kb.side.partial_dynamics
-        fb, gb = vb.f_range, vb.G_range
         if pd is not None:
-            fb = fb - pd.f_known(np.asarray(x, float))
-            gb = gb - pd.G_known(np.asarray(x, float))
-        F = meet(F, fb, _MEET_TOL, _PAD)
-        G = meet(G, gb, _MEET_TOL, _PAD)
-    return F, G
+            f_known, G_known = np.zeros(flo.shape), np.zeros(glo.shape)
+            for r in np.flatnonzero(inside):
+                f_known[r], G_known[r] = pd.f_known(X[r]), pd.G_known(X[r])
+            fb = _out(fb[0] - f_known, fb[1] - f_known)
+            gb = _out(gb[0] - G_known, gb[1] - G_known)
+        sel = inside[:, None]
+        lo, hi, bad = meet_arrays(flo, fhi, *fb, _MEET_TOL, _PAD)
+        flo, fhi = np.where(sel, lo, flo), np.where(sel, hi, fhi)
+        stages.append((bad & sel, None))
+        sel = sel[:, :, None]
+        lo, hi, bad = meet_arrays(glo, ghi, *gb, _MEET_TOL, _PAD)
+        glo, ghi = np.where(sel, lo, glo), np.where(sel, hi, ghi)
+        stages.append((bad & sel, None))
+    return flo, fhi, glo, ghi, stages
+
+
+def _pass(kb: KnowledgeBase, X, XDOT, U, first):
+    """Query and contract samples ``first, first + 1, ...`` against ``kb``.
+
+    Every sample (row of X, XDOT, U) sees the same base, so one call is one
+    Jacobi sweep, computed chunk by chunk along the sample axis.  Returns the
+    new f and G rows; on failure raises what a per-sample loop would raise
+    first, for the lowest failing sample.
+    """
+    N, n = kb.xs.shape
+    k, m = U.shape
+    rows = (np.empty((k, n)), np.empty((k, n)), np.empty((k, n, m)), np.empty((k, n, m)))
+    step = max(1, _CHUNK_FLOATS // (N * max(n * m, n, len(kb._groups.masks))))
+    for a in range(0, k, step):
+        b = min(a + step, k)
+        nan = (
+            np.isnan(X[a:b]).any(axis=1) | np.isnan(XDOT[a:b]).any(axis=1)
+            | np.isnan(U[a:b]).any(axis=1)
+        )
+        *enc, q_stages = _residual_queries(kb, X[a:b])
+        *new, c_stages = _contract(XDOT[a:b], U[a:b], *enc)
+        failure = _first_failure([(nan[:, None], "nan")] + q_stages + c_stages)
+        if failure is not None:
+            _raise_failure(failure, first + a)
+        for out, part in zip(rows, new):
+            out[a:b] = part
+    return rows
+
+
+def _raise_failure(failure, first):
+    row, kind, comp = failure
+    idx = first + row
+    if kind == "nan":
+        raise ValueError(f"sample {idx}: interval endpoints must not be NaN")
+    if kind != "contract":
+        raise _empty(kind, comp)
+    raise InconsistentSample(
+        f"sample {idx} contradicts the enclosures at component {comp}",
+        sample_index=idx, component=comp,
+    ) from _empty(None, comp)
 
 
 def _seed_entry(side: SideInfoSet, samples, n, m, M) -> KnowledgeEntry:
@@ -413,15 +584,6 @@ def _seed_entry(side: SideInfoSet, samples, n, m, M) -> KnowledgeEntry:
     return KnowledgeEntry(np.asarray(x0, float), CF0, CG0)
 
 
-def _max_change(old: KnowledgeEntry, new: KnowledgeEntry) -> float:
-    return max(
-        float(np.max(np.abs(new.C_F.lo - old.C_F.lo), initial=0.0)),
-        float(np.max(np.abs(new.C_F.hi - old.C_F.hi), initial=0.0)),
-        float(np.max(np.abs(new.C_G.lo - old.C_G.lo), initial=0.0)),
-        float(np.max(np.abs(new.C_G.hi - old.C_G.hi), initial=0.0)),
-    )
-
-
 def build_knowledge(
     traj,
     lip: LipschitzBounds,
@@ -436,7 +598,8 @@ def build_knowledge(
     whole base is re-contracted until no endpoint moves by more than
     ``fixpoint_tol`` (widths are monotone non-increasing, so this terminates).
     ``M`` must genuinely bound |f| and |G| on the domain for the result to be
-    sound when no range bounds are supplied.
+    sound when no range bounds are supplied.  The returned base records the
+    number of invariance passes and the residual of the last one.
     """
     side = side or SideInfoSet()
     pd = side.partial_dynamics
@@ -454,33 +617,29 @@ def build_knowledge(
     kb = KnowledgeBase(
         (_seed_entry(side, samples, qlip.n, qlip.m, M),), qlip, lip, side
     )
-    for idx, s in enumerate(samples):
-        kb = kb.with_entries(kb.entries + (_contract_against(kb, s, idx),))
-    return _iterate_to_invariance(kb, samples, fixpoint_tol, max_fixpoint_iters)
+    X, XDOT, U = _stack(samples, qlip.n, qlip.m)
+    for i in range(len(samples)):
+        kb = _append(kb, X[i : i + 1], XDOT[i : i + 1], U[i : i + 1], i)
+    return _iterate_to_invariance(kb, X, XDOT, U, fixpoint_tol, max_fixpoint_iters)
 
 
-def _contract_against(kb: KnowledgeBase, s: Sample, idx) -> KnowledgeEntry:
-    F, G = _residual_queries(kb, s.x)
-    try:
-        CF, CG = contract_fg(s, F, G)
-    except InconsistentSample as exc:
-        raise InconsistentSample(
-            f"sample {idx} contradicts the enclosures at component "
-            f"{exc.component}", sample_index=idx, component=exc.component
-        ) from exc
-    return KnowledgeEntry(s.x, CF, CG)
+def _append(kb: KnowledgeBase, X, XDOT, U, first) -> KnowledgeBase:
+    new = (X,) + _pass(kb, X, XDOT, U, first)
+    return kb._with_rows([np.concatenate((a, r)) for a, r in zip(kb._rows(), new)])
 
 
-def _iterate_to_invariance(kb, samples, tol, max_iters) -> KnowledgeBase:
-    for _ in range(max_iters):
-        entries = [kb.entries[0]]
-        change = 0.0
-        for idx, s in enumerate(samples):
-            new = _contract_against(kb, s, idx)
-            change = max(change, _max_change(kb.entries[idx + 1], new))
-            entries.append(new)
-        kb = kb.with_entries(entries)
-        if change < tol:
+def _iterate_to_invariance(kb, X, XDOT, U, tol, max_iters) -> KnowledgeBase:
+    for passes in range(1, max_iters + 1):
+        new = (X,) + _pass(kb, X, XDOT, U, 0)
+        residual = max(
+            float(np.max(np.abs(r - a[1:]), initial=0.0))
+            for a, r in zip(kb._rows()[1:], new[1:])
+        )
+        kb = kb._with_rows(
+            [np.concatenate((a[:1], r)) for a, r in zip(kb._rows(), new)],
+            passes=passes, residual=residual,
+        )
+        if residual < tol:
             break
     return kb
 
@@ -488,20 +647,26 @@ def _iterate_to_invariance(kb, samples, tol, max_iters) -> KnowledgeBase:
 def append_sample(kb: KnowledgeBase, sample: Sample) -> KnowledgeBase:
     """Add one data point with a single query-and-contract pass.
 
-    The incremental update leaves older entries untouched, so its cost is
-    linear in the base size; use `rebuild` for a periodic full refresh.
+    The incremental update leaves older entries untouched and appends one
+    row to the stacked arrays, so its cost is linear in the base size; use
+    `rebuild` for a periodic full refresh.
     """
     s = _residual_sample(sample, kb.side.partial_dynamics)
-    idx = len(kb.entries) - 1
-    return kb.with_entries(kb.entries + (_contract_against(kb, s, idx),))
+    return _append(kb, *_stack([s], kb.n, kb.m), kb.xs.shape[0] - 1)
 
 
-def rebuild(kb: KnowledgeBase, samples, fixpoint_tol=1e-9, max_fixpoint_iters=50):
-    """Full invariance re-run against an externally kept list of raw samples."""
+def rebuild(kb, samples, fixpoint_tol=1e-9, max_fixpoint_iters=50) -> KnowledgeBase:
+    """Full invariance re-run against an externally kept list of raw samples.
+
+    The returned base records the pass count and final residual, as
+    `build_knowledge` does.
+    """
     side_samples = [_residual_sample(s, kb.side.partial_dynamics) for s in samples]
-    if len(side_samples) != len(kb.entries) - 1:
+    if len(side_samples) != kb.xs.shape[0] - 1:
         raise ValueError("sample list does not match the knowledge base")
-    return _iterate_to_invariance(kb, side_samples, fixpoint_tol, max_fixpoint_iters)
+    return _iterate_to_invariance(
+        kb, *_stack(side_samples, kb.n, kb.m), fixpoint_tol, max_fixpoint_iters
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
@@ -372,6 +373,7 @@ class StepLog:
     mode_used: str
     box_lo: Optional[np.ndarray] = None
     box_hi: Optional[np.ndarray] = None
+    kb_micros: float = 0.0  # this step's append_sample plus any rebuild
 
 
 @dataclass
@@ -410,7 +412,8 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
 
     Every applied control appends exactly one sample to the base through the
     linear-cost incremental update; a full invariance refresh runs every
-    `refresh_every` steps.  Stops once the realized one-step cost (plus the
+    `refresh_every` steps.  Each log times the control step in ``micros`` and
+    the knowledge-base update after it in ``kb_micros``.  Stops once the realized one-step cost (plus the
     constant offset) enters the stop sublevel set.
     """
     limit = max_step_size(sys.lip, sys.U)
@@ -463,9 +466,11 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
 
         new_sample = Sample(x, sys.h_true(x, u), u, t)
         all_samples.append(new_sample)
+        started = time.perf_counter()
         kb = append_sample(kb, new_sample)
         if (i + 1) % cfg.refresh_every == 0:
             kb = rebuild(kb, all_samples)
+        log.kb_micros = (time.perf_counter() - started) * 1e6
         x = x_next
         t += cfg.dt
         u_prev = u

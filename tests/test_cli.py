@@ -102,6 +102,8 @@ class TestControlCommand:
         header, rows = dio.read_steps_csv(steps)
         assert header[:2] == ["i", "t"]
         assert rows.shape[0] == 5
+        assert header[-1] == "kb_micros"
+        assert np.all(rows[:, header.index("kb_micros")] > 0)
         data = json.loads(summary.read_text())
         assert data["system"] == "unicycle"
         assert data["steps_taken"] == 5

@@ -384,3 +384,269 @@ class TestRandomSystemFuzz:
                 q = rng.normal(size=n) * 2
                 assert f_over(q, kb).contains(f(q), atol=1e-8)
                 assert G_over(q, kb).contains(G(q), atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the batched pass against a per-sample reference
+# ---------------------------------------------------------------------------
+
+class _RefBase:
+    """Entries as a plain list, stacked once so that every query reads the same base."""
+
+    def __init__(self, entries, lip, side):
+        self.entries, self.lip, self.side = list(entries), lip, side
+        self.xs = np.array([e.x for e in entries])
+        self.cf = [np.array([e.C_F.lo for e in entries]), np.array([e.C_F.hi for e in entries])]
+        self.cg = [np.array([e.C_G.lo for e in entries]), np.array([e.C_G.hi for e in entries])]
+
+    def with_entry(self, entry):
+        return _RefBase(self.entries + [entry], self.lip, self.side)
+
+
+def _ref_queries(base, x):
+    """Residual enclosures at one state, range bounds applied."""
+    from datareach.knowledge import _MEET_TOL, _PAD
+    from datareach.intervals import meet
+
+    n, m = base.lip.n, base.lip.m
+    diff = base.xs - x
+    dec = base.side.decoupling
+    f_masks = dec.f_depends if dec is not None else np.ones((n, n), bool)
+    g_masks = dec.G_depends if dec is not None else np.ones((n, m, n), bool)
+
+    def dist(mask):
+        return np.sqrt((diff[:, mask] ** 2).sum(axis=1))
+
+    def settle(lo, hi):
+        scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        assert not np.any(lo - hi > _MEET_TOL * scale)
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        return lo - _PAD * scale, hi + _PAD * scale
+
+    Df = np.stack([dist(f_masks[k]) for k in range(n)], axis=1)          # (N, n)
+    DG = np.array([[dist(g_masks[k, l]) for l in range(m)] for k in range(n)])
+    DG = DG.transpose(2, 0, 1)                                           # (N, n, m)
+    sf = base.lip.L_f * Df
+    sg = base.lip.L_G * DG
+    F = IVector(*settle((base.cf[0] - sf).max(axis=0), (base.cf[1] + sf).min(axis=0)))
+    G = IMatrix(*settle((base.cg[0] - sg).max(axis=0), (base.cg[1] + sg).min(axis=0)))
+    vb, pd = base.side.vf_bounds, base.side.partial_dynamics
+    if vb is not None and vb.region.contains(x):
+        fb, gb = vb.f_range, vb.G_range
+        if pd is not None:
+            fb, gb = fb - pd.f_known(x), gb - pd.G_known(x)
+        F, G = meet(F, fb, _MEET_TOL, _PAD), meet(G, gb, _MEET_TOL, _PAD)
+    return F, G
+
+
+def _ref_contract_fg(s, F, G):
+    """contract_fg written with interval-box operations, one sample at a time."""
+    from datareach.intervals import clamp_into, imat_vec, meet
+    from datareach.knowledge import _MEET_TOL, _PAD, _U_ZERO_TOL
+
+    u = s.u
+    Gu = imat_vec(G, u)
+    C_F = clamp_into(meet(F, s.xdot - Gu, _MEET_TOL, _PAD), F)
+    srun = meet(IVector.point(s.xdot) - C_F, Gu, _MEET_TOL, _PAD)
+    cg_lo, cg_hi = np.array(G.lo), np.array(G.hi)
+    col_lo = np.minimum(G.lo * u, G.hi * u)
+    col_hi = np.maximum(G.lo * u, G.hi * u)
+    for l in range(len(u)):
+        tail = IVector(col_lo[:, l + 1:].sum(axis=1), col_hi[:, l + 1:].sum(axis=1))
+        if abs(u[l]) > _U_ZERO_TOL:
+            num = meet(srun - tail, IVector(col_lo[:, l], col_hi[:, l]), _MEET_TOL)
+            a, b = num.lo / u[l], num.hi / u[l]
+            div_pad = 1e-14 * (1.0 + np.maximum(np.abs(num.lo), np.abs(num.hi))) / abs(u[l])
+            cg_lo[:, l] = np.clip(np.minimum(a, b) - div_pad, G.lo[:, l], G.hi[:, l])
+            cg_hi[:, l] = np.clip(np.maximum(a, b) + div_pad, cg_lo[:, l], G.hi[:, l])
+        used_lo = np.minimum(cg_lo[:, l] * u[l], cg_hi[:, l] * u[l])
+        used_hi = np.maximum(cg_lo[:, l] * u[l], cg_hi[:, l] * u[l])
+        srun = meet(IVector(srun.lo - used_hi, srun.hi - used_lo), tail, _MEET_TOL, _PAD)
+    return C_F, IMatrix(cg_lo, cg_hi)
+
+
+def _ref_residual(s, pd):
+    if pd is None:
+        return s
+    return Sample(s.x, s.xdot - (pd.f_known(s.x) + pd.G_known(s.x) @ s.u), s.u, s.t)
+
+
+def _ref_entry(base, s):
+    from datareach.knowledge import KnowledgeEntry
+
+    return KnowledgeEntry(s.x, *contract_fg(s, *_ref_queries(base, s.x)))
+
+
+def _ref_invariance(base, samples, tol=1e-9, max_iters=50):
+    """Jacobi passes: every sample is contracted against the previous base."""
+    for _ in range(max_iters):
+        new = [base.entries[0]] + [_ref_entry(base, s) for s in samples]
+        change = 0.0
+        for old, cur in zip(base.entries[1:], new[1:]):
+            for a, b in ((old.C_F.lo, cur.C_F.lo), (old.C_F.hi, cur.C_F.hi),
+                         (old.C_G.lo, cur.C_G.lo), (old.C_G.hi, cur.C_G.hi)):
+                change = max(change, float(np.max(np.abs(a - b))))
+        base = _RefBase(new, base.lip, base.side)
+        if change < tol:
+            break
+    return base
+
+
+def _ref_run(traj, lip, side, n_init, M=1e3):
+    """Per-sample build on the first n_init samples, then append the rest, then rebuild."""
+    from datareach.knowledge import KnowledgeEntry
+
+    pd, vb = side.partial_dynamics, side.vf_bounds
+    qlip = pd.lip if pd is not None else lip
+    n, m = qlip.n, qlip.m
+    samples = [_ref_residual(s, pd) for s in traj]
+    if vb is not None:
+        x0, CF0, CG0 = vb.region.mid, vb.f_range, vb.G_range
+        if pd is not None:
+            CF0, CG0 = CF0 - pd.f_known(x0), CG0 - pd.G_known(x0)
+    else:
+        x0 = samples[0].x
+        CF0 = IVector(np.full(n, -M), np.full(n, M))
+        CG0 = IMatrix(np.full((n, m), -M), np.full((n, m), M))
+    base = _RefBase([KnowledgeEntry(x0, CF0, CG0)], qlip, side)
+    for s in samples[:n_init]:
+        base = base.with_entry(_ref_entry(base, s))
+    base = _ref_invariance(base, samples[:n_init])
+    for s in samples[n_init:]:
+        base = base.with_entry(_ref_entry(base, s))
+    return _ref_invariance(base, samples)
+
+
+def _batched_run(traj, lip, side, n_init):
+    kb = build_knowledge(traj[:n_init], lip, side)
+    for s in traj[n_init:]:
+        kb = append_sample(kb, s)
+    return rebuild(kb, traj)
+
+
+def _assert_same_base(got, want):
+    assert np.array_equal(got.xs, want.xs)
+    assert np.array_equal(got.cf_lo, want.cf[0]) and np.array_equal(got.cf_hi, want.cf[1])
+    assert np.array_equal(got.cg_lo, want.cg[0]) and np.array_equal(got.cg_hi, want.cg[1])
+
+
+class TestBatchedPass:
+    """build_knowledge, append_sample and rebuild equal a per-sample loop exactly."""
+
+    @pytest.mark.parametrize("name", ["unicycle", "quadrotor", "aircraft"])
+    @pytest.mark.parametrize("N", [10, 60])
+    def test_presets_match_reference(self, name, N):
+        from datareach.systems import by_name, experiment_for
+
+        sys_ = by_name(name)
+        cfg = experiment_for(name)
+        traj = excite(sys_, N + 3, seed=N, dt=cfg.dt, x0=cfg.x0)
+        _assert_same_base(
+            _batched_run(traj, sys_.lip, sys_.side, N),
+            _ref_run(traj, sys_.lip, sys_.side, N),
+        )
+
+    @pytest.mark.parametrize("setting", ["lipschitz_only", "decoupled", "decoupled_bounds"])
+    def test_unicycle_settings_match_reference(self, setting):
+        from datareach.systems import unicycle_knowledge_settings
+
+        sysu = unicycle()
+        side = unicycle_knowledge_settings()[setting]
+        traj = excite(sysu, 15, seed=2, dt=0.1, x0=[-2.0, -2.5, math.pi / 2])
+        _assert_same_base(
+            _batched_run(traj, sysu.lip, side, 12), _ref_run(traj, sysu.lip, side, 12)
+        )
+
+    def test_inflation_matches_reference(self):
+        from datareach import intervals
+
+        sysu = unicycle()
+        traj = excite(sysu, 20, seed=3, dt=0.1, x0=[-2.0, -2.5, math.pi / 2])
+        intervals.set_inflate_eps(1e-12)
+        try:
+            _assert_same_base(
+                _batched_run(traj, sysu.lip, sysu.side, 16),
+                _ref_run(traj, sysu.lip, sysu.side, 16),
+            )
+        finally:
+            intervals.set_inflate_eps(0.0)
+
+    @pytest.mark.parametrize("inflate", [0.0, 1e-12])
+    @pytest.mark.parametrize("name", ["unicycle", "quadrotor", "aircraft"])
+    def test_contract_fg_matches_box_reference(self, name, inflate):
+        from datareach import intervals
+        from datareach.knowledge import KnowledgeEntry
+        from datareach.systems import by_name, experiment_for
+
+        sys_ = by_name(name)
+        cfg = experiment_for(name)
+        pd = sys_.side.partial_dynamics
+        traj = [_ref_residual(s, pd) for s in excite(sys_, 30, seed=4, dt=cfg.dt, x0=cfg.x0)]
+        lip = pd.lip if pd is not None else sys_.lip
+        M = np.full((lip.n, lip.m), 1e3)
+        base = _RefBase([KnowledgeEntry(traj[0].x, IVector(-M[:, 0], M[:, 0]), IMatrix(-M, M))],
+                        lip, sys_.side)
+        failures = []
+        intervals.set_inflate_eps(inflate)
+        try:
+            for s in traj:
+                F, G = _ref_queries(base, s.x)
+                got, want = contract_fg(s, F, G), _ref_contract_fg(s, F, G)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
+                base = base.with_entry(KnowledgeEntry(s.x, *got))
+                # a corrupted derivative fails in both, at the same component
+                bad = Sample(s.x, s.xdot + 50.0 * (np.arange(lip.n) == lip.n - 1), s.u)
+                got_comp = want_comp = None
+                try:
+                    _ref_contract_fg(bad, *got)
+                except EmptyIntersection as exc:
+                    want_comp = exc.index
+                try:
+                    contract_fg(bad, *got)
+                except InconsistentSample as exc:
+                    got_comp = exc.component
+                assert got_comp == want_comp
+                failures.append(want_comp)
+        finally:
+            intervals.set_inflate_eps(0.0)
+        assert any(c is not None for c in failures)
+
+    @pytest.mark.parametrize("chunk_floats", [None, 1])
+    def test_rebuild_raises_for_lowest_failing_sample(self, chunk_floats, monkeypatch):
+        from datareach import knowledge
+
+        if chunk_floats is not None:  # one sample per chunk
+            monkeypatch.setattr(knowledge, "_CHUNK_FLOATS", chunk_floats)
+        sysu = unicycle()
+        traj = excite(sysu, 20, seed=7, dt=0.1, x0=[-2.0, -2.5, math.pi / 2])
+        kb = build_knowledge(traj, sysu.lip, sysu.side)
+        bad = list(traj)
+        for i in (13, 6):
+            xdot = bad[i].xdot.copy()
+            xdot[0] += 100.0
+            bad[i] = Sample(bad[i].x, xdot, bad[i].u, bad[i].t)
+        with pytest.raises(InconsistentSample) as err:
+            rebuild(kb, bad)
+        assert err.value.sample_index == 6
+        assert err.value.component == (0,)
+        assert str(err.value) == "sample 6 contradicts the enclosures at component (0,)"
+
+    def test_nan_sample_rejected(self):
+        lip = LipschitzBounds([1.0], [[1.0]])
+        samples = [Sample([0.0], [0.0], [1.0]), Sample([0.5], [math.nan], [1.0])]
+        with pytest.raises(ValueError, match="NaN"):
+            build_knowledge(samples, lip)
+
+    def test_records_passes_and_residual(self):
+        sysu = unicycle()
+        traj = excite(sysu, 12, seed=5, dt=0.1, x0=[-2.0, -2.5, 1.0])
+        one = build_knowledge(traj, sysu.lip, sysu.side, max_fixpoint_iters=1)
+        assert one.passes == 1 and one.residual >= 0.0
+        settled = build_knowledge(traj, sysu.lip, sysu.side)
+        assert 1 <= settled.passes <= 50
+        assert settled.residual < 1e-9 or settled.passes == 50
+        again = rebuild(settled, traj, max_fixpoint_iters=3)
+        assert 1 <= again.passes <= 3
+        grown = append_sample(settled, traj[0])
+        assert grown.passes == 0 and grown.residual is None
