@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
-import os
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -222,7 +221,7 @@ def cmd_control(args, cfg) -> int:
         report = run_closed_loop(system, exp)
     except ValueError as exc:
         print(f"control: {exc}", file=_sys.stderr)
-        return EXIT_STEP if "step bound" in str(exc) else EXIT_CONFIG
+        return EXIT_CONFIG
     except (InconsistentSample, EmptyIntersection) as exc:
         print(f"control: {exc}", file=_sys.stderr)
         return EXIT_DATA
@@ -251,19 +250,13 @@ def cmd_benchmark(args, cfg) -> int:
     seeds = section.get("seeds", [args.seed if args.seed is not None else 1])
     max_steps = int(section.get("max_steps", 5))
 
-    jobs = []
-    for name in systems:
-        for mode in modes:
-            for seed in seeds:
-                exp = experiment_for(name, seed=int(seed), mode=mode)
-                exp.max_steps = max_steps
-                jobs.append((name, exp))
-
-    def run(job):
-        name, exp = job
+    rows = []
+    for name, mode, seed in itertools.product(systems, modes, seeds):
+        exp = experiment_for(name, seed=int(seed), mode=mode)
+        exp.max_steps = max_steps
         report = run_closed_loop(by_name(name), exp)
         bounds = [log.bound for log in report.logs]
-        return {
+        rows.append({
             "system": name,
             "mode": exp.mode,
             "seed": exp.seed,
@@ -274,14 +267,7 @@ def cmd_benchmark(args, cfg) -> int:
             "max_micros": f"{report.max_step_micros:.1f}",
             "bound_mean": f"{float(np.mean(bounds)):.8g}" if bounds else "",
             "bound_max": f"{float(np.max(bounds)):.8g}" if bounds else "",
-        }
-
-    workers = int(os.environ.get("DATAREACH_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(job) for job in jobs]
+        })
 
     out = _outdir(args, cfg)
     path = out / "benchmark.csv"

@@ -293,6 +293,7 @@ class StepDiagnostics:
     converged: bool
     fell_back: bool
     aff: AffineOverApprox
+    kkt_residual: Optional[float] = None  # optimistic mode: certificate of the solve
 
 
 def datacontrol_step(
@@ -311,8 +312,10 @@ def datacontrol_step(
     """Compute the control to apply over [t, t+dt] from the current state.
 
     Builds the control-affine model at the singleton {x}, then solves the
-    selected convex relaxation.  When every optimistic orthant is infeasible
-    the step falls back to the idealistic problem with a diagnostic flag.
+    selected convex relaxation.  In optimistic mode `converged` means the
+    KKT residual of the chosen orthant is at most `opts.eps`.  When every
+    optimistic orthant is infeasible the step falls back to the idealistic
+    problem with a diagnostic flag.
     """
     if mode not in ("idealistic", "optimistic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -323,25 +326,19 @@ def datacontrol_step(
     bound = subopt_bound(cost, aff, U, X)
 
     fell_back = False
-    sigma_effect = 0.0
-    mu_est = None
     if mode == "optimistic":
         try:
-            u_hat, x_hat, val, info = solve_optimistic(
+            u_hat, _, val, info = solve_optimistic(
                 assemble_optimistic(cost, aff, U, X), opts, with_info=True
             )
-            iters = info.iters
-            sigma_effect = info.sigma_effect
-            converged = True
-            mode_used = "optimistic"
         except AllOrthantsInfeasible:
             fell_back = True
-            mode_used = "idealistic(fallback)"
         else:
             micros = (time.perf_counter() - started) * 1e6
             diag = StepDiagnostics(
-                bound, val, None, iters, micros, mode_used, mu_est,
-                wplus, wminus, sigma_effect, converged, fell_back, aff,
+                bound, val, None, info.iters, micros, "optimistic", None,
+                wplus, wminus, info.sigma_effect,
+                info.kkt_residual <= opts.eps, False, aff, info.kkt_residual,
             )
             return u_hat, diag
 
@@ -360,7 +357,7 @@ def datacontrol_step(
         info.mu_estimate,
         wplus,
         wminus,
-        sigma_effect,
+        0.0,
         info.converged,
         fell_back,
         aff,

@@ -1,11 +1,14 @@
-"""First-order solvers for the one-step control relaxations.
+"""Solvers for the one-step control relaxations.
 
 `adares` is an accelerated projected-gradient method with adaptive restart
 and geometric refinement of the local quadratic-growth estimate; it reaches
 eps-optimality without knowing the growth constant.  `solve_idealistic`
-wires it to box-constrained QPs, `solve_optimistic` solves the coupled
-(u, next-state) QP by accelerated projected gradient on the dual, and
-`oracle_boxqp` is an exact active-set enumeration used by the tests.
+wires it to box-constrained QPs.  `solve_optimistic` solves each
+sign-orthant piece of the coupled (u, next-state) QP exactly with the dual
+active-set method of Goldfarb & Idnani ("A numerically stable dual method
+for solving strictly convex quadratic programs", Math. Prog. 1983) and
+returns a KKT certificate.  `oracle_boxqp` is an exact active-set
+enumeration used by the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import AllOrthantsInfeasible
+from .errors import AllOrthantsInfeasible, IterationCapExceeded
 from .intervals import IVector
 
 _L_MIN_SCALE = 1e-12
@@ -126,6 +129,10 @@ def adares(
     eps-optimality; mu_s halves after every cycle.  All progress tests use the
     gradient-mapping residual ||P(y - grad(y)/L) - y||, whose smallness under
     quadratic growth bounds the objective gap.
+
+    The scheme follows Fercoq & Qu, "Adaptive restart of accelerated gradient
+    methods under local quadratic growth condition", IMA J. Numer. Anal.
+    (2019).
     """
     L, eps = cfg.L, cfg.eps
     y0 = cfg.y0
@@ -210,7 +217,7 @@ def solve_idealistic(
 
 
 # ---------------------------------------------------------------------------
-# optimistic relaxation: per-orthant QP in (u, x_next) solved through the dual
+# optimistic relaxation: per-orthant QP in (u, x_next), solved exactly
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -234,28 +241,35 @@ class OptimisticQP:
 
 @dataclass
 class OptimisticInfo:
+    """Certificate of the chosen orthant solve.
+
+    `iters` sums the active-set iterations over the feasible orthants.
+    `multipliers` belong to the chosen orthant's rows in the order of
+    `orthant_rows`, and `kkt_residual` is the largest of its scaled primal
+    infeasibility, negative multiplier, complementarity and stationarity
+    residuals.
+    """
+
     orthant: int
     iters: int
     sigma_effect: float
     feasible_orthants: int
+    kkt_residual: float
+    multipliers: np.ndarray
 
 
-def _dual_solve_orthant(cost, B, X, orth: OrthantQP, sigma, eps, max_iters):
-    """Accelerated projected gradient on the multipliers of all affine rows.
+def orthant_rows(B: IVector, X: IVector, orth: OrthantQP):
+    """Constraints A y <= b of one orthant in y = (u, x_next).
 
-    The sigma-regularized inner problem in y = (u, x_next) is unconstrained
-    and strongly convex, so its minimizer is closed-form; multipliers are
-    projected onto the nonnegative orthant.  Returns (u, x, cost, iters) or
-    None when the orthant is infeasible.
+    Row blocks, in order: x >= B.lo + A_l+ u, x <= B.hi + A_s+ u, the same
+    pair for the minus model, u <= Ubox.hi, u >= Ubox.lo, x <= X.hi and
+    x >= X.lo.
     """
     m = orth.Ubox.lo.shape[0]
     n = B.lo.shape[0]
-    p = m + n
     Iu = np.eye(m)
     Ix = np.eye(n)
     Zu = np.zeros((n, m))
-
-    # rows: lower/upper coupling for both affine models, then u and x boxes
     A = np.vstack(
         [
             np.hstack([orth.A_l_plus, -Ix]),
@@ -272,99 +286,109 @@ def _dual_solve_orthant(cost, B, X, orth: OrthantQP, sigma, eps, max_iters):
         [-B.lo, B.hi, -B.lo, B.hi,
          orth.Ubox.hi, -orth.Ubox.lo, X.hi, -X.lo]
     )
+    return A, b
 
+
+def _kkt_residual(H, h, A, b, y, lam) -> float:
+    """Largest scaled KKT residual of (y, lam) for min 0.5 y'Hy + h'y s.t. Ay <= b."""
+    slack = A @ y - b
+    Hy, Atl = H @ y, A.T @ lam
+    b_scale = 1.0 + float(np.abs(b).max(initial=0.0))
+    lam_scale = 1.0 + float(np.abs(lam).max(initial=0.0))
+    return float(max(
+        slack.max(initial=0.0) / b_scale,
+        -lam.min(initial=0.0) / lam_scale,
+        np.abs(lam * slack).max(initial=0.0) / (b_scale * lam_scale),
+        np.abs(Hy + h + Atl).max()
+        / (1.0 + max(np.abs(Hy).max(), np.abs(h).max(), np.abs(Atl).max())),
+    ))
+
+
+def _dual_solve_orthant(cost, B, X, orth: OrthantQP, sigma, max_iters):
+    """Exact dual active-set solve (Goldfarb & Idnani) of one orthant QP.
+
+    Minimizes 0.5 y'Hy + h'y subject to A y <= b with H = 2M + sigma I.  It
+    starts at the unconstrained minimizer and adds the most violated row in
+    turn; while a row enters, each step either makes it tight (a full step)
+    or drops the active row whose multiplier reaches zero first (a partial
+    step), and each counts as one iteration.  Rows are normalized, and with
+    H = L L' the active normals N enter only through J = L^-T Q from a QR of
+    L^-1 N, which keeps the steps accurate when H is ill-conditioned.  After
+    every full step the active rows hold with equality, so y and their
+    multipliers are recomputed in closed form rather than carried along.
+
+    Returns (u, x, cost, iters, multipliers, kkt_residual), or None when the
+    orthant is infeasible; raises IterationCapExceeded after `max_iters`
+    iterations.
+    """
+    m = orth.Ubox.lo.shape[0]
+    A, b = orthant_rows(B, X, orth)
+    norms = np.linalg.norm(A, axis=1)
+    A, b = A / norms[:, None], b / norms
+    p = A.shape[1]
     M = np.block([[cost.R, cost.S.T], [cost.S, cost.Q]])
     H = 2.0 * M + sigma * np.eye(p)
     h = np.concatenate([cost.r, cost.q])
-    Hinv = np.linalg.inv(H)
-    scale_b = 1.0 + float(np.abs(b).max(initial=0.0))
-    # diagonal preconditioning of the multipliers; the sigma-only regularized
-    # inner problem otherwise makes the dual curvature spread by ~1/sigma
-    AHAt = A @ Hinv @ A.T
-    D = np.sqrt(np.maximum(np.diag(AHAt), 1e-12))
-    A = A / D[:, None]
-    b = b / D
-    AHAt = AHAt / D[:, None] / D[None, :]
-    Ld = float(np.linalg.eigvalsh(0.5 * (AHAt + AHAt.T)).max()) + 1e-12
-
-    def primal(lam):
-        return -Hinv @ (h + A.T @ lam)
-
-    def dual_value(lam):
-        w = h + A.T @ lam
-        return float(-0.5 * w @ Hinv @ w - lam @ b)
-
-    Q_diag = np.diag(cost.Q).copy()
-    Q_is_diag = np.allclose(cost.Q, np.diag(Q_diag), atol=0.0)
-
-    def feasible_candidate(y):
-        """Project the dual's primal into the constraint set (None if impossible).
-
-        With diagonal Q the inner minimization over the next state is exact,
-        so candidate values converge as soon as the control part stabilizes.
-        """
-        u = box_project(y[:m], orth.Ubox)
-        x_lo = np.maximum.reduce(
-            [B.lo + orth.A_l_plus @ u, B.lo + orth.A_l_minus @ u, X.lo]
-        )
-        x_hi = np.minimum.reduce(
-            [B.hi + orth.A_s_plus @ u, B.hi + orth.A_s_minus @ u, X.hi]
-        )
-        if float((x_lo - x_hi).max(initial=0.0)) > 1e-7 * scale_b:
-            return None
-        mid = 0.5 * (x_lo + x_hi)
-        x_lo, x_hi = np.minimum(x_lo, mid), np.maximum(x_hi, mid)
-        if Q_is_diag:
-            lin = 2.0 * cost.S @ u + cost.q
-            x = np.where(
-                Q_diag > 1e-12,
-                np.clip(-lin / np.where(Q_diag > 1e-12, 2.0 * Q_diag, 1.0),
-                        x_lo, x_hi),
-                np.where(lin > 0.0, x_lo, x_hi),
-            )
-        else:
-            x = np.minimum(np.maximum(y[m:], x_lo), x_hi)
-        return u, x
-
+    Linv = np.linalg.inv(np.linalg.cholesky(H))
+    W = Linv @ A.T  # L^-1 a_i, one column per row
+    g = Linv @ h
+    y = -Linv.T @ g
     lam = np.zeros(A.shape[0])
-    zlam = lam
-    tk = 1.0
-    it = 0
-    best = None  # (regularized value, u, x)
-    best_gap = math.inf
-    best_val_seen = math.inf
-    last_progress = 0
-    while it < max_iters:
-        for _ in range(25):
-            y = primal(zlam)
-            lam_new = np.maximum(0.0, zlam + (A @ y - b) / Ld)
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-            zlam = lam_new + ((tk - 1.0) / t_new) * (lam_new - lam)
-            lam, tk = lam_new, t_new
-            it += 1
-        y = primal(lam)
-        cand = feasible_candidate(y)
-        if cand is None:
-            continue
-        u, x = cand
-        val_reg = cost.value(u, x) + 0.5 * sigma * float(u @ u + x @ x)
-        if best is None or val_reg < best[0]:
-            best = (val_reg, u, x)
-        # duality gap of the regularized problem certifies optimality
-        gap = best[0] - dual_value(lam)
-        if gap <= eps * (1.0 + abs(best[0])):
+    active: list = []
+    Q, R = np.eye(p), np.zeros((0, 0))
+    tol = 1e-12 * (1.0 + float(np.abs(b).max(initial=0.0)))
+    iters = 0
+    while True:
+        viol = A @ y - b
+        viol[active] = -math.inf
+        k = int(np.argmax(viol))
+        if viol[k] <= tol:
             break
-        if best[0] < best_val_seen - 1e-9 * (1.0 + abs(best[0])):
-            best_val_seen, last_progress = best[0], it
-        if gap < best_gap:
-            best_gap = gap
-        if it - last_progress > 2000:
-            break  # candidate value stalled; the dual bound trails on flat faces
-
-    if best is None:
-        return None
-    _, u, x = best
-    return u, x, cost.value(u, x), it
+        vk = viol[k]
+        while True:  # bring row k into the active set
+            if iters >= max_iters:
+                raise IterationCapExceeded(
+                    f"orthant QP not solved within {max_iters} active-set iterations"
+                )
+            iters += 1
+            q = len(active)
+            d = Q.T @ W[:, k]
+            d2 = d[q:]
+            r = np.linalg.solve(R, d[:q])
+            lam_act = lam[active]
+            # partial step: the longest one keeping every active multiplier >= 0
+            t1, drop = math.inf, -1
+            for i in np.flatnonzero(r > 0.0):
+                if lam_act[i] / r[i] < t1:
+                    t1, drop = lam_act[i] / r[i], i
+            # full step: row k becomes tight; impossible once a_k lies in
+            # span(N), taken as an angle below 1e-12 rad to that span
+            dz = float(d2 @ d2)
+            t2 = vk / dz if dz > 1e-24 * float(d @ d) else math.inf
+            if t1 == math.inf and t2 == math.inf:
+                return None  # row k cannot be met together with the active rows
+            t = min(t1, t2)
+            lam[active] = lam_act - t * r
+            lam[k] += t
+            full = t2 <= t1
+            if full:
+                active.append(k)
+            else:
+                if t2 < math.inf:
+                    vk -= t * dz
+                lam[active[drop]] = 0.0
+                del active[drop]
+            Q, R = np.linalg.qr(W[:, active], mode="complete")
+            R = R[: len(active)]
+            if full:
+                break
+        q = len(active)
+        w = np.linalg.solve(R.T, b[active])
+        lam[active] = -np.linalg.solve(R, w + Q[:, :q].T @ g)
+        y = Linv.T @ (Q[:, :q] @ w - Q[:, q:] @ (Q[:, q:].T @ g))
+    kkt = _kkt_residual(H, h, A, b, y, lam)
+    u, x = y[:m], y[m:]
+    return u, x, cost.value(u, x), iters, lam / norms, kkt
 
 
 def solve_optimistic(
@@ -373,11 +397,12 @@ def solve_optimistic(
     sigma: float = 1e-6,
     with_info: bool = False,
 ):
-    """Solve every sign-orthant subproblem and return the best solution.
+    """Solve every sign-orthant subproblem exactly and return the best solution.
 
     The sigma * I Tikhonov term makes the inner problem strongly convex; its
     effect on the reported cost is bounded by sigma (|u|^2 + |x|^2), returned
-    in the info record.
+    in the info record.  `opts.max_total_iters` caps the active-set
+    iterations of each orthant; `opts.eps` and `opts.mu0` do not apply.
     """
     opts = opts or QPOptions()
     best = None
@@ -386,27 +411,28 @@ def solve_optimistic(
     total_it = 0
     for j, orth in enumerate(oqp.orthants):
         out = _dual_solve_orthant(
-            oqp.cost, oqp.B, oqp.X, orth, sigma, 1e-9, max_iters=20000
+            oqp.cost, oqp.B, oqp.X, orth, sigma, opts.max_total_iters
         )
         if out is None:
             continue
-        u, x, val, it = out
         feasible += 1
-        total_it += it
-        if best is None or val < best[2]:
-            best = (u, x, val)
+        total_it += out[3]
+        if best is None or out[2] < best[2]:
+            best = out
             best_orth = j
     if best is None:
         raise AllOrthantsInfeasible(
             f"all {len(oqp.orthants)} orthant subproblems are infeasible"
         )
-    u, x, val = best
+    u, x, val, _, lam, kkt = best
     if with_info:
         info = OptimisticInfo(
             orthant=best_orth,
             iters=total_it,
             sigma_effect=sigma * float(u @ u + x @ x),
             feasible_orthants=feasible,
+            kkt_residual=kkt,
+            multipliers=lam,
         )
         return u, x, val, info
     return u, x, val

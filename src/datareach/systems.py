@@ -11,7 +11,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .control import QuadraticCost, datacontrol_step, norm_cost, setpoint_cost
-from .errors import DataReachError, StateLeftDomain
+from .errors import DataReachError, StateLeftDomain, StepTooLarge
 from .intervals import IMatrix, ITensor3, IVector, imat_vec, meet, real_mat_iv
 from .knowledge import (
     Decoupling,
@@ -418,9 +418,7 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
     """
     limit = max_step_size(sys.lip, sys.U)
     if not cfg.dt < limit:
-        raise ValueError(
-            f"dt={cfg.dt:g} must lie strictly below the step bound {limit:g}"
-        )
+        raise StepTooLarge(cfg.dt, limit)
     samples = excite(sys, cfg.init_len, cfg.seed, dt=cfg.dt, x0=cfg.x0,
                      mode=cfg.excitation, substeps=cfg.substeps)
     kb = build_knowledge(samples, sys.lip, sys.side, M=cfg.M)

@@ -121,6 +121,14 @@ class TestControlCommand:
         assert r1["seed"] == 4 and r2["seed"] == 9
         assert r1["final_state"] != r2["final_state"]
 
+    def test_step_too_large_exit_code(self, tmp_path):
+        cfg = write_cfg(tmp_path, {
+            "system": "unicycle",
+            "out": str(tmp_path / "out"),
+            "control": {"dt": 0.2, "max_steps": 2},
+        })
+        assert cli.main(["--config", cfg, "control"]) == cli.EXIT_STEP
+
     def test_max_steps_zero(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "system": "unicycle",

@@ -16,7 +16,9 @@ from datareach.control import (
 )
 from datareach.errors import StepTooLarge
 from datareach.intervals import IMatrix, IVector, imat_vec, meet
+from datareach.knowledge import Sample, append_sample, build_knowledge
 from datareach.qpsolve import QPOptions
+from datareach.systems import advance, excite, unicycle, unicycle_experiment
 
 
 class TestQuadraticCost:
@@ -243,6 +245,48 @@ class TestDataControlStep:
         assert u[0] == pytest.approx(-1.0, abs=1e-4)
         assert diag.mode_used == "optimistic"
         assert not diag.fell_back
+
+    def test_optimistic_step_is_certified(self, unicycle_fig_setup):
+        sysu, _, kb, x_start = unicycle_fig_setup
+        opts = QPOptions()
+        _, diag = datacontrol_step(kb, x_start, norm_cost(3, 2), sysu.U, sysu.X,
+                                   0.1, mode="optimistic", opts=opts)
+        assert diag.mode_used == "optimistic"
+        assert diag.converged is True
+        assert diag.kkt_residual <= opts.eps
+
+    def test_optimistic_bound_along_unicycle_run(self):
+        """|c* - model_cost| <= bound at every optimistic step of the unicycle run.
+
+        c* is the smallest one-step cost over a 201 x 201 control grid under
+        the true dynamics, as in the idealistic acceptance criterion.
+        """
+        sysu = unicycle()
+        cfg = unicycle_experiment(mode="optimistic")
+        samples = excite(sysu, cfg.init_len, cfg.seed, dt=cfg.dt, x0=cfg.x0,
+                         mode=cfg.excitation)
+        kb = build_knowledge(samples, sysu.lip, sysu.side)
+        x = advance(sysu, samples[-1].x, samples[-1].u, cfg.dt)
+        VV, WW = np.meshgrid(np.linspace(sysu.U.lo[0], sysu.U.hi[0], 201),
+                             np.linspace(sysu.U.lo[1], sysu.U.hi[1], 201),
+                             indexing="ij")
+        V, W = VV.ravel(), WW.ravel()
+        steps = 0
+        for _ in range(cfg.max_steps):
+            u, diag = datacontrol_step(kb, x, cfg.cost, sysu.U, sysu.X, cfg.dt,
+                                       "optimistic", QPOptions())
+            assert diag.mode_used == "optimistic" and diag.converged
+            nexts = batch_rk4_unicycle(np.tile(x, (V.size, 1)), V, W, cfg.dt,
+                                       substeps=10)
+            c_star = float((0.5 * (nexts**2).sum(axis=1)).min())
+            assert abs(c_star - diag.model_cost) <= diag.bound
+            x_next = advance(sysu, x, u, cfg.dt)
+            kb = append_sample(kb, Sample(x, sysu.h_true(x, u), u))
+            x = x_next
+            steps += 1
+            if cfg.cost.value(u, x) <= cfg.stop_level:
+                break
+        assert steps >= 5
 
     def test_diagnostics_record_both_costs(self, unicycle_fig_setup):
         sysu, _, kb, x_start = unicycle_fig_setup

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from datareach.control import AffineOverApprox, QuadraticCost, assemble_optimistic
-from datareach.errors import AllOrthantsInfeasible
+from datareach.errors import AllOrthantsInfeasible, IterationCapExceeded
 from datareach.intervals import IMatrix, IVector
 from datareach.qpsolve import (
     AdaResConfig,
@@ -273,3 +273,87 @@ class TestOptimistic:
             assert abs(c_o - grid_oracle(cost, aff, U, X)) <= 1e-4
             checked += 1
         assert checked >= 8
+
+    def test_certificate_satisfies_kkt(self):
+        """The chosen orthant's (u, x) and multipliers are a KKT point.
+
+        Random orthant problems with rank-deficient, non-diagonal joint costs
+        (S != 0), a third of them with A+ = A-.  The tolerances are fixed
+        from float64 rounding, scaled by the data.
+        """
+        rng = np.random.default_rng(11)
+        sigma = 1e-6
+        checked = 0
+        for k in range(100):
+            cost, aff, U, X = random_orthant_problem(rng, same_models=k % 3 == 0)
+            oqp = assemble_optimistic(cost, aff, U, X)
+            try:
+                u, x, val, info = solve_optimistic(oqp, with_info=True)
+            except AllOrthantsInfeasible:
+                continue
+            A, b = orthant_constraints(oqp.orthants[info.orthant], aff.B, X)
+            lam = info.multipliers
+            y = np.concatenate([u, x])
+            p = y.size
+            M = np.block([[cost.R, cost.S.T], [cost.S, cost.Q]])
+            H = 2.0 * M + sigma * np.eye(p)
+            h = np.concatenate([cost.r, cost.q])
+            slack = A @ y - b
+            b_scale = 1.0 + np.abs(b).max()
+            lam_scale = 1.0 + np.abs(lam).max()
+            assert slack.max() <= 1e-9 * b_scale
+            assert lam.min() >= -1e-12 * lam_scale
+            assert np.abs(lam * slack).max() <= 1e-9 * b_scale * lam_scale
+            grad = H @ y + h + A.T @ lam
+            grad_scale = 1.0 + np.abs(h).max() + np.abs(H @ y).max() + np.abs(A.T @ lam).max()
+            assert np.abs(grad).max() <= 1e-9 * grad_scale
+            assert info.kkt_residual <= 1e-9
+            assert val == pytest.approx(cost.value(u, x), abs=0.0)
+            checked += 1
+        assert checked >= 80
+
+    def test_iteration_cap_raises(self):
+        rng = np.random.default_rng(3)
+        cost, aff, _, X = random_orthant_problem(rng, same_models=False)
+        U = IVector(np.zeros(cost.m), np.full(cost.m, 2.0))  # one orthant
+        oqp = assemble_optimistic(cost, aff, U, X)
+        _, _, _, info = solve_optimistic(oqp, with_info=True)
+        assert info.iters > 1
+        with pytest.raises(IterationCapExceeded):
+            solve_optimistic(oqp, QPOptions(max_total_iters=1))
+
+
+def random_orthant_problem(rng, same_models):
+    """Orthant problem with n in 2..6, m in 1..2 and a rank-deficient joint cost."""
+    n, m = int(rng.integers(2, 7)), int(rng.integers(1, 3))
+    F = rng.normal(size=(n + m, int(rng.integers(1, n + m))))
+    J = F @ F.T * rng.uniform(0.1, 2.0)  # joint matrix in (u, x) order
+    cost = QuadraticCost(J[m:, m:], J[:m, :m], J[m:, :m],
+                         rng.normal(size=n), rng.normal(size=m))
+    Blo = rng.normal(size=n)
+    B = IVector(Blo, Blo + rng.uniform(0, 0.5, n))
+    Alo = rng.normal(size=(n, m))
+    Ap = IMatrix(Alo, Alo + rng.uniform(0, 0.4, (n, m)))
+    if same_models:
+        Am = Ap
+    else:
+        Alo2 = Ap.lo - rng.uniform(0, 0.2, (n, m))
+        Am = IMatrix(Alo2, Alo2 + rng.uniform(0, 0.6, (n, m)))
+    U = IVector(rng.uniform(-2, -0.5, m), rng.uniform(0.5, 2, m))
+    X = IVector(np.full(n, rng.uniform(-20, -1)), np.full(n, rng.uniform(1, 20)))
+    return cost, AffineOverApprox(B, Ap, Am, 0.0, 0.1), U, X
+
+
+def orthant_constraints(orth, B, X):
+    """Rows A (u, x) <= b of one orthant, in the order the multipliers use."""
+    m, n = orth.Ubox.lo.size, B.lo.size
+    Iu, Ix, Z = np.eye(m), np.eye(n), np.zeros((n, m))
+    rows, rhs = [], []
+    for A_lo, A_hi in ((orth.A_l_plus, orth.A_s_plus), (orth.A_l_minus, orth.A_s_minus)):
+        rows += [np.hstack([A_lo, -Ix]), np.hstack([-A_hi, Ix])]  # x >= B.lo + A_lo u
+        rhs += [-B.lo, B.hi]                                       # x <= B.hi + A_hi u
+    rows += [np.hstack([Iu, Z.T]), np.hstack([-Iu, Z.T]),
+             np.hstack([Z, Ix]), np.hstack([Z, -Ix])]
+    rhs += [orth.Ubox.hi, -orth.Ubox.lo, X.hi, -X.lo]
+    return np.vstack(rows), np.concatenate(rhs)
+

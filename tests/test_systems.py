@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from datareach.control import norm_cost
+from datareach.errors import StepTooLarge
 from datareach.intervals import IMatrix, IVector
 from datareach.knowledge import LipschitzBounds, SideInfoSet, VectorFieldBounds
 from datareach.reach import max_step_size
@@ -243,7 +244,7 @@ class TestClosedLoop:
     def test_dt_validation(self):
         cfg = unicycle_experiment()
         cfg.dt = 0.2
-        with pytest.raises(ValueError):
+        with pytest.raises(StepTooLarge):
             run_closed_loop(unicycle(), cfg)
 
     def test_record_reach_boxes_contain_next_state(self):
