@@ -8,7 +8,7 @@ shows objective gaps, iteration counts and the growth estimate it settles on.
 
 import numpy as np
 
-from datareach import BoxQP, IVector, QPOptions, oracle_boxqp, solve_idealistic
+from datareach import Box, BoxQP, QPOptions, oracle_boxqp, solve_idealistic
 
 
 def main():
@@ -25,7 +25,7 @@ def main():
             kind = "lp"
         qi = rng.normal(size=m) * 2
         lo = rng.uniform(-3, 0, m)
-        qp = BoxQP(Qi, qi, IVector(lo, lo + rng.uniform(0.5, 4, m)))
+        qp = BoxQP(Qi, qi, Box(lo, lo + rng.uniform(0.5, 4, m)))
         _, l_star = oracle_boxqp(qp)
         u, info = solve_idealistic(qp, QPOptions(eps=1e-8), with_info=True)
         gap = qp.value(u) - l_star

@@ -15,28 +15,17 @@ from .errors import (
     InconsistentSample,
     IterationCapExceeded,
     NegativeDomain,
-    NoEnclosure,
     NonConvexAssembly,
     ShapeMismatch,
     StepTooLarge,
 )
 from .intervals import (
-    add,
-    clamp_into,
-    meet,
-    mul,
-    neg,
-    scalar_mul,
-    sub,
-    IMatrix,
-    ITensor3,
+    Box,
     Interval,
-    IVector,
-    abs_iv,
     imat_imat,
     imat_vec,
     inf_norm,
-    intersect,
+    meet,
     norm2_ext,
     real_mat_iv,
     sqr_ext,
@@ -44,7 +33,6 @@ from .intervals import (
     tensorT_vec,
     tensor_transpose,
     tensor_vec,
-    width,
 )
 from .knowledge import (
     Decoupling,
@@ -79,7 +67,6 @@ from .reach import (
     datareach_step_c0,
     max_step_size,
     rough_enclosure_explicit,
-    rough_enclosure_fixpoint,
 )
 from .control import (
     AffineOverApprox,

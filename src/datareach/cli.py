@@ -13,7 +13,7 @@ import yaml
 
 from . import io as dio
 from .errors import ConfigError, EmptyIntersection, InconsistentSample, StepTooLarge
-from .intervals import Interval, IVector
+from .intervals import Box, Interval
 from .knowledge import build_knowledge
 from .reach import ConstantControl, ConstCosControl, PiecewiseConstantControl, datareach, max_step_size
 from .systems import (
@@ -34,7 +34,7 @@ EXIT_DATA = 4
 
 _REACH_KEYS = {
     "dt", "steps", "init_len", "seed", "excitation", "side_level", "control",
-    "trajectory", "x0", "intersect_domain", "enclosure",
+    "trajectory", "x0", "intersect_domain",
 }
 _CONTROL_KEYS = {
     "dt", "init_len", "seed", "mode", "eps", "mu0", "max_steps", "stop_level",
@@ -149,8 +149,7 @@ def cmd_reach(args, cfg) -> int:
     x_start = advance(system, samples[-1].x, samples[-1].u, sample_dt)
     domain = system.X if section.get("intersect_domain", True) else None
     try:
-        tube = datareach(kb, x_start, ctrl, dt, steps, t0=t_ref, domain=domain,
-                         enclosure_mode=section.get("enclosure", "best"))
+        tube = datareach(kb, x_start, ctrl, dt, steps, t0=t_ref, domain=domain)
     except StepTooLarge as exc:
         print(f"reach: {exc}", file=_sys.stderr)
         return EXIT_STEP
@@ -283,11 +282,10 @@ def cmd_benchmark(args, cfg) -> int:
 
 
 def _selftest_contraction() -> bool:
-    from .intervals import IMatrix
     from .knowledge import Sample, contract_fg
 
-    F = IVector.of([Interval(-0.01, 1.0), Interval(-1, 1), Interval(-1, 1)])
-    G = IMatrix.of(
+    F = Box.of([Interval(-0.01, 1.0), Interval(-1, 1), Interval(-1, 1)])
+    G = Box.of(
         [
             [Interval(-0.05, 0.05), Interval(-0.1, 1.0)],
             [Interval(-1, 1), Interval(-1, 1)],

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import AllOrthantsInfeasible, NonConvexAssembly, StepTooLarge
 from .intervals import (
-    IMatrix,
-    IVector,
+    Box,
     imat_imat,
     imat_vec,
     real_mat_iv,
@@ -108,17 +107,17 @@ def norm_cost(n: int, m: int, weight: float = 0.5) -> QuadraticCost:
 class AffineOverApprox:
     """Control-affine interval model of the next state: (B + A+ u) cap (B + A- u)."""
 
-    B: IVector
-    Aplus: IMatrix
-    Aminus: IMatrix
+    B: Box
+    Aplus: Box
+    Aminus: Box
     t: float
     dt: float
 
 
 def linearize(
-    R: IVector,
+    R: Box,
     kb: KnowledgeBase,
-    U: IVector,
+    U: Box,
     dt: float,
     t: float = 0.0,
 ) -> AffineOverApprox:
@@ -220,7 +219,7 @@ def assemble_idealistic(
 # optimistic relaxation
 # ---------------------------------------------------------------------------
 
-def _split_orthants(U: IVector):
+def _split_orthants(U: Box):
     pieces_per_axis = []
     for l in range(len(U)):
         lo, hi = U.lo[l], U.hi[l]
@@ -231,11 +230,11 @@ def _split_orthants(U: IVector):
     out = [[]]
     for axis in pieces_per_axis:
         out = [prefix + [piece] for prefix in out for piece in axis]
-    return [IVector([p[0] for p in box], [p[1] for p in box]) for box in out]
+    return [Box([p[0] for p in box], [p[1] for p in box]) for box in out]
 
 
 def assemble_optimistic(
-    cost: QuadraticCost, aff: AffineOverApprox, U: IVector, X: IVector
+    cost: QuadraticCost, aff: AffineOverApprox, U: Box, X: Box
 ) -> OptimisticQP:
     """Split U into sign orthants and pick endpoint matrices per the sign rule."""
     orthants = []
@@ -253,7 +252,7 @@ def assemble_optimistic(
 # suboptimality bound
 # ---------------------------------------------------------------------------
 
-def _K_of(cost: QuadraticCost, B: IVector, A: IMatrix, U: IVector, X: IVector) -> float:
+def _K_of(cost: QuadraticCost, B: Box, A: Box, U: Box, X: Box) -> float:
     SU_abs = real_mat_iv(cost.S, U).mag
     reach = B + imat_vec(A, U)
     term_reach = 2.0 * SU_abs + cost.q + 2.0 * real_mat_iv(cost.Q, reach).mag
@@ -262,7 +261,7 @@ def _K_of(cost: QuadraticCost, B: IVector, A: IMatrix, U: IVector, X: IVector) -
 
 
 def subopt_bound(
-    cost: QuadraticCost, aff: AffineOverApprox, U: IVector, X: IVector
+    cost: QuadraticCost, aff: AffineOverApprox, U: Box, X: Box
 ) -> float:
     """Bound on |c* - c| for either relaxation, driven by the model widths."""
     Uabs = U.mag
@@ -300,8 +299,8 @@ def datacontrol_step(
     kb: KnowledgeBase,
     x: np.ndarray,
     cost: QuadraticCost,
-    U: IVector,
-    X: IVector,
+    U: Box,
+    X: Box,
     dt: float,
     mode: str = "idealistic",
     opts: Optional[QPOptions] = None,
@@ -321,7 +320,7 @@ def datacontrol_step(
         raise ValueError(f"unknown mode {mode!r}")
     opts = opts or QPOptions()
     started = time.perf_counter()
-    R = IVector.point(np.asarray(x, dtype=float))
+    R = Box.point(np.asarray(x, dtype=float))
     aff = linearize(R, kb, U, dt)
     bound = subopt_bound(cost, aff, U, X)
 

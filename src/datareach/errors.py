@@ -45,10 +45,6 @@ class StepTooLarge(DataReachError):
         self.limit = limit
 
 
-class NoEnclosure(DataReachError):
-    """Fixpoint iteration failed to produce an a priori enclosure."""
-
-
 class NonConvexAssembly(DataReachError):
     """Assembled quadratic objective is not positive semidefinite."""
 

@@ -1,8 +1,10 @@
-"""Validated interval arithmetic for scalars, vectors, matrices and rank-3 tensors.
+"""Validated interval arithmetic: scalar `Interval`s and interval `Box`es.
 
-Endpoints are plain float64 with no directed rounding; an optional global
-inflation margin (`set_inflate_eps`) is available for paranoid runs.  All
-types are immutable values.
+A `Box` holds lo/hi float64 arrays of any shape, so one type serves interval
+vectors, matrices and rank-3 tensors; the contractions below check the shapes
+they need.  Endpoints are plain float64 with no directed rounding; an
+optional global inflation margin (`set_inflate_eps`) is available for
+paranoid runs.  Both types are immutable values.
 """
 
 from __future__ import annotations
@@ -99,9 +101,6 @@ class Interval:
             raise EmptyIntersection(f"{self} and {other} do not intersect")
         return Interval(lo, hi)
 
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def contains(self, x: float, atol: float = 0.0) -> bool:
         return self.lo - atol <= x <= self.hi + atol
 
@@ -142,33 +141,6 @@ def _prod_bounds(alo, ahi, blo, bhi):
     return min(cands), max(cands)
 
 
-# function-style aliases of the scalar operations -----------------------------
-
-def add(a: Interval, b: Interval) -> Interval:
-    return a + b
-
-
-def sub(a: Interval, b: Interval) -> Interval:
-    return a - b
-
-
-def neg(a: Interval) -> Interval:
-    return -a
-
-
-def mul(a: Interval, b: Interval) -> Interval:
-    return a * b
-
-
-def scalar_mul(c: float, a: Interval) -> Interval:
-    return a * c
-
-
-def intersect(a: Interval, b: Interval) -> Interval:
-    """Tightest interval contained in both; raises EmptyIntersection if disjoint."""
-    return a.intersect(b)
-
-
 def sqrt_ext(a: Interval) -> Interval:
     """Interval extension of the square root; requires a.lo >= 0."""
     if a.lo < 0:
@@ -184,22 +156,13 @@ def sqr_ext(a: Interval) -> Interval:
     return _mk(min(lo2, hi2), max(lo2, hi2))
 
 
-def abs_iv(a: Interval) -> float:
-    return a.mag
-
-
-def width(a: Interval) -> float:
-    return a.width
-
-
 # ---------------------------------------------------------------------------
-# interval vectors / matrices / rank-3 tensors (lo/hi ndarray pairs)
+# interval boxes (lo/hi ndarray pairs of any shape)
 # ---------------------------------------------------------------------------
 
-class _Box:
-    """Shared implementation for fixed-shape componentwise interval aggregates."""
+class Box:
+    """Componentwise interval array: a vector, matrix or tensor of intervals."""
 
-    _ndim = None
     __array_ufunc__ = None  # keep numpy from coercing mixed expressions
 
     def __init__(self, lo, hi):
@@ -207,8 +170,6 @@ class _Box:
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape:
             raise ShapeMismatch(f"lo shape {lo.shape} != hi shape {hi.shape}")
-        if lo.ndim != self._ndim:
-            raise ShapeMismatch(f"expected {self._ndim}-d arrays, got {lo.ndim}-d")
         if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
             raise ValueError("interval endpoints must not be NaN")
         if np.any(lo > hi):
@@ -231,13 +192,28 @@ class _Box:
         v = np.asarray(values, dtype=float)
         return cls(v, v)
 
+    @classmethod
+    def of(cls, nested):
+        """Box from nested sequences of Intervals (any depth, rectangular)."""
+        return cls(_endpoints(nested, "lo"), _endpoints(nested, "hi"))
+
     @property
     def shape(self):
         return self.lo.shape
 
+    def __len__(self):
+        return self.lo.shape[0]
+
+    def __getitem__(self, idx):
+        """An Interval at a full index, a Box at a partial one."""
+        lo, hi = self.lo[idx], self.hi[idx]
+        if np.ndim(lo) == 0:
+            return Interval(lo, hi)
+        return Box(lo, hi)
+
     # -- componentwise arithmetic -------------------------------------------
     def __add__(self, other):
-        if isinstance(other, _Box):
+        if isinstance(other, Box):
             self._check_same(other)
             return self._new(self.lo + other.lo, self.hi + other.hi)
         v = np.asarray(other, dtype=float)
@@ -246,7 +222,7 @@ class _Box:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, _Box):
+        if isinstance(other, Box):
             self._check_same(other)
             return self._new(self.lo - other.hi, self.hi - other.lo)
         v = np.asarray(other, dtype=float)
@@ -257,19 +233,12 @@ class _Box:
         return self._new(v - self.hi, v - self.lo)
 
     def __neg__(self):
-        return type(self)(-self.hi, -self.lo)
+        return Box(-self.hi, -self.lo)
 
     def __mul__(self, other):
         """Scaling by a real scalar or by a scalar Interval (componentwise)."""
         if isinstance(other, Interval):
-            p1 = self.lo * other.lo
-            p2 = self.lo * other.hi
-            p3 = self.hi * other.lo
-            p4 = self.hi * other.hi
-            return self._new(
-                np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)),
-                np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)),
-            )
+            return self._new(*_pair_prod(self.lo, self.hi, other.lo, other.hi))
         c = float(other)
         a, b = self.lo * c, self.hi * c
         return self._new(np.minimum(a, b), np.maximum(a, b))
@@ -287,11 +256,7 @@ class _Box:
             raise EmptyIntersection(
                 f"empty intersection at component {idx}", index=idx
             )
-        return type(self)(lo, hi)
-
-    def hull(self, other):
-        self._check_same(other)
-        return type(self)(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
+        return Box(lo, hi)
 
     def contains(self, values, atol: float = 0.0) -> bool:
         v = np.asarray(values, dtype=float)
@@ -313,82 +278,32 @@ class _Box:
         return 0.5 * (self.lo + self.hi)
 
     @property
-    def rad(self):
-        return 0.5 * (self.hi - self.lo)
-
-    @property
     def mag(self):
         """Componentwise interval absolute value max(|lo|, |hi|)."""
         return np.maximum(np.abs(self.lo), np.abs(self.hi))
 
-    def widened(self, factor: float):
-        """Scale the half-width about the midpoint by `factor`."""
-        c, r = self.mid, self.rad
-        return type(self)(c - factor * r, c + factor * r)
-
     def _check_same(self, other):
-        if not isinstance(other, type(self)) or other.shape != self.shape:
+        if not isinstance(other, Box) or other.shape != self.shape:
             raise ShapeMismatch(
-                f"incompatible operands: {type(self).__name__}{self.shape} vs "
-                f"{type(other).__name__}{getattr(other, 'shape', None)}"
+                f"incompatible operands: Box{self.shape} vs "
+                f"{type(other).__name__}{getattr(other, 'shape', '')}"
             )
 
     def __eq__(self, other):
         return (
-            isinstance(other, type(self))
+            isinstance(other, Box)
             and np.array_equal(self.lo, other.lo)
             and np.array_equal(self.hi, other.hi)
         )
 
     def __repr__(self):
-        return f"{type(self).__name__}(lo={self.lo!r}, hi={self.hi!r})"
+        return f"Box(lo={self.lo!r}, hi={self.hi!r})"
 
 
-class IVector(_Box):
-    """Interval vector of fixed length n."""
-
-    _ndim = 1
-
-    @classmethod
-    def of(cls, intervals):
-        intervals = list(intervals)
-        return cls([iv.lo for iv in intervals], [iv.hi for iv in intervals])
-
-    def __len__(self):
-        return self.lo.shape[0]
-
-    def __getitem__(self, k) -> Interval:
-        return Interval(self.lo[k], self.hi[k])
-
-
-class IMatrix(_Box):
-    """Interval matrix of fixed shape n x m."""
-
-    _ndim = 2
-
-    @classmethod
-    def of(cls, grid):
-        lo = [[iv.lo for iv in row] for row in grid]
-        hi = [[iv.hi for iv in row] for row in grid]
-        return cls(lo, hi)
-
-    def __getitem__(self, kl) -> Interval:
-        return Interval(self.lo[kl], self.hi[kl])
-
-    def col(self, l) -> IVector:
-        return IVector(self.lo[:, l], self.hi[:, l])
-
-    def row(self, k) -> IVector:
-        return IVector(self.lo[k, :], self.hi[k, :])
-
-
-class ITensor3(_Box):
-    """Interval tensor of fixed shape n x m x n."""
-
-    _ndim = 3
-
-    def __getitem__(self, klp) -> Interval:
-        return Interval(self.lo[klp], self.hi[klp])
+def _endpoints(nested, end: str):
+    if isinstance(nested, Interval):
+        return getattr(nested, end)
+    return [_endpoints(item, end) for item in nested]
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +322,7 @@ def _pair_prod(alo, ahi, blo, bhi):
     )
 
 
-def norm2_ext(s: IVector) -> Interval:
+def norm2_ext(s: Box) -> Interval:
     """Interval extension of the Euclidean norm: sqrt of the sum of squares."""
     crosses = (s.lo <= 0.0) & (0.0 <= s.hi)
     lo2 = np.where(crosses, 0.0, np.minimum(s.lo**2, s.hi**2))
@@ -415,23 +330,23 @@ def norm2_ext(s: IVector) -> Interval:
     return sqrt_ext(Interval(float(lo2.sum()), float(hi2.sum())))
 
 
-def inf_norm(v: IVector) -> float:
+def inf_norm(v: Box) -> float:
     """sup-norm of an interval vector: max componentwise |.|."""
     return float(np.max(v.mag)) if len(v) else 0.0
 
 
-def imat_vec(M: IMatrix, v) -> IVector:
+def imat_vec(M: Box, v) -> Box:
     """Interval matrix times interval (or real) vector."""
-    if not isinstance(v, IVector):
-        v = IVector.point(v)
+    if not isinstance(v, Box):
+        v = Box.point(v)
     n, m = M.shape
     if len(v) != m:
         raise ShapeMismatch(f"matrix {M.shape} times vector of length {len(v)}")
     plo, phi = _pair_prod(M.lo, M.hi, v.lo[None, :], v.hi[None, :])
-    return IVector._new(plo.sum(axis=1), phi.sum(axis=1))
+    return Box._new(plo.sum(axis=1), phi.sum(axis=1))
 
 
-def imat_imat(A: IMatrix, B: IMatrix) -> IMatrix:
+def imat_imat(A: Box, B: Box) -> Box:
     """Interval matrix product (n x m) @ (m x p)."""
     n, m = A.shape
     m2, p = B.shape
@@ -440,44 +355,44 @@ def imat_imat(A: IMatrix, B: IMatrix) -> IMatrix:
     plo, phi = _pair_prod(
         A.lo[:, :, None], A.hi[:, :, None], B.lo[None, :, :], B.hi[None, :, :]
     )
-    return IMatrix._new(plo.sum(axis=1), phi.sum(axis=1))
+    return Box._new(plo.sum(axis=1), phi.sum(axis=1))
 
 
-def tensor_vec(J: ITensor3, v) -> IMatrix:
+def tensor_vec(J: Box, v) -> Box:
     """Contract a (n,m,n) tensor with a length-m vector over its middle axis.
 
     (J v)_{k,p} = sum_l J_{k,l,p} v_l, an n x n interval matrix.
     """
-    if not isinstance(v, IVector):
-        v = IVector.point(v)
+    if not isinstance(v, Box):
+        v = Box.point(v)
     n, m, n2 = J.shape
     if len(v) != m:
         raise ShapeMismatch(f"tensor {J.shape} contracted with vector length {len(v)}")
     plo, phi = _pair_prod(
         J.lo, J.hi, v.lo[None, :, None], v.hi[None, :, None]
     )
-    return IMatrix._new(plo.sum(axis=1), phi.sum(axis=1))
+    return Box._new(plo.sum(axis=1), phi.sum(axis=1))
 
 
-def tensor_transpose(J: ITensor3) -> ITensor3:
+def tensor_transpose(J: Box) -> Box:
     """Swap the last two axes: (J^T)_{k,p,l} = J_{k,l,p}."""
-    return ITensor3(np.transpose(J.lo, (0, 2, 1)), np.transpose(J.hi, (0, 2, 1)))
+    return Box(np.transpose(J.lo, (0, 2, 1)), np.transpose(J.hi, (0, 2, 1)))
 
 
-def tensorT_vec(Jt: ITensor3, w) -> IMatrix:
+def tensorT_vec(Jt: Box, w) -> Box:
     """Contract a transposed (n,n,m) tensor with a length-n vector.
 
     result_{k,l} = sum_p Jt_{k,p,l} w_p = sum_p J_{k,l,p} w_p, an n x m matrix.
     """
-    if not isinstance(w, IVector):
-        w = IVector.point(w)
+    if not isinstance(w, Box):
+        w = Box.point(w)
     n, n2, m = Jt.shape
     if len(w) != n2:
         raise ShapeMismatch(f"tensor {Jt.shape} contracted with vector length {len(w)}")
     plo, phi = _pair_prod(
         Jt.lo, Jt.hi, w.lo[None, :, None], w.hi[None, :, None]
     )
-    return IMatrix._new(plo.sum(axis=1), phi.sum(axis=1))
+    return Box._new(plo.sum(axis=1), phi.sum(axis=1))
 
 
 def meet(a, b, tol: float = 0.0, pad: float = 0.0):
@@ -493,7 +408,7 @@ def meet(a, b, tol: float = 0.0, pad: float = 0.0):
     if np.any(genuine):
         idx = tuple(int(i) for i in np.argwhere(genuine)[0])
         raise EmptyIntersection(f"empty intersection at component {idx}", index=idx)
-    return type(a)(lo, hi)
+    return Box(lo, hi)
 
 
 def meet_arrays(alo, ahi, blo, bhi, tol: float = 0.0, pad: float = 0.0):
@@ -516,17 +431,9 @@ def meet_arrays(alo, ahi, blo, bhi, tol: float = 0.0, pad: float = 0.0):
     return lo, hi, genuine
 
 
-def clamp_into(child, prior):
-    """Force child back inside prior (used after padded cuts so C subseteq prior)."""
-    prior._check_same(child)
-    lo = np.clip(child.lo, prior.lo, prior.hi)
-    hi = np.clip(child.hi, lo, prior.hi)
-    return type(child)(lo, hi)
-
-
-def real_mat_iv(M, v: IVector) -> IVector:
+def real_mat_iv(M, v: Box) -> Box:
     """Real matrix times interval vector, exact per component."""
     M = np.asarray(M, dtype=float)
     pos = np.maximum(M, 0.0)
     neg = np.minimum(M, 0.0)
-    return IVector._new(pos @ v.lo + neg @ v.hi, pos @ v.hi + neg @ v.lo)
+    return Box._new(pos @ v.lo + neg @ v.hi, pos @ v.hi + neg @ v.lo)

@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .errors import EmptyIntersection, InconsistentSample
-from .intervals import IMatrix, ITensor3, Interval, IVector, _out, meet, meet_arrays
+from .intervals import Box, Interval, _out, meet, meet_arrays
 
 
 # crossings below this (relative) size are float artifacts of touching
@@ -76,9 +76,9 @@ class LipschitzBounds:
 class VectorFieldBounds:
     """Known supersets of the ranges of f and G over a state box."""
 
-    region: IVector
-    f_range: IVector
-    G_range: IMatrix
+    region: Box   # (n,)
+    f_range: Box  # (n,)
+    G_range: Box  # (n, m)
 
 
 @dataclass(frozen=True)
@@ -106,11 +106,12 @@ class Decoupling:
 
 
 # User-supplied constraint hook: contracts (f enclosure, G enclosure, Jf, JG)
-# over a state/control box.  Jf / JG may be None when the caller only needs
-# the vector-field enclosures.
+# of shapes (n,), (n, m), (n, n), (n, m, n) over a state box (n,) and a control
+# box (m,).  Jf / JG may be None when the caller only needs the vector-field
+# enclosures.
 Contractor = Callable[
-    [IVector, IVector, IVector, IMatrix, Optional[IMatrix], Optional[ITensor3]],
-    Tuple[IVector, IMatrix, Optional[IMatrix], Optional[ITensor3]],
+    [Box, Box, Box, Box, Optional[Box], Optional[Box]],
+    Tuple[Box, Box, Optional[Box], Optional[Box]],
 ]
 
 
@@ -120,10 +121,10 @@ class PartialDynamics:
 
     f_known: Callable[[np.ndarray], np.ndarray]
     G_known: Callable[[np.ndarray], np.ndarray]
-    f_known_iv: Callable[[IVector], IVector]
-    G_known_iv: Callable[[IVector], IMatrix]
-    jac_f_known_iv: Callable[[IVector], IMatrix]
-    jac_G_known_iv: Callable[[IVector], ITensor3]
+    f_known_iv: Callable[[Box], Box]  # state box (n,) -> (n,)
+    G_known_iv: Callable[[Box], Box]  # -> (n, m)
+    jac_f_known_iv: Callable[[Box], Box]  # -> (n, n)
+    jac_G_known_iv: Callable[[Box], Box]  # -> (n, m, n)
     lip: LipschitzBounds  # bounds for the unknown residual only
 
 
@@ -143,8 +144,8 @@ class KnowledgeEntry:
     """A state together with contracted enclosures of f and G at that state."""
 
     x: np.ndarray
-    C_F: IVector
-    C_G: IMatrix
+    C_F: Box
+    C_G: Box
 
 
 class _Groups:
@@ -195,7 +196,7 @@ class _Entries(Sequence):
             return tuple(self[j] for j in range(*i.indices(len(self))))
         kb = self._kb
         return KnowledgeEntry(
-            kb.xs[i], IVector(kb.cf_lo[i], kb.cf_hi[i]), IMatrix(kb.cg_lo[i], kb.cg_hi[i])
+            kb.xs[i], Box(kb.cf_lo[i], kb.cf_hi[i]), Box(kb.cg_lo[i], kb.cg_hi[i])
         )
 
 
@@ -267,7 +268,7 @@ class KnowledgeBase:
         """Per-group distances (k, N, ngroups) from the rows of X to the entry states."""
         return self._groups.dists(self.xs - X[:, None, :])
 
-    def _box_dists(self, X: IVector):
+    def _box_dists(self, X: Box):
         """Per-group upper bounds (1, N, ngroups) of |y - x_i| over all y in the box X."""
         far = np.maximum(np.abs(X.lo[None, :] - self.xs), np.abs(X.hi[None, :] - self.xs))
         return self._groups.dists(far[None])
@@ -376,7 +377,7 @@ def _contract(xdot, u, F_lo, F_hi, G_lo, G_hi):
     return cf_lo, cf_hi, cg_lo, cg_hi, [(bad, "contract") for bad in stages]
 
 
-def contract_fg(s: Sample, F: IVector, G: IMatrix) -> Tuple[IVector, IMatrix]:
+def contract_fg(s: Sample, F: Box, G: Box) -> Tuple[Box, Box]:
     """Contract enclosures of f(x) and G(x) against xdot = f(x) + G(x) u.
 
     Sequential two-step forward/backward pruning: first the f-enclosure is cut
@@ -396,7 +397,7 @@ def contract_fg(s: Sample, F: IVector, G: IMatrix) -> Tuple[IVector, IMatrix]:
             component=exc.index,
         ) from exc
     cf_lo, cf_hi, cg_lo, cg_hi = rows
-    return IVector(cf_lo[0], cf_hi[0]), IMatrix(cg_lo[0], cg_hi[0])
+    return Box(cf_lo[0], cf_hi[0]), Box(cg_lo[0], cg_hi[0])
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +424,10 @@ def _settled(lo, hi, what):
     return lo[0], hi[0]
 
 
-def f_over(x: np.ndarray, kb: KnowledgeBase) -> IVector:
+def f_over(x: np.ndarray, kb: KnowledgeBase) -> Box:
     """Interval enclosure of f(x) from the knowledge base (Lipschitz envelope)."""
     x = np.asarray(x, dtype=float)
-    enc = IVector(*_settled(*_unknown_f(kb, kb._point_dists(x[None])), "f"))
+    enc = Box(*_settled(*_unknown_f(kb, kb._point_dists(x[None])), "f"))
     pd = kb.side.partial_dynamics
     if pd is not None:
         enc = enc + pd.f_known(x)
@@ -436,10 +437,10 @@ def f_over(x: np.ndarray, kb: KnowledgeBase) -> IVector:
     return enc
 
 
-def G_over(x: np.ndarray, kb: KnowledgeBase) -> IMatrix:
+def G_over(x: np.ndarray, kb: KnowledgeBase) -> Box:
     """Interval enclosure of G(x) from the knowledge base."""
     x = np.asarray(x, dtype=float)
-    enc = IMatrix(*_settled(*_unknown_G(kb, kb._point_dists(x[None])), "G"))
+    enc = Box(*_settled(*_unknown_G(kb, kb._point_dists(x[None])), "G"))
     pd = kb.side.partial_dynamics
     if pd is not None:
         enc = enc + pd.G_known(x)
@@ -449,9 +450,9 @@ def G_over(x: np.ndarray, kb: KnowledgeBase) -> IMatrix:
     return enc
 
 
-def f_over_iv(X: IVector, kb: KnowledgeBase) -> IVector:
+def f_over_iv(X: Box, kb: KnowledgeBase) -> Box:
     """Inclusion-isotone interval extension of f_over to state boxes."""
-    enc = IVector(*_settled(*_unknown_f(kb, kb._box_dists(X)), "f"))
+    enc = Box(*_settled(*_unknown_f(kb, kb._box_dists(X)), "f"))
     pd = kb.side.partial_dynamics
     if pd is not None:
         enc = enc + pd.f_known_iv(X)
@@ -461,9 +462,9 @@ def f_over_iv(X: IVector, kb: KnowledgeBase) -> IVector:
     return enc
 
 
-def G_over_iv(X: IVector, kb: KnowledgeBase) -> IMatrix:
+def G_over_iv(X: Box, kb: KnowledgeBase) -> Box:
     """Inclusion-isotone interval extension of G_over to state boxes."""
-    enc = IMatrix(*_settled(*_unknown_G(kb, kb._box_dists(X)), "G"))
+    enc = Box(*_settled(*_unknown_G(kb, kb._box_dists(X)), "G"))
     pd = kb.side.partial_dynamics
     if pd is not None:
         enc = enc + pd.G_known_iv(X)
@@ -579,8 +580,8 @@ def _seed_entry(side: SideInfoSet, samples, n, m, M) -> KnowledgeEntry:
             CG0 = CG0 - pd.G_known(x0)
     else:
         x0 = samples[0].x
-        CF0 = IVector(np.full(n, -M), np.full(n, M))
-        CG0 = IMatrix(np.full((n, m), -M), np.full((n, m), M))
+        CF0 = Box(np.full(n, -M), np.full(n, M))
+        CG0 = Box(np.full((n, m), -M), np.full((n, m), M))
     return KnowledgeEntry(np.asarray(x0, float), CF0, CG0)
 
 
@@ -674,8 +675,8 @@ def rebuild(kb, samples, fixpoint_tol=1e-9, max_fixpoint_iters=50) -> KnowledgeB
 # ---------------------------------------------------------------------------
 
 def jacobian_extensions(
-    kb: KnowledgeBase, state_box: Optional[IVector] = None
-) -> Tuple[IMatrix, ITensor3]:
+    kb: KnowledgeBase, state_box: Optional[Box] = None
+) -> Tuple[Box, Box]:
     """Interval Jacobians of f and G from Lipschitz bounds and side information.
 
     Baseline entries are L [-1,1]; decoupling masks zero entries, gradient
@@ -706,8 +707,8 @@ def jacobian_extensions(
         if np.any(jf_lo > jf_hi) or np.any(jg_lo > jg_hi):
             raise EmptyIntersection("gradient bounds contradict Lipschitz bounds")
 
-    Jf = IMatrix(jf_lo, jf_hi)
-    JG = ITensor3(jg_lo, jg_hi)
+    Jf = Box(jf_lo, jf_hi)
+    JG = Box(jg_lo, jg_hi)
     pd = kb.side.partial_dynamics
     if pd is not None:
         if state_box is None:

@@ -21,9 +21,10 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import AllOrthantsInfeasible, IterationCapExceeded
-from .intervals import IVector
+from .intervals import Box
 
 _L_MIN_SCALE = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class BoxQP:
 
     Qi: np.ndarray
     qi: np.ndarray
-    box: IVector
+    box: Box
     pi: float = 0.0
 
     def __post_init__(self):
@@ -100,7 +101,7 @@ class QPOptions:
     max_total_iters: int = 500_000
 
 
-def box_project(v: np.ndarray, box: IVector) -> np.ndarray:
+def box_project(v: np.ndarray, box: Box) -> np.ndarray:
     """Componentwise clamp onto a box."""
     return np.minimum(np.maximum(np.asarray(v, dtype=float), box.lo), box.hi)
 
@@ -228,15 +229,15 @@ class OrthantQP:
     A_l_plus: np.ndarray
     A_s_minus: np.ndarray
     A_l_minus: np.ndarray
-    Ubox: IVector
+    Ubox: Box
 
 
 @dataclass(frozen=True)
 class OptimisticQP:
     orthants: tuple
     cost: "QuadraticCost"
-    B: IVector
-    X: IVector
+    B: Box
+    X: Box
 
 
 @dataclass
@@ -258,7 +259,7 @@ class OptimisticInfo:
     multipliers: np.ndarray
 
 
-def orthant_rows(B: IVector, X: IVector, orth: OrthantQP):
+def orthant_rows(B: Box, X: Box, orth: OrthantQP):
     """Constraints A y <= b of one orthant in y = (u, x_next).
 
     Row blocks, in order: x >= B.lo + A_l+ u, x <= B.hi + A_s+ u, the same
@@ -362,9 +363,15 @@ def _dual_solve_orthant(cost, B, X, orth: OrthantQP, sigma, max_iters):
                 if lam_act[i] / r[i] < t1:
                     t1, drop = lam_act[i] / r[i], i
             # full step: row k becomes tight; impossible once a_k lies in
-            # span(N), taken as an angle below 1e-12 rad to that span
+            # span(N).  The computed span is accurate only to an angle of
+            # about p eps cond(R) (estimated from R's diagonal), so a smaller
+            # angle, or one below 1e-12 rad, counts as dependence: a full step
+            # along a rounding-level direction makes the next R singular.
             dz = float(d2 @ d2)
-            t2 = vk / dz if dz > 1e-24 * float(d @ d) else math.inf
+            diag = np.abs(np.diag(R))
+            cond = diag.max() / diag.min() if q else 1.0
+            angle = max(1e-12, p * _EPS * cond)
+            t2 = vk / dz if dz > angle * angle * float(d @ d) else math.inf
             if t1 == math.inf and t2 == math.inf:
                 return None  # row k cannot be met together with the active rows
             t = min(t1, t2)

@@ -2,8 +2,9 @@
 
 One step propagates an interval box through a second-order interval Taylor
 expansion whose Jacobians come from Lipschitz bounds and side information;
-an a priori rough enclosure (explicit formula or Picard-style fixpoint)
-controls the remainder term.
+an a priori rough enclosure controls the remainder term.  The enclosure is
+the closed-form one whose existence the step-size bound sqrt(n) beta dt < 1
+guarantees (`rough_enclosure_explicit`).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import DataReachError, NoEnclosure, StepTooLarge
-from .intervals import Interval, IVector, imat_vec, inf_norm, meet, tensor_vec
+from .errors import DataReachError, StepTooLarge
+from .intervals import Box, Interval, imat_vec, inf_norm, tensor_vec
 from .knowledge import KnowledgeBase, LipschitzBounds, f_over_iv, G_over_iv, jacobian_extensions
 
 
@@ -32,13 +33,13 @@ class ControlClass:
 
     smoothness: int = 1
 
-    def eval_point(self, t: float) -> IVector:
+    def eval_point(self, t: float) -> Box:
         raise NotImplementedError
 
-    def eval_range(self, t0: float, t1: float) -> IVector:
+    def eval_range(self, t0: float, t1: float) -> Box:
         raise NotImplementedError
 
-    def eval_deriv_range(self, t0: float, t1: float) -> IVector:
+    def eval_deriv_range(self, t0: float, t1: float) -> Box:
         raise NotImplementedError
 
 
@@ -46,9 +47,9 @@ class ConstantControl(ControlClass):
     """A single constant control value (or box of values)."""
 
     def __init__(self, u, smoothness: int = 2):
-        self.u = u if isinstance(u, IVector) else IVector.point(u)
+        self.u = u if isinstance(u, Box) else Box.point(u)
         self.smoothness = smoothness
-        self._zero = IVector.point(np.zeros(len(self.u)))
+        self._zero = Box.point(np.zeros(len(self.u)))
 
     def eval_point(self, t):
         return self.u
@@ -68,19 +69,19 @@ class PiecewiseConstantControl(ControlClass):
         self.dt = float(dt)
         self.t0 = float(t0)
         self.smoothness = smoothness
-        self._zero = IVector.point(np.zeros(self.values.shape[1]))
+        self._zero = Box.point(np.zeros(self.values.shape[1]))
 
     def _index(self, t: float) -> int:
         k = int(math.floor((t - self.t0) / self.dt + 1e-12))
         return min(max(k, 0), self.values.shape[0] - 1)
 
     def eval_point(self, t):
-        return IVector.point(self.values[self._index(t)])
+        return Box.point(self.values[self._index(t)])
 
     def eval_range(self, t0, t1):
         k0, k1 = self._index(t0), self._index(max(t0, t1 - 1e-12))
         chunk = self.values[k0 : k1 + 1]
-        return IVector(chunk.min(axis=0), chunk.max(axis=0))
+        return Box(chunk.min(axis=0), chunk.max(axis=0))
 
     def eval_deriv_range(self, t0, t1):
         return self._zero
@@ -122,21 +123,21 @@ class ConstCosControl(ControlClass):
 
     def eval_point(self, t):
         c = math.cos(self.omega * (t - self.t_ref))
-        return IVector([self.v0 + self.a1.lo, c + self.a2.lo],
+        return Box([self.v0 + self.a1.lo, c + self.a2.lo],
                        [self.v0 + self.a1.hi, c + self.a2.hi])
 
     def eval_range(self, t0, t1):
         phi0 = self.omega * (t0 - self.t_ref)
         phi1 = self.omega * (t1 - self.t_ref)
         c = _cos_range(min(phi0, phi1), max(phi0, phi1))
-        return IVector([self.v0 + self.a1.lo, c.lo + self.a2.lo],
+        return Box([self.v0 + self.a1.lo, c.lo + self.a2.lo],
                        [self.v0 + self.a1.hi, c.hi + self.a2.hi])
 
     def eval_deriv_range(self, t0, t1):
         phi0 = self.omega * (t0 - self.t_ref)
         phi1 = self.omega * (t1 - self.t_ref)
         s = _sin_range(min(phi0, phi1), max(phi0, phi1)) * (-self.omega)
-        return IVector([0.0, s.lo], [0.0, s.hi])
+        return Box([0.0, s.lo], [0.0, s.hi])
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +153,7 @@ def beta_of(lip: LipschitzBounds, Vabs: np.ndarray) -> float:
     return float(math.sqrt(float(rows @ rows)))
 
 
-def max_step_size(lip: LipschitzBounds, U: IVector) -> float:
+def max_step_size(lip: LipschitzBounds, U: Box) -> float:
     """Largest admissible step: callers must pick dt strictly below this."""
     beta_inf = beta_of(lip, U.mag)
     if beta_inf == 0.0:
@@ -161,13 +162,13 @@ def max_step_size(lip: LipschitzBounds, U: IVector) -> float:
 
 
 def rough_enclosure_explicit(
-    R: IVector,
+    R: Box,
     kb: KnowledgeBase,
-    V: IVector,
+    V: Box,
     dt: float,
     lip: Optional[LipschitzBounds] = None,
-    h: Optional[IVector] = None,
-) -> IVector:
+    h: Optional[Box] = None,
+) -> Box:
     """Closed-form a priori enclosure, valid whenever sqrt(n) beta dt < 1.
 
     `h` may pass in a precomputed enclosure of f(R) + G(R) V.
@@ -181,43 +182,7 @@ def rough_enclosure_explicit(
     if h is None:
         h = f_over_iv(R, kb) + imat_vec(G_over_iv(R, kb), V)
     c = dt * inf_norm(h) / denom
-    return IVector(R.lo - c, R.hi + c)
-
-
-def rough_enclosure_fixpoint(
-    R: IVector,
-    kb: KnowledgeBase,
-    V: IVector,
-    dt: float,
-    inflation: float = 1.05,
-    max_enclosure_iters: int = 20,
-) -> IVector:
-    """Picard-style enclosure: inflate until R + [0,dt] h(S) V lands inside S."""
-    span = Interval(0.0, dt)
-    S = R
-    for _ in range(max_enclosure_iters):
-        h = f_over_iv(S, kb) + imat_vec(G_over_iv(S, kb), V)
-        T = R + h * span
-        if S.encloses(T):
-            return S
-        S = S.hull(T).widened(inflation)
-    raise NoEnclosure(
-        f"no a priori enclosure after {max_enclosure_iters} inflation rounds"
-    )
-
-
-def _enclosure(R, kb, V, dt, mode: str) -> IVector:
-    """Combined strategy: explicit bound, refined by the fixpoint when it helps."""
-    if mode == "fixpoint":
-        return rough_enclosure_fixpoint(R, kb, V, dt)
-    S = rough_enclosure_explicit(R, kb, V, dt)
-    if mode == "explicit":
-        return S
-    try:
-        S_fix = rough_enclosure_fixpoint(R, kb, V, dt)
-    except NoEnclosure:
-        return S
-    return meet(S, S_fix, 1e-12)  # both enclose the flow; crossings are rounding
+    return Box(R.lo - c, R.hi + c)
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +198,11 @@ class ReachStepRecord:
     """
 
     t: float
-    R: IVector
-    S: IVector
+    R: Box
+    S: Box
     beta: float
     alpha_norm: float
-    R_next: IVector
+    R_next: Box
 
     def __post_init__(self):
         if not self.S.encloses(self.R, atol=1e-12):
@@ -264,7 +229,7 @@ class ReachTube:
         return self.steps[-1].R.width
 
 
-def _queried_step_data(R, kb, ctrl, t, dt, enclosure_mode):
+def _queried_step_data(R, kb, ctrl, t, dt):
     """Shared evaluation pipeline of one reach step (enclosures + Jacobians)."""
     v_t = ctrl.eval_point(t)
     V = ctrl.eval_range(t, t + dt)
@@ -282,7 +247,7 @@ def _queried_step_data(R, kb, ctrl, t, dt, enclosure_mode):
         fR, GR, _, _ = hook(R, V, fR, GR, None, None)
 
     hV = fR + imat_vec(GR, V)
-    S = _enclosure(R, kb, V, dt, enclosure_mode)
+    S = rough_enclosure_explicit(R, kb, V, dt, h=hV)
     fS = f_over_iv(S, kb)
     GS = G_over_iv(S, kb)
     Jf, JG = jacobian_extensions(kb, state_box=S)
@@ -292,13 +257,12 @@ def _queried_step_data(R, kb, ctrl, t, dt, enclosure_mode):
 
 
 def datareach_step(
-    R: IVector,
+    R: Box,
     kb: KnowledgeBase,
     ctrl: ControlClass,
     t: float,
     dt: float,
-    domain: Optional[IVector] = None,
-    enclosure_mode: str = "best",
+    domain: Optional[Box] = None,
 ) -> ReachStepRecord:
     """Second-order interval Taylor step over the differential inclusion.
 
@@ -308,7 +272,7 @@ def datareach_step(
     if ctrl.smoothness < 1:
         raise ValueError("datareach_step needs smoothness >= 1; use datareach_step_c0")
     v_t, V, V1, beta, fR, GR, hV, S, fS, GS, Jf, JG = _queried_step_data(
-        R, kb, ctrl, t, dt, enclosure_mode
+        R, kb, ctrl, t, dt
     )
     half_dt2 = 0.5 * dt * dt
     hx = fR + imat_vec(GR, v_t)
@@ -321,17 +285,16 @@ def datareach_step(
 
 
 def datareach_step_c0(
-    R: IVector,
+    R: Box,
     kb: KnowledgeBase,
     ctrl: ControlClass,
     t: float,
     dt: float,
-    domain: Optional[IVector] = None,
-    enclosure_mode: str = "best",
+    domain: Optional[Box] = None,
 ) -> ReachStepRecord:
     """First-order step for merely continuous control families."""
     _, V, _, beta, fR, GR, hV, S, fS, GS, _, _ = _queried_step_data(
-        R, kb, ctrl, t, dt, enclosure_mode
+        R, kb, ctrl, t, dt
     )
     Rn = R + (fS + imat_vec(GS, V)) * dt
     if domain is not None:
@@ -346,8 +309,7 @@ def datareach(
     dt: float,
     T: int,
     t0: float = 0.0,
-    domain: Optional[IVector] = None,
-    enclosure_mode: str = "best",
+    domain: Optional[Box] = None,
 ) -> ReachTube:
     """Over-approximate the reachable sets at t0 + dt, ..., t0 + T dt.
 
@@ -355,15 +317,14 @@ def datareach(
     the tube is truncated and the reason recorded in `failure`.
     """
     step_fn = datareach_step_c0 if ctrl.smoothness < 1 else datareach_step
-    R = x_start if isinstance(x_start, IVector) else IVector.point(x_start)
+    R = x_start if isinstance(x_start, Box) else Box.point(x_start)
     grid = [t0]
     steps: List[ReachStepRecord] = []
     failure = None
     t = t0
     for _ in range(T):
         try:
-            rec = step_fn(R, kb, ctrl, t, dt, domain=domain,
-                          enclosure_mode=enclosure_mode)
+            rec = step_fn(R, kb, ctrl, t, dt, domain=domain)
         except DataReachError as exc:
             failure = f"{type(exc).__name__}: {exc}"
             break

@@ -12,7 +12,7 @@ import numpy as np
 
 from .control import QuadraticCost, datacontrol_step, norm_cost, setpoint_cost
 from .errors import DataReachError, StateLeftDomain, StepTooLarge
-from .intervals import IMatrix, ITensor3, IVector, imat_vec, meet, real_mat_iv
+from .intervals import Box, imat_vec, meet, real_mat_iv
 from .knowledge import (
     Decoupling,
     LipschitzBounds,
@@ -36,8 +36,8 @@ class SystemSpec:
     m: int
     f_true: Callable[[np.ndarray], np.ndarray]
     G_true: Callable[[np.ndarray], np.ndarray]
-    U: IVector
-    X: IVector
+    U: Box
+    X: Box
     lip: LipschitzBounds
     side: SideInfoSet
     name: str
@@ -56,9 +56,9 @@ def _linear_partial(P: np.ndarray, m: int, residual_lip: LipschitzBounds) -> Par
         f_known=lambda x: P @ x,
         G_known=lambda x: zero_g,
         f_known_iv=lambda X: real_mat_iv(P, X),
-        G_known_iv=lambda X: IMatrix(zero_g, zero_g),
-        jac_f_known_iv=lambda X: IMatrix(P, P),
-        jac_G_known_iv=lambda X: ITensor3(zero_jg, zero_jg),
+        G_known_iv=lambda X: Box(zero_g, zero_g),
+        jac_f_known_iv=lambda X: Box(P, P),
+        jac_G_known_iv=lambda X: Box(zero_jg, zero_jg),
         lip=residual_lip,
     )
 
@@ -90,8 +90,8 @@ def unicycle() -> SystemSpec:
     side = SideInfoSet(decoupling=Decoupling(dep_f, dep_G))
     return SystemSpec(
         n=3, m=2, f_true=f_true, G_true=G_true,
-        U=IVector([-3.0, -math.pi], [3.0, math.pi]),
-        X=IVector([-5.0, -5.0, -math.pi], [5.0, 5.0, math.pi]),
+        U=Box([-3.0, -math.pi], [3.0, math.pi]),
+        X=Box([-5.0, -5.0, -math.pi], [5.0, 5.0, math.pi]),
         lip=lip, side=side, name="unicycle",
     )
 
@@ -114,8 +114,8 @@ def unicycle_knowledge_settings() -> dict:
         sys_b.side,
         vf_bounds=VectorFieldBounds(
             region=sys_b.X,
-            f_range=IVector(np.zeros(3), np.zeros(3)),
-            G_range=IMatrix(g_lo, g_hi),
+            f_range=Box(np.zeros(3), np.zeros(3)),
+            G_range=Box(g_lo, g_hi),
         ),
     )
     return {"lipschitz_only": side_a, "decoupled": side_b, "decoupled_bounds": side_c}
@@ -181,8 +181,8 @@ def quadrotor() -> SystemSpec:
     )
     return SystemSpec(
         n=6, m=2, f_true=f_true, G_true=G_true,
-        U=IVector([0.0, 0.0], [18.4, 18.4]),
-        X=IVector(
+        U=Box([0.0, 0.0], [18.4, 18.4]),
+        X=Box(
             [-20.0, -10.0, -20.0, -10.0, -math.pi / 2, -5.0],
             [20.0, 10.0, 20.0, 10.0, math.pi / 2, 5.0],
         ),
@@ -237,8 +237,8 @@ def aircraft() -> SystemSpec:
     )
     return SystemSpec(
         n=5, m=2, f_true=f_true, G_true=G_true,
-        U=IVector([-5.0, -5.0], [5.0, 5.0]),
-        X=IVector(np.full(5, -50.0), np.full(5, 150.0)),
+        U=Box([-5.0, -5.0], [5.0, 5.0]),
+        X=Box(np.full(5, -50.0), np.full(5, 150.0)),
         lip=lip_full, side=side, name="aircraft",
     )
 

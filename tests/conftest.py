@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from datareach.intervals import IMatrix, IVector
+from datareach.intervals import Box
 from datareach.knowledge import LipschitzBounds, SideInfoSet, VectorFieldBounds, build_knowledge
 from datareach.systems import advance, excite, unicycle
 
@@ -19,9 +19,9 @@ def exact_integrator_kb():
     lip = LipschitzBounds([0.0], [[0.0]])
     side = SideInfoSet(
         vf_bounds=VectorFieldBounds(
-            region=IVector([-100.0], [100.0]),
-            f_range=IVector([0.0], [0.0]),
-            G_range=IMatrix([[1.0]], [[1.0]]),
+            region=Box([-100.0], [100.0]),
+            f_range=Box([0.0], [0.0]),
+            G_range=Box([[1.0]], [[1.0]]),
         )
     )
     return build_knowledge([], lip, side)
@@ -32,9 +32,9 @@ def constant_f_kb(value=1.0):
     lip = LipschitzBounds([0.0], [[0.0]])
     side = SideInfoSet(
         vf_bounds=VectorFieldBounds(
-            region=IVector([-100.0], [100.0]),
-            f_range=IVector([value], [value]),
-            G_range=IMatrix([[0.0]], [[0.0]]),
+            region=Box([-100.0], [100.0]),
+            f_range=Box([value], [value]),
+            G_range=Box([[0.0]], [[0.0]]),
         )
     )
     return build_knowledge([], lip, side)

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import FIG_SEED, T_REF, batch_rk4_unicycle, mc_unicycle_rollout
 from datareach.control import datacontrol_step, norm_cost
-from datareach.intervals import IMatrix, Interval, IVector, imat_vec
+from datareach.intervals import Box, Interval, imat_vec
 from datareach.knowledge import (
     Sample,
     append_sample,
@@ -62,8 +62,8 @@ def test_01_step_bound_reproduction():
 
 
 def test_02_contraction_golden_case():
-    F = IVector.of([Interval(-0.01, 1.0), Interval(-1, 1), Interval(-1, 1)])
-    G = IMatrix.of(
+    F = Box.of([Interval(-0.01, 1.0), Interval(-1, 1), Interval(-1, 1)])
+    G = Box.of(
         [
             [Interval(-0.05, 0.05), Interval(-0.1, 1.0)],
             [Interval(-1, 1), Interval(-1, 1)],
@@ -167,7 +167,7 @@ def test_06_adares_eps_optimality():
             Qi = np.zeros((m, m))
         qi = rng.normal(size=m) * rng.uniform(0.5, 3)
         lo = rng.uniform(-3, 0, m)
-        box = IVector(lo, lo + rng.uniform(0.5, 4, m))
+        box = Box(lo, lo + rng.uniform(0.5, 4, m))
         qp = BoxQP(Qi, qi, box)
         _, l_star = oracle_boxqp(qp)
         u, info = solve_idealistic(qp, QPOptions(eps=eps, mu0=mu0), with_info=True)

@@ -15,7 +15,7 @@ from datareach.control import (
     subopt_bound,
 )
 from datareach.errors import StepTooLarge
-from datareach.intervals import IMatrix, IVector, imat_vec, meet
+from datareach.intervals import Box, imat_vec, meet
 from datareach.knowledge import Sample, append_sample, build_knowledge
 from datareach.qpsolve import QPOptions
 from datareach.systems import advance, excite, unicycle, unicycle_experiment
@@ -46,7 +46,7 @@ class TestQuadraticCost:
 class TestLinearize:
     def test_exact_integrator(self):
         kb = exact_integrator_kb()
-        aff = linearize(IVector([0.0], [0.0]), kb, IVector([-1.0], [1.0]), 0.1)
+        aff = linearize(Box([0.0], [0.0]), kb, Box([-1.0], [1.0]), 0.1)
         assert aff.B[0].lo == pytest.approx(0.0, abs=1e-9)
         assert aff.B[0].hi == pytest.approx(0.0, abs=1e-9)
         for A in (aff.Aplus, aff.Aminus):
@@ -57,13 +57,13 @@ class TestLinearize:
     def test_step_bound_enforced(self, unicycle_fig_setup):
         sysu, _, kb, x_start = unicycle_fig_setup
         with pytest.raises(StepTooLarge):
-            linearize(IVector.point(x_start), kb, sysu.U, 0.2)
+            linearize(Box.point(x_start), kb, sysu.U, 0.2)
 
     def test_next_state_containment(self, unicycle_fig_setup):
         """(B + A+ u) cap (B + A- u) contains the RK4 next state for 1000 u."""
         sysu, _, kb, x_start = unicycle_fig_setup
         dt = 0.1
-        aff = linearize(IVector.point(x_start), kb, sysu.U, dt)
+        aff = linearize(Box.point(x_start), kb, sysu.U, dt)
         rng = np.random.default_rng(12)
         us = rng.uniform(sysu.U.lo, sysu.U.hi, size=(1000, 2))
         X = np.tile(x_start, (1000, 1))
@@ -80,9 +80,9 @@ class TestIdealisticCoeffs:
         Blo = rng.normal(size=2)
         Alo = rng.normal(size=(2, 2))
         self.aff = AffineOverApprox(
-            IVector(Blo, Blo + rng.uniform(0.1, 1, 2)),
-            IMatrix(Alo, Alo + rng.uniform(0.1, 1, (2, 2))),
-            IMatrix(Alo - 0.3, Alo + rng.uniform(0.1, 1, (2, 2))),
+            Box(Blo, Blo + rng.uniform(0.1, 1, 2)),
+            Box(Alo, Alo + rng.uniform(0.1, 1, (2, 2))),
+            Box(Alo - 0.3, Alo + rng.uniform(0.1, 1, (2, 2))),
             0.0, 0.1,
         )
 
@@ -96,8 +96,8 @@ class TestIdealisticCoeffs:
         assert np.allclose(b_ide, self.aff.B.mid)
 
     def test_degenerate_ignores_weights(self):
-        B = IVector.point([1.0, -1.0])
-        A = IMatrix.point([[0.5, 0.0], [0.0, 0.25]])
+        B = Box.point([1.0, -1.0])
+        A = Box.point([[0.5, 0.0], [0.0, 0.25]])
         aff = AffineOverApprox(B, A, A, 0.0, 0.1)
         for w in ((0.0, 1.0), (0.7, 0.2)):
             A_ide, b_ide = idealistic_coeffs(aff, *w)
@@ -147,11 +147,11 @@ class TestAssembleOptimistic:
     def test_single_orthant_endpoints(self):
         cost = norm_cost(1, 2)
         Alo = np.array([[1.0, -2.0]])
-        aff = AffineOverApprox(IVector([0.0], [1.0]),
-                               IMatrix(Alo, Alo + 1.0), IMatrix(Alo, Alo + 0.5),
+        aff = AffineOverApprox(Box([0.0], [1.0]),
+                               Box(Alo, Alo + 1.0), Box(Alo, Alo + 0.5),
                                0.0, 0.1)
-        U = IVector([0.0, 0.0], [1.0, 2.0])
-        oqp = assemble_optimistic(cost, aff, U, IVector([-9.0], [9.0]))
+        U = Box([0.0, 0.0], [1.0, 2.0])
+        oqp = assemble_optimistic(cost, aff, U, Box([-9.0], [9.0]))
         assert len(oqp.orthants) == 1
         orth = oqp.orthants[0]
         assert np.allclose(orth.A_s_plus, aff.Aplus.hi)
@@ -162,11 +162,11 @@ class TestAssembleOptimistic:
     def test_sign_indefinite_axis_splits_and_swaps(self):
         cost = norm_cost(1, 1)
         Alo = np.array([[1.0]])
-        aff = AffineOverApprox(IVector([0.0], [0.0]),
-                               IMatrix(Alo, Alo + 1.0), IMatrix(Alo, Alo + 1.0),
+        aff = AffineOverApprox(Box([0.0], [0.0]),
+                               Box(Alo, Alo + 1.0), Box(Alo, Alo + 1.0),
                                0.0, 0.1)
-        oqp = assemble_optimistic(cost, aff, IVector([-1.0], [1.0]),
-                                  IVector([-9.0], [9.0]))
+        oqp = assemble_optimistic(cost, aff, Box([-1.0], [1.0]),
+                                  Box([-9.0], [9.0]))
         assert len(oqp.orthants) == 2
         neg, pos = sorted(oqp.orthants, key=lambda o: o.Ubox.lo[0])
         assert pos.A_s_plus[0, 0] == aff.Aplus.hi[0, 0]
@@ -174,10 +174,10 @@ class TestAssembleOptimistic:
 
     def test_degenerate_model_all_matrices_equal(self):
         cost = norm_cost(1, 1)
-        A = IMatrix.point([[0.5]])
-        aff = AffineOverApprox(IVector.point([0.0]), A, A, 0.0, 0.1)
-        oqp = assemble_optimistic(cost, aff, IVector([0.0], [1.0]),
-                                  IVector([-9.0], [9.0]))
+        A = Box.point([[0.5]])
+        aff = AffineOverApprox(Box.point([0.0]), A, A, 0.0, 0.1)
+        oqp = assemble_optimistic(cost, aff, Box([0.0], [1.0]),
+                                  Box([-9.0], [9.0]))
         orth = oqp.orthants[0]
         for mat in (orth.A_s_plus, orth.A_l_plus, orth.A_s_minus, orth.A_l_minus):
             assert np.allclose(mat, 0.5)
@@ -186,10 +186,10 @@ class TestAssembleOptimistic:
 class TestSuboptBound:
     def test_zero_widths_zero_bound(self):
         cost = norm_cost(2, 1)
-        A = IMatrix.point([[0.1], [0.2]])
-        aff = AffineOverApprox(IVector.point([1.0, 2.0]), A, A, 0.0, 0.1)
-        got = subopt_bound(cost, aff, IVector([-1.0], [1.0]),
-                           IVector([-5.0, -5.0], [5.0, 5.0]))
+        A = Box.point([[0.1], [0.2]])
+        aff = AffineOverApprox(Box.point([1.0, 2.0]), A, A, 0.0, 0.1)
+        got = subopt_bound(cost, aff, Box([-1.0], [1.0]),
+                           Box([-5.0, -5.0], [5.0, 5.0]))
         assert got == 0.0
 
     def test_monotone_in_widths(self):
@@ -197,14 +197,14 @@ class TestSuboptBound:
         rng = np.random.default_rng(4)
         Blo = rng.normal(size=2)
         Alo = rng.normal(size=(2, 1))
-        U = IVector([-1.0], [1.0])
-        X = IVector([-5.0, -5.0], [5.0, 5.0])
+        U = Box([-1.0], [1.0])
+        X = Box([-5.0, -5.0], [5.0, 5.0])
 
         def bound_with(extra):
             aff = AffineOverApprox(
-                IVector(Blo, Blo + 0.1 + extra),
-                IMatrix(Alo, Alo + 0.1 + extra),
-                IMatrix(Alo, Alo + 0.05),
+                Box(Blo, Blo + 0.1 + extra),
+                Box(Alo, Alo + 0.1 + extra),
+                Box(Alo, Alo + 0.05),
                 0.0, 0.1,
             )
             return subopt_bound(cost, aff, U, X)
@@ -218,8 +218,8 @@ class TestDataControlStep:
         kb = exact_integrator_kb()
         cost = norm_cost(1, 1)
         u, diag = datacontrol_step(
-            kb, np.array([1.0]), cost, IVector([-1.0], [1.0]),
-            IVector([-5.0], [5.0]), 0.1,
+            kb, np.array([1.0]), cost, Box([-1.0], [1.0]),
+            Box([-5.0], [5.0]), 0.1,
         )
         assert u[0] == pytest.approx(-1.0, abs=1e-6)
         assert diag.bound == pytest.approx(0.0, abs=1e-9)
@@ -229,9 +229,9 @@ class TestDataControlStep:
         kb = exact_integrator_kb()
         cost = QuadraticCost(np.zeros((1, 1)), np.zeros((1, 1)),
                              np.zeros((1, 1)), np.zeros(1), np.zeros(1))
-        U = IVector([-1.0], [1.0])
+        U = Box([-1.0], [1.0])
         u, diag = datacontrol_step(kb, np.array([1.0]), cost, U,
-                                   IVector([-5.0], [5.0]), 0.1)
+                                   Box([-5.0], [5.0]), 0.1)
         assert U.contains(u)
         assert diag.model_cost == pytest.approx(0.0, abs=1e-12)
 
@@ -239,8 +239,8 @@ class TestDataControlStep:
         kb = exact_integrator_kb()
         cost = norm_cost(1, 1)
         u, diag = datacontrol_step(
-            kb, np.array([1.0]), cost, IVector([-1.0], [1.0]),
-            IVector([-5.0], [5.0]), 0.1, mode="optimistic",
+            kb, np.array([1.0]), cost, Box([-1.0], [1.0]),
+            Box([-5.0], [5.0]), 0.1, mode="optimistic",
         )
         assert u[0] == pytest.approx(-1.0, abs=1e-4)
         assert diag.mode_used == "optimistic"

@@ -5,15 +5,11 @@ import pytest
 
 from datareach.errors import EmptyIntersection, NegativeDomain, ShapeMismatch
 from datareach.intervals import (
-    IMatrix,
-    ITensor3,
+    Box,
     Interval,
-    IVector,
-    abs_iv,
     imat_imat,
     imat_vec,
     inf_norm,
-    intersect,
     meet,
     norm2_ext,
     real_mat_iv,
@@ -22,7 +18,6 @@ from datareach.intervals import (
     tensorT_vec,
     tensor_transpose,
     tensor_vec,
-    width,
 )
 
 
@@ -57,15 +52,15 @@ class TestScalarOps:
             Interval(2.0, 1.0)
 
     def test_intersect_paper_case(self):
-        assert intersect(iv(-0.01, 1), iv(-0.15, 0.06)) == iv(-0.01, 0.06)
+        assert iv(-0.01, 1).intersect(iv(-0.15, 0.06)) == iv(-0.01, 0.06)
 
     def test_intersect_disjoint(self):
         with pytest.raises(EmptyIntersection):
-            intersect(iv(0, 1), iv(2, 3))
+            iv(0, 1).intersect(iv(2, 3))
 
     def test_intersect_idempotent(self):
         a = iv(-1.25, 3.5)
-        assert intersect(a, a) == a
+        assert a.intersect(a) == a
 
     def test_sqrt_ext(self):
         assert sqrt_ext(iv(4, 9)) == iv(2, 3)
@@ -83,78 +78,78 @@ class TestScalarOps:
         assert sqr_ext(iv(-3, -2)) == iv(4, 9)
 
     def test_abs_and_width(self):
-        assert abs_iv(iv(-3, 2)) == 3
-        assert width(iv(-3, 2)) == 5
-        assert abs_iv(iv(1, 4)) == 4
+        assert iv(-3, 2).mag == 3
+        assert iv(-3, 2).width == 5
+        assert iv(1, 4).mag == 4
 
 
 class TestAggregates:
     def test_inf_norm(self):
-        v = IVector([-1, 0], [2, 5])
+        v = Box([-1, 0], [2, 5])
         assert inf_norm(v) == 5
 
     def test_norm2_exact_point(self):
-        assert norm2_ext(IVector([3, 4], [3, 4])) == Interval(5, 5)
+        assert norm2_ext(Box([3, 4], [3, 4])) == Interval(5, 5)
 
     def test_norm2_symmetric(self):
-        got = norm2_ext(IVector([-1], [1]))
+        got = norm2_ext(Box([-1], [1]))
         assert got == Interval(0, 1)
 
     def test_norm2_mixed(self):
-        got = norm2_ext(IVector([-1, 0], [2, 1]))
+        got = norm2_ext(Box([-1, 0], [2, 1]))
         assert got.lo == 0.0 and got.hi == pytest.approx(math.sqrt(5), rel=1e-15)
 
     def test_imat_vec_identity(self):
-        M = IMatrix(np.eye(2), np.eye(2))
-        v = IVector([1, -2], [1.5, -1])
+        M = Box(np.eye(2), np.eye(2))
+        v = Box([1, -2], [1.5, -1])
         got = imat_vec(M, v)
         assert np.allclose(got.lo, v.lo) and np.allclose(got.hi, v.hi)
 
     def test_imat_vec_zero(self):
-        M = IMatrix(np.zeros((2, 2)), np.zeros((2, 2)))
-        got = imat_vec(M, IVector([1, 2], [3, 4]))
+        M = Box(np.zeros((2, 2)), np.zeros((2, 2)))
+        got = imat_vec(M, Box([1, 2], [3, 4]))
         assert np.allclose(got.lo, 0) and np.allclose(got.hi, 0)
 
     def test_imat_vec_hand_case(self):
-        M = IMatrix([[0, 1]], [[1, 1]])
-        got = imat_vec(M, IVector([1, 2], [1, 2]))
+        M = Box([[0, 1]], [[1, 1]])
+        got = imat_vec(M, Box([1, 2], [1, 2]))
         assert got[0] == Interval(2, 3)
 
     def test_imat_imat_shapes(self):
-        A = IMatrix(np.zeros((2, 3)), np.ones((2, 3)))
-        B = IMatrix(np.zeros((3, 4)), np.ones((3, 4)))
+        A = Box(np.zeros((2, 3)), np.ones((2, 3)))
+        B = Box(np.zeros((3, 4)), np.ones((3, 4)))
         assert imat_imat(A, B).shape == (2, 4)
         with pytest.raises(ShapeMismatch):
             imat_imat(B, A)
 
     def test_tensor_vec_zero(self):
-        J = ITensor3(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
-        got = tensor_vec(J, IVector([1, 1], [2, 2]))
+        J = Box(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+        got = tensor_vec(J, Box([1, 1], [2, 2]))
         assert np.allclose(got.lo, 0) and np.allclose(got.hi, 0)
 
     def test_tensor_vec_1d(self):
-        J = ITensor3([[[-1.0]]], [[[1.0]]])
-        got = tensor_vec(J, IVector([2.0], [2.0]))
+        J = Box([[[-1.0]]], [[[1.0]]])
+        got = tensor_vec(J, Box([2.0], [2.0]))
         assert got[0, 0] == Interval(-2, 2)
 
     def test_tensor_vec_hand_case(self):
         # n=1, m=2 with entries [0,1] and [1,2]; v = (1, 1)
-        J = ITensor3([[[0.0], [1.0]]], [[[1.0], [2.0]]])
-        got = tensor_vec(J, IVector([1.0, 1.0], [1.0, 1.0]))
+        J = Box([[[0.0], [1.0]]], [[[1.0], [2.0]]])
+        got = tensor_vec(J, Box([1.0, 1.0], [1.0, 1.0]))
         assert got[0, 0] == Interval(1, 3)
 
     def test_transpose_involution(self):
         rng = np.random.default_rng(0)
         lo = rng.normal(size=(3, 2, 3))
-        J = ITensor3(lo, lo + rng.random(size=(3, 2, 3)))
+        J = Box(lo, lo + rng.random(size=(3, 2, 3)))
         JT = tensor_transpose(J)
         JTT = tensor_transpose(JT)
         assert np.array_equal(JTT.lo, J.lo) and np.array_equal(JTT.hi, J.hi)
         assert JT.lo[1, 2, 0] == J.lo[1, 0, 2]
 
     def test_tensorT_vec_zero(self):
-        Jt = ITensor3(np.zeros((2, 2, 1)), np.zeros((2, 2, 1)))
-        got = tensorT_vec(Jt, IVector([1, 1], [1, 1]))
+        Jt = Box(np.zeros((2, 2, 1)), np.zeros((2, 2, 1)))
+        got = tensorT_vec(Jt, Box([1, 1], [1, 1]))
         assert got.shape == (2, 1)
         assert np.allclose(got.lo, 0)
 
@@ -162,9 +157,9 @@ class TestAggregates:
         # n=2, m=1: result_{k,l} = sum_p J_{k,l,p} w_p by an independent loop
         rng = np.random.default_rng(5)
         lo = rng.normal(size=(2, 1, 2))
-        J = ITensor3(lo, lo + rng.random(size=(2, 1, 2)))
+        J = Box(lo, lo + rng.random(size=(2, 1, 2)))
         w_lo = rng.normal(size=2)
-        w = IVector(w_lo, w_lo + rng.random(2))
+        w = Box(w_lo, w_lo + rng.random(2))
         got = tensorT_vec(tensor_transpose(J), w)
         for k in range(2):
             for l in range(1):
@@ -176,17 +171,80 @@ class TestAggregates:
 
     def test_real_mat_iv_sign_split(self):
         M = np.array([[1.0, -2.0]])
-        v = IVector([0, 1], [1, 3])
+        v = Box([0, 1], [1, 3])
         got = real_mat_iv(M, v)
         assert got[0] == Interval(0 - 6, 1 - 2)
 
     def test_meet_tolerant(self):
-        a = IVector([0.0], [1.0])
-        b = IVector([1.0 + 1e-12], [2.0])
+        a = Box([0.0], [1.0])
+        b = Box([1.0 + 1e-12], [2.0])
         got = meet(a, b, tol=1e-9)
         assert got.lo[0] <= got.hi[0]
         with pytest.raises(EmptyIntersection):
-            meet(a, IVector([1.1], [2.0]), tol=1e-9)
+            meet(a, Box([1.1], [2.0]), tol=1e-9)
+
+
+class TestBox:
+    """One box type for every shape: operands are guarded by shape alone."""
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda a, b: a + b,
+            lambda a, b: a - b,
+            lambda a, b: a.intersect(b),
+            lambda a, b: a.encloses(b),
+            lambda a, b: meet(a, b),
+        ],
+        ids=["add", "sub", "intersect", "encloses", "meet"],
+    )
+    def test_shape_mismatch_between_vector_and_column(self, op):
+        vec = Box([0.0, 0.0], [1.0, 1.0])
+        col = Box([[0.0], [0.0]], [[1.0], [1.0]])
+        with pytest.raises(ShapeMismatch):
+            op(vec, col)
+        with pytest.raises(ShapeMismatch):
+            op(col, vec)
+
+    def test_full_index_gives_interval_partial_gives_box(self):
+        lo = np.arange(12.0).reshape(2, 3, 2)
+        b = Box(lo, lo + 1.0)
+        assert b[1, 2, 0] == Interval(10.0, 11.0)
+        row = b[1]
+        assert isinstance(row, Box) and row.shape == (3, 2)
+        assert row == Box(lo[1], lo[1] + 1.0)
+        col = b[:, 1, 0]
+        assert isinstance(col, Box) and col == Box([2.0, 8.0], [3.0, 9.0])
+        assert Box([1.0, 2.0], [3.0, 4.0])[1] == Interval(2.0, 4.0)
+
+    def test_of_round_trips_three_level_grid(self):
+        rng = np.random.default_rng(7)
+        lo = rng.normal(size=(2, 3, 4))
+        hi = lo + rng.random(size=(2, 3, 4))
+        grid = [
+            [[Interval(lo[i, j, k], hi[i, j, k]) for k in range(4)] for j in range(3)]
+            for i in range(2)
+        ]
+        b = Box.of(grid)
+        assert b.shape == (2, 3, 4)
+        assert np.array_equal(b.lo, lo) and np.array_equal(b.hi, hi)
+        assert b[1, 2, 3] == grid[1][2][3]
+
+    def test_rejects_nan_inverted_and_mismatched_3d(self):
+        lo = np.zeros((2, 2, 2))
+        hi = np.ones((2, 2, 2))
+        bad = hi.copy()
+        bad[1, 0, 1] = np.nan
+        with pytest.raises(ValueError):
+            Box(lo, bad)
+        with pytest.raises(ValueError):
+            Box(bad, hi)
+        inverted = hi.copy()
+        inverted[0, 1, 0] = -1.0
+        with pytest.raises(ValueError):
+            Box(lo, inverted)
+        with pytest.raises(ShapeMismatch):
+            Box(lo, hi[:, :, :1])
 
 
 class TestRandomizedProperties:
@@ -226,7 +284,7 @@ class TestRandomizedProperties:
             n = rng.integers(1, 5)
             lo = rng.uniform(-5, 5, n)
             hi = lo + rng.uniform(0, 3, n)
-            box = IVector(lo, hi)
+            box = Box(lo, hi)
             enc = norm2_ext(box)
             for _ in range(20):
                 x = rng.uniform(lo, hi)
@@ -240,7 +298,7 @@ class TestRandomizedProperties:
             Ahi = Alo + rng.uniform(0, 2, (n, m))
             vlo = rng.uniform(-3, 3, m)
             vhi = vlo + rng.uniform(0, 2, m)
-            enc = imat_vec(IMatrix(Alo, Ahi), IVector(vlo, vhi))
+            enc = imat_vec(Box(Alo, Ahi), Box(vlo, vhi))
             for _ in range(10):
                 A = rng.uniform(Alo, Ahi)
                 v = rng.uniform(vlo, vhi)
@@ -278,8 +336,8 @@ class TestInflationOption:
 
 def test_imat_imat_hand_case():
     # 1x2 times 2x1: [0,1]*1 + [1,1]*2 = [2,3]
-    A = IMatrix.of([[Interval(0, 1), Interval(1, 1)]])
-    B = IMatrix.of([[Interval(1, 1)], [Interval(2, 2)]])
+    A = Box.of([[Interval(0, 1), Interval(1, 1)]])
+    B = Box.of([[Interval(1, 1)], [Interval(2, 2)]])
     got = imat_imat(A, B)
     assert got.shape == (1, 1)
     assert got[0, 0] == Interval(2, 3)

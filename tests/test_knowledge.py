@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from datareach.errors import EmptyIntersection, InconsistentSample
-from datareach.intervals import IMatrix, Interval, IVector
+from datareach.intervals import Box, Interval
 from datareach.knowledge import (
     GradientBounds,
     LipschitzBounds,
@@ -36,8 +36,8 @@ def eq10_oracle(x, entries, L):
 
 class TestContraction:
     def golden_inputs(self):
-        F = IVector.of([Interval(-0.01, 1.0), Interval(-1, 1), Interval(-1, 1)])
-        G = IMatrix.of(
+        F = Box.of([Interval(-0.01, 1.0), Interval(-1, 1), Interval(-1, 1)])
+        G = Box.of(
             [
                 [Interval(-0.05, 0.05), Interval(-0.1, 1.0)],
                 [Interval(-1, 1), Interval(-1, 1)],
@@ -70,16 +70,16 @@ class TestContraction:
         assert total.contains(s.xdot, atol=1e-9)
 
     def test_zero_control_leaves_G(self):
-        F = IVector([-1.0, -1.0], [1.0, 1.0])
-        G = IMatrix([[-2.0], [-2.0]], [[2.0], [2.0]])
+        F = Box([-1.0, -1.0], [1.0, 1.0])
+        G = Box([[-2.0], [-2.0]], [[2.0], [2.0]])
         s = Sample([0.0, 0.0], [0.25, -0.5], [0.0])
         CF, CG = contract_fg(s, F, G)
         assert np.allclose(CF.lo, s.xdot) and np.allclose(CF.hi, s.xdot)
         assert np.array_equal(CG.lo, G.lo) and np.array_equal(CG.hi, G.hi)
 
     def test_exact_identification(self):
-        F = IVector([0.0], [0.0])
-        G = IMatrix([[0.0]], [[5.0]])
+        F = Box([0.0], [0.0])
+        G = Box([[0.0]], [[5.0]])
         s = Sample([0.0], [2.0], [1.0])
         CF, CG = contract_fg(s, F, G)
         assert CF[0].lo == 0.0 and CF[0].hi == 0.0
@@ -87,8 +87,8 @@ class TestContraction:
         assert CG[0, 0].hi == pytest.approx(2.0, abs=1e-9)
 
     def test_inconsistent_sample_raises(self):
-        F = IVector([0.0], [0.1])
-        G = IMatrix([[0.0]], [[0.1]])
+        F = Box([0.0], [0.1])
+        G = Box([[0.0]], [[0.1]])
         s = Sample([0.0], [5.0], [1.0])  # xdot cannot be f + G u
         with pytest.raises(InconsistentSample):
             contract_fg(s, F, G)
@@ -103,8 +103,8 @@ def kb_from_entries(entries_data, L_f, L_G):
     entries = [
         KnowledgeEntry(
             np.atleast_1d(np.asarray(x, dtype=float)),
-            IVector(np.atleast_1d(flo), np.atleast_1d(fhi)),
-            IMatrix(np.full((n, m), -100.0), np.full((n, m), 100.0)),
+            Box(np.atleast_1d(flo), np.atleast_1d(fhi)),
+            Box(np.full((n, m), -100.0), np.full((n, m), 100.0)),
         )
         for x, flo, fhi in entries_data
     ]
@@ -127,9 +127,9 @@ class TestOverApproximation:
         lip = LipschitzBounds([1.0], [[1.0]])
         side = SideInfoSet(
             vf_bounds=VectorFieldBounds(
-                region=IVector([-5.0], [5.0]),
-                f_range=IVector([-7.0], [7.0]),
-                G_range=IMatrix([[-7.0]], [[7.0]]),
+                region=Box([-5.0], [5.0]),
+                f_range=Box([-7.0], [7.0]),
+                G_range=Box([[-7.0]], [[7.0]]),
             )
         )
         kb = build_knowledge([], lip, side)
@@ -154,7 +154,7 @@ class TestOverApproximation:
         assert got[0].hi == pytest.approx(hi, abs=1e-9) == pytest.approx(2.0, abs=1e-9)
 
         # interval query against a brute-force sweep of the point formula
-        X = IVector([0.9], [1.1])
+        X = Box([0.9], [1.1])
         enc = f_over_iv(X, kb)
         xs = np.linspace(0.9, 1.1, 201)
         vals_lo = []
@@ -170,14 +170,14 @@ class TestOverApproximation:
         kb = self.kb_1d()
         x = np.array([0.7])
         p = f_over(x, kb)
-        q = f_over_iv(IVector.point(x), kb)
+        q = f_over_iv(Box.point(x), kb)
         assert p[0].lo == pytest.approx(q[0].lo, abs=1e-9)
         assert p[0].hi == pytest.approx(q[0].hi, abs=1e-9)
 
     def test_interval_query_isotone(self):
         kb = self.kb_1d()
-        small = IVector([0.2], [0.4])
-        big = IVector([0.0], [0.8])
+        small = Box([0.2], [0.4])
+        big = Box([0.0], [0.8])
         assert f_over_iv(big, kb).encloses(f_over_iv(small, kb), atol=1e-9)
         assert G_over_iv(big, kb).encloses(G_over_iv(small, kb), atol=1e-9)
 
@@ -246,9 +246,9 @@ class TestBuildKnowledge:
         lip = LipschitzBounds([0.0], [[0.0]])
         side = SideInfoSet(
             vf_bounds=VectorFieldBounds(
-                region=IVector([-5.0], [5.0]),
-                f_range=IVector([0.0], [0.1]),  # wrong: true data says 5.0
-                G_range=IMatrix([[-0.1]], [[0.1]]),
+                region=Box([-5.0], [5.0]),
+                f_range=Box([0.0], [0.1]),  # wrong: true data says 5.0
+                G_range=Box([[-0.1]], [[0.1]]),
             )
         )
         with pytest.raises((InconsistentSample, EmptyIntersection)) as err:
@@ -323,7 +323,7 @@ class TestPartialDynamics:
         kb = build_knowledge(traj, sysq.lip, sysq.side)
         with pytest.raises(ValueError):
             jacobian_extensions(kb)
-        box = IVector.point(np.zeros(6))
+        box = Box.point(np.zeros(6))
         Jf, JG = jacobian_extensions(kb, state_box=box)
         assert Jf.lo[0, 1] == pytest.approx(1.0)  # known integrator row
         assert Jf.hi[0, 1] == pytest.approx(1.0)
@@ -428,8 +428,8 @@ def _ref_queries(base, x):
     DG = DG.transpose(2, 0, 1)                                           # (N, n, m)
     sf = base.lip.L_f * Df
     sg = base.lip.L_G * DG
-    F = IVector(*settle((base.cf[0] - sf).max(axis=0), (base.cf[1] + sf).min(axis=0)))
-    G = IMatrix(*settle((base.cg[0] - sg).max(axis=0), (base.cg[1] + sg).min(axis=0)))
+    F = Box(*settle((base.cf[0] - sf).max(axis=0), (base.cf[1] + sf).min(axis=0)))
+    G = Box(*settle((base.cg[0] - sg).max(axis=0), (base.cg[1] + sg).min(axis=0)))
     vb, pd = base.side.vf_bounds, base.side.partial_dynamics
     if vb is not None and vb.region.contains(x):
         fb, gb = vb.f_range, vb.G_range
@@ -439,30 +439,37 @@ def _ref_queries(base, x):
     return F, G
 
 
+def _clamp_into(child, prior):
+    """Force child back inside prior (used after padded cuts so C subseteq prior)."""
+    lo = np.clip(child.lo, prior.lo, prior.hi)
+    hi = np.clip(child.hi, lo, prior.hi)
+    return Box(lo, hi)
+
+
 def _ref_contract_fg(s, F, G):
     """contract_fg written with interval-box operations, one sample at a time."""
-    from datareach.intervals import clamp_into, imat_vec, meet
+    from datareach.intervals import imat_vec, meet
     from datareach.knowledge import _MEET_TOL, _PAD, _U_ZERO_TOL
 
     u = s.u
     Gu = imat_vec(G, u)
-    C_F = clamp_into(meet(F, s.xdot - Gu, _MEET_TOL, _PAD), F)
-    srun = meet(IVector.point(s.xdot) - C_F, Gu, _MEET_TOL, _PAD)
+    C_F = _clamp_into(meet(F, s.xdot - Gu, _MEET_TOL, _PAD), F)
+    srun = meet(Box.point(s.xdot) - C_F, Gu, _MEET_TOL, _PAD)
     cg_lo, cg_hi = np.array(G.lo), np.array(G.hi)
     col_lo = np.minimum(G.lo * u, G.hi * u)
     col_hi = np.maximum(G.lo * u, G.hi * u)
     for l in range(len(u)):
-        tail = IVector(col_lo[:, l + 1:].sum(axis=1), col_hi[:, l + 1:].sum(axis=1))
+        tail = Box(col_lo[:, l + 1:].sum(axis=1), col_hi[:, l + 1:].sum(axis=1))
         if abs(u[l]) > _U_ZERO_TOL:
-            num = meet(srun - tail, IVector(col_lo[:, l], col_hi[:, l]), _MEET_TOL)
+            num = meet(srun - tail, Box(col_lo[:, l], col_hi[:, l]), _MEET_TOL)
             a, b = num.lo / u[l], num.hi / u[l]
             div_pad = 1e-14 * (1.0 + np.maximum(np.abs(num.lo), np.abs(num.hi))) / abs(u[l])
             cg_lo[:, l] = np.clip(np.minimum(a, b) - div_pad, G.lo[:, l], G.hi[:, l])
             cg_hi[:, l] = np.clip(np.maximum(a, b) + div_pad, cg_lo[:, l], G.hi[:, l])
         used_lo = np.minimum(cg_lo[:, l] * u[l], cg_hi[:, l] * u[l])
         used_hi = np.maximum(cg_lo[:, l] * u[l], cg_hi[:, l] * u[l])
-        srun = meet(IVector(srun.lo - used_hi, srun.hi - used_lo), tail, _MEET_TOL, _PAD)
-    return C_F, IMatrix(cg_lo, cg_hi)
+        srun = meet(Box(srun.lo - used_hi, srun.hi - used_lo), tail, _MEET_TOL, _PAD)
+    return C_F, Box(cg_lo, cg_hi)
 
 
 def _ref_residual(s, pd):
@@ -506,8 +513,8 @@ def _ref_run(traj, lip, side, n_init, M=1e3):
             CF0, CG0 = CF0 - pd.f_known(x0), CG0 - pd.G_known(x0)
     else:
         x0 = samples[0].x
-        CF0 = IVector(np.full(n, -M), np.full(n, M))
-        CG0 = IMatrix(np.full((n, m), -M), np.full((n, m), M))
+        CF0 = Box(np.full(n, -M), np.full(n, M))
+        CG0 = Box(np.full((n, m), -M), np.full((n, m), M))
     base = _RefBase([KnowledgeEntry(x0, CF0, CG0)], qlip, side)
     for s in samples[:n_init]:
         base = base.with_entry(_ref_entry(base, s))
@@ -584,7 +591,7 @@ class TestBatchedPass:
         traj = [_ref_residual(s, pd) for s in excite(sys_, 30, seed=4, dt=cfg.dt, x0=cfg.x0)]
         lip = pd.lip if pd is not None else sys_.lip
         M = np.full((lip.n, lip.m), 1e3)
-        base = _RefBase([KnowledgeEntry(traj[0].x, IVector(-M[:, 0], M[:, 0]), IMatrix(-M, M))],
+        base = _RefBase([KnowledgeEntry(traj[0].x, Box(-M[:, 0], M[:, 0]), Box(-M, M))],
                         lip, sys_.side)
         failures = []
         intervals.set_inflate_eps(inflate)

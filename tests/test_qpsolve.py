@@ -5,7 +5,7 @@ import pytest
 
 from datareach.control import AffineOverApprox, QuadraticCost, assemble_optimistic
 from datareach.errors import AllOrthantsInfeasible, IterationCapExceeded
-from datareach.intervals import IMatrix, IVector
+from datareach.intervals import Box
 from datareach.qpsolve import (
     AdaResConfig,
     BoxQP,
@@ -30,33 +30,33 @@ def random_boxqp(rng):
     qi = rng.normal(size=m) * rng.uniform(0.5, 3)
     lo = rng.uniform(-3, 0, m)
     hi = lo + rng.uniform(0.5, 4, m)
-    return BoxQP(Qi, qi, IVector(lo, hi))
+    return BoxQP(Qi, qi, Box(lo, hi))
 
 
 class TestBoxProject:
     def test_inside_is_identity(self):
-        box = IVector([-1.0, 0.0], [1.0, 2.0])
+        box = Box([-1.0, 0.0], [1.0, 2.0])
         v = np.array([0.5, 1.0])
         assert np.array_equal(box_project(v, box), v)
 
     def test_clamps(self):
-        box = IVector([-1.0, -1.0], [1.0, 1.0])
+        box = Box([-1.0, -1.0], [1.0, 1.0])
         assert np.array_equal(box_project(np.array([-9.0, 9.0]), box), [-1.0, 1.0])
 
     def test_degenerate_box(self):
-        box = IVector([0.3], [0.3])
+        box = Box([0.3], [0.3])
         assert box_project(np.array([7.0]), box) == pytest.approx([0.3])
 
 
 class TestOracle:
     def test_separable_hand_case(self):
-        qp = BoxQP(2.0 * np.eye(2), np.array([-4.0, 0.0]), IVector([-1, -1], [1, 1]))
+        qp = BoxQP(2.0 * np.eye(2), np.array([-4.0, 0.0]), Box([-1, -1], [1, 1]))
         u, val = oracle_boxqp(qp)
         assert u == pytest.approx([1.0, 0.0])
         assert val == pytest.approx(-3.0)
 
     def test_linear_case(self):
-        qp = BoxQP(np.zeros((1, 1)), np.array([1.0]), IVector([-1.0], [1.0]))
+        qp = BoxQP(np.zeros((1, 1)), np.array([1.0]), Box([-1.0], [1.0]))
         u, val = oracle_boxqp(qp)
         assert u == pytest.approx([-1.0])
         assert val == pytest.approx(-1.0)
@@ -64,18 +64,18 @@ class TestOracle:
 
 class TestAdaRes:
     def test_interior_optimum(self):
-        qp = BoxQP(np.array([[1.0]]), np.array([0.0]), IVector([-1.0], [1.0]))
+        qp = BoxQP(np.array([[1.0]]), np.array([0.0]), Box([-1.0], [1.0]))
         u = solve_idealistic(qp, y0=np.array([0.5]))
         assert abs(u[0]) <= 1e-4  # eps-optimal in objective => |u| <= sqrt(2 eps)
         assert qp.value(u) <= EPS
 
     def test_active_bound(self):
-        qp = BoxQP(np.array([[1.0]]), np.array([-2.0]), IVector([-1.0], [1.0]))
+        qp = BoxQP(np.array([[1.0]]), np.array([-2.0]), Box([-1.0], [1.0]))
         u = solve_idealistic(qp)
         assert u[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_linear_sign_rule(self):
-        qp = BoxQP(np.zeros((2, 2)), np.array([1.0, -1.0]), IVector([-1, -1], [1, 1]))
+        qp = BoxQP(np.zeros((2, 2)), np.array([1.0, -1.0]), Box([-1, -1], [1, 1]))
         u = solve_idealistic(qp)
         assert u == pytest.approx([-1.0, 1.0], abs=1e-9)
 
@@ -149,7 +149,7 @@ class TestAdaRes:
 
     def test_iteration_cap_returns_best(self):
         qp = BoxQP(np.diag([100.0, 1.0]), np.array([1.0, -1.0]),
-                   IVector([-1, -1], [1, 1]))
+                   Box([-1, -1], [1, 1]))
         u, info = solve_idealistic(
             qp, QPOptions(eps=1e-14, max_total_iters=8), with_info=True
         )
@@ -209,13 +209,13 @@ class TestOptimistic:
     def test_orthant_count(self):
         cost = QuadraticCost(np.eye(2), np.eye(2), np.zeros((2, 2)),
                              np.zeros(2), np.zeros(2))
-        aff = AffineOverApprox(IVector.point([0.0, 0.0]),
-                               IMatrix.point(np.eye(2)), IMatrix.point(np.eye(2)),
+        aff = AffineOverApprox(Box.point([0.0, 0.0]),
+                               Box.point(np.eye(2)), Box.point(np.eye(2)),
                                0.0, 0.1)
-        X = IVector([-5.0, -5.0], [5.0, 5.0])
-        assert len(assemble_optimistic(cost, aff, IVector([0, 0], [1, 2]), X).orthants) == 1
-        assert len(assemble_optimistic(cost, aff, IVector([-1, 0], [1, 2]), X).orthants) == 2
-        assert len(assemble_optimistic(cost, aff, IVector([-1, -1], [1, 2]), X).orthants) == 4
+        X = Box([-5.0, -5.0], [5.0, 5.0])
+        assert len(assemble_optimistic(cost, aff, Box([0, 0], [1, 2]), X).orthants) == 1
+        assert len(assemble_optimistic(cost, aff, Box([-1, 0], [1, 2]), X).orthants) == 2
+        assert len(assemble_optimistic(cost, aff, Box([-1, -1], [1, 2]), X).orthants) == 4
 
     def test_degenerate_matches_idealistic(self):
         from datareach.control import assemble_idealistic, idealistic_coeffs
@@ -225,11 +225,11 @@ class TestOptimistic:
         M = A @ A.T / 4
         cost = QuadraticCost(M[:2, :2], M[2:, 2:], M[:2, 2:],
                              rng.normal(size=2), rng.normal(size=2))
-        B = IVector.point(rng.normal(size=2))
-        Amat = IMatrix.point(rng.normal(size=(2, 2)))
+        B = Box.point(rng.normal(size=2))
+        Amat = Box.point(rng.normal(size=(2, 2)))
         aff = AffineOverApprox(B, Amat, Amat, 0.0, 0.1)
-        U = IVector([-1.0, -1.0], [1.0, 1.0])
-        X = IVector([-50.0, -50.0], [50.0, 50.0])
+        U = Box([-1.0, -1.0], [1.0, 1.0])
+        X = Box([-50.0, -50.0], [50.0, 50.0])
         u_o, x_o, c_o = solve_optimistic(assemble_optimistic(cost, aff, U, X))
         A_ide, b_ide = idealistic_coeffs(aff, 0.3, 0.8)  # weights moot at width 0
         qpd = assemble_idealistic(cost, A_ide, b_ide)
@@ -240,11 +240,11 @@ class TestOptimistic:
     def test_disjoint_boxes_infeasible(self):
         cost = QuadraticCost(np.eye(1), np.eye(1), np.zeros((1, 1)),
                              np.zeros(1), np.zeros(1))
-        aff = AffineOverApprox(IVector([0.0], [1.0]),
-                               IMatrix.point([[0.1]]), IMatrix.point([[0.1]]),
+        aff = AffineOverApprox(Box([0.0], [1.0]),
+                               Box.point([[0.1]]), Box.point([[0.1]]),
                                0.0, 0.1)
-        U = IVector([0.0], [1.0])
-        X = IVector([10.0], [11.0])  # unreachable next-state box
+        U = Box([0.0], [1.0])
+        X = Box([10.0], [11.0])  # unreachable next-state box
         with pytest.raises(AllOrthantsInfeasible):
             solve_optimistic(assemble_optimistic(cost, aff, U, X))
 
@@ -258,13 +258,13 @@ class TestOptimistic:
                 np.zeros((n, m)), rng.normal(size=n), rng.normal(size=m),
             )
             Blo = rng.normal(size=n)
-            B = IVector(Blo, Blo + rng.uniform(0, 0.5, n))
+            B = Box(Blo, Blo + rng.uniform(0, 0.5, n))
             Alo = rng.normal(size=(n, m))
-            Ap = IMatrix(Alo, Alo + rng.uniform(0, 0.4, (n, m)))
+            Ap = Box(Alo, Alo + rng.uniform(0, 0.4, (n, m)))
             Alo2 = Ap.lo - rng.uniform(0, 0.2, (n, m))
-            Am = IMatrix(Alo2, Alo2 + rng.uniform(0, 0.6, (n, m)))
-            U = IVector(rng.uniform(-2, -0.5, m), rng.uniform(0.5, 2, m))
-            X = IVector(np.full(n, -20.0), np.full(n, 20.0))
+            Am = Box(Alo2, Alo2 + rng.uniform(0, 0.6, (n, m)))
+            U = Box(rng.uniform(-2, -0.5, m), rng.uniform(0.5, 2, m))
+            X = Box(np.full(n, -20.0), np.full(n, 20.0))
             aff = AffineOverApprox(B, Ap, Am, 0.0, 0.1)
             try:
                 _, _, c_o = solve_optimistic(assemble_optimistic(cost, aff, U, X))
@@ -315,7 +315,7 @@ class TestOptimistic:
     def test_iteration_cap_raises(self):
         rng = np.random.default_rng(3)
         cost, aff, _, X = random_orthant_problem(rng, same_models=False)
-        U = IVector(np.zeros(cost.m), np.full(cost.m, 2.0))  # one orthant
+        U = Box(np.zeros(cost.m), np.full(cost.m, 2.0))  # one orthant
         oqp = assemble_optimistic(cost, aff, U, X)
         _, _, _, info = solve_optimistic(oqp, with_info=True)
         assert info.iters > 1
@@ -331,16 +331,16 @@ def random_orthant_problem(rng, same_models):
     cost = QuadraticCost(J[m:, m:], J[:m, :m], J[m:, :m],
                          rng.normal(size=n), rng.normal(size=m))
     Blo = rng.normal(size=n)
-    B = IVector(Blo, Blo + rng.uniform(0, 0.5, n))
+    B = Box(Blo, Blo + rng.uniform(0, 0.5, n))
     Alo = rng.normal(size=(n, m))
-    Ap = IMatrix(Alo, Alo + rng.uniform(0, 0.4, (n, m)))
+    Ap = Box(Alo, Alo + rng.uniform(0, 0.4, (n, m)))
     if same_models:
         Am = Ap
     else:
         Alo2 = Ap.lo - rng.uniform(0, 0.2, (n, m))
-        Am = IMatrix(Alo2, Alo2 + rng.uniform(0, 0.6, (n, m)))
-    U = IVector(rng.uniform(-2, -0.5, m), rng.uniform(0.5, 2, m))
-    X = IVector(np.full(n, rng.uniform(-20, -1)), np.full(n, rng.uniform(1, 20)))
+        Am = Box(Alo2, Alo2 + rng.uniform(0, 0.6, (n, m)))
+    U = Box(rng.uniform(-2, -0.5, m), rng.uniform(0.5, 2, m))
+    X = Box(np.full(n, rng.uniform(-20, -1)), np.full(n, rng.uniform(1, 20)))
     return cost, AffineOverApprox(B, Ap, Am, 0.0, 0.1), U, X
 
 

@@ -10,7 +10,7 @@ from conftest import (
     mc_unicycle_rollout,
 )
 from datareach.errors import StepTooLarge
-from datareach.intervals import Interval, IVector
+from datareach.intervals import Box, Interval
 from datareach.knowledge import LipschitzBounds, build_knowledge
 from datareach.systems import excite, unicycle
 from datareach.reach import (
@@ -23,7 +23,6 @@ from datareach.reach import (
     datareach_step_c0,
     max_step_size,
     rough_enclosure_explicit,
-    rough_enclosure_fixpoint,
 )
 
 
@@ -50,42 +49,41 @@ class TestMaxStepSize:
 
     def test_zero_lipschitz_is_unbounded(self):
         lip = LipschitzBounds([0.0], [[0.0]])
-        assert max_step_size(lip, IVector([-1.0], [1.0])) == math.inf
+        assert max_step_size(lip, Box([-1.0], [1.0])) == math.inf
 
     def test_scalar_case(self):
         lip = LipschitzBounds([2.0], [[3.0]])
-        assert max_step_size(lip, IVector([-1.0], [1.0])) == pytest.approx(0.2)
+        assert max_step_size(lip, Box([-1.0], [1.0])) == pytest.approx(0.2)
 
 
 class TestRoughEnclosures:
     def test_explicit_known_constant_field(self):
         kb = constant_f_kb(1.0)
-        R = IVector([0.0], [0.0])
-        S = rough_enclosure_explicit(R, kb, IVector([0.0], [0.0]), 0.1)
+        R = Box([0.0], [0.0])
+        S = rough_enclosure_explicit(R, kb, Box([0.0], [0.0]), 0.1)
         assert S[0].lo == pytest.approx(-0.1, abs=1e-9)
         assert S[0].hi == pytest.approx(0.1, abs=1e-9)
 
     def test_explicit_near_limit_still_contains(self):
         # 1-D: L_f = 2, G = 0 known; true flow is a contraction toward xdot = f
         lip = LipschitzBounds([2.0], [[0.0]])
-        from datareach.intervals import IMatrix
         from datareach.knowledge import Sample, SideInfoSet, VectorFieldBounds
 
         side = SideInfoSet(
             vf_bounds=VectorFieldBounds(
-                region=IVector([-50.0], [50.0]),
-                f_range=IVector([-10.0], [10.0]),
-                G_range=IMatrix([[0.0]], [[0.0]]),
+                region=Box([-50.0], [50.0]),
+                f_range=Box([-10.0], [10.0]),
+                G_range=Box([[0.0]], [[0.0]]),
             )
         )
         # samples of xdot = 2 sin(x): Lipschitz constant 2
         xs = np.linspace(-2, 2, 9)
         traj = [Sample([x], [2 * math.sin(x)], [0.0]) for x in xs]
         kb = build_knowledge(traj, lip, side)
-        limit = max_step_size(lip, IVector([0.0], [0.0]))
+        limit = max_step_size(lip, Box([0.0], [0.0]))
         dt = 0.99 * limit
-        R = IVector([0.2], [0.3])
-        V = IVector([0.0], [0.0])
+        R = Box([0.2], [0.3])
+        V = Box([0.0], [0.0])
         S = rough_enclosure_explicit(R, kb, V, dt)
         assert np.isfinite(S.lo).all() and np.isfinite(S.hi).all()
         # Monte-Carlo trajectories of the true field must stay inside S
@@ -102,54 +100,15 @@ class TestRoughEnclosures:
         lip = LipschitzBounds([2.0], [[0.0]])
         with pytest.raises(StepTooLarge):
             rough_enclosure_explicit(
-                IVector([0.0], [0.0]), kb, IVector([0.0], [0.0]), 1.0, lip=lip
+                Box([0.0], [0.0]), kb, Box([0.0], [0.0]), 1.0, lip=lip
             )
-
-    def test_fixpoint_contains_step_flow(self):
-        kb = exact_integrator_kb()
-        R = IVector([0.0], [0.0])
-        V = IVector([1.0], [1.0])
-        S = rough_enclosure_fixpoint(R, kb, V, 0.1)
-        assert S[0].lo <= 0.0 and S[0].hi >= 0.1
-
-    def test_fixpoint_satisfies_inclusion_verbatim(self):
-        from datareach.intervals import imat_vec
-        from datareach.knowledge import f_over_iv, G_over_iv
-
-        kb = exact_integrator_kb()
-        R = IVector([-0.2], [0.1])
-        V = IVector([-1.0], [2.0])
-        dt = 0.05
-        S = rough_enclosure_fixpoint(R, kb, V, dt)
-        T = R + (f_over_iv(S, kb) + imat_vec(G_over_iv(S, kb), V)) * Interval(0.0, dt)
-        assert S.encloses(T, atol=1e-12)
-
-    def test_fixpoint_tighter_than_explicit_on_unicycle(self, unicycle_fig_setup):
-        sysu, _, kb, x_start = unicycle_fig_setup
-        ctrl = ConstCosControl(t_ref=T_REF, a1=Interval(-0.1, 0.1),
-                               a2=Interval(-0.01, 0.01))
-        dt = 0.02
-        t = T_REF
-        R = IVector.point(x_start)
-        tighter = total = 0
-        for i in range(40):
-            V = ctrl.eval_range(t, t + dt)
-            S_exp = rough_enclosure_explicit(R, kb, V, dt)
-            S_fix = rough_enclosure_fixpoint(R, kb, V, dt)
-            total += 1
-            if np.all(S_fix.width <= S_exp.width + 1e-12):
-                tighter += 1
-            rec = datareach_step(R, kb, ctrl, t, dt)
-            R = rec.R_next
-            t += dt
-        assert tighter / total >= 0.9
 
 
 class TestReachSteps:
     def test_exact_integrator_step(self):
         kb = exact_integrator_kb()
         rec = datareach_step(
-            IVector([0.0], [0.0]), kb, ConstantControl([2.0]), 0.0, 0.1
+            Box([0.0], [0.0]), kb, ConstantControl([2.0]), 0.0, 0.1
         )
         assert rec.R_next[0].lo == pytest.approx(0.2, abs=1e-9)
         assert rec.R_next[0].hi == pytest.approx(0.2, abs=1e-9)
@@ -158,21 +117,21 @@ class TestReachSteps:
         kb = exact_integrator_kb()
         ctrl = ConstantControl([2.0])
         assert ctrl.eval_deriv_range(0.0, 0.1).mag.max() == 0.0
-        rec = datareach_step(IVector([0.0], [0.0]), kb, ctrl, 0.0, 0.1)
+        rec = datareach_step(Box([0.0], [0.0]), kb, ctrl, 0.0, 0.1)
         # with a zero-derivative control the step is first-order exact
         assert rec.R_next.width[0] <= 1e-9
 
     def test_c0_step_exact_integrator(self):
         kb = exact_integrator_kb()
         ctrl = PiecewiseConstantControl([[2.0]], dt=10.0, smoothness=0)
-        rec = datareach_step_c0(IVector([0.0], [0.0]), kb, ctrl, 0.0, 0.1)
+        rec = datareach_step_c0(Box([0.0], [0.0]), kb, ctrl, 0.0, 0.1)
         assert rec.R_next[0].lo == pytest.approx(0.2, abs=1e-9)
         assert rec.R_next[0].hi == pytest.approx(0.2, abs=1e-9)
 
     def test_c0_zero_dt_is_identity(self):
         kb = exact_integrator_kb()
         ctrl = PiecewiseConstantControl([[2.0]], dt=10.0, smoothness=0)
-        R = IVector([-0.5], [0.5])
+        R = Box([-0.5], [0.5])
         rec = datareach_step_c0(R, kb, ctrl, 0.0, 0.0)
         assert np.allclose(rec.R_next.lo, R.lo) and np.allclose(rec.R_next.hi, R.hi)
 
@@ -195,13 +154,13 @@ class TestReachSteps:
         kb = exact_integrator_kb()
         ctrl = PiecewiseConstantControl([[1.0]], dt=1.0, smoothness=0)
         with pytest.raises(ValueError):
-            datareach_step(IVector([0.0], [0.0]), kb, ctrl, 0.0, 0.1)
+            datareach_step(Box([0.0], [0.0]), kb, ctrl, 0.0, 0.1)
 
     def test_step_too_large(self, unicycle_fig_setup):
         sysu, _, kb, x_start = unicycle_fig_setup
         ctrl = ConstantControl([3.0, math.pi])
         with pytest.raises(StepTooLarge):
-            datareach_step(IVector.point(x_start), kb, ctrl, 0.0, 0.2)
+            datareach_step(Box.point(x_start), kb, ctrl, 0.0, 0.2)
 
 
 class TestDataReachTube:
@@ -218,7 +177,7 @@ class TestDataReachTube:
         class GrowingControl(ConstantControl):
             def eval_range(self, t0, t1):
                 w = min(3.0 + 30.0 * t0, 80.0)
-                return IVector([-w, -w], [w, w])
+                return Box([-w, -w], [w, w])
 
         ctrl = GrowingControl([0.5, 0.0])
         tube = datareach(kb, x_start, ctrl, 0.02, 100, t0=0.0)
@@ -306,9 +265,7 @@ class TestAlgebraicContractorHook:
             hi = np.array(G_enc.hi)
             lo[:2, 0] = np.maximum(lo[:2, 0], -1.0)
             hi[:2, 0] = np.minimum(hi[:2, 0], 1.0)
-            from datareach.intervals import IMatrix as IM
-
-            return f_enc, IM(lo, hi), Jf, JG
+            return f_enc, Box(lo, hi), Jf, JG
 
         side_hook = replace(sysu.side, algebraic_contractor=circle_contractor)
         kb_hook = build_knowledge(samples, sysu.lip, side_hook)
@@ -336,6 +293,6 @@ class TestAlgebraicContractorHook:
 
         side = replace(sysu.side, algebraic_contractor=spy)
         kb = build_knowledge(samples, sysu.lip, side)
-        linearize(IVector.point(samples[0].x), kb, sysu.U, 0.1)
+        linearize(Box.point(samples[0].x), kb, sysu.U, 0.1)
         # called once without Jacobians (state box) and once with (enclosure box)
         assert True in seen and False in seen

@@ -5,7 +5,7 @@ import pytest
 
 from datareach.control import norm_cost
 from datareach.errors import StepTooLarge
-from datareach.intervals import IMatrix, IVector
+from datareach.intervals import Box
 from datareach.knowledge import LipschitzBounds, SideInfoSet, VectorFieldBounds
 from datareach.reach import max_step_size
 from datareach.systems import (
@@ -15,6 +15,7 @@ from datareach.systems import (
     aircraft,
     by_name,
     excite,
+    experiment_for,
     quadrotor,
     rk4_step,
     run_closed_loop,
@@ -30,17 +31,17 @@ def integrator_system():
     """1-D xdot = u with the dynamics declared exactly through range bounds."""
     side = SideInfoSet(
         vf_bounds=VectorFieldBounds(
-            region=IVector([-100.0], [100.0]),
-            f_range=IVector([0.0], [0.0]),
-            G_range=IMatrix([[1.0]], [[1.0]]),
+            region=Box([-100.0], [100.0]),
+            f_range=Box([0.0], [0.0]),
+            G_range=Box([[1.0]], [[1.0]]),
         )
     )
     return SystemSpec(
         n=1, m=1,
         f_true=lambda x: np.zeros(1),
         G_true=lambda x: np.ones((1, 1)),
-        U=IVector([-1.0], [1.0]),
-        X=IVector([-10.0], [10.0]),
+        U=Box([-1.0], [1.0]),
+        X=Box([-10.0], [10.0]),
         lip=LipschitzBounds([0.0], [[0.0]]),
         side=side,
         name="integrator",
@@ -220,6 +221,16 @@ class TestClosedLoop:
         rep = run_closed_loop(unicycle(), unicycle_experiment())
         assert rep.reached
         assert rep.steps_to_goal <= 150
+
+    @pytest.mark.parametrize("seed, steps", [(5, 175), (20, 155)])
+    def test_optimistic_quadrotor_near_dependent_rows(self, seed, steps):
+        # at step 170 (seed 5) and 149 (seed 20) an orthant QP meets a u-bound
+        # row at a rounding-level angle to its active rows; a full step along
+        # it made the next R of the active-set solve exactly singular
+        cfg = experiment_for("quadrotor", mode="optimistic", seed=seed, max_steps=steps)
+        rep = run_closed_loop(quadrotor(), cfg)
+        assert rep.failure is None
+        assert rep.steps_taken == steps
 
     def test_determinism_end_to_end(self):
         cfg1 = unicycle_experiment()
