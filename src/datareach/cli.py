@@ -12,11 +12,13 @@ import numpy as np
 import yaml
 
 from . import io as dio
+from .control import MODES
 from .errors import ConfigError, EmptyIntersection, InconsistentSample, StepTooLarge
 from .intervals import Box, Interval
 from .knowledge import build_knowledge
 from .reach import ConstantControl, ConstCosControl, PiecewiseConstantControl, datareach, max_step_size
 from .systems import (
+    EXCITATIONS,
     ExperimentConfig,
     by_name,
     excite,
@@ -209,18 +211,36 @@ def _apply_control_overrides(exp: ExperimentConfig, section, args):
     return exp
 
 
+def _check_experiment(exp: ExperimentConfig, n: int) -> None:
+    """Reject settings that `run_closed_loop` cannot run, as config errors."""
+    if exp.mode not in MODES:
+        raise ConfigError(f"mode must be one of {list(MODES)}, not {exp.mode!r}")
+    if exp.excitation not in EXCITATIONS:
+        raise ConfigError(f"excitation must be one of {list(EXCITATIONS)}")
+    if exp.init_len < 1:
+        raise ConfigError("init_len must be >= 1")
+    if exp.max_steps < 0:
+        raise ConfigError("max_steps must be >= 0")
+    if exp.refresh_every < 1:
+        raise ConfigError("refresh_every must be >= 1")
+    if not (exp.eps > 0.0 and exp.mu0 > 0.0):
+        raise ConfigError("eps and mu0 must be positive")
+    if exp.weights is not None and not all(0.0 <= w <= 1.0 for w in exp.weights):
+        raise ConfigError("weights must lie in [0, 1]")
+    if exp.x0.shape != (n,):
+        raise ConfigError(f"x0 must have {n} entries")
+
+
 def cmd_control(args, cfg) -> int:
     section = dict(cfg.get("control", {}))
     _check_keys(section, _CONTROL_KEYS, "control")
     sys_name = cfg.get("system", "unicycle")
     system = by_name(sys_name)
     exp = _apply_control_overrides(experiment_for(sys_name), section, args)
+    _check_experiment(exp, system.n)
 
     try:
         report = run_closed_loop(system, exp)
-    except ValueError as exc:
-        print(f"control: {exc}", file=_sys.stderr)
-        return EXIT_CONFIG
     except (InconsistentSample, EmptyIntersection) as exc:
         print(f"control: {exc}", file=_sys.stderr)
         return EXIT_DATA
@@ -356,7 +376,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="output directory (default: ./out)")
     parser.add_argument("--seed", type=int, help="override the configured seed")
     parser.add_argument(
-        "--mode", choices=["idealistic", "optimistic"], help="relaxation to solve"
+        "--mode", choices=MODES, help="relaxation to solve"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("reach", "control", "benchmark", "selftest"):

@@ -36,6 +36,8 @@ from .qpsolve import (
 )
 from .reach import beta_of, rough_enclosure_explicit
 
+MODES = ("idealistic", "optimistic")  # the two convex relaxations of a step
+
 
 @dataclass(frozen=True)
 class QuadraticCost:
@@ -252,12 +254,11 @@ def assemble_optimistic(
 # suboptimality bound
 # ---------------------------------------------------------------------------
 
-def _K_of(cost: QuadraticCost, B: Box, A: Box, U: Box, X: Box) -> float:
-    SU_abs = real_mat_iv(cost.S, U).mag
+def _K_of(cost: QuadraticCost, B: Box, A: Box, U: Box, SU_abs, domain_norm) -> float:
+    """Gradient-magnitude factor of one model; the domain term is shared."""
     reach = B + imat_vec(A, U)
     term_reach = 2.0 * SU_abs + cost.q + 2.0 * real_mat_iv(cost.Q, reach).mag
-    term_domain = 2.0 * SU_abs + cost.q + 2.0 * real_mat_iv(cost.Q, X).mag
-    return float(min(np.linalg.norm(term_reach), np.linalg.norm(term_domain)))
+    return float(min(np.linalg.norm(term_reach), domain_norm))
 
 
 def subopt_bound(
@@ -267,9 +268,12 @@ def subopt_bound(
     Uabs = U.mag
     tp = float(np.linalg.norm(aff.B.width + aff.Aplus.width @ Uabs))
     tm = float(np.linalg.norm(aff.B.width + aff.Aminus.width @ Uabs))
+    SU_abs = real_mat_iv(cost.S, U).mag
+    term_domain = 2.0 * SU_abs + cost.q + 2.0 * real_mat_iv(cost.Q, X).mag
+    domain_norm = np.linalg.norm(term_domain)
     return max(
-        tp * _K_of(cost, aff.B, aff.Aplus, U, X),
-        tm * _K_of(cost, aff.B, aff.Aminus, U, X),
+        tp * _K_of(cost, aff.B, aff.Aplus, U, SU_abs, domain_norm),
+        tm * _K_of(cost, aff.B, aff.Aminus, U, SU_abs, domain_norm),
     )
 
 
@@ -316,7 +320,7 @@ def datacontrol_step(
     optimistic orthant is infeasible the step falls back to the idealistic
     problem with a diagnostic flag.
     """
-    if mode not in ("idealistic", "optimistic"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     opts = opts or QPOptions()
     started = time.perf_counter()

@@ -2,7 +2,10 @@
 
 A `Box` holds lo/hi float64 arrays of any shape, so one type serves interval
 vectors, matrices and rank-3 tensors; the contractions below check the shapes
-they need.  Endpoints are plain float64 with no directed rounding; an
+they need.  Every `Box`, including each kernel result, is validated by one
+fused comparison `(lo <= hi).all()`, which is false at any NaN as well as at
+any inverted component; only then is the cause looked up to pick the error.
+Endpoints are plain float64 with no directed rounding; an
 optional global inflation margin (`set_inflate_eps`) is available for
 paranoid runs.  Both types are immutable values.
 """
@@ -166,16 +169,15 @@ class Box:
     __array_ufunc__ = None  # keep numpy from coercing mixed expressions
 
     def __init__(self, lo, hi):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
+        lo = np.array(lo, dtype=float)
+        hi = np.array(hi, dtype=float)
         if lo.shape != hi.shape:
             raise ShapeMismatch(f"lo shape {lo.shape} != hi shape {hi.shape}")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise ValueError("interval endpoints must not be NaN")
-        if np.any(lo > hi):
+        # one fused test: any NaN or any inverted component makes it false
+        if not (lo <= hi).all():
+            if np.isnan(lo).any() or np.isnan(hi).any():
+                raise ValueError("interval endpoints must not be NaN")
             raise ValueError("invalid interval bounds: lo > hi somewhere")
-        lo = lo.copy()
-        hi = hi.copy()
         lo.flags.writeable = False
         hi.flags.writeable = False
         self.lo = lo

@@ -244,7 +244,8 @@ class OptimisticQP:
 class OptimisticInfo:
     """Certificate of the chosen orthant solve.
 
-    `iters` sums the active-set iterations over the feasible orthants.
+    `iters` sums the active-set iterations over all orthants, including
+    those spent proving an orthant infeasible.
     `multipliers` belong to the chosen orthant's rows in the order of
     `orthant_rows`, and `kkt_residual` is the largest of its scaled primal
     infeasibility, negative multiplier, complementarity and stationarity
@@ -318,9 +319,10 @@ def _dual_solve_orthant(cost, B, X, orth: OrthantQP, sigma, max_iters):
     every full step the active rows hold with equality, so y and their
     multipliers are recomputed in closed form rather than carried along.
 
-    Returns (u, x, cost, iters, multipliers, kkt_residual), or None when the
-    orthant is infeasible; raises IterationCapExceeded after `max_iters`
-    iterations.
+    Returns (iters, solution): `solution` is (u, x, cost, multipliers,
+    kkt_residual), or None when the orthant is infeasible, and `iters` counts
+    the iterations in both cases.  Raises IterationCapExceeded after
+    `max_iters` iterations.
     """
     m = orth.Ubox.lo.shape[0]
     A, b = orthant_rows(B, X, orth)
@@ -373,7 +375,7 @@ def _dual_solve_orthant(cost, B, X, orth: OrthantQP, sigma, max_iters):
             angle = max(1e-12, p * _EPS * cond)
             t2 = vk / dz if dz > angle * angle * float(d @ d) else math.inf
             if t1 == math.inf and t2 == math.inf:
-                return None  # row k cannot be met together with the active rows
+                return iters, None  # row k cannot be met with the active rows
             t = min(t1, t2)
             lam[active] = lam_act - t * r
             lam[k] += t
@@ -395,7 +397,7 @@ def _dual_solve_orthant(cost, B, X, orth: OrthantQP, sigma, max_iters):
         y = Linv.T @ (Q[:, :q] @ w - Q[:, q:] @ (Q[:, q:].T @ g))
     kkt = _kkt_residual(H, h, A, b, y, lam)
     u, x = y[:m], y[m:]
-    return u, x, cost.value(u, x), iters, lam / norms, kkt
+    return iters, (u, x, cost.value(u, x), lam / norms, kkt)
 
 
 def solve_optimistic(
@@ -417,13 +419,13 @@ def solve_optimistic(
     feasible = 0
     total_it = 0
     for j, orth in enumerate(oqp.orthants):
-        out = _dual_solve_orthant(
+        iters, out = _dual_solve_orthant(
             oqp.cost, oqp.B, oqp.X, orth, sigma, opts.max_total_iters
         )
+        total_it += iters
         if out is None:
             continue
         feasible += 1
-        total_it += out[3]
         if best is None or out[2] < best[2]:
             best = out
             best_orth = j
@@ -431,7 +433,7 @@ def solve_optimistic(
         raise AllOrthantsInfeasible(
             f"all {len(oqp.orthants)} orthant subproblems are infeasible"
         )
-    u, x, val, _, lam, kkt = best
+    u, x, val, lam, kkt = best
     if with_info:
         info = OptimisticInfo(
             orthant=best_orth,

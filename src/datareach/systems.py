@@ -295,6 +295,9 @@ def simulate(sys: SystemSpec, x0, u_signal: Callable[[float], np.ndarray],
     return ts, xs
 
 
+EXCITATIONS = ("mixed", "random", "single_axis", "zero")
+
+
 def excite(sys: SystemSpec, N: int, seed: int, dt: float = 0.1,
            x0=None, mode: str = "mixed", substeps: int = 10) -> List[Sample]:
     """Generate a seeded excitation trajectory of N samples.
@@ -305,6 +308,8 @@ def excite(sys: SystemSpec, N: int, seed: int, dt: float = 0.1,
     """
     if N < 1:
         raise ValueError("need at least one sample")
+    if mode not in EXCITATIONS:
+        raise ValueError(f"unknown excitation mode {mode!r}")
     rng = np.random.default_rng(seed)
     x = np.asarray(sys.X.mid if x0 is None else x0, dtype=float)
     samples = []
@@ -322,8 +327,6 @@ def excite(sys: SystemSpec, N: int, seed: int, dt: float = 0.1,
             elif roll < 0.65:
                 keep = rng.integers(sys.m)
                 u = np.where(np.arange(sys.m) == keep, u, 0.0)
-        elif mode != "random":
-            raise ValueError(f"unknown excitation mode {mode!r}")
         samples.append(Sample(x.copy(), sys.h_true(x, u), u, t=i * dt))
         x = advance(sys, x, u, dt, substeps)
     return samples
@@ -419,6 +422,8 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
     limit = max_step_size(sys.lip, sys.U)
     if not cfg.dt < limit:
         raise StepTooLarge(cfg.dt, limit)
+    if cfg.refresh_every < 1:
+        raise ValueError("refresh_every must be >= 1")
     samples = excite(sys, cfg.init_len, cfg.seed, dt=cfg.dt, x0=cfg.x0,
                      mode=cfg.excitation, substeps=cfg.substeps)
     kb = build_knowledge(samples, sys.lip, sys.side, M=cfg.M)

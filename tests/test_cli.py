@@ -140,6 +140,52 @@ class TestControlCommand:
         assert data["reached"] is False and data["steps_taken"] == 0
 
 
+class TestControlSettings:
+    """Settings `run_closed_loop` cannot run are config errors (exit 2)."""
+
+    def test_refresh_every_zero_rejected(self, tmp_path):
+        cfg = write_cfg(tmp_path, {
+            "system": "unicycle",
+            "out": str(tmp_path / "out"),
+            "control": {"max_steps": 3, "refresh_every": 0},
+        })
+        assert cli.main(["--config", cfg, "control"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"weights": [2, 0.5]},
+            {"mode": "bogus"},
+            {"excitation": "sweep"},
+            {"init_len": 0},
+            {"max_steps": -1},
+            {"eps": 0.0},
+            {"x0": [0.0, 0.0]},
+        ],
+        ids=["weights", "mode", "excitation", "init_len", "max_steps", "eps", "x0"],
+    )
+    def test_bad_setting_rejected(self, tmp_path, setting):
+        cfg = write_cfg(tmp_path, {
+            "system": "unicycle",
+            "out": str(tmp_path / "out"),
+            "control": {"max_steps": 3, **setting},
+        })
+        assert cli.main(["--config", cfg, "control"]) == cli.EXIT_CONFIG
+
+    def test_numerical_failure_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def singular(system, exp):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "run_closed_loop", singular)
+        cfg = write_cfg(tmp_path, {
+            "system": "unicycle",
+            "out": str(tmp_path / "out"),
+            "control": {"max_steps": 3},
+        })
+        with pytest.raises(np.linalg.LinAlgError):
+            cli.main(["--config", cfg, "control"])
+
+
 class TestBenchmarkCommand:
     def test_smoke_sweep(self, tmp_path):
         cfg = write_cfg(tmp_path, {

@@ -15,7 +15,7 @@ from datareach.control import (
     subopt_bound,
 )
 from datareach.errors import StepTooLarge
-from datareach.intervals import Box, imat_vec, meet
+from datareach.intervals import Box, imat_vec, meet, real_mat_iv
 from datareach.knowledge import Sample, append_sample, build_knowledge
 from datareach.qpsolve import QPOptions
 from datareach.systems import advance, excite, unicycle, unicycle_experiment
@@ -211,6 +211,45 @@ class TestSuboptBound:
 
         vals = [bound_with(e) for e in (0.0, 0.1, 0.5, 2.0)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_equals_per_model_formula_bitwise(self):
+        """Sharing the S U and domain terms leaves the bound bitwise unchanged."""
+
+        def K_of(cost, B, A, U, X):  # every term recomputed per model
+            SU_abs = real_mat_iv(cost.S, U).mag
+            reach = B + imat_vec(A, U)
+            term_reach = 2.0 * SU_abs + cost.q + 2.0 * real_mat_iv(cost.Q, reach).mag
+            term_domain = 2.0 * SU_abs + cost.q + 2.0 * real_mat_iv(cost.Q, X).mag
+            return float(min(np.linalg.norm(term_reach), np.linalg.norm(term_domain)))
+
+        def reference(cost, aff, U, X):
+            Uabs = U.mag
+            tp = float(np.linalg.norm(aff.B.width + aff.Aplus.width @ Uabs))
+            tm = float(np.linalg.norm(aff.B.width + aff.Aminus.width @ Uabs))
+            return max(tp * K_of(cost, aff.B, aff.Aplus, U, X),
+                       tm * K_of(cost, aff.B, aff.Aminus, U, X))
+
+        rng = np.random.default_rng(21)
+        for k in range(200):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 3))
+            F = rng.normal(size=(n + m, n + m))
+            J = F @ F.T * rng.uniform(0.1, 3.0)  # joint matrix in (u, x) order
+            cost = QuadraticCost(J[m:, m:], J[:m, :m], J[m:, :m],
+                                 rng.normal(size=n), rng.normal(size=m))
+            Blo = rng.normal(size=n)
+            Alo = rng.normal(size=(n, m))
+            Alo2 = rng.normal(size=(n, m))
+            aff = AffineOverApprox(
+                Box(Blo, Blo + rng.uniform(0, 0.5, n)),
+                Box(Alo, Alo + rng.uniform(0, 0.4, (n, m))),
+                Box(Alo2, Alo2 + rng.uniform(0, 0.4, (n, m))),
+                0.0, 0.1,
+            )
+            U = Box(rng.uniform(-2, 0.5, m), rng.uniform(0.5, 2, m))
+            # small domains make the domain term the smaller one in some cases
+            half = rng.uniform(0.1, 20.0, n)
+            X = Box(-half, half)
+            assert subopt_bound(cost, aff, U, X) == reference(cost, aff, U, X)
 
 
 class TestDataControlStep:

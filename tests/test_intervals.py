@@ -1,7 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from datareach.errors import EmptyIntersection, NegativeDomain, ShapeMismatch
 from datareach.intervals import (
@@ -245,6 +249,143 @@ class TestBox:
             Box(lo, inverted)
         with pytest.raises(ShapeMismatch):
             Box(lo, hi[:, :, :1])
+
+
+class TestValidation:
+    """Every box, kernel results included, passes the one constructor check."""
+
+    def test_nan_from_inf_times_zero_raises(self):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
+            Box.point([np.inf, 1.0]) * 0.0
+
+    def test_nan_inside_matvec_kernel_raises(self):
+        M = Box([[np.inf, 0.0]], [[np.inf, 1.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
+            imat_vec(M, np.zeros(2))
+
+    def test_inverted_input_raises(self):
+        with pytest.raises(ValueError, match="lo > hi"):
+            Box([0.0, 2.0], [1.0, 1.0])
+
+    def test_nan_reported_before_inversion(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Box([2.0, np.nan], [1.0, 1.0])
+
+    def test_box_owns_copies_of_caller_arrays(self):
+        lo = np.array([0.0, 1.0])
+        hi = np.array([1.0, 2.0])
+        b = Box(lo, hi)
+        lo[0], hi[1] = -5.0, 9.0
+        assert np.array_equal(b.lo, [0.0, 1.0]) and np.array_equal(b.hi, [1.0, 2.0])
+
+    def test_point_endpoints_distinct_and_read_only(self):
+        v = np.array([1.0, -2.0])
+        b = Box.point(v)
+        assert b.lo is not b.hi and not np.shares_memory(b.lo, b.hi)
+        assert not np.shares_memory(b.lo, v)
+        assert not b.lo.flags.writeable and not b.hi.flags.writeable
+        with pytest.raises(ValueError):
+            b.lo[0] = 0.0
+
+
+_COORD = st.floats(-1e3, 1e3, allow_nan=False)
+_UNIT = st.floats(0.0, 1.0, allow_nan=False)
+
+
+def _array(shape, elements):
+    return hnp.arrays(np.float64, shape, elements=elements, fill=st.nothing())
+
+
+@st.composite
+def box_and_points(draw, shape):
+    """A random box of the given shape and three real points in it: lo, hi and
+    a random interior point.  Endpoints are a sorted pair of draws, so a
+    component can lie below zero, above it or across it."""
+    a, b = draw(_array(shape, _COORD)), draw(_array(shape, _COORD))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    t = draw(_array(shape, _UNIT))
+    return Box(lo, hi), (lo, hi, np.clip(lo + t * (hi - lo), lo, hi))
+
+
+_DIM = st.integers(1, 4)
+_PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+def _holds(box: Box, value) -> bool:
+    return bool(np.all(box.lo <= value) and np.all(value <= box.hi))
+
+
+class TestContainmentProperties:
+    """Each kernel's box contains the real result at points of its operands.
+
+    The real result is evaluated in the kernel's own order (elementwise
+    products, then a sum over the same axis), and float rounding is monotone,
+    so containment holds without any tolerance.  `real_mat_iv` goes through
+    BLAS, so its check allows rounding at 8 ulps of |M| |x|.
+    """
+
+    @_PROPERTY_SETTINGS
+    @given(st.data(), _DIM)
+    def test_add_sub(self, data, n):
+        a, xs = data.draw(box_and_points((n,)))
+        b, ys = data.draw(box_and_points((n,)))
+        for x, y in itertools.product(xs, ys):
+            assert _holds(a + b, x + y) and _holds(a - b, x - y)
+            assert _holds(a + y, x + y) and _holds(a - y, x - y)
+            assert _holds(y - a, y - x)
+
+    @_PROPERTY_SETTINGS
+    @given(st.data(), _DIM, _COORD)
+    def test_scalar_and_interval_mul(self, data, n, c):
+        a, xs = data.draw(box_and_points((n,)))
+        s, zs = data.draw(box_and_points(()))
+        for x, z in itertools.product(xs, zs):
+            assert _holds(a * c, x * c) and _holds(a * s[()], x * z)
+
+    @_PROPERTY_SETTINGS
+    @given(st.data(), _DIM, _DIM)
+    def test_imat_vec(self, data, n, m):
+        M, As = data.draw(box_and_points((n, m)))
+        v, xs = data.draw(box_and_points((m,)))
+        for A, x in itertools.product(As, xs):
+            real = (A * x[None, :]).sum(axis=1)
+            assert _holds(imat_vec(M, v), real)
+            assert _holds(imat_vec(M, x), real)
+
+    @_PROPERTY_SETTINGS
+    @given(st.data(), _DIM, _DIM, _DIM)
+    def test_imat_imat(self, data, n, m, p):
+        P, As = data.draw(box_and_points((n, m)))
+        Q, Bs = data.draw(box_and_points((m, p)))
+        for A, B in itertools.product(As, Bs):
+            assert _holds(imat_imat(P, Q), (A[:, :, None] * B[None, :, :]).sum(axis=1))
+
+    @_PROPERTY_SETTINGS
+    @given(st.data(), _DIM, _DIM)
+    def test_tensor_vec(self, data, n, m):
+        J, Ts = data.draw(box_and_points((n, m, n)))
+        v, xs = data.draw(box_and_points((m,)))
+        for T, x in itertools.product(Ts, xs):
+            assert _holds(tensor_vec(J, v), (T * x[None, :, None]).sum(axis=1))
+
+    @_PROPERTY_SETTINGS
+    @given(st.data(), _DIM, _DIM)
+    def test_tensorT_vec(self, data, n, m):
+        Jt, Ts = data.draw(box_and_points((n, n, m)))
+        w, xs = data.draw(box_and_points((n,)))
+        for T, x in itertools.product(Ts, xs):
+            assert _holds(tensorT_vec(Jt, w), (T * x[None, :, None]).sum(axis=1))
+
+    @_PROPERTY_SETTINGS
+    @given(st.data(), _DIM, _DIM)
+    def test_real_mat_iv(self, data, n, m):
+        M = data.draw(_array((n, m), _COORD))
+        v, xs = data.draw(box_and_points((m,)))
+        enc = real_mat_iv(M, v)
+        slack = 8 * np.finfo(float).eps * (np.abs(M) @ np.maximum(np.abs(v.lo), np.abs(v.hi)))
+        for x in xs:
+            real = M @ x
+            assert np.all(enc.lo - slack <= real) and np.all(real <= enc.hi + slack)
 
 
 class TestRandomizedProperties:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -311,6 +312,30 @@ class TestOptimistic:
             assert val == pytest.approx(cost.value(u, x), abs=0.0)
             checked += 1
         assert checked >= 80
+
+    def test_iters_count_infeasible_orthants(self):
+        """Iterations spent proving an orthant infeasible are counted.
+
+        x_next = u with X = [1, 2]: the u <= 0 orthant is infeasible, and its
+        solve starts from the cost minimizer (1.5, 1.5), which the u >= 0
+        orthant accepts without an iteration.
+        """
+        cost = QuadraticCost(np.eye(1), np.eye(1), np.zeros((1, 1)),
+                             np.array([-3.0]), np.array([-3.0]))
+        aff = AffineOverApprox(Box.point([0.0]), Box.point([[1.0]]),
+                               Box.point([[1.0]]), 0.0, 0.1)
+        oqp = assemble_optimistic(cost, aff, Box([-3.0], [3.0]), Box([1.0], [2.0]))
+        neg, pos = oqp.orthants
+        assert neg.Ubox.hi[0] == 0.0 and pos.Ubox.lo[0] == 0.0
+        with pytest.raises(AllOrthantsInfeasible):
+            solve_optimistic(replace(oqp, orthants=(neg,)))
+        _, _, _, feasible_only = solve_optimistic(
+            replace(oqp, orthants=(pos,)), with_info=True
+        )
+        _, _, _, info = solve_optimistic(oqp, with_info=True)
+        assert info.feasible_orthants == 1 and info.orthant == 1
+        infeasible_iters = info.iters - feasible_only.iters
+        assert infeasible_iters > feasible_only.iters
 
     def test_iteration_cap_raises(self):
         rng = np.random.default_rng(3)

@@ -258,6 +258,18 @@ class TestClosedLoop:
         with pytest.raises(StepTooLarge):
             run_closed_loop(unicycle(), cfg)
 
+    def test_refresh_every_validated_before_excitation(self, monkeypatch):
+        import datareach.systems as systems
+
+        def no_excite(*args, **kwargs):
+            raise AssertionError("excited before validating refresh_every")
+
+        monkeypatch.setattr(systems, "excite", no_excite)
+        cfg = unicycle_experiment()
+        cfg.refresh_every = 0
+        with pytest.raises(ValueError, match="refresh_every"):
+            run_closed_loop(unicycle(), cfg)
+
     def test_record_reach_boxes_contain_next_state(self):
         cfg = unicycle_experiment()
         cfg.max_steps = 6
