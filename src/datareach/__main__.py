@@ -1,0 +1,5 @@
+"""``python -m datareach``: the command-line front end."""
+
+from .cli import main
+
+raise SystemExit(main())

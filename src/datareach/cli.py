@@ -68,6 +68,25 @@ def _check_keys(section: dict, allowed: set, name: str) -> None:
         raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
 
 
+def _vector(value):
+    return np.asarray(value, dtype=float)
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", _vector: "a list of numbers"}
+
+
+def _convert(key, value, kind):
+    """``kind(value)``; a value it cannot convert is a config error naming ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, not {value!r}") from exc
+
+
+def _setting(section, key, kind, default):
+    return _convert(key, section.get(key, default), kind)
+
+
 def _outdir(args, cfg) -> Path:
     out = Path(args.out or cfg.get("out", "out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -100,10 +119,19 @@ def cmd_reach(args, cfg) -> int:
     sys_name = cfg.get("system", "unicycle")
     system = by_name(sys_name)
 
-    dt = float(section.get("dt", 0.02))
-    steps = int(section.get("steps", 200))
-    init_len = int(section.get("init_len", 15))
-    seed = args.seed if args.seed is not None else int(section.get("seed", 2))
+    dt = _setting(section, "dt", float, 0.02)
+    steps = _setting(section, "steps", int, 200)
+    init_len = _setting(section, "init_len", int, 15)
+    seed = args.seed if args.seed is not None else _setting(section, "seed", int, 2)
+    excitation = section.get("excitation", "mixed")
+    if excitation not in EXCITATIONS:
+        raise ConfigError(f"excitation must be one of {list(EXCITATIONS)}")
+    if not dt > 0.0:
+        raise ConfigError("dt must be positive")
+    if steps < 1:
+        raise ConfigError("steps must be >= 1")
+    if init_len < 1:
+        raise ConfigError("init_len must be >= 1")
     sample_dt = 0.1
 
     limit = max_step_size(system.lip, system.U)
@@ -132,11 +160,9 @@ def cmd_reach(args, cfg) -> int:
         if (n, m) != (system.n, system.m):
             raise ConfigError("trajectory dimensions do not match the system")
     else:
-        x0 = np.asarray(section.get("x0", [-2.0, -2.5, math.pi / 2]
-                                    if sys_name == "unicycle" else system.X.mid),
-                        dtype=float)
-        samples = excite(system, init_len, seed, dt=sample_dt, x0=x0,
-                         mode=section.get("excitation", "mixed"))
+        x0 = _setting(section, "x0", _vector,
+                      [-2.0, -2.5, math.pi / 2] if sys_name == "unicycle" else system.X.mid)
+        samples = excite(system, init_len, seed, dt=sample_dt, x0=x0, mode=excitation)
 
     t_ref = samples[-1].t + sample_dt if samples[-1].t is not None else init_len * sample_dt
     default_family = (
@@ -172,24 +198,13 @@ def cmd_reach(args, cfg) -> int:
 
 
 def _apply_control_overrides(exp: ExperimentConfig, section, args):
-    if "dt" in section:
-        exp.dt = float(section["dt"])
-    if "init_len" in section:
-        exp.init_len = int(section["init_len"])
-    if "max_steps" in section:
-        exp.max_steps = int(section["max_steps"])
-    if "stop_level" in section:
-        exp.stop_level = float(section["stop_level"])
-    if "eps" in section:
-        exp.eps = float(section["eps"])
-    if "mu0" in section:
-        exp.mu0 = float(section["mu0"])
+    for key, kind in (("dt", float), ("init_len", int), ("max_steps", int),
+                      ("stop_level", float), ("eps", float), ("mu0", float),
+                      ("refresh_every", int), ("x0", _vector)):
+        if key in section:
+            setattr(exp, key, _convert(key, section[key], kind))
     if "excitation" in section:
         exp.excitation = section["excitation"]
-    if "refresh_every" in section:
-        exp.refresh_every = int(section["refresh_every"])
-    if "x0" in section:
-        exp.x0 = np.asarray(section["x0"], dtype=float)
     if "record_reach" in section:
         exp.record_reach = bool(section["record_reach"])
     if "weights" in section:
@@ -197,13 +212,13 @@ def _apply_control_overrides(exp: ExperimentConfig, section, args):
         if w == "random":
             exp.redraw_weights = True
         elif isinstance(w, (list, tuple)) and len(w) == 2:
-            exp.weights = (float(w[0]), float(w[1]))
+            exp.weights = (_convert("weights", w[0], float), _convert("weights", w[1], float))
         else:
             raise ConfigError("weights must be 'random' or a [w_plus, w_minus] pair")
     if args.seed is not None:
         exp.seed = args.seed
     elif "seed" in section:
-        exp.seed = int(section["seed"])
+        exp.seed = _convert("seed", section["seed"], int)
     if args.mode is not None:
         exp.mode = args.mode
     elif "mode" in section:
@@ -217,6 +232,8 @@ def _check_experiment(exp: ExperimentConfig, n: int) -> None:
         raise ConfigError(f"mode must be one of {list(MODES)}, not {exp.mode!r}")
     if exp.excitation not in EXCITATIONS:
         raise ConfigError(f"excitation must be one of {list(EXCITATIONS)}")
+    if not exp.dt > 0.0:
+        raise ConfigError("dt must be positive")
     if exp.init_len < 1:
         raise ConfigError("init_len must be >= 1")
     if exp.max_steps < 0:
@@ -267,11 +284,11 @@ def cmd_benchmark(args, cfg) -> int:
     systems = section.get("systems", ["unicycle", "quadrotor", "aircraft"])
     modes = section.get("modes", ["idealistic", "optimistic"])
     seeds = section.get("seeds", [args.seed if args.seed is not None else 1])
-    max_steps = int(section.get("max_steps", 5))
+    max_steps = _setting(section, "max_steps", int, 5)
 
     rows = []
     for name, mode, seed in itertools.product(systems, modes, seeds):
-        exp = experiment_for(name, seed=int(seed), mode=mode)
+        exp = experiment_for(name, seed=_convert("seeds", seed, int), mode=mode)
         exp.max_steps = max_steps
         report = run_closed_loop(by_name(name), exp)
         bounds = [log.bound for log in report.logs]

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import EmptyIntersection, InconsistentSample
-from .intervals import Box, Interval, _out, meet, meet_arrays
+from .intervals import Box, Interval, _out, get_inflate_eps, meet, meet_arrays
 
 
 # crossings below this (relative) size are float artifacts of touching
@@ -183,7 +183,11 @@ class _Groups:
 
 
 class _Entries(Sequence):
-    """The rows of a knowledge base as `KnowledgeEntry` objects, built on access."""
+    """The rows of a knowledge base as `KnowledgeEntry` objects, built on access.
+
+    The library and its tests read the arrays; the benchmark's tracer
+    (`perfbench/tracer.py`) still sizes bases by ``len(kb.entries)``.
+    """
 
     def __init__(self, kb: "KnowledgeBase"):
         self._kb = kb
@@ -197,6 +201,39 @@ class _Entries(Sequence):
         kb = self._kb
         return KnowledgeEntry(
             kb.xs[i], Box(kb.cf_lo[i], kb.cf_hi[i]), Box(kb.cg_lo[i], kb.cg_hi[i])
+        )
+
+
+class _Envelopes(NamedTuple):
+    """Pre-settle envelopes of a base's sample rows, kept for delta passes.
+
+    ``rows`` holds the f lo/hi (k, n) and G lo/hi (k, n, m) envelopes each
+    sample row was last contracted from, and ``xdot`` (k, n) / ``u`` (k, m)
+    the inputs it was contracted with, under the inflation margin
+    ``inflate``.  ``dirty`` (k + 1,) marks the entries changed since those
+    envelopes were taken; every other entry is as the envelopes saw it.
+    ``appended`` holds (envelopes, xdot, u) of the rows appended since, each
+    against the base it was appended to; their entries count as changed.
+    """
+
+    rows: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    xdot: np.ndarray
+    u: np.ndarray
+    inflate: float
+    dirty: np.ndarray
+    appended: tuple = ()
+
+    def stacked(self) -> "_Envelopes":
+        """The same cache with the appended rows stacked onto the others."""
+        if not self.appended:
+            return self
+        env, xdot, u = zip(*self.appended)
+        return _Envelopes(
+            tuple(np.concatenate((a,) + parts) for a, parts in zip(self.rows, zip(*env))),
+            np.concatenate((self.xdot,) + xdot),
+            np.concatenate((self.u,) + u),
+            self.inflate,
+            np.concatenate((self.dirty, np.ones(len(xdot), bool))),
         )
 
 
@@ -239,6 +276,7 @@ class KnowledgeBase:
         self.xs, self.cf_lo, self.cf_hi = xs, cf_lo, cf_hi
         self.cg_lo, self.cg_hi = cg_lo, cg_hi
         self.passes, self.residual = passes, residual
+        self._env: Optional[_Envelopes] = None
 
     def _rows(self):
         return self.xs, self.cf_lo, self.cf_hi, self.cg_lo, self.cg_hi
@@ -292,6 +330,11 @@ def _settle(lo, hi):
     return meet_arrays(lo, hi, lo, hi, _MEET_TOL, _PAD)
 
 
+def _any_per_row(a):
+    """Whether each row (leading index) of ``a`` has a nonzero entry."""
+    return a.any(axis=tuple(range(1, a.ndim)))
+
+
 def _first_index(mask):
     return tuple(int(i) for i in np.argwhere(mask)[0])
 
@@ -313,7 +356,7 @@ def _first_failure(stages):
     ``stages`` lists (mask, kind) pairs in the order one sample evaluates
     them; a row's failure is its first stage with a set mask entry.
     """
-    hit = np.stack([bad.reshape(bad.shape[0], -1).any(axis=1) for bad, _ in stages])
+    hit = np.stack([_any_per_row(bad) for bad, _ in stages])
     failing = np.flatnonzero(hit.any(axis=0))
     if failing.size == 0:
         return None
@@ -495,22 +538,41 @@ def _stack(samples, n, m):
     )
 
 
-def _residual_queries(kb: KnowledgeBase, X):
-    """Enclosures of the learned (residual) part at the rows of X, range bounds applied.
+def _envelopes(kb: KnowledgeBase, X):
+    """Pre-settle Lipschitz envelopes of the learned part at the rows of X.
+
+    Returns f lo/hi (k, n) and G lo/hi (k, n, m) over all entries of ``kb``,
+    computed chunk by chunk along the rows.
+    """
+    N, n = kb.xs.shape
+    k, m = X.shape[0], kb.m
+    step = max(1, _CHUNK_FLOATS // (N * max(n * m, n, len(kb._groups.masks))))
+    if step >= k:
+        dists = kb._point_dists(X)
+        return _unknown_f(kb, dists) + _unknown_G(kb, dists)
+    env = (np.empty((k, n)), np.empty((k, n)), np.empty((k, n, m)), np.empty((k, n, m)))
+    for a in range(0, k, step):
+        dists = kb._point_dists(X[a : a + step])
+        for out, part in zip(env, _unknown_f(kb, dists) + _unknown_G(kb, dists)):
+            out[a : a + step] = part
+    return env
+
+
+def _settled_rows(side: SideInfoSet, env, X):
+    """Settle the envelopes at the rows of X and apply the range bounds.
 
     Returns F lo/hi (k, n), G lo/hi (k, n, m) and the failure stages of the
     settles and range meets, in the order one query evaluates them.
     """
-    dists = kb._point_dists(X)
-    flo, fhi, f_bad = _settle(*_unknown_f(kb, dists))
-    glo, ghi, g_bad = _settle(*_unknown_G(kb, dists))
+    flo, fhi, f_bad = _settle(env[0], env[1])
+    glo, ghi, g_bad = _settle(env[2], env[3])
     stages = [(f_bad, "f"), (g_bad, "G")]
-    vb = kb.side.vf_bounds
+    vb = side.vf_bounds
     if vb is not None:
         inside = np.all((vb.region.lo <= X) & (X <= vb.region.hi), axis=1)
         fb = (vb.f_range.lo, vb.f_range.hi)
         gb = (vb.G_range.lo, vb.G_range.hi)
-        pd = kb.side.partial_dynamics
+        pd = side.partial_dynamics
         if pd is not None:
             f_known, G_known = np.zeros(flo.shape), np.zeros(glo.shape)
             for r in np.flatnonzero(inside):
@@ -528,37 +590,25 @@ def _residual_queries(kb: KnowledgeBase, X):
     return flo, fhi, glo, ghi, stages
 
 
-def _pass(kb: KnowledgeBase, X, XDOT, U, first):
-    """Query and contract samples ``first, first + 1, ...`` against ``kb``.
+def _contract_rows(kb: KnowledgeBase, env, X, XDOT, U, index):
+    """Settle, bound and contract the rows of X, XDOT, U given their envelopes.
 
-    Every sample (row of X, XDOT, U) sees the same base, so one call is one
-    Jacobi sweep, computed chunk by chunk along the sample axis.  Returns the
-    new f and G rows; on failure raises what a per-sample loop would raise
-    first, for the lowest failing sample.
+    ``index`` maps each row to its sample index.  Returns the new f and G
+    rows; on failure raises what a per-sample loop would raise first, for
+    the lowest failing sample.
     """
-    N, n = kb.xs.shape
-    k, m = U.shape
-    rows = (np.empty((k, n)), np.empty((k, n)), np.empty((k, n, m)), np.empty((k, n, m)))
-    step = max(1, _CHUNK_FLOATS // (N * max(n * m, n, len(kb._groups.masks))))
-    for a in range(0, k, step):
-        b = min(a + step, k)
-        nan = (
-            np.isnan(X[a:b]).any(axis=1) | np.isnan(XDOT[a:b]).any(axis=1)
-            | np.isnan(U[a:b]).any(axis=1)
-        )
-        *enc, q_stages = _residual_queries(kb, X[a:b])
-        *new, c_stages = _contract(XDOT[a:b], U[a:b], *enc)
-        failure = _first_failure([(nan[:, None], "nan")] + q_stages + c_stages)
-        if failure is not None:
-            _raise_failure(failure, first + a)
-        for out, part in zip(rows, new):
-            out[a:b] = part
-    return rows
+    nan = np.isnan(X).any(axis=1) | np.isnan(XDOT).any(axis=1) | np.isnan(U).any(axis=1)
+    *enc, q_stages = _settled_rows(kb.side, env, X)
+    *new, c_stages = _contract(XDOT, U, *enc)
+    failure = _first_failure([(nan[:, None], "nan")] + q_stages + c_stages)
+    if failure is not None:
+        _raise_failure(failure, index)
+    return new
 
 
-def _raise_failure(failure, first):
+def _raise_failure(failure, index):
     row, kind, comp = failure
-    idx = first + row
+    idx = int(index[row])
     if kind == "nan":
         raise ValueError(f"sample {idx}: interval endpoints must not be NaN")
     if kind != "contract":
@@ -596,11 +646,14 @@ def build_knowledge(
     """Contract the trajectory into a knowledge base, iterating to invariance.
 
     Each data point is first processed against the base built so far, then the
-    whole base is re-contracted until no endpoint moves by more than
-    ``fixpoint_tol`` (widths are monotone non-increasing, so this terminates).
-    ``M`` must genuinely bound |f| and |G| on the domain for the result to be
-    sound when no range bounds are supplied.  The returned base records the
-    number of invariance passes and the residual of the last one.
+    whole base is re-contracted in Jacobi passes until no endpoint moves by
+    more than ``fixpoint_tol`` (widths are monotone non-increasing, so this
+    terminates).  After the first pass, a pass re-contracts only the rows
+    whose Lipschitz envelope moved, with the same result bit for bit as
+    re-contracting them all.  ``M`` must genuinely bound |f| and |G| on the
+    domain for the result to be sound when no range bounds are supplied.
+    The returned base records the number of invariance passes and the
+    residual of the last one, and keeps each row's envelope for `rebuild`.
     """
     side = side or SideInfoSet()
     pd = side.partial_dynamics
@@ -625,21 +678,112 @@ def build_knowledge(
 
 
 def _append(kb: KnowledgeBase, X, XDOT, U, first) -> KnowledgeBase:
-    new = (X,) + _pass(kb, X, XDOT, U, first)
-    return kb._with_rows([np.concatenate((a, r)) for a, r in zip(kb._rows(), new)])
+    env = _envelopes(kb, X)
+    new = _contract_rows(kb, env, X, XDOT, U, range(first, first + X.shape[0]))
+    out = kb._with_rows(
+        [np.concatenate((a, r)) for a, r in zip(kb._rows(), [X] + new)]
+    )
+    cache = kb._env
+    if cache is not None and cache.inflate == get_inflate_eps():
+        out._env = cache._replace(appended=cache.appended + ((env, XDOT, U),))
+    return out
+
+
+# a pass folds the changed entries into the cached envelopes only while at
+# most this share of the entries changed; otherwise it recomputes every row
+_DELTA_SHARE = 0.5
+
+
+def _loosened(diff, lo_columns):
+    """Whether a pass's endpoint changes (rows of new minus old, the
+    ``lo_columns`` lo endpoints first) moved an endpoint outward."""
+    return bool(
+        diff[:, :lo_columns].min(initial=0.0) < 0.0
+        or diff[:, lo_columns:].max(initial=0.0) > 0.0
+    )
 
 
 def _iterate_to_invariance(kb, X, XDOT, U, tol, max_iters) -> KnowledgeBase:
+    """Jacobi passes until no endpoint moves by ``tol``, re-contracting only
+    the rows that can change.
+
+    Each pass contracts every sample against the base the previous pass
+    left.  A row's envelope is a max / min over the entries, and max and
+    min are exact.  So as long as no entry loosened, folding the entries
+    that changed since a row's cached envelope into it gives the envelope a
+    full pass would compute, bit for bit, and a row whose envelope and
+    inputs did not move would contract to the row it already has.  A delta
+    pass therefore re-contracts only the rows whose envelope moved or whose
+    (xdot, u) differ from the cached ones.  A pass recomputes every row
+    against every entry when there is no cache, when the states or the
+    inflation margin differ from the cache's, when more than
+    ``_DELTA_SHARE`` of the entries changed, or after a pass that loosened
+    an entry.
+    """
+    k = X.shape[0]
+    same_x = np.array_equal(X, kb.xs[1:])
+    cache = kb._env
+    if cache is not None and same_x and cache.inflate == get_inflate_eps():
+        cache = cache.stacked()
+    else:
+        cache = None
+    stale = None
+    if cache is not None:
+        stale = (XDOT != cache.xdot).any(axis=1) | (U != cache.u).any(axis=1)
     for passes in range(1, max_iters + 1):
-        new = (X,) + _pass(kb, X, XDOT, U, 0)
-        residual = max(
-            float(np.max(np.abs(r - a[1:]), initial=0.0))
-            for a, r in zip(kb._rows()[1:], new[1:])
-        )
-        kb = kb._with_rows(
-            [np.concatenate((a[:1], r)) for a, r in zip(kb._rows(), new)],
-            passes=passes, residual=residual,
-        )
+        old = [a[1:] for a in kb._rows()[1:]]
+        if cache is None or np.count_nonzero(cache.dirty) > _DELTA_SHARE * (k + 1):
+            env = _envelopes(kb, X)
+            rows = None
+            new = _contract_rows(kb, env, X, XDOT, U, range(k))
+        else:
+            env = cache.rows
+            moved = np.zeros(k, bool) if stale is None else stale
+            changed = np.flatnonzero(cache.dirty)
+            if changed.size:
+                part = _envelopes(kb._with_rows([a[changed] for a in kb._rows()]), X)
+                for c, p, inward in zip(env, part, (np.greater, np.less) * 2):
+                    moved = moved | _any_per_row(inward(p, c))
+                env = (np.maximum(env[0], part[0]), np.minimum(env[1], part[1]),
+                       np.maximum(env[2], part[2]), np.minimum(env[3], part[3]))
+            rows = np.flatnonzero(moved)
+            new = _contract_rows(
+                kb, [e[rows] for e in env], X[rows], XDOT[rows], U[rows], rows
+            )
+            old = [a[rows] for a in old]
+
+        # one array of the rows' endpoint changes, lo columns (f, G) first,
+        # gives the residual, the changed entries and the loosening test
+        nm = kb.n * kb.m
+        diff = np.concatenate((
+            new[0] - old[0], (new[2] - old[2]).reshape(len(new[2]), nm),
+            new[1] - old[1], (new[3] - old[3]).reshape(len(new[3]), nm),
+        ), axis=1)
+        change = np.abs(diff).max(axis=1, initial=0.0)
+        residual = float(change.max(initial=0.0))
+        dirty = np.zeros(k + 1, bool)
+        if rows is None:
+            xs = kb.xs if same_x else np.concatenate((kb.xs[:1], X))
+            arrays = [xs] + [np.concatenate((a[:1], r)) for a, r in zip(kb._rows()[1:], new)]
+            dirty[1:] = change > 0.0
+        else:
+            arrays = [kb.xs]
+            for a, r in zip(kb._rows()[1:], new):
+                a = a.copy()
+                a[rows + 1] = r
+                arrays.append(a)
+            dirty[rows[change > 0.0] + 1] = True
+        kb = kb._with_rows(arrays, passes=passes, residual=residual)
+        # keep the envelopes only for a delta pass that can use them: not when
+        # they were taken against other states, when the next pass recomputes
+        # every row anyway, or when an entry moved outward, which makes the
+        # fold inexact
+        cache = None
+        if (same_x and np.count_nonzero(dirty) <= _DELTA_SHARE * (k + 1)
+                and not _loosened(diff, kb.n + nm)):
+            cache = _Envelopes(env, XDOT, U, get_inflate_eps(), dirty)
+        kb._env = cache
+        same_x, stale = True, None
         if residual < tol:
             break
     return kb
@@ -649,18 +793,25 @@ def append_sample(kb: KnowledgeBase, sample: Sample) -> KnowledgeBase:
     """Add one data point with a single query-and-contract pass.
 
     The incremental update leaves older entries untouched and appends one
-    row to the stacked arrays, so its cost is linear in the base size; use
-    `rebuild` for a periodic full refresh.
+    row to the stacked arrays, so its cost is linear in the base size.  The
+    new row's envelope joins the base's cached ones, so that a later
+    `rebuild` re-contracts only the rows the new entries can tighten.
     """
     s = _residual_sample(sample, kb.side.partial_dynamics)
     return _append(kb, *_stack([s], kb.n, kb.m), kb.xs.shape[0] - 1)
 
 
 def rebuild(kb, samples, fixpoint_tol=1e-9, max_fixpoint_iters=50) -> KnowledgeBase:
-    """Full invariance re-run against an externally kept list of raw samples.
+    """Re-run the invariance passes against an externally kept list of raw samples.
 
-    The returned base records the pass count and final residual, as
-    `build_knowledge` does.
+    ``samples`` holds the base's samples in order, one per non-seed row.
+    The passes start from the envelopes the base keeps: the first folds in
+    the entries appended or changed since and re-contracts only the rows
+    whose envelope moved, plus the rows whose sample's (xdot, u) differ from
+    the ones they were contracted with.  Samples at other states, or a
+    changed inflation margin, make the first pass recompute every row.  The
+    result equals a full Jacobi re-run bit for bit, and records the pass
+    count and final residual, as `build_knowledge` does.
     """
     side_samples = [_residual_sample(s, kb.side.partial_dynamics) for s in samples]
     if len(side_samples) != kb.xs.shape[0] - 1:

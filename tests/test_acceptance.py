@@ -274,7 +274,7 @@ def test_11_runtime_scaling():
         for _ in range(reps):
             datacontrol_step(kb, x_probe, cost, sysu.U, sysu.X, 0.1)
         times.append((time.perf_counter() - t1) / reps)
-        sizes.append(len(kb.entries))
+        sizes.append(kb.xs.shape[0])
     slope = float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
     dt = time.perf_counter() - t0
     ok = slope <= 1.2 and dt < 120.0

@@ -161,8 +161,9 @@ class TestControlSettings:
             {"max_steps": -1},
             {"eps": 0.0},
             {"x0": [0.0, 0.0]},
+            {"dt": -0.1},
         ],
-        ids=["weights", "mode", "excitation", "init_len", "max_steps", "eps", "x0"],
+        ids=["weights", "mode", "excitation", "init_len", "max_steps", "eps", "x0", "dt"],
     )
     def test_bad_setting_rejected(self, tmp_path, setting):
         cfg = write_cfg(tmp_path, {
@@ -171,6 +172,21 @@ class TestControlSettings:
             "control": {"max_steps": 3, **setting},
         })
         assert cli.main(["--config", cfg, "control"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("init_len", "abc"), ("eps", "small"), ("seed", "x"), ("dt", [0.1]),
+         ("x0", ["a", 0.0, 0.0]), ("weights", [0.5, "half"])],
+        ids=["init_len", "eps", "seed", "dt", "x0", "weights"],
+    )
+    def test_non_numeric_setting_names_key(self, tmp_path, capsys, key, value):
+        cfg = write_cfg(tmp_path, {
+            "system": "unicycle",
+            "out": str(tmp_path / "out"),
+            "control": {"max_steps": 3, key: value},
+        })
+        assert cli.main(["--config", cfg, "control"]) == cli.EXIT_CONFIG
+        assert f"config error: {key} must be" in capsys.readouterr().err
 
     def test_numerical_failure_is_not_a_config_error(self, tmp_path, monkeypatch):
         def singular(system, exp):
@@ -184,6 +200,57 @@ class TestControlSettings:
         })
         with pytest.raises(np.linalg.LinAlgError):
             cli.main(["--config", cfg, "control"])
+
+
+class TestReachSettings:
+    """`reach` rejects settings it cannot run before doing any work (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"excitation": "sweep"}, "excitation must be one of"),
+            ({"dt": -0.02}, "dt must be positive"),
+            ({"dt": 0.0}, "dt must be positive"),
+            ({"steps": -5}, "steps must be >= 1"),
+            ({"steps": 0}, "steps must be >= 1"),
+            ({"init_len": 0}, "init_len must be >= 1"),
+            ({"steps": "many"}, "steps must be an integer, not 'many'"),
+            ({"init_len": "abc"}, "init_len must be an integer, not 'abc'"),
+            ({"dt": "fast"}, "dt must be a number, not 'fast'"),
+            ({"seed": [1]}, "seed must be an integer"),
+            ({"x0": "origin"}, "x0 must be a list of numbers"),
+        ],
+        ids=["excitation", "dt_negative", "dt_zero", "steps_negative", "steps_zero",
+             "init_len", "steps_text", "init_len_text", "dt_text", "seed_list", "x0_text"],
+    )
+    def test_bad_setting_rejected(self, tmp_path, capsys, setting, message):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, {
+            "system": "unicycle",
+            "out": str(out),
+            "reach": {"dt": 0.02, "steps": 5, "init_len": 8, **setting},
+        })
+        assert cli.main(["--config", cfg, "reach"]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_selftest(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "datareach", "selftest"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count("[PASS]") == 3
 
 
 class TestBenchmarkCommand:

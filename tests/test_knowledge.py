@@ -140,10 +140,9 @@ class TestOverApproximation:
     def test_default_M_box(self):
         lip = LipschitzBounds([0.5], [[0.5]])
         kb = build_knowledge([Sample([0.0], [0.25], [0.0])], lip, M=1e3)
-        ent = kb.entries[1]
-        assert ent.C_F[0].lo == pytest.approx(0.25, abs=1e-9)
-        assert ent.C_G[0, 0].lo == pytest.approx(-1e3, rel=1e-12)
-        assert ent.C_G[0, 0].hi == pytest.approx(1e3, rel=1e-12)
+        assert kb.cf_lo[1, 0] == pytest.approx(0.25, abs=1e-9)
+        assert kb.cg_lo[1, 0, 0] == pytest.approx(-1e3, rel=1e-12)
+        assert kb.cg_hi[1, 0, 0] == pytest.approx(1e3, rel=1e-12)
 
     def test_hand_case_matches_oracle(self):
         # entries at x=0 with [0,1] and x=2 with [3,4], L=1, query x=1 -> [2,2]
@@ -188,11 +187,11 @@ class TestBuildKnowledge:
         traj = excite(sysu, 12, seed=7, dt=0.1, x0=[-2.0, -2.5, math.pi / 2])
         kb = build_knowledge(traj, sysu.lip, sysu.side)
         kb2 = rebuild(kb, traj)
-        for e1, e2 in zip(kb.entries, kb2.entries):
-            assert np.allclose(e1.C_F.lo, e2.C_F.lo, atol=1e-8)
-            assert np.allclose(e1.C_F.hi, e2.C_F.hi, atol=1e-8)
-            assert np.allclose(e1.C_G.lo, e2.C_G.lo, atol=1e-8)
-            assert np.allclose(e1.C_G.hi, e2.C_G.hi, atol=1e-8)
+        assert kb2.xs.shape[0] == kb.xs.shape[0]
+        assert np.allclose(kb.cf_lo, kb2.cf_lo, atol=1e-8)
+        assert np.allclose(kb.cf_hi, kb2.cf_hi, atol=1e-8)
+        assert np.allclose(kb.cg_lo, kb2.cg_lo, atol=1e-8)
+        assert np.allclose(kb.cg_hi, kb2.cg_hi, atol=1e-8)
 
     def test_soundness_on_unicycle(self):
         sysu = unicycle()
@@ -237,10 +236,10 @@ class TestBuildKnowledge:
         traj = excite(sysu, 8, seed=9, dt=0.1, x0=[-2.0, -2.5, math.pi / 2])
         kb = build_knowledge(traj[:7], sysu.lip, sysu.side)
         kb2 = append_sample(kb, traj[7])
-        assert len(kb2.entries) == len(kb.entries) + 1
+        assert kb2.xs.shape[0] == kb.xs.shape[0] + 1
         # prior entries untouched by the incremental update
-        for e1, e2 in zip(kb.entries, kb2.entries):
-            assert np.array_equal(e1.C_F.lo, e2.C_F.lo)
+        N = kb.xs.shape[0]
+        assert np.array_equal(kb.cf_lo, kb2.cf_lo[:N])
 
     def test_inconsistent_side_info_aborts_with_index(self):
         lip = LipschitzBounds([0.0], [[0.0]])
@@ -334,9 +333,9 @@ def test_fixpoint_passes_never_widen():
     traj = excite(sysu, 12, seed=5, dt=0.1, x0=[-2.0, -2.5, 1.0])
     one_pass = build_knowledge(traj, sysu.lip, sysu.side, max_fixpoint_iters=1)
     settled = build_knowledge(traj, sysu.lip, sysu.side, max_fixpoint_iters=50)
-    for e1, e50 in zip(one_pass.entries, settled.entries):
-        assert np.all(e50.C_F.width <= e1.C_F.width + 1e-9)
-        assert np.all(e50.C_G.width <= e1.C_G.width + 1e-9)
+    assert settled.xs.shape[0] == one_pass.xs.shape[0]
+    assert np.all(settled.cf_hi - settled.cf_lo <= one_pass.cf_hi - one_pass.cf_lo + 1e-9)
+    assert np.all(settled.cg_hi - settled.cg_lo <= one_pass.cg_hi - one_pass.cg_lo + 1e-9)
 
 
 class TestRandomSystemFuzz:
@@ -391,10 +390,14 @@ class TestRandomSystemFuzz:
 # ---------------------------------------------------------------------------
 
 class _RefBase:
-    """Entries as a plain list, stacked once so that every query reads the same base."""
+    """Entries as a plain list, stacked once so that every query reads the same base.
 
-    def __init__(self, entries, lip, side):
+    ``passes`` and ``residual`` record the invariance run that produced it.
+    """
+
+    def __init__(self, entries, lip, side, passes=0, residual=None):
         self.entries, self.lip, self.side = list(entries), lip, side
+        self.passes, self.residual = passes, residual
         self.xs = np.array([e.x for e in entries])
         self.cf = [np.array([e.C_F.lo for e in entries]), np.array([e.C_F.hi for e in entries])]
         self.cg = [np.array([e.C_G.lo for e in entries]), np.array([e.C_G.hi for e in entries])]
@@ -486,21 +489,21 @@ def _ref_entry(base, s):
 
 def _ref_invariance(base, samples, tol=1e-9, max_iters=50):
     """Jacobi passes: every sample is contracted against the previous base."""
-    for _ in range(max_iters):
+    for passes in range(1, max_iters + 1):
         new = [base.entries[0]] + [_ref_entry(base, s) for s in samples]
         change = 0.0
         for old, cur in zip(base.entries[1:], new[1:]):
             for a, b in ((old.C_F.lo, cur.C_F.lo), (old.C_F.hi, cur.C_F.hi),
                          (old.C_G.lo, cur.C_G.lo), (old.C_G.hi, cur.C_G.hi)):
                 change = max(change, float(np.max(np.abs(a - b))))
-        base = _RefBase(new, base.lip, base.side)
+        base = _RefBase(new, base.lip, base.side, passes, change)
         if change < tol:
             break
     return base
 
 
-def _ref_run(traj, lip, side, n_init, M=1e3):
-    """Per-sample build on the first n_init samples, then append the rest, then rebuild."""
+def _ref_seed(traj, lip, side, M=1e3):
+    """The seed-only base of a trajectory and its (residual) samples."""
     from datareach.knowledge import KnowledgeEntry
 
     pd, vb = side.partial_dynamics, side.vf_bounds
@@ -515,13 +518,20 @@ def _ref_run(traj, lip, side, n_init, M=1e3):
         x0 = samples[0].x
         CF0 = Box(np.full(n, -M), np.full(n, M))
         CG0 = Box(np.full((n, m), -M), np.full((n, m), M))
-    base = _RefBase([KnowledgeEntry(x0, CF0, CG0)], qlip, side)
-    for s in samples[:n_init]:
+    return _RefBase([KnowledgeEntry(x0, CF0, CG0)], qlip, side), samples
+
+
+def _ref_append(base, samples):
+    for s in samples:
         base = base.with_entry(_ref_entry(base, s))
-    base = _ref_invariance(base, samples[:n_init])
-    for s in samples[n_init:]:
-        base = base.with_entry(_ref_entry(base, s))
-    return _ref_invariance(base, samples)
+    return base
+
+
+def _ref_run(traj, lip, side, n_init, M=1e3):
+    """Per-sample build on the first n_init samples, then append the rest, then rebuild."""
+    base, samples = _ref_seed(traj, lip, side, M)
+    base = _ref_invariance(_ref_append(base, samples[:n_init]), samples[:n_init])
+    return _ref_invariance(_ref_append(base, samples[n_init:]), samples)
 
 
 def _batched_run(traj, lip, side, n_init):
@@ -535,13 +545,37 @@ def _assert_same_base(got, want):
     assert np.array_equal(got.xs, want.xs)
     assert np.array_equal(got.cf_lo, want.cf[0]) and np.array_equal(got.cf_hi, want.cf[1])
     assert np.array_equal(got.cg_lo, want.cg[0]) and np.array_equal(got.cg_hi, want.cg[1])
+    assert got.passes == want.passes and got.residual == want.residual
+
+
+@pytest.fixture
+def pass_log(monkeypatch):
+    """Events of the contraction passes: ("envelopes", entries, rows) for each
+    envelope computation and ("loosened", result, rows) for each loosening test."""
+    from datareach import knowledge
+
+    log = []
+    envelopes, loosened = knowledge._envelopes, knowledge._loosened
+
+    def envelopes_spy(kb, X):
+        log.append(("envelopes", kb.xs.shape[0], X.shape[0]))
+        return envelopes(kb, X)
+
+    def loosened_spy(diff, lo_columns):
+        result = loosened(diff, lo_columns)
+        log.append(("loosened", result, diff.shape[0]))
+        return result
+
+    monkeypatch.setattr(knowledge, "_envelopes", envelopes_spy)
+    monkeypatch.setattr(knowledge, "_loosened", loosened_spy)
+    return log
 
 
 class TestBatchedPass:
     """build_knowledge, append_sample and rebuild equal a per-sample loop exactly."""
 
     @pytest.mark.parametrize("name", ["unicycle", "quadrotor", "aircraft"])
-    @pytest.mark.parametrize("N", [10, 60])
+    @pytest.mark.parametrize("N", [10, 60, 150, 300])
     def test_presets_match_reference(self, name, N):
         from datareach.systems import by_name, experiment_for
 
@@ -577,6 +611,79 @@ class TestBatchedPass:
             )
         finally:
             intervals.set_inflate_eps(0.0)
+
+    def test_closed_loop_sequence_matches_reference(self, pass_log):
+        """Build at 10, then three rounds of 25 appends and a rebuild, as a loop does."""
+        from datareach.systems import by_name, experiment_for
+
+        sys_ = by_name("aircraft")
+        cfg = experiment_for("aircraft")
+        traj = excite(sys_, 85, seed=3, dt=cfg.dt, x0=cfg.x0)
+        base, samples = _ref_seed(traj, sys_.lip, sys_.side)
+        base = _ref_invariance(_ref_append(base, samples[:10]), samples[:10])
+        kb = build_knowledge(traj[:10], sys_.lip, sys_.side)
+        _assert_same_base(kb, base)
+        for start, end in ((10, 35), (35, 60), (60, 85)):
+            for s in traj[start:end]:
+                kb = append_sample(kb, s)
+            pass_log.clear()
+            kb = rebuild(kb, traj[:end])
+            base = _ref_invariance(_ref_append(base, samples[start:end]), samples[:end])
+            _assert_same_base(kb, base)
+            # some of the rebuild's passes folded in only the changed entries
+            assert any(e[0] == "envelopes" and e[1] < end + 1 for e in pass_log)
+
+    def test_inflation_change_matches_reference(self, pass_log):
+        """A base settled at one inflation margin and re-run at a larger one."""
+        from datareach import intervals
+
+        sysu = unicycle()
+        traj = excite(sysu, 20, seed=3, dt=0.1, x0=[-2.0, -2.5, math.pi / 2])
+        base, samples = _ref_seed(traj, sysu.lip, sysu.side)
+        base = _ref_invariance(_ref_append(base, samples), samples)
+        kb = build_knowledge(traj, sysu.lip, sysu.side)
+        intervals.set_inflate_eps(1e-9)
+        try:
+            for _ in range(3):
+                prev = kb
+                pass_log.clear()
+                kb = rebuild(kb, traj, max_fixpoint_iters=1)
+                base = _ref_invariance(base, samples, max_iters=1)
+                _assert_same_base(kb, base)
+                # entries moved outward, and every pass recomputed every row
+                assert (np.any(kb.cf_lo < prev.cf_lo) or np.any(kb.cf_hi > prev.cf_hi)
+                        or np.any(kb.cg_lo < prev.cg_lo) or np.any(kb.cg_hi > prev.cg_hi))
+                assert pass_log == [("envelopes", 21, 20)]
+        finally:
+            intervals.set_inflate_eps(0.0)
+
+    def test_changed_inputs_and_loosened_entry_match_reference(self, pass_log):
+        """Rows whose (xdot, u) differ from what they were contracted from are
+        redone; here that loosens an entry, and the next pass recomputes every row."""
+        from datareach.systems import by_name, experiment_for
+
+        sys_ = by_name("quadrotor")
+        cfg = experiment_for("quadrotor")
+        traj = excite(sys_, 40, seed=4, dt=cfg.dt, x0=cfg.x0)
+        kb = build_knowledge(traj, sys_.lip, sys_.side)
+        other = list(traj)
+        for i in (4, 17):  # same states, other (still true) derivatives and controls
+            u = 0.5 * other[i].u
+            other[i] = Sample(other[i].x, sys_.h_true(other[i].x, u), u, other[i].t)
+        base, samples = _ref_seed(traj, sys_.lip, sys_.side)
+        base = _ref_invariance(_ref_append(base, samples), samples)
+        pass_log.clear()
+        got = rebuild(kb, other)
+        want = _ref_invariance(base, _ref_seed(other, sys_.lip, sys_.side)[1])
+        _assert_same_base(got, want)
+        # the first pass folded a few changed entries and re-contracted a few
+        # rows (rows 4 and 17 among them), too few to force a full pass; one
+        # of them moved outward, so the second pass recomputed every row
+        kind, entries, rows = pass_log[0]
+        assert kind == "envelopes" and entries < 41 and rows == 40
+        kind, loosened, recomputed = pass_log[1]
+        assert kind == "loosened" and loosened and 2 <= recomputed <= 20
+        assert pass_log[2] == ("envelopes", 41, 40)
 
     @pytest.mark.parametrize("inflate", [0.0, 1e-12])
     @pytest.mark.parametrize("name", ["unicycle", "quadrotor", "aircraft"])
