@@ -87,6 +87,21 @@ def _setting(section, key, kind, default):
     return _convert(key, section.get(key, default), kind)
 
 
+def _system(name):
+    """The benchmark system called ``name``; an unknown name is a config error."""
+    try:
+        return by_name(name)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"unknown system {name!r}") from exc
+
+
+def _list_setting(section, key, default) -> list:
+    value = section.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, not {value!r}")
+    return value
+
+
 def _outdir(args, cfg) -> Path:
     out = Path(args.out or cfg.get("out", "out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -117,7 +132,7 @@ def cmd_reach(args, cfg) -> int:
     section = dict(cfg.get("reach", {}))
     _check_keys(section, _REACH_KEYS, "reach")
     sys_name = cfg.get("system", "unicycle")
-    system = by_name(sys_name)
+    system = _system(sys_name)
 
     dt = _setting(section, "dt", float, 0.02)
     steps = _setting(section, "steps", int, 200)
@@ -252,7 +267,7 @@ def cmd_control(args, cfg) -> int:
     section = dict(cfg.get("control", {}))
     _check_keys(section, _CONTROL_KEYS, "control")
     sys_name = cfg.get("system", "unicycle")
-    system = by_name(sys_name)
+    system = _system(sys_name)
     exp = _apply_control_overrides(experiment_for(sys_name), section, args)
     _check_experiment(exp, system.n)
 
@@ -281,16 +296,23 @@ def cmd_control(args, cfg) -> int:
 def cmd_benchmark(args, cfg) -> int:
     section = dict(cfg.get("benchmark", {}))
     _check_keys(section, _BENCH_KEYS, "benchmark")
-    systems = section.get("systems", ["unicycle", "quadrotor", "aircraft"])
-    modes = section.get("modes", ["idealistic", "optimistic"])
-    seeds = section.get("seeds", [args.seed if args.seed is not None else 1])
+    systems = _list_setting(section, "systems", ["unicycle", "quadrotor", "aircraft"])
+    modes = _list_setting(section, "modes", ["idealistic", "optimistic"])
+    seeds = _list_setting(section, "seeds", [args.seed if args.seed is not None else 1])
+    seeds = [_convert("seeds", seed, int) for seed in seeds]
     max_steps = _setting(section, "max_steps", int, 5)
 
-    rows = []
+    runs = []
     for name, mode, seed in itertools.product(systems, modes, seeds):
-        exp = experiment_for(name, seed=_convert("seeds", seed, int), mode=mode)
+        system = _system(name)
+        exp = experiment_for(name, seed=seed, mode=mode)
         exp.max_steps = max_steps
-        report = run_closed_loop(by_name(name), exp)
+        _check_experiment(exp, system.n)
+        runs.append((name, system, exp))
+
+    rows = []
+    for name, system, exp in runs:
+        report = run_closed_loop(system, exp)
         bounds = [log.bound for log in report.logs]
         rows.append({
             "system": name,

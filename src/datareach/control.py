@@ -8,24 +8,18 @@ to the optimum under known dynamics.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import AllOrthantsInfeasible, NonConvexAssembly, StepTooLarge
+from .errors import AllOrthantsInfeasible, NonConvexAssembly
 from .intervals import (
-    Box,
-    imat_imat,
-    imat_vec,
-    real_mat_iv,
-    tensor_transpose,
-    tensor_vec,
-    tensorT_vec,
+    Box, add_pairs, imat_vec, mat_mat_pairs, mat_vec_pairs, real_mat_iv, scale_pair,
+    tensor_vec_pairs,
 )
-from .knowledge import KnowledgeBase, f_over_iv, G_over_iv, jacobian_extensions
+from .knowledge import KnowledgeBase
 from .qpsolve import (
     BoxQP,
     OptimisticQP,
@@ -34,7 +28,7 @@ from .qpsolve import (
     solve_idealistic,
     solve_optimistic,
 )
-from .reach import beta_of, rough_enclosure_explicit
+from .reach import _pair, _step_data
 
 MODES = ("idealistic", "optimistic")  # the two convex relaxations of a step
 
@@ -128,34 +122,19 @@ def linearize(
     The rough enclosure is the explicit one evaluated with the whole control
     set, so the model is valid for every constant control in U.
     """
-    n = len(R)
-    beta = beta_of(kb.lip_total, U.mag)
-    if math.sqrt(n) * beta * dt >= 1.0:
-        raise StepTooLarge(dt, 1.0 / (math.sqrt(n) * beta))
-
-    fR = f_over_iv(R, kb)
-    GR = G_over_iv(R, kb)
-    hook = kb.side.algebraic_contractor
-    if hook is not None:
-        fR, GR, _, _ = hook(R, U, fR, GR, None, None)
-    h = fR + imat_vec(GR, U)
-    S = rough_enclosure_explicit(R, kb, U, dt, h=h)
-    fS = f_over_iv(S, kb)
-    GS = G_over_iv(S, kb)
-    Jf, JG = jacobian_extensions(kb, state_box=S)
-    if hook is not None:
-        fS, GS, Jf, JG = hook(S, U, fS, GS, Jf, JG)
-
+    _, _, _, fR, GR, fS, GS, Jf, JG = _step_data(R, kb, U, dt)
+    u = _pair(U)
     half_dt2 = 0.5 * dt * dt
-    JGt = tensor_transpose(JG)
-    B = R + fR * dt + imat_vec(Jf, fS) * half_dt2
-    Aplus = GR * dt + (
-        imat_imat(Jf + tensor_vec(JG, U), GS) + tensorT_vec(JGt, fS)
-    ) * half_dt2
-    Aminus = GR * dt + (
-        imat_imat(Jf, GS) + tensorT_vec(JGt, fS + imat_vec(GS, U))
-    ) * half_dt2
-    return AffineOverApprox(B, Aplus, Aminus, t, dt)
+    JGt = tuple(np.transpose(a, (0, 2, 1)) for a in JG)
+    B = add_pairs(add_pairs(_pair(R), scale_pair(fR, dt)),
+                  scale_pair(mat_vec_pairs(Jf, fS), half_dt2))
+    plus = add_pairs(mat_mat_pairs(add_pairs(Jf, tensor_vec_pairs(JG, u)), GS),
+                     tensor_vec_pairs(JGt, fS))
+    minus = add_pairs(mat_mat_pairs(Jf, GS),
+                      tensor_vec_pairs(JGt, add_pairs(fS, mat_vec_pairs(GS, u))))
+    GR_dt = scale_pair(GR, dt)
+    A = [Box(*add_pairs(GR_dt, scale_pair(a, half_dt2))) for a in (plus, minus)]
+    return AffineOverApprox(Box(*B), *A, t, dt)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,20 @@
 
 A `Box` holds lo/hi float64 arrays of any shape, so one type serves interval
 vectors, matrices and rank-3 tensors; the contractions below check the shapes
-they need.  Every `Box`, including each kernel result, is validated by one
-fused comparison `(lo <= hi).all()`, which is false at any NaN as well as at
-any inverted component; only then is the cause looked up to pick the error.
+they need.  Constructing a `Box` validates it by one fused comparison
+`(lo <= hi).all()`, which is false at any NaN as well as at any inverted
+component; only then is the cause looked up to pick the error.
+
+Each formula (sum, real scaling, matrix-vector, matrix-matrix and tensor
+contractions) exists once, as an array kernel on (lo, hi) pairs of ndarrays
+that applies the inflation margin and validates nothing.  The `Box`
+operations and `imat_vec`, `imat_imat`, `tensor_vec`, `tensorT_vec` wrap
+those kernels and validate their result.  The reach and linearization step
+(`reach._step_data` and its callers) runs on the kernels directly and
+validates the rough enclosure and every output `Box` it returns; a NaN made
+anywhere in the step flows into one of them, since every kernel propagates
+NaN.
+
 Endpoints are plain float64 with no directed rounding; an
 optional global inflation margin (`set_inflate_eps`) is available for
 paranoid runs.  Both types are immutable values.
@@ -217,9 +228,9 @@ class Box:
     def __add__(self, other):
         if isinstance(other, Box):
             self._check_same(other)
-            return self._new(self.lo + other.lo, self.hi + other.hi)
+            return Box(*add_pairs((self.lo, self.hi), (other.lo, other.hi)))
         v = np.asarray(other, dtype=float)
-        return self._new(self.lo + v, self.hi + v)
+        return Box(*add_pairs((self.lo, self.hi), (v, v)))
 
     __radd__ = __add__
 
@@ -241,9 +252,7 @@ class Box:
         """Scaling by a real scalar or by a scalar Interval (componentwise)."""
         if isinstance(other, Interval):
             return self._new(*_pair_prod(self.lo, self.hi, other.lo, other.hi))
-        c = float(other)
-        a, b = self.lo * c, self.hi * c
-        return self._new(np.minimum(a, b), np.maximum(a, b))
+        return Box(*scale_pair((self.lo, self.hi), float(other)))
 
     __rmul__ = __mul__
 
@@ -253,7 +262,7 @@ class Box:
         lo = np.maximum(self.lo, other.lo)
         hi = np.minimum(self.hi, other.hi)
         bad = lo > hi
-        if np.any(bad):
+        if bad.any():
             idx = tuple(int(i) for i in np.argwhere(bad)[0])
             raise EmptyIntersection(
                 f"empty intersection at component {idx}", index=idx
@@ -262,12 +271,12 @@ class Box:
 
     def contains(self, values, atol: float = 0.0) -> bool:
         v = np.asarray(values, dtype=float)
-        return bool(np.all(self.lo - atol <= v) and np.all(v <= self.hi + atol))
+        return bool((self.lo - atol <= v).all() and (v <= self.hi + atol).all())
 
     def encloses(self, other, atol: float = 0.0) -> bool:
         self._check_same(other)
         return bool(
-            np.all(self.lo - atol <= other.lo) and np.all(other.hi <= self.hi + atol)
+            (self.lo - atol <= other.lo).all() and (other.hi <= self.hi + atol).all()
         )
 
     # -- descriptors -----------------------------------------------------------
@@ -285,11 +294,7 @@ class Box:
         return np.maximum(np.abs(self.lo), np.abs(self.hi))
 
     def _check_same(self, other):
-        if not isinstance(other, Box) or other.shape != self.shape:
-            raise ShapeMismatch(
-                f"incompatible operands: Box{self.shape} vs "
-                f"{type(other).__name__}{getattr(other, 'shape', '')}"
-            )
+        check_shape(other, self.shape)
 
     def __eq__(self, other):
         return (
@@ -300,6 +305,15 @@ class Box:
 
     def __repr__(self):
         return f"Box(lo={self.lo!r}, hi={self.hi!r})"
+
+
+def check_shape(box, shape) -> None:
+    """Raise ShapeMismatch unless ``box`` is a Box of the given shape."""
+    if not isinstance(box, Box) or box.shape != shape:
+        raise ShapeMismatch(
+            f"incompatible operands: Box{shape} vs "
+            f"{type(box).__name__}{getattr(box, 'shape', '')}"
+        )
 
 
 def _endpoints(nested, end: str):
@@ -337,15 +351,56 @@ def inf_norm(v: Box) -> float:
     return float(np.max(v.mag)) if len(v) else 0.0
 
 
+# ---------------------------------------------------------------------------
+# array kernels on (lo, hi) pairs
+# ---------------------------------------------------------------------------
+# Each takes and returns lo/hi ndarray pairs, applies the inflation margin to
+# its result and validates nothing; the shape checks and the validation are
+# the callers'.
+
+def add_pairs(a, b):
+    """Interval sum of two broadcastable pairs."""
+    return _out(a[0] + b[0], a[1] + b[1])
+
+
+def scale_pair(a, c: float):
+    """Interval times the real scalar c."""
+    lo, hi = a[0] * c, a[1] * c
+    return _out(np.minimum(lo, hi), np.maximum(lo, hi))
+
+
+def _prod_sum(alo, ahi, blo, bhi):
+    """Interval products of broadcastable arrays, summed over axis 1."""
+    plo, phi = _pair_prod(alo, ahi, blo, bhi)
+    return _out(plo.sum(axis=1), phi.sum(axis=1))
+
+
+def mat_vec_pairs(M, v):
+    """Interval (n, m) matrix times interval length-m vector."""
+    return _prod_sum(M[0], M[1], v[0][None, :], v[1][None, :])
+
+
+def mat_mat_pairs(A, B):
+    """Interval matrix product (n, m) @ (m, p)."""
+    return _prod_sum(A[0][:, :, None], A[1][:, :, None], B[0][None], B[1][None])
+
+
+def tensor_vec_pairs(J, v):
+    """Contract a rank-3 interval tensor with a vector over its middle axis."""
+    return _prod_sum(J[0], J[1], v[0][None, :, None], v[1][None, :, None])
+
+
+def _as_box(v) -> Box:
+    return v if isinstance(v, Box) else Box.point(v)
+
+
 def imat_vec(M: Box, v) -> Box:
     """Interval matrix times interval (or real) vector."""
-    if not isinstance(v, Box):
-        v = Box.point(v)
+    v = _as_box(v)
     n, m = M.shape
     if len(v) != m:
         raise ShapeMismatch(f"matrix {M.shape} times vector of length {len(v)}")
-    plo, phi = _pair_prod(M.lo, M.hi, v.lo[None, :], v.hi[None, :])
-    return Box._new(plo.sum(axis=1), phi.sum(axis=1))
+    return Box(*mat_vec_pairs((M.lo, M.hi), (v.lo, v.hi)))
 
 
 def imat_imat(A: Box, B: Box) -> Box:
@@ -354,10 +409,7 @@ def imat_imat(A: Box, B: Box) -> Box:
     m2, p = B.shape
     if m != m2:
         raise ShapeMismatch(f"cannot multiply {A.shape} by {B.shape}")
-    plo, phi = _pair_prod(
-        A.lo[:, :, None], A.hi[:, :, None], B.lo[None, :, :], B.hi[None, :, :]
-    )
-    return Box._new(plo.sum(axis=1), phi.sum(axis=1))
+    return Box(*mat_mat_pairs((A.lo, A.hi), (B.lo, B.hi)))
 
 
 def tensor_vec(J: Box, v) -> Box:
@@ -365,15 +417,11 @@ def tensor_vec(J: Box, v) -> Box:
 
     (J v)_{k,p} = sum_l J_{k,l,p} v_l, an n x n interval matrix.
     """
-    if not isinstance(v, Box):
-        v = Box.point(v)
+    v = _as_box(v)
     n, m, n2 = J.shape
     if len(v) != m:
         raise ShapeMismatch(f"tensor {J.shape} contracted with vector length {len(v)}")
-    plo, phi = _pair_prod(
-        J.lo, J.hi, v.lo[None, :, None], v.hi[None, :, None]
-    )
-    return Box._new(plo.sum(axis=1), phi.sum(axis=1))
+    return Box(*tensor_vec_pairs((J.lo, J.hi), (v.lo, v.hi)))
 
 
 def tensor_transpose(J: Box) -> Box:
@@ -386,15 +434,11 @@ def tensorT_vec(Jt: Box, w) -> Box:
 
     result_{k,l} = sum_p Jt_{k,p,l} w_p = sum_p J_{k,l,p} w_p, an n x m matrix.
     """
-    if not isinstance(w, Box):
-        w = Box.point(w)
+    w = _as_box(w)
     n, n2, m = Jt.shape
     if len(w) != n2:
         raise ShapeMismatch(f"tensor {Jt.shape} contracted with vector length {len(w)}")
-    plo, phi = _pair_prod(
-        Jt.lo, Jt.hi, w.lo[None, :, None], w.hi[None, :, None]
-    )
-    return Box._new(plo.sum(axis=1), phi.sum(axis=1))
+    return Box(*tensor_vec_pairs((Jt.lo, Jt.hi), (w.lo, w.hi)))
 
 
 def meet(a, b, tol: float = 0.0, pad: float = 0.0):
@@ -406,11 +450,16 @@ def meet(a, b, tol: float = 0.0, pad: float = 0.0):
     outward margin to the result so repeated cuts cannot erode soundness.
     """
     a._check_same(b)
-    lo, hi, genuine = meet_arrays(a.lo, a.hi, b.lo, b.hi, tol, pad)
-    if np.any(genuine):
+    return Box(*meet_pairs((a.lo, a.hi), (b.lo, b.hi), tol, pad))
+
+
+def meet_pairs(a, b, tol: float = 0.0, pad: float = 0.0):
+    """`meet` of two lo/hi pairs; raises EmptyIntersection at a genuine crossing."""
+    lo, hi, genuine = meet_arrays(a[0], a[1], b[0], b[1], tol, pad)
+    if genuine.any():
         idx = tuple(int(i) for i in np.argwhere(genuine)[0])
         raise EmptyIntersection(f"empty intersection at component {idx}", index=idx)
-    return Box(lo, hi)
+    return lo, hi
 
 
 def meet_arrays(alo, ahi, blo, bhi, tol: float = 0.0, pad: float = 0.0):
@@ -419,11 +468,14 @@ def meet_arrays(alo, ahi, blo, bhi, tol: float = 0.0, pad: float = 0.0):
     Returns (lo, hi, genuine), where `genuine` marks the crossings larger than
     the tolerance (there lo and hi are meaningless).
     """
-    lo = np.maximum(alo, blo)
-    hi = np.minimum(ahi, bhi)
+    return settle_arrays(np.maximum(alo, blo), np.minimum(ahi, bhi), tol, pad)
+
+
+def settle_arrays(lo, hi, tol: float = 0.0, pad: float = 0.0):
+    """`meet_arrays` of an array pair with itself (max(a, a) = a exactly)."""
     gap = lo - hi
     genuine = gap > 0.0
-    if np.any(genuine):
+    if genuine.any():
         genuine = gap > tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
     if pad:

@@ -34,7 +34,13 @@ def read_trajectory_csv(path) -> Tuple[List[Sample], int, int]:
         for row in reader:
             if not row:
                 continue
-            vals = [float(v) for v in row]
+            where = f"trajectory {path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise ConfigError(f"{where}: {len(row)} values, expected {len(header)}")
+            try:
+                vals = [float(v) for v in row]
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
             t, rest = vals[0], vals[1:]
             samples.append(
                 Sample(rest[:n], rest[n : 2 * n], rest[2 * n : 2 * n + m], t)

@@ -15,7 +15,10 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import EmptyIntersection, InconsistentSample
-from .intervals import Box, Interval, _out, get_inflate_eps, meet, meet_arrays
+from .intervals import (
+    Box, Interval, _out, add_pairs, check_shape, get_inflate_eps, meet, meet_arrays, meet_pairs,
+    settle_arrays,
+)
 
 
 # crossings below this (relative) size are float artifacts of touching
@@ -152,10 +155,14 @@ class _Groups:
     """Distinct dependency masks of the f rows and G entries.
 
     Distances from a query to the entry states are computed once per mask;
-    ``f_group`` (n,) and ``g_group`` (n, m) pick each component's mask.
+    ``f_group`` (n,) and ``g_group`` (n, m) pick each component's mask.  The
+    instance also holds the Jacobian bands, built on first use; like the
+    masks they depend only on the bounds and the side information, so the
+    bases derived from one another share them.
     """
 
     def __init__(self, lip: LipschitzBounds, side: SideInfoSet):
+        self._lip, self._side, self._bands = lip, side, None
         n, m = lip.n, lip.m
         dec = side.decoupling
         f_masks = dec.f_depends if dec is not None else np.ones((n, n), bool)
@@ -180,6 +187,19 @@ class _Groups:
         for g, mask in enumerate(self.masks):
             np.sqrt((offsets[..., mask] ** 2).sum(axis=-1), out=out[..., g])
         return out
+
+    def jacobian_bands(self):
+        """Read-only Jacobian bands (jf_lo, jf_hi, jg_lo, jg_hi) of the learned part.
+
+        Baseline entries are L [-1, 1]; decoupling masks zero entries and
+        gradient bounds intersect them.  A contradiction raises on every call.
+        """
+        if self._bands is None:
+            bands = _jacobian_bands(self._lip, self._side)
+            for a in bands:
+                a.flags.writeable = False
+            self._bands = bands
+        return self._bands
 
 
 class _Entries(Sequence):
@@ -308,7 +328,7 @@ class KnowledgeBase:
 
     def _box_dists(self, X: Box):
         """Per-group upper bounds (1, N, ngroups) of |y - x_i| over all y in the box X."""
-        far = np.maximum(np.abs(X.lo[None, :] - self.xs), np.abs(X.hi[None, :] - self.xs))
+        far = np.maximum(np.abs(X.lo - self.xs), np.abs(X.hi - self.xs))
         return self._groups.dists(far[None])
 
 
@@ -327,7 +347,7 @@ _CHUNK_FLOATS = 1 << 15
 
 def _settle(lo, hi):
     """Absorb float-level crossings of the entry intersection; flag real ones."""
-    return meet_arrays(lo, hi, lo, hi, _MEET_TOL, _PAD)
+    return settle_arrays(lo, hi, _MEET_TOL, _PAD)
 
 
 def _any_per_row(a):
@@ -493,28 +513,45 @@ def G_over(x: np.ndarray, kb: KnowledgeBase) -> Box:
     return enc
 
 
+def _shifted(enc, known: Box):
+    """A lo/hi pair plus a Box of known dynamics of the same shape."""
+    check_shape(known, enc[0].shape)
+    return add_pairs(enc, (known.lo, known.hi))
+
+
+def _box_query(kb: KnowledgeBase, X: Box, parts: str = "fG"):
+    """Enclosures over the state box X as lo/hi pairs: f for "f", G for "G".
+
+    One distance computation serves both parts.  Each part is the settled
+    Lipschitz envelope (a genuine crossing raises), plus the known dynamics
+    over X, cut by the range bounds when their region encloses X.  Nothing
+    here validates the result; see `f_over_iv` / `G_over_iv`.
+    """
+    dists = kb._box_dists(X)
+    pd, vb = kb.side.partial_dynamics, kb.side.vf_bounds
+    inside = vb is not None and vb.region.encloses(X)
+    out = []
+    for what in parts:
+        is_f = what == "f"
+        enc = _settled(*(_unknown_f if is_f else _unknown_G)(kb, dists), what)
+        if pd is not None:
+            enc = _shifted(enc, (pd.f_known_iv if is_f else pd.G_known_iv)(X))
+        if inside:
+            rng = vb.f_range if is_f else vb.G_range
+            check_shape(rng, enc[0].shape)
+            enc = meet_pairs(enc, (rng.lo, rng.hi), _MEET_TOL, _PAD)
+        out.append(enc)
+    return out
+
+
 def f_over_iv(X: Box, kb: KnowledgeBase) -> Box:
     """Inclusion-isotone interval extension of f_over to state boxes."""
-    enc = Box(*_settled(*_unknown_f(kb, kb._box_dists(X)), "f"))
-    pd = kb.side.partial_dynamics
-    if pd is not None:
-        enc = enc + pd.f_known_iv(X)
-    vb = kb.side.vf_bounds
-    if vb is not None and vb.region.encloses(X):
-        enc = meet(enc, vb.f_range, _MEET_TOL, _PAD)
-    return enc
+    return Box(*_box_query(kb, X, "f")[0])
 
 
 def G_over_iv(X: Box, kb: KnowledgeBase) -> Box:
     """Inclusion-isotone interval extension of G_over to state boxes."""
-    enc = Box(*_settled(*_unknown_G(kb, kb._box_dists(X)), "G"))
-    pd = kb.side.partial_dynamics
-    if pd is not None:
-        enc = enc + pd.G_known_iv(X)
-    vb = kb.side.vf_bounds
-    if vb is not None and vb.region.encloses(X):
-        enc = meet(enc, vb.G_range, _MEET_TOL, _PAD)
-    return enc
+    return Box(*_box_query(kb, X, "G")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -825,27 +862,18 @@ def rebuild(kb, samples, fixpoint_tol=1e-9, max_fixpoint_iters=50) -> KnowledgeB
 # Jacobian interval extensions
 # ---------------------------------------------------------------------------
 
-def jacobian_extensions(
-    kb: KnowledgeBase, state_box: Optional[Box] = None
-) -> Tuple[Box, Box]:
-    """Interval Jacobians of f and G from Lipschitz bounds and side information.
-
-    Baseline entries are L [-1,1]; decoupling masks zero entries, gradient
-    bounds intersect them, and known partial dynamics contribute their exact
-    Jacobian evaluated over ``state_box``.
-    """
-    n, m = kb.n, kb.m
-    lf, lg = kb.lip.L_f, kb.lip.L_G
-
-    jf_hi = np.repeat(lf[:, None], n, axis=1)
-    jg_hi = np.repeat(lg[:, :, None], n, axis=2)
-    dec = kb.side.decoupling
+def _jacobian_bands(lip: LipschitzBounds, side: SideInfoSet):
+    """Jacobian bands (jf_lo, jf_hi, jg_lo, jg_hi) from the bounds and side information."""
+    n = lip.n
+    jf_hi = np.repeat(lip.L_f[:, None], n, axis=1)
+    jg_hi = np.repeat(lip.L_G[:, :, None], n, axis=2)
+    dec = side.decoupling
     if dec is not None:
         jf_hi = np.where(dec.f_depends, jf_hi, 0.0)
         jg_hi = np.where(dec.G_depends, jg_hi, 0.0)
     jf_lo, jg_lo = -jf_hi, -jg_hi
 
-    gb = kb.side.grad_bounds
+    gb = side.grad_bounds
     if gb is not None:
         jf_lo, jf_hi = jf_lo.copy(), jf_hi.copy()
         jg_lo, jg_hi = jg_lo.copy(), jg_hi.copy()
@@ -857,15 +885,32 @@ def jacobian_extensions(
             jg_hi[k, l, p] = min(jg_hi[k, l, p], iv.hi)
         if np.any(jf_lo > jf_hi) or np.any(jg_lo > jg_hi):
             raise EmptyIntersection("gradient bounds contradict Lipschitz bounds")
+    return jf_lo, jf_hi, jg_lo, jg_hi
 
-    Jf = Box(jf_lo, jf_hi)
-    JG = Box(jg_lo, jg_hi)
+
+def _jacobian_pairs(kb: KnowledgeBase, state_box: Optional[Box] = None):
+    """Interval Jacobians (Jf, JG) of f and G as lo/hi pairs; see `jacobian_extensions`."""
+    jf_lo, jf_hi, jg_lo, jg_hi = kb._groups.jacobian_bands()
+    Jf, JG = (jf_lo, jf_hi), (jg_lo, jg_hi)
     pd = kb.side.partial_dynamics
-    if pd is not None:
-        if state_box is None:
-            raise ValueError(
-                "state_box is required when partial dynamics are declared"
-            )
-        Jf = pd.jac_f_known_iv(state_box) + Jf
-        JG = pd.jac_G_known_iv(state_box) + JG
-    return Jf, JG
+    if pd is None:
+        return Jf, JG
+    if state_box is None:
+        raise ValueError("state_box is required when partial dynamics are declared")
+    return (
+        _shifted(Jf, pd.jac_f_known_iv(state_box)),
+        _shifted(JG, pd.jac_G_known_iv(state_box)),
+    )
+
+
+def jacobian_extensions(
+    kb: KnowledgeBase, state_box: Optional[Box] = None
+) -> Tuple[Box, Box]:
+    """Interval Jacobians of f and G from Lipschitz bounds and side information.
+
+    Baseline entries are L [-1,1]; decoupling masks zero entries, gradient
+    bounds intersect them, and known partial dynamics contribute their exact
+    Jacobian evaluated over ``state_box``.
+    """
+    Jf, JG = _jacobian_pairs(kb, state_box)
+    return Box(*Jf), Box(*JG)

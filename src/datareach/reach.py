@@ -16,8 +16,8 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import DataReachError, StepTooLarge
-from .intervals import Box, Interval, imat_vec, inf_norm, tensor_vec
-from .knowledge import KnowledgeBase, LipschitzBounds, f_over_iv, G_over_iv, jacobian_extensions
+from .intervals import Box, Interval, add_pairs, mat_vec_pairs, scale_pair, tensor_vec_pairs
+from .knowledge import KnowledgeBase, LipschitzBounds, _box_query, _jacobian_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ class ConstCosControl(ControlClass):
 def beta_of(lip: LipschitzBounds, Vabs: np.ndarray) -> float:
     """Lipschitz constant of the closed-loop field for control magnitudes Vabs."""
     Vabs = np.asarray(Vabs, dtype=float)
-    if np.any(Vabs < 0):
+    if (Vabs < 0).any():
         raise ValueError("control magnitudes must be nonnegative")
     rows = lip.L_f + lip.L_G @ Vabs
     return float(math.sqrt(float(rows @ rows)))
@@ -161,28 +161,28 @@ def max_step_size(lip: LipschitzBounds, U: Box) -> float:
     return 1.0 / (math.sqrt(lip.n) * beta_inf)
 
 
-def rough_enclosure_explicit(
-    R: Box,
-    kb: KnowledgeBase,
-    V: Box,
-    dt: float,
-    lip: Optional[LipschitzBounds] = None,
-    h: Optional[Box] = None,
-) -> Box:
-    """Closed-form a priori enclosure, valid whenever sqrt(n) beta dt < 1.
+def _pair(box: Box):
+    return box.lo, box.hi
 
-    `h` may pass in a precomputed enclosure of f(R) + G(R) V.
-    """
-    lip = lip or kb.lip_total
-    n = len(R)
-    beta = beta_of(lip, V.mag)
-    denom = 1.0 - math.sqrt(n) * dt * beta
+
+def _explicit(R: Box, beta: float, dt: float, h):
+    """The explicit enclosure of R and the sup-norm of h = f(R) + G(R) V (a pair)."""
+    root_n = math.sqrt(len(R))
+    denom = 1.0 - root_n * dt * beta
     if denom <= 0.0:
-        raise StepTooLarge(dt, 1.0 / (math.sqrt(n) * beta))
-    if h is None:
-        h = f_over_iv(R, kb) + imat_vec(G_over_iv(R, kb), V)
-    c = dt * inf_norm(h) / denom
-    return Box(R.lo - c, R.hi + c)
+        raise StepTooLarge(dt, 1.0 / (root_n * beta))
+    alpha = float(np.max(np.maximum(np.abs(h[0]), np.abs(h[1])))) if len(R) else 0.0
+    c = dt * alpha / denom
+    return Box(R.lo - c, R.hi + c), alpha
+
+
+def rough_enclosure_explicit(
+    R: Box, kb: KnowledgeBase, V: Box, dt: float, lip: Optional[LipschitzBounds] = None
+) -> Box:
+    """Closed-form a priori enclosure, valid whenever sqrt(n) beta dt < 1."""
+    fR, GR = _box_query(kb, R)
+    h = add_pairs(fR, mat_vec_pairs(GR, _pair(V)))
+    return _explicit(R, beta_of(lip or kb.lip_total, V.mag), dt, h)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -229,31 +229,41 @@ class ReachTube:
         return self.steps[-1].R.width
 
 
-def _queried_step_data(R, kb, ctrl, t, dt):
-    """Shared evaluation pipeline of one reach step (enclosures + Jacobians)."""
-    v_t = ctrl.eval_point(t)
-    V = ctrl.eval_range(t, t + dt)
-    V1 = ctrl.eval_deriv_range(t, t + dt)
-    n = len(R)
+def _hooked(hook, X: Box, V: Box, *encs):
+    """Run the contractor hook on Boxes; its results come back as pairs."""
+    out = hook(X, V, *(None if e is None else Box(*e) for e in encs))
+    return [None if b is None else _pair(b) for b in out]
 
+
+def _step_data(R: Box, kb: KnowledgeBase, V: Box, dt: float):
+    """The query sequence shared by the reach steps and `control.linearize`.
+
+    Checks the step size, queries f and G over R, builds the explicit rough
+    enclosure S (its Box construction validates it), then queries f, G and
+    the Jacobians over S, running the contractor hook over R and over S.
+    Returns beta, the sup-norm alpha of f(R) + G(R) V, S, and f(R), G(R),
+    f(S), G(S), Jf(S), JG(S) as lo/hi pairs.
+    """
     beta = beta_of(kb.lip_total, V.mag)
-    if math.sqrt(n) * beta * dt >= 1.0:
-        raise StepTooLarge(dt, 1.0 / (math.sqrt(n) * beta))
-
-    fR = f_over_iv(R, kb)
-    GR = G_over_iv(R, kb)
+    if math.sqrt(len(R)) * beta * dt >= 1.0:
+        raise StepTooLarge(dt, 1.0 / (math.sqrt(len(R)) * beta))
+    fR, GR = _box_query(kb, R)
     hook = kb.side.algebraic_contractor
     if hook is not None:
-        fR, GR, _, _ = hook(R, V, fR, GR, None, None)
-
-    hV = fR + imat_vec(GR, V)
-    S = rough_enclosure_explicit(R, kb, V, dt, h=hV)
-    fS = f_over_iv(S, kb)
-    GS = G_over_iv(S, kb)
-    Jf, JG = jacobian_extensions(kb, state_box=S)
+        fR, GR, _, _ = _hooked(hook, R, V, fR, GR, None, None)
+    S, alpha = _explicit(R, beta, dt, add_pairs(fR, mat_vec_pairs(GR, _pair(V))))
+    fS, GS = _box_query(kb, S)
+    Jf, JG = _jacobian_pairs(kb, S)
     if hook is not None:
-        fS, GS, Jf, JG = hook(S, V, fS, GS, Jf, JG)
-    return v_t, V, V1, beta, fR, GR, hV, S, fS, GS, Jf, JG
+        fS, GS, Jf, JG = _hooked(hook, S, V, fS, GS, Jf, JG)
+    return beta, alpha, S, fR, GR, fS, GS, Jf, JG
+
+
+def _record(t, R: Box, beta, alpha, S: Box, R_next, domain: Optional[Box]):
+    Rn = Box(*R_next)
+    if domain is not None:
+        Rn = Rn.intersect(domain)
+    return ReachStepRecord(t, R, S, beta, alpha, Rn)
 
 
 def datareach_step(
@@ -271,17 +281,19 @@ def datareach_step(
     """
     if ctrl.smoothness < 1:
         raise ValueError("datareach_step needs smoothness >= 1; use datareach_step_c0")
-    v_t, V, V1, beta, fR, GR, hV, S, fS, GS, Jf, JG = _queried_step_data(
-        R, kb, ctrl, t, dt
-    )
+    v_t = _pair(ctrl.eval_point(t))
+    V = ctrl.eval_range(t, t + dt)
+    V1 = _pair(ctrl.eval_deriv_range(t, t + dt))
+    beta, alpha, S, fR, GR, fS, GS, Jf, JG = _step_data(R, kb, V, dt)
+    V = _pair(V)
     half_dt2 = 0.5 * dt * dt
-    hx = fR + imat_vec(GR, v_t)
-    hS = fS + imat_vec(GS, V)
-    M2 = Jf + tensor_vec(JG, V)
-    Rn = R + hx * dt + imat_vec(M2, hS) * half_dt2 + imat_vec(GS, V1) * half_dt2
-    if domain is not None:
-        Rn = Rn.intersect(domain)
-    return ReachStepRecord(t, R, S, beta, inf_norm(hV), Rn)
+    hx = add_pairs(fR, mat_vec_pairs(GR, v_t))
+    hS = add_pairs(fS, mat_vec_pairs(GS, V))
+    M2 = add_pairs(Jf, tensor_vec_pairs(JG, V))
+    Rn = add_pairs(_pair(R), scale_pair(hx, dt))
+    Rn = add_pairs(Rn, scale_pair(mat_vec_pairs(M2, hS), half_dt2))
+    Rn = add_pairs(Rn, scale_pair(mat_vec_pairs(GS, V1), half_dt2))
+    return _record(t, R, beta, alpha, S, Rn, domain)
 
 
 def datareach_step_c0(
@@ -293,13 +305,10 @@ def datareach_step_c0(
     domain: Optional[Box] = None,
 ) -> ReachStepRecord:
     """First-order step for merely continuous control families."""
-    _, V, _, beta, fR, GR, hV, S, fS, GS, _, _ = _queried_step_data(
-        R, kb, ctrl, t, dt
-    )
-    Rn = R + (fS + imat_vec(GS, V)) * dt
-    if domain is not None:
-        Rn = Rn.intersect(domain)
-    return ReachStepRecord(t, R, S, beta, inf_norm(hV), Rn)
+    V = ctrl.eval_range(t, t + dt)
+    beta, alpha, S, _, _, fS, GS, _, _ = _step_data(R, kb, V, dt)
+    hS = add_pairs(fS, mat_vec_pairs(GS, _pair(V)))
+    return _record(t, R, beta, alpha, S, add_pairs(_pair(R), scale_pair(hS, dt)), domain)
 
 
 def datareach(

@@ -384,3 +384,74 @@ class TestWeightsConfig:
             "control": {"max_steps": 3, "weights": "sometimes"},
         })
         assert cli.main(["--config", cfg, "control"]) == cli.EXIT_CONFIG
+
+
+class TestUnknownSystem:
+    @pytest.mark.parametrize("command", ["reach", "control"])
+    def test_unknown_system_is_a_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, {"system": "bogus", "out": str(out)})
+        assert cli.main(["--config", cfg, command]) == cli.EXIT_CONFIG
+        assert "unknown system 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestBenchmarkSettings:
+    """`benchmark` checks every setting and every experiment before any run."""
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"seeds": 5}, "seeds must be a list, not 5"),
+            ({"seeds": ["x"]}, "seeds must be an integer, not 'x'"),
+            ({"systems": ["unicycle", "bogus"]}, "unknown system 'bogus'"),
+            ({"systems": "unicycle"}, "systems must be a list"),
+            ({"modes": ["idealistic", "weird"]}, "mode must be one of"),
+            ({"max_steps": -1}, "max_steps must be >= 0"),
+        ],
+        ids=["seeds_int", "seeds_text", "system", "systems_text", "mode", "max_steps"],
+    )
+    def test_bad_setting_rejected_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                 setting, message):
+        runs = []
+        monkeypatch.setattr(cli, "run_closed_loop", lambda system, exp: runs.append(exp))
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, {
+            "out": str(out),
+            "benchmark": {"max_steps": 1, "systems": ["unicycle"],
+                          "modes": ["idealistic"], "seeds": [1], **setting},
+        })
+        assert cli.main(["--config", cfg, "benchmark"]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert runs == [] and not out.exists()
+
+
+class TestTrajectoryCsv:
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda row: row[:3] + ["abc"] + row[4:], "could not convert string to float: 'abc'"),
+            (lambda row: row[:-1], "8 values, expected 9"),
+        ],
+        ids=["non_numeric", "short_row"],
+    )
+    def test_bad_row_names_the_line(self, tmp_path, capsys, corrupt, message):
+        sysu = unicycle()
+        samples = excite(sysu, 4, seed=2, dt=0.1, x0=[-2.0, -2.5, math.pi / 2])
+        path = tmp_path / "traj.csv"
+        dio.write_trajectory_csv(path, samples)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2] = corrupt(rows[2])  # the second sample, on line 3
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
+        with pytest.raises(cli.ConfigError, match=f"line 3: {message}"):
+            dio.read_trajectory_csv(path)
+        cfg = write_cfg(tmp_path, {
+            "system": "unicycle",
+            "out": str(tmp_path / "out"),
+            "reach": {"dt": 0.02, "steps": 3, "trajectory": str(path)},
+        })
+        assert cli.main(["--config", cfg, "reach"]) == cli.EXIT_CONFIG
+        assert "line 3" in capsys.readouterr().err
