@@ -9,15 +9,15 @@ to the optimum under known dynamics.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import AllOrthantsInfeasible, NonConvexAssembly
 from .intervals import (
-    Box, add_pairs, imat_vec, mat_mat_pairs, mat_vec_pairs, real_mat_iv, scale_pair,
-    tensor_vec_pairs,
+    Box, add_pairs, check_pair, check_shape, mat_mat_pairs, mat_vec_pairs, real_mat_pairs,
+    scale_pair, tensor_vec_pairs,
 )
 from .knowledge import KnowledgeBase
 from .qpsolve import (
@@ -33,6 +33,10 @@ from .reach import _pair, _step_data
 MODES = ("idealistic", "optimistic")  # the two convex relaxations of a step
 
 
+def _mag(lo, hi):
+    return np.maximum(np.abs(lo), np.abs(hi))
+
+
 @dataclass(frozen=True)
 class QuadraticCost:
     """Convex quadratic one-step cost c(x, u, y) = [y;u]' [[Q,S],[S',R]] [y;u] + [q;r]'[y;u].
@@ -45,6 +49,8 @@ class QuadraticCost:
     S: np.ndarray
     q: np.ndarray
     r: np.ndarray
+    # (U, X, |S U|, domain norm) of the last `subopt_bound` with this cost
+    _terms: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
@@ -62,7 +68,11 @@ class QuadraticCost:
         joint = np.block([[Q, S], [S.T, R]])
         if float(np.linalg.eigvalsh(joint).min()) < -1e-9:
             raise ValueError("joint cost matrix must be positive semidefinite")
+        # read-only copies: a cost is an immutable value, so `_bound_terms`
+        # may reuse what it computed from it
         for name, val in (("Q", Q), ("R", R), ("S", S), ("q", q), ("r", r)):
+            val = np.array(val)
+            val.flags.writeable = False
             object.__setattr__(self, name, val)
 
     @property
@@ -72,6 +82,17 @@ class QuadraticCost:
     @property
     def m(self) -> int:
         return self.r.shape[0]
+
+    def _bound_terms(self, U: Box, X: Box):
+        """|S U| and the norm of the domain term of `subopt_bound`, reused
+        while the same (immutable) boxes U and X repeat, as in a closed loop."""
+        t = self._terms
+        if t is None or t[0] is not U or t[1] is not X:
+            SU_abs = _mag(*check_pair(*real_mat_pairs(self.S, _pair(U))))
+            Q_X = _mag(*check_pair(*real_mat_pairs(self.Q, _pair(X))))
+            t = (U, X, SU_abs, np.linalg.norm(2.0 * SU_abs + self.q + 2.0 * Q_X))
+            object.__setattr__(self, "_terms", t)
+        return t[2], t[3]
 
     def value(self, u: np.ndarray, y: np.ndarray) -> float:
         return float(
@@ -233,10 +254,12 @@ def assemble_optimistic(
 # suboptimality bound
 # ---------------------------------------------------------------------------
 
-def _K_of(cost: QuadraticCost, B: Box, A: Box, U: Box, SU_abs, domain_norm) -> float:
-    """Gradient-magnitude factor of one model; the domain term is shared."""
-    reach = B + imat_vec(A, U)
-    term_reach = 2.0 * SU_abs + cost.q + 2.0 * real_mat_iv(cost.Q, reach).mag
+def _K_of(cost: QuadraticCost, B, A, U, SU_abs, domain_norm) -> float:
+    """Gradient-magnitude factor of one model (lo/hi pairs); the domain term is shared."""
+    reach = check_pair(*add_pairs(B, check_pair(*mat_vec_pairs(A, U))))
+    term_reach = (
+        2.0 * SU_abs + cost.q + 2.0 * _mag(*check_pair(*real_mat_pairs(cost.Q, reach)))
+    )
     return float(min(np.linalg.norm(term_reach), domain_norm))
 
 
@@ -244,15 +267,15 @@ def subopt_bound(
     cost: QuadraticCost, aff: AffineOverApprox, U: Box, X: Box
 ) -> float:
     """Bound on |c* - c| for either relaxation, driven by the model widths."""
-    Uabs = U.mag
+    check_shape(U, aff.Aplus.shape[1:])
+    u, B = _pair(U), _pair(aff.B)
+    Uabs = _mag(*u)
     tp = float(np.linalg.norm(aff.B.width + aff.Aplus.width @ Uabs))
     tm = float(np.linalg.norm(aff.B.width + aff.Aminus.width @ Uabs))
-    SU_abs = real_mat_iv(cost.S, U).mag
-    term_domain = 2.0 * SU_abs + cost.q + 2.0 * real_mat_iv(cost.Q, X).mag
-    domain_norm = np.linalg.norm(term_domain)
+    SU_abs, domain_norm = cost._bound_terms(U, X)
     return max(
-        tp * _K_of(cost, aff.B, aff.Aplus, U, SU_abs, domain_norm),
-        tm * _K_of(cost, aff.B, aff.Aminus, U, SU_abs, domain_norm),
+        tp * _K_of(cost, B, _pair(aff.Aplus), u, SU_abs, domain_norm),
+        tm * _K_of(cost, B, _pair(aff.Aminus), u, SU_abs, domain_norm),
     )
 
 

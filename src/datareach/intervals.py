@@ -6,15 +6,17 @@ they need.  Constructing a `Box` validates it by one fused comparison
 `(lo <= hi).all()`, which is false at any NaN as well as at any inverted
 component; only then is the cause looked up to pick the error.
 
-Each formula (sum, real scaling, matrix-vector, matrix-matrix and tensor
-contractions) exists once, as an array kernel on (lo, hi) pairs of ndarrays
-that applies the inflation margin and validates nothing.  The `Box`
-operations and `imat_vec`, `imat_imat`, `tensor_vec`, `tensorT_vec` wrap
-those kernels and validate their result.  The reach and linearization step
-(`reach._step_data` and its callers) runs on the kernels directly and
-validates the rough enclosure and every output `Box` it returns; a NaN made
-anywhere in the step flows into one of them, since every kernel propagates
-NaN.
+Each formula (sum, real scaling, matrix-vector, matrix-matrix, tensor
+contractions and the real-matrix product) exists once, as an array kernel on
+(lo, hi) pairs of ndarrays that applies the inflation margin and validates
+nothing.  The `Box` operations and `imat_vec`, `imat_imat`, `tensor_vec`,
+`tensorT_vec` and `real_mat_iv` wrap those kernels and validate their
+result, and `check_pair` validates a bare pair the same way.  The reach and
+linearization step (`reach._step_data` and its callers) runs on the kernels
+directly and validates the rough enclosure and every output `Box` it
+returns; a NaN made anywhere in the step flows into one of them, since
+every kernel propagates NaN.  `control.subopt_bound` runs on the kernels
+too and checks each intermediate pair.
 
 Endpoints are plain float64 with no directed rounding; an
 optional global inflation margin (`set_inflate_eps`) is available for
@@ -184,11 +186,7 @@ class Box:
         hi = np.array(hi, dtype=float)
         if lo.shape != hi.shape:
             raise ShapeMismatch(f"lo shape {lo.shape} != hi shape {hi.shape}")
-        # one fused test: any NaN or any inverted component makes it false
-        if not (lo <= hi).all():
-            if np.isnan(lo).any() or np.isnan(hi).any():
-                raise ValueError("interval endpoints must not be NaN")
-            raise ValueError("invalid interval bounds: lo > hi somewhere")
+        check_pair(lo, hi)
         lo.flags.writeable = False
         hi.flags.writeable = False
         self.lo = lo
@@ -305,6 +303,19 @@ class Box:
 
     def __repr__(self):
         return f"Box(lo={self.lo!r}, hi={self.hi!r})"
+
+
+def check_pair(lo, hi):
+    """Validate a lo/hi pair as a `Box` does and return it.
+
+    One fused test: any NaN or any inverted component makes ``lo <= hi``
+    false somewhere; only then is the cause looked up to pick the error.
+    """
+    if not (lo <= hi).all():
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("interval endpoints must not be NaN")
+        raise ValueError("invalid interval bounds: lo > hi somewhere")
+    return lo, hi
 
 
 def check_shape(box, shape) -> None:
@@ -485,9 +496,13 @@ def settle_arrays(lo, hi, tol: float = 0.0, pad: float = 0.0):
     return lo, hi, genuine
 
 
-def real_mat_iv(M, v: Box) -> Box:
-    """Real matrix times interval vector, exact per component."""
-    M = np.asarray(M, dtype=float)
+def real_mat_pairs(M, v):
+    """Real (n, m) matrix times interval length-m vector pair, exact per component."""
     pos = np.maximum(M, 0.0)
     neg = np.minimum(M, 0.0)
-    return Box._new(pos @ v.lo + neg @ v.hi, pos @ v.hi + neg @ v.lo)
+    return _out(pos @ v[0] + neg @ v[1], pos @ v[1] + neg @ v[0])
+
+
+def real_mat_iv(M, v: Box) -> Box:
+    """Real matrix times interval vector, exact per component."""
+    return Box(*real_mat_pairs(np.asarray(M, dtype=float), (v.lo, v.hi)))

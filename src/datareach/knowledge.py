@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptyIntersection, InconsistentSample
 from .intervals import (
-    Box, Interval, _out, add_pairs, check_shape, get_inflate_eps, meet, meet_arrays, meet_pairs,
+    Box, Interval, _out, add_pairs, check_shape, get_inflate_eps, meet, meet_arrays,
     settle_arrays,
 )
 
@@ -154,11 +154,13 @@ class KnowledgeEntry:
 class _Groups:
     """Distinct dependency masks of the f rows and G entries.
 
-    Distances from a query to the entry states are computed once per mask;
-    ``f_group`` (n,) and ``g_group`` (n, m) pick each component's mask.  The
-    instance also holds the Jacobian bands, built on first use; like the
-    masks they depend only on the bounds and the side information, so the
-    bases derived from one another share them.
+    Distances from a query to the entry states are computed once per mask.
+    The columns of a stacked row are the n f components, then the n m G
+    entries in row-major order; ``col_group`` picks each column's mask and
+    ``col_L`` is its Lipschitz constant.  The instance also holds the
+    Jacobian bands, built on first use; like the masks they depend only on
+    the bounds and the side information, so the bases derived from one
+    another share them.
     """
 
     def __init__(self, lip: LipschitzBounds, side: SideInfoSet):
@@ -175,10 +177,11 @@ class _Groups:
                 masks[key] = (len(masks), mask.copy())
             return masks[key][0]
 
-        self.f_group = np.array([mask_id(f_masks[k]) for k in range(n)])
-        self.g_group = np.array(
-            [[mask_id(g_masks[k, l]) for l in range(m)] for k in range(n)]
+        self.col_group = np.array(
+            [mask_id(f_masks[k]) for k in range(n)]
+            + [mask_id(g_masks[k, l]) for k in range(n) for l in range(m)]
         )
+        self.col_L = np.concatenate((lip.L_f, lip.L_G.ravel()))
         self.masks = [mask for _, mask in sorted(masks.values())]
 
     def dists(self, offsets):
@@ -224,19 +227,32 @@ class _Entries(Sequence):
         )
 
 
+def _split(a, n: int):
+    """The f (..., n) and G (..., n, m) parts of stacked columns (..., n + n m), as views."""
+    m = (a.shape[-1] - n) // n
+    return a[..., :n], a[..., n:].reshape(a.shape[:-1] + (n, m))
+
+
+def _stacked(f: Box, G: Box, n: int, m: int):
+    """The lo/hi pair of stacked columns of an f box (n,) and a G box (n, m)."""
+    check_shape(f, (n,))
+    check_shape(G, (n, m))
+    return (np.concatenate((f.lo, G.lo.ravel())), np.concatenate((f.hi, G.hi.ravel())))
+
+
 class _Envelopes(NamedTuple):
     """Pre-settle envelopes of a base's sample rows, kept for delta passes.
 
-    ``rows`` holds the f lo/hi (k, n) and G lo/hi (k, n, m) envelopes each
-    sample row was last contracted from, and ``xdot`` (k, n) / ``u`` (k, m)
-    the inputs it was contracted with, under the inflation margin
-    ``inflate``.  ``dirty`` (k + 1,) marks the entries changed since those
-    envelopes were taken; every other entry is as the envelopes saw it.
-    ``appended`` holds (envelopes, xdot, u) of the rows appended since, each
-    against the base it was appended to; their entries count as changed.
+    ``rows`` holds the lo/hi (k, n + n m) envelopes each sample row was last
+    contracted from, and ``xdot`` (k, n) / ``u`` (k, m) the inputs it was
+    contracted with, under the inflation margin ``inflate``.  ``dirty``
+    (k + 1,) marks the entries changed since those envelopes were taken;
+    every other entry is as the envelopes saw it.  ``appended`` holds
+    (envelopes, xdot, u) of the rows appended since, each against the base
+    it was appended to; their entries count as changed.
     """
 
-    rows: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    rows: Tuple[np.ndarray, np.ndarray]
     xdot: np.ndarray
     u: np.ndarray
     inflate: float
@@ -261,10 +277,12 @@ class KnowledgeBase:
     """The set of contracted enclosures defining the differential inclusion.
 
     Stored as stacked read-only arrays, one row per entry: states ``xs``
-    (N, n), f enclosures ``cf_lo``/``cf_hi`` (N, n) and G enclosures
-    ``cg_lo``/``cg_hi`` (N, n, m).  Row 0 is the seed entry and row i + 1 the
-    entry of sample i; ``entries`` presents the rows as `KnowledgeEntry`
-    objects.
+    (N, n) and enclosures ``c_lo``/``c_hi`` (N, n + n m), whose columns are
+    the n components of f followed by the n m entries of G in row-major
+    order, so that one array operation serves f and G.  ``cf_lo``/``cf_hi``
+    (N, n) and ``cg_lo``/``cg_hi`` (N, n, m) are read-only views of them.
+    Row 0 is the seed entry and row i + 1 the entry of sample i; ``entries``
+    presents the rows as `KnowledgeEntry` objects.
 
     ``lip`` bounds the part learned from data (the residual when partial
     dynamics are known); ``lip_total`` bounds the full system and is what
@@ -272,6 +290,10 @@ class KnowledgeBase:
     invariance run of `build_knowledge` / `rebuild` that produced the base:
     how many passes it ran and the largest endpoint change of the last one
     (0 and None for a base made any other way).
+
+    A query over a single point leaves its pre-settle envelope on the base,
+    keyed by the state's bytes; `append_sample` at that exact state reuses
+    it instead of recomputing it (the two computations agree bit for bit).
     """
 
     def __init__(self, entries, lip: LipschitzBounds, lip_total: LipschitzBounds,
@@ -282,24 +304,20 @@ class KnowledgeBase:
         self.lip, self.lip_total = lip, lip_total
         self.side = side if side is not None else SideInfoSet()
         self._groups = _Groups(lip, self.side)
-        self._set_rows(
-            np.array([e.x for e in entries], dtype=float),
-            np.array([e.C_F.lo for e in entries]),
-            np.array([e.C_F.hi for e in entries]),
-            np.array([e.C_G.lo for e in entries]),
-            np.array([e.C_G.hi for e in entries]),
-        )
+        lo, hi = zip(*(_stacked(e.C_F, e.C_G, lip.n, lip.m) for e in entries))
+        self._set_rows(np.array([e.x for e in entries], dtype=float), np.array(lo), np.array(hi))
 
-    def _set_rows(self, xs, cf_lo, cf_hi, cg_lo, cg_hi, passes=0, residual=None):
-        for a in (xs, cf_lo, cf_hi, cg_lo, cg_hi):
+    def _set_rows(self, xs, c_lo, c_hi, passes=0, residual=None):
+        for a in (xs, c_lo, c_hi):
             a.flags.writeable = False
-        self.xs, self.cf_lo, self.cf_hi = xs, cf_lo, cf_hi
-        self.cg_lo, self.cg_hi = cg_lo, cg_hi
+        self.xs, self.c_lo, self.c_hi = xs, c_lo, c_hi
         self.passes, self.residual = passes, residual
         self._env: Optional[_Envelopes] = None
+        # (state bytes, envelope) of the last point query
+        self._point: Optional[Tuple[bytes, Tuple[np.ndarray, np.ndarray]]] = None
 
     def _rows(self):
-        return self.xs, self.cf_lo, self.cf_hi, self.cg_lo, self.cg_hi
+        return self.xs, self.c_lo, self.c_hi
 
     def _with_rows(self, rows, passes=0, residual=None) -> "KnowledgeBase":
         """A base with this one's bounds and side information and the given rows."""
@@ -317,6 +335,11 @@ class KnowledgeBase:
     @property
     def m(self) -> int:
         return self.lip.m
+
+    cf_lo = property(lambda self: _split(self.c_lo, self.n)[0])
+    cf_hi = property(lambda self: _split(self.c_hi, self.n)[0])
+    cg_lo = property(lambda self: _split(self.c_lo, self.n)[1])
+    cg_hi = property(lambda self: _split(self.c_hi, self.n)[1])
 
     @property
     def entries(self) -> Sequence:
@@ -376,6 +399,8 @@ def _first_failure(stages):
     ``stages`` lists (mask, kind) pairs in the order one sample evaluates
     them; a row's failure is its first stage with a set mask entry.
     """
+    if not any(bad.any() for bad, _ in stages):
+        return None
     hit = np.stack([_any_per_row(bad) for bad, _ in stages])
     failing = np.flatnonzero(hit.any(axis=0))
     if failing.size == 0:
@@ -389,28 +414,30 @@ def _first_failure(stages):
 # contraction at a data point
 # ---------------------------------------------------------------------------
 
-def _contract(xdot, u, F_lo, F_hi, G_lo, G_hi):
-    """`contract_fg` on stacked rows: xdot (k, n), u (k, m), F (k, n), G (k, n, m).
+def _contract(xdot, u, lo, hi):
+    """`contract_fg` on stacked rows: xdot (k, n), u (k, m), lo/hi (k, n + n m).
 
-    Returns the contracted f and G rows and the (mask, "contract") failure
+    Returns the contracted lo/hi rows and the (mask, "contract") failure
     stages of its intersections.
     """
-    m = u.shape[1]
+    n, m = xdot.shape[1], u.shape[1]
+    (F_lo, G_lo), (F_hi, G_hi) = _split(lo, n), _split(hi, n)
     uc = u[:, None, :]
     col_lo = np.minimum(G_lo * uc, G_hi * uc)
     col_hi = np.maximum(G_lo * uc, G_hi * uc)
     gu_lo, gu_hi = _out(col_lo.sum(axis=2), col_hi.sum(axis=2))
-    lo, hi, bad = meet_arrays(
+    f_lo, f_hi, bad = meet_arrays(
         F_lo, F_hi, *_out(xdot - gu_hi, xdot - gu_lo), _MEET_TOL, _PAD
     )
     stages = [bad]
-    cf_lo = np.clip(lo, F_lo, F_hi)
-    cf_hi = np.clip(hi, cf_lo, F_hi)
+    c_lo, c_hi = lo.copy(), hi.copy()
+    (cf_lo, cg_lo), (cf_hi, cg_hi) = _split(c_lo, n), _split(c_hi, n)
+    np.clip(f_lo, F_lo, F_hi, out=cf_lo)
+    np.clip(f_hi, cf_lo, F_hi, out=cf_hi)
     s_lo, s_hi, bad = meet_arrays(
         *_out(xdot - cf_hi, xdot - cf_lo), gu_lo, gu_hi, _MEET_TOL, _PAD
     )
     stages.append(bad)
-    cg_lo, cg_hi = G_lo.copy(), G_hi.copy()
     # suffix sums over columns l+1..m-1 of G u
     for l in range(m):
         tail_lo = col_lo[:, :, l + 1 :].sum(axis=2)
@@ -427,17 +454,17 @@ def _contract(xdot, u, F_lo, F_hi, G_lo, G_hi):
             a, b = num_lo / safe, num_hi / safe
             # dividing amplifies rounding by 1/|u_l|; pad accordingly
             div_pad = 1e-14 * (1.0 + np.maximum(np.abs(num_lo), np.abs(num_hi))) / np.abs(safe)
-            lo = np.clip(np.minimum(a, b) - div_pad, G_lo[:, :, l], G_hi[:, :, l])
-            hi = np.clip(np.maximum(a, b) + div_pad, lo, G_hi[:, :, l])
-            cg_lo[:, :, l] = np.where(live, lo, G_lo[:, :, l])
-            cg_hi[:, :, l] = np.where(live, hi, G_hi[:, :, l])
+            g_lo = np.clip(np.minimum(a, b) - div_pad, G_lo[:, :, l], G_hi[:, :, l])
+            g_hi = np.clip(np.maximum(a, b) + div_pad, g_lo, G_hi[:, :, l])
+            cg_lo[:, :, l] = np.where(live, g_lo, G_lo[:, :, l])
+            cg_hi[:, :, l] = np.where(live, g_hi, G_hi[:, :, l])
         used_lo = np.minimum(cg_lo[:, :, l] * ul, cg_hi[:, :, l] * ul)
         used_hi = np.maximum(cg_lo[:, :, l] * ul, cg_hi[:, :, l] * ul)
         s_lo, s_hi, bad = meet_arrays(
             s_lo - used_hi, s_hi - used_lo, tail_lo, tail_hi, _MEET_TOL, _PAD
         )
         stages.append(bad)
-    return cf_lo, cf_hi, cg_lo, cg_hi, [(bad, "contract") for bad in stages]
+    return c_lo, c_hi, [(bad, "contract") for bad in stages]
 
 
 def contract_fg(s: Sample, F: Box, G: Box) -> Tuple[Box, Box]:
@@ -449,9 +476,8 @@ def contract_fg(s: Sample, F: Box, G: Box) -> Tuple[Box, Box]:
     component leaves its column untouched (no information, and dividing by it
     would amplify rounding).
     """
-    *rows, stages = _contract(
-        s.xdot[None], s.u[None], F.lo[None], F.hi[None], G.lo[None], G.hi[None]
-    )
+    lo, hi = _stacked(F, G, len(F), len(s.u))
+    c_lo, c_hi, stages = _contract(s.xdot[None], s.u[None], lo[None], hi[None])
     failure = _first_failure(stages)
     if failure is not None:
         exc = _empty(None, failure[2])
@@ -459,24 +485,19 @@ def contract_fg(s: Sample, F: Box, G: Box) -> Tuple[Box, Box]:
             f"data point contradicts the current enclosures ({exc})",
             component=exc.index,
         ) from exc
-    cf_lo, cf_hi, cg_lo, cg_hi = rows
-    return Box(cf_lo[0], cf_hi[0]), Box(cg_lo[0], cg_hi[0])
+    (cf_lo, cg_lo), (cf_hi, cg_hi) = _split(c_lo[0], len(F)), _split(c_hi[0], len(F))
+    return Box(cf_lo, cf_hi), Box(cg_lo, cg_hi)
 
 
 # ---------------------------------------------------------------------------
 # over-approximation queries
 # ---------------------------------------------------------------------------
 
-def _unknown_f(kb: KnowledgeBase, dists) -> Tuple[np.ndarray, np.ndarray]:
-    """Lipschitz envelope (k, n) of the learned f, from distances (k, N, ngroups)."""
-    slack = kb.lip.L_f * dists[..., kb._groups.f_group]            # (k, N, n)
-    return (kb.cf_lo - slack).max(axis=-2), (kb.cf_hi + slack).min(axis=-2)
-
-
-def _unknown_G(kb: KnowledgeBase, dists) -> Tuple[np.ndarray, np.ndarray]:
-    """Lipschitz envelope (k, n, m) of the learned G, from distances (k, N, ngroups)."""
-    slack = kb.lip.L_G * dists[..., kb._groups.g_group]            # (k, N, n, m)
-    return (kb.cg_lo - slack).max(axis=-3), (kb.cg_hi + slack).min(axis=-3)
+def _unknown(kb: KnowledgeBase, dists) -> Tuple[np.ndarray, np.ndarray]:
+    """Lipschitz envelope lo/hi (k, n + n m) of the learned f and G, from
+    distances (k, N, ngroups)."""
+    slack = kb._groups.col_L * dists[..., kb._groups.col_group]    # (k, N, n + n m)
+    return (kb.c_lo - slack).max(axis=-2), (kb.c_hi + slack).min(axis=-2)
 
 
 def _settled(lo, hi, what):
@@ -487,61 +508,65 @@ def _settled(lo, hi, what):
     return lo[0], hi[0]
 
 
-def f_over(x: np.ndarray, kb: KnowledgeBase) -> Box:
-    """Interval enclosure of f(x) from the knowledge base (Lipschitz envelope)."""
+def _point_query(x, kb: KnowledgeBase, what: str) -> Box:
+    """The enclosure of f ("f") or G ("G") at the point x."""
     x = np.asarray(x, dtype=float)
-    enc = Box(*_settled(*_unknown_f(kb, kb._point_dists(x[None])), "f"))
+    part = "fG".index(what)
+    env = _unknown(kb, kb._point_dists(x[None]))
+    enc = Box(*_settled(*(_split(a, kb.n)[part] for a in env), what))
     pd = kb.side.partial_dynamics
     if pd is not None:
-        enc = enc + pd.f_known(x)
+        enc = enc + (pd.f_known, pd.G_known)[part](x)
     vb = kb.side.vf_bounds
     if vb is not None and vb.region.contains(x):
-        enc = meet(enc, vb.f_range, _MEET_TOL, _PAD)
+        enc = meet(enc, (vb.f_range, vb.G_range)[part], _MEET_TOL, _PAD)
     return enc
+
+
+def f_over(x: np.ndarray, kb: KnowledgeBase) -> Box:
+    """Interval enclosure of f(x) from the knowledge base (Lipschitz envelope)."""
+    return _point_query(x, kb, "f")
 
 
 def G_over(x: np.ndarray, kb: KnowledgeBase) -> Box:
     """Interval enclosure of G(x) from the knowledge base."""
-    x = np.asarray(x, dtype=float)
-    enc = Box(*_settled(*_unknown_G(kb, kb._point_dists(x[None])), "G"))
-    pd = kb.side.partial_dynamics
-    if pd is not None:
-        enc = enc + pd.G_known(x)
-    vb = kb.side.vf_bounds
-    if vb is not None and vb.region.contains(x):
-        enc = meet(enc, vb.G_range, _MEET_TOL, _PAD)
-    return enc
-
-
-def _shifted(enc, known: Box):
-    """A lo/hi pair plus a Box of known dynamics of the same shape."""
-    check_shape(known, enc[0].shape)
-    return add_pairs(enc, (known.lo, known.hi))
+    return _point_query(x, kb, "G")
 
 
 def _box_query(kb: KnowledgeBase, X: Box, parts: str = "fG"):
     """Enclosures over the state box X as lo/hi pairs: f for "f", G for "G".
 
-    One distance computation serves both parts.  Each part is the settled
-    Lipschitz envelope (a genuine crossing raises), plus the known dynamics
-    over X, cut by the range bounds when their region encloses X.  Nothing
-    here validates the result; see `f_over_iv` / `G_over_iv`.
+    One distance computation and one envelope serve both parts.  Each part
+    is the settled Lipschitz envelope, plus the known dynamics over X, cut
+    by the range bounds when their region encloses X; a genuine crossing in
+    a requested part raises, the f settle and meet before the G ones.
+    Nothing here validates the result; see `f_over_iv` / `G_over_iv`.  When
+    X is a single point, its pre-settle envelope is left on the base for an
+    `append_sample` at that state.
     """
-    dists = kb._box_dists(X)
+    n, m = kb.n, kb.m
+    env = _unknown(kb, kb._box_dists(X))
+    if (X.lo == X.hi).all():
+        for a in env:
+            a.flags.writeable = False
+        kb._point = (X.lo.tobytes(), env)
+    lo, hi, bad = _settle(*env)
+    enc = (lo[0], hi[0])
+    # failure masks: f settle, G settle, then f meet, G meet
+    checks = list(zip(_split(bad[0], n), "fG"))
     pd, vb = kb.side.partial_dynamics, kb.side.vf_bounds
-    inside = vb is not None and vb.region.encloses(X)
-    out = []
-    for what in parts:
-        is_f = what == "f"
-        enc = _settled(*(_unknown_f if is_f else _unknown_G)(kb, dists), what)
-        if pd is not None:
-            enc = _shifted(enc, (pd.f_known_iv if is_f else pd.G_known_iv)(X))
-        if inside:
-            rng = vb.f_range if is_f else vb.G_range
-            check_shape(rng, enc[0].shape)
-            enc = meet_pairs(enc, (rng.lo, rng.hi), _MEET_TOL, _PAD)
-        out.append(enc)
-    return out
+    if pd is not None:
+        enc = add_pairs(enc, _stacked(pd.f_known_iv(X), pd.G_known_iv(X), n, m))
+    if vb is not None and vb.region.encloses(X):
+        *enc, bad = meet_arrays(*enc, *_stacked(vb.f_range, vb.G_range, n, m), _MEET_TOL, _PAD)
+        checks += zip(_split(bad, n), (None, None))
+    for part, what in enumerate("fG"):
+        if what in parts:
+            for bad, kind in checks[part::2]:
+                if bad.any():
+                    raise _empty(kind, _first_index(bad))
+    pairs = list(zip(_split(enc[0], n), _split(enc[1], n)))
+    return [pairs["fG".index(what)] for what in parts]
 
 
 def f_over_iv(X: Box, kb: KnowledgeBase) -> Box:
@@ -576,67 +601,58 @@ def _stack(samples, n, m):
 
 
 def _envelopes(kb: KnowledgeBase, X):
-    """Pre-settle Lipschitz envelopes of the learned part at the rows of X.
-
-    Returns f lo/hi (k, n) and G lo/hi (k, n, m) over all entries of ``kb``,
-    computed chunk by chunk along the rows.
-    """
-    N, n = kb.xs.shape
-    k, m = X.shape[0], kb.m
-    step = max(1, _CHUNK_FLOATS // (N * max(n * m, n, len(kb._groups.masks))))
+    """Pre-settle Lipschitz envelopes lo/hi (k, n + n m) of the learned part
+    at the rows of X over all entries of ``kb``, computed chunk by chunk
+    along the rows."""
+    N, cols = kb.c_lo.shape
+    k = X.shape[0]
+    step = max(1, _CHUNK_FLOATS // (N * max(cols, len(kb._groups.masks))))
     if step >= k:
-        dists = kb._point_dists(X)
-        return _unknown_f(kb, dists) + _unknown_G(kb, dists)
-    env = (np.empty((k, n)), np.empty((k, n)), np.empty((k, n, m)), np.empty((k, n, m)))
+        return _unknown(kb, kb._point_dists(X))
+    lo, hi = np.empty((k, cols)), np.empty((k, cols))
     for a in range(0, k, step):
-        dists = kb._point_dists(X[a : a + step])
-        for out, part in zip(env, _unknown_f(kb, dists) + _unknown_G(kb, dists)):
-            out[a : a + step] = part
-    return env
+        lo[a : a + step], hi[a : a + step] = _unknown(kb, kb._point_dists(X[a : a + step]))
+    return lo, hi
 
 
-def _settled_rows(side: SideInfoSet, env, X):
+def _settled_rows(kb: KnowledgeBase, env, X):
     """Settle the envelopes at the rows of X and apply the range bounds.
 
-    Returns F lo/hi (k, n), G lo/hi (k, n, m) and the failure stages of the
-    settles and range meets, in the order one query evaluates them.
+    Returns the stacked lo/hi (k, n + n m) and the failure stages of the
+    settles and range meets, in the order one query evaluates them: the f
+    settle, the G settle, the f meet, the G meet.
     """
-    flo, fhi, f_bad = _settle(env[0], env[1])
-    glo, ghi, g_bad = _settle(env[2], env[3])
-    stages = [(f_bad, "f"), (g_bad, "G")]
+    n, side = kb.n, kb.side
+    lo, hi, bad = _settle(*env)
+    stages = list(zip(_split(bad, n), "fG"))
     vb = side.vf_bounds
     if vb is not None:
         inside = np.all((vb.region.lo <= X) & (X <= vb.region.hi), axis=1)
-        fb = (vb.f_range.lo, vb.f_range.hi)
-        gb = (vb.G_range.lo, vb.G_range.hi)
+        rng = _stacked(vb.f_range, vb.G_range, n, kb.m)
         pd = side.partial_dynamics
         if pd is not None:
-            f_known, G_known = np.zeros(flo.shape), np.zeros(glo.shape)
+            known = np.zeros(lo.shape)
             for r in np.flatnonzero(inside):
-                f_known[r], G_known[r] = pd.f_known(X[r]), pd.G_known(X[r])
-            fb = _out(fb[0] - f_known, fb[1] - f_known)
-            gb = _out(gb[0] - G_known, gb[1] - G_known)
+                known[r, :n] = pd.f_known(X[r])
+                known[r, n:] = np.ravel(pd.G_known(X[r]))
+            rng = _out(rng[0] - known, rng[1] - known)
         sel = inside[:, None]
-        lo, hi, bad = meet_arrays(flo, fhi, *fb, _MEET_TOL, _PAD)
-        flo, fhi = np.where(sel, lo, flo), np.where(sel, hi, fhi)
-        stages.append((bad & sel, None))
-        sel = sel[:, :, None]
-        lo, hi, bad = meet_arrays(glo, ghi, *gb, _MEET_TOL, _PAD)
-        glo, ghi = np.where(sel, lo, glo), np.where(sel, hi, ghi)
-        stages.append((bad & sel, None))
-    return flo, fhi, glo, ghi, stages
+        m_lo, m_hi, bad = meet_arrays(lo, hi, *rng, _MEET_TOL, _PAD)
+        lo, hi = np.where(sel, m_lo, lo), np.where(sel, m_hi, hi)
+        stages += zip(_split(bad & sel, n), (None, None))
+    return lo, hi, stages
 
 
 def _contract_rows(kb: KnowledgeBase, env, X, XDOT, U, index):
     """Settle, bound and contract the rows of X, XDOT, U given their envelopes.
 
-    ``index`` maps each row to its sample index.  Returns the new f and G
-    rows; on failure raises what a per-sample loop would raise first, for
-    the lowest failing sample.
+    ``index`` maps each row to its sample index.  Returns the new stacked
+    lo/hi rows; on failure raises what a per-sample loop would raise first,
+    for the lowest failing sample.
     """
     nan = np.isnan(X).any(axis=1) | np.isnan(XDOT).any(axis=1) | np.isnan(U).any(axis=1)
-    *enc, q_stages = _settled_rows(kb.side, env, X)
-    *new, c_stages = _contract(XDOT, U, *enc)
+    lo, hi, q_stages = _settled_rows(kb, env, X)
+    *new, c_stages = _contract(XDOT, U, lo, hi)
     failure = _first_failure([(nan[:, None], "nan")] + q_stages + c_stages)
     if failure is not None:
         _raise_failure(failure, index)
@@ -715,7 +731,11 @@ def build_knowledge(
 
 
 def _append(kb: KnowledgeBase, X, XDOT, U, first) -> KnowledgeBase:
-    env = _envelopes(kb, X)
+    point = kb._point
+    if X.shape[0] == 1 and point is not None and point[0] == X.tobytes():
+        env = point[1]
+    else:
+        env = _envelopes(kb, X)
     new = _contract_rows(kb, env, X, XDOT, U, range(first, first + X.shape[0]))
     out = kb._with_rows(
         [np.concatenate((a, r)) for a, r in zip(kb._rows(), [X] + new)]
@@ -778,24 +798,18 @@ def _iterate_to_invariance(kb, X, XDOT, U, tol, max_iters) -> KnowledgeBase:
             moved = np.zeros(k, bool) if stale is None else stale
             changed = np.flatnonzero(cache.dirty)
             if changed.size:
-                part = _envelopes(kb._with_rows([a[changed] for a in kb._rows()]), X)
-                for c, p, inward in zip(env, part, (np.greater, np.less) * 2):
-                    moved = moved | _any_per_row(inward(p, c))
-                env = (np.maximum(env[0], part[0]), np.minimum(env[1], part[1]),
-                       np.maximum(env[2], part[2]), np.minimum(env[3], part[3]))
+                lo, hi = _envelopes(kb._with_rows([a[changed] for a in kb._rows()]), X)
+                moved = moved | (lo > env[0]).any(axis=1) | (hi < env[1]).any(axis=1)
+                env = (np.maximum(env[0], lo), np.minimum(env[1], hi))
             rows = np.flatnonzero(moved)
             new = _contract_rows(
                 kb, [e[rows] for e in env], X[rows], XDOT[rows], U[rows], rows
             )
             old = [a[rows] for a in old]
 
-        # one array of the rows' endpoint changes, lo columns (f, G) first,
-        # gives the residual, the changed entries and the loosening test
-        nm = kb.n * kb.m
-        diff = np.concatenate((
-            new[0] - old[0], (new[2] - old[2]).reshape(len(new[2]), nm),
-            new[1] - old[1], (new[3] - old[3]).reshape(len(new[3]), nm),
-        ), axis=1)
+        # one array of the rows' endpoint changes, lo columns first, gives
+        # the residual, the changed entries and the loosening test
+        diff = np.concatenate((new[0] - old[0], new[1] - old[1]), axis=1)
         change = np.abs(diff).max(axis=1, initial=0.0)
         residual = float(change.max(initial=0.0))
         dirty = np.zeros(k + 1, bool)
@@ -817,7 +831,7 @@ def _iterate_to_invariance(kb, X, XDOT, U, tol, max_iters) -> KnowledgeBase:
         # fold inexact
         cache = None
         if (same_x and np.count_nonzero(dirty) <= _DELTA_SHARE * (k + 1)
-                and not _loosened(diff, kb.n + nm)):
+                and not _loosened(diff, kb.c_lo.shape[1])):
             cache = _Envelopes(env, XDOT, U, get_inflate_eps(), dirty)
         kb._env = cache
         same_x, stale = True, None
@@ -830,9 +844,12 @@ def append_sample(kb: KnowledgeBase, sample: Sample) -> KnowledgeBase:
     """Add one data point with a single query-and-contract pass.
 
     The incremental update leaves older entries untouched and appends one
-    row to the stacked arrays, so its cost is linear in the base size.  The
-    new row's envelope joins the base's cached ones, so that a later
-    `rebuild` re-contracts only the rows the new entries can tighten.
+    row to the stacked arrays, so its cost is linear in the base size.  When
+    the last point query on ``kb`` (such as the one `datacontrol_step` makes)
+    was at exactly this sample's state, its envelope is reused instead of
+    recomputed; the result is the same bit for bit.  The new row's envelope
+    joins the base's cached ones, so that a later `rebuild` re-contracts
+    only the rows the new entries can tighten.
     """
     s = _residual_sample(sample, kb.side.partial_dynamics)
     return _append(kb, *_stack([s], kb.n, kb.m), kb.xs.shape[0] - 1)
@@ -886,6 +903,12 @@ def _jacobian_bands(lip: LipschitzBounds, side: SideInfoSet):
         if np.any(jf_lo > jf_hi) or np.any(jg_lo > jg_hi):
             raise EmptyIntersection("gradient bounds contradict Lipschitz bounds")
     return jf_lo, jf_hi, jg_lo, jg_hi
+
+
+def _shifted(enc, known: Box):
+    """A lo/hi pair plus a Box of known dynamics of the same shape."""
+    check_shape(known, enc[0].shape)
+    return add_pairs(enc, (known.lo, known.hi))
 
 
 def _jacobian_pairs(kb: KnowledgeBase, state_box: Optional[Box] = None):

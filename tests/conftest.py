@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from datareach.intervals import Box
 from datareach.knowledge import LipschitzBounds, SideInfoSet, VectorFieldBounds, build_knowledge
 from datareach.systems import advance, excite, unicycle
+
+# every property test runs the same examples in every process
+settings.register_profile("datareach", derandomize=True, deadline=None)
+settings.load_profile("datareach")
 
 # seed of the reference excitation run; chosen so the trajectory and the
 # whole Monte-Carlo fan stay inside the declared unicycle domain

@@ -252,6 +252,40 @@ class TestSuboptBound:
             assert subopt_bound(cost, aff, U, X) == reference(cost, aff, U, X)
 
 
+    def test_shared_terms_follow_the_arguments(self):
+        """The S U and domain terms are reused only for the same (cost, U, X)."""
+        cost, _ = setpoint_cost(2, 1, 0, 3.0)
+        cost2 = QuadraticCost(cost.Q, np.eye(1), np.array([[0.2], [0.0]]), cost.q, cost.r)
+        aff = AffineOverApprox(Box([0.0, 1.0], [0.5, 1.2]), Box([[0.1], [0.0]], [[0.3], [0.1]]),
+                               Box([[0.0], [0.0]], [[0.2], [0.1]]), 0.0, 0.1)
+        U, X = Box([-1.0], [1.0]), Box([-4.0, -4.0], [4.0, 4.0])
+        small_X, small_U = Box([-0.2, -0.2], [0.2, 0.2]), Box([-0.1], [0.1])
+
+        def fresh(c, u, x):  # equal arguments that are other objects
+            return subopt_bound(QuadraticCost(c.Q, c.R, c.S, c.q, c.r), aff,
+                                Box(u.lo, u.hi), Box(x.lo, x.hi))
+
+        for c, u, x in ((cost, U, X), (cost, U, X), (cost, U, small_X), (cost, small_U, X),
+                        (cost2, U, X), (cost, U, X)):
+            assert subopt_bound(c, aff, u, x) == fresh(c, u, x)
+        assert subopt_bound(cost, aff, U, small_X) != subopt_bound(cost, aff, U, X)
+        assert not cost.S.flags.writeable and not cost.q.flags.writeable
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the gradient factor adds the signed cost.q; a sound factor bounds "
+        "|2 Q y + 2 S u + q| over the model, e.g. mag(2 Q reach + 2 S U + q)"))
+    def test_bound_covers_cost_variation_with_negative_q(self):
+        """Over y in B = [-1, 0.5] the cost 0.5 (y - 5)^2 varies by 7.875; the bound is 6.0."""
+        cost, _ = setpoint_cost(1, 1, 0, 5.0)
+        A = Box.point([[0.0]])
+        aff = AffineOverApprox(Box([-1.0], [0.5]), A, A, 0.0, 0.1)
+        ys = np.linspace(-1.0, 0.5, 301)
+        values = [cost.value(np.zeros(1), np.array([y])) for y in ys]
+        bound = subopt_bound(cost, aff, Box([-1.0], [1.0]), Box([-10.0], [10.0]))
+        assert bound == 6.0
+        assert max(values) - min(values) <= bound
+
+
 class TestDataControlStep:
     def test_exact_integrator_pushes_to_zero(self):
         kb = exact_integrator_kb()

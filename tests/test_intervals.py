@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -308,7 +308,6 @@ def box_and_points(draw, shape):
 
 
 _DIM = st.integers(1, 4)
-_PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
 
 
 def _holds(box: Box, value) -> bool:
@@ -324,7 +323,6 @@ class TestContainmentProperties:
     BLAS, so its check allows rounding at 8 ulps of |M| |x|.
     """
 
-    @_PROPERTY_SETTINGS
     @given(st.data(), _DIM)
     def test_add_sub(self, data, n):
         a, xs = data.draw(box_and_points((n,)))
@@ -334,7 +332,6 @@ class TestContainmentProperties:
             assert _holds(a + y, x + y) and _holds(a - y, x - y)
             assert _holds(y - a, y - x)
 
-    @_PROPERTY_SETTINGS
     @given(st.data(), _DIM, _COORD)
     def test_scalar_and_interval_mul(self, data, n, c):
         a, xs = data.draw(box_and_points((n,)))
@@ -342,7 +339,6 @@ class TestContainmentProperties:
         for x, z in itertools.product(xs, zs):
             assert _holds(a * c, x * c) and _holds(a * s[()], x * z)
 
-    @_PROPERTY_SETTINGS
     @given(st.data(), _DIM, _DIM)
     def test_imat_vec(self, data, n, m):
         M, As = data.draw(box_and_points((n, m)))
@@ -352,7 +348,6 @@ class TestContainmentProperties:
             assert _holds(imat_vec(M, v), real)
             assert _holds(imat_vec(M, x), real)
 
-    @_PROPERTY_SETTINGS
     @given(st.data(), _DIM, _DIM, _DIM)
     def test_imat_imat(self, data, n, m, p):
         P, As = data.draw(box_and_points((n, m)))
@@ -360,7 +355,6 @@ class TestContainmentProperties:
         for A, B in itertools.product(As, Bs):
             assert _holds(imat_imat(P, Q), (A[:, :, None] * B[None, :, :]).sum(axis=1))
 
-    @_PROPERTY_SETTINGS
     @given(st.data(), _DIM, _DIM)
     def test_tensor_vec(self, data, n, m):
         J, Ts = data.draw(box_and_points((n, m, n)))
@@ -368,7 +362,6 @@ class TestContainmentProperties:
         for T, x in itertools.product(Ts, xs):
             assert _holds(tensor_vec(J, v), (T * x[None, :, None]).sum(axis=1))
 
-    @_PROPERTY_SETTINGS
     @given(st.data(), _DIM, _DIM)
     def test_tensorT_vec(self, data, n, m):
         Jt, Ts = data.draw(box_and_points((n, n, m)))
@@ -376,7 +369,6 @@ class TestContainmentProperties:
         for T, x in itertools.product(Ts, xs):
             assert _holds(tensorT_vec(Jt, w), (T * x[None, :, None]).sum(axis=1))
 
-    @_PROPERTY_SETTINGS
     @given(st.data(), _DIM, _DIM)
     def test_real_mat_iv(self, data, n, m):
         M = data.draw(_array((n, m), _COORD))

@@ -764,3 +764,142 @@ class TestBatchedPass:
         assert 1 <= again.passes <= 3
         grown = append_sample(settled, traj[0])
         assert grown.passes == 0 and grown.residual is None
+
+
+# ---------------------------------------------------------------------------
+# stacked rows and the point-envelope slot
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def envelope_calls(monkeypatch):
+    """Row counts of every envelope computation against a base."""
+    from datareach import knowledge
+
+    calls = []
+    envelopes = knowledge._envelopes
+
+    def spy(kb, X):
+        calls.append(X.shape[0])
+        return envelopes(kb, X)
+
+    monkeypatch.setattr(knowledge, "_envelopes", spy)
+    return calls
+
+
+def _assert_same_rows(a, b):
+    assert np.array_equal(a.xs, b.xs)
+    assert np.array_equal(a.c_lo, b.c_lo) and np.array_equal(a.c_hi, b.c_hi)
+
+
+class TestStackedRowsAndPointSlot:
+    """f and G share one stacked row; a point query's envelope serves the append after it."""
+
+    @staticmethod
+    def _preset(name, N=40):
+        from datareach.systems import by_name, experiment_for
+
+        sys_ = by_name(name)
+        cfg = experiment_for(name)
+        traj = excite(sys_, N + 2, seed=N, dt=cfg.dt, x0=cfg.x0)
+        return sys_, cfg, traj
+
+    def test_part_arrays_are_read_only_views(self):
+        sys_, _, traj = self._preset("quadrotor")
+        kb = build_knowledge(traj, sys_.lip, sys_.side)
+        n, m = kb.n, kb.m
+        assert kb.c_lo.shape == kb.c_hi.shape == (kb.xs.shape[0], n + n * m)
+        for part, stacked in ((kb.cf_lo, kb.c_lo), (kb.cf_hi, kb.c_hi),
+                              (kb.cg_lo, kb.c_lo), (kb.cg_hi, kb.c_hi)):
+            assert np.shares_memory(part, stacked) and not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = 0.0
+        assert np.array_equal(kb.cf_lo, kb.c_lo[:, :n])
+        assert np.array_equal(kb.cg_hi.reshape(-1, n * m), kb.c_hi[:, n:])
+        assert kb.cg_lo.shape == (kb.xs.shape[0], n, m)
+
+    @pytest.mark.parametrize("name", ["unicycle", "quadrotor", "aircraft"])
+    def test_append_after_control_step_equals_fresh_base(self, name, envelope_calls):
+        from datareach.control import datacontrol_step
+
+        sys_, cfg, traj = self._preset(name)
+        samples, (s, s2) = traj[:-2], traj[-2:]
+        stepped = build_knowledge(samples, sys_.lip, sys_.side)
+        fresh = build_knowledge(samples, sys_.lip, sys_.side)
+        datacontrol_step(stepped, s.x, cfg.cost, sys_.U, sys_.X, cfg.dt)
+        envelope_calls.clear()
+        got = append_sample(stepped, s)
+        assert envelope_calls == []  # the step's envelope served the append
+        want = append_sample(fresh, s)
+        assert envelope_calls == [1]
+        _assert_same_rows(got, want)
+        # the reused envelope also joins the delta-pass cache unchanged
+        got, want = append_sample(got, s2), append_sample(want, s2)
+        _assert_same_rows(rebuild(got, traj), rebuild(want, traj))
+
+    def test_one_ulp_away_misses_the_slot(self, envelope_calls):
+        from datareach.control import datacontrol_step
+
+        sys_, cfg, traj = self._preset("unicycle")
+        samples, s = traj[:-2], traj[-2]
+        stepped = build_knowledge(samples, sys_.lip, sys_.side)
+        fresh = build_knowledge(samples, sys_.lip, sys_.side)
+        datacontrol_step(stepped, s.x, cfg.cost, sys_.U, sys_.X, cfg.dt)
+        x = s.x.copy()
+        x[0] = np.nextafter(x[0], np.inf)
+        near = Sample(x, s.xdot, s.u, s.t)
+        envelope_calls.clear()
+        got = append_sample(stepped, near)
+        assert envelope_calls == [1]
+        _assert_same_rows(got, append_sample(fresh, near))
+
+    def test_slot_hit_on_every_step_of_the_preset_loops(self, monkeypatch, envelope_calls):
+        import dataclasses
+
+        from datareach import systems
+
+        appends = []
+        append = systems.append_sample
+
+        def append_spy(kb, sample):
+            before = len(envelope_calls)
+            out = append(kb, sample)
+            appends.append(len(envelope_calls) - before)
+            return out
+
+        monkeypatch.setattr(systems, "append_sample", append_spy)
+        for name in ("unicycle", "quadrotor", "aircraft"):
+            appends.clear()
+            cfg = dataclasses.replace(systems.experiment_for(name), max_steps=30)
+            report = systems.run_closed_loop(systems.by_name(name), cfg)
+            assert report.failure is None
+            assert len(appends) == report.steps_taken > 0
+            assert appends == [0] * len(appends)
+
+    def test_f_crossing_reported_before_G_crossing(self):
+        from datareach.control import linearize
+        from datareach.knowledge import KnowledgeBase, KnowledgeEntry
+
+        lip = LipschitzBounds([0.1], [[0.1]])
+
+        def base(f_far, g_far):
+            entries = [
+                KnowledgeEntry(np.array([0.0]), Box([0.0], [0.0]), Box([[0.0]], [[0.0]])),
+                KnowledgeEntry(np.array([1.0]), Box([f_far], [f_far]), Box([[g_far]], [[g_far]])),
+            ]
+            return KnowledgeBase(entries, lip, lip)
+
+        s = Sample([0.5], [0.0], [1.0])
+        both, only_g = base(5.0, 5.0), base(0.0, 5.0)
+        for kb, what, comp in ((both, "f", (0,)), (only_g, "G", (0, 0))):
+            with pytest.raises(EmptyIntersection) as fresh:
+                append_sample(kb, s)
+            assert str(fresh.value).startswith(f"{what}-enclosure empty")
+            assert fresh.value.index == comp
+            # the failing point query leaves its envelope; the append reuses it
+            with pytest.raises(EmptyIntersection, match=f"^{what}-enclosure"):
+                linearize(Box.point(s.x), kb, Box([-1.0], [1.0]), 0.1)
+            with pytest.raises(EmptyIntersection) as slot:
+                append_sample(kb, s)
+            assert str(slot.value) == str(fresh.value) and slot.value.index == comp
+        with pytest.raises(EmptyIntersection, match="^G-enclosure"):
+            G_over_iv(Box([0.4], [0.6]), both)
