@@ -299,6 +299,8 @@ class StepDiagnostics:
     fell_back: bool
     aff: AffineOverApprox
     kkt_residual: Optional[float] = None  # optimistic mode: certificate of the solve
+    # optimistic mode: `OptimisticInfo.active_sets`, the next step's `start`
+    active_sets: Optional[tuple] = None
 
 
 def datacontrol_step(
@@ -313,14 +315,18 @@ def datacontrol_step(
     wplus: float = 0.5,
     wminus: float = 0.5,
     u_prev: Optional[np.ndarray] = None,
+    start: Optional[tuple] = None,
 ) -> Tuple[np.ndarray, StepDiagnostics]:
     """Compute the control to apply over [t, t+dt] from the current state.
 
     Builds the control-affine model at the singleton {x}, then solves the
-    selected convex relaxation.  In optimistic mode `converged` means the
-    KKT residual of the chosen orthant is at most `opts.eps`.  When every
+    selected convex relaxation.  `u_prev` starts the idealistic solve.  In
+    optimistic mode `start` warm-starts the orthant solves (the previous
+    step's `active_sets`, see `solve_optimistic`), `converged` means the
+    KKT residual of the chosen orthant is at most `opts.eps`, and
+    `active_sets` records the solve's final active rows.  When every
     optimistic orthant is infeasible the step falls back to the idealistic
-    problem with a diagnostic flag.
+    problem with a diagnostic flag, and `active_sets` is None.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -334,7 +340,8 @@ def datacontrol_step(
     if mode == "optimistic":
         try:
             u_hat, _, val, info = solve_optimistic(
-                assemble_optimistic(cost, aff, U, X), opts, with_info=True
+                assemble_optimistic(cost, aff, U, X), opts, with_info=True,
+                start=start,
             )
         except AllOrthantsInfeasible:
             fell_back = True
@@ -344,6 +351,7 @@ def datacontrol_step(
                 bound, val, None, info.iters, micros, "optimistic", None,
                 wplus, wminus, info.sigma_effect,
                 info.kkt_residual <= opts.eps, False, aff, info.kkt_residual,
+                info.active_sets,
             )
             return u_hat, diag
 

@@ -19,6 +19,26 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _numeric_rows(reader, what: str, path, width: int) -> np.ndarray:
+    """The remaining rows of `reader` as a (rows, width) float array.
+
+    Blank lines are skipped; a row with another number of values or a
+    non-numeric value raises ConfigError naming the file and line.
+    """
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        where = f"{what} {path}, line {reader.line_num}"
+        if len(row) != width:
+            raise ConfigError(f"{where}: {len(row)} values, expected {width}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    return np.array(rows, dtype=float).reshape(len(rows), width)
+
+
 def read_trajectory_csv(path) -> Tuple[List[Sample], int, int]:
     """Read samples from a CSV with header t, x1..xn, xdot1..xdotn, u1..um."""
     with open(path, newline="") as fh:
@@ -30,21 +50,10 @@ def read_trajectory_csv(path) -> Tuple[List[Sample], int, int]:
             + [f"xdot{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)]
         if header != expected:
             raise ConfigError(f"bad trajectory header {header}; expected {expected}")
-        samples = []
-        for row in reader:
-            if not row:
-                continue
-            where = f"trajectory {path}, line {reader.line_num}"
-            if len(row) != len(header):
-                raise ConfigError(f"{where}: {len(row)} values, expected {len(header)}")
-            try:
-                vals = [float(v) for v in row]
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
-            t, rest = vals[0], vals[1:]
-            samples.append(
-                Sample(rest[:n], rest[n : 2 * n], rest[2 * n : 2 * n + m], t)
-            )
+        samples = [
+            Sample(rest[:n], rest[n : 2 * n], rest[2 * n : 2 * n + m], t)
+            for t, *rest in _numeric_rows(reader, "trajectory", path, len(header)).tolist()
+        ]
     return samples, n, m
 
 
@@ -87,8 +96,7 @@ def read_tube_csv(path):
         reader = csv.reader(fh)
         header = next(reader)
         n = sum(1 for c in header if c.startswith("lo_"))
-        rows = [[float(v) for v in row] for row in reader if row]
-    arr = np.array(rows)
+        arr = _numeric_rows(reader, "tube", path, len(header))
     ts = arr[:, 1]
     R_lo = arr[:, 2 : 2 + n]
     R_hi = arr[:, 2 + n : 2 + 2 * n]
@@ -115,11 +123,11 @@ def write_steps_csv(path, report: RunReport) -> None:
 
 
 def read_steps_csv(path):
+    """Read back a steps CSV as (header, rows array)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    return header, np.array(rows)
+        return header, _numeric_rows(reader, "steps", path, len(header))
 
 
 def write_predicted_boxes_csv(path, report: RunReport) -> None:

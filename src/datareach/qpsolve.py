@@ -7,8 +7,11 @@ wires it to box-constrained QPs.  `solve_optimistic` solves each
 sign-orthant piece of the coupled (u, next-state) QP exactly with the dual
 active-set method of Goldfarb & Idnani ("A numerically stable dual method
 for solving strictly convex quadratic programs", Math. Prog. 1983) and
-returns a KKT certificate.  `oracle_boxqp` is an exact active-set
-enumeration used by the tests.
+returns a KKT certificate.  It factors the cost once for all orthants and
+can start each orthant from the active rows of an earlier solve, as in the
+online active-set strategy of Ferreau, Bock & Diehl (IJRNC 2008): in a
+closed loop consecutive steps end on nearly the same active sets.
+`oracle_boxqp` is an exact active-set enumeration used by the tests.
 """
 
 from __future__ import annotations
@@ -99,6 +102,12 @@ class QPOptions:
     eps: float = 1e-8
     mu0: float = 1.0
     max_total_iters: int = 500_000
+
+    def __post_init__(self):
+        if not (self.eps > 0 and self.mu0 > 0):
+            raise ValueError("eps and mu0 must be positive")
+        if self.max_total_iters <= 0:
+            raise ValueError("max_total_iters must be positive")
 
 
 def box_project(v: np.ndarray, box: Box) -> np.ndarray:
@@ -245,11 +254,14 @@ class OptimisticInfo:
     """Certificate of the chosen orthant solve.
 
     `iters` sums the active-set iterations over all orthants, including
-    those spent proving an orthant infeasible.
-    `multipliers` belong to the chosen orthant's rows in the order of
-    `orthant_rows`, and `kkt_residual` is the largest of its scaled primal
-    infeasibility, negative multiplier, complementarity and stationarity
-    residuals.
+    those spent proving an orthant infeasible and the rows a warm start
+    dropped.  `multipliers` belong to the chosen orthant's rows in the order
+    of `orthant_rows`, and `kkt_residual` is the largest of its scaled
+    primal infeasibility, negative multiplier, complementarity and
+    stationarity residuals.  `active_sets` has one entry per orthant: the
+    indices (in `orthant_rows` order) of the rows active at its solution,
+    in the order they entered, or None if the orthant is infeasible.  It is
+    the `start` of the next, nearby solve.
     """
 
     orthant: int
@@ -258,6 +270,7 @@ class OptimisticInfo:
     feasible_orthants: int
     kkt_residual: float
     multipliers: np.ndarray
+    active_sets: tuple
 
 
 def orthant_rows(B: Box, X: Box, orth: OrthantQP):
@@ -269,21 +282,18 @@ def orthant_rows(B: Box, X: Box, orth: OrthantQP):
     """
     m = orth.Ubox.lo.shape[0]
     n = B.lo.shape[0]
-    Iu = np.eye(m)
-    Ix = np.eye(n)
-    Zu = np.zeros((n, m))
-    A = np.vstack(
-        [
-            np.hstack([orth.A_l_plus, -Ix]),
-            np.hstack([-orth.A_s_plus, Ix]),
-            np.hstack([orth.A_l_minus, -Ix]),
-            np.hstack([-orth.A_s_minus, Ix]),
-            np.hstack([Iu, Zu.T]),
-            np.hstack([-Iu, Zu.T]),
-            np.hstack([Zu, Ix]),
-            np.hstack([Zu, -Ix]),
-        ]
-    )
+    Ix, Iu = np.eye(n), np.eye(m)
+    A = np.zeros((6 * n + 2 * m, m + n))
+    for k, (left, right) in enumerate(
+        ((orth.A_l_plus, -Ix), (-orth.A_s_plus, Ix),
+         (orth.A_l_minus, -Ix), (-orth.A_s_minus, Ix))
+    ):
+        A[k * n:(k + 1) * n, :m] = left
+        A[k * n:(k + 1) * n, m:] = right
+    A[4 * n:4 * n + m, :m] = Iu
+    A[4 * n + m:4 * n + 2 * m, :m] = -Iu
+    A[4 * n + 2 * m:5 * n + 2 * m, m:] = Ix
+    A[5 * n + 2 * m:, m:] = -Ix
     b = np.concatenate(
         [-B.lo, B.hi, -B.lo, B.hi,
          orth.Ubox.hi, -orth.Ubox.lo, X.hi, -X.lo]
@@ -306,41 +316,119 @@ def _kkt_residual(H, h, A, b, y, lam) -> float:
     ))
 
 
-def _dual_solve_orthant(cost, B, X, orth: OrthantQP, sigma, max_iters):
+def _factor(cost, sigma):
+    """The orthant-independent part of the solve: H = 2M + sigma I, h,
+    L^-1 with H = L L', g = L^-1 h and the unconstrained minimizer."""
+    M = np.block([[cost.R, cost.S.T], [cost.S, cost.Q]])
+    H = 2.0 * M + sigma * np.eye(M.shape[0])
+    h = np.concatenate([cost.r, cost.q])
+    Linv = np.linalg.inv(np.linalg.cholesky(H))
+    g = Linv @ h
+    return H, h, Linv, g, -Linv.T @ g
+
+
+def _min_angle(cond: float, p: int) -> float:
+    """Smallest angle (rad) between a row and span(N) that counts as independence.
+
+    The computed span is accurate only to an angle of about p eps cond(R)
+    (cond estimated from R's diagonal), so a smaller angle, or one below
+    1e-12 rad, counts as dependence: a full step along a rounding-level
+    direction makes the next R singular.
+    """
+    return max(1e-12, p * _EPS * cond)
+
+
+def _qr(W, active):
+    """Complete Q and square R of the QR of the active columns of W."""
+    Q, R = np.linalg.qr(W[:, active], mode="complete")
+    return Q, R[: len(active)]
+
+
+def _equality_point(Q, R, b_act, Linv, g):
+    """Minimizer with the active rows held at equality, and their multipliers."""
+    q = len(b_act)
+    w = np.linalg.solve(R.T, b_act)
+    lam_act = -np.linalg.solve(R, w + Q[:, :q].T @ g)
+    y = Linv.T @ (Q[:, :q] @ w - Q[:, q:] @ (Q[:, q:].T @ g))
+    return y, lam_act
+
+
+def _enter_start(W, rows, p):
+    """Active rows of a warm start, with the QR of their columns of W.
+
+    The rows enter in order until p are active; a row that fails the
+    dependence test of a full step against the rows before it is skipped.
+    """
+    rows = list(rows)
+    while True:
+        active = rows[:p]
+        Q, R = _qr(W, active)
+        diag = np.abs(np.diag(R)).tolist()
+        norm2 = (W[:, active] ** 2).sum(axis=0).tolist()
+        for j, (rj, nj) in enumerate(zip(diag, norm2)):
+            angle = _min_angle(max(diag[:j]) / min(diag[:j]) if j else 1.0, p)
+            if not rj * rj > angle * angle * nj:
+                del rows[j]
+                break
+        else:
+            return active, Q, R
+
+
+def _dual_solve_orthant(fac, B, X, orth: OrthantQP, max_iters, start=None):
     """Exact dual active-set solve (Goldfarb & Idnani) of one orthant QP.
 
-    Minimizes 0.5 y'Hy + h'y subject to A y <= b with H = 2M + sigma I.  It
-    starts at the unconstrained minimizer and adds the most violated row in
-    turn; while a row enters, each step either makes it tight (a full step)
-    or drops the active row whose multiplier reaches zero first (a partial
-    step), and each counts as one iteration.  Rows are normalized, and with
-    H = L L' the active normals N enter only through J = L^-T Q from a QR of
-    L^-1 N, which keeps the steps accurate when H is ill-conditioned.  After
-    every full step the active rows hold with equality, so y and their
-    multipliers are recomputed in closed form rather than carried along.
+    Minimizes 0.5 y'Hy + h'y subject to A y <= b, with `fac` = `_factor`'s
+    (H, h, L^-1, g, unconstrained minimizer).  A cold solve starts at the
+    unconstrained minimizer.  A warm one enters the `start` rows first (see
+    `_enter_start`), holds them at equality and drops the row with the most
+    negative multiplier until none is negative; each drop counts as one
+    iteration.  From that dual-feasible point the method adds the most
+    violated row in turn; while a row enters, each step either makes it
+    tight (a full step) or drops the active row whose multiplier reaches
+    zero first (a partial step), and each counts as one iteration.  Rows
+    are normalized, and the active normals N enter only through J = L^-T Q
+    from a QR of L^-1 N, which keeps the steps accurate when H is
+    ill-conditioned.  After every full step the active rows hold with
+    equality, so y and their multipliers are recomputed in closed form
+    rather than carried along.  A `start` entry with an index outside the
+    orthant's rows is ignored.
 
-    Returns (iters, solution): `solution` is (u, x, cost, multipliers,
-    kkt_residual), or None when the orthant is infeasible, and `iters` counts
-    the iterations in both cases.  Raises IterationCapExceeded after
-    `max_iters` iterations.
+    Returns (iters, solution): `solution` is (y, multipliers of the
+    normalized rows, active rows, A, b, row norms), or None when the orthant
+    is infeasible, and `iters` counts the iterations in both cases.  Raises
+    IterationCapExceeded after `max_iters` iterations.
     """
-    m = orth.Ubox.lo.shape[0]
+    _, _, Linv, g, y = fac
     A, b = orthant_rows(B, X, orth)
     norms = np.linalg.norm(A, axis=1)
     A, b = A / norms[:, None], b / norms
     p = A.shape[1]
-    M = np.block([[cost.R, cost.S.T], [cost.S, cost.Q]])
-    H = 2.0 * M + sigma * np.eye(p)
-    h = np.concatenate([cost.r, cost.q])
-    Linv = np.linalg.inv(np.linalg.cholesky(H))
     W = Linv @ A.T  # L^-1 a_i, one column per row
-    g = Linv @ h
-    y = -Linv.T @ g
     lam = np.zeros(A.shape[0])
     active: list = []
     Q, R = np.eye(p), np.zeros((0, 0))
     tol = 1e-12 * (1.0 + float(np.abs(b).max(initial=0.0)))
     iters = 0
+
+    def count_iteration():
+        nonlocal iters
+        if iters >= max_iters:
+            raise IterationCapExceeded(
+                f"orthant QP not solved within {max_iters} active-set iterations"
+            )
+        iters += 1
+
+    if start is not None and all(0 <= k < len(b) for k in start):
+        active, Q, R = _enter_start(W, start, p)
+        while active:
+            y_eq, lam_act = _equality_point(Q, R, b[active], Linv, g)
+            worst = int(np.argmin(lam_act))
+            if lam_act[worst] >= 0.0:
+                y, lam[active] = y_eq, lam_act
+                break
+            count_iteration()
+            del active[worst]
+            Q, R = _qr(W, active)
     while True:
         viol = A @ y - b
         viol[active] = -math.inf
@@ -349,35 +437,29 @@ def _dual_solve_orthant(cost, B, X, orth: OrthantQP, sigma, max_iters):
             break
         vk = viol[k]
         while True:  # bring row k into the active set
-            if iters >= max_iters:
-                raise IterationCapExceeded(
-                    f"orthant QP not solved within {max_iters} active-set iterations"
-                )
-            iters += 1
+            count_iteration()
             q = len(active)
             d = Q.T @ W[:, k]
             d2 = d[q:]
-            r = np.linalg.solve(R, d[:q])
-            lam_act = lam[active]
-            # partial step: the longest one keeping every active multiplier >= 0
-            t1, drop = math.inf, -1
-            for i in np.flatnonzero(r > 0.0):
-                if lam_act[i] / r[i] < t1:
-                    t1, drop = lam_act[i] / r[i], i
-            # full step: row k becomes tight; impossible once a_k lies in
-            # span(N).  The computed span is accurate only to an angle of
-            # about p eps cond(R) (estimated from R's diagonal), so a smaller
-            # angle, or one below 1e-12 rad, counts as dependence: a full step
-            # along a rounding-level direction makes the next R singular.
+            t1, drop, cond = math.inf, -1, 1.0
+            if q:
+                r = np.linalg.solve(R, d[:q])
+                lam_act = lam[active]
+                # partial step: the longest one keeping every active multiplier >= 0
+                for i in np.flatnonzero(r > 0.0):
+                    if lam_act[i] / r[i] < t1:
+                        t1, drop = lam_act[i] / r[i], i
+                diag = np.abs(np.diag(R))
+                cond = diag.max() / diag.min()
+            # full step: row k becomes tight; impossible once a_k lies in span(N)
             dz = float(d2 @ d2)
-            diag = np.abs(np.diag(R))
-            cond = diag.max() / diag.min() if q else 1.0
-            angle = max(1e-12, p * _EPS * cond)
+            angle = _min_angle(cond, p)
             t2 = vk / dz if dz > angle * angle * float(d @ d) else math.inf
             if t1 == math.inf and t2 == math.inf:
                 return iters, None  # row k cannot be met with the active rows
             t = min(t1, t2)
-            lam[active] = lam_act - t * r
+            if q:
+                lam[active] = lam_act - t * r
             lam[k] += t
             full = t2 <= t1
             if full:
@@ -387,17 +469,11 @@ def _dual_solve_orthant(cost, B, X, orth: OrthantQP, sigma, max_iters):
                     vk -= t * dz
                 lam[active[drop]] = 0.0
                 del active[drop]
-            Q, R = np.linalg.qr(W[:, active], mode="complete")
-            R = R[: len(active)]
+            Q, R = _qr(W, active)
             if full:
                 break
-        q = len(active)
-        w = np.linalg.solve(R.T, b[active])
-        lam[active] = -np.linalg.solve(R, w + Q[:, :q].T @ g)
-        y = Linv.T @ (Q[:, :q] @ w - Q[:, q:] @ (Q[:, q:].T @ g))
-    kkt = _kkt_residual(H, h, A, b, y, lam)
-    u, x = y[:m], y[m:]
-    return iters, (u, x, cost.value(u, x), lam / norms, kkt)
+        y, lam[active] = _equality_point(Q, R, b[active], Linv, g)
+    return iters, (y, lam, active, A, b, norms)
 
 
 def solve_optimistic(
@@ -405,6 +481,7 @@ def solve_optimistic(
     opts: Optional[QPOptions] = None,
     sigma: float = 1e-6,
     with_info: bool = False,
+    start: Optional[tuple] = None,
 ):
     """Solve every sign-orthant subproblem exactly and return the best solution.
 
@@ -412,36 +489,56 @@ def solve_optimistic(
     effect on the reported cost is bounded by sigma (|u|^2 + |x|^2), returned
     in the info record.  `opts.max_total_iters` caps the active-set
     iterations of each orthant; `opts.eps` and `opts.mu0` do not apply.
+
+    `start` warm-starts each orthant from the active rows of an earlier
+    solve, usually the `active_sets` of the previous control step.  It is a
+    hint: a start whose length differs from the number of orthants is
+    ignored, and so is an entry that is None or names a row the orthant
+    does not have.  Consecutive closed-loop steps end on nearly the same
+    active sets, so a warm orthant mostly needs no iteration.  Without a
+    start every orthant starts cold, from the unconstrained minimizer.
     """
     opts = opts or QPOptions()
+    cost = oqp.cost
+    fac = _factor(cost, sigma)
+    if start is not None and len(start) != len(oqp.orthants):
+        start = None
     best = None
     best_orth = -1
     feasible = 0
     total_it = 0
+    active_sets = []
     for j, orth in enumerate(oqp.orthants):
         iters, out = _dual_solve_orthant(
-            oqp.cost, oqp.B, oqp.X, orth, sigma, opts.max_total_iters
+            fac, oqp.B, oqp.X, orth, opts.max_total_iters,
+            None if start is None else start[j],
         )
         total_it += iters
         if out is None:
+            active_sets.append(None)
             continue
+        y, _, active = out[:3]
+        active_sets.append(tuple(int(k) for k in active))
         feasible += 1
-        if best is None or out[2] < best[2]:
-            best = out
+        u, x = y[:cost.m], y[cost.m:]
+        val = cost.value(u, x)
+        if best is None or val < best[2]:
+            best = (u, x, val, out)
             best_orth = j
     if best is None:
         raise AllOrthantsInfeasible(
             f"all {len(oqp.orthants)} orthant subproblems are infeasible"
         )
-    u, x, val, lam, kkt = best
+    u, x, val, (y, lam, _, A, b, norms) = best
     if with_info:
         info = OptimisticInfo(
             orthant=best_orth,
             iters=total_it,
             sigma_effect=sigma * float(u @ u + x @ x),
             feasible_orthants=feasible,
-            kkt_residual=kkt,
-            multipliers=lam,
+            kkt_residual=_kkt_residual(*fac[:2], A, b, y, lam),
+            multipliers=lam / norms,
+            active_sets=tuple(active_sets),
         )
         return u, x, val, info
     return u, x, val

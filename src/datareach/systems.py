@@ -415,8 +415,11 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
 
     Every applied control appends exactly one sample to the base through the
     linear-cost incremental update; a full invariance refresh runs every
-    `refresh_every` steps.  Each log times the control step in ``micros`` and
-    the knowledge-base update after it in ``kb_micros``.  Stops once the realized one-step cost (plus the
+    `refresh_every` steps.  Each step's solve starts where the previous
+    one ended: the idealistic solve at the previous control, the optimistic
+    orthant solves from the previous step's active sets.  Each log times
+    the control step in ``micros`` and the knowledge-base update after it
+    in ``kb_micros``.  Stops once the realized one-step cost (plus the
     constant offset) enters the stop sublevel set.
     """
     limit = max_step_size(sys.lip, sys.U)
@@ -439,7 +442,7 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
     logs: List[StepLog] = []
     reached = False
     failure = None
-    u_prev = None
+    u_prev = start = None
     t = cfg.init_len * cfg.dt
     cum_cost = 0.0
 
@@ -447,7 +450,7 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
         try:
             u, diag = datacontrol_step(
                 kb, x, cfg.cost, sys.U, sys.X, cfg.dt, cfg.mode, opts,
-                wplus, wminus, u_prev,
+                wplus, wminus, u_prev, start,
             )
         except DataReachError as exc:
             failure = f"step {i}: {type(exc).__name__}: {exc}"
@@ -476,7 +479,7 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
         log.kb_micros = (time.perf_counter() - started) * 1e6
         x = x_next
         t += cfg.dt
-        u_prev = u
+        u_prev, start = u, diag.active_sets
         if cfg.redraw_weights and cfg.weights is None:
             wplus, wminus = rng.uniform(0.0, 1.0, size=2)
         if realized <= cfg.stop_level:

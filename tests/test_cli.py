@@ -455,3 +455,39 @@ class TestTrajectoryCsv:
         })
         assert cli.main(["--config", cfg, "reach"]) == cli.EXIT_CONFIG
         assert "line 3" in capsys.readouterr().err
+
+
+BAD_ROWS = pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda row: row[:1] + ["abc"] + row[2:], "could not convert string to float: 'abc'"),
+        (lambda row: row[:-1], "6 values, expected 7"),
+    ],
+    ids=["non_numeric", "short_row"],
+)
+
+
+def _csv_with_bad_line_3(path, header, corrupt):
+    rows = [header] + [[str(i)] + [str(0.5 * i + k) for k in range(len(header) - 1)]
+                       for i in range(3)]
+    rows[2] = corrupt(rows[2])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+class TestTubeAndStepsCsv:
+    @BAD_ROWS
+    def test_tube_bad_row_names_the_line(self, tmp_path, corrupt, message):
+        path = tmp_path / "tube.csv"
+        _csv_with_bad_line_3(path, ["i", "t", "lo_1", "hi_1", "S_lo_1", "S_hi_1", "beta"],
+                             corrupt)
+        with pytest.raises(cli.ConfigError, match=f"tube {path}, line 3: {message}"):
+            dio.read_tube_csv(path)
+
+    @BAD_ROWS
+    def test_steps_bad_row_names_the_line(self, tmp_path, corrupt, message):
+        path = tmp_path / "steps.csv"
+        _csv_with_bad_line_3(path, ["i", "t", "u_1", "cost", "bound", "solver_iters",
+                                    "micros"], corrupt)
+        with pytest.raises(cli.ConfigError, match=f"steps {path}, line 3: {message}"):
+            dio.read_steps_csv(path)

@@ -14,6 +14,7 @@ from datareach.qpsolve import (
     adares,
     box_project,
     oracle_boxqp,
+    orthant_rows,
     smoothness_constant,
     solve_idealistic,
     solve_optimistic,
@@ -382,3 +383,162 @@ def orthant_constraints(orth, B, X):
     rhs += [orth.Ubox.hi, -orth.Ubox.lo, X.hi, -X.lo]
     return np.vstack(rows), np.concatenate(rhs)
 
+
+
+def kkt_problems():
+    """The 100 random orthant problems of `test_certificate_satisfies_kkt`."""
+    rng = np.random.default_rng(11)
+    return [assemble_optimistic(*random_orthant_problem(rng, same_models=k % 3 == 0))
+            for k in range(100)]
+
+
+def solve_or_none(oqp, **kwargs):
+    try:
+        return solve_optimistic(oqp, with_info=True, **kwargs)
+    except AllOrthantsInfeasible:
+        return None
+
+
+def assert_same_solution(warm, cold, rel):
+    """Same chosen orthant, per-orthant verdicts, (u, x) and value."""
+    (u, x, val, info), (u0, x0, val0, info0) = warm, cold
+    scale = 1.0 + max(np.abs(u0).max(), np.abs(x0).max())
+    assert info.orthant == info0.orthant
+    assert [s is None for s in info.active_sets] == [s is None for s in info0.active_sets]
+    assert np.abs(u - u0).max() <= rel * scale
+    assert np.abs(x - x0).max() <= rel * scale
+    assert abs(val - val0) <= rel * (1.0 + abs(val0))
+    assert info.kkt_residual <= 1e-9
+
+
+def unit_rows(oqp, j):
+    """Rows of orthant j normalized as the solver does."""
+    A, b = orthant_rows(oqp.B, oqp.X, oqp.orthants[j])
+    norms = np.linalg.norm(A, axis=1)
+    return A / norms[:, None], b / norms
+
+
+class TestQPOptions:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_total_iters": 0}, "max_total_iters must be positive"),
+        ({"max_total_iters": -3}, "max_total_iters must be positive"),
+        ({"eps": -1.0}, "eps and mu0 must be positive"),
+        ({"eps": 0.0}, "eps and mu0 must be positive"),
+        ({"mu0": 0.0}, "eps and mu0 must be positive"),
+        ({"eps": math.nan}, "eps and mu0 must be positive"),
+    ])
+    def test_rejects_bad_options(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            QPOptions(**kwargs)
+
+
+class TestWarmStart:
+    def test_own_active_sets_take_no_iteration(self):
+        """Re-solving from a solve's own active sets repeats it without an
+        iteration on any feasible orthant (an infeasible one has no start)."""
+        for oqp in kkt_problems():
+            cold = solve_optimistic(oqp, with_info=True)
+            info0 = cold[3]
+            warm = solve_optimistic(oqp, with_info=True, start=info0.active_sets)
+            assert_same_solution(warm, cold, 1e-12)
+            assert warm[3].active_sets == info0.active_sets
+            feasible = [j for j, s in enumerate(info0.active_sets) if s is not None]
+            _, _, _, info = solve_optimistic(
+                replace(oqp, orthants=tuple(oqp.orthants[j] for j in feasible)),
+                with_info=True, start=tuple(info0.active_sets[j] for j in feasible),
+            )
+            assert info.iters == 0
+
+    def test_foreign_starts_give_the_cold_solution(self):
+        """Starts taken from other random problems of the same shape."""
+        problems = kkt_problems()
+        cold = [solve_or_none(oqp) for oqp in problems]
+        pairs = 0
+        for i, oqp in enumerate(problems):
+            shape = (oqp.cost.n, oqp.cost.m)
+            donors = [c for j, (p, c) in enumerate(zip(problems, cold))
+                      if j != i and c is not None and (p.cost.n, p.cost.m) == shape]
+            for donor in donors[:3]:
+                warm = solve_or_none(oqp, start=donor[3].active_sets)
+                assert (warm is None) == (cold[i] is None)
+                if warm is not None:
+                    assert_same_solution(warm, cold[i], 1e-10)
+                pairs += 1
+        assert pairs >= 150
+
+    def test_adversarial_starts_give_the_cold_solution(self):
+        """Duplicate rows, more than p rows, dependent rows and rows whose
+        multipliers are negative at equality all reach the cold solution."""
+        for oqp in kkt_problems()[:40]:
+            cold = solve_optimistic(oqp, with_info=True)
+            sets = cold[3].active_sets
+            nrows = 6 * oqp.cost.n + 2 * oqp.cost.m
+            p = oqp.cost.n + oqp.cost.m
+            starts = {
+                "duplicates": tuple(None if s is None else tuple(k for k in s for _ in (0, 1))
+                                    for s in sets),
+                "all_rows": (tuple(range(nrows)),) * len(sets),
+                "all_rows_reversed": (tuple(range(nrows))[::-1],) * len(sets),
+                # x <= X.hi and x >= X.lo of one coordinate: opposite normals
+                "opposite": ((nrows - 1, nrows - 1 - oqp.cost.n) * p,) * len(sets),
+            }
+            # rows satisfied strictly at the unconstrained minimizer: held at
+            # equality, each one has a negative multiplier
+            M = np.block([[oqp.cost.R, oqp.cost.S.T], [oqp.cost.S, oqp.cost.Q]])
+            y0 = np.linalg.solve(2.0 * M + 1e-6 * np.eye(p),
+                                 -np.concatenate([oqp.cost.r, oqp.cost.q]))
+            slack = []
+            for j in range(len(sets)):
+                A, b = unit_rows(oqp, j)
+                slack.append(tuple(int(k) for k in np.flatnonzero(A @ y0 - b < -1e-6)))
+            starts["negative_multipliers"] = tuple(slack)
+            for name, start in starts.items():
+                warm = solve_optimistic(oqp, with_info=True, start=start)
+                assert_same_solution(warm, cold, 1e-10)
+
+    def test_out_of_range_and_wrong_length_starts_are_ignored(self):
+        for oqp in kkt_problems()[:30]:
+            cold = solve_optimistic(oqp, with_info=True)
+            k = len(oqp.orthants)
+            nrows = 6 * oqp.cost.n + 2 * oqp.cost.m
+            for start in (cold[3].active_sets + ((0,),), cold[3].active_sets[:-1],
+                          (), ((nrows,),) * k, ((-1, 0),) * k, (None,) * k):
+                warm = solve_optimistic(oqp, with_info=True, start=start)
+                assert np.array_equal(warm[0], cold[0]) and np.array_equal(warm[1], cold[1])
+                assert warm[2] == cold[2]
+                for field in ("orthant", "iters", "feasible_orthants", "kkt_residual",
+                              "active_sets", "sigma_effect"):
+                    assert getattr(warm[3], field) == getattr(cold[3], field), field
+                assert np.array_equal(warm[3].multipliers, cold[3].multipliers)
+
+    def test_infeasible_problem_still_raises(self):
+        cost = QuadraticCost(np.eye(1), np.eye(1), np.zeros((1, 1)),
+                             np.zeros(1), np.zeros(1))
+        aff = AffineOverApprox(Box([0.0], [1.0]),
+                               Box.point([[0.1]]), Box.point([[0.1]]), 0.0, 0.1)
+        oqp = assemble_optimistic(cost, aff, Box([0.0], [1.0]), Box([10.0], [11.0]))
+        for start in (((0, 1, 2, 3, 4, 5, 6, 7),), ((7, 6, 5),), ((),), ((6,),)):
+            with pytest.raises(AllOrthantsInfeasible):
+                solve_optimistic(oqp, start=start)
+
+    def test_drop_counts_against_the_cap(self):
+        """A start row that must be dropped costs one iteration; after the
+        drop the solve is the cold one."""
+        rng = np.random.default_rng(3)
+        cost, aff, _, X = random_orthant_problem(rng, same_models=False)
+        U = Box(np.zeros(cost.m), np.full(cost.m, 2.0))  # one orthant
+        oqp = assemble_optimistic(cost, aff, U, X)
+        cold = solve_optimistic(oqp, with_info=True)
+        p = cost.n + cost.m
+        M = np.block([[cost.R, cost.S.T], [cost.S, cost.Q]])
+        y0 = np.linalg.solve(2.0 * M + 1e-6 * np.eye(p), -np.concatenate([cost.r, cost.q]))
+        A, b = unit_rows(oqp, 0)
+        k = int(np.argmin(A @ y0 - b))
+        assert A[k] @ y0 - b[k] < 0.0  # negative multiplier at equality
+        warm = solve_optimistic(oqp, with_info=True, start=((k,),))
+        assert warm[3].iters == cold[3].iters + 1
+        assert np.array_equal(warm[0], cold[0]) and np.array_equal(warm[1], cold[1])
+        with pytest.raises(IterationCapExceeded):
+            solve_optimistic(oqp, QPOptions(max_total_iters=1), start=((k,),))
+        # the same start with the cold iterations to spare solves
+        solve_optimistic(oqp, QPOptions(max_total_iters=cold[3].iters + 1), start=((k,),))

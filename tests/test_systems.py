@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from datareach.control import norm_cost
+from datareach.control import AffineOverApprox, assemble_optimistic, norm_cost
 from datareach.errors import StepTooLarge
 from datareach.intervals import Box
 from datareach.knowledge import LipschitzBounds, SideInfoSet, VectorFieldBounds
+from datareach.qpsolve import solve_optimistic
 from datareach.reach import max_step_size
 from datareach.systems import (
     ExperimentConfig,
@@ -243,6 +244,25 @@ class TestClosedLoop:
         for l1, l2 in zip(r1.logs, r2.logs):
             assert np.array_equal(l1.u, l2.u)
             assert l1.realized_cost == l2.realized_cost
+        # optimistic steps carry active sets from step to step; a solve of an
+        # unrelated problem of the same shape between two runs changes nothing
+        sysu = unicycle()
+        aff = AffineOverApprox(Box.point([1.0, -1.0, 0.5]), Box.point(np.ones((3, 2))),
+                               Box.point(np.ones((3, 2))), 0.0, 0.1)
+        unrelated = assemble_optimistic(norm_cost(3, 2), aff, sysu.U, sysu.X)
+        runs = []
+        for k in range(2):
+            if k:
+                solve_optimistic(unrelated, with_info=True)
+            runs.append(run_closed_loop(sysu, unicycle_experiment(mode="optimistic",
+                                                                   max_steps=8)))
+        r1, r2 = runs
+        assert r1.steps_taken == r2.steps_taken == 8
+        for l1, l2 in zip(r1.logs, r2.logs):
+            assert l1.mode_used == "optimistic"
+            assert np.array_equal(l1.u, l2.u)
+            assert (l1.realized_cost, l1.model_cost, l1.bound, l1.iters) \
+                == (l2.realized_cost, l2.model_cost, l2.bound, l2.iters)
 
     def test_one_log_per_applied_control(self):
         cfg = unicycle_experiment()
@@ -287,3 +307,56 @@ class TestClosedLoop:
         for log in rep.logs:
             x = advance(sysu, x, log.u, cfg.dt)
             assert np.all(log.box_lo - 1e-9 <= x) and np.all(x <= log.box_hi + 1e-9)
+
+
+OPTIMISTIC_PRESETS = [("unicycle", unicycle, None), ("quadrotor", quadrotor, None),
+                      ("aircraft", aircraft, 30)]
+
+
+def spy_optimistic_solves(monkeypatch, force_cold=False):
+    """Record (start passed, active sets returned) of every optimistic solve
+    of the control step; with `force_cold` each solve ignores its start."""
+    import datareach.control as control
+
+    calls = []
+    solve = control.solve_optimistic
+
+    def spy(*args, start=None, **kwargs):
+        out = solve(*args, start=None if force_cold else start, **kwargs)
+        calls.append((start, out[3].active_sets))
+        return out
+
+    monkeypatch.setattr(control, "solve_optimistic", spy)
+    return calls
+
+
+def optimistic_preset_run(name, make, cap):
+    cfg = experiment_for(name, mode="optimistic")
+    if cap is not None:
+        cfg.max_steps = cap
+    return run_closed_loop(make(), cfg)
+
+
+@pytest.mark.parametrize("name, make, cap", OPTIMISTIC_PRESETS,
+                         ids=[p[0] for p in OPTIMISTIC_PRESETS])
+class TestOptimisticWarmStart:
+    def test_matches_forced_cold_run(self, monkeypatch, name, make, cap):
+        warm = optimistic_preset_run(name, make, cap)
+        spy_optimistic_solves(monkeypatch, force_cold=True)
+        cold = optimistic_preset_run(name, make, cap)
+        assert warm.failure is None and cold.failure is None
+        assert warm.steps_taken == cold.steps_taken
+        assert warm.reached == cold.reached
+        for lw, lc in zip(warm.logs, cold.logs):
+            assert np.abs(lw.u - lc.u).max() <= 1e-9
+        assert sum(log.iters for log in warm.logs) < sum(log.iters for log in cold.logs)
+
+    def test_each_step_starts_from_the_previous_active_sets(self, monkeypatch, name,
+                                                            make, cap):
+        calls = spy_optimistic_solves(monkeypatch)
+        rep = optimistic_preset_run(name, make, cap)
+        assert len(calls) == rep.steps_taken > 1
+        assert all(log.mode_used == "optimistic" for log in rep.logs)
+        assert calls[0][0] is None
+        for (start, _), (_, previous) in zip(calls[1:], calls):
+            assert start is not None and start == previous
