@@ -21,6 +21,7 @@ from .systems import (
     EXCITATIONS,
     ExperimentConfig,
     by_name,
+    check_experiment,
     excite,
     experiment_for,
     run_closed_loop,
@@ -172,6 +173,8 @@ def cmd_reach(args, cfg) -> int:
 
     if "trajectory" in section:
         samples, n, m = dio.read_trajectory_csv(section["trajectory"])
+        if not samples:
+            raise ConfigError(f"trajectory {section['trajectory']} holds no samples")
         if (n, m) != (system.n, system.m):
             raise ConfigError("trajectory dimensions do not match the system")
     else:
@@ -241,26 +244,12 @@ def _apply_control_overrides(exp: ExperimentConfig, section, args):
     return exp
 
 
-def _check_experiment(exp: ExperimentConfig, n: int) -> None:
-    """Reject settings that `run_closed_loop` cannot run, as config errors."""
-    if exp.mode not in MODES:
-        raise ConfigError(f"mode must be one of {list(MODES)}, not {exp.mode!r}")
-    if exp.excitation not in EXCITATIONS:
-        raise ConfigError(f"excitation must be one of {list(EXCITATIONS)}")
-    if not exp.dt > 0.0:
-        raise ConfigError("dt must be positive")
-    if exp.init_len < 1:
-        raise ConfigError("init_len must be >= 1")
-    if exp.max_steps < 0:
-        raise ConfigError("max_steps must be >= 0")
-    if exp.refresh_every < 1:
-        raise ConfigError("refresh_every must be >= 1")
-    if not (exp.eps > 0.0 and exp.mu0 > 0.0):
-        raise ConfigError("eps and mu0 must be positive")
-    if exp.weights is not None and not all(0.0 <= w <= 1.0 for w in exp.weights):
-        raise ConfigError("weights must lie in [0, 1]")
-    if exp.x0.shape != (n,):
-        raise ConfigError(f"x0 must have {n} entries")
+def _check_experiment(system, exp: ExperimentConfig) -> None:
+    """`check_experiment`, with a setting it rejects as a config error."""
+    try:
+        check_experiment(system, exp)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_control(args, cfg) -> int:
@@ -269,7 +258,7 @@ def cmd_control(args, cfg) -> int:
     sys_name = cfg.get("system", "unicycle")
     system = _system(sys_name)
     exp = _apply_control_overrides(experiment_for(sys_name), section, args)
-    _check_experiment(exp, system.n)
+    _check_experiment(system, exp)
 
     try:
         report = run_closed_loop(system, exp)
@@ -307,7 +296,7 @@ def cmd_benchmark(args, cfg) -> int:
         system = _system(name)
         exp = experiment_for(name, seed=seed, mode=mode)
         exp.max_steps = max_steps
-        _check_experiment(exp, system.n)
+        _check_experiment(system, exp)
         runs.append((name, system, exp))
 
     rows = []

@@ -8,19 +8,17 @@ component; only then is the cause looked up to pick the error.
 
 Each formula (sum, real scaling, matrix-vector, matrix-matrix, tensor
 contractions and the real-matrix product) exists once, as an array kernel on
-(lo, hi) pairs of ndarrays that applies the inflation margin and validates
-nothing.  The `Box` operations and `imat_vec`, `imat_imat`, `tensor_vec`,
-`tensorT_vec` and `real_mat_iv` wrap those kernels and validate their
-result, and `check_pair` validates a bare pair the same way.  The reach and
+(lo, hi) pairs of ndarrays that validates nothing.  The `Box` operations
+and `imat_vec`, `imat_imat`, `tensor_vec`, `tensorT_vec` and `real_mat_iv`
+wrap those kernels and validate their result, and `check_pair` validates a bare pair the same way.  The reach and
 linearization step (`reach._step_data` and its callers) runs on the kernels
 directly and validates the rough enclosure and every output `Box` it
 returns; a NaN made anywhere in the step flows into one of them, since
 every kernel propagates NaN.  `control.subopt_bound` runs on the kernels
 too and checks each intermediate pair.
 
-Endpoints are plain float64 with no directed rounding; an
-optional global inflation margin (`set_inflate_eps`) is available for
-paranoid runs.  Both types are immutable values.
+Endpoints are plain float64 with no directed rounding.  Both types are
+immutable values.
 """
 
 from __future__ import annotations
@@ -31,29 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyIntersection, NegativeDomain, ShapeMismatch
-
-_INFLATE_EPS = 0.0
-
-
-def set_inflate_eps(eps: float) -> None:
-    """Set the global outward-inflation margin applied to every arithmetic result."""
-    global _INFLATE_EPS
-    if eps < 0:
-        raise ValueError("inflation margin must be nonnegative")
-    _INFLATE_EPS = float(eps)
-
-
-def get_inflate_eps() -> float:
-    return _INFLATE_EPS
-
-
-def _out(lo, hi):
-    """Apply the outward-inflation margin (no-op by default)."""
-    if _INFLATE_EPS == 0.0:
-        return lo, hi
-    pad = _INFLATE_EPS * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    return lo - pad, hi + pad
-
 
 # ---------------------------------------------------------------------------
 # scalar intervals
@@ -81,13 +56,13 @@ class Interval:
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
         o = _as_interval(other)
-        return _mk(self.lo + o.lo, self.hi + o.hi)
+        return Interval(self.lo + o.lo, self.hi + o.hi)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = _as_interval(other)
-        return _mk(self.lo - o.hi, self.hi - o.lo)
+        return Interval(self.lo - o.hi, self.hi - o.lo)
 
     def __rsub__(self, other):
         return _as_interval(other) - self
@@ -98,7 +73,7 @@ class Interval:
     def __mul__(self, other):
         o = _as_interval(other)
         lo, hi = _prod_bounds(self.lo, self.hi, o.lo, o.hi)
-        return _mk(lo, hi)
+        return Interval(lo, hi)
 
     __rmul__ = __mul__
 
@@ -107,7 +82,7 @@ class Interval:
         if s == 0.0:
             raise ZeroDivisionError("interval division by exact zero")
         a, b = self.lo / s, self.hi / s
-        return _mk(min(a, b), max(a, b))
+        return Interval(min(a, b), max(a, b))
 
     # -- set operations ----------------------------------------------------
     def intersect(self, other: "Interval") -> "Interval":
@@ -147,11 +122,6 @@ def _as_interval(x) -> Interval:
     return Interval(float(x))
 
 
-def _mk(lo, hi):
-    lo, hi = _out(lo, hi)
-    return Interval(lo, hi)
-
-
 def _prod_bounds(alo, ahi, blo, bhi):
     cands = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
     return min(cands), max(cands)
@@ -161,15 +131,15 @@ def sqrt_ext(a: Interval) -> Interval:
     """Interval extension of the square root; requires a.lo >= 0."""
     if a.lo < 0:
         raise NegativeDomain(f"sqrt of {a}")
-    return _mk(math.sqrt(a.lo), math.sqrt(a.hi))
+    return Interval(math.sqrt(a.lo), math.sqrt(a.hi))
 
 
 def sqr_ext(a: Interval) -> Interval:
     """Interval extension of squaring, exact on intervals containing 0."""
     lo2, hi2 = a.lo * a.lo, a.hi * a.hi
     if a.lo <= 0.0 <= a.hi:
-        return _mk(0.0, max(lo2, hi2))
-    return _mk(min(lo2, hi2), max(lo2, hi2))
+        return Interval(0.0, max(lo2, hi2))
+    return Interval(min(lo2, hi2), max(lo2, hi2))
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +163,6 @@ class Box:
         self.hi = hi
 
     # -- constructors ------------------------------------------------------
-    @classmethod
-    def _new(cls, lo, hi):
-        lo, hi = _out(lo, hi)
-        return cls(lo, hi)
-
     @classmethod
     def point(cls, values):
         v = np.asarray(values, dtype=float)
@@ -235,13 +200,13 @@ class Box:
     def __sub__(self, other):
         if isinstance(other, Box):
             self._check_same(other)
-            return self._new(self.lo - other.hi, self.hi - other.lo)
+            return Box(self.lo - other.hi, self.hi - other.lo)
         v = np.asarray(other, dtype=float)
-        return self._new(self.lo - v, self.hi - v)
+        return Box(self.lo - v, self.hi - v)
 
     def __rsub__(self, other):
         v = np.asarray(other, dtype=float)
-        return self._new(v - self.hi, v - self.lo)
+        return Box(v - self.hi, v - self.lo)
 
     def __neg__(self):
         return Box(-self.hi, -self.lo)
@@ -249,7 +214,7 @@ class Box:
     def __mul__(self, other):
         """Scaling by a real scalar or by a scalar Interval (componentwise)."""
         if isinstance(other, Interval):
-            return self._new(*_pair_prod(self.lo, self.hi, other.lo, other.hi))
+            return Box(*_pair_prod(self.lo, self.hi, other.lo, other.hi))
         return Box(*scale_pair((self.lo, self.hi), float(other)))
 
     __rmul__ = __mul__
@@ -365,25 +330,24 @@ def inf_norm(v: Box) -> float:
 # ---------------------------------------------------------------------------
 # array kernels on (lo, hi) pairs
 # ---------------------------------------------------------------------------
-# Each takes and returns lo/hi ndarray pairs, applies the inflation margin to
-# its result and validates nothing; the shape checks and the validation are
-# the callers'.
+# Each takes and returns lo/hi ndarray pairs and validates nothing; the shape
+# checks and the validation are the callers'.
 
 def add_pairs(a, b):
     """Interval sum of two broadcastable pairs."""
-    return _out(a[0] + b[0], a[1] + b[1])
+    return a[0] + b[0], a[1] + b[1]
 
 
 def scale_pair(a, c: float):
     """Interval times the real scalar c."""
     lo, hi = a[0] * c, a[1] * c
-    return _out(np.minimum(lo, hi), np.maximum(lo, hi))
+    return np.minimum(lo, hi), np.maximum(lo, hi)
 
 
 def _prod_sum(alo, ahi, blo, bhi):
     """Interval products of broadcastable arrays, summed over axis 1."""
     plo, phi = _pair_prod(alo, ahi, blo, bhi)
-    return _out(plo.sum(axis=1), phi.sum(axis=1))
+    return plo.sum(axis=1), phi.sum(axis=1)
 
 
 def mat_vec_pairs(M, v):
@@ -500,7 +464,7 @@ def real_mat_pairs(M, v):
     """Real (n, m) matrix times interval length-m vector pair, exact per component."""
     pos = np.maximum(M, 0.0)
     neg = np.minimum(M, 0.0)
-    return _out(pos @ v[0] + neg @ v[1], pos @ v[1] + neg @ v[0])
+    return pos @ v[0] + neg @ v[1], pos @ v[1] + neg @ v[0]
 
 
 def real_mat_iv(M, v: Box) -> Box:

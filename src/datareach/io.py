@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Tuple
 
@@ -17,6 +18,22 @@ from .systems import RunReport
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+@contextmanager
+def _csv_reader(path, what: str):
+    """A csv reader over the file at ``path`` and its header row; a file
+    that cannot be opened, or has no header, raises ConfigError naming it."""
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ConfigError(f"{what} {path} is empty")
+        yield reader, header
 
 
 def _numeric_rows(reader, what: str, path, width: int) -> np.ndarray:
@@ -41,9 +58,8 @@ def _numeric_rows(reader, what: str, path, width: int) -> np.ndarray:
 
 def read_trajectory_csv(path) -> Tuple[List[Sample], int, int]:
     """Read samples from a CSV with header t, x1..xn, xdot1..xdotn, u1..um."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [c.strip() for c in next(reader)]
+    with _csv_reader(path, "trajectory") as (reader, header):
+        header = [c.strip() for c in header]
         n = sum(1 for c in header if c.startswith("x") and not c.startswith("xdot"))
         m = sum(1 for c in header if c.startswith("u"))
         expected = ["t"] + [f"x{i+1}" for i in range(n)] \
@@ -92,9 +108,7 @@ def write_tube_csv(path, tube: ReachTube) -> None:
 
 def read_tube_csv(path):
     """Read back a tube CSV as (times, R_lo, R_hi, S_lo, S_hi, beta) arrays."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    with _csv_reader(path, "tube") as (reader, header):
         n = sum(1 for c in header if c.startswith("lo_"))
         arr = _numeric_rows(reader, "tube", path, len(header))
     ts = arr[:, 1]
@@ -124,9 +138,7 @@ def write_steps_csv(path, report: RunReport) -> None:
 
 def read_steps_csv(path):
     """Read back a steps CSV as (header, rows array)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    with _csv_reader(path, "steps") as (reader, header):
         return header, _numeric_rows(reader, "steps", path, len(header))
 
 

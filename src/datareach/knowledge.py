@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import EmptyIntersection, InconsistentSample
 from .intervals import (
-    Box, Interval, _out, add_pairs, check_shape, get_inflate_eps, meet, meet_arrays,
-    settle_arrays,
+    Box, Interval, add_pairs, check_shape, meet, meet_arrays, settle_arrays,
 )
 
 
@@ -244,33 +243,14 @@ class _Envelopes(NamedTuple):
     """Pre-settle envelopes of a base's sample rows, kept for delta passes.
 
     ``rows`` holds the lo/hi (k, n + n m) envelopes each sample row was last
-    contracted from, and ``xdot`` (k, n) / ``u`` (k, m) the inputs it was
-    contracted with, under the inflation margin ``inflate``.  ``dirty``
-    (k + 1,) marks the entries changed since those envelopes were taken;
-    every other entry is as the envelopes saw it.  ``appended`` holds
-    (envelopes, xdot, u) of the rows appended since, each against the base
-    it was appended to; their entries count as changed.
+    contracted from; a row appended since the last pass has the one from
+    the base it was appended to.  ``dirty`` (k + 1,) marks the entries
+    changed or appended since those envelopes were taken; every other entry
+    is as the envelopes saw it.
     """
 
     rows: Tuple[np.ndarray, np.ndarray]
-    xdot: np.ndarray
-    u: np.ndarray
-    inflate: float
     dirty: np.ndarray
-    appended: tuple = ()
-
-    def stacked(self) -> "_Envelopes":
-        """The same cache with the appended rows stacked onto the others."""
-        if not self.appended:
-            return self
-        env, xdot, u = zip(*self.appended)
-        return _Envelopes(
-            tuple(np.concatenate((a,) + parts) for a, parts in zip(self.rows, zip(*env))),
-            np.concatenate((self.xdot,) + xdot),
-            np.concatenate((self.u,) + u),
-            self.inflate,
-            np.concatenate((self.dirty, np.ones(len(xdot), bool))),
-        )
 
 
 class KnowledgeBase:
@@ -282,7 +262,12 @@ class KnowledgeBase:
     order, so that one array operation serves f and G.  ``cf_lo``/``cf_hi``
     (N, n) and ``cg_lo``/``cg_hi`` (N, n, m) are read-only views of them.
     Row 0 is the seed entry and row i + 1 the entry of sample i; ``entries``
-    presents the rows as `KnowledgeEntry` objects.
+    presents the rows as `KnowledgeEntry` objects.  ``xdot`` (N - 1, n) and
+    ``u`` (N - 1, m) hold the derivative (residual, when partial dynamics
+    are known) and control that each sample row is contracted from, so that
+    `rebuild` needs nothing but the base.  Rows given to the constructor
+    have no sample; their ``xdot`` and ``u`` are NaN, which `rebuild`
+    rejects.
 
     ``lip`` bounds the part learned from data (the residual when partial
     dynamics are known); ``lip_total`` bounds the full system and is what
@@ -305,12 +290,16 @@ class KnowledgeBase:
         self.side = side if side is not None else SideInfoSet()
         self._groups = _Groups(lip, self.side)
         lo, hi = zip(*(_stacked(e.C_F, e.C_G, lip.n, lip.m) for e in entries))
-        self._set_rows(np.array([e.x for e in entries], dtype=float), np.array(lo), np.array(hi))
+        k = len(entries) - 1
+        self._set_rows(
+            np.array([e.x for e in entries], dtype=float), np.array(lo), np.array(hi),
+            np.full((k, lip.n), np.nan), np.full((k, lip.m), np.nan),
+        )
 
-    def _set_rows(self, xs, c_lo, c_hi, passes=0, residual=None):
-        for a in (xs, c_lo, c_hi):
+    def _set_rows(self, xs, c_lo, c_hi, xdot, u, passes=0, residual=None):
+        for a in (xs, c_lo, c_hi, xdot, u):
             a.flags.writeable = False
-        self.xs, self.c_lo, self.c_hi = xs, c_lo, c_hi
+        self.xs, self.c_lo, self.c_hi, self.xdot, self.u = xs, c_lo, c_hi, xdot, u
         self.passes, self.residual = passes, residual
         self._env: Optional[_Envelopes] = None
         # (state bytes, envelope) of the last point query
@@ -319,13 +308,15 @@ class KnowledgeBase:
     def _rows(self):
         return self.xs, self.c_lo, self.c_hi
 
-    def _with_rows(self, rows, passes=0, residual=None) -> "KnowledgeBase":
-        """A base with this one's bounds and side information and the given rows."""
+    def _with_rows(self, rows, inputs=None, passes=0, residual=None) -> "KnowledgeBase":
+        """A base with this one's bounds and side information and the given
+        rows; ``inputs`` are the (xdot, u) of its sample rows, this base's by
+        default."""
         kb = object.__new__(KnowledgeBase)
         kb.lip, kb.lip_total, kb.side, kb._groups = (
             self.lip, self.lip_total, self.side, self._groups
         )
-        kb._set_rows(*rows, passes=passes, residual=residual)
+        kb._set_rows(*rows, *(inputs or (self.xdot, self.u)), passes=passes, residual=residual)
         return kb
 
     @property
@@ -425,9 +416,9 @@ def _contract(xdot, u, lo, hi):
     uc = u[:, None, :]
     col_lo = np.minimum(G_lo * uc, G_hi * uc)
     col_hi = np.maximum(G_lo * uc, G_hi * uc)
-    gu_lo, gu_hi = _out(col_lo.sum(axis=2), col_hi.sum(axis=2))
+    gu_lo, gu_hi = col_lo.sum(axis=2), col_hi.sum(axis=2)
     f_lo, f_hi, bad = meet_arrays(
-        F_lo, F_hi, *_out(xdot - gu_hi, xdot - gu_lo), _MEET_TOL, _PAD
+        F_lo, F_hi, xdot - gu_hi, xdot - gu_lo, _MEET_TOL, _PAD
     )
     stages = [bad]
     c_lo, c_hi = lo.copy(), hi.copy()
@@ -435,7 +426,7 @@ def _contract(xdot, u, lo, hi):
     np.clip(f_lo, F_lo, F_hi, out=cf_lo)
     np.clip(f_hi, cf_lo, F_hi, out=cf_hi)
     s_lo, s_hi, bad = meet_arrays(
-        *_out(xdot - cf_hi, xdot - cf_lo), gu_lo, gu_hi, _MEET_TOL, _PAD
+        xdot - cf_hi, xdot - cf_lo, gu_lo, gu_hi, _MEET_TOL, _PAD
     )
     stages.append(bad)
     # suffix sums over columns l+1..m-1 of G u
@@ -446,7 +437,7 @@ def _contract(xdot, u, lo, hi):
         live = np.abs(ul) > _U_ZERO_TOL
         if live.any():
             num_lo, num_hi, bad = meet_arrays(
-                *_out(s_lo - tail_hi, s_hi - tail_lo), col_lo[:, :, l], col_hi[:, :, l],
+                s_lo - tail_hi, s_hi - tail_lo, col_lo[:, :, l], col_hi[:, :, l],
                 _MEET_TOL,
             )
             stages.append(bad & live)
@@ -583,21 +574,20 @@ def G_over_iv(X: Box, kb: KnowledgeBase) -> Box:
 # knowledge-base construction
 # ---------------------------------------------------------------------------
 
-def _residual_sample(s: Sample, pd: Optional[PartialDynamics]) -> Sample:
-    if pd is None:
-        return s
-    resid = s.xdot - (pd.f_known(s.x) + pd.G_known(s.x) @ s.u)
-    return Sample(s.x, resid, s.u, s.t)
+def _stack(samples, pd: Optional[PartialDynamics], n, m):
+    """States, derivatives and controls of the samples as (k, n), (k, n), (k, m).
 
-
-def _stack(samples, n, m):
-    """States, derivatives and controls of the samples as (k, n), (k, n), (k, m)."""
+    With partial dynamics the derivatives are the residuals left after the
+    known part.
+    """
     k = len(samples)
-    return (
-        np.array([s.x for s in samples], dtype=float).reshape(k, n),
-        np.array([s.xdot for s in samples], dtype=float).reshape(k, n),
-        np.array([s.u for s in samples], dtype=float).reshape(k, m),
-    )
+    X = np.array([s.x for s in samples], dtype=float).reshape(k, n)
+    XDOT = np.array([s.xdot for s in samples], dtype=float).reshape(k, n)
+    U = np.array([s.u for s in samples], dtype=float).reshape(k, m)
+    if pd is not None:
+        known = [pd.f_known(s.x) + pd.G_known(s.x) @ s.u for s in samples]
+        XDOT = XDOT - np.array(known, dtype=float).reshape(k, n)
+    return X, XDOT, U
 
 
 def _envelopes(kb: KnowledgeBase, X):
@@ -635,7 +625,7 @@ def _settled_rows(kb: KnowledgeBase, env, X):
             for r in np.flatnonzero(inside):
                 known[r, :n] = pd.f_known(X[r])
                 known[r, n:] = np.ravel(pd.G_known(X[r]))
-            rng = _out(rng[0] - known, rng[1] - known)
+            rng = (rng[0] - known, rng[1] - known)
         sel = inside[:, None]
         m_lo, m_hi, bad = meet_arrays(lo, hi, *rng, _MEET_TOL, _PAD)
         lo, hi = np.where(sel, m_lo, lo), np.where(sel, m_hi, hi)
@@ -672,7 +662,7 @@ def _raise_failure(failure, index):
     ) from _empty(None, comp)
 
 
-def _seed_entry(side: SideInfoSet, samples, n, m, M) -> KnowledgeEntry:
+def _seed_entry(side: SideInfoSet, X, n, m, M) -> KnowledgeEntry:
     vb = side.vf_bounds
     pd = side.partial_dynamics
     if vb is not None:
@@ -682,7 +672,7 @@ def _seed_entry(side: SideInfoSet, samples, n, m, M) -> KnowledgeEntry:
             CF0 = CF0 - pd.f_known(x0)
             CG0 = CG0 - pd.G_known(x0)
     else:
-        x0 = samples[0].x
+        x0 = X[0]
         CF0 = Box(np.full(n, -M), np.full(n, M))
         CG0 = Box(np.full((n, m), -M), np.full((n, m), M))
     return KnowledgeEntry(np.asarray(x0, float), CF0, CG0)
@@ -717,17 +707,16 @@ def build_knowledge(
         or dec.G_depends.shape != (qlip.n, qlip.m, qlip.n)
     ):
         raise ValueError("decoupling mask shapes do not match the system dimensions")
-    samples = [_residual_sample(s, pd) for s in traj]
-    if not samples and side.vf_bounds is None:
+    X, XDOT, U = _stack(list(traj), pd, qlip.n, qlip.m)
+    if X.shape[0] == 0 and side.vf_bounds is None:
         raise ValueError("need at least one sample or vector-field bounds")
 
     kb = KnowledgeBase(
-        (_seed_entry(side, samples, qlip.n, qlip.m, M),), qlip, lip, side
+        (_seed_entry(side, X, qlip.n, qlip.m, M),), qlip, lip, side
     )
-    X, XDOT, U = _stack(samples, qlip.n, qlip.m)
-    for i in range(len(samples)):
+    for i in range(X.shape[0]):
         kb = _append(kb, X[i : i + 1], XDOT[i : i + 1], U[i : i + 1], i)
-    return _iterate_to_invariance(kb, X, XDOT, U, fixpoint_tol, max_fixpoint_iters)
+    return _iterate_to_invariance(kb, fixpoint_tol, max_fixpoint_iters)
 
 
 def _append(kb: KnowledgeBase, X, XDOT, U, first) -> KnowledgeBase:
@@ -738,11 +727,15 @@ def _append(kb: KnowledgeBase, X, XDOT, U, first) -> KnowledgeBase:
         env = _envelopes(kb, X)
     new = _contract_rows(kb, env, X, XDOT, U, range(first, first + X.shape[0]))
     out = kb._with_rows(
-        [np.concatenate((a, r)) for a, r in zip(kb._rows(), [X] + new)]
+        [np.concatenate((a, r)) for a, r in zip(kb._rows(), [X] + new)],
+        (np.concatenate((kb.xdot, XDOT)), np.concatenate((kb.u, U))),
     )
     cache = kb._env
-    if cache is not None and cache.inflate == get_inflate_eps():
-        out._env = cache._replace(appended=cache.appended + ((env, XDOT, U),))
+    if cache is not None:
+        out._env = _Envelopes(
+            tuple(np.concatenate((a, e)) for a, e in zip(cache.rows, env)),
+            np.concatenate((cache.dirty, np.ones(X.shape[0], bool))),
+        )
     return out
 
 
@@ -760,33 +753,24 @@ def _loosened(diff, lo_columns):
     )
 
 
-def _iterate_to_invariance(kb, X, XDOT, U, tol, max_iters) -> KnowledgeBase:
-    """Jacobi passes until no endpoint moves by ``tol``, re-contracting only
-    the rows that can change.
+def _iterate_to_invariance(kb, tol, max_iters) -> KnowledgeBase:
+    """Jacobi passes over the base's own samples until no endpoint moves by
+    ``tol``, re-contracting only the rows that can change.
 
     Each pass contracts every sample against the base the previous pass
     left.  A row's envelope is a max / min over the entries, and max and
     min are exact.  So as long as no entry loosened, folding the entries
     that changed since a row's cached envelope into it gives the envelope a
-    full pass would compute, bit for bit, and a row whose envelope and
-    inputs did not move would contract to the row it already has.  A delta
-    pass therefore re-contracts only the rows whose envelope moved or whose
-    (xdot, u) differ from the cached ones.  A pass recomputes every row
-    against every entry when there is no cache, when the states or the
-    inflation margin differ from the cache's, when more than
+    full pass would compute, bit for bit, and a row whose envelope did not
+    move would contract to the row it already has.  A delta pass therefore
+    re-contracts only the rows whose envelope moved.  A pass recomputes
+    every row against every entry when there is no cache, when more than
     ``_DELTA_SHARE`` of the entries changed, or after a pass that loosened
     an entry.
     """
+    X, XDOT, U = kb.xs[1:], kb.xdot, kb.u
     k = X.shape[0]
-    same_x = np.array_equal(X, kb.xs[1:])
     cache = kb._env
-    if cache is not None and same_x and cache.inflate == get_inflate_eps():
-        cache = cache.stacked()
-    else:
-        cache = None
-    stale = None
-    if cache is not None:
-        stale = (XDOT != cache.xdot).any(axis=1) | (U != cache.u).any(axis=1)
     for passes in range(1, max_iters + 1):
         old = [a[1:] for a in kb._rows()[1:]]
         if cache is None or np.count_nonzero(cache.dirty) > _DELTA_SHARE * (k + 1):
@@ -795,11 +779,11 @@ def _iterate_to_invariance(kb, X, XDOT, U, tol, max_iters) -> KnowledgeBase:
             new = _contract_rows(kb, env, X, XDOT, U, range(k))
         else:
             env = cache.rows
-            moved = np.zeros(k, bool) if stale is None else stale
+            moved = np.zeros(k, bool)
             changed = np.flatnonzero(cache.dirty)
             if changed.size:
                 lo, hi = _envelopes(kb._with_rows([a[changed] for a in kb._rows()]), X)
-                moved = moved | (lo > env[0]).any(axis=1) | (hi < env[1]).any(axis=1)
+                moved = (lo > env[0]).any(axis=1) | (hi < env[1]).any(axis=1)
                 env = (np.maximum(env[0], lo), np.minimum(env[1], hi))
             rows = np.flatnonzero(moved)
             new = _contract_rows(
@@ -814,8 +798,7 @@ def _iterate_to_invariance(kb, X, XDOT, U, tol, max_iters) -> KnowledgeBase:
         residual = float(change.max(initial=0.0))
         dirty = np.zeros(k + 1, bool)
         if rows is None:
-            xs = kb.xs if same_x else np.concatenate((kb.xs[:1], X))
-            arrays = [xs] + [np.concatenate((a[:1], r)) for a, r in zip(kb._rows()[1:], new)]
+            arrays = [kb.xs] + [np.concatenate((a[:1], r)) for a, r in zip(kb._rows()[1:], new)]
             dirty[1:] = change > 0.0
         else:
             arrays = [kb.xs]
@@ -826,15 +809,13 @@ def _iterate_to_invariance(kb, X, XDOT, U, tol, max_iters) -> KnowledgeBase:
             dirty[rows[change > 0.0] + 1] = True
         kb = kb._with_rows(arrays, passes=passes, residual=residual)
         # keep the envelopes only for a delta pass that can use them: not when
-        # they were taken against other states, when the next pass recomputes
-        # every row anyway, or when an entry moved outward, which makes the
-        # fold inexact
+        # the next pass recomputes every row anyway, or when an entry moved
+        # outward, which makes the fold inexact
         cache = None
-        if (same_x and np.count_nonzero(dirty) <= _DELTA_SHARE * (k + 1)
+        if (np.count_nonzero(dirty) <= _DELTA_SHARE * (k + 1)
                 and not _loosened(diff, kb.c_lo.shape[1])):
-            cache = _Envelopes(env, XDOT, U, get_inflate_eps(), dirty)
+            cache = _Envelopes(env, dirty)
         kb._env = cache
-        same_x, stale = True, None
         if residual < tol:
             break
     return kb
@@ -851,28 +832,20 @@ def append_sample(kb: KnowledgeBase, sample: Sample) -> KnowledgeBase:
     joins the base's cached ones, so that a later `rebuild` re-contracts
     only the rows the new entries can tighten.
     """
-    s = _residual_sample(sample, kb.side.partial_dynamics)
-    return _append(kb, *_stack([s], kb.n, kb.m), kb.xs.shape[0] - 1)
+    X, XDOT, U = _stack([sample], kb.side.partial_dynamics, kb.n, kb.m)
+    return _append(kb, X, XDOT, U, kb.xs.shape[0] - 1)
 
 
-def rebuild(kb, samples, fixpoint_tol=1e-9, max_fixpoint_iters=50) -> KnowledgeBase:
-    """Re-run the invariance passes against an externally kept list of raw samples.
+def rebuild(kb, fixpoint_tol=1e-9, max_fixpoint_iters=50) -> KnowledgeBase:
+    """Re-run the invariance passes on the samples the base holds.
 
-    ``samples`` holds the base's samples in order, one per non-seed row.
     The passes start from the envelopes the base keeps: the first folds in
     the entries appended or changed since and re-contracts only the rows
-    whose envelope moved, plus the rows whose sample's (xdot, u) differ from
-    the ones they were contracted with.  Samples at other states, or a
-    changed inflation margin, make the first pass recompute every row.  The
-    result equals a full Jacobi re-run bit for bit, and records the pass
-    count and final residual, as `build_knowledge` does.
+    whose envelope moved.  The result equals a full Jacobi re-run bit for
+    bit, and records the pass count and final residual, as
+    `build_knowledge` does.
     """
-    side_samples = [_residual_sample(s, kb.side.partial_dynamics) for s in samples]
-    if len(side_samples) != kb.xs.shape[0] - 1:
-        raise ValueError("sample list does not match the knowledge base")
-    return _iterate_to_invariance(
-        kb, *_stack(side_samples, kb.n, kb.m), fixpoint_tol, max_fixpoint_iters
-    )
+    return _iterate_to_invariance(kb, fixpoint_tol, max_fixpoint_iters)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .control import QuadraticCost, datacontrol_step, norm_cost, setpoint_cost
+from .control import MODES, QuadraticCost, datacontrol_step, norm_cost, setpoint_cost
 from .errors import DataReachError, StateLeftDomain, StepTooLarge
 from .intervals import Box, imat_vec, meet, real_mat_iv
 from .knowledge import (
@@ -359,8 +359,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
-        if self.init_len < 1:
-            raise ValueError("init_len must be >= 1")
 
 
 @dataclass
@@ -410,6 +408,29 @@ class RunReport:
         }
 
 
+def check_experiment(sys: SystemSpec, cfg: ExperimentConfig) -> QPOptions:
+    """Raise ValueError for a setting `run_closed_loop` cannot run; return
+    the solver options of the run."""
+    if cfg.mode not in MODES:
+        raise ValueError(f"mode must be one of {list(MODES)}, not {cfg.mode!r}")
+    if cfg.excitation not in EXCITATIONS:
+        raise ValueError(f"excitation must be one of {list(EXCITATIONS)}")
+    if not cfg.dt > 0.0:
+        raise ValueError("dt must be positive")
+    if cfg.init_len < 1:
+        raise ValueError("init_len must be >= 1")
+    if cfg.max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    if cfg.refresh_every < 1:
+        raise ValueError("refresh_every must be >= 1")
+    opts = QPOptions(eps=cfg.eps, mu0=cfg.mu0)
+    if cfg.weights is not None and not all(0.0 <= w <= 1.0 for w in cfg.weights):
+        raise ValueError("weights must lie in [0, 1]")
+    if cfg.x0.shape != (sys.n,):
+        raise ValueError(f"x0 must have {sys.n} entries")
+    return opts
+
+
 def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
     """Excite, build the knowledge base, then control step by step.
 
@@ -420,17 +441,16 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
     orthant solves from the previous step's active sets.  Each log times
     the control step in ``micros`` and the knowledge-base update after it
     in ``kb_micros``.  Stops once the realized one-step cost (plus the
-    constant offset) enters the stop sublevel set.
+    constant offset) enters the stop sublevel set.  Settings are checked
+    by `check_experiment` before anything runs.
     """
+    opts = check_experiment(sys, cfg)
     limit = max_step_size(sys.lip, sys.U)
     if not cfg.dt < limit:
         raise StepTooLarge(cfg.dt, limit)
-    if cfg.refresh_every < 1:
-        raise ValueError("refresh_every must be >= 1")
     samples = excite(sys, cfg.init_len, cfg.seed, dt=cfg.dt, x0=cfg.x0,
                      mode=cfg.excitation, substeps=cfg.substeps)
     kb = build_knowledge(samples, sys.lip, sys.side, M=cfg.M)
-    all_samples = list(samples)
     x = advance(sys, samples[-1].x, samples[-1].u, cfg.dt, cfg.substeps)
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5EED]))
@@ -438,7 +458,6 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
         wplus, wminus = float(cfg.weights[0]), float(cfg.weights[1])
     else:
         wplus, wminus = rng.uniform(0.0, 1.0, size=2)
-    opts = QPOptions(eps=cfg.eps, mu0=cfg.mu0)
     logs: List[StepLog] = []
     reached = False
     failure = None
@@ -471,11 +490,10 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
         logs.append(log)
 
         new_sample = Sample(x, sys.h_true(x, u), u, t)
-        all_samples.append(new_sample)
         started = time.perf_counter()
         kb = append_sample(kb, new_sample)
         if (i + 1) % cfg.refresh_every == 0:
-            kb = rebuild(kb, all_samples)
+            kb = rebuild(kb)
         log.kb_micros = (time.perf_counter() - started) * 1e6
         x = x_next
         t += cfg.dt

@@ -491,3 +491,58 @@ class TestTubeAndStepsCsv:
                                     "micros"], corrupt)
         with pytest.raises(cli.ConfigError, match=f"steps {path}, line 3: {message}"):
             dio.read_steps_csv(path)
+
+
+class TestUnreadableInputFiles:
+    """A CSV that cannot be read is a config error naming the file (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("", "is empty"),
+            ("t,x1,x2,x3,xdot1,xdot2,xdot3,u1,u2\n", "holds no samples"),
+            (None, "cannot read trajectory"),
+        ],
+        ids=["empty", "header_only", "missing"],
+    )
+    def test_reach_trajectory(self, tmp_path, capsys, content, message):
+        path = tmp_path / "traj.csv"
+        if content is not None:
+            path.write_text(content)
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, {
+            "system": "unicycle",
+            "out": str(out),
+            "reach": {"dt": 0.02, "steps": 3, "trajectory": str(path)},
+        })
+        assert cli.main(["--config", cfg, "reach"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and str(path) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("read, what", [
+        (dio.read_trajectory_csv, "trajectory"),
+        (dio.read_tube_csv, "tube"),
+        (dio.read_steps_csv, "steps"),
+    ], ids=["trajectory", "tube", "steps"])
+    def test_empty_and_missing_files(self, tmp_path, read, what):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(cli.ConfigError, match=f"^{what} {path} is empty$"):
+            read(path)
+        with pytest.raises(cli.ConfigError, match=f"^cannot read {what} {path}.x: "):
+            read(f"{path}.x")
+
+
+def test_readme_config_documents_every_key(tmp_path):
+    """The README's configuration example is valid and names every key."""
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path = tmp_path / "readme.yaml"
+    path.write_text(readme.split("```yaml\n", 1)[1].split("```", 1)[0])
+    cfg = cli._load_config(str(path))
+    for name, keys in (("reach", cli._REACH_KEYS), ("control", cli._CONTROL_KEYS),
+                       ("benchmark", cli._BENCH_KEYS)):
+        cli._check_keys(cfg[name], keys, name)
+        assert sorted(keys - set(cfg[name])) == [], name

@@ -446,27 +446,6 @@ class TestRandomizedProperties:
             assert (Interval(x) - Interval(y)).mid == pytest.approx(x - y, abs=1e-12)
 
 
-class TestInflationOption:
-    def test_inflate_eps_pads_results(self):
-        from datareach.intervals import get_inflate_eps, set_inflate_eps
-
-        assert get_inflate_eps() == 0.0
-        plain = Interval(1, 2) + Interval(3, 4)
-        set_inflate_eps(1e-9)
-        try:
-            padded = Interval(1, 2) + Interval(3, 4)
-            assert padded.lo < plain.lo and padded.hi > plain.hi
-            assert padded.lo == pytest.approx(plain.lo, abs=1e-8)
-        finally:
-            set_inflate_eps(0.0)
-
-    def test_negative_margin_rejected(self):
-        from datareach.intervals import set_inflate_eps
-
-        with pytest.raises(ValueError):
-            set_inflate_eps(-1.0)
-
-
 def test_imat_imat_hand_case():
     # 1x2 times 2x1: [0,1]*1 + [1,1]*2 = [2,3]
     A = Box.of([[Interval(0, 1), Interval(1, 1)]])

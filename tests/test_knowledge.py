@@ -186,7 +186,7 @@ class TestBuildKnowledge:
         sysu = unicycle()
         traj = excite(sysu, 12, seed=7, dt=0.1, x0=[-2.0, -2.5, math.pi / 2])
         kb = build_knowledge(traj, sysu.lip, sysu.side)
-        kb2 = rebuild(kb, traj)
+        kb2 = rebuild(kb)
         assert kb2.xs.shape[0] == kb.xs.shape[0]
         assert np.allclose(kb.cf_lo, kb2.cf_lo, atol=1e-8)
         assert np.allclose(kb.cf_hi, kb2.cf_hi, atol=1e-8)
@@ -372,13 +372,11 @@ class TestRandomSystemFuzz:
                 samples.append(Sample(x.copy(), f(x) + G(x) @ u, u))
                 x = x + 0.05 * rng.normal(size=n)
             kb = build_knowledge(samples[:10], lip, M=50.0)
-            seen = samples[:10]
             for i, s in enumerate(samples[10:]):
                 kb = append_sample(kb, s)
-                seen.append(s)
                 if (i + 1) % 15 == 0:
-                    kb = rebuild(kb, seen)
-            kb = rebuild(kb, seen)
+                    kb = rebuild(kb)
+            kb = rebuild(kb)
             for _ in range(50):
                 q = rng.normal(size=n) * 2
                 assert f_over(q, kb).contains(f(q), atol=1e-8)
@@ -538,7 +536,7 @@ def _batched_run(traj, lip, side, n_init):
     kb = build_knowledge(traj[:n_init], lip, side)
     for s in traj[n_init:]:
         kb = append_sample(kb, s)
-    return rebuild(kb, traj)
+    return rebuild(kb)
 
 
 def _assert_same_base(got, want):
@@ -598,20 +596,6 @@ class TestBatchedPass:
             _batched_run(traj, sysu.lip, side, 12), _ref_run(traj, sysu.lip, side, 12)
         )
 
-    def test_inflation_matches_reference(self):
-        from datareach import intervals
-
-        sysu = unicycle()
-        traj = excite(sysu, 20, seed=3, dt=0.1, x0=[-2.0, -2.5, math.pi / 2])
-        intervals.set_inflate_eps(1e-12)
-        try:
-            _assert_same_base(
-                _batched_run(traj, sysu.lip, sysu.side, 16),
-                _ref_run(traj, sysu.lip, sysu.side, 16),
-            )
-        finally:
-            intervals.set_inflate_eps(0.0)
-
     def test_closed_loop_sequence_matches_reference(self, pass_log):
         """Build at 10, then three rounds of 25 appends and a rebuild, as a loop does."""
         from datareach.systems import by_name, experiment_for
@@ -627,68 +611,55 @@ class TestBatchedPass:
             for s in traj[start:end]:
                 kb = append_sample(kb, s)
             pass_log.clear()
-            kb = rebuild(kb, traj[:end])
+            kb = rebuild(kb)
             base = _ref_invariance(_ref_append(base, samples[start:end]), samples[:end])
             _assert_same_base(kb, base)
             # some of the rebuild's passes folded in only the changed entries
             assert any(e[0] == "envelopes" and e[1] < end + 1 for e in pass_log)
 
-    def test_inflation_change_matches_reference(self, pass_log):
-        """A base settled at one inflation margin and re-run at a larger one."""
-        from datareach import intervals
-
-        sysu = unicycle()
-        traj = excite(sysu, 20, seed=3, dt=0.1, x0=[-2.0, -2.5, math.pi / 2])
-        base, samples = _ref_seed(traj, sysu.lip, sysu.side)
-        base = _ref_invariance(_ref_append(base, samples), samples)
-        kb = build_knowledge(traj, sysu.lip, sysu.side)
-        intervals.set_inflate_eps(1e-9)
-        try:
-            for _ in range(3):
-                prev = kb
-                pass_log.clear()
-                kb = rebuild(kb, traj, max_fixpoint_iters=1)
-                base = _ref_invariance(base, samples, max_iters=1)
-                _assert_same_base(kb, base)
-                # entries moved outward, and every pass recomputed every row
-                assert (np.any(kb.cf_lo < prev.cf_lo) or np.any(kb.cf_hi > prev.cf_hi)
-                        or np.any(kb.cg_lo < prev.cg_lo) or np.any(kb.cg_hi > prev.cg_hi))
-                assert pass_log == [("envelopes", 21, 20)]
-        finally:
-            intervals.set_inflate_eps(0.0)
-
-    def test_changed_inputs_and_loosened_entry_match_reference(self, pass_log):
-        """Rows whose (xdot, u) differ from what they were contracted from are
-        redone; here that loosens an entry, and the next pass recomputes every row."""
+    def test_loosened_entry_forces_a_full_pass(self, monkeypatch):
+        """After a pass that loosened an entry (forced here through the
+        guard), the next pass recomputes every row, and the base still
+        equals the per-sample reference."""
+        from datareach import knowledge
         from datareach.systems import by_name, experiment_for
 
         sys_ = by_name("quadrotor")
         cfg = experiment_for("quadrotor")
-        traj = excite(sys_, 40, seed=4, dt=cfg.dt, x0=cfg.x0)
-        kb = build_knowledge(traj, sys_.lip, sys_.side)
-        other = list(traj)
-        for i in (4, 17):  # same states, other (still true) derivatives and controls
-            u = 0.5 * other[i].u
-            other[i] = Sample(other[i].x, sys_.h_true(other[i].x, u), u, other[i].t)
-        base, samples = _ref_seed(traj, sys_.lip, sys_.side)
-        base = _ref_invariance(_ref_append(base, samples), samples)
-        pass_log.clear()
-        got = rebuild(kb, other)
-        want = _ref_invariance(base, _ref_seed(other, sys_.lip, sys_.side)[1])
-        _assert_same_base(got, want)
-        # the first pass folded a few changed entries and re-contracted a few
-        # rows (rows 4 and 17 among them), too few to force a full pass; one
-        # of them moved outward, so the second pass recomputed every row
-        kind, entries, rows = pass_log[0]
-        assert kind == "envelopes" and entries < 41 and rows == 40
-        kind, loosened, recomputed = pass_log[1]
-        assert kind == "loosened" and loosened and 2 <= recomputed <= 20
-        assert pass_log[2] == ("envelopes", 41, 40)
+        traj = excite(sys_, 44, seed=4, dt=cfg.dt, x0=cfg.x0)
+        kb = build_knowledge(traj[:40], sys_.lip, sys_.side)
+        for s in traj[40:]:
+            kb = append_sample(kb, s)
+        log = []
+        envelopes = knowledge._envelopes
 
-    @pytest.mark.parametrize("inflate", [0.0, 1e-12])
+        def envelopes_spy(kb, X):
+            log.append(("envelopes", kb.xs.shape[0], X.shape[0]))
+            return envelopes(kb, X)
+
+        def loosened_spy(diff, lo_columns):
+            log.append(("loosened", diff.shape[0]))
+            return len(log) == 2  # the first pass's test reports a loosened entry
+
+        monkeypatch.setattr(knowledge, "_envelopes", envelopes_spy)
+        monkeypatch.setattr(knowledge, "_loosened", loosened_spy)
+        got = rebuild(kb, max_fixpoint_iters=3)
+        base, samples = _ref_seed(traj, sys_.lip, sys_.side)
+        base = _ref_invariance(_ref_append(base, samples[:40]), samples[:40])
+        want = _ref_invariance(_ref_append(base, samples[40:]), samples, max_iters=3)
+        _assert_same_base(got, want)
+        # the first pass folded the changed entries (the 4 appended among
+        # them) into the cached envelopes and re-contracted only the rows
+        # they moved
+        kind, entries, rows = log[0]
+        assert kind == "envelopes" and 4 <= entries < 45 and rows == 44
+        kind, recomputed = log[1]
+        assert kind == "loosened" and recomputed < 44
+        # the forced verdict dropped the cache: the second pass is a full one
+        assert log[2] == ("envelopes", 45, 44)
+
     @pytest.mark.parametrize("name", ["unicycle", "quadrotor", "aircraft"])
-    def test_contract_fg_matches_box_reference(self, name, inflate):
-        from datareach import intervals
+    def test_contract_fg_matches_box_reference(self, name):
         from datareach.knowledge import KnowledgeEntry
         from datareach.systems import by_name, experiment_for
 
@@ -701,29 +672,25 @@ class TestBatchedPass:
         base = _RefBase([KnowledgeEntry(traj[0].x, Box(-M[:, 0], M[:, 0]), Box(-M, M))],
                         lip, sys_.side)
         failures = []
-        intervals.set_inflate_eps(inflate)
-        try:
-            for s in traj:
-                F, G = _ref_queries(base, s.x)
-                got, want = contract_fg(s, F, G), _ref_contract_fg(s, F, G)
-                for a, b in zip(got, want):
-                    assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
-                base = base.with_entry(KnowledgeEntry(s.x, *got))
-                # a corrupted derivative fails in both, at the same component
-                bad = Sample(s.x, s.xdot + 50.0 * (np.arange(lip.n) == lip.n - 1), s.u)
-                got_comp = want_comp = None
-                try:
-                    _ref_contract_fg(bad, *got)
-                except EmptyIntersection as exc:
-                    want_comp = exc.index
-                try:
-                    contract_fg(bad, *got)
-                except InconsistentSample as exc:
-                    got_comp = exc.component
-                assert got_comp == want_comp
-                failures.append(want_comp)
-        finally:
-            intervals.set_inflate_eps(0.0)
+        for s in traj:
+            F, G = _ref_queries(base, s.x)
+            got, want = contract_fg(s, F, G), _ref_contract_fg(s, F, G)
+            for a, b in zip(got, want):
+                assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
+            base = base.with_entry(KnowledgeEntry(s.x, *got))
+            # a corrupted derivative fails in both, at the same component
+            bad = Sample(s.x, s.xdot + 50.0 * (np.arange(lip.n) == lip.n - 1), s.u)
+            got_comp = want_comp = None
+            try:
+                _ref_contract_fg(bad, *got)
+            except EmptyIntersection as exc:
+                want_comp = exc.index
+            try:
+                contract_fg(bad, *got)
+            except InconsistentSample as exc:
+                got_comp = exc.component
+            assert got_comp == want_comp
+            failures.append(want_comp)
         assert any(c is not None for c in failures)
 
     @pytest.mark.parametrize("chunk_floats", [None, 1])
@@ -735,13 +702,13 @@ class TestBatchedPass:
         sysu = unicycle()
         traj = excite(sysu, 20, seed=7, dt=0.1, x0=[-2.0, -2.5, math.pi / 2])
         kb = build_knowledge(traj, sysu.lip, sysu.side)
-        bad = list(traj)
-        for i in (13, 6):
-            xdot = bad[i].xdot.copy()
-            xdot[0] += 100.0
-            bad[i] = Sample(bad[i].x, xdot, bad[i].u, bad[i].t)
+        xdot = kb.xdot.copy()
+        xdot[[13, 6], 0] += 100.0
+        # the same rows with corrupted stored derivatives and no cached
+        # envelopes, so the first pass contracts every row
+        bad = kb._with_rows(kb._rows(), (xdot, kb.u))
         with pytest.raises(InconsistentSample) as err:
-            rebuild(kb, bad)
+            rebuild(bad)
         assert err.value.sample_index == 6
         assert err.value.component == (0,)
         assert str(err.value) == "sample 6 contradicts the enclosures at component (0,)"
@@ -760,10 +727,27 @@ class TestBatchedPass:
         settled = build_knowledge(traj, sysu.lip, sysu.side)
         assert 1 <= settled.passes <= 50
         assert settled.residual < 1e-9 or settled.passes == 50
-        again = rebuild(settled, traj, max_fixpoint_iters=3)
+        again = rebuild(settled, max_fixpoint_iters=3)
         assert 1 <= again.passes <= 3
         grown = append_sample(settled, traj[0])
         assert grown.passes == 0 and grown.residual is None
+
+    @pytest.mark.parametrize("name", ["quadrotor", "aircraft"])
+    def test_base_holds_its_residual_samples(self, name):
+        from datareach.systems import by_name, experiment_for
+
+        sys_ = by_name(name)
+        cfg = experiment_for(name)
+        pd = sys_.side.partial_dynamics
+        traj = excite(sys_, 30, seed=6, dt=cfg.dt, x0=cfg.x0)
+        kb = build_knowledge(traj[:20], sys_.lip, sys_.side)
+        for s in traj[20:]:
+            kb = append_sample(kb, s)
+        for got in (kb, rebuild(kb, max_fixpoint_iters=2)):
+            resid = [_ref_residual(s, pd) for s in traj]
+            assert np.array_equal(got.xdot, np.array([s.xdot for s in resid]))
+            assert np.array_equal(got.u, np.array([s.u for s in traj]))
+            assert not np.array_equal(got.xdot, np.array([s.xdot for s in traj]))
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +818,7 @@ class TestStackedRowsAndPointSlot:
         _assert_same_rows(got, want)
         # the reused envelope also joins the delta-pass cache unchanged
         got, want = append_sample(got, s2), append_sample(want, s2)
-        _assert_same_rows(rebuild(got, traj), rebuild(want, traj))
+        _assert_same_rows(rebuild(got), rebuild(want))
 
     def test_one_ulp_away_misses_the_slot(self, envelope_calls):
         from datareach.control import datacontrol_step

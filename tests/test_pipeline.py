@@ -4,7 +4,7 @@ The reference below composes one step from validated `Box` objects, one per
 intermediate result, with its own copies of the box queries, the Jacobian
 bands and the interval kernels.  The pipeline (`reach._step_data` and its
 three callers) runs on lo/hi arrays and must reproduce the reference bit for
-bit, with and without the inflation margin.
+bit.
 """
 
 import math
@@ -16,7 +16,7 @@ import pytest
 from conftest import T_REF
 from datareach.control import linearize
 from datareach.errors import EmptyIntersection, StepTooLarge
-from datareach.intervals import Box, Interval, get_inflate_eps, set_inflate_eps
+from datareach.intervals import Box, Interval
 from datareach.knowledge import (
     GradientBounds,
     LipschitzBounds,
@@ -48,28 +48,20 @@ DT = 0.02
 # reference: the step composed from Boxes
 # ---------------------------------------------------------------------------
 
-def _new(lo, hi):
-    eps = get_inflate_eps()
-    if eps:
-        pad = eps * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-        lo, hi = lo - pad, hi + pad
-    return Box(lo, hi)
-
-
 def _prod_sum(alo, ahi, blo, bhi):
     p = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
     lo = np.minimum(np.minimum(p[0], p[1]), np.minimum(p[2], p[3]))
     hi = np.maximum(np.maximum(p[0], p[1]), np.maximum(p[2], p[3]))
-    return _new(lo.sum(axis=1), hi.sum(axis=1))
+    return Box(lo.sum(axis=1), hi.sum(axis=1))
 
 
 def add(a, b):
-    return _new(a.lo + b.lo, a.hi + b.hi)
+    return Box(a.lo + b.lo, a.hi + b.hi)
 
 
 def scale(a, c):
     lo, hi = a.lo * c, a.hi * c
-    return _new(np.minimum(lo, hi), np.maximum(lo, hi))
+    return Box(np.minimum(lo, hi), np.maximum(lo, hi))
 
 
 def mat_vec(M, v):
@@ -237,16 +229,6 @@ def loop_bases():
     return out
 
 
-@pytest.fixture
-def inflated():
-    before = get_inflate_eps()
-    set_inflate_eps(1e-12)
-    try:
-        yield
-    finally:
-        set_inflate_eps(before)
-
-
 class TestMatchesBoxComposedStep:
     @pytest.mark.parametrize("setting", ["lipschitz_only", "decoupled", "decoupled_bounds"])
     def test_tube_fig_settings(self, unicycle_fig_setup, setting):
@@ -283,15 +265,6 @@ class TestMatchesBoxComposedStep:
         assert_tube_matches(kb, x_start, fig_control(smoothness=0), 20, None)
         assert_linearize_matches(kb, [s.x for s in samples], sysu.U, 0.1)
         assert True in calls and False in calls
-
-    def test_under_inflation(self, unicycle_fig_setup, loop_bases, inflated):
-        sysu, samples, _, x_start = unicycle_fig_setup
-        kb = build_knowledge(samples, sysu.lip, unicycle_knowledge_settings()["decoupled_bounds"])
-        assert_tube_matches(kb, x_start, fig_control(), 50, sysu.X)
-        assert_tube_matches(kb, x_start, fig_control(smoothness=0), 20, sysu.X)
-        for name in ("unicycle", "quadrotor"):
-            sys_, exp, kb, states = loop_bases[name]
-            assert_linearize_matches(kb, states[:10], sys_.U, exp.dt)
 
 
 class TestStepChecks:
