@@ -107,7 +107,6 @@ from .systems import (
     quadrotor,
     rk4_step,
     run_closed_loop,
-    simulate,
     unicycle,
     unicycle_knowledge_settings,
 )

@@ -357,7 +357,8 @@ def datacontrol_step(
 
     A_ide, b_ide = idealistic_coeffs(aff, wplus, wminus)
     qp_def = assemble_idealistic(cost, A_ide, b_ide, wplus, wminus)
-    qp = BoxQP(qp_def.Qi, qp_def.qi, U, qp_def.pi)
+    # assemble_idealistic has symmetrised Qi and checked that it is PSD
+    qp = BoxQP._prechecked(qp_def.Qi, qp_def.qi, U, qp_def.pi)
     u_hat, info = solve_idealistic(qp, opts, y0=u_prev, with_info=True)
     micros = (time.perf_counter() - started) * 1e6
     diag = StepDiagnostics(

@@ -57,9 +57,5 @@ class AllOrthantsInfeasible(DataReachError):
     """Every sign-orthant subproblem of the optimistic QP is infeasible."""
 
 
-class StateLeftDomain(UserWarning):
-    """Simulated state exited the declared domain (warning, not an error)."""
-
-
 class ConfigError(DataReachError):
     """Invalid or unknown configuration entry."""

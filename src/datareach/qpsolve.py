@@ -52,6 +52,16 @@ class BoxQP:
         object.__setattr__(self, "Qi", Qi)
         object.__setattr__(self, "qi", qi)
 
+    @classmethod
+    def _prechecked(cls, Qi: np.ndarray, qi: np.ndarray, box: Box, pi: float) -> "BoxQP":
+        """The BoxQP of float arrays whose Qi is already exactly symmetric and
+        checked PSD, as `assemble_idealistic` leaves it, without repeating
+        the check.  The checked constructor would store the same values."""
+        qp = object.__new__(cls)
+        for name, val in (("Qi", Qi), ("qi", qi), ("box", box), ("pi", pi)):
+            object.__setattr__(qp, name, val)
+        return qp
+
     @property
     def m(self) -> int:
         return self.qi.shape[0]

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from .control import MODES, QuadraticCost, datacontrol_step, norm_cost, setpoint_cost
-from .errors import DataReachError, StateLeftDomain, StepTooLarge
+from .errors import DataReachError, StepTooLarge
 from .intervals import Box, imat_vec, meet, real_mat_iv
 from .knowledge import (
     Decoupling,
@@ -28,9 +27,19 @@ from .qpsolve import QPOptions
 from .reach import max_step_size
 
 
+FloatField = Callable[[Sequence[float], Sequence[float]], Sequence[float]]
+
+
 @dataclass(frozen=True)
 class SystemSpec:
-    """Ground-truth control-affine benchmark with its declared side information."""
+    """Ground-truth control-affine benchmark with its declared side information.
+
+    `h_float`, when given, is the true field f(x) + G(x) u on Python floats:
+    it maps the state and control as float sequences to the derivative.  The
+    plant simulator (`advance`, `rk4_step`) integrates it; without it the
+    simulator evaluates `h_true` on arrays.  Samples always take their
+    derivative from `h_true`.
+    """
 
     n: int
     m: int
@@ -41,6 +50,7 @@ class SystemSpec:
     lip: LipschitzBounds
     side: SideInfoSet
     name: str
+    h_float: Optional[FloatField] = None
 
     def h_true(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return self.f_true(x) + self.G_true(x) @ u
@@ -82,6 +92,10 @@ def unicycle() -> SystemSpec:
         th = x[2]
         return np.array([[math.cos(th), 0.0], [math.sin(th), 0.0], [0.0, 1.0]])
 
+    def h_float(x, u):
+        th = x[2]
+        return [math.cos(th) * u[0], math.sin(th) * u[0], u[1]]
+
     lip = LipschitzBounds([0.01, 0.01, 0.01], [[1.1, 0.0], [1.1, 0.0], [0.0, 0.1]])
     dep_f = np.zeros((3, 3), bool)
     dep_f[:, 2] = True
@@ -92,7 +106,7 @@ def unicycle() -> SystemSpec:
         n=3, m=2, f_true=f_true, G_true=G_true,
         U=Box([-3.0, -math.pi], [3.0, math.pi]),
         X=Box([-5.0, -5.0, -math.pi], [5.0, 5.0, math.pi]),
-        lip=lip, side=side, name="unicycle",
+        lip=lip, side=side, name="unicycle", h_float=h_float,
     )
 
 
@@ -162,6 +176,21 @@ def quadrotor() -> SystemSpec:
             [-k, k],
         ])
 
+    def h_float(x, u):
+        _, vx, _, vy, phi, omega = x
+        u1, u2 = u
+        gx = -math.sin(phi) / _QUAD_M
+        gy = math.cos(phi) / _QUAD_M
+        k = _QUAD_L / (2.0 * _QUAD_IYY)
+        return [
+            vx,
+            -_QUAD_CDV * vx / _QUAD_M + (gx * u1 + gx * u2),
+            vy,
+            -_QUAD_G - _QUAD_CDV * vy / _QUAD_M + (gy * u1 + gy * u2),
+            omega,
+            -_QUAD_CDPHI * omega / (2.0 * _QUAD_IYY) + (-k * u1 + k * u2),
+        ]
+
     lip_full = LipschitzBounds(
         [1.0, 0.3, 1.0, 0.3, 1.0, 0.9],
         [[0.0, 0.0], [0.9, 0.9], [0.0, 0.0], [0.9, 0.9], [0.0, 0.0], [0.01, 0.01]],
@@ -186,7 +215,7 @@ def quadrotor() -> SystemSpec:
             [-20.0, -10.0, -20.0, -10.0, -math.pi / 2, -5.0],
             [20.0, 10.0, 20.0, 10.0, math.pi / 2, 5.0],
         ),
-        lip=lip_full, side=side, name="quadrotor",
+        lip=lip_full, side=side, name="quadrotor", h_float=h_float,
     )
 
 
@@ -199,6 +228,11 @@ def aircraft() -> SystemSpec:
 
     Linear landing-configuration dynamics with nonlinear damage terms on the
     pitch rate; the pitch-angle integrator row is declared known.
+
+    The declared Lipschitz bounds hold on the envelope
+    [-8,8]x[-15,15]x[-8,8]x[-8,8]x[-50,150], not on all of `X`: the term
+    0.15 sin(x1) x2 of f3 has x1-derivative up to 22.5 at |x2| = 150, against
+    L_f[2] = 4.
     """
 
     def f_true(x):
@@ -221,6 +255,19 @@ def aircraft() -> SystemSpec:
             [0.0, 0.0],
         ])
 
+    def h_float(x, u):
+        x1, x2, x3, x4, _ = x
+        u1, u2 = u
+        return [
+            -0.021 * x1 + 0.122 * x2 - 0.322 * x3 + (0.01 * u1 + u2),
+            -0.209 * x1 - 0.53 * x2 + 2.21 * x3 + (-0.064 * u1 - 0.044 * u2),
+            0.017 * x1 + 0.01 * math.cos(x1) * x1 - 0.164 * x2
+            + 0.15 * math.sin(x1) * x2 - 0.421 * x3
+            + (-0.378 * u1 + (0.544 + 0.5 * math.sin(x2)) * u2),
+            x3,
+            -x2 + 2.21 * x4,
+        ]
+
     LG = np.full((5, 2), 0.01)
     LG[2, 1] = 0.5
     lip_full = LipschitzBounds([0.4, 3.0, 4.0, 1.0, 3.0], LG)
@@ -239,7 +286,7 @@ def aircraft() -> SystemSpec:
         n=5, m=2, f_true=f_true, G_true=G_true,
         U=Box([-5.0, -5.0], [5.0, 5.0]),
         X=Box(np.full(5, -50.0), np.full(5, 150.0)),
-        lip=lip_full, side=side, name="aircraft",
+        lip=lip_full, side=side, name="aircraft", h_float=h_float,
     )
 
 
@@ -257,42 +304,41 @@ def by_name(name: str) -> SystemSpec:
 # simulation
 # ---------------------------------------------------------------------------
 
+def _rk4(rhs, x, u, h, substeps):
+    """`substeps` classical RK4 steps of x' = rhs(x, u) on lists of floats, in
+    numpy's operation order: x + (h/2) k and x + (h/6)(k1 + 2 k2 + 2 k3 + k4)
+    summed from the left, so an array field gives the array integrator's bits."""
+    half, sixth = 0.5 * h, h / 6.0
+    for _ in range(substeps):
+        k1 = rhs(x, u)
+        k2 = rhs([a + half * b for a, b in zip(x, k1)], u)
+        k3 = rhs([a + half * b for a, b in zip(x, k2)], u)
+        k4 = rhs([a + h * b for a, b in zip(x, k3)], u)
+        x = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    return x
+
+
+def _check_substeps(substeps: int) -> None:
+    if substeps != int(substeps) or substeps < 1:
+        raise ValueError(f"substeps must be an integer >= 1, not {substeps}")
+
+
 def rk4_step(sys: SystemSpec, x: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
     """Classical 4th-order step with the control held constant."""
-    k1 = sys.h_true(x, u)
-    k2 = sys.h_true(x + 0.5 * h * k1, u)
-    k3 = sys.h_true(x + 0.5 * h * k2, u)
-    k4 = sys.h_true(x + h * k3, u)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return advance(sys, x, u, h, 1)
 
 
 def advance(sys: SystemSpec, x: np.ndarray, u: np.ndarray, dt: float,
             substeps: int = 10) -> np.ndarray:
     """Hold u for dt using `substeps` RK4 sub-steps."""
-    h = dt / substeps
-    for _ in range(substeps):
-        x = rk4_step(sys, x, u, h)
-    return x
-
-
-def simulate(sys: SystemSpec, x0, u_signal: Callable[[float], np.ndarray],
-             t0: float, t1: float, h: float):
-    """Integrate the true dynamics; returns (times, states) on the h-grid."""
-    K = int(round((t1 - t0) / h))
-    ts = t0 + h * np.arange(K + 1)
-    xs = np.empty((K + 1, sys.n))
-    xs[0] = np.asarray(x0, dtype=float)
-    left_domain = False
-    for k in range(K):
-        u = np.asarray(u_signal(ts[k]), dtype=float)
-        xs[k + 1] = rk4_step(sys, xs[k], u, h)
-        if not left_domain and not sys.X.contains(xs[k + 1]):
-            left_domain = True
-    if left_domain:
-        warnings.warn(
-            f"{sys.name}: simulated state left the declared domain", StateLeftDomain
-        )
-    return ts, xs
+    _check_substeps(substeps)
+    x = np.asarray(x, dtype=float).tolist()
+    u = np.asarray(u, dtype=float).tolist()
+    if len(x) != sys.n or len(u) != sys.m:
+        raise ValueError(f"{sys.name}: x must have {sys.n} entries and u {sys.m}")
+    rhs = sys.h_float or (lambda x, u: sys.h_true(np.array(x), np.array(u)).tolist())
+    return np.array(_rk4(rhs, x, u, dt / substeps, substeps))
 
 
 EXCITATIONS = ("mixed", "random", "single_axis", "zero")
@@ -308,6 +354,7 @@ def excite(sys: SystemSpec, N: int, seed: int, dt: float = 0.1,
     """
     if N < 1:
         raise ValueError("need at least one sample")
+    _check_substeps(substeps)
     if mode not in EXCITATIONS:
         raise ValueError(f"unknown excitation mode {mode!r}")
     rng = np.random.default_rng(seed)
@@ -423,6 +470,9 @@ def check_experiment(sys: SystemSpec, cfg: ExperimentConfig) -> QPOptions:
         raise ValueError("max_steps must be >= 0")
     if cfg.refresh_every < 1:
         raise ValueError("refresh_every must be >= 1")
+    _check_substeps(cfg.substeps)
+    if not cfg.M > 0.0:
+        raise ValueError("M must be positive")
     opts = QPOptions(eps=cfg.eps, mu0=cfg.mu0)
     if cfg.weights is not None and not all(0.0 <= w <= 1.0 for w in cfg.weights):
         raise ValueError("weights must lie in [0, 1]")

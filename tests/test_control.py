@@ -17,7 +17,7 @@ from datareach.control import (
 from datareach.errors import StepTooLarge
 from datareach.intervals import Box, imat_vec, meet, real_mat_iv
 from datareach.knowledge import Sample, append_sample, build_knowledge
-from datareach.qpsolve import QPOptions
+from datareach.qpsolve import BoxQP, QPOptions
 from datareach.systems import advance, excite, unicycle, unicycle_experiment
 
 
@@ -307,6 +307,23 @@ class TestDataControlStep:
                                    Box([-5.0], [5.0]), 0.1)
         assert U.contains(u)
         assert diag.model_cost == pytest.approx(0.0, abs=1e-12)
+
+    def test_idealistic_step_checks_convexity_once(self, unicycle_fig_setup, monkeypatch):
+        sysu, _, kb, x_start = unicycle_fig_setup
+        cost = norm_cost(3, 2)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        u, diag = datacontrol_step(kb, x_start, cost, sysu.U, sysu.X, 0.1)
+        assert calls == [(2, 2)]
+        # the step's QP is the one the checking constructor builds
+        qp = assemble_idealistic(cost, *idealistic_coeffs(diag.aff, 0.5, 0.5))
+        assert diag.model_cost == BoxQP(qp.Qi, qp.qi, sysu.U, qp.pi).value(u)
 
     def test_optimistic_mode_runs(self):
         kb = exact_integrator_kb()

@@ -50,6 +50,17 @@ class TestBoxProject:
         assert box_project(np.array([7.0]), box) == pytest.approx([0.3])
 
 
+class TestBoxQPValidation:
+    @pytest.mark.parametrize("Qi, qi, message", [
+        (np.eye(2), np.zeros(3), "Qi/qi shapes disagree"),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2), "Qi must be symmetric"),
+        (np.diag([1.0, -1.0]), np.zeros(2), "Qi must be positive semidefinite"),
+    ])
+    def test_direct_construction_is_checked(self, Qi, qi, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BoxQP(Qi, qi, Box([-1.0, -1.0], [1.0, 1.0]))
+
+
 class TestOracle:
     def test_separable_hand_case(self):
         qp = BoxQP(2.0 * np.eye(2), np.array([-4.0, 0.0]), Box([-1, -1], [1, 1]))
