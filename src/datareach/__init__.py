@@ -14,7 +14,6 @@ from .errors import (
     EmptyIntersection,
     InconsistentSample,
     IterationCapExceeded,
-    NegativeDomain,
     NonConvexAssembly,
     ShapeMismatch,
     StepTooLarge,
@@ -22,17 +21,9 @@ from .errors import (
 from .intervals import (
     Box,
     Interval,
-    imat_imat,
     imat_vec,
-    inf_norm,
     meet,
-    norm2_ext,
     real_mat_iv,
-    sqr_ext,
-    sqrt_ext,
-    tensorT_vec,
-    tensor_transpose,
-    tensor_vec,
 )
 from .knowledge import (
     Decoupling,
@@ -51,7 +42,6 @@ from .knowledge import (
     f_over_iv,
     G_over,
     G_over_iv,
-    jacobian_extensions,
     rebuild,
 )
 from .reach import (
@@ -66,7 +56,6 @@ from .reach import (
     datareach_step,
     datareach_step_c0,
     max_step_size,
-    rough_enclosure_explicit,
 )
 from .control import (
     AffineOverApprox,

@@ -15,11 +15,12 @@ from . import io as dio
 from .control import MODES
 from .errors import ConfigError, EmptyIntersection, InconsistentSample, StepTooLarge
 from .intervals import Box, Interval
-from .knowledge import build_knowledge
+from .knowledge import SideInfoSet, build_knowledge
 from .reach import ConstantControl, ConstCosControl, PiecewiseConstantControl, datareach, max_step_size
 from .systems import (
     EXCITATIONS,
     ExperimentConfig,
+    advance,
     by_name,
     check_experiment,
     excite,
@@ -44,7 +45,12 @@ _CONTROL_KEYS = {
     "weights", "excitation", "x0", "refresh_every", "record_reach",
 }
 _BENCH_KEYS = {"max_steps", "seeds", "systems", "modes"}
-_CONTROL_FAMS = {"const_cos", "constant", "piecewise"}
+# the keys of each family of the reach.control block
+_FAMILY_KEYS = {
+    "const_cos": {"family", "v0", "omega", "t_ref", "a1", "a2"},
+    "constant": {"family", "value"},
+    "piecewise": {"family", "values", "dt", "t0"},
+}
 
 
 def _load_config(path):
@@ -73,7 +79,20 @@ def _vector(value):
     return np.asarray(value, dtype=float)
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", _vector: "a list of numbers"}
+def _flag(value):
+    """A YAML boolean; anything else (the string "false" too) is rejected."""
+    if not isinstance(value, bool):
+        raise TypeError(value)
+    return value
+
+
+def _interval(value):
+    lo, hi = _vector(value)
+    return Interval(lo, hi)
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", _vector: "a list of numbers",
+               _flag: "true or false", _interval: "a [lo, hi] pair"}
 
 
 def _convert(key, value, kind):
@@ -109,24 +128,40 @@ def _outdir(args, cfg) -> Path:
     return out
 
 
-def _build_control_family(spec: dict, t_ref: float):
+def _required(spec, key, kind):
+    if key not in spec:
+        raise ConfigError(f"control family {spec['family']!r} needs {key}")
+    return _convert(key, spec[key], kind)
+
+
+def _build_control_family(spec, t_ref: float, m: int):
+    """The control family of a reach.control block, for a system with m inputs."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"reach.control must be a mapping, not {spec!r}")
     fam = spec.get("family", "const_cos")
-    if fam not in _CONTROL_FAMS:
+    if not isinstance(fam, str) or fam not in _FAMILY_KEYS:
         raise ConfigError(f"unknown control family {fam!r}")
+    _check_keys(spec, _FAMILY_KEYS[fam], f"reach.control, family {fam}")
     if fam == "const_cos":
-        a1 = spec.get("a1", [0.0, 0.0])
-        a2 = spec.get("a2", [0.0, 0.0])
         return ConstCosControl(
-            v0=float(spec.get("v0", 1.0)),
-            omega=float(spec.get("omega", 6.0)),
-            t_ref=float(spec.get("t_ref", t_ref)),
-            a1=Interval(*a1),
-            a2=Interval(*a2),
+            v0=_setting(spec, "v0", float, 1.0),
+            omega=_setting(spec, "omega", float, 6.0),
+            t_ref=_setting(spec, "t_ref", float, t_ref),
+            a1=_setting(spec, "a1", _interval, [0.0, 0.0]),
+            a2=_setting(spec, "a2", _interval, [0.0, 0.0]),
         )
-    if fam == "constant":
-        return ConstantControl(np.asarray(spec["value"], dtype=float))
-    values = np.asarray(spec["values"], dtype=float)
-    return PiecewiseConstantControl(values, float(spec["dt"]), float(spec.get("t0", 0.0)))
+    rows = fam == "piecewise"  # a list of control vectors, not one
+    key = "values" if rows else "value"
+    u = _required(spec, key, _vector)
+    if u.ndim != 1 + rows or u.shape[-1] != m:
+        what = "a list of control vectors" if rows else "a control vector"
+        raise ConfigError(f"{key} must be {what} of length {m}, not {spec[key]!r}")
+    if not rows:
+        return ConstantControl(u)
+    dt = _required(spec, "dt", float)
+    if not dt > 0.0:
+        raise ConfigError("control dt must be positive")
+    return PiecewiseConstantControl(u, dt, _setting(spec, "t0", float, 0.0))
 
 
 def cmd_reach(args, cfg) -> int:
@@ -165,8 +200,6 @@ def cmd_reach(args, cfg) -> int:
                 raise ConfigError(f"side_level must be one of {sorted(settings)}")
             side = settings[level]
         elif level == "lipschitz_only":
-            from .knowledge import SideInfoSet
-
             side = SideInfoSet()
         elif level != "full":
             raise ConfigError("side_level must be 'full' or 'lipschitz_only'")
@@ -187,24 +220,15 @@ def cmd_reach(args, cfg) -> int:
         {} if sys_name == "unicycle"
         else {"family": "constant", "value": system.U.mid.tolist()}
     )
-    ctrl = _build_control_family(section.get("control", default_family), t_ref)
+    ctrl = _build_control_family(section.get("control", default_family), t_ref, system.m)
 
     kb = build_knowledge(samples, system.lip, side)
-    from .systems import advance
-
     x_start = advance(system, samples[-1].x, samples[-1].u, sample_dt)
-    domain = system.X if section.get("intersect_domain", True) else None
-    try:
-        tube = datareach(kb, x_start, ctrl, dt, steps, t0=t_ref, domain=domain)
-    except StepTooLarge as exc:
-        print(f"reach: {exc}", file=_sys.stderr)
-        return EXIT_STEP
+    domain = system.X if _setting(section, "intersect_domain", _flag, True) else None
+    tube = datareach(kb, x_start, ctrl, dt, steps, t0=t_ref, domain=domain)
     if tube.failure is not None:
-        if "StepTooLarge" in tube.failure:
-            print(f"reach: {tube.failure}", file=_sys.stderr)
-            return EXIT_STEP
         print(f"reach: {tube.failure}", file=_sys.stderr)
-        return EXIT_DATA
+        return EXIT_STEP if "StepTooLarge" in tube.failure else EXIT_DATA
 
     out = _outdir(args, cfg)
     path = out / f"tube_{sys_name}.csv"
@@ -218,13 +242,11 @@ def cmd_reach(args, cfg) -> int:
 def _apply_control_overrides(exp: ExperimentConfig, section, args):
     for key, kind in (("dt", float), ("init_len", int), ("max_steps", int),
                       ("stop_level", float), ("eps", float), ("mu0", float),
-                      ("refresh_every", int), ("x0", _vector)):
+                      ("refresh_every", int), ("x0", _vector), ("record_reach", _flag)):
         if key in section:
             setattr(exp, key, _convert(key, section[key], kind))
     if "excitation" in section:
         exp.excitation = section["excitation"]
-    if "record_reach" in section:
-        exp.record_reach = bool(section["record_reach"])
     if "weights" in section:
         w = section["weights"]
         if w == "random":

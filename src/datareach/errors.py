@@ -9,10 +9,6 @@ class ShapeMismatch(DataReachError):
     """Operands have incompatible shapes."""
 
 
-class NegativeDomain(DataReachError):
-    """Square root of an interval with a negative lower bound."""
-
-
 class EmptyIntersection(DataReachError):
     """An intersection of intervals came out empty.
 

@@ -1,21 +1,21 @@
 """Validated interval arithmetic: scalar `Interval`s and interval `Box`es.
 
 A `Box` holds lo/hi float64 arrays of any shape, so one type serves interval
-vectors, matrices and rank-3 tensors; the contractions below check the shapes
-they need.  Constructing a `Box` validates it by one fused comparison
-`(lo <= hi).all()`, which is false at any NaN as well as at any inverted
-component; only then is the cause looked up to pick the error.
+vectors, matrices and rank-3 tensors.  Constructing a `Box` validates it by
+one fused comparison `(lo <= hi).all()`, which is false at any NaN as well
+as at any inverted component; only then is the cause looked up to pick the
+error.
 
-Each formula (sum, real scaling, matrix-vector, matrix-matrix, tensor
-contractions and the real-matrix product) exists once, as an array kernel on
-(lo, hi) pairs of ndarrays that validates nothing.  The `Box` operations
-and `imat_vec`, `imat_imat`, `tensor_vec`, `tensorT_vec` and `real_mat_iv`
-wrap those kernels and validate their result, and `check_pair` validates a bare pair the same way.  The reach and
-linearization step (`reach._step_data` and its callers) runs on the kernels
-directly and validates the rough enclosure and every output `Box` it
-returns; a NaN made anywhere in the step flows into one of them, since
-every kernel propagates NaN.  `control.subopt_bound` runs on the kernels
-too and checks each intermediate pair.
+Each formula (sum, real scaling, matrix-vector, matrix-matrix, the tensor
+contraction over the middle axis and the real-matrix product) exists once,
+as an array kernel on (lo, hi) pairs of ndarrays that validates nothing.
+The `Box` operations, `imat_vec` and `real_mat_iv` wrap those kernels and
+validate their result, and `check_pair` validates a bare pair the same way.
+The reach and linearization step (`reach._step_data` and its callers) runs
+on the kernels directly and validates the rough enclosure and every output
+`Box` it returns; a NaN made anywhere in the step flows into one of them,
+since every kernel propagates NaN.  `control.subopt_bound` runs on the
+kernels too and checks each intermediate pair.
 
 Endpoints are plain float64 with no directed rounding.  Both types are
 immutable values.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyIntersection, NegativeDomain, ShapeMismatch
+from .errors import EmptyIntersection, ShapeMismatch
 
 # ---------------------------------------------------------------------------
 # scalar intervals
@@ -127,21 +127,6 @@ def _prod_bounds(alo, ahi, blo, bhi):
     return min(cands), max(cands)
 
 
-def sqrt_ext(a: Interval) -> Interval:
-    """Interval extension of the square root; requires a.lo >= 0."""
-    if a.lo < 0:
-        raise NegativeDomain(f"sqrt of {a}")
-    return Interval(math.sqrt(a.lo), math.sqrt(a.hi))
-
-
-def sqr_ext(a: Interval) -> Interval:
-    """Interval extension of squaring, exact on intervals containing 0."""
-    lo2, hi2 = a.lo * a.lo, a.hi * a.hi
-    if a.lo <= 0.0 <= a.hi:
-        return Interval(0.0, max(lo2, hi2))
-    return Interval(min(lo2, hi2), max(lo2, hi2))
-
-
 # ---------------------------------------------------------------------------
 # interval boxes (lo/hi ndarray pairs of any shape)
 # ---------------------------------------------------------------------------
@@ -221,16 +206,7 @@ class Box:
 
     # -- set operations ------------------------------------------------------
     def intersect(self, other):
-        self._check_same(other)
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        bad = lo > hi
-        if bad.any():
-            idx = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise EmptyIntersection(
-                f"empty intersection at component {idx}", index=idx
-            )
-        return Box(lo, hi)
+        return meet(self, other)
 
     def contains(self, values, atol: float = 0.0) -> bool:
         v = np.asarray(values, dtype=float)
@@ -299,8 +275,10 @@ def _endpoints(nested, end: str):
 
 
 # ---------------------------------------------------------------------------
-# aggregate operations
+# array kernels on (lo, hi) pairs
 # ---------------------------------------------------------------------------
+# Each takes and returns lo/hi ndarray pairs and validates nothing; the shape
+# checks and the validation are the callers'.
 
 def _pair_prod(alo, ahi, blo, bhi):
     """Elementwise interval product bounds for broadcastable arrays."""
@@ -314,32 +292,13 @@ def _pair_prod(alo, ahi, blo, bhi):
     )
 
 
-def norm2_ext(s: Box) -> Interval:
-    """Interval extension of the Euclidean norm: sqrt of the sum of squares."""
-    crosses = (s.lo <= 0.0) & (0.0 <= s.hi)
-    lo2 = np.where(crosses, 0.0, np.minimum(s.lo**2, s.hi**2))
-    hi2 = np.maximum(s.lo**2, s.hi**2)
-    return sqrt_ext(Interval(float(lo2.sum()), float(hi2.sum())))
-
-
-def inf_norm(v: Box) -> float:
-    """sup-norm of an interval vector: max componentwise |.|."""
-    return float(np.max(v.mag)) if len(v) else 0.0
-
-
-# ---------------------------------------------------------------------------
-# array kernels on (lo, hi) pairs
-# ---------------------------------------------------------------------------
-# Each takes and returns lo/hi ndarray pairs and validates nothing; the shape
-# checks and the validation are the callers'.
-
 def add_pairs(a, b):
     """Interval sum of two broadcastable pairs."""
     return a[0] + b[0], a[1] + b[1]
 
 
-def scale_pair(a, c: float):
-    """Interval times the real scalar c."""
+def scale_pair(a, c):
+    """Interval times the real c: a scalar, or an array broadcasting against the pair."""
     lo, hi = a[0] * c, a[1] * c
     return np.minimum(lo, hi), np.maximum(lo, hi)
 
@@ -361,59 +320,21 @@ def mat_mat_pairs(A, B):
 
 
 def tensor_vec_pairs(J, v):
-    """Contract a rank-3 interval tensor with a vector over its middle axis."""
+    """Contract a rank-3 interval tensor with a vector over its middle axis.
+
+    (J v)_{k,p} = sum_l J_{k,l,p} v_l.  Applied to the (0, 2, 1) transpose of
+    J it gives sum_p J_{k,l,p} w_p, as `control.linearize` uses it.
+    """
     return _prod_sum(J[0], J[1], v[0][None, :, None], v[1][None, :, None])
-
-
-def _as_box(v) -> Box:
-    return v if isinstance(v, Box) else Box.point(v)
 
 
 def imat_vec(M: Box, v) -> Box:
     """Interval matrix times interval (or real) vector."""
-    v = _as_box(v)
+    v = v if isinstance(v, Box) else Box.point(v)
     n, m = M.shape
     if len(v) != m:
         raise ShapeMismatch(f"matrix {M.shape} times vector of length {len(v)}")
     return Box(*mat_vec_pairs((M.lo, M.hi), (v.lo, v.hi)))
-
-
-def imat_imat(A: Box, B: Box) -> Box:
-    """Interval matrix product (n x m) @ (m x p)."""
-    n, m = A.shape
-    m2, p = B.shape
-    if m != m2:
-        raise ShapeMismatch(f"cannot multiply {A.shape} by {B.shape}")
-    return Box(*mat_mat_pairs((A.lo, A.hi), (B.lo, B.hi)))
-
-
-def tensor_vec(J: Box, v) -> Box:
-    """Contract a (n,m,n) tensor with a length-m vector over its middle axis.
-
-    (J v)_{k,p} = sum_l J_{k,l,p} v_l, an n x n interval matrix.
-    """
-    v = _as_box(v)
-    n, m, n2 = J.shape
-    if len(v) != m:
-        raise ShapeMismatch(f"tensor {J.shape} contracted with vector length {len(v)}")
-    return Box(*tensor_vec_pairs((J.lo, J.hi), (v.lo, v.hi)))
-
-
-def tensor_transpose(J: Box) -> Box:
-    """Swap the last two axes: (J^T)_{k,p,l} = J_{k,l,p}."""
-    return Box(np.transpose(J.lo, (0, 2, 1)), np.transpose(J.hi, (0, 2, 1)))
-
-
-def tensorT_vec(Jt: Box, w) -> Box:
-    """Contract a transposed (n,n,m) tensor with a length-n vector.
-
-    result_{k,l} = sum_p Jt_{k,p,l} w_p = sum_p J_{k,l,p} w_p, an n x m matrix.
-    """
-    w = _as_box(w)
-    n, n2, m = Jt.shape
-    if len(w) != n2:
-        raise ShapeMismatch(f"tensor {Jt.shape} contracted with vector length {len(w)}")
-    return Box(*tensor_vec_pairs((Jt.lo, Jt.hi), (w.lo, w.hi)))
 
 
 def meet(a, b, tol: float = 0.0, pad: float = 0.0):
@@ -425,16 +346,11 @@ def meet(a, b, tol: float = 0.0, pad: float = 0.0):
     outward margin to the result so repeated cuts cannot erode soundness.
     """
     a._check_same(b)
-    return Box(*meet_pairs((a.lo, a.hi), (b.lo, b.hi), tol, pad))
-
-
-def meet_pairs(a, b, tol: float = 0.0, pad: float = 0.0):
-    """`meet` of two lo/hi pairs; raises EmptyIntersection at a genuine crossing."""
-    lo, hi, genuine = meet_arrays(a[0], a[1], b[0], b[1], tol, pad)
+    lo, hi, genuine = meet_arrays(a.lo, a.hi, b.lo, b.hi, tol, pad)
     if genuine.any():
         idx = tuple(int(i) for i in np.argwhere(genuine)[0])
         raise EmptyIntersection(f"empty intersection at component {idx}", index=idx)
-    return lo, hi
+    return Box(lo, hi)
 
 
 def meet_arrays(alo, ahi, blo, bhi, tol: float = 0.0, pad: float = 0.0):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptyIntersection, InconsistentSample
 from .intervals import (
-    Box, Interval, add_pairs, check_shape, meet, meet_arrays, settle_arrays,
+    Box, Interval, add_pairs, check_shape, meet_arrays, scale_pair, settle_arrays,
 )
 
 
@@ -413,9 +413,7 @@ def _contract(xdot, u, lo, hi):
     """
     n, m = xdot.shape[1], u.shape[1]
     (F_lo, G_lo), (F_hi, G_hi) = _split(lo, n), _split(hi, n)
-    uc = u[:, None, :]
-    col_lo = np.minimum(G_lo * uc, G_hi * uc)
-    col_hi = np.maximum(G_lo * uc, G_hi * uc)
+    col_lo, col_hi = scale_pair((G_lo, G_hi), u[:, None, :])
     gu_lo, gu_hi = col_lo.sum(axis=2), col_hi.sum(axis=2)
     f_lo, f_hi, bad = meet_arrays(
         F_lo, F_hi, xdot - gu_hi, xdot - gu_lo, _MEET_TOL, _PAD
@@ -449,8 +447,7 @@ def _contract(xdot, u, lo, hi):
             g_hi = np.clip(np.maximum(a, b) + div_pad, g_lo, G_hi[:, :, l])
             cg_lo[:, :, l] = np.where(live, g_lo, G_lo[:, :, l])
             cg_hi[:, :, l] = np.where(live, g_hi, G_hi[:, :, l])
-        used_lo = np.minimum(cg_lo[:, :, l] * ul, cg_hi[:, :, l] * ul)
-        used_hi = np.maximum(cg_lo[:, :, l] * ul, cg_hi[:, :, l] * ul)
+        used_lo, used_hi = scale_pair((cg_lo[:, :, l], cg_hi[:, :, l]), ul)
         s_lo, s_hi, bad = meet_arrays(
             s_lo - used_hi, s_hi - used_lo, tail_lo, tail_hi, _MEET_TOL, _PAD
         )
@@ -491,39 +488,6 @@ def _unknown(kb: KnowledgeBase, dists) -> Tuple[np.ndarray, np.ndarray]:
     return (kb.c_lo - slack).max(axis=-2), (kb.c_hi + slack).min(axis=-2)
 
 
-def _settled(lo, hi, what):
-    """The settled envelope of a single query; raises on a genuine crossing."""
-    lo, hi, bad = _settle(lo, hi)
-    if bad.any():
-        raise _empty(what, _first_index(bad[0]))
-    return lo[0], hi[0]
-
-
-def _point_query(x, kb: KnowledgeBase, what: str) -> Box:
-    """The enclosure of f ("f") or G ("G") at the point x."""
-    x = np.asarray(x, dtype=float)
-    part = "fG".index(what)
-    env = _unknown(kb, kb._point_dists(x[None]))
-    enc = Box(*_settled(*(_split(a, kb.n)[part] for a in env), what))
-    pd = kb.side.partial_dynamics
-    if pd is not None:
-        enc = enc + (pd.f_known, pd.G_known)[part](x)
-    vb = kb.side.vf_bounds
-    if vb is not None and vb.region.contains(x):
-        enc = meet(enc, (vb.f_range, vb.G_range)[part], _MEET_TOL, _PAD)
-    return enc
-
-
-def f_over(x: np.ndarray, kb: KnowledgeBase) -> Box:
-    """Interval enclosure of f(x) from the knowledge base (Lipschitz envelope)."""
-    return _point_query(x, kb, "f")
-
-
-def G_over(x: np.ndarray, kb: KnowledgeBase) -> Box:
-    """Interval enclosure of G(x) from the knowledge base."""
-    return _point_query(x, kb, "G")
-
-
 def _box_query(kb: KnowledgeBase, X: Box, parts: str = "fG"):
     """Enclosures over the state box X as lo/hi pairs: f for "f", G for "G".
 
@@ -561,13 +525,23 @@ def _box_query(kb: KnowledgeBase, X: Box, parts: str = "fG"):
 
 
 def f_over_iv(X: Box, kb: KnowledgeBase) -> Box:
-    """Inclusion-isotone interval extension of f_over to state boxes."""
+    """Inclusion-isotone interval enclosure of f over the state box X."""
     return Box(*_box_query(kb, X, "f")[0])
 
 
 def G_over_iv(X: Box, kb: KnowledgeBase) -> Box:
-    """Inclusion-isotone interval extension of G_over to state boxes."""
+    """Inclusion-isotone interval enclosure of G over the state box X."""
     return Box(*_box_query(kb, X, "G")[0])
+
+
+def f_over(x: np.ndarray, kb: KnowledgeBase) -> Box:
+    """Interval enclosure of f(x) from the knowledge base: the box query at {x}."""
+    return f_over_iv(Box.point(x), kb)
+
+
+def G_over(x: np.ndarray, kb: KnowledgeBase) -> Box:
+    """Interval enclosure of G(x) from the knowledge base: the box query at {x}."""
+    return G_over_iv(Box.point(x), kb)
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +859,12 @@ def _shifted(enc, known: Box):
 
 
 def _jacobian_pairs(kb: KnowledgeBase, state_box: Optional[Box] = None):
-    """Interval Jacobians (Jf, JG) of f and G as lo/hi pairs; see `jacobian_extensions`."""
+    """Interval Jacobians (Jf, JG) of f and G over ``state_box`` as lo/hi pairs.
+
+    The learned part's bands are L [-1, 1], with decoupling masks zeroing
+    entries and gradient bounds intersecting them; known partial dynamics
+    add their Jacobian over ``state_box``, which they require.
+    """
     jf_lo, jf_hi, jg_lo, jg_hi = kb._groups.jacobian_bands()
     Jf, JG = (jf_lo, jf_hi), (jg_lo, jg_hi)
     pd = kb.side.partial_dynamics
@@ -897,16 +876,3 @@ def _jacobian_pairs(kb: KnowledgeBase, state_box: Optional[Box] = None):
         _shifted(Jf, pd.jac_f_known_iv(state_box)),
         _shifted(JG, pd.jac_G_known_iv(state_box)),
     )
-
-
-def jacobian_extensions(
-    kb: KnowledgeBase, state_box: Optional[Box] = None
-) -> Tuple[Box, Box]:
-    """Interval Jacobians of f and G from Lipschitz bounds and side information.
-
-    Baseline entries are L [-1,1]; decoupling masks zero entries, gradient
-    bounds intersect them, and known partial dynamics contribute their exact
-    Jacobian evaluated over ``state_box``.
-    """
-    Jf, JG = _jacobian_pairs(kb, state_box)
-    return Box(*Jf), Box(*JG)

@@ -4,7 +4,7 @@ One step propagates an interval box through a second-order interval Taylor
 expansion whose Jacobians come from Lipschitz bounds and side information;
 an a priori rough enclosure controls the remainder term.  The enclosure is
 the closed-form one whose existence the step-size bound sqrt(n) beta dt < 1
-guarantees (`rough_enclosure_explicit`).
+guarantees; each step returns it as `ReachStepRecord.S`.
 """
 
 from __future__ import annotations
@@ -165,26 +165,6 @@ def _pair(box: Box):
     return box.lo, box.hi
 
 
-def _explicit(R: Box, beta: float, dt: float, h):
-    """The explicit enclosure of R and the sup-norm of h = f(R) + G(R) V (a pair)."""
-    root_n = math.sqrt(len(R))
-    denom = 1.0 - root_n * dt * beta
-    if denom <= 0.0:
-        raise StepTooLarge(dt, 1.0 / (root_n * beta))
-    alpha = float(np.max(np.maximum(np.abs(h[0]), np.abs(h[1])))) if len(R) else 0.0
-    c = dt * alpha / denom
-    return Box(R.lo - c, R.hi + c), alpha
-
-
-def rough_enclosure_explicit(
-    R: Box, kb: KnowledgeBase, V: Box, dt: float, lip: Optional[LipschitzBounds] = None
-) -> Box:
-    """Closed-form a priori enclosure, valid whenever sqrt(n) beta dt < 1."""
-    fR, GR = _box_query(kb, R)
-    h = add_pairs(fR, mat_vec_pairs(GR, _pair(V)))
-    return _explicit(R, beta_of(lip or kb.lip_total, V.mag), dt, h)[0]
-
-
 # ---------------------------------------------------------------------------
 # reach step and tube
 # ---------------------------------------------------------------------------
@@ -238,20 +218,26 @@ def _hooked(hook, X: Box, V: Box, *encs):
 def _step_data(R: Box, kb: KnowledgeBase, V: Box, dt: float):
     """The query sequence shared by the reach steps and `control.linearize`.
 
-    Checks the step size, queries f and G over R, builds the explicit rough
-    enclosure S (its Box construction validates it), then queries f, G and
-    the Jacobians over S, running the contractor hook over R and over S.
+    Checks the step size sqrt(n) beta dt < 1, queries f and G over R, builds
+    the explicit rough enclosure S = R + [-c, c], c = dt alpha / (1 -
+    sqrt(n) beta dt) (its Box construction validates it), then queries f, G
+    and the Jacobians over S, running the contractor hook over R and over S.
     Returns beta, the sup-norm alpha of f(R) + G(R) V, S, and f(R), G(R),
     f(S), G(S), Jf(S), JG(S) as lo/hi pairs.
     """
     beta = beta_of(kb.lip_total, V.mag)
-    if math.sqrt(len(R)) * beta * dt >= 1.0:
-        raise StepTooLarge(dt, 1.0 / (math.sqrt(len(R)) * beta))
+    root_n = math.sqrt(len(R))
+    denom = 1.0 - root_n * dt * beta
+    if denom <= 0.0:
+        raise StepTooLarge(dt, 1.0 / (root_n * beta))
     fR, GR = _box_query(kb, R)
     hook = kb.side.algebraic_contractor
     if hook is not None:
         fR, GR, _, _ = _hooked(hook, R, V, fR, GR, None, None)
-    S, alpha = _explicit(R, beta, dt, add_pairs(fR, mat_vec_pairs(GR, _pair(V))))
+    h = add_pairs(fR, mat_vec_pairs(GR, _pair(V)))
+    alpha = float(np.max(np.maximum(np.abs(h[0]), np.abs(h[1])))) if len(R) else 0.0
+    c = dt * alpha / denom
+    S = Box(R.lo - c, R.hi + c)
     fS, GS = _box_query(kb, S)
     Jf, JG = _jacobian_pairs(kb, S)
     if hook is not None:

@@ -32,9 +32,10 @@ def exact_integrator_kb():
     return build_knowledge([], lip, side)
 
 
-def constant_f_kb(value=1.0):
-    """1-D system xdot = value, no control effect, known through range bounds."""
-    lip = LipschitzBounds([0.0], [[0.0]])
+def constant_f_kb(value=1.0, L_f=0.0):
+    """1-D system xdot = value, no control effect, known through range bounds;
+    ``L_f`` is the declared Lipschitz bound of f."""
+    lip = LipschitzBounds([L_f], [[0.0]])
     side = SideInfoSet(
         vf_bounds=VectorFieldBounds(
             region=Box([-100.0], [100.0]),

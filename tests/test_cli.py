@@ -176,8 +176,10 @@ class TestControlSettings:
     @pytest.mark.parametrize(
         "key, value",
         [("init_len", "abc"), ("eps", "small"), ("seed", "x"), ("dt", [0.1]),
-         ("x0", ["a", 0.0, 0.0]), ("weights", [0.5, "half"])],
-        ids=["init_len", "eps", "seed", "dt", "x0", "weights"],
+         ("x0", ["a", 0.0, 0.0]), ("weights", [0.5, "half"]), ("record_reach", "false"),
+         ("record_reach", 1)],
+        ids=["init_len", "eps", "seed", "dt", "x0", "weights", "record_reach_text",
+             "record_reach_int"],
     )
     def test_non_numeric_setting_names_key(self, tmp_path, capsys, key, value):
         cfg = write_cfg(tmp_path, {
@@ -219,9 +221,33 @@ class TestReachSettings:
             ({"dt": "fast"}, "dt must be a number, not 'fast'"),
             ({"seed": [1]}, "seed must be an integer"),
             ({"x0": "origin"}, "x0 must be a list of numbers"),
+            ({"intersect_domain": "false"}, "intersect_domain must be true or false, not 'false'"),
+            ({"intersect_domain": 0}, "intersect_domain must be true or false, not 0"),
+            ({"control": {"family": "constant"}}, "control family 'constant' needs value"),
+            ({"control": {"family": "piecewise", "values": [[1, 0]]}},
+             "control family 'piecewise' needs dt"),
+            ({"control": {"family": "const_cos", "v0": "fast"}}, "v0 must be a number, not 'fast'"),
+            ({"control": {"family": "constant", "value": [1, 0, 0]}},
+             "value must be a control vector of length 2, not [1, 0, 0]"),
+            ({"control": {"family": "piecewise", "values": [1, 0], "dt": 0.5}},
+             "values must be a list of control vectors of length 2"),
+            ({"control": {"family": "const_cos", "a1": [1]}}, "a1 must be a [lo, hi] pair, not [1]"),
+            ({"control": {"family": "const_cos", "a2": [0.1, -0.1]}}, "a2 must be a [lo, hi] pair"),
+            ({"control": {"family": "const_cos", "bogus": 3}},
+             "unknown keys in [reach.control, family const_cos]: ['bogus']"),
+            ({"control": {"family": "constant", "value": [1, 0], "v0": 1.0}},
+             "unknown keys in [reach.control, family constant]: ['v0']"),
+            ({"control": {"family": "piecewise", "values": [[1, 0]], "dt": 0.0}},
+             "control dt must be positive"),
+            ({"control": {"family": "sine"}}, "unknown control family 'sine'"),
+            ({"control": 3}, "reach.control must be a mapping, not 3"),
         ],
         ids=["excitation", "dt_negative", "dt_zero", "steps_negative", "steps_zero",
-             "init_len", "steps_text", "init_len_text", "dt_text", "seed_list", "x0_text"],
+             "init_len", "steps_text", "init_len_text", "dt_text", "seed_list", "x0_text",
+             "intersect_domain_text", "intersect_domain_int", "constant_no_value",
+             "piecewise_no_dt", "v0_text", "value_length", "values_flat", "a1_single",
+             "a2_inverted", "family_unknown_key", "family_other_key", "control_dt_zero",
+             "family_unknown", "control_not_a_mapping"],
     )
     def test_bad_setting_rejected(self, tmp_path, capsys, setting, message):
         out = tmp_path / "out"
@@ -233,6 +259,23 @@ class TestReachSettings:
         assert cli.main(["--config", cfg, "reach"]) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"control": {"family": "constant", "value": [1.0, 0.0]}},
+         {"control": {"family": "piecewise", "values": [[1.0, 0.0], [1.0, 0.5]],
+                      "dt": 0.02, "t0": 1.0}},
+         {"intersect_domain": False}],
+        ids=["constant", "piecewise", "no_domain"],
+    )
+    def test_valid_setting_runs(self, tmp_path, setting):
+        cfg = write_cfg(tmp_path, {
+            "system": "unicycle",
+            "out": str(tmp_path / "out"),
+            "reach": {"dt": 0.02, "steps": 3, "init_len": 5, **setting},
+        })
+        assert cli.main(["--config", cfg, "reach"]) == 0
+        assert (tmp_path / "out" / "tube_unicycle.csv").exists()
 
 
 class TestModuleEntryPoint:
@@ -324,6 +367,16 @@ class TestReachRecording:
             lines = fh.read().splitlines()
         assert lines[0].split(",")[:2] == ["i", "t"]
         assert len(lines) == 5
+
+    def test_no_boxes_when_record_reach_false(self, tmp_path):
+        cfg = write_cfg(tmp_path, {
+            "system": "unicycle",
+            "out": str(tmp_path / "out"),
+            "control": {"max_steps": 2, "seed": 4, "record_reach": False},
+        })
+        assert cli.main(["--config", cfg, "control"]) == 0
+        assert (tmp_path / "out" / "steps_unicycle.csv").exists()
+        assert not (tmp_path / "out" / "reach_unicycle.csv").exists()
 
 
 class TestBenchmarkBudget:
@@ -546,3 +599,12 @@ def test_readme_config_documents_every_key(tmp_path):
                        ("benchmark", cli._BENCH_KEYS)):
         cli._check_keys(cfg[name], keys, name)
         assert sorted(keys - set(cfg[name])) == [], name
+    # the active control block and the commented alternatives, one per family
+    families = [cfg["reach"]["control"]] + [
+        yaml.safe_load(line.split("# control:", 1)[1])
+        for line in path.read_text().splitlines() if line.lstrip().startswith("# control:")
+    ]
+    for spec in families:
+        cli._build_control_family(spec, 0.0, 2)
+        assert set(spec) == cli._FAMILY_KEYS[spec["family"]], spec
+    assert sorted(spec["family"] for spec in families) == sorted(cli._FAMILY_KEYS)

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -7,26 +6,33 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from datareach.errors import EmptyIntersection, NegativeDomain, ShapeMismatch
+from datareach.errors import EmptyIntersection, ShapeMismatch
 from datareach.intervals import (
     Box,
     Interval,
-    imat_imat,
+    add_pairs,
     imat_vec,
-    inf_norm,
+    mat_mat_pairs,
+    mat_vec_pairs,
     meet,
-    norm2_ext,
     real_mat_iv,
-    sqr_ext,
-    sqrt_ext,
-    tensorT_vec,
-    tensor_transpose,
-    tensor_vec,
+    real_mat_pairs,
+    scale_pair,
+    tensor_vec_pairs,
 )
 
 
 def iv(lo, hi=None):
     return Interval(lo, hi)
+
+
+def pair(box: Box):
+    return box.lo, box.hi
+
+
+def transposed(J):
+    """The (0, 2, 1) transpose of a tensor pair, as `control.linearize` builds it."""
+    return tuple(np.transpose(a, (0, 2, 1)) for a in J)
 
 
 class TestScalarOps:
@@ -66,21 +72,6 @@ class TestScalarOps:
         a = iv(-1.25, 3.5)
         assert a.intersect(a) == a
 
-    def test_sqrt_ext(self):
-        assert sqrt_ext(iv(4, 9)) == iv(2, 3)
-        assert sqrt_ext(iv(0, 0)) == iv(0, 0)
-        got = sqrt_ext(iv(0, 5))
-        assert got.lo == 0.0 and got.hi == pytest.approx(math.sqrt(5), abs=1e-15)
-
-    def test_sqrt_negative_domain(self):
-        with pytest.raises(NegativeDomain):
-            sqrt_ext(iv(-1, 1))
-
-    def test_sqr_ext_branches(self):
-        assert sqr_ext(iv(-1, 2)) == iv(0, 4)
-        assert sqr_ext(iv(1, 2)) == iv(1, 4)
-        assert sqr_ext(iv(-3, -2)) == iv(4, 9)
-
     def test_abs_and_width(self):
         assert iv(-3, 2).mag == 3
         assert iv(-3, 2).width == 5
@@ -88,20 +79,9 @@ class TestScalarOps:
 
 
 class TestAggregates:
-    def test_inf_norm(self):
-        v = Box([-1, 0], [2, 5])
-        assert inf_norm(v) == 5
-
-    def test_norm2_exact_point(self):
-        assert norm2_ext(Box([3, 4], [3, 4])) == Interval(5, 5)
-
-    def test_norm2_symmetric(self):
-        got = norm2_ext(Box([-1], [1]))
-        assert got == Interval(0, 1)
-
-    def test_norm2_mixed(self):
-        got = norm2_ext(Box([-1, 0], [2, 1]))
-        assert got.lo == 0.0 and got.hi == pytest.approx(math.sqrt(5), rel=1e-15)
+    """Matrix and tensor products: `imat_vec` and the pair kernels the step
+    pipeline calls (`mat_mat_pairs`, `tensor_vec_pairs`, the latter also on
+    the transposed tensor)."""
 
     def test_imat_vec_identity(self):
         M = Box(np.eye(2), np.eye(2))
@@ -120,42 +100,32 @@ class TestAggregates:
         assert got[0] == Interval(2, 3)
 
     def test_imat_imat_shapes(self):
-        A = Box(np.zeros((2, 3)), np.ones((2, 3)))
-        B = Box(np.zeros((3, 4)), np.ones((3, 4)))
-        assert imat_imat(A, B).shape == (2, 4)
-        with pytest.raises(ShapeMismatch):
-            imat_imat(B, A)
+        A = (np.zeros((2, 3)), np.ones((2, 3)))
+        B = (np.zeros((3, 4)), np.ones((3, 4)))
+        lo, hi = mat_mat_pairs(A, B)
+        assert lo.shape == hi.shape == (2, 4)
 
     def test_tensor_vec_zero(self):
-        J = Box(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
-        got = tensor_vec(J, Box([1, 1], [2, 2]))
-        assert np.allclose(got.lo, 0) and np.allclose(got.hi, 0)
+        J = (np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+        lo, hi = tensor_vec_pairs(J, pair(Box([1, 1], [2, 2])))
+        assert np.allclose(lo, 0) and np.allclose(hi, 0)
 
     def test_tensor_vec_1d(self):
-        J = Box([[[-1.0]]], [[[1.0]]])
-        got = tensor_vec(J, Box([2.0], [2.0]))
+        J = pair(Box([[[-1.0]]], [[[1.0]]]))
+        got = Box(*tensor_vec_pairs(J, pair(Box([2.0], [2.0]))))
         assert got[0, 0] == Interval(-2, 2)
 
     def test_tensor_vec_hand_case(self):
         # n=1, m=2 with entries [0,1] and [1,2]; v = (1, 1)
-        J = Box([[[0.0], [1.0]]], [[[1.0], [2.0]]])
-        got = tensor_vec(J, Box([1.0, 1.0], [1.0, 1.0]))
+        J = pair(Box([[[0.0], [1.0]]], [[[1.0], [2.0]]]))
+        got = Box(*tensor_vec_pairs(J, pair(Box([1.0, 1.0], [1.0, 1.0]))))
         assert got[0, 0] == Interval(1, 3)
 
-    def test_transpose_involution(self):
-        rng = np.random.default_rng(0)
-        lo = rng.normal(size=(3, 2, 3))
-        J = Box(lo, lo + rng.random(size=(3, 2, 3)))
-        JT = tensor_transpose(J)
-        JTT = tensor_transpose(JT)
-        assert np.array_equal(JTT.lo, J.lo) and np.array_equal(JTT.hi, J.hi)
-        assert JT.lo[1, 2, 0] == J.lo[1, 0, 2]
-
     def test_tensorT_vec_zero(self):
-        Jt = Box(np.zeros((2, 2, 1)), np.zeros((2, 2, 1)))
-        got = tensorT_vec(Jt, Box([1, 1], [1, 1]))
-        assert got.shape == (2, 1)
-        assert np.allclose(got.lo, 0)
+        J = (np.zeros((2, 1, 2)), np.zeros((2, 1, 2)))
+        lo, hi = tensor_vec_pairs(transposed(J), pair(Box([1, 1], [1, 1])))
+        assert lo.shape == hi.shape == (2, 1)
+        assert np.allclose(lo, 0) and np.allclose(hi, 0)
 
     def test_tensorT_vec_matches_direct_sum(self):
         # n=2, m=1: result_{k,l} = sum_p J_{k,l,p} w_p by an independent loop
@@ -164,7 +134,7 @@ class TestAggregates:
         J = Box(lo, lo + rng.random(size=(2, 1, 2)))
         w_lo = rng.normal(size=2)
         w = Box(w_lo, w_lo + rng.random(2))
-        got = tensorT_vec(tensor_transpose(J), w)
+        got = Box(*tensor_vec_pairs(transposed(pair(J)), pair(w)))
         for k in range(2):
             for l in range(1):
                 acc = Interval(0.0)
@@ -310,8 +280,10 @@ def box_and_points(draw, shape):
 _DIM = st.integers(1, 4)
 
 
-def _holds(box: Box, value) -> bool:
-    return bool(np.all(box.lo <= value) and np.all(value <= box.hi))
+def _holds(enc, value) -> bool:
+    """Whether a Box or a lo/hi pair contains ``value``."""
+    lo, hi = pair(enc) if isinstance(enc, Box) else enc
+    return bool(np.all(lo <= value) and np.all(value <= hi))
 
 
 class TestContainmentProperties:
@@ -352,22 +324,27 @@ class TestContainmentProperties:
     def test_imat_imat(self, data, n, m, p):
         P, As = data.draw(box_and_points((n, m)))
         Q, Bs = data.draw(box_and_points((m, p)))
+        enc = mat_mat_pairs(pair(P), pair(Q))
         for A, B in itertools.product(As, Bs):
-            assert _holds(imat_imat(P, Q), (A[:, :, None] * B[None, :, :]).sum(axis=1))
+            assert _holds(enc, (A[:, :, None] * B[None, :, :]).sum(axis=1))
 
     @given(st.data(), _DIM, _DIM)
     def test_tensor_vec(self, data, n, m):
         J, Ts = data.draw(box_and_points((n, m, n)))
         v, xs = data.draw(box_and_points((m,)))
+        enc = tensor_vec_pairs(pair(J), pair(v))
         for T, x in itertools.product(Ts, xs):
-            assert _holds(tensor_vec(J, v), (T * x[None, :, None]).sum(axis=1))
+            assert _holds(enc, (T * x[None, :, None]).sum(axis=1))
 
     @given(st.data(), _DIM, _DIM)
     def test_tensorT_vec(self, data, n, m):
-        Jt, Ts = data.draw(box_and_points((n, n, m)))
+        # J is (n, m, n); its (0, 2, 1) transpose contracts with a length-n w
+        J, Ts = data.draw(box_and_points((n, m, n)))
         w, xs = data.draw(box_and_points((n,)))
+        enc = tensor_vec_pairs(transposed(pair(J)), pair(w))
         for T, x in itertools.product(Ts, xs):
-            assert _holds(tensorT_vec(Jt, w), (T * x[None, :, None]).sum(axis=1))
+            real = (np.transpose(T, (0, 2, 1)) * x[None, :, None]).sum(axis=1)
+            assert _holds(enc, real)
 
     @given(st.data(), _DIM, _DIM)
     def test_real_mat_iv(self, data, n, m):
@@ -378,6 +355,58 @@ class TestContainmentProperties:
         for x in xs:
             real = M @ x
             assert np.all(enc.lo - slack <= real) and np.all(real <= enc.hi + slack)
+
+
+@st.composite
+def pair_and_sub(draw, shape):
+    """A random lo/hi pair of the given shape and a pair inside it (possibly
+    a point, possibly the whole pair)."""
+    a, b = draw(_array(shape, _COORD)), draw(_array(shape, _COORD))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    s, t = draw(_array(shape, _UNIT)), draw(_array(shape, _UNIT))
+    sub_lo = np.clip(lo + np.minimum(s, t) * (hi - lo), lo, hi)
+    sub_hi = np.clip(lo + np.maximum(s, t) * (hi - lo), sub_lo, hi)
+    return (lo, hi), (sub_lo, sub_hi)
+
+
+def _inside(inner, outer) -> bool:
+    return bool(np.all(outer[0] <= inner[0]) and np.all(inner[1] <= outer[1]))
+
+
+class TestKernelIsotonicity:
+    """Each pair kernel's result over sub-boxes of its operands lies inside
+    its result over the boxes, with no tolerance.
+
+    Both calls evaluate the same operations in the same order on operands of
+    the same shapes, and float rounding is monotone, so each endpoint of the
+    sub-box result lies on the inner side of the box result's endpoint.
+    """
+
+    @pytest.mark.parametrize(
+        "kernel, shapes",
+        [
+            (add_pairs, lambda n, m, p: ((n, m), (n, m))),
+            (mat_vec_pairs, lambda n, m, p: ((n, m), (m,))),
+            (mat_mat_pairs, lambda n, m, p: ((n, m), (m, p))),
+            (tensor_vec_pairs, lambda n, m, p: ((n, m, p), (m,))),
+        ],
+        ids=["add_pairs", "mat_vec_pairs", "mat_mat_pairs", "tensor_vec_pairs"],
+    )
+    @given(data=st.data(), dims=st.tuples(_DIM, _DIM, _DIM))
+    def test_interval_operands(self, kernel, shapes, data, dims):
+        (a, a_sub), (b, b_sub) = (data.draw(pair_and_sub(s)) for s in shapes(*dims))
+        assert _inside(kernel(a_sub, b_sub), kernel(a, b))
+
+    @given(st.data(), _DIM, _DIM, _COORD)
+    def test_scale_pair(self, data, n, m, c):
+        a, a_sub = data.draw(pair_and_sub((n, m)))
+        assert _inside(scale_pair(a_sub, c), scale_pair(a, c))
+
+    @given(st.data(), _DIM, _DIM)
+    def test_real_mat_pairs(self, data, n, m):
+        M = data.draw(_array((n, m), _COORD))
+        v, v_sub = data.draw(pair_and_sub((m,)))
+        assert _inside(real_mat_pairs(M, v_sub), real_mat_pairs(M, v))
 
 
 class TestRandomizedProperties:
@@ -411,18 +440,6 @@ class TestRandomizedProperties:
                 assert big.encloses(op(A2, B2), atol=1e-12)
                 assert big.contains(op(Interval(x), Interval(y)).lo, atol=1e-9)
 
-    def test_norm2_containment(self):
-        rng = np.random.default_rng(43)
-        for _ in range(500):
-            n = rng.integers(1, 5)
-            lo = rng.uniform(-5, 5, n)
-            hi = lo + rng.uniform(0, 3, n)
-            box = Box(lo, hi)
-            enc = norm2_ext(box)
-            for _ in range(20):
-                x = rng.uniform(lo, hi)
-                assert enc.contains(float(np.linalg.norm(x)), atol=1e-9)
-
     def test_matvec_containment(self):
         rng = np.random.default_rng(44)
         for _ in range(300):
@@ -450,6 +467,6 @@ def test_imat_imat_hand_case():
     # 1x2 times 2x1: [0,1]*1 + [1,1]*2 = [2,3]
     A = Box.of([[Interval(0, 1), Interval(1, 1)]])
     B = Box.of([[Interval(1, 1)], [Interval(2, 2)]])
-    got = imat_imat(A, B)
+    got = Box(*mat_mat_pairs(pair(A), pair(B)))
     assert got.shape == (1, 1)
     assert got[0, 0] == Interval(2, 3)

@@ -11,6 +11,7 @@ from datareach.knowledge import (
     Sample,
     SideInfoSet,
     VectorFieldBounds,
+    _jacobian_pairs,
     append_sample,
     build_knowledge,
     contract_fg,
@@ -18,7 +19,6 @@ from datareach.knowledge import (
     f_over_iv,
     G_over,
     G_over_iv,
-    jacobian_extensions,
     rebuild,
 )
 from datareach.systems import excite, unicycle
@@ -256,11 +256,13 @@ class TestBuildKnowledge:
 
 
 class TestJacobianExtensions:
+    """The Jacobian pairs the step pipeline reads (`_jacobian_pairs`)."""
+
     def test_unicycle_masks(self):
         sysu = unicycle()
         traj = excite(sysu, 5, seed=1, dt=0.1, x0=[-2.0, -2.5, math.pi / 2])
         kb = build_knowledge(traj, sysu.lip, sysu.side)
-        Jf, JG = jacobian_extensions(kb)
+        Jf, JG = (Box(*a) for a in _jacobian_pairs(kb))
         # position columns are forced to zero
         assert np.all(Jf.lo[:, :2] == 0) and np.all(Jf.hi[:, :2] == 0)
         assert np.all(JG.lo[:, :, :2] == 0) and np.all(JG.hi[:, :, :2] == 0)
@@ -273,7 +275,7 @@ class TestJacobianExtensions:
     def test_zero_lipschitz_gives_zero_jacobians(self):
         lip = LipschitzBounds([0.0, 0.0], np.zeros((2, 1)))
         kb = build_knowledge([Sample([0.0, 0.0], [0.0, 0.0], [0.0])], lip)
-        Jf, JG = jacobian_extensions(kb)
+        Jf, JG = (Box(*a) for a in _jacobian_pairs(kb))
         assert np.all(Jf.lo == 0) and np.all(Jf.hi == 0)
         assert np.all(JG.lo == 0) and np.all(JG.hi == 0)
 
@@ -283,7 +285,7 @@ class TestJacobianExtensions:
             grad_bounds=GradientBounds(f={(0, 0): Interval(0.0, math.inf)})
         )
         kb = build_knowledge([Sample([0.0], [0.0], [0.0])], lip, side)
-        Jf, _ = jacobian_extensions(kb)
+        Jf = Box(*_jacobian_pairs(kb)[0])
         assert Jf.lo[0, 0] == 0.0
         assert Jf.hi[0, 0] == pytest.approx(2.0)
 
@@ -321,9 +323,9 @@ class TestPartialDynamics:
         traj = excite(sysq, 4, seed=2, dt=0.008, x0=[0, 0, 5, 0, 0, 0])
         kb = build_knowledge(traj, sysq.lip, sysq.side)
         with pytest.raises(ValueError):
-            jacobian_extensions(kb)
+            _jacobian_pairs(kb)
         box = Box.point(np.zeros(6))
-        Jf, JG = jacobian_extensions(kb, state_box=box)
+        Jf = Box(*_jacobian_pairs(kb, state_box=box)[0])
         assert Jf.lo[0, 1] == pytest.approx(1.0)  # known integrator row
         assert Jf.hi[0, 1] == pytest.approx(1.0)
 

@@ -22,9 +22,9 @@ from datareach.knowledge import (
     LipschitzBounds,
     Sample,
     SideInfoSet,
+    _jacobian_pairs,
     append_sample,
     build_knowledge,
-    jacobian_extensions,
 )
 from datareach.reach import (
     ConstCosControl,
@@ -73,7 +73,7 @@ def mat_mat(A, B):
 
 
 def tensor_vec(J, v):
-    """Contraction over the middle axis (tensor_vec and tensorT_vec alike)."""
+    """Contraction over the middle axis (of J or of its transpose)."""
     return _prod_sum(J.lo, J.hi, v.lo[None, :, None], v.hi[None, :, None])
 
 
@@ -299,13 +299,13 @@ class TestStepChecks:
         kb = build_knowledge([Sample([0.0], [0.0], [0.0])], lip, side)
         for _ in range(2):
             with pytest.raises(EmptyIntersection, match="gradient bounds contradict"):
-                jacobian_extensions(kb)
+                _jacobian_pairs(kb)
         with pytest.raises(EmptyIntersection, match="gradient bounds contradict"):
             linearize(Box.point([0.0]), kb, Box([-1.0], [1.0]), 0.1)
 
     def test_bands_shared_by_derived_bases(self, unicycle_fig_setup):
         sysu, samples, kb, _ = unicycle_fig_setup
         kb2 = append_sample(kb, samples[0])
-        Jf, JG = jacobian_extensions(kb2)
-        assert np.array_equal(Jf.lo, jacobians(kb, None)[0].lo)
+        Jf, JG = _jacobian_pairs(kb2)
+        assert np.array_equal(Jf[0], jacobians(kb, None)[0].lo)
         assert kb2._groups.jacobian_bands() is kb._groups.jacobian_bands()

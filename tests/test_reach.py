@@ -22,7 +22,6 @@ from datareach.reach import (
     datareach_step,
     datareach_step_c0,
     max_step_size,
-    rough_enclosure_explicit,
 )
 
 
@@ -57,10 +56,12 @@ class TestMaxStepSize:
 
 
 class TestRoughEnclosures:
+    """The explicit rough enclosure, as each reach step records it (`S`)."""
+
     def test_explicit_known_constant_field(self):
         kb = constant_f_kb(1.0)
         R = Box([0.0], [0.0])
-        S = rough_enclosure_explicit(R, kb, Box([0.0], [0.0]), 0.1)
+        S = datareach_step(R, kb, ConstantControl([0.0]), 0.0, 0.1).S
         assert S[0].lo == pytest.approx(-0.1, abs=1e-9)
         assert S[0].hi == pytest.approx(0.1, abs=1e-9)
 
@@ -83,8 +84,7 @@ class TestRoughEnclosures:
         limit = max_step_size(lip, Box([0.0], [0.0]))
         dt = 0.99 * limit
         R = Box([0.2], [0.3])
-        V = Box([0.0], [0.0])
-        S = rough_enclosure_explicit(R, kb, V, dt)
+        S = datareach_step(R, kb, ConstantControl([0.0]), 0.0, dt).S
         assert np.isfinite(S.lo).all() and np.isfinite(S.hi).all()
         # Monte-Carlo trajectories of the true field must stay inside S
         rng = np.random.default_rng(0)
@@ -96,12 +96,9 @@ class TestRoughEnclosures:
                 assert S[0].lo - 1e-6 <= x <= S[0].hi + 1e-6
 
     def test_explicit_rejects_large_step(self):
-        kb = constant_f_kb(1.0)
-        lip = LipschitzBounds([2.0], [[0.0]])
+        kb = constant_f_kb(1.0, L_f=2.0)  # step limit 1 / (1 * 2) = 0.5
         with pytest.raises(StepTooLarge):
-            rough_enclosure_explicit(
-                Box([0.0], [0.0]), kb, Box([0.0], [0.0]), 1.0, lip=lip
-            )
+            datareach_step(Box([0.0], [0.0]), kb, ConstantControl([0.0]), 0.0, 1.0)
 
 
 class TestReachSteps:
