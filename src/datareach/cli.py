@@ -183,6 +183,8 @@ def cmd_reach(args, cfg) -> int:
         raise ConfigError("steps must be >= 1")
     if init_len < 1:
         raise ConfigError("init_len must be >= 1")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     sample_dt = 0.1
 
     limit = max_step_size(system.lip, system.U)
@@ -195,14 +197,12 @@ def cmd_reach(args, cfg) -> int:
         level = section["side_level"]
         if sys_name == "unicycle":
             settings = unicycle_knowledge_settings()
-            settings["full"] = system.side
-            if level not in settings:
-                raise ConfigError(f"side_level must be one of {sorted(settings)}")
-            side = settings[level]
-        elif level == "lipschitz_only":
-            side = SideInfoSet()
-        elif level != "full":
-            raise ConfigError("side_level must be 'full' or 'lipschitz_only'")
+        else:
+            settings = {"lipschitz_only": SideInfoSet()}
+        settings["full"] = system.side
+        if not isinstance(level, str) or level not in settings:
+            raise ConfigError(f"side_level must be one of {sorted(settings)}, not {level!r}")
+        side = settings[level]
 
     if "trajectory" in section:
         samples, n, m = dio.read_trajectory_csv(section["trajectory"])
@@ -213,6 +213,8 @@ def cmd_reach(args, cfg) -> int:
     else:
         x0 = _setting(section, "x0", _vector,
                       [-2.0, -2.5, math.pi / 2] if sys_name == "unicycle" else system.X.mid)
+        if x0.shape != (system.n,):
+            raise ConfigError(f"x0 must have {system.n} entries")
         samples = excite(system, init_len, seed, dt=sample_dt, x0=x0, mode=excitation)
 
     t_ref = samples[-1].t + sample_dt if samples[-1].t is not None else init_len * sample_dt

@@ -364,13 +364,13 @@ def meet_arrays(alo, ahi, blo, bhi, tol: float = 0.0, pad: float = 0.0):
 
 def settle_arrays(lo, hi, tol: float = 0.0, pad: float = 0.0):
     """`meet_arrays` of an array pair with itself (max(a, a) = a exactly)."""
-    gap = lo - hi
-    genuine = gap > 0.0
-    if genuine.any():
-        genuine = gap > tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    genuine = lo > hi
+    if np.count_nonzero(genuine):
+        genuine = lo - hi > tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
     if pad:
-        margin = pad * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        # lo <= hi (or NaN) from here on, where max(-lo, hi) is max(|lo|, |hi|)
+        margin = pad * np.maximum(1.0, np.maximum(-lo, hi))
         lo = lo - margin
         hi = hi + margin
     return lo, hi, genuine

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Tuple
@@ -22,8 +23,12 @@ def _fmt(x: float) -> str:
 
 @contextmanager
 def _csv_reader(path, what: str):
-    """A csv reader over the file at ``path`` and its header row; a file
-    that cannot be opened, or has no header, raises ConfigError naming it."""
+    """A csv reader over the file at ``path`` and its header row; a path
+    that is not a string or path object, a file that cannot be opened, or
+    one with no header, raises ConfigError naming it."""
+    # open() would take an integer as a file descriptor
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"{what} must be a file path, not {path!r}")
     try:
         fh = open(path, newline="")
     except OSError as exc:

@@ -150,6 +150,15 @@ class KnowledgeEntry:
     C_G: Box
 
 
+def _as_slice(mask):
+    """The slice selecting what the boolean ``mask`` selects, when its set
+    entries form one contiguous run; otherwise the mask itself."""
+    set_at = np.flatnonzero(mask)
+    if set_at.size and set_at[-1] - set_at[0] + 1 == set_at.size:
+        return slice(int(set_at[0]), int(set_at[-1]) + 1)
+    return mask
+
+
 class _Groups:
     """Distinct dependency masks of the f rows and G entries.
 
@@ -181,13 +190,15 @@ class _Groups:
             + [mask_id(g_masks[k, l]) for k in range(n) for l in range(m)]
         )
         self.col_L = np.concatenate((lip.L_f, lip.L_G.ravel()))
-        self.masks = [mask for _, mask in sorted(masks.values())]
+        # each group's mask, or a slice where it selects one contiguous run
+        # of states: a view with the same elements in the same order
+        self.picks = [_as_slice(mask) for _, mask in sorted(masks.values())]
 
     def dists(self, offsets):
         """Per-group Euclidean norms of the offsets (..., n) -> (..., ngroups)."""
-        out = np.empty(offsets.shape[:-1] + (len(self.masks),))
-        for g, mask in enumerate(self.masks):
-            np.sqrt((offsets[..., mask] ** 2).sum(axis=-1), out=out[..., g])
+        out = np.empty(offsets.shape[:-1] + (len(self.picks),))
+        for g, pick in enumerate(self.picks):
+            np.sqrt((offsets[..., pick] ** 2).sum(axis=-1), out=out[..., g])
         return out
 
     def jacobian_bands(self):
@@ -390,7 +401,7 @@ def _first_failure(stages):
     ``stages`` lists (mask, kind) pairs in the order one sample evaluates
     them; a row's failure is its first stage with a set mask entry.
     """
-    if not any(bad.any() for bad, _ in stages):
+    if not any(np.count_nonzero(bad) for bad, _ in stages):
         return None
     hit = np.stack([_any_per_row(bad) for bad, _ in stages])
     failing = np.flatnonzero(hit.any(axis=0))
@@ -404,6 +415,12 @@ def _first_failure(stages):
 # ---------------------------------------------------------------------------
 # contraction at a data point
 # ---------------------------------------------------------------------------
+
+def _clamp(a, lo, hi, out=None):
+    """``np.clip(a, lo, hi)`` as two ufunc calls, written into ``out`` if given."""
+    out = np.maximum(a, lo, out=out)
+    return np.minimum(out, hi, out=out)
+
 
 def _contract(xdot, u, lo, hi):
     """`contract_fg` on stacked rows: xdot (k, n), u (k, m), lo/hi (k, n + n m).
@@ -421,35 +438,55 @@ def _contract(xdot, u, lo, hi):
     stages = [bad]
     c_lo, c_hi = lo.copy(), hi.copy()
     (cf_lo, cg_lo), (cf_hi, cg_hi) = _split(c_lo, n), _split(c_hi, n)
-    np.clip(f_lo, F_lo, F_hi, out=cf_lo)
-    np.clip(f_hi, cf_lo, F_hi, out=cf_hi)
+    _clamp(f_lo, F_lo, F_hi, out=cf_lo)
+    _clamp(f_hi, cf_lo, F_hi, out=cf_hi)
     s_lo, s_hi, bad = meet_arrays(
         xdot - cf_hi, xdot - cf_lo, gu_lo, gu_hi, _MEET_TOL, _PAD
     )
     stages.append(bad)
-    # suffix sums over columns l+1..m-1 of G u
+    live = np.abs(u) > _U_ZERO_TOL
+    # how many rows each column is live on, as Python ints
+    counts = live.sum(axis=0).tolist()
     for l in range(m):
-        tail_lo = col_lo[:, :, l + 1 :].sum(axis=2)
-        tail_hi = col_hi[:, :, l + 1 :].sum(axis=2)
+        last = l == m - 1
+        # suffix sums over columns l+1..m-1 of G u; the last column's is empty
+        if last:
+            tail_lo = tail_hi = 0.0
+        else:
+            tail_lo = col_lo[:, :, l + 1 :].sum(axis=2)
+            tail_hi = col_hi[:, :, l + 1 :].sum(axis=2)
         ul = u[:, l : l + 1]
-        live = np.abs(ul) > _U_ZERO_TOL
-        if live.any():
+        if counts[l]:
             num_lo, num_hi, bad = meet_arrays(
                 s_lo - tail_hi, s_hi - tail_lo, col_lo[:, :, l], col_hi[:, :, l],
                 _MEET_TOL,
             )
-            stages.append(bad & live)
-            safe = np.where(live, ul, 1.0)
+            safe = ul
+            # a column dead on some rows divides there by 1 and keeps G
+            mixed = counts[l] < len(u)
+            if mixed:
+                live_l = live[:, l : l + 1]
+                bad = bad & live_l
+                safe = np.where(live_l, ul, 1.0)
+            stages.append(bad)
             a, b = num_lo / safe, num_hi / safe
-            # dividing amplifies rounding by 1/|u_l|; pad accordingly
-            div_pad = 1e-14 * (1.0 + np.maximum(np.abs(num_lo), np.abs(num_hi))) / np.abs(safe)
-            g_lo = np.clip(np.minimum(a, b) - div_pad, G_lo[:, :, l], G_hi[:, :, l])
-            g_hi = np.clip(np.maximum(a, b) + div_pad, g_lo, G_hi[:, :, l])
-            cg_lo[:, :, l] = np.where(live, g_lo, G_lo[:, :, l])
-            cg_hi[:, :, l] = np.where(live, g_hi, G_hi[:, :, l])
+            # dividing amplifies rounding by 1/|u_l|; pad accordingly (the
+            # settled num_lo <= num_hi, so max(-lo, hi) is max(|lo|, |hi|))
+            div_pad = 1e-14 * (1.0 + np.maximum(-num_lo, num_hi)) / np.abs(safe)
+            g_lo = np.minimum(a, b) - div_pad
+            g_hi = np.maximum(a, b) + div_pad
+            _clamp(g_lo, G_lo[:, :, l], G_hi[:, :, l], out=g_lo)
+            _clamp(g_hi, g_lo, G_hi[:, :, l], out=g_hi)
+            if mixed:
+                g_lo = np.where(live_l, g_lo, G_lo[:, :, l])
+                g_hi = np.where(live_l, g_hi, G_hi[:, :, l])
+            cg_lo[:, :, l], cg_hi[:, :, l] = g_lo, g_hi
         used_lo, used_hi = scale_pair((cg_lo[:, :, l], cg_hi[:, :, l]), ul)
+        # the last remainder is discarded but for its failure mask, which
+        # the pad does not change
         s_lo, s_hi, bad = meet_arrays(
-            s_lo - used_hi, s_hi - used_lo, tail_lo, tail_hi, _MEET_TOL, _PAD
+            s_lo - used_hi, s_hi - used_lo, tail_lo, tail_hi, _MEET_TOL,
+            0.0 if last else _PAD,
         )
         stages.append(bad)
     return c_lo, c_hi, [(bad, "contract") for bad in stages]
@@ -518,7 +555,7 @@ def _box_query(kb: KnowledgeBase, X: Box, parts: str = "fG"):
     for part, what in enumerate("fG"):
         if what in parts:
             for bad, kind in checks[part::2]:
-                if bad.any():
+                if np.count_nonzero(bad):
                     raise _empty(kind, _first_index(bad))
     pairs = list(zip(_split(enc[0], n), _split(enc[1], n)))
     return [pairs["fG".index(what)] for what in parts]
@@ -570,7 +607,7 @@ def _envelopes(kb: KnowledgeBase, X):
     along the rows."""
     N, cols = kb.c_lo.shape
     k = X.shape[0]
-    step = max(1, _CHUNK_FLOATS // (N * max(cols, len(kb._groups.masks))))
+    step = max(1, _CHUNK_FLOATS // (N * max(cols, len(kb._groups.picks))))
     if step >= k:
         return _unknown(kb, kb._point_dists(X))
     lo, hi = np.empty((k, cols)), np.empty((k, cols))
@@ -614,7 +651,7 @@ def _contract_rows(kb: KnowledgeBase, env, X, XDOT, U, index):
     lo/hi rows; on failure raises what a per-sample loop would raise first,
     for the lowest failing sample.
     """
-    nan = np.isnan(X).any(axis=1) | np.isnan(XDOT).any(axis=1) | np.isnan(U).any(axis=1)
+    nan = np.isnan(np.concatenate((X, XDOT, U), axis=1)).any(axis=1)
     lo, hi, q_stages = _settled_rows(kb, env, X)
     *new, c_stages = _contract(XDOT, U, lo, hi)
     failure = _first_failure([(nan[:, None], "nan")] + q_stages + c_stages)

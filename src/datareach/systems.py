@@ -57,18 +57,23 @@ class SystemSpec:
 
 
 def _linear_partial(P: np.ndarray, m: int, residual_lip: LipschitzBounds) -> PartialDynamics:
-    """Known part f_kn(x) = P x with G_kn = 0 (exact interval extensions)."""
+    """Known part f_kn(x) = P x with G_kn = 0 (exact interval extensions).
+
+    G_kn and both Jacobians do not depend on the state: each query returns
+    the same read-only arrays and `Box`es, built once.
+    """
     n = P.shape[0]
     zero_g = np.zeros((n, m))
-    zero_jg = np.zeros((n, m, n))
+    zero_g.flags.writeable = False
+    G_box, jac_f, jac_G = Box.point(zero_g), Box.point(P), Box.point(np.zeros((n, m, n)))
 
     return PartialDynamics(
         f_known=lambda x: P @ x,
         G_known=lambda x: zero_g,
         f_known_iv=lambda X: real_mat_iv(P, X),
-        G_known_iv=lambda X: Box(zero_g, zero_g),
-        jac_f_known_iv=lambda X: Box(P, P),
-        jac_G_known_iv=lambda X: Box(zero_jg, zero_jg),
+        G_known_iv=lambda X: G_box,
+        jac_f_known_iv=lambda X: jac_f,
+        jac_G_known_iv=lambda X: jac_G,
         lip=residual_lip,
     )
 
@@ -468,6 +473,8 @@ def check_experiment(sys: SystemSpec, cfg: ExperimentConfig) -> QPOptions:
         raise ValueError("init_len must be >= 1")
     if cfg.max_steps < 0:
         raise ValueError("max_steps must be >= 0")
+    if cfg.seed < 0:
+        raise ValueError("seed must be >= 0")
     if cfg.refresh_every < 1:
         raise ValueError("refresh_every must be >= 1")
     _check_substeps(cfg.substeps)

@@ -162,8 +162,10 @@ class TestControlSettings:
             {"eps": 0.0},
             {"x0": [0.0, 0.0]},
             {"dt": -0.1},
+            {"seed": -1},
         ],
-        ids=["weights", "mode", "excitation", "init_len", "max_steps", "eps", "x0", "dt"],
+        ids=["weights", "mode", "excitation", "init_len", "max_steps", "eps", "x0", "dt",
+             "seed_negative"],
     )
     def test_bad_setting_rejected(self, tmp_path, setting):
         cfg = write_cfg(tmp_path, {
@@ -241,13 +243,18 @@ class TestReachSettings:
              "control dt must be positive"),
             ({"control": {"family": "sine"}}, "unknown control family 'sine'"),
             ({"control": 3}, "reach.control must be a mapping, not 3"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"x0": [1, 2]}, "x0 must have 3 entries"),
+            ({"side_level": ["x"]}, "side_level must be one of ['decoupled', "),
+            ({"trajectory": 7}, "trajectory must be a file path, not 7"),
         ],
         ids=["excitation", "dt_negative", "dt_zero", "steps_negative", "steps_zero",
              "init_len", "steps_text", "init_len_text", "dt_text", "seed_list", "x0_text",
              "intersect_domain_text", "intersect_domain_int", "constant_no_value",
              "piecewise_no_dt", "v0_text", "value_length", "values_flat", "a1_single",
              "a2_inverted", "family_unknown_key", "family_other_key", "control_dt_zero",
-             "family_unknown", "control_not_a_mapping"],
+             "family_unknown", "control_not_a_mapping", "seed_negative", "x0_length",
+             "side_level_list", "trajectory_int"],
     )
     def test_bad_setting_rejected(self, tmp_path, capsys, setting, message):
         out = tmp_path / "out"
@@ -276,6 +283,19 @@ class TestReachSettings:
         })
         assert cli.main(["--config", cfg, "reach"]) == 0
         assert (tmp_path / "out" / "tube_unicycle.csv").exists()
+
+    @pytest.mark.parametrize("command", ["reach", "control"])
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, {
+            "system": "unicycle",
+            "out": str(out),
+            "reach": {"dt": 0.02, "steps": 3, "init_len": 5},
+            "control": {"max_steps": 3},
+        })
+        assert cli.main(["--config", cfg, "--seed", "-1", command]) == cli.EXIT_CONFIG
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestModuleEntryPoint:
@@ -585,6 +605,9 @@ class TestUnreadableInputFiles:
             read(path)
         with pytest.raises(cli.ConfigError, match=f"^cannot read {what} {path}.x: "):
             read(f"{path}.x")
+        # an integer is not taken as a file descriptor
+        with pytest.raises(cli.ConfigError, match=f"^{what} must be a file path, not 0$"):
+            read(0)
 
 
 def test_readme_config_documents_every_key(tmp_path):

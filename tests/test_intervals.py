@@ -18,6 +18,7 @@ from datareach.intervals import (
     real_mat_iv,
     real_mat_pairs,
     scale_pair,
+    settle_arrays,
     tensor_vec_pairs,
 )
 
@@ -156,6 +157,24 @@ class TestAggregates:
         assert got.lo[0] <= got.hi[0]
         with pytest.raises(EmptyIntersection):
             meet(a, Box([1.1], [2.0]), tol=1e-9)
+
+    def test_settle_pad_margin_from_negated_lo(self):
+        """For lo <= hi, max(-lo, hi) equals max(|lo|, |hi|), at signed zeros
+        and infinities too, so the padded settle gives the bits of the |.|
+        formula; a NaN endpoint stays NaN."""
+        ends = [-np.inf, -3.5, -1.0, -0.0, 0.0, 5e-324, 2.0, np.inf]
+        lo, hi = np.array([(a, b) for a in ends for b in ends if a <= b]).T
+        assert np.array_equal(np.maximum(-lo, hi), np.maximum(np.abs(lo), np.abs(hi)))
+        margin = 1e-14 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        with np.errstate(invalid="ignore"):  # inf - inf at [inf, inf]
+            got_lo, got_hi, genuine = settle_arrays(lo, hi, 1e-8, 1e-14)
+            assert got_lo.tobytes() == (lo - margin).tobytes()
+            assert got_hi.tobytes() == (hi + margin).tobytes()
+        assert not genuine.any()
+        got_lo, got_hi, genuine = settle_arrays(
+            np.array([np.nan, -1.0]), np.array([1.0, np.nan]), 1e-8, 1e-14
+        )
+        assert np.isnan(got_lo).all() and np.isnan(got_hi).all() and not genuine.any()
 
 
 class TestBox:

@@ -695,6 +695,50 @@ class TestBatchedPass:
             failures.append(want_comp)
         assert any(c is not None for c in failures)
 
+    @pytest.mark.parametrize(
+        "columns",
+        [("every", "some", "none"), ("none", "every", "some"), ("some", "none", "every")],
+        ids=lambda c: "-".join(c),
+    )
+    def test_contract_with_dead_columns_matches_box_reference(self, columns):
+        """One multi-row `_contract` call in which each control column is dead
+        (|u_l| <= _U_ZERO_TOL) on every row, on some rows or on none equals
+        the per-row reference bit for bit, and a corrupted row fails at the
+        reference's component."""
+        from datareach import knowledge
+        from datareach.knowledge import _U_ZERO_TOL, _first_failure
+
+        rng = np.random.default_rng(11)
+        n, m, k = 3, 3, 8
+        dead = {"every": np.ones(k, bool), "some": np.arange(k) % 2 == 0,
+                "none": np.zeros(k, bool)}
+        U = rng.uniform(-2.0, 2.0, (k, m))
+        for l, kind in enumerate(columns):
+            tiny = rng.choice([0.0, -0.0, 0.5 * _U_ZERO_TOL, -_U_ZERO_TOL], k)
+            U[:, l] = np.where(dead[kind], tiny, U[:, l])
+        f, G = rng.normal(size=(k, n)), rng.normal(size=(k, n, m))
+        XDOT = f + np.einsum("knm,km->kn", G, U)
+        F_lo, F_hi = f - rng.uniform(0.1, 1.0, f.shape), f + rng.uniform(0.1, 1.0, f.shape)
+        G_lo, G_hi = G - rng.uniform(0.1, 1.0, G.shape), G + rng.uniform(0.1, 1.0, G.shape)
+        LO = np.concatenate((F_lo, G_lo.reshape(k, -1)), axis=1)
+        HI = np.concatenate((F_hi, G_hi.reshape(k, -1)), axis=1)
+        bad_row = 5
+        XDOT[bad_row] += 50.0 * (np.arange(n) == 1)
+        c_lo, c_hi, stages = knowledge._contract(XDOT, U, LO, HI)
+        for i in range(k):
+            s = Sample(np.zeros(n), XDOT[i], U[i])
+            F, G_box = Box(F_lo[i], F_hi[i]), Box(G_lo[i], G_hi[i])
+            if i == bad_row:
+                with pytest.raises(EmptyIntersection) as exc:
+                    _ref_contract_fg(s, F, G_box)
+                continue
+            want_F, want_G = _ref_contract_fg(s, F, G_box)
+            assert c_lo[i, :n].tobytes() == want_F.lo.tobytes()
+            assert c_hi[i, :n].tobytes() == want_F.hi.tobytes()
+            assert c_lo[i, n:].tobytes() == want_G.lo.tobytes()
+            assert c_hi[i, n:].tobytes() == want_G.hi.tobytes()
+        assert _first_failure(stages) == (bad_row, "contract", exc.value.index)
+
     @pytest.mark.parametrize("chunk_floats", [None, 1])
     def test_rebuild_raises_for_lowest_failing_sample(self, chunk_floats, monkeypatch):
         from datareach import knowledge
