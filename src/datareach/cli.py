@@ -159,9 +159,10 @@ def _build_control_family(spec, t_ref: float, m: int):
     if not rows:
         return ConstantControl(u)
     dt = _required(spec, "dt", float)
-    if not dt > 0.0:
-        raise ConfigError("control dt must be positive")
-    return PiecewiseConstantControl(u, dt, _setting(spec, "t0", float, 0.0))
+    try:
+        return PiecewiseConstantControl(u, dt, _setting(spec, "t0", float, 0.0))
+    except ValueError as exc:
+        raise ConfigError(f"control {exc}") from exc
 
 
 def cmd_reach(args, cfg) -> int:

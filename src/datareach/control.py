@@ -38,6 +38,20 @@ def _mag(lo, hi):
 
 
 @dataclass(frozen=True)
+class _LoopTerms:
+    """What a closed loop's steps share through one cost, U and X: |S U| and
+    the norm of the domain term of `subopt_bound`, and the sign orthants of U
+    with, per orthant, the (1, m) mask of its nonnegative axes.  The arrays
+    are read-only."""
+
+    U: Box
+    X: Box
+    SU_abs: np.ndarray
+    domain_norm: float
+    orthants: tuple  # ((Box, mask), ...)
+
+
+@dataclass(frozen=True)
 class QuadraticCost:
     """Convex quadratic one-step cost c(x, u, y) = [y;u]' [[Q,S],[S',R]] [y;u] + [q;r]'[y;u].
 
@@ -49,8 +63,10 @@ class QuadraticCost:
     S: np.ndarray
     q: np.ndarray
     r: np.ndarray
-    # (U, X, |S U|, domain norm) of the last `subopt_bound` with this cost
-    _terms: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # `_LoopTerms` of the last (U, X) this cost met, see `_loop_terms`
+    _terms: Optional[_LoopTerms] = field(default=None, init=False, repr=False, compare=False)
+    # (sigma, factor) of the last optimistic solve, see `qpsolve._factor`
+    _factored: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
@@ -68,8 +84,8 @@ class QuadraticCost:
         joint = np.block([[Q, S], [S.T, R]])
         if float(np.linalg.eigvalsh(joint).min()) < -1e-9:
             raise ValueError("joint cost matrix must be positive semidefinite")
-        # read-only copies: a cost is an immutable value, so `_bound_terms`
-        # may reuse what it computed from it
+        # read-only copies: a cost is an immutable value, so `_loop_terms`
+        # and `qpsolve._factor` may reuse what they computed from it
         for name, val in (("Q", Q), ("R", R), ("S", S), ("q", q), ("r", r)):
             val = np.array(val)
             val.flags.writeable = False
@@ -83,16 +99,23 @@ class QuadraticCost:
     def m(self) -> int:
         return self.r.shape[0]
 
-    def _bound_terms(self, U: Box, X: Box):
-        """|S U| and the norm of the domain term of `subopt_bound`, reused
+    def _loop_terms(self, U: Box, X: Box) -> _LoopTerms:
+        """The step terms that depend only on this cost, U and X, reused
         while the same (immutable) boxes U and X repeat, as in a closed loop."""
         t = self._terms
-        if t is None or t[0] is not U or t[1] is not X:
+        if t is None or t.U is not U or t.X is not X:
             SU_abs = _mag(*check_pair(*real_mat_pairs(self.S, _pair(U))))
             Q_X = _mag(*check_pair(*real_mat_pairs(self.Q, _pair(X))))
-            t = (U, X, SU_abs, np.linalg.norm(2.0 * SU_abs + self.q + 2.0 * Q_X))
+            domain_norm = np.linalg.norm(2.0 * SU_abs + self.q + 2.0 * Q_X)
+            SU_abs.flags.writeable = False
+            orthants = []
+            for box in _split_orthants(U):
+                nonneg = (box.lo >= 0.0)[None, :]
+                nonneg.flags.writeable = False
+                orthants.append((box, nonneg))
+            t = _LoopTerms(U, X, SU_abs, domain_norm, tuple(orthants))
             object.__setattr__(self, "_terms", t)
-        return t[2], t[3]
+        return t
 
     def value(self, u: np.ndarray, y: np.ndarray) -> float:
         return float(
@@ -239,15 +262,13 @@ def assemble_optimistic(
     cost: QuadraticCost, aff: AffineOverApprox, U: Box, X: Box
 ) -> OptimisticQP:
     """Split U into sign orthants and pick endpoint matrices per the sign rule."""
-    orthants = []
-    for box in _split_orthants(U):
-        nonneg = box.lo >= 0.0
-        A_s_plus = np.where(nonneg[None, :], aff.Aplus.hi, aff.Aplus.lo)
-        A_l_plus = np.where(nonneg[None, :], aff.Aplus.lo, aff.Aplus.hi)
-        A_s_minus = np.where(nonneg[None, :], aff.Aminus.hi, aff.Aminus.lo)
-        A_l_minus = np.where(nonneg[None, :], aff.Aminus.lo, aff.Aminus.hi)
-        orthants.append(OrthantQP(A_s_plus, A_l_plus, A_s_minus, A_l_minus, box))
-    return OptimisticQP(tuple(orthants), cost, aff.B, X)
+    (p_lo, p_hi), (m_lo, m_hi) = _pair(aff.Aplus), _pair(aff.Aminus)
+    orthants = tuple(
+        OrthantQP(np.where(nonneg, p_hi, p_lo), np.where(nonneg, p_lo, p_hi),
+                  np.where(nonneg, m_hi, m_lo), np.where(nonneg, m_lo, m_hi), box)
+        for box, nonneg in cost._loop_terms(U, X).orthants
+    )
+    return OptimisticQP(orthants, cost, aff.B, X)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +293,8 @@ def subopt_bound(
     Uabs = _mag(*u)
     tp = float(np.linalg.norm(aff.B.width + aff.Aplus.width @ Uabs))
     tm = float(np.linalg.norm(aff.B.width + aff.Aminus.width @ Uabs))
-    SU_abs, domain_norm = cost._bound_terms(U, X)
+    terms = cost._loop_terms(U, X)
+    SU_abs, domain_norm = terms.SU_abs, terms.domain_norm
     return max(
         tp * _K_of(cost, B, _pair(aff.Aplus), u, SU_abs, domain_norm),
         tm * _K_of(cost, B, _pair(aff.Aminus), u, SU_abs, domain_norm),

@@ -16,6 +16,7 @@ closed loop consecutive steps end on nearly the same active sets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -292,23 +293,34 @@ def orthant_rows(B: Box, X: Box, orth: OrthantQP):
     """
     m = orth.Ubox.lo.shape[0]
     n = B.lo.shape[0]
+    A = _fixed_rows(n, m).copy()
+    A[:n, :m] = orth.A_l_plus
+    np.negative(orth.A_s_plus, out=A[n:2 * n, :m])
+    A[2 * n:3 * n, :m] = orth.A_l_minus
+    np.negative(orth.A_s_minus, out=A[3 * n:4 * n, :m])
+    neg_lo = -B.lo
+    b = np.concatenate(
+        [neg_lo, B.hi, neg_lo, B.hi,
+         orth.Ubox.hi, -orth.Ubox.lo, X.hi, -X.lo]
+    )
+    return A, b
+
+
+@functools.lru_cache(maxsize=16)
+def _fixed_rows(n: int, m: int) -> np.ndarray:
+    """The `orthant_rows` matrix with its four model blocks in u zero: the
+    +-I columns in x of the model rows and the U and X rows, which depend
+    only on (n, m).  Read-only; `orthant_rows` fills a copy."""
     Ix, Iu = np.eye(n), np.eye(m)
     A = np.zeros((6 * n + 2 * m, m + n))
-    for k, (left, right) in enumerate(
-        ((orth.A_l_plus, -Ix), (-orth.A_s_plus, Ix),
-         (orth.A_l_minus, -Ix), (-orth.A_s_minus, Ix))
-    ):
-        A[k * n:(k + 1) * n, :m] = left
+    for k, right in enumerate((-Ix, Ix, -Ix, Ix)):
         A[k * n:(k + 1) * n, m:] = right
     A[4 * n:4 * n + m, :m] = Iu
     A[4 * n + m:4 * n + 2 * m, :m] = -Iu
     A[4 * n + 2 * m:5 * n + 2 * m, m:] = Ix
     A[5 * n + 2 * m:, m:] = -Ix
-    b = np.concatenate(
-        [-B.lo, B.hi, -B.lo, B.hi,
-         orth.Ubox.hi, -orth.Ubox.lo, X.hi, -X.lo]
-    )
-    return A, b
+    A.flags.writeable = False
+    return A
 
 
 def _kkt_residual(H, h, A, b, y, lam) -> float:
@@ -328,13 +340,24 @@ def _kkt_residual(H, h, A, b, y, lam) -> float:
 
 def _factor(cost, sigma):
     """The orthant-independent part of the solve: H = 2M + sigma I, h,
-    L^-1 with H = L L', g = L^-1 h and the unconstrained minimizer."""
+    L^-1 with H = L L', g = L^-1 h and the unconstrained minimizer.
+
+    It depends only on the cost and sigma, so the cost keeps the factor of
+    the last sigma it was solved with (a cost is immutable).  The arrays
+    are read-only."""
+    kept = cost._factored
+    if kept is not None and kept[0] == sigma:
+        return kept[1]
     M = np.block([[cost.R, cost.S.T], [cost.S, cost.Q]])
     H = 2.0 * M + sigma * np.eye(M.shape[0])
     h = np.concatenate([cost.r, cost.q])
     Linv = np.linalg.inv(np.linalg.cholesky(H))
     g = Linv @ h
-    return H, h, Linv, g, -Linv.T @ g
+    fac = (H, h, Linv, g, -Linv.T @ g)
+    for a in fac:
+        a.flags.writeable = False
+    object.__setattr__(cost, "_factored", (sigma, fac))
+    return fac
 
 
 def _min_angle(cond: float, p: int) -> float:
@@ -409,6 +432,7 @@ def _dual_solve_orthant(fac, B, X, orth: OrthantQP, max_iters, start=None):
     IterationCapExceeded after `max_iters` iterations.
     """
     _, _, Linv, g, y = fac
+    y = y.copy()  # the solution may be the kept minimizer; return a fresh array
     A, b = orthant_rows(B, X, orth)
     norms = np.linalg.norm(A, axis=1)
     A, b = A / norms[:, None], b / norms

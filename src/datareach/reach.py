@@ -67,6 +67,11 @@ class PiecewiseConstantControl(ControlClass):
     def __init__(self, values, dt: float, t0: float = 0.0, smoothness: int = 1):
         self.values = np.asarray(values, dtype=float)
         self.dt = float(dt)
+        if self.values.ndim != 2 or not self.values.shape[0] \
+                or not np.isfinite(self.values).all():
+            raise ValueError("values must be a non-empty finite 2-D array, one control per row")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, not {dt!r}")
         self.t0 = float(t0)
         self.smoothness = smoothness
         self._zero = Box.point(np.zeros(self.values.shape[1]))

@@ -324,9 +324,17 @@ def _rk4(rhs, x, u, h, substeps):
     return x
 
 
-def _check_substeps(substeps: int) -> None:
-    if substeps != int(substeps) or substeps < 1:
-        raise ValueError(f"substeps must be an integer >= 1, not {substeps}")
+def _check_count(key: str, value, least: int) -> None:
+    """Raise ValueError unless `value` is a whole number (of any numeric
+    type) of at least `least`."""
+    try:
+        whole = value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{key} must be >= {least}")
 
 
 def rk4_step(sys: SystemSpec, x: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
@@ -337,7 +345,7 @@ def rk4_step(sys: SystemSpec, x: np.ndarray, u: np.ndarray, h: float) -> np.ndar
 def advance(sys: SystemSpec, x: np.ndarray, u: np.ndarray, dt: float,
             substeps: int = 10) -> np.ndarray:
     """Hold u for dt using `substeps` RK4 sub-steps."""
-    _check_substeps(substeps)
+    _check_count("substeps", substeps, 1)
     x = np.asarray(x, dtype=float).tolist()
     u = np.asarray(u, dtype=float).tolist()
     if len(x) != sys.n or len(u) != sys.m:
@@ -359,7 +367,7 @@ def excite(sys: SystemSpec, N: int, seed: int, dt: float = 0.1,
     """
     if N < 1:
         raise ValueError("need at least one sample")
-    _check_substeps(substeps)
+    _check_count("substeps", substeps, 1)
     if mode not in EXCITATIONS:
         raise ValueError(f"unknown excitation mode {mode!r}")
     rng = np.random.default_rng(seed)
@@ -469,20 +477,21 @@ def check_experiment(sys: SystemSpec, cfg: ExperimentConfig) -> QPOptions:
         raise ValueError(f"excitation must be one of {list(EXCITATIONS)}")
     if not cfg.dt > 0.0:
         raise ValueError("dt must be positive")
-    if cfg.init_len < 1:
-        raise ValueError("init_len must be >= 1")
-    if cfg.max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    if cfg.seed < 0:
-        raise ValueError("seed must be >= 0")
-    if cfg.refresh_every < 1:
-        raise ValueError("refresh_every must be >= 1")
-    _check_substeps(cfg.substeps)
+    for key, least in (("init_len", 1), ("max_steps", 0), ("seed", 0),
+                       ("refresh_every", 1), ("substeps", 1)):
+        _check_count(key, getattr(cfg, key), least)
     if not cfg.M > 0.0:
         raise ValueError("M must be positive")
     opts = QPOptions(eps=cfg.eps, mu0=cfg.mu0)
-    if cfg.weights is not None and not all(0.0 <= w <= 1.0 for w in cfg.weights):
-        raise ValueError("weights must lie in [0, 1]")
+    if cfg.weights is not None:
+        try:
+            w = np.asarray(cfg.weights, dtype=float)
+        except (TypeError, ValueError):
+            w = None
+        if w is None or w.shape != (2,):
+            raise ValueError(f"weights must be a (w+, w-) pair of numbers, not {cfg.weights!r}")
+        if not np.all((0.0 <= w) & (w <= 1.0)):
+            raise ValueError("weights must lie in [0, 1]")
     if cfg.x0.shape != (sys.n,):
         raise ValueError(f"x0 must have {sys.n} entries")
     return opts

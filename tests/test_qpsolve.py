@@ -4,13 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from datareach.control import AffineOverApprox, QuadraticCost, assemble_optimistic
+from datareach.control import (
+    AffineOverApprox, QuadraticCost, assemble_optimistic, subopt_bound,
+)
 from datareach.errors import AllOrthantsInfeasible, IterationCapExceeded
 from datareach.intervals import Box
 from datareach.qpsolve import (
     AdaResConfig,
     BoxQP,
     QPOptions,
+    _factor,
+    _fixed_rows,
     adares,
     box_project,
     oracle_boxqp,
@@ -349,6 +353,20 @@ class TestOptimistic:
         infeasible_iters = info.iters - feasible_only.iters
         assert infeasible_iters > feasible_only.iters
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 17, 40])
+    def test_orthant_rows_match_a_reference_construction(self, k):
+        """Bit for bit, for every orthant, across problem shapes; writing
+        into a returned A or b leaves the next call unchanged."""
+        oqp = kkt_problems()[k]
+        for orth in oqp.orthants:
+            ref_A, ref_b = orthant_constraints(orth, oqp.B, oqp.X)
+            A, b = orthant_rows(oqp.B, oqp.X, orth)
+            assert A.tobytes() == ref_A.tobytes() and b.tobytes() == ref_b.tobytes()
+            A[:] = 7.0
+            b[:] = 7.0
+            A, b = orthant_rows(oqp.B, oqp.X, orth)
+            assert A.tobytes() == ref_A.tobytes() and b.tobytes() == ref_b.tobytes()
+
     def test_iteration_cap_raises(self):
         rng = np.random.default_rng(3)
         cost, aff, _, X = random_orthant_problem(rng, same_models=False)
@@ -420,6 +438,31 @@ def assert_same_solution(warm, cold, rel):
     assert np.abs(x - x0).max() <= rel * scale
     assert abs(val - val0) <= rel * (1.0 + abs(val0))
     assert info.kkt_residual <= 1e-9
+
+
+def assert_identical(out, ref):
+    """The same solve bit for bit: (u, x), value and every info field."""
+    assert out[0].tobytes() == ref[0].tobytes() and out[1].tobytes() == ref[1].tobytes()
+    assert out[2] == ref[2]
+    for name in ("orthant", "iters", "feasible_orthants", "kkt_residual",
+                 "active_sets", "sigma_effect"):
+        assert getattr(out[3], name) == getattr(ref[3], name), name
+    assert out[3].multipliers.tobytes() == ref[3].multipliers.tobytes()
+
+
+def copy_solve(out):
+    u, x, val, info = out
+    return u.copy(), x.copy(), val, replace(info, multipliers=info.multipliers.copy())
+
+
+def feasible_minimizer_problem():
+    """1-D problem whose unconstrained minimizer (u, x) ~ (0.5, 0) is
+    feasible, so the solve takes no iteration and returns it."""
+    cost = QuadraticCost(np.eye(1), np.eye(1), np.zeros((1, 1)),
+                         np.zeros(1), np.array([-1.0]))
+    aff = AffineOverApprox(Box([-10.0], [10.0]), Box.point([[0.0]]),
+                           Box.point([[0.0]]), 0.0, 0.1)
+    return assemble_optimistic(cost, aff, Box([0.0], [1.0]), Box([-5.0], [5.0]))
 
 
 def unit_rows(oqp, j):
@@ -514,13 +557,66 @@ class TestWarmStart:
             nrows = 6 * oqp.cost.n + 2 * oqp.cost.m
             for start in (cold[3].active_sets + ((0,),), cold[3].active_sets[:-1],
                           (), ((nrows,),) * k, ((-1, 0),) * k, (None,) * k):
-                warm = solve_optimistic(oqp, with_info=True, start=start)
-                assert np.array_equal(warm[0], cold[0]) and np.array_equal(warm[1], cold[1])
-                assert warm[2] == cold[2]
-                for field in ("orthant", "iters", "feasible_orthants", "kkt_residual",
-                              "active_sets", "sigma_effect"):
-                    assert getattr(warm[3], field) == getattr(cold[3], field), field
-                assert np.array_equal(warm[3].multipliers, cold[3].multipliers)
+                assert_identical(solve_optimistic(oqp, with_info=True, start=start), cold)
+
+    @pytest.mark.parametrize("change", ["U", "X", "sigma", "U and X"])
+    def test_kept_cost_solves_as_a_fresh_one(self, change):
+        """A cost keeps the terms of its last (U, X) and the factor of its
+        last sigma.  Solved again with another U, X or sigma it gives the
+        bits a fresh, equal cost gives, and so does its bound."""
+        rng = np.random.default_rng(5)
+        bound_moved = 0
+        for k in range(12):
+            cost, aff, U, X = random_orthant_problem(rng, same_models=k % 3 == 0)
+            solve_or_none(assemble_optimistic(cost, aff, U, X))
+            old_bound = subopt_bound(cost, aff, U, X)
+            sigma = 1e-6
+            if "U" in change:  # one orthant instead of 2^m
+                U = Box(np.zeros(cost.m), U.hi)
+            if "X" in change:  # small enough that the domain term binds
+                X = Box(1e-3 * X.lo, 1e-3 * X.hi)
+            if change == "sigma":
+                sigma = 1e-3
+            fresh = QuadraticCost(cost.Q, cost.R, cost.S, cost.q, cost.r)
+            kept = solve_or_none(assemble_optimistic(cost, aff, U, X), sigma=sigma)
+            new = solve_or_none(assemble_optimistic(fresh, aff, U, X), sigma=sigma)
+            assert (kept is None) == (new is None)
+            if new is not None:
+                assert_identical(kept, new)
+            bound = subopt_bound(cost, aff, U, X)
+            assert bound == subopt_bound(fresh, aff, U, X)
+            bound_moved += bound != old_bound
+        assert bound_moved >= (change != "sigma")
+
+    @pytest.mark.parametrize("name", ["u", "x", "multipliers"])
+    @pytest.mark.parametrize("problem", ["feasible_minimizer", "random"])
+    def test_writing_into_a_solution_leaves_the_next_solve(self, name, problem):
+        """No returned array is a view of what the cost keeps: with the
+        feasible minimizer, the returned (u, x) would otherwise be it."""
+        if problem == "random":
+            oqp = kkt_problems()[0]
+        else:
+            oqp = feasible_minimizer_problem()
+        first = solve_optimistic(oqp, with_info=True)
+        kept = copy_solve(first)
+        u, x, _, info = first
+        {"u": u, "x": x, "multipliers": info.multipliers}[name][:] = 2.0
+        assert_identical(solve_optimistic(oqp, with_info=True), kept)
+
+    def test_kept_arrays_are_read_only(self):
+        oqp = kkt_problems()[0]
+        cost = oqp.cost
+        u, x, _, info = solve_optimistic(oqp, with_info=True)
+        fac = _factor(cost, 1e-6)
+        assert fac is _factor(cost, 1e-6)
+        terms = cost._terms
+        kept = [*fac, terms.SU_abs, _fixed_rows(cost.n, cost.m)]
+        for box, mask in terms.orthants:
+            kept += [box.lo, box.hi, mask]
+        for a in kept:
+            assert not a.flags.writeable
+            for out in (u, x, info.multipliers):
+                assert not np.shares_memory(out, a)
 
     def test_infeasible_problem_still_raises(self):
         cost = QuadraticCost(np.eye(1), np.eye(1), np.zeros((1, 1)),

@@ -237,6 +237,22 @@ class TestControlFamilies:
         box = ctrl.eval_range(0.5, 2.5)
         assert box[0].lo == -1.0 and box[0].hi == 2.0
 
+    @pytest.mark.parametrize("values, dt, message", [
+        ([0.0, 2.0], 1.0, "values must"),
+        ([[[0.0]]], 1.0, "values must"),
+        (np.zeros((0, 2)), 1.0, "values must"),
+        ([[0.0], [math.nan]], 1.0, "values must"),
+        ([[math.inf]], 1.0, "values must"),
+        ([[0.0]], 0.0, "dt must"),
+        ([[0.0]], -0.1, "dt must"),
+        ([[0.0]], math.inf, "dt must"),
+        ([[0.0]], math.nan, "dt must"),
+    ], ids=["1d", "3d", "empty", "nan_value", "inf_value", "dt_zero", "dt_negative",
+            "dt_inf", "dt_nan"])
+    def test_piecewise_constant_validated(self, values, dt, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            PiecewiseConstantControl(values, dt=dt)
+
     def test_point_inside_range(self, unicycle_fig_setup):
         ctrl = ConstCosControl(t_ref=T_REF, a1=Interval(-0.1, 0.1),
                                a2=Interval(-0.01, 0.01))

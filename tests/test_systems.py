@@ -359,8 +359,13 @@ class TestClosedLoop:
         with pytest.raises(StepTooLarge):
             run_closed_loop(unicycle(), cfg)
 
-    @pytest.mark.parametrize("key, value", [("substeps", 0), ("substeps", -3),
-                                            ("substeps", 2.5), ("M", 0.0), ("M", -1.0)])
+    @pytest.mark.parametrize("key, value", [
+        ("substeps", 0), ("substeps", -3), ("substeps", 2.5), ("M", 0.0), ("M", -1.0),
+        ("weights", (0.5,)), ("weights", (0.2, 0.3, 0.9)), ("weights", ()),
+        ("weights", 0.5), ("weights", (0.5, "half")), ("weights", (0.5, 1.5)),
+        ("refresh_every", 1.5), ("refresh_every", 0), ("init_len", 2.5),
+        ("max_steps", 2.5), ("max_steps", math.inf), ("seed", 1.5), ("seed", math.nan),
+    ])
     def test_experiment_settings_validated(self, key, value):
         cfg = unicycle_experiment(max_steps=2)
         setattr(cfg, key, value)
