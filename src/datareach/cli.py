@@ -1,4 +1,4 @@
-"""Command-line front end: reach / control / benchmark / selftest subcommands."""
+"""Command-line front end: reach / control / benchmark subcommands."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import yaml
 from . import io as dio
 from .control import MODES
 from .errors import ConfigError, EmptyIntersection, InconsistentSample, StepTooLarge
-from .intervals import Box, Interval
+from .intervals import Interval
 from .knowledge import SideInfoSet, build_knowledge
 from .reach import ConstantControl, ConstCosControl, PiecewiseConstantControl, datareach, max_step_size
 from .systems import (
@@ -26,12 +26,10 @@ from .systems import (
     excite,
     experiment_for,
     run_closed_loop,
-    unicycle,
     unicycle_knowledge_settings,
 )
 
 EXIT_OK = 0
-EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_STEP = 3
 EXIT_DATA = 4
@@ -354,71 +352,6 @@ def cmd_benchmark(args, cfg) -> int:
     return EXIT_OK
 
 
-def _selftest_contraction() -> bool:
-    from .knowledge import Sample, contract_fg
-
-    F = Box.of([Interval(-0.01, 1.0), Interval(-1, 1), Interval(-1, 1)])
-    G = Box.of(
-        [
-            [Interval(-0.05, 0.05), Interval(-0.1, 1.0)],
-            [Interval(-1, 1), Interval(-1, 1)],
-            [Interval(-1, 1), Interval(-1, 1)],
-        ]
-    )
-    s = Sample([0.0, 0.0, math.pi / 2], [0.0, 1.0, 0.1], [1.0, 0.1])
-    CF, CG = contract_fg(s, F, G)
-    ok = (
-        abs(CF.lo[0] + 0.01) < 1e-12 and abs(CF.hi[0] - 0.06) < 1e-12
-        and abs(CG.lo[0, 0] + 0.05) < 1e-12 and abs(CG.hi[0, 0] - 0.02) < 1e-12
-        and abs(CG.lo[0, 1] + 0.1) < 1e-12 and abs(CG.hi[0, 1] - 0.6) < 1e-12
-    )
-    return ok
-
-
-def _selftest_stepbound() -> bool:
-    sysu = unicycle()
-    return abs(max_step_size(sysu.lip, sysu.U) - 0.1231) < 1e-3
-
-
-def _selftest_intervals(ncases: int = 1000) -> bool:
-    rng = np.random.default_rng(7)
-    for _ in range(ncases):
-        a = np.sort(rng.uniform(-5, 5, 2))
-        b = np.sort(rng.uniform(-5, 5, 2))
-        A, B = Interval(*a), Interval(*b)
-        inner_a = Interval(*np.quantile(a, [0.25, 0.75]))
-        inner_b = Interval(*np.quantile(b, [0.25, 0.75]))
-        for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q):
-            big, small = op(A, B), op(inner_a, inner_b)
-            if not big.encloses(small, atol=1e-12):
-                return False
-            xa = rng.uniform(a[0], a[1])
-            xb = rng.uniform(b[0], b[1])
-            if not op(A, B).contains(op(Interval(xa), Interval(xb)).lo, atol=1e-9):
-                return False
-    return True
-
-
-def cmd_selftest(args, cfg) -> int:
-    checks = [
-        ("contraction golden case", _selftest_contraction),
-        ("unicycle step bound 0.123", _selftest_stepbound),
-        ("interval soundness suite", _selftest_intervals),
-    ]
-    status = EXIT_OK
-    for name, fn in checks:
-        try:
-            ok = fn()
-        except Exception as exc:  # noqa: BLE001 - selftest reports, never raises
-            ok = False
-            print(f"[FAIL] {name}: {type(exc).__name__}: {exc}")
-        else:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}")
-        if not ok:
-            status = EXIT_FAIL
-    return status
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="datareach",
@@ -431,17 +364,12 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--mode", choices=MODES, help="relaxation to solve"
     )
+    handlers = {"reach": cmd_reach, "control": cmd_control, "benchmark": cmd_benchmark}
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("reach", "control", "benchmark", "selftest"):
+    for name in handlers:
         sub.add_parser(name)
     args = parser.parse_args(argv)
 
-    handlers = {
-        "reach": cmd_reach,
-        "control": cmd_control,
-        "benchmark": cmd_benchmark,
-        "selftest": cmd_selftest,
-    }
     try:
         cfg = _load_config(args.config)
         return handlers[args.command](args, cfg)

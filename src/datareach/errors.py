@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy and the integer-setting check shared across the library."""
 
 
 class DataReachError(Exception):
@@ -55,3 +55,16 @@ class AllOrthantsInfeasible(DataReachError):
 
 class ConfigError(DataReachError):
     """Invalid or unknown configuration entry."""
+
+
+def check_count(key: str, value, least: int) -> None:
+    """Raise ValueError unless `value` is a whole number (of any numeric
+    type) of at least `least`."""
+    try:
+        whole = value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{key} must be >= {least}")

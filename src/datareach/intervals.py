@@ -1,4 +1,9 @@
-"""Validated interval arithmetic: scalar `Interval`s and interval `Box`es.
+"""Validated interval arithmetic on `Box`es and the `Interval` record.
+
+An `Interval` is a validated scalar [lo, hi] pair with no arithmetic of its
+own: the control families and gradient bounds take their interval parameters
+as `Interval`s, `Box.of` builds a box from nested ones, and indexing a `Box`
+at a full index returns one.  All interval arithmetic runs on arrays.
 
 A `Box` holds lo/hi float64 arrays of any shape, so one type serves interval
 vectors, matrices and rank-3 tensors.  Constructing a `Box` validates it by
@@ -36,12 +41,10 @@ from .errors import EmptyIntersection, ShapeMismatch
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed real interval [lo, hi]; degenerate intervals represent exact reals."""
+    """Closed real interval [lo, hi]; `Interval(x)` is the degenerate [x, x]."""
 
     lo: float
     hi: float
-
-    __array_ufunc__ = None  # keep numpy from coercing mixed expressions
 
     def __init__(self, lo, hi=None):
         lo = float(lo)
@@ -53,78 +56,8 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    # -- arithmetic -------------------------------------------------------
-    def __add__(self, other):
-        o = _as_interval(other)
-        return Interval(self.lo + o.lo, self.hi + o.hi)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _as_interval(other)
-        return Interval(self.lo - o.hi, self.hi - o.lo)
-
-    def __rsub__(self, other):
-        return _as_interval(other) - self
-
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
-    def __mul__(self, other):
-        o = _as_interval(other)
-        lo, hi = _prod_bounds(self.lo, self.hi, o.lo, o.hi)
-        return Interval(lo, hi)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        s = float(scalar)
-        if s == 0.0:
-            raise ZeroDivisionError("interval division by exact zero")
-        a, b = self.lo / s, self.hi / s
-        return Interval(min(a, b), max(a, b))
-
-    # -- set operations ----------------------------------------------------
-    def intersect(self, other: "Interval") -> "Interval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise EmptyIntersection(f"{self} and {other} do not intersect")
-        return Interval(lo, hi)
-
-    def contains(self, x: float, atol: float = 0.0) -> bool:
-        return self.lo - atol <= x <= self.hi + atol
-
-    def encloses(self, other: "Interval", atol: float = 0.0) -> bool:
-        return self.lo - atol <= other.lo and other.hi <= self.hi + atol
-
-    # -- scalar descriptors --------------------------------------------------
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def mag(self) -> float:
-        """Absolute value of the interval: max(|lo|, |hi|)."""
-        return max(abs(self.lo), abs(self.hi))
-
     def __repr__(self):
         return f"[{self.lo:.12g}, {self.hi:.12g}]"
-
-
-def _as_interval(x) -> Interval:
-    if isinstance(x, Interval):
-        return x
-    return Interval(float(x))
-
-
-def _prod_bounds(alo, ahi, blo, bhi):
-    cands = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    return min(cands), max(cands)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +130,7 @@ class Box:
         return Box(-self.hi, -self.lo)
 
     def __mul__(self, other):
-        """Scaling by a real scalar or by a scalar Interval (componentwise)."""
-        if isinstance(other, Interval):
-            return Box(*_pair_prod(self.lo, self.hi, other.lo, other.hi))
+        """Scaling by a real scalar."""
         return Box(*scale_pair((self.lo, self.hi), float(other)))
 
     __rmul__ = __mul__

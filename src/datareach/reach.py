@@ -15,7 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import DataReachError, StepTooLarge
+from .errors import DataReachError, StepTooLarge, check_count
 from .intervals import Box, Interval, add_pairs, mat_vec_pairs, scale_pair, tensor_vec_pairs
 from .knowledge import KnowledgeBase, LipschitzBounds, _box_query, _jacobian_pairs
 
@@ -73,6 +73,8 @@ class PiecewiseConstantControl(ControlClass):
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, not {dt!r}")
         self.t0 = float(t0)
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, not {t0!r}")
         self.smoothness = smoothness
         self._zero = Box.point(np.zeros(self.values.shape[1]))
 
@@ -141,8 +143,9 @@ class ConstCosControl(ControlClass):
     def eval_deriv_range(self, t0, t1):
         phi0 = self.omega * (t0 - self.t_ref)
         phi1 = self.omega * (t1 - self.t_ref)
-        s = _sin_range(min(phi0, phi1), max(phi0, phi1)) * (-self.omega)
-        return Box([0.0, s.lo], [0.0, s.hi])
+        s = _sin_range(min(phi0, phi1), max(phi0, phi1))
+        a, b = s.lo * -self.omega, s.hi * -self.omega
+        return Box([0.0, min(a, b)], [0.0, max(a, b)])
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +317,17 @@ def datareach(
     """Over-approximate the reachable sets at t0 + dt, ..., t0 + T dt.
 
     The tube starts from the singleton {x_start}.  On the first failing step
-    the tube is truncated and the reason recorded in `failure`.
+    the tube is truncated and the reason recorded in `failure`.  T must be
+    a whole number >= 0; T = 0 gives the tube of the start alone.
     """
+    check_count("T", T, 0)
     step_fn = datareach_step_c0 if ctrl.smoothness < 1 else datareach_step
     R = x_start if isinstance(x_start, Box) else Box.point(x_start)
     grid = [t0]
     steps: List[ReachStepRecord] = []
     failure = None
     t = t0
-    for _ in range(T):
+    for _ in range(int(T)):
         try:
             rec = step_fn(R, kb, ctrl, t, dt, domain=domain)
         except DataReachError as exc:

@@ -10,7 +10,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .control import MODES, QuadraticCost, datacontrol_step, norm_cost, setpoint_cost
-from .errors import DataReachError, StepTooLarge
+from .errors import DataReachError, StepTooLarge, check_count
 from .intervals import Box, imat_vec, meet, real_mat_iv
 from .knowledge import (
     Decoupling,
@@ -324,19 +324,6 @@ def _rk4(rhs, x, u, h, substeps):
     return x
 
 
-def _check_count(key: str, value, least: int) -> None:
-    """Raise ValueError unless `value` is a whole number (of any numeric
-    type) of at least `least`."""
-    try:
-        whole = value == int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
-        raise ValueError(f"{key} must be an integer, not {value!r}")
-    if value < least:
-        raise ValueError(f"{key} must be >= {least}")
-
-
 def rk4_step(sys: SystemSpec, x: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
     """Classical 4th-order step with the control held constant."""
     return advance(sys, x, u, h, 1)
@@ -345,7 +332,7 @@ def rk4_step(sys: SystemSpec, x: np.ndarray, u: np.ndarray, h: float) -> np.ndar
 def advance(sys: SystemSpec, x: np.ndarray, u: np.ndarray, dt: float,
             substeps: int = 10) -> np.ndarray:
     """Hold u for dt using `substeps` RK4 sub-steps."""
-    _check_count("substeps", substeps, 1)
+    check_count("substeps", substeps, 1)
     x = np.asarray(x, dtype=float).tolist()
     u = np.asarray(u, dtype=float).tolist()
     if len(x) != sys.n or len(u) != sys.m:
@@ -365,15 +352,15 @@ def excite(sys: SystemSpec, N: int, seed: int, dt: float = 0.1,
     random control axis live per step; "zero" applies no control; "mixed"
     interleaves all three, which identifies f and the G columns separately.
     """
-    if N < 1:
-        raise ValueError("need at least one sample")
-    _check_count("substeps", substeps, 1)
+    check_count("N", N, 1)
+    check_count("seed", seed, 0)
+    check_count("substeps", substeps, 1)
     if mode not in EXCITATIONS:
         raise ValueError(f"unknown excitation mode {mode!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int(seed))
     x = np.asarray(sys.X.mid if x0 is None else x0, dtype=float)
     samples = []
-    for i in range(N):
+    for i in range(int(N)):
         u = rng.uniform(sys.U.lo, sys.U.hi)
         if mode == "zero":
             u = np.zeros(sys.m)
@@ -479,7 +466,7 @@ def check_experiment(sys: SystemSpec, cfg: ExperimentConfig) -> QPOptions:
         raise ValueError("dt must be positive")
     for key, least in (("init_len", 1), ("max_steps", 0), ("seed", 0),
                        ("refresh_every", 1), ("substeps", 1)):
-        _check_count(key, getattr(cfg, key), least)
+        check_count(key, getattr(cfg, key), least)
     if not cfg.M > 0.0:
         raise ValueError("M must be positive")
     opts = QPOptions(eps=cfg.eps, mu0=cfg.mu0)

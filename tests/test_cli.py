@@ -16,18 +16,6 @@ def write_cfg(tmp_path, data):
     return str(path)
 
 
-class TestSelftest:
-    def test_selftest_passes(self, capsys):
-        assert cli.main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("[PASS]") == 3
-
-    def test_selftest_detects_corruption(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_selftest_contraction", lambda: False)
-        assert cli.main(["selftest"]) == 1
-        assert "[FAIL]" in capsys.readouterr().out
-
-
 class TestConfigHandling:
     def test_unknown_section_key_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, {"system": "unicycle",
@@ -299,21 +287,27 @@ class TestReachSettings:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m_runs_selftest(self):
+    def test_python_dash_m_runs_reach(self, tmp_path):
         import os
         import subprocess
         import sys
         from pathlib import Path
 
+        cfg = write_cfg(tmp_path, {
+            "system": "unicycle",
+            "out": str(tmp_path / "out"),
+            "reach": {"steps": 2, "init_len": 3},
+        })
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         done = subprocess.run(
-            [sys.executable, "-m", "datareach", "selftest"],
+            [sys.executable, "-m", "datareach", "--config", cfg, "reach"],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.count("[PASS]") == 3
+        assert "(3 rows)" in done.stdout
+        assert (tmp_path / "out" / "tube_unicycle.csv").exists()
 
 
 class TestBenchmarkCommand:

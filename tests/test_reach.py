@@ -168,6 +168,15 @@ class TestDataReachTube:
         assert tube.steps[0].R[0].lo == pytest.approx(0.3)
         assert tube.failure is None
 
+    def test_step_count_validated(self):
+        kb = exact_integrator_kb()
+        for T in (2.5, -1, "3"):
+            with pytest.raises(ValueError, match="^T must"):
+                datareach(kb, np.array([0.3]), ConstantControl([1.0]), 0.1, T)
+        for T, rows in ((0, 1), (2.0, 3)):
+            tube = datareach(kb, np.array([0.3]), ConstantControl([1.0]), 0.1, T)
+            assert len(tube.steps) == rows and tube.failure is None
+
     def test_truncates_on_failure(self, unicycle_fig_setup):
         sysu, _, kb, x_start = unicycle_fig_setup
         # control range grows over time until the step bound is violated
@@ -237,21 +246,23 @@ class TestControlFamilies:
         box = ctrl.eval_range(0.5, 2.5)
         assert box[0].lo == -1.0 and box[0].hi == 2.0
 
-    @pytest.mark.parametrize("values, dt, message", [
-        ([0.0, 2.0], 1.0, "values must"),
-        ([[[0.0]]], 1.0, "values must"),
-        (np.zeros((0, 2)), 1.0, "values must"),
-        ([[0.0], [math.nan]], 1.0, "values must"),
-        ([[math.inf]], 1.0, "values must"),
-        ([[0.0]], 0.0, "dt must"),
-        ([[0.0]], -0.1, "dt must"),
-        ([[0.0]], math.inf, "dt must"),
-        ([[0.0]], math.nan, "dt must"),
+    @pytest.mark.parametrize("values, dt, t0, message", [
+        ([0.0, 2.0], 1.0, 0.0, "values must"),
+        ([[[0.0]]], 1.0, 0.0, "values must"),
+        (np.zeros((0, 2)), 1.0, 0.0, "values must"),
+        ([[0.0], [math.nan]], 1.0, 0.0, "values must"),
+        ([[math.inf]], 1.0, 0.0, "values must"),
+        ([[0.0]], 0.0, 0.0, "dt must"),
+        ([[0.0]], -0.1, 0.0, "dt must"),
+        ([[0.0]], math.inf, 0.0, "dt must"),
+        ([[0.0]], math.nan, 0.0, "dt must"),
+        ([[0.0]], 1.0, math.nan, "t0 must"),
+        ([[0.0]], 1.0, -math.inf, "t0 must"),
     ], ids=["1d", "3d", "empty", "nan_value", "inf_value", "dt_zero", "dt_negative",
-            "dt_inf", "dt_nan"])
-    def test_piecewise_constant_validated(self, values, dt, message):
+            "dt_inf", "dt_nan", "t0_nan", "t0_inf"])
+    def test_piecewise_constant_validated(self, values, dt, t0, message):
         with pytest.raises(ValueError, match=f"^{message}"):
-            PiecewiseConstantControl(values, dt=dt)
+            PiecewiseConstantControl(values, dt=dt, t0=t0)
 
     def test_point_inside_range(self, unicycle_fig_setup):
         ctrl = ConstCosControl(t_ref=T_REF, a1=Interval(-0.1, 0.1),

@@ -1,6 +1,12 @@
-"""The README's library quick tour runs as written."""
+"""The README's library quick tour runs as written, and its command list
+names the subcommands the CLI accepts."""
 
+import re
 from pathlib import Path
+
+import pytest
+
+from datareach import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +19,16 @@ def test_quick_tour_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, f"{README}: Library quick tour", "exec"), {"__name__": "readme"})
     assert capsys.readouterr().out.strip()
+
+
+def test_commands_list_matches_cli(capsys):
+    """The ``Commands:`` list names exactly the subcommands `cli.main`
+    accepts, so a deleted command cannot linger in the docs."""
+    section = README.read_text().split("\nCommands:\n", 1)[1].split("\nExit codes:", 1)[0]
+    documented = re.findall(r"^- `(\w+)`", section, flags=re.M)
+    with pytest.raises(SystemExit) as done:
+        cli.main(["--help"])
+    assert done.value.code == 0
+    usage = capsys.readouterr().out
+    accepted = re.search(r"positional arguments:\s*\{([\w,]+)\}", usage).group(1).split(",")
+    assert sorted(documented) == sorted(accepted) and len(documented) == len(set(documented))

@@ -187,6 +187,13 @@ class TestSimulation:
             with pytest.raises(ValueError, match="substeps"):
                 excite(sysu, 2, seed=0, dt=0.1, x0=[0, 0, 0], substeps=substeps)
 
+    def test_excite_counts_validated(self):
+        sysu = unicycle()
+        for N, seed, key in ((2.5, 1, "N"), (0, 1, "N"), (2, 1.5, "seed"), (2, -1, "seed")):
+            with pytest.raises(ValueError, match=f"^{key} must"):
+                excite(sysu, N, seed=seed, dt=0.1, x0=[0, 0, 0])
+        assert len(excite(sysu, 2.0, seed=1.0, dt=0.1, x0=[0, 0, 0])) == 2
+
     def test_state_and_control_lengths_validated(self):
         # the float fields would otherwise drop or ignore extra entries
         sysu = unicycle()
