@@ -54,7 +54,6 @@ from .reach import (
     beta_of,
     datareach,
     datareach_step,
-    datareach_step_c0,
     max_step_size,
 )
 from .control import (

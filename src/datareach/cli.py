@@ -13,7 +13,7 @@ import yaml
 
 from . import io as dio
 from .control import MODES
-from .errors import ConfigError, EmptyIntersection, InconsistentSample, StepTooLarge
+from .errors import ConfigError, EmptyIntersection, InconsistentSample, StepTooLarge, check_count
 from .intervals import Interval
 from .knowledge import SideInfoSet, build_knowledge
 from .reach import ConstantControl, ConstCosControl, PiecewiseConstantControl, datareach, max_step_size
@@ -89,7 +89,12 @@ def _interval(value):
     return Interval(lo, hi)
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", _vector: "a list of numbers",
+def _integer(value):
+    """A whole number by `check_count`'s rule: no fraction, no boolean."""
+    return check_count("value", value, -math.inf)
+
+
+_KIND_NAMES = {_integer: "an integer", float: "a number", _vector: "a list of numbers",
                _flag: "true or false", _interval: "a [lo, hi] pair"}
 
 
@@ -170,20 +175,17 @@ def cmd_reach(args, cfg) -> int:
     system = _system(sys_name)
 
     dt = _setting(section, "dt", float, 0.02)
-    steps = _setting(section, "steps", int, 200)
-    init_len = _setting(section, "init_len", int, 15)
-    seed = args.seed if args.seed is not None else _setting(section, "seed", int, 2)
+    steps = _setting(section, "steps", _integer, 200)
+    init_len = _setting(section, "init_len", _integer, 15)
+    seed = args.seed if args.seed is not None else _setting(section, "seed", _integer, 2)
     excitation = section.get("excitation", "mixed")
     if excitation not in EXCITATIONS:
         raise ConfigError(f"excitation must be one of {list(EXCITATIONS)}")
     if not dt > 0.0:
         raise ConfigError("dt must be positive")
-    if steps < 1:
-        raise ConfigError("steps must be >= 1")
-    if init_len < 1:
-        raise ConfigError("init_len must be >= 1")
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
+    for key, value, least in (("steps", steps, 1), ("init_len", init_len, 1), ("seed", seed, 0)):
+        if value < least:
+            raise ConfigError(f"{key} must be >= {least}")
     sample_dt = 0.1
 
     limit = max_step_size(system.lip, system.U)
@@ -241,9 +243,9 @@ def cmd_reach(args, cfg) -> int:
 
 
 def _apply_control_overrides(exp: ExperimentConfig, section, args):
-    for key, kind in (("dt", float), ("init_len", int), ("max_steps", int),
+    for key, kind in (("dt", float), ("init_len", _integer), ("max_steps", _integer),
                       ("stop_level", float), ("eps", float), ("mu0", float),
-                      ("refresh_every", int), ("x0", _vector), ("record_reach", _flag)):
+                      ("refresh_every", _integer), ("x0", _vector), ("record_reach", _flag)):
         if key in section:
             setattr(exp, key, _convert(key, section[key], kind))
     if "excitation" in section:
@@ -259,7 +261,7 @@ def _apply_control_overrides(exp: ExperimentConfig, section, args):
     if args.seed is not None:
         exp.seed = args.seed
     elif "seed" in section:
-        exp.seed = _convert("seed", section["seed"], int)
+        exp.seed = _convert("seed", section["seed"], _integer)
     if args.mode is not None:
         exp.mode = args.mode
     elif "mode" in section:
@@ -311,8 +313,8 @@ def cmd_benchmark(args, cfg) -> int:
     systems = _list_setting(section, "systems", ["unicycle", "quadrotor", "aircraft"])
     modes = _list_setting(section, "modes", ["idealistic", "optimistic"])
     seeds = _list_setting(section, "seeds", [args.seed if args.seed is not None else 1])
-    seeds = [_convert("seeds", seed, int) for seed in seeds]
-    max_steps = _setting(section, "max_steps", int, 5)
+    seeds = [_convert("seeds", seed, _integer) for seed in seeds]
+    max_steps = _setting(section, "max_steps", _integer, 5)
 
     runs = []
     for name, mode, seed in itertools.product(systems, modes, seeds):

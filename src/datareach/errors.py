@@ -57,14 +57,15 @@ class ConfigError(DataReachError):
     """Invalid or unknown configuration entry."""
 
 
-def check_count(key: str, value, least: int) -> None:
-    """Raise ValueError unless `value` is a whole number (of any numeric
-    type) of at least `least`."""
+def check_count(key: str, value, least) -> int:
+    """Return `value` as an int; raise ValueError unless it is a whole number
+    (of any numeric type other than bool) of at least `least`."""
     try:
-        whole = value == int(value)
+        whole = not isinstance(value, bool) and value == int(value)
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:
         raise ValueError(f"{key} must be an integer, not {value!r}")
     if value < least:
         raise ValueError(f"{key} must be >= {least}")
+    return int(value)

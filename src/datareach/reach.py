@@ -1,10 +1,11 @@
 """Reachable-set over-approximation over the data-driven differential inclusion.
 
-One step propagates an interval box through a second-order interval Taylor
-expansion whose Jacobians come from Lipschitz bounds and side information;
-an a priori rough enclosure controls the remainder term.  The enclosure is
-the closed-form one whose existence the step-size bound sqrt(n) beta dt < 1
-guarantees; each step returns it as `ReachStepRecord.S`.
+One step propagates an interval box through an interval Taylor expansion,
+of second order where the control family bounds u' on the step and of
+first order elsewhere, whose Jacobians come from Lipschitz bounds and side
+information; an a priori rough enclosure controls the remainder term.  The
+enclosure is the closed-form one whose existence the step-size bound
+sqrt(n) beta dt < 1 guarantees; each step returns it as `ReachStepRecord.S`.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from .knowledge import KnowledgeBase, LipschitzBounds, _box_query, _jacobian_pai
 class ControlClass:
     """Range information about a family of admissible control signals.
 
-    `smoothness` is the number of continuous derivatives the signals have on
-    each grid interval (0 selects the first-order reach step).
+    A family needs only `eval_range` to get first-order reach steps.
+    `eval_deriv_range(t0, t1)` returns a bound on u' over the step, or None
+    where the family has none (the default); a bound selects the
+    second-order step, which also evaluates `eval_point` at the step's start.
     """
-
-    smoothness: int = 1
 
     def eval_point(self, t: float) -> Box:
         raise NotImplementedError
@@ -39,16 +40,15 @@ class ControlClass:
     def eval_range(self, t0: float, t1: float) -> Box:
         raise NotImplementedError
 
-    def eval_deriv_range(self, t0: float, t1: float) -> Box:
-        raise NotImplementedError
+    def eval_deriv_range(self, t0: float, t1: float) -> Optional[Box]:
+        return None
 
 
 class ConstantControl(ControlClass):
     """A single constant control value (or box of values)."""
 
-    def __init__(self, u, smoothness: int = 2):
+    def __init__(self, u):
         self.u = u if isinstance(u, Box) else Box.point(u)
-        self.smoothness = smoothness
         self._zero = Box.point(np.zeros(len(self.u)))
 
     def eval_point(self, t):
@@ -62,9 +62,13 @@ class ConstantControl(ControlClass):
 
 
 class PiecewiseConstantControl(ControlClass):
-    """Piecewise-constant signal switching on a uniform grid."""
+    """Piecewise-constant signal switching on a uniform grid.
 
-    def __init__(self, values, dt: float, t0: float = 0.0, smoothness: int = 1):
+    The derivative is zero on a step inside one piece; a step that contains
+    a switch has no derivative bound and so takes the first-order step.
+    """
+
+    def __init__(self, values, dt: float, t0: float = 0.0):
         self.values = np.asarray(values, dtype=float)
         self.dt = float(dt)
         if self.values.ndim != 2 or not self.values.shape[0] \
@@ -75,7 +79,6 @@ class PiecewiseConstantControl(ControlClass):
         self.t0 = float(t0)
         if not math.isfinite(self.t0):
             raise ValueError(f"t0 must be finite, not {t0!r}")
-        self.smoothness = smoothness
         self._zero = Box.point(np.zeros(self.values.shape[1]))
 
     def _index(self, t: float) -> int:
@@ -85,13 +88,17 @@ class PiecewiseConstantControl(ControlClass):
     def eval_point(self, t):
         return Box.point(self.values[self._index(t)])
 
+    def _pieces(self, t0, t1):
+        return self._index(t0), self._index(max(t0, t1 - 1e-12))
+
     def eval_range(self, t0, t1):
-        k0, k1 = self._index(t0), self._index(max(t0, t1 - 1e-12))
+        k0, k1 = self._pieces(t0, t1)
         chunk = self.values[k0 : k1 + 1]
         return Box(chunk.min(axis=0), chunk.max(axis=0))
 
     def eval_deriv_range(self, t0, t1):
-        return self._zero
+        k0, k1 = self._pieces(t0, t1)
+        return self._zero if k0 == k1 else None
 
 
 def _cos_range(phi_lo: float, phi_hi: float) -> Interval:
@@ -117,8 +124,6 @@ class ConstCosControl(ControlClass):
     u(t) = [v0 + a1, cos(omega (t - t_ref)) + a2] with interval parameters
     a1, a2; point/range/derivative enclosures are analytic.
     """
-
-    smoothness = 2
 
     def __init__(self, v0: float = 1.0, omega: float = 6.0, t_ref: float = 0.0,
                  a1: Interval = Interval(0.0), a2: Interval = Interval(0.0)):
@@ -268,41 +273,26 @@ def datareach_step(
     dt: float,
     domain: Optional[Box] = None,
 ) -> ReachStepRecord:
-    """Second-order interval Taylor step over the differential inclusion.
+    """One interval Taylor step over the differential inclusion.
 
-    Requires control signals with at least one derivative on the step; the
+    Second order where the family bounds u' on the step; first order,
+    R + dt (f(S) + G(S) V), where `eval_deriv_range` returns None.  The
     propagated box is intersected with `domain` when one is supplied.
     """
-    if ctrl.smoothness < 1:
-        raise ValueError("datareach_step needs smoothness >= 1; use datareach_step_c0")
-    v_t = _pair(ctrl.eval_point(t))
     V = ctrl.eval_range(t, t + dt)
-    V1 = _pair(ctrl.eval_deriv_range(t, t + dt))
+    V1 = ctrl.eval_deriv_range(t, t + dt)
     beta, alpha, S, fR, GR, fS, GS, Jf, JG = _step_data(R, kb, V, dt)
     V = _pair(V)
-    half_dt2 = 0.5 * dt * dt
-    hx = add_pairs(fR, mat_vec_pairs(GR, v_t))
     hS = add_pairs(fS, mat_vec_pairs(GS, V))
+    if V1 is None:
+        return _record(t, R, beta, alpha, S, add_pairs(_pair(R), scale_pair(hS, dt)), domain)
+    half_dt2 = 0.5 * dt * dt
+    hx = add_pairs(fR, mat_vec_pairs(GR, _pair(ctrl.eval_point(t))))
     M2 = add_pairs(Jf, tensor_vec_pairs(JG, V))
     Rn = add_pairs(_pair(R), scale_pair(hx, dt))
     Rn = add_pairs(Rn, scale_pair(mat_vec_pairs(M2, hS), half_dt2))
-    Rn = add_pairs(Rn, scale_pair(mat_vec_pairs(GS, V1), half_dt2))
+    Rn = add_pairs(Rn, scale_pair(mat_vec_pairs(GS, _pair(V1)), half_dt2))
     return _record(t, R, beta, alpha, S, Rn, domain)
-
-
-def datareach_step_c0(
-    R: Box,
-    kb: KnowledgeBase,
-    ctrl: ControlClass,
-    t: float,
-    dt: float,
-    domain: Optional[Box] = None,
-) -> ReachStepRecord:
-    """First-order step for merely continuous control families."""
-    V = ctrl.eval_range(t, t + dt)
-    beta, alpha, S, _, _, fS, GS, _, _ = _step_data(R, kb, V, dt)
-    hS = add_pairs(fS, mat_vec_pairs(GS, _pair(V)))
-    return _record(t, R, beta, alpha, S, add_pairs(_pair(R), scale_pair(hS, dt)), domain)
 
 
 def datareach(
@@ -318,18 +308,22 @@ def datareach(
 
     The tube starts from the singleton {x_start}.  On the first failing step
     the tube is truncated and the reason recorded in `failure`.  T must be
-    a whole number >= 0; T = 0 gives the tube of the start alone.
+    a whole number >= 0; T = 0 gives the tube of the start alone.  dt must
+    be positive and finite, and x_start hold kb.n entries.
     """
     check_count("T", T, 0)
-    step_fn = datareach_step_c0 if ctrl.smoothness < 1 else datareach_step
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, not {dt!r}")
     R = x_start if isinstance(x_start, Box) else Box.point(x_start)
+    if R.shape != (kb.n,):
+        raise ValueError(f"x_start must have {kb.n} entries, not shape {R.shape}")
     grid = [t0]
     steps: List[ReachStepRecord] = []
     failure = None
     t = t0
     for _ in range(int(T)):
         try:
-            rec = step_fn(R, kb, ctrl, t, dt, domain=domain)
+            rec = datareach_step(R, kb, ctrl, t, dt, domain=domain)
         except DataReachError as exc:
             failure = f"{type(exc).__name__}: {exc}"
             break

@@ -359,6 +359,8 @@ def excite(sys: SystemSpec, N: int, seed: int, dt: float = 0.1,
         raise ValueError(f"unknown excitation mode {mode!r}")
     rng = np.random.default_rng(int(seed))
     x = np.asarray(sys.X.mid if x0 is None else x0, dtype=float)
+    if x.shape != (sys.n,):
+        raise ValueError(f"x0 must have {sys.n} entries")
     samples = []
     for i in range(int(N)):
         u = rng.uniform(sys.U.lo, sys.U.hi)

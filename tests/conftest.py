@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from datareach.intervals import Box
 from datareach.knowledge import LipschitzBounds, SideInfoSet, VectorFieldBounds, build_knowledge
+from datareach.reach import ConstCosControl, PiecewiseConstantControl
 from datareach.systems import advance, excite, unicycle
 
 # every property test runs the same examples in every process
@@ -60,6 +61,21 @@ def unicycle_fig_setup(unicycle_system):
     kb = build_knowledge(samples, sysu.lip, sysu.side)
     x_start = advance(sysu, samples[-1].x, samples[-1].u, SAMPLE_DT)
     return sysu, samples, kb, x_start
+
+
+class FirstOrderCos(ConstCosControl):
+    """The cosine family without a derivative bound: every step is first order."""
+
+    def eval_deriv_range(self, t0, t1):
+        return None
+
+
+def alternating_turns(period, horizon):
+    """Unit speed with the turn rate switching between +3 and -3 rad/s every
+    `period` seconds from T_REF, long enough to cover `horizon` seconds."""
+    pieces = int(math.ceil(horizon / period)) + 1
+    values = [[1.0, 3.0 if k % 2 == 0 else -3.0] for k in range(pieces)]
+    return PiecewiseConstantControl(values, period, t0=T_REF)
 
 
 def batch_rk4_unicycle(X, V, W, dt, substeps=4):

@@ -167,9 +167,11 @@ class TestControlSettings:
         "key, value",
         [("init_len", "abc"), ("eps", "small"), ("seed", "x"), ("dt", [0.1]),
          ("x0", ["a", 0.0, 0.0]), ("weights", [0.5, "half"]), ("record_reach", "false"),
-         ("record_reach", 1)],
+         ("record_reach", 1), ("max_steps", 2.5), ("init_len", 3.7), ("refresh_every", 1.5),
+         ("seed", True), ("max_steps", True)],
         ids=["init_len", "eps", "seed", "dt", "x0", "weights", "record_reach_text",
-             "record_reach_int"],
+             "record_reach_int", "max_steps_fraction", "init_len_fraction",
+             "refresh_every_fraction", "seed_bool", "max_steps_bool"],
     )
     def test_non_numeric_setting_names_key(self, tmp_path, capsys, key, value):
         cfg = write_cfg(tmp_path, {
@@ -235,6 +237,10 @@ class TestReachSettings:
             ({"x0": [1, 2]}, "x0 must have 3 entries"),
             ({"side_level": ["x"]}, "side_level must be one of ['decoupled', "),
             ({"trajectory": 7}, "trajectory must be a file path, not 7"),
+            ({"steps": 2.5}, "steps must be an integer, not 2.5"),
+            ({"steps": True}, "steps must be an integer, not True"),
+            ({"init_len": 3.7}, "init_len must be an integer, not 3.7"),
+            ({"seed": 2.5}, "seed must be an integer, not 2.5"),
         ],
         ids=["excitation", "dt_negative", "dt_zero", "steps_negative", "steps_zero",
              "init_len", "steps_text", "init_len_text", "dt_text", "seed_list", "x0_text",
@@ -242,7 +248,8 @@ class TestReachSettings:
              "piecewise_no_dt", "v0_text", "value_length", "values_flat", "a1_single",
              "a2_inverted", "family_unknown_key", "family_other_key", "control_dt_zero",
              "family_unknown", "control_not_a_mapping", "seed_negative", "x0_length",
-             "side_level_list", "trajectory_int"],
+             "side_level_list", "trajectory_int", "steps_fraction", "steps_bool",
+             "init_len_fraction", "seed_fraction"],
     )
     def test_bad_setting_rejected(self, tmp_path, capsys, setting, message):
         out = tmp_path / "out"
@@ -260,8 +267,9 @@ class TestReachSettings:
         [{"control": {"family": "constant", "value": [1.0, 0.0]}},
          {"control": {"family": "piecewise", "values": [[1.0, 0.0], [1.0, 0.5]],
                       "dt": 0.02, "t0": 1.0}},
-         {"intersect_domain": False}],
-        ids=["constant", "piecewise", "no_domain"],
+         {"intersect_domain": False},
+         {"steps": 3.0, "seed": 2.0}],
+        ids=["constant", "piecewise", "no_domain", "whole_floats"],
     )
     def test_valid_setting_runs(self, tmp_path, setting):
         cfg = write_cfg(tmp_path, {
@@ -475,8 +483,12 @@ class TestBenchmarkSettings:
             ({"systems": "unicycle"}, "systems must be a list"),
             ({"modes": ["idealistic", "weird"]}, "mode must be one of"),
             ({"max_steps": -1}, "max_steps must be >= 0"),
+            ({"seeds": [1.5]}, "seeds must be an integer, not 1.5"),
+            ({"max_steps": 2.5}, "max_steps must be an integer, not 2.5"),
+            ({"max_steps": True}, "max_steps must be an integer, not True"),
         ],
-        ids=["seeds_int", "seeds_text", "system", "systems_text", "mode", "max_steps"],
+        ids=["seeds_int", "seeds_text", "system", "systems_text", "mode", "max_steps",
+             "seeds_fraction", "max_steps_fraction", "max_steps_bool"],
     )
     def test_bad_setting_rejected_before_any_run(self, tmp_path, capsys, monkeypatch,
                                                  setting, message):

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import T_REF
+from conftest import T_REF, FirstOrderCos, alternating_turns
 from datareach.control import linearize
 from datareach.errors import EmptyIntersection, StepTooLarge
 from datareach.intervals import Box, Interval
@@ -31,7 +31,6 @@ from datareach.reach import (
     beta_of,
     datareach,
     datareach_step,
-    datareach_step_c0,
 )
 from datareach.systems import (
     by_name,
@@ -154,17 +153,17 @@ def ref_step_data(R, kb, V, dt):
 
 def ref_reach_step(R, kb, ctrl, t, dt, domain):
     """(beta, alpha, S, R_next) of the second-order step, or of the first-order one
-    when the family has smoothness 0."""
+    when the family has no derivative bound on the step."""
     V = ctrl.eval_range(t, t + dt)
+    V1 = ctrl.eval_deriv_range(t, t + dt)
     beta, alpha, S, fR, GR, fS, GS, Jf, JG = ref_step_data(R, kb, V, dt)
-    if ctrl.smoothness < 1:
+    if V1 is None:
         Rn = add(R, scale(add(fS, mat_vec(GS, V)), dt))
     else:
         half_dt2 = 0.5 * dt * dt
         hx = add(fR, mat_vec(GR, ctrl.eval_point(t)))
         hS = add(fS, mat_vec(GS, V))
         M2 = add(Jf, tensor_vec(JG, V))
-        V1 = ctrl.eval_deriv_range(t, t + dt)
         Rn = add(R, scale(hx, dt))
         Rn = add(Rn, scale(mat_vec(M2, hS), half_dt2))
         Rn = add(Rn, scale(mat_vec(GS, V1), half_dt2))
@@ -201,6 +200,7 @@ def assert_tube_matches(kb, x_start, ctrl, T, domain):
         assert (rec.beta, rec.alpha_norm) == (beta, alpha)
         assert_same_box(rec.S, S)
         assert_same_box(rec.R_next, Rn)
+    return tube
 
 
 def assert_linearize_matches(kb, states, U, dt):
@@ -211,10 +211,8 @@ def assert_linearize_matches(kb, states, U, dt):
             assert_same_box(got, want)
 
 
-def fig_control(smoothness=2):
-    ctrl = ConstCosControl(t_ref=T_REF, a1=Interval(-0.1, 0.1), a2=Interval(-0.01, 0.01))
-    ctrl.smoothness = smoothness
-    return ctrl
+def fig_control(family=ConstCosControl):
+    return family(t_ref=T_REF, a1=Interval(-0.1, 0.1), a2=Interval(-0.01, 0.01))
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +242,19 @@ class TestMatchesBoxComposedStep:
 
     def test_first_order_step(self, unicycle_fig_setup):
         sysu, _, kb, x_start = unicycle_fig_setup
-        assert_tube_matches(kb, x_start, fig_control(smoothness=0), 100, sysu.X)
+        assert_tube_matches(kb, x_start, fig_control(FirstOrderCos), 100, sysu.X)
+
+    @pytest.mark.parametrize("period, second_order", [
+        (2 * DT, True), (DT, True), (0.05, False), (0.03, False)])
+    def test_piecewise_switches(self, unicycle_fig_setup, period, second_order):
+        """A switch on the grid leaves every step second order; a switch inside
+        a step makes that step first order.  Every step matches the reference."""
+        sysu, _, kb, x_start = unicycle_fig_setup
+        ctrl = alternating_turns(period, 40 * DT)
+        tube = assert_tube_matches(kb, x_start, ctrl, 40, sysu.X)
+        bounded = [ctrl.eval_deriv_range(rec.t, rec.t + DT) is not None
+                   for rec in tube.steps[:-1]]
+        assert all(bounded) if second_order else not all(bounded)
 
     def test_contractor_hook(self, unicycle_fig_setup):
         sysu, samples, _, x_start = unicycle_fig_setup
@@ -262,7 +272,7 @@ class TestMatchesBoxComposedStep:
         side = replace(sysu.side, algebraic_contractor=unit_speed_columns)
         kb = build_knowledge(samples, sysu.lip, side)
         assert_tube_matches(kb, x_start, fig_control(), 60, sysu.X)
-        assert_tube_matches(kb, x_start, fig_control(smoothness=0), 20, None)
+        assert_tube_matches(kb, x_start, fig_control(FirstOrderCos), 20, None)
         assert_linearize_matches(kb, [s.x for s in samples], sysu.U, 0.1)
         assert True in calls and False in calls
 
@@ -280,7 +290,7 @@ class TestStepChecks:
         R = Box(lo, hi)
         calls = {
             "second_order": lambda: datareach_step(R, kb, fig_control(), T_REF, DT),
-            "first_order": lambda: datareach_step_c0(R, kb, fig_control(0), T_REF, DT),
+            "first_order": lambda: datareach_step(R, kb, fig_control(FirstOrderCos), T_REF, DT),
             "linearize": lambda: linearize(R, kb, sysu.U, DT),
         }
         with np.errstate(invalid="ignore"):

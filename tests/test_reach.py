@@ -5,6 +5,8 @@ import pytest
 
 from conftest import (
     T_REF,
+    FirstOrderCos,
+    alternating_turns,
     constant_f_kb,
     exact_integrator_kb,
     mc_unicycle_rollout,
@@ -12,17 +14,27 @@ from conftest import (
 from datareach.errors import StepTooLarge
 from datareach.intervals import Box, Interval
 from datareach.knowledge import LipschitzBounds, build_knowledge
-from datareach.systems import excite, unicycle
+from datareach.systems import advance, excite, unicycle
 from datareach.reach import (
     ConstantControl,
     ConstCosControl,
+    ControlClass,
     PiecewiseConstantControl,
     beta_of,
     datareach,
     datareach_step,
-    datareach_step_c0,
     max_step_size,
 )
+
+
+class RangeOnly(ControlClass):
+    """A family that gives only its range: every step is first order."""
+
+    def __init__(self, u):
+        self.u = Box.point(u)
+
+    def eval_range(self, t0, t1):
+        return self.u
 
 
 class TestBeta:
@@ -120,38 +132,32 @@ class TestReachSteps:
 
     def test_c0_step_exact_integrator(self):
         kb = exact_integrator_kb()
-        ctrl = PiecewiseConstantControl([[2.0]], dt=10.0, smoothness=0)
-        rec = datareach_step_c0(Box([0.0], [0.0]), kb, ctrl, 0.0, 0.1)
+        rec = datareach_step(Box([0.0], [0.0]), kb, RangeOnly([2.0]), 0.0, 0.1)
         assert rec.R_next[0].lo == pytest.approx(0.2, abs=1e-9)
         assert rec.R_next[0].hi == pytest.approx(0.2, abs=1e-9)
 
     def test_c0_zero_dt_is_identity(self):
         kb = exact_integrator_kb()
-        ctrl = PiecewiseConstantControl([[2.0]], dt=10.0, smoothness=0)
         R = Box([-0.5], [0.5])
-        rec = datareach_step_c0(R, kb, ctrl, 0.0, 0.0)
+        rec = datareach_step(R, kb, RangeOnly([2.0]), 0.0, 0.0)
         assert np.allclose(rec.R_next.lo, R.lo) and np.allclose(rec.R_next.hi, R.hi)
 
     def test_c0_tube_wider_than_second_order(self, unicycle_fig_setup):
-        """The first-order variant compounds into a strictly coarser tube."""
+        """The first-order step compounds into a strictly coarser tube."""
         sysu, _, kb, x_start = unicycle_fig_setup
-
-        class C0(ConstCosControl):
-            smoothness = 0
-
         ctrl1 = ConstCosControl(t_ref=T_REF, a1=Interval(-0.1, 0.1),
                                 a2=Interval(-0.01, 0.01))
-        ctrl0 = C0(t_ref=T_REF, a1=Interval(-0.1, 0.1), a2=Interval(-0.01, 0.01))
+        ctrl0 = FirstOrderCos(t_ref=T_REF, a1=Interval(-0.1, 0.1), a2=Interval(-0.01, 0.01))
         tube1 = datareach(kb, x_start, ctrl1, 0.02, 50, t0=T_REF)
         tube0 = datareach(kb, x_start, ctrl0, 0.02, 50, t0=T_REF)
         assert tube0.failure is None and tube1.failure is None
         assert np.all(tube0.terminal_width() >= tube1.terminal_width())
 
-    def test_smoothness_gate(self):
-        kb = exact_integrator_kb()
-        ctrl = PiecewiseConstantControl([[1.0]], dt=1.0, smoothness=0)
-        with pytest.raises(ValueError):
-            datareach_step(Box([0.0], [0.0]), kb, ctrl, 0.0, 0.1)
+    def test_piecewise_derivative_bound_only_inside_a_piece(self):
+        ctrl = PiecewiseConstantControl([[0.0], [2.0]], dt=0.5)
+        for t0, t1 in ((0.1, 0.4), (0.25, 0.5), (0.5, 0.75), (0.75, 3.0), (0.3, 0.3)):
+            assert ctrl.eval_deriv_range(t0, t1).mag.max() == 0.0
+        assert ctrl.eval_deriv_range(0.25, 0.75) is None
 
     def test_step_too_large(self, unicycle_fig_setup):
         sysu, _, kb, x_start = unicycle_fig_setup
@@ -176,6 +182,37 @@ class TestDataReachTube:
         for T, rows in ((0, 1), (2.0, 3)):
             tube = datareach(kb, np.array([0.3]), ConstantControl([1.0]), 0.1, T)
             assert len(tube.steps) == rows and tube.failure is None
+
+    def test_dt_and_start_validated(self, unicycle_fig_setup):
+        sysu, _, kb, x_start = unicycle_fig_setup
+        ctrl = ConstantControl([1.0, 0.0])
+        for dt in (-0.01, math.nan, 0.0, math.inf):
+            with pytest.raises(ValueError, match="^dt must be positive and finite"):
+                datareach(kb, x_start, ctrl, dt, 5)
+        for x in (x_start[:2], np.append(x_start, 0.0)):
+            with pytest.raises(ValueError, match="^x_start must have 3 entries"):
+                datareach(kb, x, ctrl, 0.02, 5)
+
+    @pytest.mark.parametrize("period", [0.05, 0.03])
+    def test_piecewise_switches_contained(self, unicycle_fig_setup, period):
+        """Each grid box contains the trajectory that switches inside the
+        steps, with no tolerance; the plant's RK4 runs at h <= 1e-4 and
+        switches exactly at the piece boundaries."""
+        sysu, _, kb, x_start = unicycle_fig_setup
+        dt, T = 0.02, 40
+        ctrl = alternating_turns(period, T * dt)
+        tube = datareach(kb, x_start, ctrl, dt, T, t0=T_REF, domain=sysu.X)
+        assert tube.failure is None
+        x, t = x_start, T_REF
+        for i, rec in enumerate(tube.steps):
+            assert np.all(rec.R.lo <= x) and np.all(x <= rec.R.hi), i
+            t_next = T_REF + (i + 1) * dt
+            while t < t_next:
+                k = int(math.floor((t - T_REF) / period + 1e-9))
+                t_end = min(T_REF + (k + 1) * period, t_next)
+                x = advance(sysu, x, ctrl.values[k], t_end - t,
+                            max(1, math.ceil((t_end - t) / 1e-4)))
+                t = t_end
 
     def test_truncates_on_failure(self, unicycle_fig_setup):
         sysu, _, kb, x_start = unicycle_fig_setup

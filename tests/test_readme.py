@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
+import yaml
 
 from datareach import cli
 
@@ -32,3 +33,15 @@ def test_commands_list_matches_cli(capsys):
     usage = capsys.readouterr().out
     accepted = re.search(r"positional arguments:\s*\{([\w,]+)\}", usage).group(1).split(",")
     assert sorted(documented) == sorted(accepted) and len(documented) == len(set(documented))
+
+
+def test_config_example_keys_match_cli():
+    """The ``reach``, ``control`` and ``benchmark`` keys of the configuration
+    example (and its ``const_cos`` family) are exactly the keys the CLI
+    accepts, so a removed or added key cannot drift from the docs."""
+    section = README.read_text().split("### Configuration file", 1)[1]
+    example = yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+    assert set(example["reach"]) == cli._REACH_KEYS
+    assert set(example["control"]) == cli._CONTROL_KEYS
+    assert set(example["benchmark"]) == cli._BENCH_KEYS
+    assert set(example["reach"]["control"]) == cli._FAMILY_KEYS["const_cos"]

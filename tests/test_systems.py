@@ -189,7 +189,8 @@ class TestSimulation:
 
     def test_excite_counts_validated(self):
         sysu = unicycle()
-        for N, seed, key in ((2.5, 1, "N"), (0, 1, "N"), (2, 1.5, "seed"), (2, -1, "seed")):
+        for N, seed, key in ((2.5, 1, "N"), (0, 1, "N"), (True, 1, "N"), (2, 1.5, "seed"),
+                             (2, -1, "seed"), (2, False, "seed")):
             with pytest.raises(ValueError, match=f"^{key} must"):
                 excite(sysu, N, seed=seed, dt=0.1, x0=[0, 0, 0])
         assert len(excite(sysu, 2.0, seed=1.0, dt=0.1, x0=[0, 0, 0])) == 2
@@ -272,6 +273,11 @@ class TestExcite:
         assert len(samples) == 1
         assert np.allclose(samples[0].u, 0.0)
         assert np.allclose(samples[0].xdot, sysu.f_true(samples[0].x))
+
+    @pytest.mark.parametrize("x0", [[0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [[0.0, 0.0, 0.0]]])
+    def test_x0_length_validated(self, x0):
+        with pytest.raises(ValueError, match="^x0 must have 3 entries$"):
+            excite(unicycle(), 3, seed=0, dt=0.1, x0=x0)
 
     def test_seeded_determinism(self):
         sysu = unicycle()
@@ -372,6 +378,7 @@ class TestClosedLoop:
         ("weights", 0.5), ("weights", (0.5, "half")), ("weights", (0.5, 1.5)),
         ("refresh_every", 1.5), ("refresh_every", 0), ("init_len", 2.5),
         ("max_steps", 2.5), ("max_steps", math.inf), ("seed", 1.5), ("seed", math.nan),
+        ("max_steps", True), ("init_len", True), ("seed", False),
     ])
     def test_experiment_settings_validated(self, key, value):
         cfg = unicycle_experiment(max_steps=2)
