@@ -27,7 +27,7 @@ def main():
         lo = rng.uniform(-3, 0, m)
         qp = BoxQP(Qi, qi, Box(lo, lo + rng.uniform(0.5, 4, m)))
         _, l_star = oracle_boxqp(qp)
-        u, info = solve_idealistic(qp, QPOptions(eps=1e-8), with_info=True)
+        u, info = solve_idealistic(qp, QPOptions(eps=1e-8))
         gap = qp.value(u) - l_star
         worst = max(worst, gap)
         print(f"{m:2d} {gap:14.3e} {info.iters:6d} {info.mu_estimate:9.3g} {kind:>6}")

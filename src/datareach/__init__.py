@@ -58,7 +58,6 @@ from .reach import (
 )
 from .control import (
     AffineOverApprox,
-    IdealisticQP,
     QuadraticCost,
     assemble_idealistic,
     assemble_optimistic,
@@ -70,13 +69,11 @@ from .control import (
     subopt_bound,
 )
 from .qpsolve import (
-    AdaResConfig,
     AdaResResult,
     BoxQP,
     OptimisticQP,
     OrthantQP,
     QPOptions,
-    adares,
     box_project,
     oracle_boxqp,
     solve_idealistic,

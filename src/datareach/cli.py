@@ -40,7 +40,7 @@ _REACH_KEYS = {
 }
 _CONTROL_KEYS = {
     "dt", "init_len", "seed", "mode", "eps", "mu0", "max_steps", "stop_level",
-    "weights", "excitation", "x0", "refresh_every", "record_reach",
+    "weights", "excitation", "x0", "record_reach",
 }
 _BENCH_KEYS = {"max_steps", "seeds", "systems", "modes"}
 # the keys of each family of the reach.control block
@@ -245,7 +245,7 @@ def cmd_reach(args, cfg) -> int:
 def _apply_control_overrides(exp: ExperimentConfig, section, args):
     for key, kind in (("dt", float), ("init_len", _integer), ("max_steps", _integer),
                       ("stop_level", float), ("eps", float), ("mu0", float),
-                      ("refresh_every", _integer), ("x0", _vector), ("record_reach", _flag)):
+                      ("x0", _vector), ("record_reach", _flag)):
         if key in section:
             setattr(exp, key, _convert(key, section[key], kind))
     if "excitation" in section:

@@ -185,17 +185,6 @@ def linearize(
 # idealistic relaxation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdealisticQP:
-    Qi: np.ndarray
-    qi: np.ndarray
-    pi: float
-    A_ide: np.ndarray
-    b_ide: np.ndarray
-    wplus: float
-    wminus: float
-
-
 def idealistic_coeffs(
     aff: AffineOverApprox, wplus: float, wminus: float
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -214,18 +203,21 @@ def idealistic_coeffs(
 
 
 def assemble_idealistic(
-    cost: QuadraticCost,
-    A_ide: np.ndarray,
-    b_ide: np.ndarray,
-    wplus: float = 0.5,
-    wminus: float = 0.5,
-) -> IdealisticQP:
-    """Substitute y = b + A u into the cost; the result is a convex box QP."""
+    cost: QuadraticCost, A_ide: np.ndarray, b_ide: np.ndarray, U: Box
+) -> BoxQP:
+    """Substitute y = b + A u into the cost; the result is a convex QP over U.
+
+    Raises NonConvexAssembly, naming the entry, when the QP data is not
+    finite or its Hessian is not positive semidefinite."""
     Q, S, Rm, q, r = cost.Q, cost.S, cost.R, cost.q, cost.r
     Qi = 2.0 * A_ide.T @ Q @ A_ide + 4.0 * A_ide.T @ S + 2.0 * Rm
     Qi = 0.5 * (Qi + Qi.T)
     qi = 2.0 * (S + Q @ A_ide).T @ b_ide + A_ide.T @ q + r
     pi = float(b_ide @ Q @ b_ide + q @ b_ide)
+    for name, val in (("Qi", Qi), ("qi", qi), ("pi", np.asarray(pi))):
+        if not np.isfinite(val).all():
+            at = np.unravel_index(np.argmin(np.isfinite(val)), val.shape)
+            raise NonConvexAssembly(f"idealistic QP entry {name}{list(map(int, at))} is {val[at]}")
     eigs = np.linalg.eigvalsh(Qi) if Qi.size else np.zeros(0)
     if eigs.size and float(eigs.min()) < -1e-8:
         raise NonConvexAssembly(
@@ -237,7 +229,7 @@ def assemble_idealistic(
         w, V = np.linalg.eigh(Qi)
         Qi = (V * np.maximum(w, 0.0)) @ V.T
         Qi = 0.5 * (Qi + Qi.T)
-    return IdealisticQP(Qi, qi, pi, A_ide, b_ide, wplus, wminus)
+    return BoxQP._prechecked(Qi, qi, U, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +354,7 @@ def datacontrol_step(
     if mode == "optimistic":
         try:
             u_hat, _, val, info = solve_optimistic(
-                assemble_optimistic(cost, aff, U, X), opts, with_info=True,
-                start=start,
+                assemble_optimistic(cost, aff, U, X), opts, start=start
             )
         except AllOrthantsInfeasible:
             fell_back = True
@@ -377,25 +368,12 @@ def datacontrol_step(
             )
             return u_hat, diag
 
-    A_ide, b_ide = idealistic_coeffs(aff, wplus, wminus)
-    qp_def = assemble_idealistic(cost, A_ide, b_ide, wplus, wminus)
-    # assemble_idealistic has symmetrised Qi and checked that it is PSD
-    qp = BoxQP._prechecked(qp_def.Qi, qp_def.qi, U, qp_def.pi)
-    u_hat, info = solve_idealistic(qp, opts, y0=u_prev, with_info=True)
+    qp = assemble_idealistic(cost, *idealistic_coeffs(aff, wplus, wminus), U)
+    u_hat, info = solve_idealistic(qp, opts, y0=u_prev)
     micros = (time.perf_counter() - started) * 1e6
     diag = StepDiagnostics(
-        bound,
-        qp.value(u_hat),
-        None,
-        info.iters,
-        micros,
-        "idealistic" if not fell_back else "idealistic(fallback)",
-        info.mu_estimate,
-        wplus,
-        wminus,
-        0.0,
-        info.converged,
-        fell_back,
-        aff,
+        bound, qp.value(u_hat), None, info.iters, micros,
+        "idealistic(fallback)" if fell_back else "idealistic", info.mu_estimate,
+        wplus, wminus, 0.0, info.converged, fell_back, aff,
     )
     return u_hat, diag

@@ -42,7 +42,7 @@ class StepTooLarge(DataReachError):
 
 
 class NonConvexAssembly(DataReachError):
-    """Assembled quadratic objective is not positive semidefinite."""
+    """Assembled quadratic objective is not finite or not positive semidefinite."""
 
 
 class IterationCapExceeded(DataReachError):

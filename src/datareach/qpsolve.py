@@ -1,17 +1,18 @@
 """Solvers for the one-step control relaxations.
 
-`adares` is an accelerated projected-gradient method with adaptive restart
-and geometric refinement of the local quadratic-growth estimate; it reaches
-eps-optimality without knowing the growth constant.  `solve_idealistic`
-wires it to box-constrained QPs.  `solve_optimistic` solves each
-sign-orthant piece of the coupled (u, next-state) QP exactly with the dual
-active-set method of Goldfarb & Idnani ("A numerically stable dual method
-for solving strictly convex quadratic programs", Math. Prog. 1983) and
-returns a KKT certificate.  It factors the cost once for all orthants and
-can start each orthant from the active rows of an earlier solve, as in the
-online active-set strategy of Ferreau, Bock & Diehl (IJRNC 2008): in a
-closed loop consecutive steps end on nearly the same active sets.
-`oracle_boxqp` is an exact active-set enumeration used by the tests.
+`solve_idealistic` solves a box-constrained QP by accelerated projected
+gradient with adaptive restart and geometric refinement of the local
+quadratic-growth estimate; it reaches eps-optimality without knowing the
+growth constant.  `solve_optimistic` solves each sign-orthant piece of the
+coupled (u, next-state) QP exactly with the dual active-set method of
+Goldfarb & Idnani ("A numerically stable dual method for solving strictly
+convex quadratic programs", Math. Prog. 1983).  It factors the cost once for
+all orthants and can start each orthant from the active rows of an earlier
+solve, as in the online active-set strategy of Ferreau, Bock & Diehl (IJRNC
+2008): in a closed loop consecutive steps end on nearly the same active
+sets.  Both read `QPOptions` and return their certificate with the solution:
+`AdaResResult` and `OptimisticInfo`.  `oracle_boxqp` is an exact active-set
+enumeration used by the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +46,8 @@ class BoxQP:
         qi = np.asarray(self.qi, dtype=float)
         if Qi.shape != (qi.shape[0], qi.shape[0]):
             raise ValueError("Qi/qi shapes disagree")
+        if not (np.isfinite(Qi).all() and np.isfinite(qi).all() and np.isfinite(self.pi)):
+            raise ValueError("Qi, qi and pi must be finite")
         if not np.allclose(Qi, Qi.T, atol=1e-10):
             raise ValueError("Qi must be symmetric")
         Qi = 0.5 * (Qi + Qi.T)
@@ -55,9 +58,10 @@ class BoxQP:
 
     @classmethod
     def _prechecked(cls, Qi: np.ndarray, qi: np.ndarray, box: Box, pi: float) -> "BoxQP":
-        """The BoxQP of float arrays whose Qi is already exactly symmetric and
-        checked PSD, as `assemble_idealistic` leaves it, without repeating
-        the check.  The checked constructor would store the same values."""
+        """The BoxQP of finite float arrays whose Qi is already exactly
+        symmetric and checked PSD, built without repeating the checks; only
+        `assemble_idealistic` calls it.  The checked constructor would store
+        the same values."""
         qp = object.__new__(cls)
         for name, val in (("Qi", Qi), ("qi", qi), ("box", box), ("pi", pi)):
             object.__setattr__(qp, name, val)
@@ -74,30 +78,12 @@ class BoxQP:
         return self.Qi @ u + self.qi
 
 
-@dataclass(frozen=True)
-class AdaResConfig:
-    """Inputs of the adaptive-restart scheme.
-
-    eps: target optimality accuracy; mu0: initial growth estimate; L: gradient
-    smoothness constant; y0: start point; max_total_iters: hard stop.
-    """
-
-    eps: float
-    mu0: float
-    L: float
-    y0: np.ndarray
-    max_total_iters: int = 500_000
-
-    def __post_init__(self):
-        if not (self.eps > 0 and self.mu0 > 0 and self.L > 0):
-            raise ValueError("eps, mu0 and L must be positive")
-        if self.max_total_iters <= 0:
-            raise ValueError("max_total_iters must be positive")
-        object.__setattr__(self, "y0", np.asarray(self.y0, dtype=float))
-
-
 @dataclass
 class AdaResResult:
+    """Certificate of `solve_idealistic`: `converged` means the residual test
+    certified eps-optimality at `y`; otherwise the iteration cap stopped the
+    solve and `y` is the best point seen."""
+
     y: np.ndarray
     iters: int
     mu_estimate: float
@@ -108,7 +94,7 @@ class AdaResResult:
 
 @dataclass(frozen=True)
 class QPOptions:
-    """User-facing solver options; smoothness constants are derived per QP."""
+    """Solver options of both relaxations; smoothness constants are derived per QP."""
 
     eps: float = 1e-8
     mu0: float = 1.0
@@ -136,32 +122,46 @@ def _theta_seq(K: int) -> np.ndarray:
     return th
 
 
-def adares(
-    grad: Callable[[np.ndarray], np.ndarray],
-    objective: Callable[[np.ndarray], float],
-    project: Callable[[np.ndarray], np.ndarray],
-    cfg: AdaResConfig,
-) -> AdaResResult:
-    """Accelerated projected gradient with adaptive restart.
+def smoothness_constant(qp: BoxQP) -> float:
+    """L = sqrt(m) ||Qi||_inf, floored so the gradient step stays defined."""
+    m = qp.m
+    row_sum = float(np.abs(qp.Qi).sum(axis=1).max()) if m else 0.0
+    floor = _L_MIN_SCALE * max(1.0, float(np.abs(qp.qi).max(initial=0.0)))
+    return max(math.sqrt(m) * row_sum, floor)
+
+
+def solve_idealistic(
+    qp: BoxQP,
+    opts: Optional[QPOptions] = None,
+    y0: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, AdaResResult]:
+    """Solve the box QP to eps-optimality from `y0` (default: the box
+    centre) by accelerated projected gradient with adaptive restart.
 
     Cycles of K_s = ceil(2 sqrt(e/mu_s) - 1) accelerated steps are repeated
     until either the projected-gradient residual has decayed at the rate the
     current growth estimate mu_s predicts (restart) or the residual certifies
-    eps-optimality; mu_s halves after every cycle.  All progress tests use the
-    gradient-mapping residual ||P(y - grad(y)/L) - y||, whose smallness under
-    quadratic growth bounds the objective gap.
+    eps-optimality; mu_s starts at `opts.mu0` and halves after every cycle.
+    All progress tests use the gradient-mapping residual
+    ||P(y - grad(y)/L) - y||, whose smallness under quadratic growth bounds
+    the objective gap.  `opts.max_total_iters` caps the projected and
+    accelerated steps.  Returns the solution and its `AdaResResult`.
 
     The scheme follows Fercoq & Qu, "Adaptive restart of accelerated gradient
     methods under local quadratic growth condition", IMA J. Numer. Anal.
     (2019).
     """
-    L, eps = cfg.L, cfg.eps
-    y0 = cfg.y0
+    opts = opts or QPOptions()
+    L, eps = smoothness_constant(qp), opts.eps
+    if not L > 0:
+        raise ValueError(f"smoothness constant must be positive, not {L!r}")
+    y0 = qp.box.mid if y0 is None else np.asarray(y0, dtype=float)
+    grad, objective, box = qp.gradient, qp.value, qp.box
 
     def pg(y):
-        return project(y - grad(y) / L)
+        return box_project(y - grad(y) / L, box)
 
-    mu = cfg.mu0
+    mu = opts.mu0
     y_prev_end = y0
     y_start = pg(y0)
     iters = 1  # counts projected / accelerated steps
@@ -181,7 +181,7 @@ def adares(
             x_cur = y
             z = y
             for k in range(K):
-                x_new = project(z - grad(z) / L)
+                x_new = box_project(z - grad(z) / L, box)
                 beta = thetas[k] * (1.0 - thetas[k]) / (thetas[k] ** 2 + thetas[k + 1])
                 z = x_new + beta * (x_new - x_cur)
                 x_cur = x_new
@@ -197,44 +197,16 @@ def adares(
             eps_ok = L * L * gap <= eps * mu / 8.0
             if restart_ok or eps_ok:
                 break
-            if iters >= cfg.max_total_iters:
-                return AdaResResult(best_y, iters, mu, False, best_val, cycles)
+            if iters >= opts.max_total_iters:
+                return best_y, AdaResResult(best_y, iters, mu, False, best_val, cycles)
         cycles += 1
         iters += 1
         y_start, y_prev_end = y_pg, y
         if eps_ok:
-            return AdaResResult(y_start, iters, mu, True, objective(y_start), cycles)
-        if iters >= cfg.max_total_iters:
-            return AdaResResult(best_y, iters, mu, False, best_val, cycles)
+            return y_start, AdaResResult(y_start, iters, mu, True, objective(y_start), cycles)
+        if iters >= opts.max_total_iters:
+            return best_y, AdaResResult(best_y, iters, mu, False, best_val, cycles)
         mu *= 0.5
-
-
-def smoothness_constant(qp: BoxQP) -> float:
-    """L = sqrt(m) ||Qi||_inf, floored so the gradient step stays defined."""
-    m = qp.m
-    row_sum = float(np.abs(qp.Qi).sum(axis=1).max()) if m else 0.0
-    floor = _L_MIN_SCALE * max(1.0, float(np.abs(qp.qi).max(initial=0.0)))
-    return max(math.sqrt(m) * row_sum, floor)
-
-
-def solve_idealistic(
-    qp: BoxQP,
-    opts: Optional[QPOptions] = None,
-    y0: Optional[np.ndarray] = None,
-    with_info: bool = False,
-):
-    """Solve the box-constrained QP with `adares` to eps-optimality."""
-    opts = opts or QPOptions()
-    start = qp.box.mid if y0 is None else np.asarray(y0, dtype=float)
-    cfg = AdaResConfig(
-        eps=opts.eps,
-        mu0=opts.mu0,
-        L=smoothness_constant(qp),
-        y0=start,
-        max_total_iters=opts.max_total_iters,
-    )
-    res = adares(qp.gradient, qp.value, lambda v: box_project(v, qp.box), cfg)
-    return (res.y, res) if with_info else res.y
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +486,10 @@ def solve_optimistic(
     oqp: OptimisticQP,
     opts: Optional[QPOptions] = None,
     sigma: float = 1e-6,
-    with_info: bool = False,
     start: Optional[tuple] = None,
-):
-    """Solve every sign-orthant subproblem exactly and return the best solution.
+) -> Tuple[np.ndarray, np.ndarray, float, OptimisticInfo]:
+    """Solve every sign-orthant subproblem exactly; return the best (u, x,
+    value) and its `OptimisticInfo`.
 
     The sigma * I Tikhonov term makes the inner problem strongly convex; its
     effect on the reported cost is bounded by sigma (|u|^2 + |x|^2), returned
@@ -564,18 +536,11 @@ def solve_optimistic(
             f"all {len(oqp.orthants)} orthant subproblems are infeasible"
         )
     u, x, val, (y, lam, _, A, b, norms) = best
-    if with_info:
-        info = OptimisticInfo(
-            orthant=best_orth,
-            iters=total_it,
-            sigma_effect=sigma * float(u @ u + x @ x),
-            feasible_orthants=feasible,
-            kkt_residual=_kkt_residual(*fac[:2], A, b, y, lam),
-            multipliers=lam / norms,
-            active_sets=tuple(active_sets),
-        )
-        return u, x, val, info
-    return u, x, val
+    return u, x, val, OptimisticInfo(
+        orthant=best_orth, iters=total_it, sigma_effect=sigma * float(u @ u + x @ x),
+        feasible_orthants=feasible, kkt_residual=_kkt_residual(*fac[:2], A, b, y, lam),
+        multipliers=lam / norms, active_sets=tuple(active_sets),
+    )
 
 
 # ---------------------------------------------------------------------------

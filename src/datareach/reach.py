@@ -81,15 +81,19 @@ class PiecewiseConstantControl(ControlClass):
             raise ValueError(f"t0 must be finite, not {t0!r}")
         self._zero = Box.point(np.zeros(self.values.shape[1]))
 
-    def _index(self, t: float) -> int:
-        k = int(math.floor((t - self.t0) / self.dt + 1e-12))
+    def _index(self, t: float, margin: float = 1e-12) -> int:
+        """The piece holding t, with `margin` (in pieces) absorbing rounding."""
+        k = int(math.floor((t - self.t0) / self.dt + margin))
         return min(max(k, 0), self.values.shape[0] - 1)
 
     def eval_point(self, t):
         return Box.point(self.values[self._index(t)])
 
     def _pieces(self, t0, t1):
-        return self._index(t0), self._index(max(t0, t1 - 1e-12))
+        """First and last piece of [t0, t1]; a step ending on a switch ends
+        in the piece before it."""
+        k0 = self._index(t0)
+        return k0, max(k0, self._index(t1, -1e-12))
 
     def eval_range(self, t0, t1):
         k0, k1 = self._pieces(t0, t1)
@@ -309,7 +313,8 @@ def datareach(
     The tube starts from the singleton {x_start}.  On the first failing step
     the tube is truncated and the reason recorded in `failure`.  T must be
     a whole number >= 0; T = 0 gives the tube of the start alone.  dt must
-    be positive and finite, and x_start hold kb.n entries.
+    be positive and finite, x_start hold kb.n entries and the family's
+    controls kb.m entries.
     """
     check_count("T", T, 0)
     if not 0.0 < dt < math.inf:
@@ -317,6 +322,10 @@ def datareach(
     R = x_start if isinstance(x_start, Box) else Box.point(x_start)
     if R.shape != (kb.n,):
         raise ValueError(f"x_start must have {kb.n} entries, not shape {R.shape}")
+    width = ctrl.eval_range(t0, t0 + dt).shape
+    if width != (kb.m,):
+        raise ValueError(f"control family gives controls of shape {width}, "
+                         f"the knowledge base needs ({kb.m},)")
     grid = [t0]
     steps: List[ReachStepRecord] = []
     failure = None

@@ -385,6 +385,10 @@ def excite(sys: SystemSpec, N: int, seed: int, dt: float = 0.1,
 # closed-loop experiments
 # ---------------------------------------------------------------------------
 
+# steps between the closed loop's full knowledge-base rebuilds
+REFRESH_EVERY = 25
+
+
 @dataclass
 class ExperimentConfig:
     dt: float
@@ -397,7 +401,6 @@ class ExperimentConfig:
     mode: str = "idealistic"
     cost_offset: float = 0.0  # constant dropped from the quadratic form
     excitation: str = "mixed"
-    refresh_every: int = 25
     eps: float = 1e-8
     mu0: float = 1.0
     redraw_weights: bool = False
@@ -466,8 +469,7 @@ def check_experiment(sys: SystemSpec, cfg: ExperimentConfig) -> QPOptions:
         raise ValueError(f"excitation must be one of {list(EXCITATIONS)}")
     if not cfg.dt > 0.0:
         raise ValueError("dt must be positive")
-    for key, least in (("init_len", 1), ("max_steps", 0), ("seed", 0),
-                       ("refresh_every", 1), ("substeps", 1)):
+    for key, least in (("init_len", 1), ("max_steps", 0), ("seed", 0), ("substeps", 1)):
         check_count(key, getattr(cfg, key), least)
     if not cfg.M > 0.0:
         raise ValueError("M must be positive")
@@ -491,7 +493,7 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
 
     Every applied control appends exactly one sample to the base through the
     linear-cost incremental update; a full invariance refresh runs every
-    `refresh_every` steps.  Each step's solve starts where the previous
+    `REFRESH_EVERY` steps.  Each step's solve starts where the previous
     one ended: the idealistic solve at the previous control, the optimistic
     orthant solves from the previous step's active sets.  Each log times
     the control step in ``micros`` and the knowledge-base update after it
@@ -547,7 +549,7 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
         new_sample = Sample(x, sys.h_true(x, u), u, t)
         started = time.perf_counter()
         kb = append_sample(kb, new_sample)
-        if (i + 1) % cfg.refresh_every == 0:
+        if (i + 1) % REFRESH_EVERY == 0:
             kb = rebuild(kb)
         log.kb_micros = (time.perf_counter() - started) * 1e6
         x = x_next

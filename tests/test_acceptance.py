@@ -178,7 +178,7 @@ def test_06_adares_eps_optimality():
         box = Box(lo, lo + rng.uniform(0.5, 4, m))
         qp = BoxQP(Qi, qi, box)
         _, l_star = oracle_boxqp(qp)
-        u, info = solve_idealistic(qp, QPOptions(eps=eps, mu0=mu0), with_info=True)
+        u, info = solve_idealistic(qp, QPOptions(eps=eps, mu0=mu0))
         if qp.value(u) - l_star > eps:
             ok = False
         if info.converged and mu0 <= info.mu_estimate:

@@ -131,14 +131,6 @@ class TestControlCommand:
 class TestControlSettings:
     """Settings `run_closed_loop` cannot run are config errors (exit 2)."""
 
-    def test_refresh_every_zero_rejected(self, tmp_path):
-        cfg = write_cfg(tmp_path, {
-            "system": "unicycle",
-            "out": str(tmp_path / "out"),
-            "control": {"max_steps": 3, "refresh_every": 0},
-        })
-        assert cli.main(["--config", cfg, "control"]) == cli.EXIT_CONFIG
-
     @pytest.mark.parametrize(
         "setting",
         [
@@ -167,11 +159,11 @@ class TestControlSettings:
         "key, value",
         [("init_len", "abc"), ("eps", "small"), ("seed", "x"), ("dt", [0.1]),
          ("x0", ["a", 0.0, 0.0]), ("weights", [0.5, "half"]), ("record_reach", "false"),
-         ("record_reach", 1), ("max_steps", 2.5), ("init_len", 3.7), ("refresh_every", 1.5),
+         ("record_reach", 1), ("max_steps", 2.5), ("init_len", 3.7),
          ("seed", True), ("max_steps", True)],
         ids=["init_len", "eps", "seed", "dt", "x0", "weights", "record_reach_text",
              "record_reach_int", "max_steps_fraction", "init_len_fraction",
-             "refresh_every_fraction", "seed_bool", "max_steps_bool"],
+             "seed_bool", "max_steps_bool"],
     )
     def test_non_numeric_setting_names_key(self, tmp_path, capsys, key, value):
         cfg = write_cfg(tmp_path, {

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,12 @@ from datareach.control import (
     setpoint_cost,
     subopt_bound,
 )
-from datareach.errors import StepTooLarge
+from datareach import control
+from datareach.errors import NonConvexAssembly, StepTooLarge
 from datareach.intervals import Box, imat_vec, meet, real_mat_iv
 from datareach.knowledge import Sample, append_sample, build_knowledge
 from datareach.qpsolve import BoxQP, QPOptions
-from datareach.systems import advance, excite, unicycle, unicycle_experiment
+from datareach.systems import advance, excite, run_closed_loop, unicycle, unicycle_experiment
 
 
 class TestQuadraticCost:
@@ -109,10 +112,13 @@ class TestIdealisticCoeffs:
 
 
 class TestAssembleIdealistic:
+    U = Box([-1.0, -1.0], [1.0, 1.0])
+
     def test_identity_substitution(self):
         cost = QuadraticCost(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)),
                              np.zeros(2), np.zeros(2))
-        qp = assemble_idealistic(cost, np.eye(2), np.zeros(2))
+        qp = assemble_idealistic(cost, np.eye(2), np.zeros(2), self.U)
+        assert qp.box is self.U
         assert np.allclose(qp.Qi, 2.0 * np.eye(2))
         assert np.allclose(qp.qi, 0.0)
         assert qp.pi == 0.0
@@ -122,7 +128,7 @@ class TestAssembleIdealistic:
         r = np.array([1.0, -1.0])
         cost = QuadraticCost(np.zeros((2, 2)), R, np.zeros((2, 2)),
                              np.zeros(2), r)
-        qp = assemble_idealistic(cost, np.eye(2), np.ones(2))
+        qp = assemble_idealistic(cost, np.eye(2), np.ones(2), self.U)
         assert np.allclose(qp.Qi, 2.0 * R)
         assert np.allclose(qp.qi, r)
         assert qp.pi == 0.0
@@ -135,12 +141,37 @@ class TestAssembleIdealistic:
                              rng.normal(size=2), rng.normal(size=2))
         A_ide = rng.normal(size=(2, 2))
         b_ide = rng.normal(size=2)
-        qp = assemble_idealistic(cost, A_ide, b_ide)
+        qp = assemble_idealistic(cost, A_ide, b_ide, self.U)
         for _ in range(1000):
             u = rng.normal(size=2)
             lhs = 0.5 * u @ qp.Qi @ u + qp.qi @ u + qp.pi
             rhs = cost.value(u, b_ide + A_ide @ u)
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("A_ide, b_ide, entry", [
+        ([[1e200, 0.0], [0.0, 1.0]], [0.0, 0.0], r"Qi\[0, 0\] is inf"),
+        ([[math.inf, 0.0], [0.0, 1.0]], [0.0, 0.0], r"Qi\[0, 0\] is (inf|nan)"),
+        ([[1.0, 0.0], [0.0, 1.0]], [math.nan, 0.0], r"qi\[0\] is nan"),
+    ], ids=["overflow", "infinite_model", "nan_offset"])
+    def test_non_finite_data_is_an_error(self, A_ide, b_ide, entry):
+        """A non-finite QP is a library error naming the entry, raised
+        before the solver iterates on it."""
+        cost = norm_cost(2, 2)
+        with pytest.raises(NonConvexAssembly, match=f"idealistic QP entry {entry}"):
+            assemble_idealistic(cost, np.array(A_ide), np.array(b_ide), self.U)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_data_ends_the_episode(self, monkeypatch):
+        def huge_model(aff, wplus, wminus):
+            return np.full(aff.Aplus.shape, 1e200), aff.B.lo
+
+        monkeypatch.setattr(control, "idealistic_coeffs", huge_model)
+        report = run_closed_loop(unicycle(), unicycle_experiment(max_steps=1))
+        assert report.steps_taken == 0
+        assert report.failure.startswith(
+            "step 0: NonConvexAssembly: idealistic QP entry Qi[0, 0] is inf"
+        )
 
 
 class TestAssembleOptimistic:
@@ -322,7 +353,7 @@ class TestDataControlStep:
         u, diag = datacontrol_step(kb, x_start, cost, sysu.U, sysu.X, 0.1)
         assert calls == [(2, 2)]
         # the step's QP is the one the checking constructor builds
-        qp = assemble_idealistic(cost, *idealistic_coeffs(diag.aff, 0.5, 0.5))
+        qp = assemble_idealistic(cost, *idealistic_coeffs(diag.aff, 0.5, 0.5), sysu.U)
         assert diag.model_cost == BoxQP(qp.Qi, qp.qi, sysu.U, qp.pi).value(u)
 
     def test_optimistic_mode_runs(self):
@@ -388,7 +419,7 @@ class TestDataControlStep:
         from datareach.control import assemble_idealistic, idealistic_coeffs
 
         A_ide, b_ide = idealistic_coeffs(diag.aff, 0.3, 0.7)
-        qp = assemble_idealistic(cost, A_ide, b_ide)
+        qp = assemble_idealistic(cost, A_ide, b_ide, sysu.U)
         direct = 0.5 * u @ qp.Qi @ u + qp.qi @ u + qp.pi
         assert diag.model_cost == pytest.approx(direct, rel=1e-9, abs=1e-9)
         assert diag.micros > 0

@@ -10,16 +10,13 @@ from datareach.control import (
 from datareach.errors import AllOrthantsInfeasible, IterationCapExceeded
 from datareach.intervals import Box
 from datareach.qpsolve import (
-    AdaResConfig,
     BoxQP,
     QPOptions,
     _factor,
     _fixed_rows,
-    adares,
     box_project,
     oracle_boxqp,
     orthant_rows,
-    smoothness_constant,
     solve_idealistic,
     solve_optimistic,
 )
@@ -64,6 +61,15 @@ class TestBoxQPValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             BoxQP(Qi, qi, Box([-1.0, -1.0], [1.0, 1.0]))
 
+    @pytest.mark.parametrize("Qi, qi, pi", [
+        (np.eye(2), [math.nan, 0.0], 0.0),
+        (np.diag([math.inf, 1.0]), np.zeros(2), 0.0),
+        (np.eye(2), np.zeros(2), math.nan),
+    ], ids=["qi_nan", "Qi_inf", "pi_nan"])
+    def test_non_finite_data_rejected(self, Qi, qi, pi):
+        with pytest.raises(ValueError, match="^Qi, qi and pi must be finite$"):
+            BoxQP(Qi, qi, Box([-1.0, -1.0], [1.0, 1.0]), pi)
+
 
 class TestOracle:
     def test_separable_hand_case(self):
@@ -82,25 +88,25 @@ class TestOracle:
 class TestAdaRes:
     def test_interior_optimum(self):
         qp = BoxQP(np.array([[1.0]]), np.array([0.0]), Box([-1.0], [1.0]))
-        u = solve_idealistic(qp, y0=np.array([0.5]))
+        u, _ = solve_idealistic(qp, y0=np.array([0.5]))
         assert abs(u[0]) <= 1e-4  # eps-optimal in objective => |u| <= sqrt(2 eps)
         assert qp.value(u) <= EPS
 
     def test_active_bound(self):
         qp = BoxQP(np.array([[1.0]]), np.array([-2.0]), Box([-1.0], [1.0]))
-        u = solve_idealistic(qp)
+        u, _ = solve_idealistic(qp)
         assert u[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_linear_sign_rule(self):
         qp = BoxQP(np.zeros((2, 2)), np.array([1.0, -1.0]), Box([-1, -1], [1, 1]))
-        u = solve_idealistic(qp)
+        u, _ = solve_idealistic(qp)
         assert u == pytest.approx([-1.0, 1.0], abs=1e-9)
 
     def test_feasibility_always(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             qp = random_boxqp(rng)
-            u = solve_idealistic(qp)
+            u, _ = solve_idealistic(qp)
             assert np.all(u >= qp.box.lo - 1e-15)
             assert np.all(u <= qp.box.hi + 1e-15)
 
@@ -109,7 +115,7 @@ class TestAdaRes:
         for _ in range(100):
             qp = random_boxqp(rng)
             _, l_star = oracle_boxqp(qp)
-            u, info = solve_idealistic(qp, QPOptions(eps=EPS), with_info=True)
+            u, info = solve_idealistic(qp, QPOptions(eps=EPS))
             assert info.converged
             assert qp.value(u) - l_star <= EPS
 
@@ -121,7 +127,7 @@ class TestAdaRes:
         for _ in range(100):
             qp = random_boxqp(rng)
             _, l_star = oracle_boxqp(qp)
-            u, info = solve_idealistic(qp, QPOptions(eps=EPS, mu0=mu0), with_info=True)
+            u, info = solve_idealistic(qp, QPOptions(eps=EPS, mu0=mu0))
             if not (info.converged and mu0 <= info.mu_estimate):
                 continue
             delta = qp.value(qp.box.mid) - l_star
@@ -137,15 +143,14 @@ class TestAdaRes:
         rng = np.random.default_rng(5)
         qp = random_boxqp(rng)
         seen = []
-        orig_val = qp.value
 
-        def spy_objective(u):
-            v = orig_val(u)
-            seen.append(v)
-            return v
+        class SpyQP(BoxQP):
+            def value(self, u):
+                v = super().value(u)
+                seen.append(v)
+                return v
 
-        cfg = AdaResConfig(EPS, 1.0, smoothness_constant(qp), qp.box.mid)
-        adares(qp.gradient, spy_objective, lambda v: box_project(v, qp.box), cfg)
+        solve_idealistic(SpyQP(qp.Qi, qp.qi, qp.box, qp.pi), QPOptions(eps=EPS))
         # objective at successive restart evaluations never increases much
         assert all(b <= a + 1e-12 for a, b in zip(seen, seen[1:]))
 
@@ -164,12 +169,17 @@ class TestAdaRes:
             scale = 1.0 + np.abs(g).max()
             assert np.allclose(g, fd, atol=1e-6 * scale, rtol=1e-6)
 
+    def test_non_positive_smoothness_rejected(self):
+        """A QP whose smoothness constant is not positive (here NaN) is
+        rejected before any iteration."""
+        qp = BoxQP._prechecked(np.full((1, 1), math.nan), np.zeros(1), Box([-1.0], [1.0]), 0.0)
+        with pytest.raises(ValueError, match="smoothness constant must be positive"):
+            solve_idealistic(qp)
+
     def test_iteration_cap_returns_best(self):
         qp = BoxQP(np.diag([100.0, 1.0]), np.array([1.0, -1.0]),
                    Box([-1, -1], [1, 1]))
-        u, info = solve_idealistic(
-            qp, QPOptions(eps=1e-14, max_total_iters=8), with_info=True
-        )
+        u, info = solve_idealistic(qp, QPOptions(eps=1e-14, max_total_iters=8))
         assert not info.converged
         assert np.all(u >= qp.box.lo) and np.all(u <= qp.box.hi)
 
@@ -247,10 +257,9 @@ class TestOptimistic:
         aff = AffineOverApprox(B, Amat, Amat, 0.0, 0.1)
         U = Box([-1.0, -1.0], [1.0, 1.0])
         X = Box([-50.0, -50.0], [50.0, 50.0])
-        u_o, x_o, c_o = solve_optimistic(assemble_optimistic(cost, aff, U, X))
+        u_o, x_o, c_o, _ = solve_optimistic(assemble_optimistic(cost, aff, U, X))
         A_ide, b_ide = idealistic_coeffs(aff, 0.3, 0.8)  # weights moot at width 0
-        qpd = assemble_idealistic(cost, A_ide, b_ide)
-        u_i = solve_idealistic(BoxQP(qpd.Qi, qpd.qi, U, qpd.pi))
+        u_i, _ = solve_idealistic(assemble_idealistic(cost, A_ide, b_ide, U))
         assert c_o == pytest.approx(cost.value(u_i, b_ide + A_ide @ u_i), abs=1e-6)
         assert np.allclose(u_o, u_i, atol=1e-4)
 
@@ -284,7 +293,7 @@ class TestOptimistic:
             X = Box(np.full(n, -20.0), np.full(n, 20.0))
             aff = AffineOverApprox(B, Ap, Am, 0.0, 0.1)
             try:
-                _, _, c_o = solve_optimistic(assemble_optimistic(cost, aff, U, X))
+                _, _, c_o, _ = solve_optimistic(assemble_optimistic(cost, aff, U, X))
             except AllOrthantsInfeasible:
                 continue
             assert abs(c_o - grid_oracle(cost, aff, U, X)) <= 1e-4
@@ -305,7 +314,7 @@ class TestOptimistic:
             cost, aff, U, X = random_orthant_problem(rng, same_models=k % 3 == 0)
             oqp = assemble_optimistic(cost, aff, U, X)
             try:
-                u, x, val, info = solve_optimistic(oqp, with_info=True)
+                u, x, val, info = solve_optimistic(oqp)
             except AllOrthantsInfeasible:
                 continue
             A, b = orthant_constraints(oqp.orthants[info.orthant], aff.B, X)
@@ -345,10 +354,8 @@ class TestOptimistic:
         assert neg.Ubox.hi[0] == 0.0 and pos.Ubox.lo[0] == 0.0
         with pytest.raises(AllOrthantsInfeasible):
             solve_optimistic(replace(oqp, orthants=(neg,)))
-        _, _, _, feasible_only = solve_optimistic(
-            replace(oqp, orthants=(pos,)), with_info=True
-        )
-        _, _, _, info = solve_optimistic(oqp, with_info=True)
+        _, _, _, feasible_only = solve_optimistic(replace(oqp, orthants=(pos,)))
+        _, _, _, info = solve_optimistic(oqp)
         assert info.feasible_orthants == 1 and info.orthant == 1
         infeasible_iters = info.iters - feasible_only.iters
         assert infeasible_iters > feasible_only.iters
@@ -372,7 +379,7 @@ class TestOptimistic:
         cost, aff, _, X = random_orthant_problem(rng, same_models=False)
         U = Box(np.zeros(cost.m), np.full(cost.m, 2.0))  # one orthant
         oqp = assemble_optimistic(cost, aff, U, X)
-        _, _, _, info = solve_optimistic(oqp, with_info=True)
+        _, _, _, info = solve_optimistic(oqp)
         assert info.iters > 1
         with pytest.raises(IterationCapExceeded):
             solve_optimistic(oqp, QPOptions(max_total_iters=1))
@@ -423,7 +430,7 @@ def kkt_problems():
 
 def solve_or_none(oqp, **kwargs):
     try:
-        return solve_optimistic(oqp, with_info=True, **kwargs)
+        return solve_optimistic(oqp, **kwargs)
     except AllOrthantsInfeasible:
         return None
 
@@ -491,15 +498,15 @@ class TestWarmStart:
         """Re-solving from a solve's own active sets repeats it without an
         iteration on any feasible orthant (an infeasible one has no start)."""
         for oqp in kkt_problems():
-            cold = solve_optimistic(oqp, with_info=True)
+            cold = solve_optimistic(oqp)
             info0 = cold[3]
-            warm = solve_optimistic(oqp, with_info=True, start=info0.active_sets)
+            warm = solve_optimistic(oqp, start=info0.active_sets)
             assert_same_solution(warm, cold, 1e-12)
             assert warm[3].active_sets == info0.active_sets
             feasible = [j for j, s in enumerate(info0.active_sets) if s is not None]
             _, _, _, info = solve_optimistic(
                 replace(oqp, orthants=tuple(oqp.orthants[j] for j in feasible)),
-                with_info=True, start=tuple(info0.active_sets[j] for j in feasible),
+                start=tuple(info0.active_sets[j] for j in feasible),
             )
             assert info.iters == 0
 
@@ -524,7 +531,7 @@ class TestWarmStart:
         """Duplicate rows, more than p rows, dependent rows and rows whose
         multipliers are negative at equality all reach the cold solution."""
         for oqp in kkt_problems()[:40]:
-            cold = solve_optimistic(oqp, with_info=True)
+            cold = solve_optimistic(oqp)
             sets = cold[3].active_sets
             nrows = 6 * oqp.cost.n + 2 * oqp.cost.m
             p = oqp.cost.n + oqp.cost.m
@@ -547,17 +554,17 @@ class TestWarmStart:
                 slack.append(tuple(int(k) for k in np.flatnonzero(A @ y0 - b < -1e-6)))
             starts["negative_multipliers"] = tuple(slack)
             for name, start in starts.items():
-                warm = solve_optimistic(oqp, with_info=True, start=start)
+                warm = solve_optimistic(oqp, start=start)
                 assert_same_solution(warm, cold, 1e-10)
 
     def test_out_of_range_and_wrong_length_starts_are_ignored(self):
         for oqp in kkt_problems()[:30]:
-            cold = solve_optimistic(oqp, with_info=True)
+            cold = solve_optimistic(oqp)
             k = len(oqp.orthants)
             nrows = 6 * oqp.cost.n + 2 * oqp.cost.m
             for start in (cold[3].active_sets + ((0,),), cold[3].active_sets[:-1],
                           (), ((nrows,),) * k, ((-1, 0),) * k, (None,) * k):
-                assert_identical(solve_optimistic(oqp, with_info=True, start=start), cold)
+                assert_identical(solve_optimistic(oqp, start=start), cold)
 
     @pytest.mark.parametrize("change", ["U", "X", "sigma", "U and X"])
     def test_kept_cost_solves_as_a_fresh_one(self, change):
@@ -597,16 +604,16 @@ class TestWarmStart:
             oqp = kkt_problems()[0]
         else:
             oqp = feasible_minimizer_problem()
-        first = solve_optimistic(oqp, with_info=True)
+        first = solve_optimistic(oqp)
         kept = copy_solve(first)
         u, x, _, info = first
         {"u": u, "x": x, "multipliers": info.multipliers}[name][:] = 2.0
-        assert_identical(solve_optimistic(oqp, with_info=True), kept)
+        assert_identical(solve_optimistic(oqp), kept)
 
     def test_kept_arrays_are_read_only(self):
         oqp = kkt_problems()[0]
         cost = oqp.cost
-        u, x, _, info = solve_optimistic(oqp, with_info=True)
+        u, x, _, info = solve_optimistic(oqp)
         fac = _factor(cost, 1e-6)
         assert fac is _factor(cost, 1e-6)
         terms = cost._terms
@@ -635,14 +642,14 @@ class TestWarmStart:
         cost, aff, _, X = random_orthant_problem(rng, same_models=False)
         U = Box(np.zeros(cost.m), np.full(cost.m, 2.0))  # one orthant
         oqp = assemble_optimistic(cost, aff, U, X)
-        cold = solve_optimistic(oqp, with_info=True)
+        cold = solve_optimistic(oqp)
         p = cost.n + cost.m
         M = np.block([[cost.R, cost.S.T], [cost.S, cost.Q]])
         y0 = np.linalg.solve(2.0 * M + 1e-6 * np.eye(p), -np.concatenate([cost.r, cost.q]))
         A, b = unit_rows(oqp, 0)
         k = int(np.argmin(A @ y0 - b))
         assert A[k] @ y0 - b[k] < 0.0  # negative multiplier at equality
-        warm = solve_optimistic(oqp, with_info=True, start=((k,),))
+        warm = solve_optimistic(oqp, start=((k,),))
         assert warm[3].iters == cold[3].iters + 1
         assert np.array_equal(warm[0], cold[0]) and np.array_equal(warm[1], cold[1])
         with pytest.raises(IterationCapExceeded):

@@ -153,11 +153,15 @@ class TestReachSteps:
         assert tube0.failure is None and tube1.failure is None
         assert np.all(tube0.terminal_width() >= tube1.terminal_width())
 
-    def test_piecewise_derivative_bound_only_inside_a_piece(self):
-        ctrl = PiecewiseConstantControl([[0.0], [2.0]], dt=0.5)
-        for t0, t1 in ((0.1, 0.4), (0.25, 0.5), (0.5, 0.75), (0.75, 3.0), (0.3, 0.3)):
-            assert ctrl.eval_deriv_range(t0, t1).mag.max() == 0.0
-        assert ctrl.eval_deriv_range(0.25, 0.75) is None
+    @pytest.mark.parametrize("dt", [0.5, 1.0, 2.0, 10.0])
+    def test_piecewise_derivative_bound_only_inside_a_piece(self, dt):
+        """A step that ends or starts on a switch lies in one piece, for
+        pieces shorter and longer than 1 s; step times are in pieces."""
+        ctrl = PiecewiseConstantControl([[0.0], [2.0]], dt=dt)
+        for t0, t1 in ((0.2, 0.8), (0.5, 1.0), (1.0, 1.5), (1.5, 6.0), (0.6, 0.6)):
+            assert ctrl.eval_deriv_range(t0 * dt, t1 * dt).mag.max() == 0.0
+            assert ctrl.eval_range(t0 * dt, t1 * dt).width.max() == 0.0
+        assert ctrl.eval_deriv_range(0.5 * dt, 1.5 * dt) is None
 
     def test_step_too_large(self, unicycle_fig_setup):
         sysu, _, kb, x_start = unicycle_fig_setup
@@ -192,6 +196,10 @@ class TestDataReachTube:
         for x in (x_start[:2], np.append(x_start, 0.0)):
             with pytest.raises(ValueError, match="^x_start must have 3 entries"):
                 datareach(kb, x, ctrl, 0.02, 5)
+        widths = r"^control family gives controls of shape \(\d,\), the knowledge base needs \(2,\)$"
+        for bad in (ConstantControl([1.0]), PiecewiseConstantControl(np.ones((2, 3)), 0.5)):
+            with pytest.raises(ValueError, match=widths):
+                datareach(kb, x_start, bad, 0.02, 5)
 
     @pytest.mark.parametrize("period", [0.05, 0.03])
     def test_piecewise_switches_contained(self, unicycle_fig_setup, period):

@@ -1,6 +1,7 @@
-"""The README's library quick tour runs as written, and its command list
-names the subcommands the CLI accepts."""
+"""The README's library quick tour runs as written, and its command list,
+configuration example and module table name what the library has."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -45,3 +46,15 @@ def test_config_example_keys_match_cli():
     assert set(example["control"]) == cli._CONTROL_KEYS
     assert set(example["benchmark"]) == cli._BENCH_KEYS
     assert set(example["reach"]["control"]) == cli._FAMILY_KEYS["const_cos"]
+
+
+def test_module_table_names_exist():
+    """Every backticked identifier in a row of the "Modules" table is an
+    attribute of that row's module, so a deleted name cannot linger there."""
+    section = README.read_text().split("\nModules:\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(datareach\.\w+)` *\| (.*) \|$", section, flags=re.M)
+    assert len(rows) == 8
+    for module, contents in rows:
+        mod = importlib.import_module(module)
+        for name in re.findall(r"`([A-Za-z_]\w*)`", contents):
+            assert hasattr(mod, name), f"{module} has no {name}"

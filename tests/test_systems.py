@@ -347,7 +347,7 @@ class TestClosedLoop:
         runs = []
         for k in range(2):
             if k:
-                solve_optimistic(unrelated, with_info=True)
+                solve_optimistic(unrelated)
             runs.append(run_closed_loop(sysu, unicycle_experiment(mode="optimistic",
                                                                    max_steps=8)))
         r1, r2 = runs
@@ -376,7 +376,7 @@ class TestClosedLoop:
         ("substeps", 0), ("substeps", -3), ("substeps", 2.5), ("M", 0.0), ("M", -1.0),
         ("weights", (0.5,)), ("weights", (0.2, 0.3, 0.9)), ("weights", ()),
         ("weights", 0.5), ("weights", (0.5, "half")), ("weights", (0.5, 1.5)),
-        ("refresh_every", 1.5), ("refresh_every", 0), ("init_len", 2.5),
+        ("init_len", 2.5),
         ("max_steps", 2.5), ("max_steps", math.inf), ("seed", 1.5), ("seed", math.nan),
         ("max_steps", True), ("init_len", True), ("seed", False),
     ])
@@ -388,16 +388,16 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match=f"^{key} must"):
             run_closed_loop(unicycle(), cfg)
 
-    def test_refresh_every_validated_before_excitation(self, monkeypatch):
+    def test_substeps_validated_before_excitation(self, monkeypatch):
         import datareach.systems as systems
 
         def no_excite(*args, **kwargs):
-            raise AssertionError("excited before validating refresh_every")
+            raise AssertionError("excited before validating substeps")
 
         monkeypatch.setattr(systems, "excite", no_excite)
         cfg = unicycle_experiment()
-        cfg.refresh_every = 0
-        with pytest.raises(ValueError, match="refresh_every"):
+        cfg.substeps = 0
+        with pytest.raises(ValueError, match="substeps"):
             run_closed_loop(unicycle(), cfg)
 
     def test_record_reach_boxes_contain_next_state(self):
