@@ -305,10 +305,6 @@ class StepDiagnostics:
     iters: int
     micros: float
     mode_used: str
-    mu_estimate: Optional[float]
-    wplus: float
-    wminus: float
-    sigma_effect: float
     converged: bool
     fell_back: bool
     aff: AffineOverApprox
@@ -361,8 +357,7 @@ def datacontrol_step(
         else:
             micros = (time.perf_counter() - started) * 1e6
             diag = StepDiagnostics(
-                bound, val, None, info.iters, micros, "optimistic", None,
-                wplus, wminus, info.sigma_effect,
+                bound, val, None, info.iters, micros, "optimistic",
                 info.kkt_residual <= opts.eps, False, aff, info.kkt_residual,
                 info.active_sets,
             )
@@ -373,7 +368,7 @@ def datacontrol_step(
     micros = (time.perf_counter() - started) * 1e6
     diag = StepDiagnostics(
         bound, qp.value(u_hat), None, info.iters, micros,
-        "idealistic(fallback)" if fell_back else "idealistic", info.mu_estimate,
-        wplus, wminus, 0.0, info.converged, fell_back, aff,
+        "idealistic(fallback)" if fell_back else "idealistic",
+        info.converged, fell_back, aff,
     )
     return u_hat, diag

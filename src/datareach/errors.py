@@ -1,4 +1,6 @@
-"""Exception hierarchy and the integer-setting check shared across the library."""
+"""Exception hierarchy and the setting checks shared across the library."""
+
+import math
 
 
 class DataReachError(Exception):
@@ -69,3 +71,15 @@ def check_count(key: str, value, least) -> int:
     if value < least:
         raise ValueError(f"{key} must be >= {least}")
     return int(value)
+
+
+def check_positive(key: str, value) -> float:
+    """Return `value` as a float; raise ValueError unless it is a positive,
+    finite number (of any numeric type other than bool)."""
+    try:
+        ok = not isinstance(value, bool) and 0.0 < float(value) < math.inf
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{key} must be positive and finite, not {value!r}")
+    return float(value)

@@ -14,7 +14,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import EmptyIntersection, InconsistentSample
+from .errors import EmptyIntersection, InconsistentSample, check_count, check_positive
 from .intervals import (
     Box, Interval, add_pairs, check_shape, meet_arrays, scale_pair, settle_arrays,
 )
@@ -163,12 +163,12 @@ class _Groups:
     """Distinct dependency masks of the f rows and G entries.
 
     Distances from a query to the entry states are computed once per mask.
-    The columns of a stacked row are the n f components, then the n m G
-    entries in row-major order; ``col_group`` picks each column's mask and
-    ``col_L`` is its Lipschitz constant.  The instance also holds the
-    Jacobian bands, built on first use; like the masks they depend only on
-    the bounds and the side information, so the bases derived from one
-    another share them.
+    The stacked components are the n f components, then the n m G entries
+    in row-major order; ``col_group`` picks each component's mask and
+    ``col_L`` (one row per component) is its Lipschitz constant.  The
+    instance also holds the Jacobian bands, built on first use; like the
+    masks they depend only on the bounds and the side information, so the
+    bases derived from one another share them.
     """
 
     def __init__(self, lip: LipschitzBounds, side: SideInfoSet):
@@ -189,16 +189,22 @@ class _Groups:
             [mask_id(f_masks[k]) for k in range(n)]
             + [mask_id(g_masks[k, l]) for k in range(n) for l in range(m)]
         )
-        self.col_L = np.concatenate((lip.L_f, lip.L_G.ravel()))
+        self.col_L = np.concatenate((lip.L_f, lip.L_G.ravel()))[:, None]
         # each group's mask, or a slice where it selects one contiguous run
         # of states: a view with the same elements in the same order
         self.picks = [_as_slice(mask) for _, mask in sorted(masks.values())]
 
     def dists(self, offsets):
-        """Per-group Euclidean norms of the offsets (..., n) -> (..., ngroups)."""
-        out = np.empty(offsets.shape[:-1] + (len(self.picks),))
+        """Per-group Euclidean norms of the offsets (..., n, N) -> (..., ngroups, N).
+
+        Squares the offsets in place.  Each norm sums its states in order
+        along the state axis, as a sum over a contiguous row of the states
+        would, so the distances do not depend on the layout.
+        """
+        sq = np.square(offsets, out=offsets)
+        out = np.empty(sq.shape[:-2] + (len(self.picks), sq.shape[-1]))
         for g, pick in enumerate(self.picks):
-            np.sqrt((offsets[..., pick] ** 2).sum(axis=-1), out=out[..., g])
+            np.sqrt(sq[..., pick, :].sum(axis=-2), out=out[..., g, :])
         return out
 
     def jacobian_bands(self):
@@ -267,18 +273,21 @@ class _Envelopes(NamedTuple):
 class KnowledgeBase:
     """The set of contracted enclosures defining the differential inclusion.
 
-    Stored as stacked read-only arrays, one row per entry: states ``xs``
-    (N, n) and enclosures ``c_lo``/``c_hi`` (N, n + n m), whose columns are
-    the n components of f followed by the n m entries of G in row-major
-    order, so that one array operation serves f and G.  ``cf_lo``/``cf_hi``
-    (N, n) and ``cg_lo``/``cg_hi`` (N, n, m) are read-only views of them.
-    Row 0 is the seed entry and row i + 1 the entry of sample i; ``entries``
-    presents the rows as `KnowledgeEntry` objects.  ``xdot`` (N - 1, n) and
-    ``u`` (N - 1, m) hold the derivative (residual, when partial dynamics
-    are known) and control that each sample row is contracted from, so that
-    `rebuild` needs nothing but the base.  Rows given to the constructor
-    have no sample; their ``xdot`` and ``u`` are NaN, which `rebuild`
-    rejects.
+    Stored column-major, one column per entry, in read-only arrays: the
+    states (n, N) and the enclosures' lo/hi (n + n m, N), whose rows are the
+    n components of f followed by the n m entries of G in row-major order.
+    So one array operation serves f and G, and every Lipschitz envelope
+    reduces over the entries along contiguous memory.  The public arrays
+    are read-only (N, ·) views of that storage, one row per entry: states
+    ``xs`` (N, n), enclosures ``c_lo``/``c_hi`` (N, n + n m), and their f
+    and G parts ``cf_lo``/``cf_hi`` (N, n) and ``cg_lo``/``cg_hi``
+    (N, n, m).  Entry 0 is the seed entry and entry i + 1 that of sample i;
+    ``entries`` presents them as `KnowledgeEntry` objects.  ``xdot``
+    (N - 1, n) and ``u`` (N - 1, m) hold the derivative (residual, when
+    partial dynamics are known) and control that each sample entry is
+    contracted from, so that `rebuild` needs nothing but the base.  Entries
+    given to the constructor have no sample; their ``xdot`` and ``u`` are
+    NaN, which `rebuild` rejects.
 
     ``lip`` bounds the part learned from data (the residual when partial
     dynamics are known); ``lip_total`` bounds the full system and is what
@@ -300,34 +309,32 @@ class KnowledgeBase:
         self.lip, self.lip_total = lip, lip_total
         self.side = side if side is not None else SideInfoSet()
         self._groups = _Groups(lip, self.side)
-        lo, hi = zip(*(_stacked(e.C_F, e.C_G, lip.n, lip.m) for e in entries))
-        k = len(entries) - 1
-        self._set_rows(
-            np.array([e.x for e in entries], dtype=float), np.array(lo), np.array(hi),
-            np.full((k, lip.n), np.nan), np.full((k, lip.m), np.nan),
-        )
+        n, m, N = lip.n, lip.m, len(entries)
+        cols = np.empty((n, N)), np.empty((n + n * m, N)), np.empty((n + n * m, N))
+        for i, e in enumerate(entries):
+            cols[0][:, i] = e.x
+            cols[1][:, i], cols[2][:, i] = _stacked(e.C_F, e.C_G, n, m)
+        self._set_cols(cols, np.full((N - 1, n), np.nan), np.full((N - 1, m), np.nan))
 
-    def _set_rows(self, xs, c_lo, c_hi, xdot, u, passes=0, residual=None):
-        for a in (xs, c_lo, c_hi, xdot, u):
+    def _set_cols(self, cols, xdot, u, passes=0, residual=None):
+        for a in (*cols, xdot, u):
             a.flags.writeable = False
-        self.xs, self.c_lo, self.c_hi, self.xdot, self.u = xs, c_lo, c_hi, xdot, u
+        self._cols, self.xdot, self.u = tuple(cols), xdot, u
         self.passes, self.residual = passes, residual
         self._env: Optional[_Envelopes] = None
         # (state bytes, envelope) of the last point query
         self._point: Optional[Tuple[bytes, Tuple[np.ndarray, np.ndarray]]] = None
 
-    def _rows(self):
-        return self.xs, self.c_lo, self.c_hi
-
-    def _with_rows(self, rows, inputs=None, passes=0, residual=None) -> "KnowledgeBase":
+    def _with_cols(self, cols, inputs=None, passes=0, residual=None) -> "KnowledgeBase":
         """A base with this one's bounds and side information and the given
-        rows; ``inputs`` are the (xdot, u) of its sample rows, this base's by
-        default."""
+        stored (n, N), (n + n m, N), (n + n m, N) arrays, one column per
+        entry; ``inputs`` are the (xdot, u) of its sample entries, this
+        base's by default."""
         kb = object.__new__(KnowledgeBase)
         kb.lip, kb.lip_total, kb.side, kb._groups = (
             self.lip, self.lip_total, self.side, self._groups
         )
-        kb._set_rows(*rows, *(inputs or (self.xdot, self.u)), passes=passes, residual=residual)
+        kb._set_cols(cols, *(inputs or (self.xdot, self.u)), passes=passes, residual=residual)
         return kb
 
     @property
@@ -338,6 +345,9 @@ class KnowledgeBase:
     def m(self) -> int:
         return self.lip.m
 
+    xs = property(lambda self: self._cols[0].T)
+    c_lo = property(lambda self: self._cols[1].T)
+    c_hi = property(lambda self: self._cols[2].T)
     cf_lo = property(lambda self: _split(self.c_lo, self.n)[0])
     cf_hi = property(lambda self: _split(self.c_hi, self.n)[0])
     cg_lo = property(lambda self: _split(self.c_lo, self.n)[1])
@@ -348,12 +358,15 @@ class KnowledgeBase:
         return _Entries(self)
 
     def _point_dists(self, X):
-        """Per-group distances (k, N, ngroups) from the rows of X to the entry states."""
-        return self._groups.dists(self.xs - X[:, None, :])
+        """Per-group distances (k, ngroups, N) from the rows of X to the entry states."""
+        return self._groups.dists(self._cols[0] - X[:, :, None])
 
-    def _box_dists(self, X: Box):
-        """Per-group upper bounds (1, N, ngroups) of |y - x_i| over all y in the box X."""
-        far = np.maximum(np.abs(X.lo - self.xs), np.abs(X.hi - self.xs))
+    def _box_dists(self, X: Box, point: bool):
+        """Per-group upper bounds (1, ngroups, N) of |y - x_i| over all y in
+        the box X; for a ``point`` box (lo = hi) that is |x - x_i|."""
+        far = np.abs(X.lo[:, None] - self._cols[0])
+        if not point:
+            np.maximum(far, np.abs(X.hi[:, None] - self._cols[0]), out=far)
         return self._groups.dists(far[None])
 
 
@@ -520,9 +533,15 @@ def contract_fg(s: Sample, F: Box, G: Box) -> Tuple[Box, Box]:
 
 def _unknown(kb: KnowledgeBase, dists) -> Tuple[np.ndarray, np.ndarray]:
     """Lipschitz envelope lo/hi (k, n + n m) of the learned f and G, from
-    distances (k, N, ngroups)."""
-    slack = kb._groups.col_L * dists[..., kb._groups.col_group]    # (k, N, n + n m)
-    return (kb.c_lo - slack).max(axis=-2), (kb.c_hi + slack).min(axis=-2)
+    distances (k, ngroups, N): a max / min over the entries along the
+    contiguous last axis."""
+    groups = kb._groups
+    # (k, n + n m, N), C-ordered; fancy indexing would lay the components outermost
+    slack = np.take(dists, groups.col_group, axis=1)
+    slack *= groups.col_L
+    _, c_lo, c_hi = kb._cols
+    lo = (c_lo - slack).max(axis=-1)
+    return lo, np.add(c_hi, slack, out=slack).min(axis=-1)
 
 
 def _box_query(kb: KnowledgeBase, X: Box, parts: str = "fG"):
@@ -537,8 +556,9 @@ def _box_query(kb: KnowledgeBase, X: Box, parts: str = "fG"):
     `append_sample` at that state.
     """
     n, m = kb.n, kb.m
-    env = _unknown(kb, kb._box_dists(X))
-    if (X.lo == X.hi).all():
+    point = bool((X.lo == X.hi).all())
+    env = _unknown(kb, kb._box_dists(X, point))
+    if point:
         for a in env:
             a.flags.writeable = False
         kb._point = (X.lo.tobytes(), env)
@@ -644,14 +664,18 @@ def _settled_rows(kb: KnowledgeBase, env, X):
     return lo, hi, stages
 
 
-def _contract_rows(kb: KnowledgeBase, env, X, XDOT, U, index):
+def _nan_rows(X, XDOT, U):
+    """Whether each sample row of X, XDOT, U holds a NaN."""
+    return np.isnan(np.concatenate((X, XDOT, U), axis=1)).any(axis=1)
+
+
+def _contract_rows(kb: KnowledgeBase, env, X, XDOT, U, index, nan):
     """Settle, bound and contract the rows of X, XDOT, U given their envelopes.
 
-    ``index`` maps each row to its sample index.  Returns the new stacked
-    lo/hi rows; on failure raises what a per-sample loop would raise first,
-    for the lowest failing sample.
+    ``index`` maps each row to its sample index and ``nan`` is its
+    `_nan_rows`.  Returns the new stacked lo/hi rows; on failure raises
+    what a per-sample loop would raise first, for the lowest failing sample.
     """
-    nan = np.isnan(np.concatenate((X, XDOT, U), axis=1)).any(axis=1)
     lo, hi, q_stages = _settled_rows(kb, env, X)
     *new, c_stages = _contract(XDOT, U, lo, hi)
     failure = _first_failure([(nan[:, None], "nan")] + q_stages + c_stages)
@@ -708,7 +732,11 @@ def build_knowledge(
     domain for the result to be sound when no range bounds are supplied.
     The returned base records the number of invariance passes and the
     residual of the last one, and keeps each row's envelope for `rebuild`.
+    ``M`` and ``fixpoint_tol`` must be positive and finite, and
+    ``max_fixpoint_iters`` a whole number of at least 1.
     """
+    M = check_positive("M", M)
+    tol, iters = _invariance_settings(fixpoint_tol, max_fixpoint_iters)
     side = side or SideInfoSet()
     pd = side.partial_dynamics
     qlip = pd.lip if pd is not None else lip
@@ -727,7 +755,13 @@ def build_knowledge(
     )
     for i in range(X.shape[0]):
         kb = _append(kb, X[i : i + 1], XDOT[i : i + 1], U[i : i + 1], i)
-    return _iterate_to_invariance(kb, fixpoint_tol, max_fixpoint_iters)
+    return _iterate_to_invariance(kb, tol, iters)
+
+
+def _invariance_settings(fixpoint_tol, max_fixpoint_iters):
+    """The checked (tolerance, pass cap) of an invariance run."""
+    return (check_positive("fixpoint_tol", fixpoint_tol),
+            check_count("max_fixpoint_iters", max_fixpoint_iters, 1))
 
 
 def _append(kb: KnowledgeBase, X, XDOT, U, first) -> KnowledgeBase:
@@ -736,9 +770,13 @@ def _append(kb: KnowledgeBase, X, XDOT, U, first) -> KnowledgeBase:
         env = point[1]
     else:
         env = _envelopes(kb, X)
-    new = _contract_rows(kb, env, X, XDOT, U, range(first, first + X.shape[0]))
-    out = kb._with_rows(
-        [np.concatenate((a, r)) for a, r in zip(kb._rows(), [X] + new)],
+    new = _contract_rows(
+        kb, env, X, XDOT, U, range(first, first + X.shape[0]), _nan_rows(X, XDOT, U)
+    )
+    # the stored columns stay C-ordered however numpy lays out the join
+    out = kb._with_cols(
+        [np.ascontiguousarray(np.concatenate((a, r.T), axis=1))
+         for a, r in zip(kb._cols, [X] + new)],
         (np.concatenate((kb.xdot, XDOT)), np.concatenate((kb.u, U))),
     )
     cache = kb._env
@@ -781,24 +819,29 @@ def _iterate_to_invariance(kb, tol, max_iters) -> KnowledgeBase:
     """
     X, XDOT, U = kb.xs[1:], kb.xdot, kb.u
     k = X.shape[0]
+    # the samples do not change between passes, nor does which hold a NaN
+    nan = _nan_rows(X, XDOT, U)
     cache = kb._env
     for passes in range(1, max_iters + 1):
-        old = [a[1:] for a in kb._rows()[1:]]
+        old = [a[1:] for a in (kb.c_lo, kb.c_hi)]
         if cache is None or np.count_nonzero(cache.dirty) > _DELTA_SHARE * (k + 1):
             env = _envelopes(kb, X)
             rows = None
-            new = _contract_rows(kb, env, X, XDOT, U, range(k))
+            new = _contract_rows(kb, env, X, XDOT, U, range(k), nan)
         else:
             env = cache.rows
             moved = np.zeros(k, bool)
             changed = np.flatnonzero(cache.dirty)
             if changed.size:
-                lo, hi = _envelopes(kb._with_rows([a[changed] for a in kb._rows()]), X)
+                # np.take returns C-ordered columns, where a[:, changed] would not
+                lo, hi = _envelopes(
+                    kb._with_cols([np.take(a, changed, axis=1) for a in kb._cols]), X
+                )
                 moved = (lo > env[0]).any(axis=1) | (hi < env[1]).any(axis=1)
                 env = (np.maximum(env[0], lo), np.minimum(env[1], hi))
             rows = np.flatnonzero(moved)
             new = _contract_rows(
-                kb, [e[rows] for e in env], X[rows], XDOT[rows], U[rows], rows
+                kb, [e[rows] for e in env], X[rows], XDOT[rows], U[rows], rows, nan[rows]
             )
             old = [a[rows] for a in old]
 
@@ -808,17 +851,14 @@ def _iterate_to_invariance(kb, tol, max_iters) -> KnowledgeBase:
         change = np.abs(diff).max(axis=1, initial=0.0)
         residual = float(change.max(initial=0.0))
         dirty = np.zeros(k + 1, bool)
-        if rows is None:
-            arrays = [kb.xs] + [np.concatenate((a[:1], r)) for a, r in zip(kb._rows()[1:], new)]
-            dirty[1:] = change > 0.0
-        else:
-            arrays = [kb.xs]
-            for a, r in zip(kb._rows()[1:], new):
-                a = a.copy()
-                a[rows + 1] = r
-                arrays.append(a)
-            dirty[rows[change > 0.0] + 1] = True
-        kb = kb._with_rows(arrays, passes=passes, residual=residual)
+        at = slice(1, None) if rows is None else rows + 1
+        cols = [kb._cols[0]]
+        for a, r in zip(kb._cols[1:], new):
+            a = a.copy()
+            a[:, at] = r.T
+            cols.append(a)
+        dirty[at] = change > 0.0
+        kb = kb._with_cols(cols, passes=passes, residual=residual)
         # keep the envelopes only for a delta pass that can use them: not when
         # the next pass recomputes every row anyway, or when an entry moved
         # outward, which makes the fold inexact
@@ -854,9 +894,9 @@ def rebuild(kb, fixpoint_tol=1e-9, max_fixpoint_iters=50) -> KnowledgeBase:
     the entries appended or changed since and re-contracts only the rows
     whose envelope moved.  The result equals a full Jacobi re-run bit for
     bit, and records the pass count and final residual, as
-    `build_knowledge` does.
+    `build_knowledge` does, which checks the same settings.
     """
-    return _iterate_to_invariance(kb, fixpoint_tol, max_fixpoint_iters)
+    return _iterate_to_invariance(kb, *_invariance_settings(fixpoint_tol, max_fixpoint_iters))
 
 
 # ---------------------------------------------------------------------------

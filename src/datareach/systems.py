@@ -10,7 +10,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .control import MODES, QuadraticCost, datacontrol_step, norm_cost, setpoint_cost
-from .errors import DataReachError, StepTooLarge, check_count
+from .errors import DataReachError, StepTooLarge, check_count, check_positive
 from .intervals import Box, imat_vec, meet, real_mat_iv
 from .knowledge import (
     Decoupling,
@@ -471,8 +471,7 @@ def check_experiment(sys: SystemSpec, cfg: ExperimentConfig) -> QPOptions:
         raise ValueError("dt must be positive")
     for key, least in (("init_len", 1), ("max_steps", 0), ("seed", 0), ("substeps", 1)):
         check_count(key, getattr(cfg, key), least)
-    if not cfg.M > 0.0:
-        raise ValueError("M must be positive")
+    check_positive("M", cfg.M)
     opts = QPOptions(eps=cfg.eps, mu0=cfg.mu0)
     if cfg.weights is not None:
         try:

@@ -752,7 +752,7 @@ class TestBatchedPass:
         xdot[[13, 6], 0] += 100.0
         # the same rows with corrupted stored derivatives and no cached
         # envelopes, so the first pass contracts every row
-        bad = kb._with_rows(kb._rows(), (xdot, kb.u))
+        bad = kb._with_cols(kb._cols, (xdot, kb.u))
         with pytest.raises(InconsistentSample) as err:
             rebuild(bad)
         assert err.value.sample_index == 6
@@ -933,3 +933,156 @@ class TestStackedRowsAndPointSlot:
             assert str(slot.value) == str(fresh.value) and slot.value.index == comp
         with pytest.raises(EmptyIntersection, match="^G-enclosure"):
             G_over_iv(Box([0.4], [0.6]), both)
+
+
+# ---------------------------------------------------------------------------
+# the column layout against a per-entry envelope
+# ---------------------------------------------------------------------------
+
+def _entrywise_envelope(kb, lo_x, hi_x):
+    """Pre-settle Lipschitz envelope over the box [lo_x, hi_x], one entry and
+    one component at a time in Python floats."""
+    n, m = kb.n, kb.m
+    dec = kb.side.decoupling
+    f_masks = dec.f_depends if dec is not None else np.ones((n, n), bool)
+    g_masks = dec.G_depends if dec is not None else np.ones((n, m, n), bool)
+    masks = [np.flatnonzero(f_masks[k]) for k in range(n)]
+    masks += [np.flatnonzero(g_masks[k, l]) for k in range(n) for l in range(m)]
+    L = list(kb.lip.L_f) + list(kb.lip.L_G.ravel())
+    lo, hi = [-math.inf] * len(L), [math.inf] * len(L)
+    for i in range(kb.xs.shape[0]):
+        far = [max(abs(a - x), abs(b - x)) for a, b, x in zip(lo_x, hi_x, kb.xs[i])]
+        for c, mask in enumerate(masks):
+            acc = 0.0
+            for p in mask:  # in state order, as numpy sums a short axis
+                acc += far[p] * far[p]
+            slack = L[c] * math.sqrt(acc)
+            lo[c] = max(lo[c], kb.c_lo[i, c] - slack)
+            hi[c] = min(hi[c], kb.c_hi[i, c] + slack)
+    return np.array(lo), np.array(hi)
+
+
+def _assert_bitwise(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+class TestColumnLayout:
+    """Envelopes over the column-major storage equal a per-entry loop, bit for bit."""
+
+    @staticmethod
+    def _base(name):
+        from datareach.systems import by_name, experiment_for, unicycle_knowledge_settings
+
+        if name == "aircraft":  # two mask groups, partial dynamics
+            sys_, side = by_name(name), by_name(name).side
+        else:
+            sys_, side = unicycle(), unicycle_knowledge_settings()[name]
+        cfg = experiment_for(sys_.name)
+        traj = excite(sys_, 30, seed=3, dt=cfg.dt, x0=cfg.x0)
+        kb = build_knowledge(traj[:24], sys_.lip, side, max_fixpoint_iters=5)
+        return kb, traj[24:]
+
+    BASES = ["aircraft", "lipschitz_only", "decoupled_bounds"]
+
+    @pytest.mark.parametrize("name", BASES)
+    def test_box_query_envelope(self, name, monkeypatch):
+        from datareach import knowledge
+
+        kb, rest = self._base(name)
+        seen = []
+        unknown = knowledge._unknown
+
+        def spy(kb, dists):
+            seen.append(unknown(kb, dists))
+            return seen[-1]
+
+        monkeypatch.setattr(knowledge, "_unknown", spy)
+        rng = np.random.default_rng(0)
+        for s in rest:
+            r = rng.uniform(0.0, 0.05, size=kb.n) * (1.0 + np.abs(s.x))
+            for lo_x, hi_x in ((s.x, s.x), (s.x - r, s.x + r)):
+                knowledge._box_query(kb, Box(lo_x, hi_x))
+                want = _entrywise_envelope(kb, lo_x, hi_x)
+                _assert_bitwise([a[0] for a in seen[-1]], want)
+        # the last point query left its envelope for an append at that state
+        _assert_bitwise([a[0] for a in kb._point[1]], _entrywise_envelope(kb, s.x, s.x))
+
+    @pytest.mark.parametrize("chunk_floats", [None, 1])
+    @pytest.mark.parametrize("name", BASES)
+    def test_envelopes(self, name, chunk_floats, monkeypatch):
+        from datareach import knowledge
+
+        if chunk_floats is not None:  # one row per chunk
+            monkeypatch.setattr(knowledge, "_CHUNK_FLOATS", chunk_floats)
+        kb, rest = self._base(name)
+        X = np.array([s.x for s in rest] + [e.x for e in kb.entries[1:]])
+        lo, hi = knowledge._envelopes(kb, X)
+        for r, x in enumerate(X):
+            _assert_bitwise((lo[r], hi[r]), _entrywise_envelope(kb, x, x))
+
+    @pytest.mark.parametrize("name", BASES)
+    def test_rebuild_envelopes(self, name, monkeypatch):
+        from datareach import knowledge
+
+        kb, rest = self._base(name)
+        for s in rest:
+            kb = append_sample(kb, s)
+        calls = []
+        envelopes = knowledge._envelopes
+
+        def spy(base, X):
+            calls.append((base, X, envelopes(base, X)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(knowledge, "_envelopes", spy)
+        rebuild(kb, max_fixpoint_iters=3)
+        assert calls
+        for base, X, (lo, hi) in calls:
+            for r, x in enumerate(X):
+                _assert_bitwise((lo[r], hi[r]), _entrywise_envelope(base, x, x))
+
+    @pytest.mark.parametrize("name", BASES)
+    def test_public_arrays_are_read_only_views_of_the_columns(self, name):
+        kb, rest = self._base(name)
+        kb = rebuild(append_sample(kb, rest[0]), max_fixpoint_iters=2)
+        n, m, N = kb.n, kb.m, kb.xs.shape[0]
+        x_cols, lo_cols, hi_cols = kb._cols
+        assert x_cols.shape == (n, N) and lo_cols.shape == hi_cols.shape == (n + n * m, N)
+        assert all(a.flags.c_contiguous and not a.flags.writeable for a in kb._cols)
+        views = [(kb.xs, x_cols, (N, n)), (kb.c_lo, lo_cols, (N, n + n * m)),
+                 (kb.c_hi, hi_cols, (N, n + n * m)), (kb.cf_lo, lo_cols, (N, n)),
+                 (kb.cf_hi, hi_cols, (N, n)), (kb.cg_lo, lo_cols, (N, n, m)),
+                 (kb.cg_hi, hi_cols, (N, n, m))]
+        for view, stored, shape in views:
+            assert view.shape == shape and not view.flags.writeable
+            assert np.shares_memory(view, stored)
+            with pytest.raises(ValueError):
+                view[0] = 0.0
+        assert np.array_equal(kb.xs, x_cols.T) and np.array_equal(kb.c_hi, hi_cols.T)
+        assert np.array_equal(kb.cg_lo, lo_cols[n:].T.reshape(N, n, m))
+        assert len(kb.entries) == N
+
+
+class TestKnowledgeSettings:
+    @pytest.mark.parametrize("key, value", [
+        ("M", math.inf), ("M", math.nan), ("M", 0.0), ("M", -1.0), ("M", True),
+        ("fixpoint_tol", math.nan), ("fixpoint_tol", -1.0), ("fixpoint_tol", 0.0),
+        ("fixpoint_tol", math.inf), ("max_fixpoint_iters", 2.5), ("max_fixpoint_iters", -1),
+        ("max_fixpoint_iters", 0), ("max_fixpoint_iters", True),
+    ])
+    def test_build_rejects(self, key, value):
+        sysu = unicycle()
+        traj = excite(sysu, 5, seed=1, dt=0.1)
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            build_knowledge(traj, sysu.lip, sysu.side, **{key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("fixpoint_tol", math.nan), ("fixpoint_tol", -1.0),
+        ("max_fixpoint_iters", 0), ("max_fixpoint_iters", 2.5), ("max_fixpoint_iters", True),
+    ])
+    def test_rebuild_rejects(self, key, value):
+        sysu = unicycle()
+        kb = build_knowledge(excite(sysu, 5, seed=1, dt=0.1), sysu.lip, sysu.side)
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            rebuild(kb, **{key: value})

@@ -379,6 +379,7 @@ class TestClosedLoop:
         ("init_len", 2.5),
         ("max_steps", 2.5), ("max_steps", math.inf), ("seed", 1.5), ("seed", math.nan),
         ("max_steps", True), ("init_len", True), ("seed", False),
+        ("M", math.inf), ("M", math.nan),
     ])
     def test_experiment_settings_validated(self, key, value):
         cfg = unicycle_experiment(max_steps=2)
