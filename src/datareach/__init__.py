@@ -59,6 +59,7 @@ from .reach import (
 from .control import (
     AffineOverApprox,
     QuadraticCost,
+    StepLog,
     assemble_idealistic,
     assemble_optimistic,
     datacontrol_step,
@@ -82,7 +83,6 @@ from .qpsolve import (
 from .systems import (
     ExperimentConfig,
     RunReport,
-    StepLog,
     SystemSpec,
     advance,
     aircraft,

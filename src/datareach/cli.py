@@ -57,7 +57,7 @@ def _load_config(path):
     try:
         with open(path) as fh:
             cfg = yaml.safe_load(fh) or {}
-    except OSError as exc:
+    except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
@@ -138,32 +138,35 @@ def _required(spec, key, kind):
 
 
 def _build_control_family(spec, t_ref: float, m: int):
-    """The control family of a reach.control block, for a system with m inputs."""
+    """The control family of a reach.control block, for a system with m inputs;
+    a setting the family's constructor rejects is a config error."""
     if not isinstance(spec, dict):
         raise ConfigError(f"reach.control must be a mapping, not {spec!r}")
     fam = spec.get("family", "const_cos")
     if not isinstance(fam, str) or fam not in _FAMILY_KEYS:
         raise ConfigError(f"unknown control family {fam!r}")
     _check_keys(spec, _FAMILY_KEYS[fam], f"reach.control, family {fam}")
-    if fam == "const_cos":
-        return ConstCosControl(
-            v0=_setting(spec, "v0", float, 1.0),
-            omega=_setting(spec, "omega", float, 6.0),
-            t_ref=_setting(spec, "t_ref", float, t_ref),
-            a1=_setting(spec, "a1", _interval, [0.0, 0.0]),
-            a2=_setting(spec, "a2", _interval, [0.0, 0.0]),
-        )
-    rows = fam == "piecewise"  # a list of control vectors, not one
-    key = "values" if rows else "value"
-    u = _required(spec, key, _vector)
-    if u.ndim != 1 + rows or u.shape[-1] != m:
-        what = "a list of control vectors" if rows else "a control vector"
-        raise ConfigError(f"{key} must be {what} of length {m}, not {spec[key]!r}")
-    if not rows:
-        return ConstantControl(u)
-    dt = _required(spec, "dt", float)
     try:
-        return PiecewiseConstantControl(u, dt, _setting(spec, "t0", float, 0.0))
+        if fam == "const_cos":
+            return ConstCosControl(
+                v0=_setting(spec, "v0", float, 1.0),
+                omega=_setting(spec, "omega", float, 6.0),
+                t_ref=_setting(spec, "t_ref", float, t_ref),
+                a1=_setting(spec, "a1", _interval, [0.0, 0.0]),
+                a2=_setting(spec, "a2", _interval, [0.0, 0.0]),
+            )
+        rows = fam == "piecewise"  # a list of control vectors, not one
+        key = "values" if rows else "value"
+        u = _required(spec, key, _vector)
+        if u.ndim != 1 + rows or u.shape[-1] != m:
+            what = "a list of control vectors" if rows else "a control vector"
+            raise ConfigError(f"{key} must be {what} of length {m}, not {spec[key]!r}")
+        if not np.isfinite(u).all():
+            raise ConfigError(f"{key} must be finite, not {spec[key]!r}")
+        if not rows:
+            return ConstantControl(u)
+        return PiecewiseConstantControl(u, _required(spec, "dt", float),
+                                        _setting(spec, "t0", float, 0.0))
     except ValueError as exc:
         raise ConfigError(f"control {exc}") from exc
 
@@ -244,8 +247,7 @@ def cmd_reach(args, cfg) -> int:
 
 def _apply_control_overrides(exp: ExperimentConfig, section, args):
     for key, kind in (("dt", float), ("init_len", _integer), ("max_steps", _integer),
-                      ("stop_level", float), ("eps", float), ("mu0", float),
-                      ("x0", _vector), ("record_reach", _flag)):
+                      ("stop_level", float), ("eps", float), ("mu0", float), ("x0", _vector)):
         if key in section:
             setattr(exp, key, _convert(key, section[key], kind))
     if "excitation" in section:
@@ -283,6 +285,7 @@ def cmd_control(args, cfg) -> int:
     sys_name = cfg.get("system", "unicycle")
     system = _system(sys_name)
     exp = _apply_control_overrides(experiment_for(sys_name), section, args)
+    record_reach = _setting(section, "record_reach", _flag, False)
     _check_experiment(system, exp)
 
     try:
@@ -297,7 +300,7 @@ def cmd_control(args, cfg) -> int:
     out = _outdir(args, cfg)
     dio.write_steps_csv(out / f"steps_{sys_name}.csv", report)
     dio.write_run_json(out / f"run_{sys_name}.json", report)
-    if exp.record_reach:
+    if record_reach:
         dio.write_predicted_boxes_csv(out / f"reach_{sys_name}.csv", report)
     print(
         f"{sys_name} [{exp.mode}] reached={report.reached} "

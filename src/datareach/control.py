@@ -16,16 +16,12 @@ import numpy as np
 
 from .errors import AllOrthantsInfeasible, NonConvexAssembly
 from .intervals import (
-    Box, add_pairs, check_pair, check_shape, mat_mat_pairs, mat_vec_pairs, real_mat_pairs,
-    scale_pair, tensor_vec_pairs,
+    Box, add_pairs, check_pair, check_shape, imat_vec, mat_mat_pairs, mat_vec_pairs, meet,
+    real_mat_pairs, scale_pair, tensor_vec_pairs,
 )
 from .knowledge import KnowledgeBase
 from .qpsolve import (
-    BoxQP,
-    OptimisticQP,
-    OrthantQP,
-    QPOptions,
-    solve_idealistic,
+    AdaResResult, BoxQP, OptimisticInfo, OptimisticQP, OrthantQP, QPOptions, solve_idealistic,
     solve_optimistic,
 )
 from .reach import _pair, _step_data
@@ -298,19 +294,37 @@ def subopt_bound(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class StepDiagnostics:
+class StepLog:
+    """One control step.  `datacontrol_step` fills the control `u`, its model
+    `aff`, `bound`, the relaxation's optimum `model_cost`, `mode_used`, the
+    solve's certificate `info` and `micros`; the closed loop fills the rest."""
+
+    u: np.ndarray
+    aff: AffineOverApprox
     bound: float
     model_cost: float
-    realized_cost: Optional[float]
-    iters: int
-    micros: float
     mode_used: str
-    converged: bool
-    fell_back: bool
-    aff: AffineOverApprox
-    kkt_residual: Optional[float] = None  # optimistic mode: certificate of the solve
-    # optimistic mode: `OptimisticInfo.active_sets`, the next step's `start`
-    active_sets: Optional[tuple] = None
+    info: AdaResResult | OptimisticInfo
+    micros: float
+    i: Optional[int] = None
+    t: Optional[float] = None
+    realized_cost: Optional[float] = None
+    kb_micros: float = 0.0  # this step's append_sample plus any rebuild
+
+    @property
+    def iters(self) -> int:
+        return self.info.iters
+
+    @property
+    def fell_back(self) -> bool:
+        return self.mode_used == "idealistic(fallback)"
+
+    @property
+    def predicted_box(self) -> Box:
+        """The model's box of next states under `u`: (B + A+ u) cap (B + A- u)."""
+        aff = self.aff
+        return meet(aff.B + imat_vec(aff.Aplus, self.u),
+                    aff.B + imat_vec(aff.Aminus, self.u), 1e-12)
 
 
 def datacontrol_step(
@@ -326,17 +340,15 @@ def datacontrol_step(
     wminus: float = 0.5,
     u_prev: Optional[np.ndarray] = None,
     start: Optional[tuple] = None,
-) -> Tuple[np.ndarray, StepDiagnostics]:
+) -> Tuple[np.ndarray, StepLog]:
     """Compute the control to apply over [t, t+dt] from the current state.
 
     Builds the control-affine model at the singleton {x}, then solves the
     selected convex relaxation.  `u_prev` starts the idealistic solve.  In
     optimistic mode `start` warm-starts the orthant solves (the previous
-    step's `active_sets`, see `solve_optimistic`), `converged` means the
-    KKT residual of the chosen orthant is at most `opts.eps`, and
-    `active_sets` records the solve's final active rows.  When every
+    step's `info.active_sets`, see `solve_optimistic`).  When every
     optimistic orthant is infeasible the step falls back to the idealistic
-    problem with a diagnostic flag, and `active_sets` is None.
+    problem and records `mode_used` "idealistic(fallback)".
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -346,29 +358,16 @@ def datacontrol_step(
     aff = linearize(R, kb, U, dt)
     bound = subopt_bound(cost, aff, U, X)
 
-    fell_back = False
+    mode_used = mode
     if mode == "optimistic":
         try:
-            u_hat, _, val, info = solve_optimistic(
-                assemble_optimistic(cost, aff, U, X), opts, start=start
-            )
+            u_hat, _, model_cost, info = solve_optimistic(
+                assemble_optimistic(cost, aff, U, X), opts, start=start)
         except AllOrthantsInfeasible:
-            fell_back = True
-        else:
-            micros = (time.perf_counter() - started) * 1e6
-            diag = StepDiagnostics(
-                bound, val, None, info.iters, micros, "optimistic",
-                info.kkt_residual <= opts.eps, False, aff, info.kkt_residual,
-                info.active_sets,
-            )
-            return u_hat, diag
-
-    qp = assemble_idealistic(cost, *idealistic_coeffs(aff, wplus, wminus), U)
-    u_hat, info = solve_idealistic(qp, opts, y0=u_prev)
+            mode_used = "idealistic(fallback)"
+    if mode_used != "optimistic":
+        qp = assemble_idealistic(cost, *idealistic_coeffs(aff, wplus, wminus), U)
+        u_hat, info = solve_idealistic(qp, opts, y0=u_prev)
+        model_cost = qp.value(u_hat)
     micros = (time.perf_counter() - started) * 1e6
-    diag = StepDiagnostics(
-        bound, qp.value(u_hat), None, info.iters, micros,
-        "idealistic(fallback)" if fell_back else "idealistic",
-        info.converged, fell_back, aff,
-    )
-    return u_hat, diag
+    return u_hat, StepLog(u_hat, aff, bound, model_cost, mode_used, info, micros)

@@ -41,11 +41,11 @@ def _csv_reader(path, what: str):
         yield reader, header
 
 
-def _numeric_rows(reader, what: str, path, width: int) -> np.ndarray:
+def _numeric_rows(reader, what: str, path, width: int, finite: bool = False) -> np.ndarray:
     """The remaining rows of `reader` as a (rows, width) float array.
 
-    Blank lines are skipped; a row with another number of values or a
-    non-numeric value raises ConfigError naming the file and line.
+    Blank lines are skipped; a row with another number of values, a non-numeric
+    value or, with `finite`, a non-finite one raises ConfigError naming the file and line.
     """
     rows = []
     for row in reader:
@@ -58,6 +58,8 @@ def _numeric_rows(reader, what: str, path, width: int) -> np.ndarray:
             rows.append([float(v) for v in row])
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
+        if finite and not np.isfinite(rows[-1]).all():
+            raise ConfigError(f"{where}: values must be finite, not {row}")
     return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
@@ -73,7 +75,8 @@ def read_trajectory_csv(path) -> Tuple[List[Sample], int, int]:
             raise ConfigError(f"bad trajectory header {header}; expected {expected}")
         samples = [
             Sample(rest[:n], rest[n : 2 * n], rest[2 * n : 2 * n + m], t)
-            for t, *rest in _numeric_rows(reader, "trajectory", path, len(header)).tolist()
+            for t, *rest in _numeric_rows(reader, "trajectory", path, len(header),
+                                          finite=True).tolist()
         ]
     return samples, n, m
 
@@ -148,19 +151,19 @@ def read_steps_csv(path):
 
 
 def write_predicted_boxes_csv(path, report: RunReport) -> None:
-    """Per-step predicted next-state boxes of a reach-recording run."""
-    logs = [log for log in report.logs if log.box_lo is not None]
-    n = logs[0].box_lo.shape[0] if logs else 0
+    """Each step's `StepLog.predicted_box`, the model's next-state box."""
+    boxes = [log.predicted_box for log in report.logs]
+    n = len(boxes[0]) if boxes else 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["i", "t"]
             + [f"lo_{k+1}" for k in range(n)] + [f"hi_{k+1}" for k in range(n)]
         )
-        for log in logs:
+        for log, box in zip(report.logs, boxes):
             writer.writerow(
                 [log.i, _fmt(log.t)]
-                + [_fmt(v) for v in log.box_lo] + [_fmt(v) for v in log.box_hi]
+                + [_fmt(v) for v in box.lo] + [_fmt(v) for v in box.hi]
             )
 
 

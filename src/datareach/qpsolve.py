@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import AllOrthantsInfeasible, IterationCapExceeded
+from .errors import AllOrthantsInfeasible, IterationCapExceeded, check_count, check_positive
 from .intervals import Box
 
 _L_MIN_SCALE = 1e-12
@@ -101,10 +101,9 @@ class QPOptions:
     max_total_iters: int = 500_000
 
     def __post_init__(self):
-        if not (self.eps > 0 and self.mu0 > 0):
-            raise ValueError("eps and mu0 must be positive")
-        if self.max_total_iters <= 0:
-            raise ValueError("max_total_iters must be positive")
+        check_positive("eps", self.eps)
+        check_positive("mu0", self.mu0)
+        check_count("max_total_iters", self.max_total_iters, 1)
 
 
 def box_project(v: np.ndarray, box: Box) -> np.ndarray:

@@ -136,6 +136,10 @@ class ConstCosControl(ControlClass):
         self.t_ref = float(t_ref)
         self.a1 = a1
         self.a2 = a2
+        for name, value in (("v0", self.v0), ("omega", self.omega), ("t_ref", self.t_ref),
+                            ("a1.lo", a1.lo), ("a1.hi", a1.hi), ("a2.lo", a2.lo), ("a2.hi", a2.hi)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
 
     def eval_point(self, t):
         c = math.cos(self.omega * (t - self.t_ref))

@@ -9,9 +9,9 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .control import MODES, QuadraticCost, datacontrol_step, norm_cost, setpoint_cost
+from .control import MODES, QuadraticCost, StepLog, datacontrol_step, norm_cost, setpoint_cost
 from .errors import DataReachError, StepTooLarge, check_count, check_positive
-from .intervals import Box, imat_vec, meet, real_mat_iv
+from .intervals import Box, real_mat_iv
 from .knowledge import (
     Decoupling,
     LipschitzBounds,
@@ -407,26 +407,9 @@ class ExperimentConfig:
     weights: Optional[tuple] = None  # fixed (w+, w-) override of the seeded draw
     substeps: int = 10
     M: float = 1e3
-    record_reach: bool = False
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
-
-
-@dataclass
-class StepLog:
-    i: int
-    t: float
-    u: np.ndarray
-    model_cost: float
-    realized_cost: float
-    bound: float
-    iters: int
-    micros: float
-    mode_used: str
-    box_lo: Optional[np.ndarray] = None
-    box_hi: Optional[np.ndarray] = None
-    kb_micros: float = 0.0  # this step's append_sample plus any rebuild
 
 
 @dataclass
@@ -435,29 +418,33 @@ class RunReport:
     mode: str
     seed: int
     reached: bool
-    steps_taken: int
-    steps_to_goal: Optional[int]
-    cum_cost: float
-    mean_step_micros: float
-    max_step_micros: float
+    cum_cost: float  # the loop's running sum; Python 3.12's sum() rounds differently
     final_state: np.ndarray
     logs: List[StepLog] = field(default_factory=list)
     failure: Optional[str] = None
 
+    @property
+    def steps_taken(self) -> int:
+        return len(self.logs)
+
+    @property
+    def steps_to_goal(self) -> Optional[int]:
+        return len(self.logs) if self.reached else None
+
+    @property
+    def mean_step_micros(self) -> float:
+        return float(np.mean([log.micros for log in self.logs])) if self.logs else 0.0
+
+    @property
+    def max_step_micros(self) -> float:
+        return max(log.micros for log in self.logs) if self.logs else 0.0
+
     def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "mode": self.mode,
-            "seed": self.seed,
-            "reached": self.reached,
-            "steps_taken": self.steps_taken,
-            "steps_to_goal": self.steps_to_goal,
-            "cum_cost": self.cum_cost,
-            "mean_step_micros": self.mean_step_micros,
-            "max_step_micros": self.max_step_micros,
-            "final_state": [float(v) for v in self.final_state],
-            "failure": self.failure,
-        }
+        out = {key: getattr(self, key) for key in (
+            "system", "mode", "seed", "reached", "steps_taken", "steps_to_goal", "cum_cost",
+            "mean_step_micros", "max_step_micros", "final_state", "failure")}
+        out["final_state"] = [float(v) for v in self.final_state]
+        return out
 
 
 def check_experiment(sys: SystemSpec, cfg: ExperimentConfig) -> QPOptions:
@@ -472,6 +459,8 @@ def check_experiment(sys: SystemSpec, cfg: ExperimentConfig) -> QPOptions:
     for key, least in (("init_len", 1), ("max_steps", 0), ("seed", 0), ("substeps", 1)):
         check_count(key, getattr(cfg, key), least)
     check_positive("M", cfg.M)
+    if not math.isfinite(cfg.stop_level):
+        raise ValueError(f"stop_level must be finite, not {cfg.stop_level!r}")
     opts = QPOptions(eps=cfg.eps, mu0=cfg.mu0)
     if cfg.weights is not None:
         try:
@@ -494,11 +483,12 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
     linear-cost incremental update; a full invariance refresh runs every
     `REFRESH_EVERY` steps.  Each step's solve starts where the previous
     one ended: the idealistic solve at the previous control, the optimistic
-    orthant solves from the previous step's active sets.  Each log times
-    the control step in ``micros`` and the knowledge-base update after it
-    in ``kb_micros``.  Stops once the realized one-step cost (plus the
-    constant offset) enters the stop sublevel set.  Settings are checked
-    by `check_experiment` before anything runs.
+    orthant solves from the previous step's active sets.  Each step keeps
+    the `StepLog` of `datacontrol_step`, adding its index, time, realized
+    cost and the knowledge-base update time ``kb_micros``.  Stops once the
+    realized one-step cost (plus the constant offset) enters the stop
+    sublevel set.  Settings are checked by `check_experiment` before
+    anything runs.
     """
     opts = check_experiment(sys, cfg)
     limit = max_step_size(sys.lip, sys.U)
@@ -523,7 +513,7 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
 
     for i in range(cfg.max_steps):
         try:
-            u, diag = datacontrol_step(
+            u, log = datacontrol_step(
                 kb, x, cfg.cost, sys.U, sys.X, cfg.dt, cfg.mode, opts,
                 wplus, wminus, u_prev, start,
             )
@@ -532,17 +522,8 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
             break
         x_next = advance(sys, x, u, cfg.dt, cfg.substeps)
         realized = cfg.cost.value(u, x_next) + cfg.cost_offset
-        diag.realized_cost = realized
         cum_cost += realized
-        log = StepLog(i, t, u, diag.model_cost, realized, diag.bound,
-                      diag.iters, diag.micros, diag.mode_used)
-        if cfg.record_reach:
-            pred = meet(
-                diag.aff.B + imat_vec(diag.aff.Aplus, u),
-                diag.aff.B + imat_vec(diag.aff.Aminus, u),
-                1e-12,
-            )
-            log.box_lo, log.box_hi = pred.lo, pred.hi
+        log.i, log.t, log.realized_cost = i, t, realized
         logs.append(log)
 
         new_sample = Sample(x, sys.h_true(x, u), u, t)
@@ -553,28 +534,14 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
         log.kb_micros = (time.perf_counter() - started) * 1e6
         x = x_next
         t += cfg.dt
-        u_prev, start = u, diag.active_sets
+        u_prev, start = u, log.info.active_sets if log.mode_used == "optimistic" else None
         if cfg.redraw_weights and cfg.weights is None:
             wplus, wminus = rng.uniform(0.0, 1.0, size=2)
         if realized <= cfg.stop_level:
             reached = True
             break
 
-    micros = [log.micros for log in logs]
-    return RunReport(
-        system=sys.name,
-        mode=cfg.mode,
-        seed=cfg.seed,
-        reached=reached,
-        steps_taken=len(logs),
-        steps_to_goal=len(logs) if reached else None,
-        cum_cost=cum_cost,
-        mean_step_micros=float(np.mean(micros)) if micros else 0.0,
-        max_step_micros=float(np.max(micros)) if micros else 0.0,
-        final_state=x,
-        logs=logs,
-        failure=failure,
-    )
+    return RunReport(sys.name, cfg.mode, cfg.seed, reached, cum_cost, x, logs, failure)
 
 
 def unicycle_experiment(seed: int = 4, mode: str = "idealistic",

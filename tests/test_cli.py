@@ -30,6 +30,13 @@ class TestConfigHandling:
         assert cli.main(["--config", str(tmp_path / "nope.yaml"), "reach"]) \
             == cli.EXIT_CONFIG
 
+    def test_invalid_yaml_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("reach: [1, 2\n")
+        assert cli.main(["--config", str(path), "reach"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config: ") and "line 1" in err
+
 
 class TestReachCommand:
     def test_small_tube(self, tmp_path):
@@ -143,9 +150,12 @@ class TestControlSettings:
             {"x0": [0.0, 0.0]},
             {"dt": -0.1},
             {"seed": -1},
+            {"eps": math.inf},
+            {"mu0": math.inf},
+            {"stop_level": math.nan},
         ],
         ids=["weights", "mode", "excitation", "init_len", "max_steps", "eps", "x0", "dt",
-             "seed_negative"],
+             "seed_negative", "eps_inf", "mu0_inf", "stop_level_nan"],
     )
     def test_bad_setting_rejected(self, tmp_path, setting):
         cfg = write_cfg(tmp_path, {
@@ -233,6 +243,13 @@ class TestReachSettings:
             ({"steps": True}, "steps must be an integer, not True"),
             ({"init_len": 3.7}, "init_len must be an integer, not 3.7"),
             ({"seed": 2.5}, "seed must be an integer, not 2.5"),
+            ({"control": {"omega": math.nan}}, "control omega must be finite, not nan"),
+            ({"control": {"v0": math.inf}}, "control v0 must be finite, not inf"),
+            ({"control": {"a1": [-math.inf, math.inf]}},
+             "control a1.lo must be finite, not -inf"),
+            ({"control": {"t_ref": math.inf}}, "control t_ref must be finite, not inf"),
+            ({"control": {"family": "constant", "value": [math.nan, 0]}},
+             "value must be finite, not [nan, 0]"),
         ],
         ids=["excitation", "dt_negative", "dt_zero", "steps_negative", "steps_zero",
              "init_len", "steps_text", "init_len_text", "dt_text", "seed_list", "x0_text",
@@ -241,7 +258,8 @@ class TestReachSettings:
              "a2_inverted", "family_unknown_key", "family_other_key", "control_dt_zero",
              "family_unknown", "control_not_a_mapping", "seed_negative", "x0_length",
              "side_level_list", "trajectory_int", "steps_fraction", "steps_bool",
-             "init_len_fraction", "seed_fraction"],
+             "init_len_fraction", "seed_fraction", "omega_nan", "v0_inf", "a1_infinite",
+             "t_ref_inf", "value_nan"],
     )
     def test_bad_setting_rejected(self, tmp_path, capsys, setting, message):
         out = tmp_path / "out"
@@ -503,8 +521,9 @@ class TestTrajectoryCsv:
         [
             (lambda row: row[:3] + ["abc"] + row[4:], "could not convert string to float: 'abc'"),
             (lambda row: row[:-1], "8 values, expected 9"),
+            (lambda row: row[:2] + ["nan"] + row[3:], "values must be finite"),
         ],
-        ids=["non_numeric", "short_row"],
+        ids=["non_numeric", "short_row", "non_finite"],
     )
     def test_bad_row_names_the_line(self, tmp_path, capsys, corrupt, message):
         sysu = unicycle()

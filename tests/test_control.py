@@ -373,8 +373,7 @@ class TestDataControlStep:
         _, diag = datacontrol_step(kb, x_start, norm_cost(3, 2), sysu.U, sysu.X,
                                    0.1, mode="optimistic", opts=opts)
         assert diag.mode_used == "optimistic"
-        assert diag.converged is True
-        assert diag.kkt_residual <= opts.eps
+        assert diag.info.kkt_residual <= opts.eps
 
     def test_optimistic_bound_along_unicycle_run(self):
         """|c* - model_cost| <= bound at every optimistic step of the unicycle run.
@@ -393,10 +392,11 @@ class TestDataControlStep:
                              indexing="ij")
         V, W = VV.ravel(), WW.ravel()
         steps = 0
+        opts = QPOptions()
         for _ in range(cfg.max_steps):
             u, diag = datacontrol_step(kb, x, cfg.cost, sysu.U, sysu.X, cfg.dt,
-                                       "optimistic", QPOptions())
-            assert diag.mode_used == "optimistic" and diag.converged
+                                       "optimistic", opts)
+            assert diag.mode_used == "optimistic" and diag.info.kkt_residual <= opts.eps
             nexts = batch_rk4_unicycle(np.tile(x, (V.size, 1)), V, W, cfg.dt,
                                        substeps=10)
             c_star = float((0.5 * (nexts**2).sum(axis=1)).min())

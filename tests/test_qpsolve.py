@@ -481,13 +481,17 @@ def unit_rows(oqp, j):
 
 class TestQPOptions:
     @pytest.mark.parametrize("kwargs, message", [
-        ({"max_total_iters": 0}, "max_total_iters must be positive"),
-        ({"max_total_iters": -3}, "max_total_iters must be positive"),
-        ({"eps": -1.0}, "eps and mu0 must be positive"),
-        ({"eps": 0.0}, "eps and mu0 must be positive"),
-        ({"mu0": 0.0}, "eps and mu0 must be positive"),
-        ({"eps": math.nan}, "eps and mu0 must be positive"),
-    ])
+        ({"max_total_iters": 0}, "^max_total_iters must be >= 1$"),
+        ({"max_total_iters": -3}, "^max_total_iters must be >= 1$"),
+        ({"eps": -1.0}, "^eps must be positive and finite"),
+        ({"eps": 0.0}, "^eps must be positive and finite"),
+        ({"mu0": 0.0}, "^mu0 must be positive and finite"),
+        ({"eps": math.nan}, "^eps must be positive and finite"),
+        ({"eps": math.inf}, "^eps must be positive and finite"),
+        ({"mu0": math.inf}, "^mu0 must be positive and finite"),
+        ({"max_total_iters": 2.5}, "^max_total_iters must be an integer"),
+    ], ids=["iters_zero", "iters_negative", "eps_negative", "eps_zero", "mu0_zero",
+            "eps_nan", "eps_inf", "mu0_inf", "iters_fraction"])
     def test_rejects_bad_options(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             QPOptions(**kwargs)

@@ -1,13 +1,17 @@
 """The README's library quick tour runs as written, and its command list,
 configuration example and module table name what the library has."""
 
+import dataclasses
 import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 import yaml
 
+import datareach
 from datareach import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -58,3 +62,24 @@ def test_module_table_names_exist():
         mod = importlib.import_module(module)
         for name in re.findall(r"`([A-Za-z_]\w*)`", contents):
             assert hasattr(mod, name), f"{module} has no {name}"
+
+
+def test_record_names_resolve():
+    """Every backticked `Name.attr` whose capitalized `Name` stands for a
+    class names a class of a `datareach` module, and `attr` is a dataclass
+    field, property or attribute of it, so a retired record or field cannot
+    linger in the docs."""
+    classes = {}
+    for info in pkgutil.iter_modules(datareach.__path__):
+        if info.name.startswith("_"):  # __main__ runs the command line
+            continue
+        for name, obj in vars(importlib.import_module(f"datareach.{info.name}")).items():
+            if inspect.isclass(obj) and obj.__module__.startswith("datareach."):
+                classes[name] = obj
+    refs = re.findall(r"`([A-Z]\w*)\.(\w+)", README.read_text())
+    assert refs
+    for name, attr in refs:
+        assert name in classes, f"README names {name}.{attr}, but no datareach class {name}"
+        cls = classes[name]
+        fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else ()
+        assert attr in fields or hasattr(cls, attr), f"{name} has no {attr}"

@@ -366,6 +366,28 @@ class TestClosedLoop:
         ts = [log.t for log in rep.logs]
         assert np.allclose(np.diff(ts), cfg.dt)
 
+    def test_loop_keeps_the_step_records(self, monkeypatch):
+        import datareach.systems as systems
+
+        returned = []
+        step = systems.datacontrol_step
+
+        def spy(*args, **kwargs):
+            out = step(*args, **kwargs)
+            returned.append(out[1])
+            return out
+
+        monkeypatch.setattr(systems, "datacontrol_step", spy)
+        cfg = unicycle_experiment(max_steps=4)
+        rep = run_closed_loop(unicycle(), cfg)
+        assert len(rep.logs) == 4 and all(a is b for a, b in zip(rep.logs, returned))
+        cum_cost = 0.0
+        for i, log in enumerate(rep.logs):
+            assert (log.i, log.iters, log.fell_back) == (i, log.info.iters, False)
+            assert log.t == pytest.approx((cfg.init_len + i) * cfg.dt)
+            cum_cost += log.realized_cost
+        assert rep.cum_cost == cum_cost
+
     def test_dt_validation(self):
         cfg = unicycle_experiment()
         cfg.dt = 0.2
@@ -380,6 +402,8 @@ class TestClosedLoop:
         ("max_steps", 2.5), ("max_steps", math.inf), ("seed", 1.5), ("seed", math.nan),
         ("max_steps", True), ("init_len", True), ("seed", False),
         ("M", math.inf), ("M", math.nan),
+        ("eps", math.inf), ("mu0", math.inf), ("mu0", 0.0),
+        ("stop_level", math.nan), ("stop_level", math.inf),
     ])
     def test_experiment_settings_validated(self, key, value):
         cfg = unicycle_experiment(max_steps=2)
@@ -404,20 +428,18 @@ class TestClosedLoop:
     def test_record_reach_boxes_contain_next_state(self):
         cfg = unicycle_experiment()
         cfg.max_steps = 6
-        cfg.record_reach = True
         sysu = unicycle()
         rep = run_closed_loop(sysu, cfg)
-        # replay: each recorded predicted box must contain the realized state
-        x = None
-        for log in rep.logs:
-            assert log.box_lo is not None
-        # realized next states: reconstruct by replaying the applied controls
+        assert len(rep.logs) == 6
+        # each step's predicted box must contain the realized state, which
+        # replaying the applied controls reconstructs
         samples = excite(sysu, cfg.init_len, cfg.seed, dt=cfg.dt, x0=cfg.x0,
                          mode=cfg.excitation)
         x = advance(sysu, samples[-1].x, samples[-1].u, cfg.dt)
         for log in rep.logs:
             x = advance(sysu, x, log.u, cfg.dt)
-            assert np.all(log.box_lo - 1e-9 <= x) and np.all(x <= log.box_hi + 1e-9)
+            box = log.predicted_box
+            assert np.all(box.lo - 1e-9 <= x) and np.all(x <= box.hi + 1e-9)
 
 
 OPTIMISTIC_PRESETS = [("unicycle", unicycle, None), ("quadrotor", quadrotor, None),
