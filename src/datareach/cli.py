@@ -219,6 +219,8 @@ def cmd_reach(args, cfg) -> int:
                       [-2.0, -2.5, math.pi / 2] if sys_name == "unicycle" else system.X.mid)
         if x0.shape != (system.n,):
             raise ConfigError(f"x0 must have {system.n} entries")
+        if not np.isfinite(x0).all():
+            raise ConfigError(f"x0 must be finite, not {x0.tolist()}")
         samples = excite(system, init_len, seed, dt=sample_dt, x0=x0, mode=excitation)
 
     t_ref = samples[-1].t + sample_dt if samples[-1].t is not None else init_len * sample_dt

@@ -146,8 +146,6 @@ class AffineOverApprox:
     B: Box
     Aplus: Box
     Aminus: Box
-    t: float
-    dt: float
 
 
 def linearize(
@@ -155,7 +153,6 @@ def linearize(
     kb: KnowledgeBase,
     U: Box,
     dt: float,
-    t: float = 0.0,
 ) -> AffineOverApprox:
     """Control-affine linearization of the next-step over-approximation.
 
@@ -174,7 +171,7 @@ def linearize(
                       tensor_vec_pairs(JGt, add_pairs(fS, mat_vec_pairs(GS, u))))
     GR_dt = scale_pair(GR, dt)
     A = [Box(*add_pairs(GR_dt, scale_pair(a, half_dt2))) for a in (plus, minus)]
-    return AffineOverApprox(Box(*B), *A, t, dt)
+    return AffineOverApprox(Box(*B), *A)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptyIntersection, InconsistentSample, check_count, check_positive
 from .intervals import (
-    Box, Interval, add_pairs, check_shape, meet_arrays, scale_pair, settle_arrays,
+    Box, Interval, check_shape, meet_arrays, real_mat_pairs, scale_pair, settle_arrays,
 )
 
 
@@ -119,15 +119,20 @@ Contractor = Callable[
 
 @dataclass(frozen=True)
 class PartialDynamics:
-    """Known additive part of the dynamics plus bounds for the unknown residual."""
+    """A known linear drift f_kn(x) = P x, with G_kn = 0, and bounds for the
+    unknown residual; the knowledge layer derives every enclosure of the
+    known part from P.  ``P`` must be finite and (n, n) for ``lip.n``."""
 
-    f_known: Callable[[np.ndarray], np.ndarray]
-    G_known: Callable[[np.ndarray], np.ndarray]
-    f_known_iv: Callable[[Box], Box]  # state box (n,) -> (n,)
-    G_known_iv: Callable[[Box], Box]  # -> (n, m)
-    jac_f_known_iv: Callable[[Box], Box]  # -> (n, n)
-    jac_G_known_iv: Callable[[Box], Box]  # -> (n, m, n)
+    P: np.ndarray  # (n, n)
     lip: LipschitzBounds  # bounds for the unknown residual only
+
+    def __post_init__(self):
+        P = np.array(self.P, dtype=float)
+        n = self.lip.n
+        if P.shape != (n, n) or not np.isfinite(P).all():
+            raise ValueError(f"P must be a finite ({n}, {n}) matrix; got shape {P.shape}")
+        P.flags.writeable = False
+        object.__setattr__(self, "P", P)
 
 
 @dataclass(frozen=True)
@@ -208,11 +213,8 @@ class _Groups:
         return out
 
     def jacobian_bands(self):
-        """Read-only Jacobian bands (jf_lo, jf_hi, jg_lo, jg_hi) of the learned part.
-
-        Baseline entries are L [-1, 1]; decoupling masks zero entries and
-        gradient bounds intersect them.  A contradiction raises on every call.
-        """
+        """The read-only `_jacobian_bands`, built on first use; a
+        contradiction raises on every call."""
         if self._bands is None:
             bands = _jacobian_bands(self._lip, self._side)
             for a in bands:
@@ -568,7 +570,10 @@ def _box_query(kb: KnowledgeBase, X: Box, parts: str = "fG"):
     checks = list(zip(_split(bad[0], n), "fG"))
     pd, vb = kb.side.partial_dynamics, kb.side.vf_bounds
     if pd is not None:
-        enc = add_pairs(enc, _stacked(pd.f_known_iv(X), pd.G_known_iv(X), n, m))
+        # P X exactly per component; the + 0.0 of the zero G part keeps the
+        # signed zeros of adding G_kn = 0
+        enc = tuple(np.concatenate((e[:n] + k, e[n:] + 0.0))
+                    for e, k in zip(enc, real_mat_pairs(pd.P, (X.lo, X.hi))))
     if vb is not None and vb.region.encloses(X):
         *enc, bad = meet_arrays(*enc, *_stacked(vb.f_range, vb.G_range, n, m), _MEET_TOL, _PAD)
         checks += zip(_split(bad, n), (None, None))
@@ -616,8 +621,8 @@ def _stack(samples, pd: Optional[PartialDynamics], n, m):
     XDOT = np.array([s.xdot for s in samples], dtype=float).reshape(k, n)
     U = np.array([s.u for s in samples], dtype=float).reshape(k, m)
     if pd is not None:
-        known = [pd.f_known(s.x) + pd.G_known(s.x) @ s.u for s in samples]
-        XDOT = XDOT - np.array(known, dtype=float).reshape(k, n)
+        # the + 0.0 stands for G_kn u = 0
+        XDOT = XDOT - (X @ pd.P.T + 0.0)
     return X, XDOT, U
 
 
@@ -652,10 +657,9 @@ def _settled_rows(kb: KnowledgeBase, env, X):
         rng = _stacked(vb.f_range, vb.G_range, n, kb.m)
         pd = side.partial_dynamics
         if pd is not None:
+            # the residual's ranges: those of f less P x, and G's as G_kn = 0
             known = np.zeros(lo.shape)
-            for r in np.flatnonzero(inside):
-                known[r, :n] = pd.f_known(X[r])
-                known[r, n:] = np.ravel(pd.G_known(X[r]))
+            known[:, :n] = X @ pd.P.T
             rng = (rng[0] - known, rng[1] - known)
         sel = inside[:, None]
         m_lo, m_hi, bad = meet_arrays(lo, hi, *rng, _MEET_TOL, _PAD)
@@ -704,8 +708,7 @@ def _seed_entry(side: SideInfoSet, X, n, m, M) -> KnowledgeEntry:
         x0 = vb.region.mid
         CF0, CG0 = vb.f_range, vb.G_range
         if pd is not None:
-            CF0 = CF0 - pd.f_known(x0)
-            CG0 = CG0 - pd.G_known(x0)
+            CF0 = CF0 - pd.P @ x0
     else:
         x0 = X[0]
         CF0 = Box(np.full(n, -M), np.full(n, M))
@@ -904,7 +907,9 @@ def rebuild(kb, fixpoint_tol=1e-9, max_fixpoint_iters=50) -> KnowledgeBase:
 # ---------------------------------------------------------------------------
 
 def _jacobian_bands(lip: LipschitzBounds, side: SideInfoSet):
-    """Jacobian bands (jf_lo, jf_hi, jg_lo, jg_hi) from the bounds and side information."""
+    """Jacobian bands (jf_lo, jf_hi, jg_lo, jg_hi) of f and G: L [-1, 1] for
+    the learned part, zeroed by the decoupling masks and intersected with
+    the gradient bounds, plus P for a known drift."""
     n = lip.n
     jf_hi = np.repeat(lip.L_f[:, None], n, axis=1)
     jg_hi = np.repeat(lip.L_G[:, :, None], n, axis=2)
@@ -926,30 +931,15 @@ def _jacobian_bands(lip: LipschitzBounds, side: SideInfoSet):
             jg_hi[k, l, p] = min(jg_hi[k, l, p], iv.hi)
         if np.any(jf_lo > jf_hi) or np.any(jg_lo > jg_hi):
             raise EmptyIntersection("gradient bounds contradict Lipschitz bounds")
+    pd = side.partial_dynamics
+    if pd is not None:
+        # the + 0.0 of the zero G part keeps the signed zeros of adding JG_kn = 0
+        jf_lo, jf_hi = jf_lo + pd.P, jf_hi + pd.P
+        jg_lo, jg_hi = jg_lo + 0.0, jg_hi + 0.0
     return jf_lo, jf_hi, jg_lo, jg_hi
 
 
-def _shifted(enc, known: Box):
-    """A lo/hi pair plus a Box of known dynamics of the same shape."""
-    check_shape(known, enc[0].shape)
-    return add_pairs(enc, (known.lo, known.hi))
-
-
-def _jacobian_pairs(kb: KnowledgeBase, state_box: Optional[Box] = None):
-    """Interval Jacobians (Jf, JG) of f and G over ``state_box`` as lo/hi pairs.
-
-    The learned part's bands are L [-1, 1], with decoupling masks zeroing
-    entries and gradient bounds intersecting them; known partial dynamics
-    add their Jacobian over ``state_box``, which they require.
-    """
+def _jacobian_pairs(kb: KnowledgeBase):
+    """The Jacobian bands of the base as lo/hi pairs (Jf, JG)."""
     jf_lo, jf_hi, jg_lo, jg_hi = kb._groups.jacobian_bands()
-    Jf, JG = (jf_lo, jf_hi), (jg_lo, jg_hi)
-    pd = kb.side.partial_dynamics
-    if pd is None:
-        return Jf, JG
-    if state_box is None:
-        raise ValueError("state_box is required when partial dynamics are declared")
-    return (
-        _shifted(Jf, pd.jac_f_known_iv(state_box)),
-        _shifted(JG, pd.jac_G_known_iv(state_box)),
-    )
+    return (jf_lo, jf_hi), (jg_lo, jg_hi)

@@ -81,15 +81,12 @@ class BoxQP:
 @dataclass
 class AdaResResult:
     """Certificate of `solve_idealistic`: `converged` means the residual test
-    certified eps-optimality at `y`; otherwise the iteration cap stopped the
-    solve and `y` is the best point seen."""
+    certified eps-optimality at the returned solution; otherwise the
+    iteration cap stopped the solve and the solution is the best point seen."""
 
-    y: np.ndarray
     iters: int
     mu_estimate: float
     converged: bool
-    objective: float
-    cycles: int
 
 
 @dataclass(frozen=True)
@@ -166,7 +163,6 @@ def solve_idealistic(
     iters = 1  # counts projected / accelerated steps
     best_y = y_start
     best_val = objective(y_start)
-    cycles = 0
 
     while True:
         diff = y_start - y_prev_end
@@ -197,14 +193,13 @@ def solve_idealistic(
             if restart_ok or eps_ok:
                 break
             if iters >= opts.max_total_iters:
-                return best_y, AdaResResult(best_y, iters, mu, False, best_val, cycles)
-        cycles += 1
+                return best_y, AdaResResult(iters, mu, False)
         iters += 1
         y_start, y_prev_end = y_pg, y
         if eps_ok:
-            return y_start, AdaResResult(y_start, iters, mu, True, objective(y_start), cycles)
+            return y_start, AdaResResult(iters, mu, True)
         if iters >= opts.max_total_iters:
-            return best_y, AdaResResult(best_y, iters, mu, False, best_val, cycles)
+            return best_y, AdaResResult(iters, mu, False)
         mu *= 0.5
 
 

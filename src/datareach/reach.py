@@ -212,7 +212,6 @@ class ReachStepRecord:
 
 @dataclass
 class ReachTube:
-    grid: List[float]
     steps: List[ReachStepRecord]
     dt: float
     failure: Optional[str] = None
@@ -260,7 +259,7 @@ def _step_data(R: Box, kb: KnowledgeBase, V: Box, dt: float):
     c = dt * alpha / denom
     S = Box(R.lo - c, R.hi + c)
     fS, GS = _box_query(kb, S)
-    Jf, JG = _jacobian_pairs(kb, S)
+    Jf, JG = _jacobian_pairs(kb)
     if hook is not None:
         fS, GS, Jf, JG = _hooked(hook, S, V, fS, GS, Jf, JG)
     return beta, alpha, S, fR, GR, fS, GS, Jf, JG
@@ -330,7 +329,6 @@ def datareach(
     if width != (kb.m,):
         raise ValueError(f"control family gives controls of shape {width}, "
                          f"the knowledge base needs ({kb.m},)")
-    grid = [t0]
     steps: List[ReachStepRecord] = []
     failure = None
     t = t0
@@ -343,6 +341,5 @@ def datareach(
         steps.append(rec)
         R = rec.R_next
         t += dt
-        grid.append(t)
     steps.append(ReachStepRecord(t, R, R, 0.0, 0.0, R))
-    return ReachTube(grid, steps, dt, failure)
+    return ReachTube(steps, dt, failure)

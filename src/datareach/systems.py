@@ -11,7 +11,7 @@ import numpy as np
 
 from .control import MODES, QuadraticCost, StepLog, datacontrol_step, norm_cost, setpoint_cost
 from .errors import DataReachError, StepTooLarge, check_count, check_positive
-from .intervals import Box, real_mat_iv
+from .intervals import Box
 from .knowledge import (
     Decoupling,
     LipschitzBounds,
@@ -54,28 +54,6 @@ class SystemSpec:
 
     def h_true(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return self.f_true(x) + self.G_true(x) @ u
-
-
-def _linear_partial(P: np.ndarray, m: int, residual_lip: LipschitzBounds) -> PartialDynamics:
-    """Known part f_kn(x) = P x with G_kn = 0 (exact interval extensions).
-
-    G_kn and both Jacobians do not depend on the state: each query returns
-    the same read-only arrays and `Box`es, built once.
-    """
-    n = P.shape[0]
-    zero_g = np.zeros((n, m))
-    zero_g.flags.writeable = False
-    G_box, jac_f, jac_G = Box.point(zero_g), Box.point(P), Box.point(np.zeros((n, m, n)))
-
-    return PartialDynamics(
-        f_known=lambda x: P @ x,
-        G_known=lambda x: zero_g,
-        f_known_iv=lambda X: real_mat_iv(P, X),
-        G_known_iv=lambda X: G_box,
-        jac_f_known_iv=lambda X: jac_f,
-        jac_G_known_iv=lambda X: jac_G,
-        lip=residual_lip,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +189,7 @@ def quadrotor() -> SystemSpec:
     dep_G[:, :, 4] = True
     side = SideInfoSet(
         decoupling=Decoupling(dep_f, dep_G),
-        partial_dynamics=_linear_partial(P, 2, lip_resid),
+        partial_dynamics=PartialDynamics(P, lip_resid),
     )
     return SystemSpec(
         n=6, m=2, f_true=f_true, G_true=G_true,
@@ -285,7 +263,7 @@ def aircraft() -> SystemSpec:
     dep_G[:, :, [1, 2]] = True
     side = SideInfoSet(
         decoupling=Decoupling(dep_f, dep_G),
-        partial_dynamics=_linear_partial(P, 2, lip_resid),
+        partial_dynamics=PartialDynamics(P, lip_resid),
     )
     return SystemSpec(
         n=5, m=2, f_true=f_true, G_true=G_true,
@@ -473,6 +451,8 @@ def check_experiment(sys: SystemSpec, cfg: ExperimentConfig) -> QPOptions:
             raise ValueError("weights must lie in [0, 1]")
     if cfg.x0.shape != (sys.n,):
         raise ValueError(f"x0 must have {sys.n} entries")
+    if not np.isfinite(cfg.x0).all():
+        raise ValueError(f"x0 must be finite, not {cfg.x0.tolist()}")
     return opts
 
 

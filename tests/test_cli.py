@@ -153,9 +153,11 @@ class TestControlSettings:
             {"eps": math.inf},
             {"mu0": math.inf},
             {"stop_level": math.nan},
+            {"x0": [math.nan, 0.0, 0.0]},
+            {"x0": [math.inf, 0.0, 0.0]},
         ],
         ids=["weights", "mode", "excitation", "init_len", "max_steps", "eps", "x0", "dt",
-             "seed_negative", "eps_inf", "mu0_inf", "stop_level_nan"],
+             "seed_negative", "eps_inf", "mu0_inf", "stop_level_nan", "x0_nan", "x0_inf"],
     )
     def test_bad_setting_rejected(self, tmp_path, setting):
         cfg = write_cfg(tmp_path, {
@@ -250,6 +252,7 @@ class TestReachSettings:
             ({"control": {"t_ref": math.inf}}, "control t_ref must be finite, not inf"),
             ({"control": {"family": "constant", "value": [math.nan, 0]}},
              "value must be finite, not [nan, 0]"),
+            ({"x0": [math.nan, 0.0, 0.0]}, "x0 must be finite, not [nan, 0.0, 0.0]"),
         ],
         ids=["excitation", "dt_negative", "dt_zero", "steps_negative", "steps_zero",
              "init_len", "steps_text", "init_len_text", "dt_text", "seed_list", "x0_text",
@@ -259,7 +262,7 @@ class TestReachSettings:
              "family_unknown", "control_not_a_mapping", "seed_negative", "x0_length",
              "side_level_list", "trajectory_int", "steps_fraction", "steps_bool",
              "init_len_fraction", "seed_fraction", "omega_nan", "v0_inf", "a1_infinite",
-             "t_ref_inf", "value_nan"],
+             "t_ref_inf", "value_nan", "x0_nan"],
     )
     def test_bad_setting_rejected(self, tmp_path, capsys, setting, message):
         out = tmp_path / "out"

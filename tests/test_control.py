@@ -86,7 +86,6 @@ class TestIdealisticCoeffs:
             Box(Blo, Blo + rng.uniform(0.1, 1, 2)),
             Box(Alo, Alo + rng.uniform(0.1, 1, (2, 2))),
             Box(Alo - 0.3, Alo + rng.uniform(0.1, 1, (2, 2))),
-            0.0, 0.1,
         )
 
     def test_full_weights(self):
@@ -101,7 +100,7 @@ class TestIdealisticCoeffs:
     def test_degenerate_ignores_weights(self):
         B = Box.point([1.0, -1.0])
         A = Box.point([[0.5, 0.0], [0.0, 0.25]])
-        aff = AffineOverApprox(B, A, A, 0.0, 0.1)
+        aff = AffineOverApprox(B, A, A)
         for w in ((0.0, 1.0), (0.7, 0.2)):
             A_ide, b_ide = idealistic_coeffs(aff, *w)
             assert np.allclose(A_ide, A.lo) and np.allclose(b_ide, B.lo)
@@ -179,8 +178,7 @@ class TestAssembleOptimistic:
         cost = norm_cost(1, 2)
         Alo = np.array([[1.0, -2.0]])
         aff = AffineOverApprox(Box([0.0], [1.0]),
-                               Box(Alo, Alo + 1.0), Box(Alo, Alo + 0.5),
-                               0.0, 0.1)
+                               Box(Alo, Alo + 1.0), Box(Alo, Alo + 0.5))
         U = Box([0.0, 0.0], [1.0, 2.0])
         oqp = assemble_optimistic(cost, aff, U, Box([-9.0], [9.0]))
         assert len(oqp.orthants) == 1
@@ -194,8 +192,7 @@ class TestAssembleOptimistic:
         cost = norm_cost(1, 1)
         Alo = np.array([[1.0]])
         aff = AffineOverApprox(Box([0.0], [0.0]),
-                               Box(Alo, Alo + 1.0), Box(Alo, Alo + 1.0),
-                               0.0, 0.1)
+                               Box(Alo, Alo + 1.0), Box(Alo, Alo + 1.0))
         oqp = assemble_optimistic(cost, aff, Box([-1.0], [1.0]),
                                   Box([-9.0], [9.0]))
         assert len(oqp.orthants) == 2
@@ -206,7 +203,7 @@ class TestAssembleOptimistic:
     def test_degenerate_model_all_matrices_equal(self):
         cost = norm_cost(1, 1)
         A = Box.point([[0.5]])
-        aff = AffineOverApprox(Box.point([0.0]), A, A, 0.0, 0.1)
+        aff = AffineOverApprox(Box.point([0.0]), A, A)
         oqp = assemble_optimistic(cost, aff, Box([0.0], [1.0]),
                                   Box([-9.0], [9.0]))
         orth = oqp.orthants[0]
@@ -218,7 +215,7 @@ class TestSuboptBound:
     def test_zero_widths_zero_bound(self):
         cost = norm_cost(2, 1)
         A = Box.point([[0.1], [0.2]])
-        aff = AffineOverApprox(Box.point([1.0, 2.0]), A, A, 0.0, 0.1)
+        aff = AffineOverApprox(Box.point([1.0, 2.0]), A, A)
         got = subopt_bound(cost, aff, Box([-1.0], [1.0]),
                            Box([-5.0, -5.0], [5.0, 5.0]))
         assert got == 0.0
@@ -236,7 +233,6 @@ class TestSuboptBound:
                 Box(Blo, Blo + 0.1 + extra),
                 Box(Alo, Alo + 0.1 + extra),
                 Box(Alo, Alo + 0.05),
-                0.0, 0.1,
             )
             return subopt_bound(cost, aff, U, X)
 
@@ -274,7 +270,6 @@ class TestSuboptBound:
                 Box(Blo, Blo + rng.uniform(0, 0.5, n)),
                 Box(Alo, Alo + rng.uniform(0, 0.4, (n, m))),
                 Box(Alo2, Alo2 + rng.uniform(0, 0.4, (n, m))),
-                0.0, 0.1,
             )
             U = Box(rng.uniform(-2, 0.5, m), rng.uniform(0.5, 2, m))
             # small domains make the domain term the smaller one in some cases
@@ -288,7 +283,7 @@ class TestSuboptBound:
         cost, _ = setpoint_cost(2, 1, 0, 3.0)
         cost2 = QuadraticCost(cost.Q, np.eye(1), np.array([[0.2], [0.0]]), cost.q, cost.r)
         aff = AffineOverApprox(Box([0.0, 1.0], [0.5, 1.2]), Box([[0.1], [0.0]], [[0.3], [0.1]]),
-                               Box([[0.0], [0.0]], [[0.2], [0.1]]), 0.0, 0.1)
+                               Box([[0.0], [0.0]], [[0.2], [0.1]]))
         U, X = Box([-1.0], [1.0]), Box([-4.0, -4.0], [4.0, 4.0])
         small_X, small_U = Box([-0.2, -0.2], [0.2, 0.2]), Box([-0.1], [0.1])
 
@@ -309,7 +304,7 @@ class TestSuboptBound:
         """Over y in B = [-1, 0.5] the cost 0.5 (y - 5)^2 varies by 7.875; the bound is 6.0."""
         cost, _ = setpoint_cost(1, 1, 0, 5.0)
         A = Box.point([[0.0]])
-        aff = AffineOverApprox(Box([-1.0], [0.5]), A, A, 0.0, 0.1)
+        aff = AffineOverApprox(Box([-1.0], [0.5]), A, A)
         ys = np.linspace(-1.0, 0.5, 301)
         values = [cost.value(np.zeros(1), np.array([y])) for y in ys]
         bound = subopt_bound(cost, aff, Box([-1.0], [1.0]), Box([-10.0], [10.0]))

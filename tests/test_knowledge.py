@@ -316,18 +316,85 @@ class TestPartialDynamics:
             assert fe[row].lo == pytest.approx(val, abs=1e-9)
             assert fe[row].hi == pytest.approx(val, abs=1e-9)
 
-    def test_jacobians_require_state_box(self):
+    def test_jacobians_include_known_drift(self):
         from datareach.systems import quadrotor
 
         sysq = quadrotor()
         traj = excite(sysq, 4, seed=2, dt=0.008, x0=[0, 0, 5, 0, 0, 0])
         kb = build_knowledge(traj, sysq.lip, sysq.side)
-        with pytest.raises(ValueError):
-            _jacobian_pairs(kb)
-        box = Box.point(np.zeros(6))
-        Jf = Box(*_jacobian_pairs(kb, state_box=box)[0])
+        Jf = Box(*_jacobian_pairs(kb)[0])
         assert Jf.lo[0, 1] == pytest.approx(1.0)  # known integrator row
         assert Jf.hi[0, 1] == pytest.approx(1.0)
+
+    def test_known_drift_with_range_bounds(self):
+        """Known drift plus range bounds: the base equals the per-sample
+        reference bit for bit, its queries enclose the true field with no
+        tolerance, and the ranges cut some of them."""
+        from dataclasses import replace
+
+        from datareach.knowledge import KnowledgeBase
+        from datareach.systems import experiment_for, quadrotor
+
+        sysq, cfg = quadrotor(), experiment_for("quadrotor")
+        # |f| <= 11.81 and |G| <= 8.34 on X
+        vb = VectorFieldBounds(
+            region=sysq.X, f_range=Box(np.full(6, -12.0), np.full(6, 12.0)),
+            G_range=Box(np.full((6, 2), -9.0), np.full((6, 2), 9.0)),
+        )
+        side = replace(sysq.side, vf_bounds=vb)
+        traj = excite(sysq, 30, seed=3, dt=cfg.dt, x0=cfg.x0)
+        kb = _batched_run(traj, sysq.lip, side, 27)
+        _assert_same_base(kb, _ref_run(traj, sysq.lip, side, 27))
+        # the same entries without the range bounds
+        plain = KnowledgeBase(kb.entries, kb.lip, kb.lip_total, sysq.side)
+        rng = np.random.default_rng(3)
+        tightened = 0
+        for _ in range(300):
+            x = rng.uniform(sysq.X.lo, sysq.X.hi)
+            fe, ge = f_over(x, kb), G_over(x, kb)
+            assert fe.contains(sysq.f_true(x)) and ge.contains(sysq.G_true(x))
+            tightened += bool((fe.width < f_over(x, plain).width).any()
+                              or (ge.width < G_over(x, plain).width).any())
+        assert tightened > 0
+
+    def test_range_bounds_bound_f_not_the_residual(self):
+        """f(x) = x on [4, 10]: the residual f - P x is 0, outside the range
+        [4, 10] of f, so the seed entry and the sample rows must shift the
+        range by P x."""
+        from datareach.knowledge import PartialDynamics
+
+        lip = LipschitzBounds([0.0], [[0.0]])
+        region = Box([4.0], [10.0])
+        side = SideInfoSet(
+            vf_bounds=VectorFieldBounds(region, Box([4.0], [10.0]), Box([[1.0]], [[1.0]])),
+            partial_dynamics=PartialDynamics([[1.0]], lip),
+        )
+        traj = [Sample([x], [x + u], [u]) for x, u in ((5.0, 0.0), (6.0, 1.0), (12.0, -1.0))]
+        kb = build_knowledge(traj, LipschitzBounds([1.0], [[0.0]]), side)
+        # the seed entry sits at the region's middle, 7
+        assert (kb.cf_lo[0, 0], kb.cf_hi[0, 0]) == (-3.0, 3.0)
+        assert np.all(np.abs(kb.cf_lo[1:]) < 1e-12) and np.all(np.abs(kb.cf_hi[1:]) < 1e-12)
+        for x in (4.0, 7.5, 10.0):
+            assert f_over([x], kb).contains([x]) and f_over([x], kb).width[0] < 1e-12
+
+    @pytest.mark.parametrize("P", [np.zeros((6, 5)), np.zeros(6), np.full((6, 6), np.nan)],
+                             ids=["wide", "vector", "nan"])
+    def test_drift_must_be_finite_and_square(self, P):
+        from datareach.knowledge import PartialDynamics
+        from datareach.systems import quadrotor
+
+        lip = quadrotor().side.partial_dynamics.lip
+        with pytest.raises(ValueError, match=r"^P must be a finite \(6, 6\) matrix"):
+            PartialDynamics(P, lip)
+
+    def test_drift_is_a_read_only_copy(self):
+        from datareach.knowledge import PartialDynamics
+        from datareach.systems import quadrotor
+
+        P = np.eye(6)
+        pd = PartialDynamics(P, quadrotor().side.partial_dynamics.lip)
+        P[0, 0] = 2.0
+        assert pd.P[0, 0] == 1.0 and not pd.P.flags.writeable
 
 
 def test_fixpoint_passes_never_widen():
@@ -437,7 +504,7 @@ def _ref_queries(base, x):
     if vb is not None and vb.region.contains(x):
         fb, gb = vb.f_range, vb.G_range
         if pd is not None:
-            fb, gb = fb - pd.f_known(x), gb - pd.G_known(x)
+            fb = fb - pd.P @ x
         F, G = meet(F, fb, _MEET_TOL, _PAD), meet(G, gb, _MEET_TOL, _PAD)
     return F, G
 
@@ -478,7 +545,7 @@ def _ref_contract_fg(s, F, G):
 def _ref_residual(s, pd):
     if pd is None:
         return s
-    return Sample(s.x, s.xdot - (pd.f_known(s.x) + pd.G_known(s.x) @ s.u), s.u, s.t)
+    return Sample(s.x, s.xdot - (pd.P @ s.x + 0.0), s.u, s.t)
 
 
 def _ref_entry(base, s):
@@ -513,7 +580,7 @@ def _ref_seed(traj, lip, side, M=1e3):
     if vb is not None:
         x0, CF0, CG0 = vb.region.mid, vb.f_range, vb.G_range
         if pd is not None:
-            CF0, CG0 = CF0 - pd.f_known(x0), CG0 - pd.G_known(x0)
+            CF0 = CF0 - pd.P @ x0
     else:
         x0 = samples[0].x
         CF0 = Box(np.full(n, -M), np.full(n, M))

@@ -237,8 +237,7 @@ class TestOptimistic:
         cost = QuadraticCost(np.eye(2), np.eye(2), np.zeros((2, 2)),
                              np.zeros(2), np.zeros(2))
         aff = AffineOverApprox(Box.point([0.0, 0.0]),
-                               Box.point(np.eye(2)), Box.point(np.eye(2)),
-                               0.0, 0.1)
+                               Box.point(np.eye(2)), Box.point(np.eye(2)))
         X = Box([-5.0, -5.0], [5.0, 5.0])
         assert len(assemble_optimistic(cost, aff, Box([0, 0], [1, 2]), X).orthants) == 1
         assert len(assemble_optimistic(cost, aff, Box([-1, 0], [1, 2]), X).orthants) == 2
@@ -254,7 +253,7 @@ class TestOptimistic:
                              rng.normal(size=2), rng.normal(size=2))
         B = Box.point(rng.normal(size=2))
         Amat = Box.point(rng.normal(size=(2, 2)))
-        aff = AffineOverApprox(B, Amat, Amat, 0.0, 0.1)
+        aff = AffineOverApprox(B, Amat, Amat)
         U = Box([-1.0, -1.0], [1.0, 1.0])
         X = Box([-50.0, -50.0], [50.0, 50.0])
         u_o, x_o, c_o, _ = solve_optimistic(assemble_optimistic(cost, aff, U, X))
@@ -267,8 +266,7 @@ class TestOptimistic:
         cost = QuadraticCost(np.eye(1), np.eye(1), np.zeros((1, 1)),
                              np.zeros(1), np.zeros(1))
         aff = AffineOverApprox(Box([0.0], [1.0]),
-                               Box.point([[0.1]]), Box.point([[0.1]]),
-                               0.0, 0.1)
+                               Box.point([[0.1]]), Box.point([[0.1]]))
         U = Box([0.0], [1.0])
         X = Box([10.0], [11.0])  # unreachable next-state box
         with pytest.raises(AllOrthantsInfeasible):
@@ -291,7 +289,7 @@ class TestOptimistic:
             Am = Box(Alo2, Alo2 + rng.uniform(0, 0.6, (n, m)))
             U = Box(rng.uniform(-2, -0.5, m), rng.uniform(0.5, 2, m))
             X = Box(np.full(n, -20.0), np.full(n, 20.0))
-            aff = AffineOverApprox(B, Ap, Am, 0.0, 0.1)
+            aff = AffineOverApprox(B, Ap, Am)
             try:
                 _, _, c_o, _ = solve_optimistic(assemble_optimistic(cost, aff, U, X))
             except AllOrthantsInfeasible:
@@ -348,7 +346,7 @@ class TestOptimistic:
         cost = QuadraticCost(np.eye(1), np.eye(1), np.zeros((1, 1)),
                              np.array([-3.0]), np.array([-3.0]))
         aff = AffineOverApprox(Box.point([0.0]), Box.point([[1.0]]),
-                               Box.point([[1.0]]), 0.0, 0.1)
+                               Box.point([[1.0]]))
         oqp = assemble_optimistic(cost, aff, Box([-3.0], [3.0]), Box([1.0], [2.0]))
         neg, pos = oqp.orthants
         assert neg.Ubox.hi[0] == 0.0 and pos.Ubox.lo[0] == 0.0
@@ -403,7 +401,7 @@ def random_orthant_problem(rng, same_models):
         Am = Box(Alo2, Alo2 + rng.uniform(0, 0.6, (n, m)))
     U = Box(rng.uniform(-2, -0.5, m), rng.uniform(0.5, 2, m))
     X = Box(np.full(n, rng.uniform(-20, -1)), np.full(n, rng.uniform(1, 20)))
-    return cost, AffineOverApprox(B, Ap, Am, 0.0, 0.1), U, X
+    return cost, AffineOverApprox(B, Ap, Am), U, X
 
 
 def orthant_constraints(orth, B, X):
@@ -468,7 +466,7 @@ def feasible_minimizer_problem():
     cost = QuadraticCost(np.eye(1), np.eye(1), np.zeros((1, 1)),
                          np.zeros(1), np.array([-1.0]))
     aff = AffineOverApprox(Box([-10.0], [10.0]), Box.point([[0.0]]),
-                           Box.point([[0.0]]), 0.0, 0.1)
+                           Box.point([[0.0]]))
     return assemble_optimistic(cost, aff, Box([0.0], [1.0]), Box([-5.0], [5.0]))
 
 
@@ -633,7 +631,7 @@ class TestWarmStart:
         cost = QuadraticCost(np.eye(1), np.eye(1), np.zeros((1, 1)),
                              np.zeros(1), np.zeros(1))
         aff = AffineOverApprox(Box([0.0], [1.0]),
-                               Box.point([[0.1]]), Box.point([[0.1]]), 0.0, 0.1)
+                               Box.point([[0.1]]), Box.point([[0.1]]))
         oqp = assemble_optimistic(cost, aff, Box([0.0], [1.0]), Box([10.0], [11.0]))
         for start in (((0, 1, 2, 3, 4, 5, 6, 7),), ((7, 6, 5),), ((),), ((6,),)):
             with pytest.raises(AllOrthantsInfeasible):

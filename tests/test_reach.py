@@ -255,7 +255,6 @@ class TestDataReachTube:
         tube = datareach(kb, x_start, ctrl, 0.02, 30, t0=T_REF)
         for rec in tube.steps:
             assert rec.S.encloses(rec.R, atol=1e-12)
-        assert len(tube.grid) == len(tube.steps)
 
     def test_dt_refinement_sanity(self, unicycle_fig_setup):
         """Halving dt over the same horizon must not blow up the terminal width."""

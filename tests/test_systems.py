@@ -135,6 +135,21 @@ class TestLipschitzSoundness:
             dG = np.abs(sys.G_true(x) - sys.G_true(y))
             assert np.all(dG <= sys.lip.L_G * d + 1e-9)
 
+    @pytest.mark.parametrize("name,builder,lo,hi", CASES[1:])
+    def test_full_bounds_cover_residual_and_drift(self, name, builder, lo, hi):
+        # f_k = P_k x + r_k, so |f_k(x) - f_k(y)| <= (L_r,k + ||P_k||_2) |x - y|,
+        # and G is the residual's own; the step bound reads the full bounds
+        sys = builder()
+        pd = sys.side.partial_dynamics
+        assert np.all(sys.lip.L_f >= pd.lip.L_f + np.linalg.norm(pd.P, axis=1))
+        assert np.all(sys.lip.L_G >= pd.lip.L_G)
+        rng = np.random.default_rng(self.SEEDS[name])
+        for _ in range(1_000):
+            x, y = rng.uniform(lo, hi), rng.uniform(lo, hi)
+            d = float(np.linalg.norm(x - y))
+            dr = np.abs(sys.f_true(x) - pd.P @ x - (sys.f_true(y) - pd.P @ y))
+            assert np.all(dr <= pd.lip.L_f * d + 1e-9)
+
     @pytest.mark.xfail(strict=True, reason="the aircraft's L_f[2] = 4 holds only on "
                        "the envelope [-8,8]x[-15,15]x[-8,8]x[-8,8]x[-50,150], not on X")
     def test_aircraft_bound_holds_on_declared_domain(self):
@@ -342,7 +357,7 @@ class TestClosedLoop:
         # unrelated problem of the same shape between two runs changes nothing
         sysu = unicycle()
         aff = AffineOverApprox(Box.point([1.0, -1.0, 0.5]), Box.point(np.ones((3, 2))),
-                               Box.point(np.ones((3, 2))), 0.0, 0.1)
+                               Box.point(np.ones((3, 2))))
         unrelated = assemble_optimistic(norm_cost(3, 2), aff, sysu.U, sysu.X)
         runs = []
         for k in range(2):
@@ -404,6 +419,7 @@ class TestClosedLoop:
         ("M", math.inf), ("M", math.nan),
         ("eps", math.inf), ("mu0", math.inf), ("mu0", 0.0),
         ("stop_level", math.nan), ("stop_level", math.inf),
+        ("x0", np.array([math.nan, 0.0, 0.0])), ("x0", np.array([0.0, -math.inf, 0.0])),
     ])
     def test_experiment_settings_validated(self, key, value):
         cfg = unicycle_experiment(max_steps=2)
