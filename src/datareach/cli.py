@@ -176,8 +176,11 @@ def cmd_reach(args, cfg) -> int:
     _check_keys(section, _REACH_KEYS, "reach")
     sys_name = cfg.get("system", "unicycle")
     system = _system(sys_name)
+    # the excitation starts and is spaced as the system's closed-loop preset's
+    preset = experiment_for(sys_name)
+    sample_dt = preset.dt
 
-    dt = _setting(section, "dt", float, 0.02)
+    dt = _setting(section, "dt", float, min(0.02, sample_dt))
     steps = _setting(section, "steps", _integer, 200)
     init_len = _setting(section, "init_len", _integer, 15)
     seed = args.seed if args.seed is not None else _setting(section, "seed", _integer, 2)
@@ -189,7 +192,6 @@ def cmd_reach(args, cfg) -> int:
     for key, value, least in (("steps", steps, 1), ("init_len", init_len, 1), ("seed", seed, 0)):
         if value < least:
             raise ConfigError(f"{key} must be >= {least}")
-    sample_dt = 0.1
 
     limit = max_step_size(system.lip, system.U)
     if not dt < limit:
@@ -215,8 +217,7 @@ def cmd_reach(args, cfg) -> int:
         if (n, m) != (system.n, system.m):
             raise ConfigError("trajectory dimensions do not match the system")
     else:
-        x0 = _setting(section, "x0", _vector,
-                      [-2.0, -2.5, math.pi / 2] if sys_name == "unicycle" else system.X.mid)
+        x0 = _setting(section, "x0", _vector, preset.x0)
         if x0.shape != (system.n,):
             raise ConfigError(f"x0 must have {system.n} entries")
         if not np.isfinite(x0).all():
@@ -307,7 +308,8 @@ def cmd_control(args, cfg) -> int:
     print(
         f"{sys_name} [{exp.mode}] reached={report.reached} "
         f"steps={report.steps_taken} cum_cost={report.cum_cost:.4g} "
-        f"mean_step={report.mean_step_micros:.0f}us"
+        f"mean_step={report.mean_step_micros:.0f}us "
+        f"max_total={report.max_total_micros:.0f}us overruns={report.overruns} (dt={exp.dt:g}s)"
     )
     return EXIT_OK if report.failure is None else EXIT_DATA
 

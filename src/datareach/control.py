@@ -24,7 +24,7 @@ from .qpsolve import (
     AdaResResult, BoxQP, OptimisticInfo, OptimisticQP, OrthantQP, QPOptions, solve_idealistic,
     solve_optimistic,
 )
-from .reach import _pair, _step_data
+from .reach import _kept, _pair, _step_data
 
 MODES = ("idealistic", "optimistic")  # the two convex relaxations of a step
 
@@ -35,14 +35,17 @@ def _mag(lo, hi):
 
 @dataclass(frozen=True)
 class _LoopTerms:
-    """What a closed loop's steps share through one cost, U and X: |S U| and
-    the norm of the domain term of `subopt_bound`, and the sign orthants of U
-    with, per orthant, the (1, m) mask of its nonnegative axes.  The arrays
-    are read-only."""
+    """What a closed loop's steps share through one cost, U and X: |U|, Q's
+    (max(Q, 0), min(Q, 0)) split, the part 2|S U| + q of `subopt_bound`'s
+    gradient factor and the norm of its domain term, and the sign orthants
+    of U with, per orthant, the (1, m) mask of its nonnegative axes.  The
+    arrays are read-only."""
 
     U: Box
     X: Box
-    SU_abs: np.ndarray
+    U_abs: np.ndarray
+    Q_split: tuple
+    SU_q: np.ndarray
     domain_norm: float
     orthants: tuple  # ((Box, mask), ...)
 
@@ -100,16 +103,19 @@ class QuadraticCost:
         while the same (immutable) boxes U and X repeat, as in a closed loop."""
         t = self._terms
         if t is None or t.U is not U or t.X is not X:
-            SU_abs = _mag(*check_pair(*real_mat_pairs(self.S, _pair(U))))
-            Q_X = _mag(*check_pair(*real_mat_pairs(self.Q, _pair(X))))
-            domain_norm = np.linalg.norm(2.0 * SU_abs + self.q + 2.0 * Q_X)
-            SU_abs.flags.writeable = False
+            U_abs = _mag(*_pair(U))
+            Q_split = (np.maximum(self.Q, 0.0), np.minimum(self.Q, 0.0))
+            SU_q = 2.0 * _mag(*check_pair(*real_mat_pairs(self.S, _pair(U)))) + self.q
+            Q_X = _mag(*check_pair(*real_mat_pairs(Q_split, _pair(X))))
+            domain_norm = np.linalg.norm(SU_q + 2.0 * Q_X)
+            for a in (U_abs, *Q_split, SU_q):
+                a.flags.writeable = False
             orthants = []
             for box in _split_orthants(U):
                 nonneg = (box.lo >= 0.0)[None, :]
                 nonneg.flags.writeable = False
                 orthants.append((box, nonneg))
-            t = _LoopTerms(U, X, SU_abs, domain_norm, tuple(orthants))
+            t = _LoopTerms(U, X, U_abs, Q_split, SU_q, domain_norm, tuple(orthants))
             object.__setattr__(self, "_terms", t)
         return t
 
@@ -162,16 +168,25 @@ def linearize(
     _, _, _, fR, GR, fS, GS, Jf, JG = _step_data(R, kb, U, dt)
     u = _pair(U)
     half_dt2 = 0.5 * dt * dt
-    JGt = tuple(np.transpose(a, (0, 2, 1)) for a in JG)
+    # fixed while the bands and U repeat; a contractor hook's new bands recompute
+    JGt, JfU = _kept(kb, "linearize", (*Jf, *JG, U), lambda: _band_terms(Jf, JG, u))
     B = add_pairs(add_pairs(_pair(R), scale_pair(fR, dt)),
                   scale_pair(mat_vec_pairs(Jf, fS), half_dt2))
-    plus = add_pairs(mat_mat_pairs(add_pairs(Jf, tensor_vec_pairs(JG, u)), GS),
-                     tensor_vec_pairs(JGt, fS))
+    plus = add_pairs(mat_mat_pairs(JfU, GS), tensor_vec_pairs(JGt, fS))
     minus = add_pairs(mat_mat_pairs(Jf, GS),
                       tensor_vec_pairs(JGt, add_pairs(fS, mat_vec_pairs(GS, u))))
     GR_dt = scale_pair(GR, dt)
     A = [Box(*add_pairs(GR_dt, scale_pair(a, half_dt2))) for a in (plus, minus)]
     return AffineOverApprox(Box(*B), *A)
+
+
+def _band_terms(Jf, JG, u):
+    """JG's (0, 2, 1) transpose and Jf + JG u, as read-only lo/hi pairs."""
+    JGt = tuple(np.transpose(a, (0, 2, 1)) for a in JG)
+    JfU = add_pairs(Jf, tensor_vec_pairs(JG, u))
+    for a in JfU:
+        a.flags.writeable = False
+    return JGt, JfU
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +275,11 @@ def assemble_optimistic(
 # suboptimality bound
 # ---------------------------------------------------------------------------
 
-def _K_of(cost: QuadraticCost, B, A, U, SU_abs, domain_norm) -> float:
+def _K_of(B, A, U, terms: _LoopTerms) -> float:
     """Gradient-magnitude factor of one model (lo/hi pairs); the domain term is shared."""
     reach = check_pair(*add_pairs(B, check_pair(*mat_vec_pairs(A, U))))
-    term_reach = (
-        2.0 * SU_abs + cost.q + 2.0 * _mag(*check_pair(*real_mat_pairs(cost.Q, reach)))
-    )
-    return float(min(np.linalg.norm(term_reach), domain_norm))
+    term_reach = terms.SU_q + 2.0 * _mag(*check_pair(*real_mat_pairs(terms.Q_split, reach)))
+    return float(min(np.linalg.norm(term_reach), terms.domain_norm))
 
 
 def subopt_bound(
@@ -275,14 +288,12 @@ def subopt_bound(
     """Bound on |c* - c| for either relaxation, driven by the model widths."""
     check_shape(U, aff.Aplus.shape[1:])
     u, B = _pair(U), _pair(aff.B)
-    Uabs = _mag(*u)
-    tp = float(np.linalg.norm(aff.B.width + aff.Aplus.width @ Uabs))
-    tm = float(np.linalg.norm(aff.B.width + aff.Aminus.width @ Uabs))
     terms = cost._loop_terms(U, X)
-    SU_abs, domain_norm = terms.SU_abs, terms.domain_norm
+    tp = float(np.linalg.norm(aff.B.width + aff.Aplus.width @ terms.U_abs))
+    tm = float(np.linalg.norm(aff.B.width + aff.Aminus.width @ terms.U_abs))
     return max(
-        tp * _K_of(cost, B, _pair(aff.Aplus), u, SU_abs, domain_norm),
-        tm * _K_of(cost, B, _pair(aff.Aminus), u, SU_abs, domain_norm),
+        tp * _K_of(B, _pair(aff.Aplus), u, terms),
+        tm * _K_of(B, _pair(aff.Aminus), u, terms),
     )
 
 

@@ -308,10 +308,13 @@ def settle_arrays(lo, hi, tol: float = 0.0, pad: float = 0.0):
 
 
 def real_mat_pairs(M, v):
-    """Real (n, m) matrix times interval length-m vector pair, exact per component."""
-    pos = np.maximum(M, 0.0)
-    neg = np.minimum(M, 0.0)
-    return pos @ v[0] + neg @ v[1], pos @ v[1] + neg @ v[0]
+    """Real (n, m) matrix times interval length-m vector pair, exact per
+    component.  M may also be its (max(M, 0), min(M, 0)) split, which a
+    caller that reuses M keeps.  A pair of one array, a point, takes one
+    product, returned as both endpoints."""
+    pos, neg = M if isinstance(M, tuple) else (np.maximum(M, 0.0), np.minimum(M, 0.0))
+    lo = pos @ v[0] + neg @ v[1]
+    return lo, lo if v[0] is v[1] else pos @ v[1] + neg @ v[0]
 
 
 def real_mat_iv(M, v: Box) -> Box:

@@ -170,15 +170,17 @@ class _Groups:
     Distances from a query to the entry states are computed once per mask.
     The stacked components are the n f components, then the n m G entries
     in row-major order; ``col_group`` picks each component's mask and
-    ``col_L`` (one row per component) is its Lipschitz constant.  The
-    instance also holds the Jacobian bands, built on first use; like the
-    masks they depend only on the bounds and the side information, so the
-    bases derived from one another share them.
+    ``col_L`` (one row per component) is its Lipschitz constant.  Like the
+    masks, the Jacobian bands (built on first use), P's sign split, the
+    range bounds and what `reach._kept` keeps depend only on the bounds and
+    the side information, so the bases derived from one another share them.
     """
 
     def __init__(self, lip: LipschitzBounds, side: SideInfoSet):
-        self._lip, self._side, self._bands = lip, side, None
-        n, m = lip.n, lip.m
+        self._lip, self._side, self._bands, self.kept = lip, side, None, {}
+        n, m, pd, vb = lip.n, lip.m, side.partial_dynamics, side.vf_bounds
+        self.P_split = None if pd is None else (np.maximum(pd.P, 0.0), np.minimum(pd.P, 0.0))
+        self.ranges = None if vb is None else _stacked(vb.f_range, vb.G_range, n, m)
         dec = side.decoupling
         f_masks = dec.f_depends if dec is not None else np.ones((n, n), bool)
         g_masks = dec.G_depends if dec is not None else np.ones((n, m, n), bool)
@@ -298,9 +300,8 @@ class KnowledgeBase:
     how many passes it ran and the largest endpoint change of the last one
     (0 and None for a base made any other way).
 
-    A query over a single point leaves its pre-settle envelope on the base,
-    keyed by the state's bytes; `append_sample` at that exact state reuses
-    it instead of recomputing it (the two computations agree bit for bit).
+    A point query leaves its pre-settle envelope and its settle on the base,
+    keyed by the state's bytes, for an `append_sample` at that state.
     """
 
     def __init__(self, entries, lip: LipschitzBounds, lip_total: LipschitzBounds,
@@ -324,8 +325,8 @@ class KnowledgeBase:
         self._cols, self.xdot, self.u = tuple(cols), xdot, u
         self.passes, self.residual = passes, residual
         self._env: Optional[_Envelopes] = None
-        # (state bytes, envelope) of the last point query
-        self._point: Optional[Tuple[bytes, Tuple[np.ndarray, np.ndarray]]] = None
+        # (state bytes, envelope, settle) of the last point query
+        self._point: Optional[Tuple[bytes, tuple, tuple]] = None
 
     def _with_cols(self, cols, inputs=None, passes=0, residual=None) -> "KnowledgeBase":
         """A base with this one's bounds and side information and the given
@@ -555,27 +556,27 @@ def _box_query(kb: KnowledgeBase, X: Box, parts: str = "fG"):
     a requested part raises, the f settle and meet before the G ones.
     Nothing here validates the result; see `f_over_iv` / `G_over_iv`.  When
     X is a single point, its pre-settle envelope is left on the base for an
-    `append_sample` at that state.
+    `append_sample` at that state, with its settle.
     """
-    n, m = kb.n, kb.m
+    n, groups = kb.n, kb._groups
     point = bool((X.lo == X.hi).all())
     env = _unknown(kb, kb._box_dists(X, point))
+    lo, hi, bad = settled = _settle(*env)
     if point:
-        for a in env:
+        for a in (*env, *settled):
             a.flags.writeable = False
-        kb._point = (X.lo.tobytes(), env)
-    lo, hi, bad = _settle(*env)
+        kb._point = (X.lo.tobytes(), env, settled)
     enc = (lo[0], hi[0])
     # failure masks: f settle, G settle, then f meet, G meet
     checks = list(zip(_split(bad[0], n), "fG"))
-    pd, vb = kb.side.partial_dynamics, kb.side.vf_bounds
-    if pd is not None:
-        # P X exactly per component; the + 0.0 of the zero G part keeps the
-        # signed zeros of adding G_kn = 0
-        enc = tuple(np.concatenate((e[:n] + k, e[n:] + 0.0))
-                    for e, k in zip(enc, real_mat_pairs(pd.P, (X.lo, X.hi))))
+    if groups.P_split is not None:
+        # P X exactly per component (one product at a point); the + 0.0 of
+        # the zero G part keeps the signed zeros of adding G_kn = 0
+        known = real_mat_pairs(groups.P_split, (X.lo, X.lo if point else X.hi))
+        enc = tuple(np.concatenate((e[:n] + k, e[n:] + 0.0)) for e, k in zip(enc, known))
+    vb = kb.side.vf_bounds
     if vb is not None and vb.region.encloses(X):
-        *enc, bad = meet_arrays(*enc, *_stacked(vb.f_range, vb.G_range, n, m), _MEET_TOL, _PAD)
+        *enc, bad = meet_arrays(*enc, *groups.ranges, _MEET_TOL, _PAD)
         checks += zip(_split(bad, n), (None, None))
     for part, what in enumerate("fG"):
         if what in parts:
@@ -641,20 +642,20 @@ def _envelopes(kb: KnowledgeBase, X):
     return lo, hi
 
 
-def _settled_rows(kb: KnowledgeBase, env, X):
-    """Settle the envelopes at the rows of X and apply the range bounds.
+def _settled_rows(kb: KnowledgeBase, settled, X):
+    """Apply the range bounds to the `_settle`d envelopes at the rows of X.
 
     Returns the stacked lo/hi (k, n + n m) and the failure stages of the
     settles and range meets, in the order one query evaluates them: the f
     settle, the G settle, the f meet, the G meet.
     """
     n, side = kb.n, kb.side
-    lo, hi, bad = _settle(*env)
+    lo, hi, bad = settled
     stages = list(zip(_split(bad, n), "fG"))
     vb = side.vf_bounds
     if vb is not None:
         inside = np.all((vb.region.lo <= X) & (X <= vb.region.hi), axis=1)
-        rng = _stacked(vb.f_range, vb.G_range, n, kb.m)
+        rng = kb._groups.ranges
         pd = side.partial_dynamics
         if pd is not None:
             # the residual's ranges: those of f less P x, and G's as G_kn = 0
@@ -673,14 +674,14 @@ def _nan_rows(X, XDOT, U):
     return np.isnan(np.concatenate((X, XDOT, U), axis=1)).any(axis=1)
 
 
-def _contract_rows(kb: KnowledgeBase, env, X, XDOT, U, index, nan):
-    """Settle, bound and contract the rows of X, XDOT, U given their envelopes.
+def _contract_rows(kb: KnowledgeBase, settled, X, XDOT, U, index, nan):
+    """Bound and contract the rows of X, XDOT, U given their settled envelopes.
 
     ``index`` maps each row to its sample index and ``nan`` is its
     `_nan_rows`.  Returns the new stacked lo/hi rows; on failure raises
     what a per-sample loop would raise first, for the lowest failing sample.
     """
-    lo, hi, q_stages = _settled_rows(kb, env, X)
+    lo, hi, q_stages = _settled_rows(kb, settled, X)
     *new, c_stages = _contract(XDOT, U, lo, hi)
     failure = _first_failure([(nan[:, None], "nan")] + q_stages + c_stages)
     if failure is not None:
@@ -770,11 +771,12 @@ def _invariance_settings(fixpoint_tol, max_fixpoint_iters):
 def _append(kb: KnowledgeBase, X, XDOT, U, first) -> KnowledgeBase:
     point = kb._point
     if X.shape[0] == 1 and point is not None and point[0] == X.tobytes():
-        env = point[1]
+        _, env, settled = point
     else:
         env = _envelopes(kb, X)
+        settled = _settle(*env)
     new = _contract_rows(
-        kb, env, X, XDOT, U, range(first, first + X.shape[0]), _nan_rows(X, XDOT, U)
+        kb, settled, X, XDOT, U, range(first, first + X.shape[0]), _nan_rows(X, XDOT, U)
     )
     # the stored columns stay C-ordered however numpy lays out the join
     out = kb._with_cols(
@@ -830,7 +832,7 @@ def _iterate_to_invariance(kb, tol, max_iters) -> KnowledgeBase:
         if cache is None or np.count_nonzero(cache.dirty) > _DELTA_SHARE * (k + 1):
             env = _envelopes(kb, X)
             rows = None
-            new = _contract_rows(kb, env, X, XDOT, U, range(k), nan)
+            new = _contract_rows(kb, _settle(*env), X, XDOT, U, range(k), nan)
         else:
             env = cache.rows
             moved = np.zeros(k, bool)
@@ -844,7 +846,8 @@ def _iterate_to_invariance(kb, tol, max_iters) -> KnowledgeBase:
                 env = (np.maximum(env[0], lo), np.minimum(env[1], hi))
             rows = np.flatnonzero(moved)
             new = _contract_rows(
-                kb, [e[rows] for e in env], X[rows], XDOT[rows], U[rows], rows, nan[rows]
+                kb, _settle(*(e[rows] for e in env)), X[rows], XDOT[rows], U[rows], rows,
+                nan[rows],
             )
             old = [a[rows] for a in old]
 
@@ -881,10 +884,10 @@ def append_sample(kb: KnowledgeBase, sample: Sample) -> KnowledgeBase:
     The incremental update leaves older entries untouched and appends one
     row to the stacked arrays, so its cost is linear in the base size.  When
     the last point query on ``kb`` (such as the one `datacontrol_step` makes)
-    was at exactly this sample's state, its envelope is reused instead of
-    recomputed; the result is the same bit for bit.  The new row's envelope
-    joins the base's cached ones, so that a later `rebuild` re-contracts
-    only the rows the new entries can tighten.
+    was at exactly this sample's state, its envelope and settle are reused;
+    the result is the same bit for bit.  The new row's envelope joins the
+    base's cached ones, so that a later `rebuild` re-contracts only the rows
+    the new entries can tighten.
     """
     X, XDOT, U = _stack([sample], kb.side.partial_dynamics, kb.n, kb.m)
     return _append(kb, X, XDOT, U, kb.xs.shape[0] - 1)

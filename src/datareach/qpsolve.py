@@ -118,6 +118,16 @@ def _theta_seq(K: int) -> np.ndarray:
     return th
 
 
+@functools.lru_cache(maxsize=16)
+def _cycle(K: int):
+    """The momentum weights beta_0..beta_{K-1} (a read-only array) and
+    theta_{K-1}^2 of a cycle of K accelerated steps, in float64."""
+    th = _theta_seq(K)
+    betas = np.array([th[k] * (1.0 - th[k]) / (th[k] ** 2 + th[k + 1]) for k in range(K)])
+    betas.flags.writeable = False
+    return betas, th[K - 1] ** 2
+
+
 def smoothness_constant(qp: BoxQP) -> float:
     """L = sqrt(m) ||Qi||_inf, floored so the gradient step stays defined."""
     m = qp.m
@@ -152,10 +162,10 @@ def solve_idealistic(
     if not L > 0:
         raise ValueError(f"smoothness constant must be positive, not {L!r}")
     y0 = qp.box.mid if y0 is None else np.asarray(y0, dtype=float)
-    grad, objective, box = qp.gradient, qp.value, qp.box
+    Qi, qi, lo, hi, objective = qp.Qi, qp.qi, qp.box.lo, qp.box.hi, qp.value
 
-    def pg(y):
-        return box_project(y - grad(y) / L, box)
+    def pg(y):  # box_project(y - qp.gradient(y) / L, qp.box)
+        return np.minimum(np.maximum(y - (Qi @ y + qi) / L, lo), hi)
 
     mu = opts.mu0
     y_prev_end = y0
@@ -168,16 +178,15 @@ def solve_idealistic(
         diff = y_start - y_prev_end
         C = 16.0 / mu * float(diff @ diff)
         K = max(1, math.ceil(2.0 * math.sqrt(math.e / mu) - 1.0))
-        thetas = _theta_seq(K)
-        rho = thetas[K - 1] ** 2 / mu
+        betas, theta_sq = _cycle(K)
+        rho = theta_sq / mu
         t = 0
         y = y_start
         while True:
             x_cur = y
             z = y
-            for k in range(K):
-                x_new = box_project(z - grad(z) / L, box)
-                beta = thetas[k] * (1.0 - thetas[k]) / (thetas[k] ** 2 + thetas[k + 1])
+            for beta in betas:
+                x_new = pg(z)
                 z = x_new + beta * (x_new - x_cur)
                 x_cur = x_new
             iters += K

@@ -11,6 +11,7 @@ sqrt(n) beta dt < 1 guarantees; each step returns it as `ReachStepRecord.S`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -245,7 +246,8 @@ def _step_data(R: Box, kb: KnowledgeBase, V: Box, dt: float):
     Returns beta, the sup-norm alpha of f(R) + G(R) V, S, and f(R), G(R),
     f(S), G(S), Jf(S), JG(S) as lo/hi pairs.
     """
-    beta = beta_of(kb.lip_total, V.mag)
+    # the family's beta for the last control box; a loop passes the same U
+    beta = _kept(kb, "beta", (V, kb.lip_total), lambda: beta_of(kb.lip_total, V.mag))
     root_n = math.sqrt(len(R))
     denom = 1.0 - root_n * dt * beta
     if denom <= 0.0:
@@ -263,6 +265,16 @@ def _step_data(R: Box, kb: KnowledgeBase, V: Box, dt: float):
     if hook is not None:
         fS, GS, Jf, JG = _hooked(hook, S, V, fS, GS, Jf, JG)
     return beta, alpha, S, fR, GR, fS, GS, Jf, JG
+
+
+def _kept(kb: KnowledgeBase, name, key, make):
+    """``make()``, kept for the base's family under ``name`` while the
+    objects of the tuple ``key``, every (immutable) object the value is
+    made from, repeat; they are compared by identity."""
+    hit = kb._groups.kept.get(name)
+    if hit is None or not all(map(operator.is_, hit[0], key)):
+        hit = kb._groups.kept[name] = (key, make())
+    return hit[1]
 
 
 def _record(t, R: Box, beta, alpha, S: Box, R_next, domain: Optional[Box]):

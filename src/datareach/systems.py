@@ -398,6 +398,7 @@ class RunReport:
     reached: bool
     cum_cost: float  # the loop's running sum; Python 3.12's sum() rounds differently
     final_state: np.ndarray
+    dt: float  # the control period
     logs: List[StepLog] = field(default_factory=list)
     failure: Optional[str] = None
 
@@ -417,10 +418,22 @@ class RunReport:
     def max_step_micros(self) -> float:
         return max(log.micros for log in self.logs) if self.logs else 0.0
 
+    @property
+    def max_total_micros(self) -> float:
+        """The largest step latency with its knowledge upkeep, micros + kb_micros."""
+        return max((log.micros + log.kb_micros for log in self.logs), default=0.0)
+
+    @property
+    def overruns(self) -> int:
+        """How many steps' micros + kb_micros exceed the control period dt."""
+        period = 1e6 * self.dt
+        return sum(log.micros + log.kb_micros > period for log in self.logs)
+
     def to_dict(self) -> dict:
         out = {key: getattr(self, key) for key in (
             "system", "mode", "seed", "reached", "steps_taken", "steps_to_goal", "cum_cost",
-            "mean_step_micros", "max_step_micros", "final_state", "failure")}
+            "mean_step_micros", "max_step_micros", "dt", "max_total_micros", "overruns",
+            "final_state", "failure")}
         out["final_state"] = [float(v) for v in self.final_state]
         return out
 
@@ -521,7 +534,7 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
             reached = True
             break
 
-    return RunReport(sys.name, cfg.mode, cfg.seed, reached, cum_cost, x, logs, failure)
+    return RunReport(sys.name, cfg.mode, cfg.seed, reached, cum_cost, x, cfg.dt, logs, failure)
 
 
 def unicycle_experiment(seed: int = 4, mode: str = "idealistic",

@@ -651,3 +651,59 @@ def test_readme_config_documents_every_key(tmp_path):
         cli._build_control_family(spec, 0.0, 2)
         assert set(spec) == cli._FAMILY_KEYS[spec["family"]], spec
     assert sorted(spec["family"] for spec in families) == sorted(cli._FAMILY_KEYS)
+
+
+class TestReachDefaults:
+    """`reach` with no reach section excites from the system's control preset."""
+
+    @pytest.mark.parametrize("system", ["quadrotor", "aircraft"])
+    def test_runs_on_every_preset(self, tmp_path, system):
+        cfg = write_cfg(tmp_path, {"system": system, "out": str(tmp_path / "out")})
+        assert cli.main(["--config", cfg, "reach"]) == cli.EXIT_OK
+        ts = dio.read_tube_csv(tmp_path / "out" / f"tube_{system}.csv")[0]
+        assert len(ts) == 201
+
+    def test_unicycle_tube_unchanged(self, tmp_path):
+        """The unicycle's preset start and spacing are the old defaults, so its
+        default tube is the same file, byte for byte."""
+        import hashlib
+
+        cfg = write_cfg(tmp_path, {"system": "unicycle", "out": str(tmp_path / "out")})
+        assert cli.main(["--config", cfg, "reach"]) == cli.EXIT_OK
+        data = (tmp_path / "out" / "tube_unicycle.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "300c2ecbc2ce339f71e241ec3d9d92495229ab28ba4747d40c9d688f3bcdd204")
+
+
+def test_control_line_reports_latency_against_dt(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"system": "unicycle", "out": str(tmp_path / "out"),
+                               "control": {"max_steps": 3}})
+    assert cli.main(["--config", cfg, "control"]) == cli.EXIT_OK
+    line = capsys.readouterr().out.strip()
+    assert " max_total=" in line and " overruns=" in line and line.endswith("(dt=0.1s)")
+    data = json.loads((tmp_path / "out" / "run_unicycle.json").read_text())
+    assert data["dt"] == 0.1 and isinstance(data["overruns"], int)
+    assert data["max_total_micros"] >= data["max_step_micros"] > 0
+
+
+def _shipped_configs():
+    from pathlib import Path
+
+    return sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", _shipped_configs(), ids=lambda p: p.name)
+def test_shipped_config_runs(tmp_path, path):
+    """Each file in configs/ runs the command it has a section for."""
+    sections = yaml.safe_load(path.read_text())
+    commands = [c for c in ("reach", "control", "benchmark") if c in sections]
+    assert commands, path.name
+    for command in commands:
+        out = tmp_path / command
+        assert cli.main(["--config", str(path), "--out", str(out), command]) == cli.EXIT_OK
+        assert any(out.iterdir())
+
+
+def test_configs_are_found():
+    """The parametrization above is not empty."""
+    assert len(_shipped_configs()) >= 2

@@ -162,6 +162,20 @@ class TestAggregates:
         got = real_mat_iv(M, v)
         assert got[0] == Interval(0 - 6, 1 - 2)
 
+    def test_real_mat_pairs_split_and_point_forms(self):
+        """A kept (max(M, 0), min(M, 0)) split gives the matrix's bits, and a
+        pair of one array, a point, gives those of two equal arrays."""
+        rng = np.random.default_rng(3)
+        for n, m in ((1, 1), (3, 5), (6, 6)):
+            M = rng.normal(size=(n, m)) * (rng.random((n, m)) < 0.7)
+            split = (np.maximum(M, 0.0), np.minimum(M, 0.0))
+            lo = rng.normal(size=m)
+            hi = lo + rng.uniform(0, 1, m)
+            point = (real_mat_pairs(split, (lo, lo)), real_mat_pairs(M, (lo, lo.copy())))
+            for got, want in ((real_mat_pairs(split, (lo, hi)), real_mat_pairs(M, (lo, hi))), point):
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes()
+
     def test_meet_tolerant(self):
         a = Box([0.0], [1.0])
         b = Box([1.0 + 1e-12], [2.0])

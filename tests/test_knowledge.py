@@ -949,6 +949,35 @@ class TestStackedRowsAndPointSlot:
         assert envelope_calls == [1]
         _assert_same_rows(got, append_sample(fresh, near))
 
+    @pytest.mark.parametrize("name", ["unicycle", "aircraft"])
+    def test_append_settles_once_per_state(self, name, monkeypatch):
+        """An append at the last point query's state reuses its settle; one at
+        another state settles its own envelope."""
+        from datareach import knowledge
+        from datareach.control import datacontrol_step
+
+        sys_, cfg, traj = self._preset(name)
+        samples, (s, s2) = traj[:-2], traj[-2:]
+        stepped = build_knowledge(samples, sys_.lip, sys_.side)
+        fresh = build_knowledge(samples, sys_.lip, sys_.side)
+        settles = []
+        settle = knowledge._settle
+
+        def settle_spy(lo, hi):
+            settles.append(lo.shape[0])
+            return settle(lo, hi)
+
+        monkeypatch.setattr(knowledge, "_settle", settle_spy)
+        datacontrol_step(stepped, s.x, cfg.cost, sys_.U, sys_.X, cfg.dt)
+        settles.clear()
+        other = append_sample(stepped, s2)
+        assert settles == [1]
+        _assert_same_rows(other, append_sample(fresh, s2))
+        settles.clear()
+        same = append_sample(stepped, s)
+        assert settles == []
+        _assert_same_rows(same, append_sample(fresh, s))
+
     def test_slot_hit_on_every_step_of_the_preset_loops(self, monkeypatch, envelope_calls):
         import dataclasses
 

@@ -325,3 +325,41 @@ class TestStepChecks:
         Jf, JG = _jacobian_pairs(kb2)
         assert np.array_equal(Jf[0], jacobians(kb)[0].lo)
         assert kb2._groups.jacobian_bands() is kb._groups.jacobian_bands()
+
+
+class TestKeptValues:
+    """What a base family keeps for a step's arguments follows those arguments."""
+
+    def test_beta_follows_the_control_box(self, unicycle_fig_setup):
+        from datareach.reach import _step_data
+
+        _, _, kb, x_start = unicycle_fig_setup
+        R = Box.point(x_start)
+        # the unicycle's beta grows with |u_1|
+        boxes = [Box([0.5, -1.0], [1.0, 1.0]), Box([-2.0, -1.0], [1.5, 1.0]),
+                 Box([0.0, 0.0], [0.1, 0.0])]
+        for V in boxes + boxes[::-1]:
+            assert _step_data(R, kb, V, DT)[0] == beta_of(kb.lip_total, V.mag)
+        assert len({beta_of(kb.lip_total, V.mag) for V in boxes}) == len(boxes)
+
+    def test_band_terms_follow_U(self, loop_bases):
+        sys_, exp, kb, states = loop_bases["unicycle"]
+        U = sys_.U
+        boxes = [U, Box(0.5 * U.lo, 0.25 * U.hi), U, Box(U.lo, U.hi)]
+        for x, V in zip(states, boxes):
+            assert_linearize_matches(kb, [x], V, exp.dt)
+
+    def test_contractor_bands_that_change_per_call(self, unicycle_fig_setup):
+        """A hook's bands are new arrays with new values on every call; each
+        linearization equals the uncached formula bit for bit."""
+        sysu, samples, _, _ = unicycle_fig_setup
+
+        def shrink_with_the_box(box, ubox, f_enc, G_enc, Jf, JG):
+            if Jf is None:
+                return f_enc, G_enc, Jf, JG
+            s = 1.0 / (1.0 + float(np.abs(box.lo).sum()))
+            return f_enc, G_enc, Box(s * Jf.lo, s * Jf.hi), Box(s * JG.lo, s * JG.hi)
+
+        side = replace(sysu.side, algebraic_contractor=shrink_with_the_box)
+        kb = build_knowledge(samples, sysu.lip, side)
+        assert_linearize_matches(kb, [s.x for s in samples], sysu.U, 0.1)

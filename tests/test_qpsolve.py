@@ -119,6 +119,55 @@ class TestAdaRes:
             assert info.converged
             assert qp.value(u) - l_star <= EPS
 
+    def test_equals_the_plain_loop_bitwise(self):
+        """The kept cycle weights and bound QP data give the iterates of the
+        loop that recomputes them, bit for bit, over many cycle lengths."""
+        from datareach.qpsolve import AdaResResult, _theta_seq, smoothness_constant
+
+        def reference(qp, opts, y0):
+            L, eps = smoothness_constant(qp), opts.eps
+            pg = lambda y: box_project(y - qp.gradient(y) / L, qp.box)  # noqa: E731
+            mu, y_prev_end, y_start, iters = opts.mu0, y0, pg(y0), 1
+            best_y, best_val = y_start, qp.value(y_start)
+            while True:
+                C = 16.0 / mu * float((y_start - y_prev_end) @ (y_start - y_prev_end))
+                K = max(1, math.ceil(2.0 * math.sqrt(math.e / mu) - 1.0))
+                th = _theta_seq(K)
+                rho, t, y = th[K - 1] ** 2 / mu, 0, y_start
+                while True:
+                    x_cur = z = y
+                    for k in range(K):
+                        x_new = pg(z)
+                        z = x_new + th[k] * (1.0 - th[k]) / (th[k] ** 2 + th[k + 1]) * (
+                            x_new - x_cur)
+                        x_cur = x_new
+                    iters, y, t = iters + K, z, t + 1
+                    y_pg = pg(y)
+                    gap, val = float(((y_pg - y) ** 2).sum()), qp.value(y_pg)
+                    if val < best_val:
+                        best_val, best_y = val, y_pg
+                    eps_ok = L * L * gap <= eps * mu / 8.0
+                    if gap <= C * rho**t or eps_ok:
+                        break
+                    if iters >= opts.max_total_iters:
+                        return best_y, AdaResResult(iters, mu, False)
+                iters += 1
+                y_start, y_prev_end = y_pg, y
+                if eps_ok:
+                    return y_start, AdaResResult(iters, mu, True)
+                if iters >= opts.max_total_iters:
+                    return best_y, AdaResResult(iters, mu, False)
+                mu *= 0.5
+
+        rng = np.random.default_rng(8)
+        for k in range(120):
+            qp = random_boxqp(rng)
+            opts = QPOptions(eps=EPS, mu0=float(rng.choice([1.0, 1e-2, 1e-4])),
+                             max_total_iters=int(rng.choice([50, 5000])))
+            y0 = qp.box.lo + rng.uniform(0, 1, qp.m) * qp.box.width
+            (u, info), (u_ref, info_ref) = solve_idealistic(qp, opts, y0), reference(qp, opts, y0)
+            assert u.tobytes() == u_ref.tobytes() and info == info_ref
+
     def test_iteration_bound(self):
         """N_hat stays under the certified cap whenever mu0 <= measured mu."""
         rng = np.random.default_rng(123)
@@ -619,7 +668,7 @@ class TestWarmStart:
         fac = _factor(cost, 1e-6)
         assert fac is _factor(cost, 1e-6)
         terms = cost._terms
-        kept = [*fac, terms.SU_abs, _fixed_rows(cost.n, cost.m)]
+        kept = [*fac, terms.U_abs, *terms.Q_split, terms.SU_q, _fixed_rows(cost.n, cost.m)]
         for box, mask in terms.orthants:
             kept += [box.lo, box.hi, mask]
         for a in kept:

@@ -314,6 +314,42 @@ class TestExcite:
             assert sysq.U.contains(s.u)
 
 
+class TestStepLatency:
+    """`RunReport`'s latency with upkeep, micros + kb_micros, against dt."""
+
+    @staticmethod
+    def report(dt, times):
+        from datareach.control import StepLog
+        from datareach.systems import RunReport
+
+        logs = [StepLog(np.zeros(1), None, 0.0, 0.0, "idealistic", None, micros, kb_micros=kb)
+                for micros, kb in times]
+        return RunReport("toy", "idealistic", 0, False, 0.0, np.zeros(1), dt, logs)
+
+    def test_max_total_and_overruns(self):
+        # 1e6 * 0.01 is 10000.0: a step of exactly the period does not overrun
+        rep = self.report(0.01, [(100.0, 50.0), (3000.0, 7500.5), (9000.0, 1000.0),
+                                 (200.0, 9800.0), (9500.0, 0.0)])
+        assert rep.max_total_micros == 10500.5
+        assert rep.overruns == 1
+        assert rep.max_step_micros == 9500.0  # the control step alone, as before
+        rep = self.report(0.001, [(600.0, 500.0), (100.0, 950.0), (10.0, 20.0)])
+        assert (rep.max_total_micros, rep.overruns) == (1100.0, 2)
+        out = rep.to_dict()
+        assert (out["dt"], out["max_total_micros"], out["overruns"]) == (0.001, 1100.0, 2)
+
+    def test_no_steps(self):
+        rep = self.report(0.1, [])
+        assert (rep.max_total_micros, rep.overruns, rep.max_step_micros) == (0.0, 0, 0.0)
+
+    def test_closed_loop_reports_its_period(self):
+        cfg = replace(unicycle_experiment(), max_steps=3)
+        rep = run_closed_loop(unicycle(), cfg)
+        assert rep.dt == cfg.dt and rep.steps_taken == 3
+        assert rep.max_total_micros == max(log.micros + log.kb_micros for log in rep.logs)
+        assert rep.max_total_micros > rep.max_step_micros
+
+
 class TestClosedLoop:
     def test_integrator_geometric_decay(self):
         sysi = integrator_system()
