@@ -15,7 +15,7 @@ from . import io as dio
 from .control import MODES
 from .errors import ConfigError, EmptyIntersection, InconsistentSample, StepTooLarge, check_count
 from .intervals import Interval
-from .knowledge import SideInfoSet, build_knowledge
+from .knowledge import FIXPOINT_TOL, SideInfoSet, build_knowledge
 from .reach import ConstantControl, ConstCosControl, PiecewiseConstantControl, datareach, max_step_size
 from .systems import (
     EXCITATIONS,
@@ -232,6 +232,9 @@ def cmd_reach(args, cfg) -> int:
     ctrl = _build_control_family(section.get("control", default_family), t_ref, system.m)
 
     kb = build_knowledge(samples, system.lip, side)
+    stop = "settled" if kb.residual < FIXPOINT_TOL else "stopped at max_fixpoint_iters"
+    print(f"knowledge base: {kb.xs.shape[0]} entries, {kb.passes} passes, "
+          f"residual {kb.residual:.3g} ({stop})")
     x_start = advance(system, samples[-1].x, samples[-1].u, sample_dt)
     domain = system.X if _setting(section, "intersect_domain", _flag, True) else None
     tube = datareach(kb, x_start, ctrl, dt, steps, t0=t_ref, domain=domain)
@@ -245,6 +248,9 @@ def cmd_reach(args, cfg) -> int:
     widths = tube.terminal_width()
     print(f"tube written to {path} ({len(tube.steps)} rows)")
     print("terminal widths:", " ".join(f"{w:.6g}" for w in widths))
+    cut = tube.clipped
+    first = f", first at step {cut[0]} (t={tube.steps[cut[0]].t:.6g})" if cut else ""
+    print(f"domain clipped {len(cut)} of {steps} steps{first}")
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ to the optimum under known dynamics.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -68,18 +69,13 @@ class QuadraticCost:
     _factored: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        R = np.asarray(self.R, dtype=float)
-        S = np.asarray(self.S, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        r = np.asarray(self.r, dtype=float)
+        Q, R, S, q, r = (np.asarray(getattr(self, key), dtype=float) for key in "QRSqr")
         n, m = q.shape[0], r.shape[0]
         if Q.shape != (n, n) or R.shape != (m, m) or S.shape != (n, m):
             raise ValueError("cost matrix shapes are inconsistent")
         if not np.allclose(Q, Q.T, atol=1e-10) or not np.allclose(R, R.T, atol=1e-10):
             raise ValueError("Q and R must be symmetric")
-        Q = 0.5 * (Q + Q.T)
-        R = 0.5 * (R + R.T)
+        Q, R = 0.5 * (Q + Q.T), 0.5 * (R + R.T)
         joint = np.block([[Q, S], [S.T, R]])
         if float(np.linalg.eigvalsh(joint).min()) < -1e-9:
             raise ValueError("joint cost matrix must be positive semidefinite")
@@ -245,17 +241,10 @@ def assemble_idealistic(
 # ---------------------------------------------------------------------------
 
 def _split_orthants(U: Box):
-    pieces_per_axis = []
-    for l in range(len(U)):
-        lo, hi = U.lo[l], U.hi[l]
-        if lo < 0.0 < hi:
-            pieces_per_axis.append([(lo, 0.0), (0.0, hi)])
-        else:
-            pieces_per_axis.append([(lo, hi)])
-    out = [[]]
-    for axis in pieces_per_axis:
-        out = [prefix + [piece] for prefix in out for piece in axis]
-    return [Box([p[0] for p in box], [p[1] for p in box]) for box in out]
+    """The sign orthants of U, the last axis varying fastest: an axis whose
+    interior holds 0 splits there."""
+    axes = [[(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)] for lo, hi in zip(U.lo, U.hi)]
+    return [Box([p[0] for p in box], [p[1] for p in box]) for box in itertools.product(*axes)]
 
 
 def assemble_optimistic(

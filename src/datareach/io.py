@@ -119,13 +119,9 @@ def read_tube_csv(path):
     with _csv_reader(path, "tube") as (reader, header):
         n = sum(1 for c in header if c.startswith("lo_"))
         arr = _numeric_rows(reader, "tube", path, len(header))
-    ts = arr[:, 1]
-    R_lo = arr[:, 2 : 2 + n]
-    R_hi = arr[:, 2 + n : 2 + 2 * n]
-    S_lo = arr[:, 2 + 2 * n : 2 + 3 * n]
-    S_hi = arr[:, 2 + 3 * n : 2 + 4 * n]
-    beta = arr[:, -1]
-    return ts, R_lo, R_hi, S_lo, S_hi, beta
+    # the lo, hi, S_lo and S_hi blocks of n columns each follow i and t
+    blocks = (arr[:, 2 + j * n : 2 + (j + 1) * n] for j in range(4))
+    return (arr[:, 1], *blocks, arr[:, -1])
 
 
 def write_steps_csv(path, report: RunReport) -> None:
@@ -180,5 +176,4 @@ def write_benchmark_csv(path, rows: List[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=keys)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

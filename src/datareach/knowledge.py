@@ -30,6 +30,8 @@ _PAD = 1e-14
 # contracting a G column divides by u_l, amplifying rounding by 1/|u_l|;
 # below this magnitude the column is left untouched (no information anyway)
 _U_ZERO_TOL = 1e-5
+# the default stopping tolerance of an invariance run
+FIXPOINT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -391,11 +393,6 @@ def _settle(lo, hi):
     return settle_arrays(lo, hi, _MEET_TOL, _PAD)
 
 
-def _any_per_row(a):
-    """Whether each row (leading index) of ``a`` has a nonzero entry."""
-    return a.any(axis=tuple(range(1, a.ndim)))
-
-
 def _first_index(mask):
     return tuple(int(i) for i in np.argwhere(mask)[0])
 
@@ -419,7 +416,8 @@ def _first_failure(stages):
     """
     if not any(np.count_nonzero(bad) for bad, _ in stages):
         return None
-    hit = np.stack([_any_per_row(bad) for bad, _ in stages])
+    # whether each row (leading index) of each stage's mask is set anywhere
+    hit = np.stack([bad.any(axis=tuple(range(1, bad.ndim))) for bad, _ in stages])
     failing = np.flatnonzero(hit.any(axis=0))
     if failing.size == 0:
         return None
@@ -722,21 +720,21 @@ def build_knowledge(
     lip: LipschitzBounds,
     side: Optional[SideInfoSet] = None,
     M: float = 1e3,
-    fixpoint_tol: float = 1e-9,
+    fixpoint_tol: float = FIXPOINT_TOL,
     max_fixpoint_iters: int = 50,
 ) -> KnowledgeBase:
     """Contract the trajectory into a knowledge base, iterating to invariance.
 
-    Each data point is first processed against the base built so far, then the
-    whole base is re-contracted in Jacobi passes until no endpoint moves by
-    more than ``fixpoint_tol`` (widths are monotone non-increasing, so this
-    terminates).  After the first pass, a pass re-contracts only the rows
-    whose Lipschitz envelope moved, with the same result bit for bit as
-    re-contracting them all.  ``M`` must genuinely bound |f| and |G| on the
-    domain for the result to be sound when no range bounds are supplied.
-    The returned base records the number of invariance passes and the
-    residual of the last one, and keeps each row's envelope for `rebuild`.
-    ``M`` and ``fixpoint_tol`` must be positive and finite, and
+    The first pass contracts every sample against the seed-only base in one
+    batched call, whatever the number of samples.  Jacobi passes then
+    re-contract the base until no endpoint moves by ``fixpoint_tol``
+    (widths never grow, so this terminates); after the first, a pass
+    re-contracts only the rows whose Lipschitz envelope moved, bit for bit
+    as re-contracting them all.  ``M`` must bound |f| and |G| on the domain
+    for the result to be sound when no range bounds are supplied.  The base
+    records the invariance passes and the last one's residual (at least
+    ``fixpoint_tol`` if the run stopped at ``max_fixpoint_iters``).  ``M``
+    and ``fixpoint_tol`` must be positive and finite, and
     ``max_fixpoint_iters`` a whole number of at least 1.
     """
     M = check_positive("M", M)
@@ -757,9 +755,7 @@ def build_knowledge(
     kb = KnowledgeBase(
         (_seed_entry(side, X, qlip.n, qlip.m, M),), qlip, lip, side
     )
-    for i in range(X.shape[0]):
-        kb = _append(kb, X[i : i + 1], XDOT[i : i + 1], U[i : i + 1], i)
-    return _iterate_to_invariance(kb, tol, iters)
+    return _iterate_to_invariance(_append(kb, X, XDOT, U, 0), tol, iters)
 
 
 def _invariance_settings(fixpoint_tol, max_fixpoint_iters):
@@ -816,7 +812,7 @@ def _iterate_to_invariance(kb, tol, max_iters) -> KnowledgeBase:
     min are exact.  So as long as no entry loosened, folding the entries
     that changed since a row's cached envelope into it gives the envelope a
     full pass would compute, bit for bit, and a row whose envelope did not
-    move would contract to the row it already has.  A delta pass therefore
+    move would contract to the row it already has.  So a delta pass
     re-contracts only the rows whose envelope moved.  A pass recomputes
     every row against every entry when there is no cache, when more than
     ``_DELTA_SHARE`` of the entries changed, or after a pass that loosened
@@ -881,11 +877,11 @@ def _iterate_to_invariance(kb, tol, max_iters) -> KnowledgeBase:
 def append_sample(kb: KnowledgeBase, sample: Sample) -> KnowledgeBase:
     """Add one data point with a single query-and-contract pass.
 
-    The incremental update leaves older entries untouched and appends one
-    row to the stacked arrays, so its cost is linear in the base size.  When
-    the last point query on ``kb`` (such as the one `datacontrol_step` makes)
-    was at exactly this sample's state, its envelope and settle are reused;
-    the result is the same bit for bit.  The new row's envelope joins the
+    Older entries stay untouched and one row is appended to the stacked
+    arrays, so the cost is linear in the base size.  When the last point
+    query on ``kb`` (such as the one `datacontrol_step` makes) was at
+    exactly this sample's state, its envelope and settle are reused; the
+    result is the same bit for bit.  The new row's envelope joins the
     base's cached ones, so that a later `rebuild` re-contracts only the rows
     the new entries can tighten.
     """
@@ -893,14 +889,13 @@ def append_sample(kb: KnowledgeBase, sample: Sample) -> KnowledgeBase:
     return _append(kb, X, XDOT, U, kb.xs.shape[0] - 1)
 
 
-def rebuild(kb, fixpoint_tol=1e-9, max_fixpoint_iters=50) -> KnowledgeBase:
+def rebuild(kb, fixpoint_tol=FIXPOINT_TOL, max_fixpoint_iters=50) -> KnowledgeBase:
     """Re-run the invariance passes on the samples the base holds.
 
     The passes start from the envelopes the base keeps: the first folds in
     the entries appended or changed since and re-contracts only the rows
     whose envelope moved.  The result equals a full Jacobi re-run bit for
-    bit, and records the pass count and final residual, as
-    `build_knowledge` does, which checks the same settings.
+    bit; settings, pass count and residual are as in `build_knowledge`.
     """
     return _iterate_to_invariance(kb, *_invariance_settings(fixpoint_tol, max_fixpoint_iters))
 

@@ -18,7 +18,9 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import DataReachError, StepTooLarge, check_count
-from .intervals import Box, Interval, add_pairs, mat_vec_pairs, scale_pair, tensor_vec_pairs
+from .intervals import (
+    Box, Interval, add_pairs, check_shape, mat_vec_pairs, scale_pair, tensor_vec_pairs,
+)
 from .knowledge import KnowledgeBase, LipschitzBounds, _box_query, _jacobian_pairs
 
 
@@ -132,11 +134,8 @@ class ConstCosControl(ControlClass):
 
     def __init__(self, v0: float = 1.0, omega: float = 6.0, t_ref: float = 0.0,
                  a1: Interval = Interval(0.0), a2: Interval = Interval(0.0)):
-        self.v0 = float(v0)
-        self.omega = float(omega)
-        self.t_ref = float(t_ref)
-        self.a1 = a1
-        self.a2 = a2
+        self.v0, self.omega, self.t_ref = float(v0), float(omega), float(t_ref)
+        self.a1, self.a2 = a1, a2
         for name, value in (("v0", self.v0), ("omega", self.omega), ("t_ref", self.t_ref),
                             ("a1.lo", a1.lo), ("a1.hi", a1.hi), ("a2.lo", a2.lo), ("a2.hi", a2.hi)):
             if not math.isfinite(value):
@@ -196,7 +195,8 @@ class ReachStepRecord:
     """State box at a grid time plus the enclosure data of the outgoing step.
 
     `R_next` is the over-approximation propagated to t + dt (equal to R on the
-    terminal record, whose S collapses to R as well).
+    terminal record, whose S collapses to R as well); `clipped` tells whether
+    the domain intersection cut it.
     """
 
     t: float
@@ -205,6 +205,7 @@ class ReachStepRecord:
     beta: float
     alpha_norm: float
     R_next: Box
+    clipped: bool = False
 
     def __post_init__(self):
         if not self.S.encloses(self.R, atol=1e-12):
@@ -228,6 +229,11 @@ class ReachTube:
 
     def terminal_width(self) -> np.ndarray:
         return self.steps[-1].R.width
+
+    @property
+    def clipped(self) -> List[int]:
+        """The indices of the steps whose propagated box the domain cut."""
+        return [i for i, rec in enumerate(self.steps) if rec.clipped]
 
 
 def _hooked(hook, X: Box, V: Box, *encs):
@@ -278,10 +284,16 @@ def _kept(kb: KnowledgeBase, name, key, make):
 
 
 def _record(t, R: Box, beta, alpha, S: Box, R_next, domain: Optional[Box]):
-    Rn = Box(*R_next)
+    """The step's record.  One fused comparison tells whether R_next leaves
+    the domain; only then is it intersected with it, which elsewhere
+    changes nothing."""
+    Rn, clipped = Box(*R_next), False
     if domain is not None:
-        Rn = Rn.intersect(domain)
-    return ReachStepRecord(t, R, S, beta, alpha, Rn)
+        check_shape(domain, Rn.shape)
+        clipped = bool(np.count_nonzero((Rn.lo < domain.lo) | (domain.hi < Rn.hi)))
+        if clipped:
+            Rn = Rn.intersect(domain)
+    return ReachStepRecord(t, R, S, beta, alpha, Rn, clipped)
 
 
 def datareach_step(

@@ -101,21 +101,12 @@ def unicycle_knowledge_settings() -> dict:
     and the heading responds one-to-one to the turning rate.
     """
     sys_b = unicycle()
-    side_a = SideInfoSet()
-    side_b = sys_b.side
-    big = 1e3
-    g_lo = np.full((3, 2), -big)
-    g_hi = np.full((3, 2), big)
+    g_lo, g_hi = np.full((3, 2), -1e3), np.full((3, 2), 1e3)
     g_lo[2, 1] = g_hi[2, 1] = 1.0
-    side_c = replace(
-        sys_b.side,
-        vf_bounds=VectorFieldBounds(
-            region=sys_b.X,
-            f_range=Box(np.zeros(3), np.zeros(3)),
-            G_range=Box(g_lo, g_hi),
-        ),
-    )
-    return {"lipschitz_only": side_a, "decoupled": side_b, "decoupled_bounds": side_c}
+    bounds = VectorFieldBounds(region=sys_b.X, f_range=Box(np.zeros(3), np.zeros(3)),
+                               G_range=Box(g_lo, g_hi))
+    return {"lipschitz_only": SideInfoSet(), "decoupled": sys_b.side,
+            "decoupled_bounds": replace(sys_b.side, vf_bounds=bounds)}
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +320,20 @@ def excite(sys: SystemSpec, N: int, seed: int, dt: float = 0.1,
     Modes: "random" draws uniformly in U each step; "single_axis" keeps one
     random control axis live per step; "zero" applies no control; "mixed"
     interleaves all three, which identifies f and the G columns separately.
+    ``dt`` must be positive and finite, and ``x0`` finite.
     """
     check_count("N", N, 1)
     check_count("seed", seed, 0)
     check_count("substeps", substeps, 1)
+    check_positive("dt", dt)
     if mode not in EXCITATIONS:
         raise ValueError(f"unknown excitation mode {mode!r}")
     rng = np.random.default_rng(int(seed))
     x = np.asarray(sys.X.mid if x0 is None else x0, dtype=float)
     if x.shape != (sys.n,):
         raise ValueError(f"x0 must have {sys.n} entries")
+    if not np.isfinite(x).all():
+        raise ValueError(f"x0 must be finite, not {x.tolist()}")
     samples = []
     for i in range(int(N)):
         u = rng.uniform(sys.U.lo, sys.U.hi)
@@ -401,6 +396,9 @@ class RunReport:
     dt: float  # the control period
     logs: List[StepLog] = field(default_factory=list)
     failure: Optional[str] = None
+    # the initial build's invariance passes and final residual (kb.passes, kb.residual)
+    build_passes: int = 0
+    build_residual: Optional[float] = None
 
     @property
     def steps_taken(self) -> int:
@@ -433,7 +431,7 @@ class RunReport:
         out = {key: getattr(self, key) for key in (
             "system", "mode", "seed", "reached", "steps_taken", "steps_to_goal", "cum_cost",
             "mean_step_micros", "max_step_micros", "dt", "max_total_micros", "overruns",
-            "final_state", "failure")}
+            "final_state", "failure", "build_passes", "build_residual")}
         out["final_state"] = [float(v) for v in self.final_state]
         return out
 
@@ -490,6 +488,7 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
     samples = excite(sys, cfg.init_len, cfg.seed, dt=cfg.dt, x0=cfg.x0,
                      mode=cfg.excitation, substeps=cfg.substeps)
     kb = build_knowledge(samples, sys.lip, sys.side, M=cfg.M)
+    build_passes, build_residual = kb.passes, kb.residual
     x = advance(sys, samples[-1].x, samples[-1].u, cfg.dt, cfg.substeps)
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5EED]))
@@ -534,7 +533,8 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
             reached = True
             break
 
-    return RunReport(sys.name, cfg.mode, cfg.seed, reached, cum_cost, x, cfg.dt, logs, failure)
+    return RunReport(sys.name, cfg.mode, cfg.seed, reached, cum_cost, x, cfg.dt, logs, failure,
+                     build_passes, build_residual)
 
 
 def unicycle_experiment(seed: int = 4, mode: str = "idealistic",
@@ -585,9 +585,6 @@ def aircraft_experiment(seed: int = 3, mode: str = "idealistic",
 
 
 def experiment_for(name: str, **kwargs) -> ExperimentConfig:
-    presets = {
-        "unicycle": unicycle_experiment,
-        "quadrotor": quadrotor_experiment,
-        "aircraft": aircraft_experiment,
-    }
+    presets = {"unicycle": unicycle_experiment, "quadrotor": quadrotor_experiment,
+               "aircraft": aircraft_experiment}
     return presets[name](**kwargs)

@@ -6,8 +6,8 @@ from hypothesis import settings
 
 from datareach.intervals import Box
 from datareach.knowledge import LipschitzBounds, SideInfoSet, VectorFieldBounds, build_knowledge
-from datareach.reach import ConstCosControl, PiecewiseConstantControl
-from datareach.systems import advance, excite, unicycle
+from datareach.reach import ConstantControl, ConstCosControl, PiecewiseConstantControl, datareach
+from datareach.systems import advance, excite, experiment_for, quadrotor, unicycle
 
 # every property test runs the same examples in every process
 settings.register_profile("datareach", derandomize=True, deadline=None)
@@ -61,6 +61,20 @@ def unicycle_fig_setup(unicycle_system):
     kb = build_knowledge(samples, sysu.lip, sysu.side)
     x_start = advance(sysu, samples[-1].x, samples[-1].u, SAMPLE_DT)
     return sysu, samples, kb, x_start
+
+
+def quadrotor_default_tube():
+    """The tube `datareach reach` draws for the quadrotor with no reach
+    section: 15 preset-spaced samples from the preset start, the constant
+    control U.mid from one preset step after them, dt = 0.008, 200 steps,
+    intersected with the domain.  Returns the tube and its (kb, control)."""
+    sysq, preset = quadrotor(), experiment_for("quadrotor")
+    samples = excite(sysq, 15, 2, dt=preset.dt, x0=preset.x0)
+    kb = build_knowledge(samples, sysq.lip, sysq.side)
+    x_start = advance(sysq, samples[-1].x, samples[-1].u, preset.dt)
+    ctrl = ConstantControl(sysq.U.mid)
+    tube = datareach(kb, x_start, ctrl, 0.008, 200, t0=samples[-1].t + preset.dt, domain=sysq.X)
+    return tube, kb, ctrl
 
 
 class FirstOrderCos(ConstCosControl):

@@ -14,9 +14,9 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # (result_cost, guarantee_width, steps) per workload
 QUALITY = {
-    "loop-ideal": (1858.6831325973938, 0.586826886319327, 355),
-    "loop-optim": (736.322867932643, 0.6988285940083047, 100),
-    "tube-fig": (27.793390433107696, 5.10461395461763, 600),
+    "loop-ideal": (1858.6831325973938, 0.5868268863248206, 355),
+    "loop-optim": (736.322867932643, 0.6988285940278075, 100),
+    "tube-fig": (27.79339043311281, 5.1046139546182525, 600),
 }
 
 

@@ -664,15 +664,53 @@ class TestReachDefaults:
         assert len(ts) == 201
 
     def test_unicycle_tube_unchanged(self, tmp_path):
-        """The unicycle's preset start and spacing are the old defaults, so its
-        default tube is the same file, byte for byte."""
+        """The unicycle's default tube, pinned byte for byte: its preset start
+        and spacing are the old defaults, and the file moves only with the
+        knowledge base's bits."""
         import hashlib
 
         cfg = write_cfg(tmp_path, {"system": "unicycle", "out": str(tmp_path / "out")})
         assert cli.main(["--config", cfg, "reach"]) == cli.EXIT_OK
         data = (tmp_path / "out" / "tube_unicycle.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
-            "300c2ecbc2ce339f71e241ec3d9d92495229ab28ba4747d40c9d688f3bcdd204")
+            "3abf9a9a2107ac8bdc6dbc866c07eb9b79e7c84b8da44444afbc37156f864501")
+
+
+    @pytest.mark.parametrize("init_len, stop", [(15, "settled"),
+                                                 (60, "stopped at max_fixpoint_iters")])
+    def test_reports_the_build(self, tmp_path, capsys, init_len, stop):
+        """`reach` prints the base's size, its invariance passes and residual,
+        and whether the build settled or stopped at the pass cap."""
+        from datareach.knowledge import build_knowledge
+        from datareach.systems import experiment_for
+
+        cfg = write_cfg(tmp_path, {"system": "unicycle", "out": str(tmp_path / "out"),
+                                   "reach": {"init_len": init_len}})
+        assert cli.main(["--config", cfg, "reach"]) == cli.EXIT_OK
+        sysu, preset = unicycle(), experiment_for("unicycle")
+        kb = build_knowledge(excite(sysu, init_len, 2, dt=preset.dt, x0=preset.x0),
+                             sysu.lip, sysu.side)
+        assert (kb.passes == 50) == (stop != "settled")
+        line = (f"knowledge base: {init_len + 1} entries, {kb.passes} passes, "
+                f"residual {kb.residual:.3g} ({stop})")
+        assert line in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("system", ["unicycle", "quadrotor"])
+    def test_reports_domain_clips(self, tmp_path, capsys, system):
+        """`reach` prints how many steps the domain cut and the first one."""
+        from conftest import quadrotor_default_tube
+
+        cfg = write_cfg(tmp_path, {"system": system, "out": str(tmp_path / "out")})
+        assert cli.main(["--config", cfg, "reach"]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        if system == "unicycle":
+            assert "domain clipped 0 of 200 steps" in lines
+            return
+        tube = quadrotor_default_tube()[0]
+        cut = tube.clipped
+        assert len(cut) > 0
+        assert (f"domain clipped {len(cut)} of 200 steps, first at step {cut[0]} "
+                f"(t={tube.steps[cut[0]].t:.6g})") in lines
 
 
 def test_control_line_reports_latency_against_dt(tmp_path, capsys):

@@ -594,10 +594,18 @@ def _ref_append(base, samples):
     return base
 
 
+def _ref_build(seed, samples, **invariance):
+    """`build_knowledge` per sample: each sample contracted against the
+    seed-only base alone, then the invariance passes."""
+    first = [_ref_entry(seed, s) for s in samples]
+    return _ref_invariance(_RefBase(seed.entries + first, seed.lip, seed.side), samples,
+                           **invariance)
+
+
 def _ref_run(traj, lip, side, n_init, M=1e3):
     """Per-sample build on the first n_init samples, then append the rest, then rebuild."""
     base, samples = _ref_seed(traj, lip, side, M)
-    base = _ref_invariance(_ref_append(base, samples[:n_init]), samples[:n_init])
+    base = _ref_build(base, samples[:n_init])
     return _ref_invariance(_ref_append(base, samples[n_init:]), samples)
 
 
@@ -638,6 +646,22 @@ def pass_log(monkeypatch):
     return log
 
 
+@pytest.fixture
+def contract_calls(monkeypatch):
+    """(entries, rows) of every `_contract_rows` call."""
+    from datareach import knowledge
+
+    calls = []
+    contract_rows = knowledge._contract_rows
+
+    def spy(kb, settled, X, *rest):
+        calls.append((kb.xs.shape[0], X.shape[0]))
+        return contract_rows(kb, settled, X, *rest)
+
+    monkeypatch.setattr(knowledge, "_contract_rows", spy)
+    return calls
+
+
 class TestBatchedPass:
     """build_knowledge, append_sample and rebuild equal a per-sample loop exactly."""
 
@@ -673,7 +697,7 @@ class TestBatchedPass:
         cfg = experiment_for("aircraft")
         traj = excite(sys_, 85, seed=3, dt=cfg.dt, x0=cfg.x0)
         base, samples = _ref_seed(traj, sys_.lip, sys_.side)
-        base = _ref_invariance(_ref_append(base, samples[:10]), samples[:10])
+        base = _ref_build(base, samples[:10])
         kb = build_knowledge(traj[:10], sys_.lip, sys_.side)
         _assert_same_base(kb, base)
         for start, end in ((10, 35), (35, 60), (60, 85)):
@@ -714,7 +738,7 @@ class TestBatchedPass:
         monkeypatch.setattr(knowledge, "_loosened", loosened_spy)
         got = rebuild(kb, max_fixpoint_iters=3)
         base, samples = _ref_seed(traj, sys_.lip, sys_.side)
-        base = _ref_invariance(_ref_append(base, samples[:40]), samples[:40])
+        base = _ref_build(base, samples[:40])
         want = _ref_invariance(_ref_append(base, samples[40:]), samples, max_iters=3)
         _assert_same_base(got, want)
         # the first pass folded the changed entries (the 4 appended among
@@ -805,6 +829,32 @@ class TestBatchedPass:
             assert c_lo[i, n:].tobytes() == want_G.lo.tobytes()
             assert c_hi[i, n:].tobytes() == want_G.hi.tobytes()
         assert _first_failure(stages) == (bad_row, "contract", exc.value.index)
+
+    @pytest.mark.parametrize("N", [1, 15, 100])
+    def test_first_pass_is_one_contraction_call(self, N, contract_calls):
+        """A build contracts all its samples against the seed-only base in one
+        `_contract_rows` call, whatever N is; each invariance pass makes one
+        more."""
+        sysu = unicycle()
+        traj = excite(sysu, N, seed=4, dt=0.1, x0=[-2.0, -2.5, math.pi / 2])
+        kb = build_knowledge(traj, sysu.lip, sysu.side)
+        assert contract_calls[0] == (1, N)
+        # the passes run on the full base (a delta pass contracts fewer rows)
+        assert [entries for entries, _ in contract_calls[1:]] == [N + 1] * kb.passes
+
+    def test_zero_sample_build_from_range_bounds(self, contract_calls):
+        """With range bounds and no samples, the first pass contracts no row
+        and the base is the seed entry alone."""
+        lip = LipschitzBounds([0.5], [[0.0]])
+        side = SideInfoSet(vf_bounds=VectorFieldBounds(
+            region=Box([-1.0], [1.0]), f_range=Box([-2.0], [3.0]), G_range=Box([[1.0]], [[1.0]])))
+        kb = build_knowledge([], lip, side)
+        assert contract_calls == [(1, 0), (1, 0)]
+        assert kb.xs.shape == (1, 1) and (kb.passes, kb.residual) == (1, 0.0)
+        # the ranges, padded outward by the settle's relative pad
+        fe, ge = f_over([0.5], kb), G_over([0.5], kb)
+        assert fe.encloses(Box([-2.0], [3.0])) and ge.encloses(Box([[1.0]], [[1.0]]))
+        assert np.allclose(fe.lo, -2.0, rtol=1e-12) and np.allclose(fe.hi, 3.0, rtol=1e-12)
 
     @pytest.mark.parametrize("chunk_floats", [None, 1])
     def test_rebuild_raises_for_lowest_failing_sample(self, chunk_floats, monkeypatch):

@@ -20,7 +20,9 @@ from datareach.knowledge import (
     build_knowledge,
     f_over,
     f_over_iv,
+    G_over,
     G_over_iv,
+    rebuild,
 )
 
 
@@ -111,3 +113,20 @@ class TestMoreDataNeverWidens:
             assert _nested(G_over_iv(X, grown), G_over_iv(X, kb))
             q = rng.uniform(-2.5, 2.5, kb.n)
             assert _nested(f_over(q, grown), f_over(q, kb))
+
+
+class TestSoundness:
+    @given(random_bases(), st.integers(1, 4))
+    def test_built_appended_and_rebuilt_bases_enclose_the_field(self, case, appended):
+        """The built base, each base `append_sample` grows from it and their
+        `rebuild` contain the true f and G, with no tolerance, at their
+        samples and at random points."""
+        kb, (f, G), rng = case
+        bases = [kb]
+        for _ in range(appended):
+            x, u = rng.uniform(-2.0, 2.0, kb.n), rng.uniform(-2.0, 2.0, kb.m)
+            bases.append(append_sample(bases[-1], Sample(x, f(x) + G(x) @ u, u)))
+        bases.append(rebuild(bases[-1]))
+        for base in bases:
+            for x in [*base.xs[1:], *rng.uniform(-2.5, 2.5, (8, kb.n))]:
+                assert f_over(x, base).contains(f(x)) and G_over(x, base).contains(G(x))

@@ -10,11 +10,12 @@ from conftest import (
     constant_f_kb,
     exact_integrator_kb,
     mc_unicycle_rollout,
+    quadrotor_default_tube,
 )
 from datareach.errors import StepTooLarge
 from datareach.intervals import Box, Interval
 from datareach.knowledge import LipschitzBounds, build_knowledge
-from datareach.systems import advance, excite, unicycle
+from datareach.systems import advance, excite, quadrotor, unicycle
 from datareach.reach import (
     ConstantControl,
     ConstCosControl,
@@ -267,6 +268,45 @@ class TestDataReachTube:
         wc = tube_coarse.terminal_width()
         wf = tube_fine.terminal_width()
         assert np.all(wf <= 1.05 * wc + 1e-12)
+
+
+def _assert_clip_record(tube, kb, ctrl, domain):
+    """Each step's `clipped` says whether its box, propagated again without
+    the domain, leaves the domain, and the record holds that box cut to the
+    domain."""
+    for rec in tube.steps[:-1]:
+        raw = datareach_step(rec.R, kb, ctrl, rec.t, tube.dt).R_next
+        leaves = not domain.encloses(raw)
+        assert rec.clipped == leaves
+        assert rec.R_next == (raw.intersect(domain) if leaves else raw)
+    assert not tube.steps[-1].clipped
+    assert tube.clipped == [i for i, rec in enumerate(tube.steps) if rec.clipped]
+
+
+class TestDomainClips:
+    def test_quadrotor_default_tube(self):
+        tube, kb, ctrl = quadrotor_default_tube()
+        assert tube.failure is None and len(tube.clipped) > 0
+        _assert_clip_record(tube, kb, ctrl, quadrotor().X)
+
+    @pytest.mark.parametrize("setting, clips", [("lipschitz_only", True), ("decoupled", False)])
+    def test_figure_tubes(self, unicycle_fig_setup, setting, clips):
+        """The figure's lipschitz_only tube runs into the domain; the
+        decoupled one stays inside it."""
+        from datareach.systems import unicycle_knowledge_settings
+
+        sysu, samples, _, x_start = unicycle_fig_setup
+        kb = build_knowledge(samples, sysu.lip, unicycle_knowledge_settings()[setting])
+        ctrl = ConstCosControl(t_ref=T_REF, a1=Interval(-0.1, 0.1), a2=Interval(-0.01, 0.01))
+        tube = datareach(kb, x_start, ctrl, 0.02, 200, t0=T_REF, domain=sysu.X)
+        assert tube.failure is None and bool(tube.clipped) == clips
+        _assert_clip_record(tube, kb, ctrl, sysu.X)
+
+    def test_no_domain_no_clips(self, unicycle_fig_setup):
+        sysu, _, kb, x_start = unicycle_fig_setup
+        ctrl = ConstCosControl(t_ref=T_REF)
+        tube = datareach(kb, x_start, ctrl, 0.02, 20, t0=T_REF)
+        assert tube.clipped == []
 
 
 class TestControlFamilies:

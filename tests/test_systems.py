@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -294,6 +295,17 @@ class TestExcite:
         with pytest.raises(ValueError, match="^x0 must have 3 entries$"):
             excite(unicycle(), 3, seed=0, dt=0.1, x0=x0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("dt", 0.0), ("dt", -0.1), ("dt", math.nan), ("dt", math.inf), ("dt", -math.inf),
+        ("x0", [0.0, math.nan, 0.0]), ("x0", [math.inf, 0.0, 0.0]), ("x0", [0.0, 0.0, -math.inf]),
+    ])
+    def test_step_and_start_validated(self, key, value):
+        """A dt that is not positive and finite, or a non-finite x0, is
+        rejected before any sample, with an error naming it."""
+        kwargs = {"dt": 0.1, "x0": [0.0, 0.0, 0.0], key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            excite(unicycle(), 3, seed=0, **kwargs)
+
     def test_seeded_determinism(self):
         sysu = unicycle()
         a = excite(sysu, 8, seed=42, dt=0.1, x0=[0, 0, 0])
@@ -341,6 +353,27 @@ class TestStepLatency:
     def test_no_steps(self):
         rep = self.report(0.1, [])
         assert (rep.max_total_micros, rep.overruns, rep.max_step_micros) == (0.0, 0, 0.0)
+
+    def test_closed_loop_reports_its_initial_build(self, monkeypatch):
+        """The report and its JSON carry the initial build's passes and
+        residual, not those of a later rebuild."""
+        from datareach import systems
+
+        built = []
+        build = systems.build_knowledge
+
+        def spy(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(systems, "build_knowledge", spy)
+        cfg = replace(experiment_for("aircraft"), max_steps=30)  # one rebuild, at step 25
+        rep = run_closed_loop(aircraft(), cfg)
+        (kb,) = built
+        assert rep.steps_taken == 30 and kb.passes >= 1
+        assert (rep.build_passes, rep.build_residual) == (kb.passes, kb.residual)
+        out = json.loads(json.dumps(rep.to_dict()))
+        assert (out["build_passes"], out["build_residual"]) == (kb.passes, kb.residual)
 
     def test_closed_loop_reports_its_period(self):
         cfg = replace(unicycle_experiment(), max_steps=3)
