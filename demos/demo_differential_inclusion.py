@@ -12,14 +12,13 @@ import numpy as np
 
 from datareach import (
     G_over,
+    advance,
     build_knowledge,
     excite,
     f_over,
     imat_vec,
-    rk4_step,
     unicycle,
 )
-from datareach.systems import advance
 
 SEED = 2
 T_END = 1.5  # end of the sampled trajectory
@@ -45,7 +44,7 @@ def main():
         )
         worst_margin = min(worst_margin, margin)
         rows.append((t, enc.lo.copy(), enc.hi.copy(), truth))
-        x = rk4_step(sysu, x, u, h)
+        x = advance(sysu, x, u, h, 1)
 
     contained = worst_margin >= 0.0
     print(f"containment of the true derivative: {'100%' if contained else 'VIOLATED'}")

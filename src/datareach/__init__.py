@@ -23,7 +23,6 @@ from .intervals import (
     Interval,
     imat_vec,
     meet,
-    real_mat_iv,
 )
 from .knowledge import (
     Decoupling,
@@ -37,7 +36,6 @@ from .knowledge import (
     VectorFieldBounds,
     append_sample,
     build_knowledge,
-    contract_fg,
     f_over,
     f_over_iv,
     G_over,
@@ -75,7 +73,6 @@ from .qpsolve import (
     OptimisticQP,
     OrthantQP,
     QPOptions,
-    box_project,
     oracle_boxqp,
     solve_idealistic,
     solve_optimistic,
@@ -90,7 +87,6 @@ from .systems import (
     excite,
     experiment_for,
     quadrotor,
-    rk4_step,
     run_closed_loop,
     unicycle,
     unicycle_knowledge_settings,

@@ -65,7 +65,7 @@ class QuadraticCost:
     r: np.ndarray
     # `_LoopTerms` of the last (U, X) this cost met, see `_loop_terms`
     _terms: Optional[_LoopTerms] = field(default=None, init=False, repr=False, compare=False)
-    # (sigma, factor) of the last optimistic solve, see `qpsolve._factor`
+    # factor of the optimistic solve, see `qpsolve._factor`
     _factored: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -349,6 +349,8 @@ def datacontrol_step(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if not (0.0 <= wplus <= 1.0 and 0.0 <= wminus <= 1.0):
+        raise ValueError("weights must lie in [0, 1]")
     opts = opts or QPOptions()
     started = time.perf_counter()
     R = Box.point(np.asarray(x, dtype=float))

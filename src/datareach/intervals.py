@@ -14,8 +14,8 @@ error.
 Each formula (sum, real scaling, matrix-vector, matrix-matrix, the tensor
 contraction over the middle axis and the real-matrix product) exists once,
 as an array kernel on (lo, hi) pairs of ndarrays that validates nothing.
-The `Box` operations, `imat_vec` and `real_mat_iv` wrap those kernels and
-validate their result, and `check_pair` validates a bare pair the same way.
+The `Box` operations and `imat_vec` wrap those kernels and validate their
+result, and `check_pair` validates a bare pair the same way.
 The reach and linearization step (`reach._step_data` and its callers) runs
 on the kernels directly and validates the rough enclosure and every output
 `Box` it returns; a NaN made anywhere in the step flows into one of them,
@@ -136,9 +136,6 @@ class Box:
     __rmul__ = __mul__
 
     # -- set operations ------------------------------------------------------
-    def intersect(self, other):
-        return meet(self, other)
-
     def contains(self, values, atol: float = 0.0) -> bool:
         v = np.asarray(values, dtype=float)
         return bool((self.lo - atol <= v).all() and (v <= self.hi + atol).all())
@@ -315,8 +312,3 @@ def real_mat_pairs(M, v):
     pos, neg = M if isinstance(M, tuple) else (np.maximum(M, 0.0), np.minimum(M, 0.0))
     lo = pos @ v[0] + neg @ v[1]
     return lo, lo if v[0] is v[1] else pos @ v[1] + neg @ v[0]
-
-
-def real_mat_iv(M, v: Box) -> Box:
-    """Real matrix times interval vector, exact per component."""
-    return Box(*real_mat_pairs(np.asarray(M, dtype=float), (v.lo, v.hi)))

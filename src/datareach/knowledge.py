@@ -64,8 +64,8 @@ class LipschitzBounds:
             raise ValueError("L_f must be a vector and L_G a matrix")
         if self.L_G.shape[0] != self.L_f.shape[0]:
             raise ValueError("L_f and L_G disagree on the state dimension")
-        if np.any(self.L_f < 0) or np.any(self.L_G < 0):
-            raise ValueError("Lipschitz bounds must be nonnegative")
+        if not all(((0 <= L) & (L < np.inf)).all() for L in (self.L_f, self.L_G)):
+            raise ValueError("Lipschitz bounds must be nonnegative and finite")
 
     @property
     def n(self) -> int:
@@ -437,10 +437,15 @@ def _clamp(a, lo, hi, out=None):
 
 
 def _contract(xdot, u, lo, hi):
-    """`contract_fg` on stacked rows: xdot (k, n), u (k, m), lo/hi (k, n + n m).
+    """Contract enclosures of f(x) and G(x) against xdot = f(x) + G(x) u, on
+    stacked rows: xdot (k, n), u (k, m), lo/hi (k, n + n m).
 
-    Returns the contracted lo/hi rows and the (mask, "contract") failure
-    stages of its intersections.
+    Sequential two-step forward/backward pruning: first the f-enclosure is cut
+    with xdot - G u, then each column of G is cut in turn while a running
+    interval tracks the part of G u not yet attributed.  A near-zero control
+    component leaves its column untouched (no information, and dividing by it
+    would amplify rounding).  Returns the contracted lo/hi rows and the
+    (mask, "contract") failure stages of its intersections.
     """
     n, m = xdot.shape[1], u.shape[1]
     (F_lo, G_lo), (F_hi, G_hi) = _split(lo, n), _split(hi, n)
@@ -504,28 +509,6 @@ def _contract(xdot, u, lo, hi):
         )
         stages.append(bad)
     return c_lo, c_hi, [(bad, "contract") for bad in stages]
-
-
-def contract_fg(s: Sample, F: Box, G: Box) -> Tuple[Box, Box]:
-    """Contract enclosures of f(x) and G(x) against xdot = f(x) + G(x) u.
-
-    Sequential two-step forward/backward pruning: first the f-enclosure is cut
-    with xdot - G u, then each column of G is cut in turn while a running
-    interval tracks the part of G u not yet attributed.  A near-zero control
-    component leaves its column untouched (no information, and dividing by it
-    would amplify rounding).
-    """
-    lo, hi = _stacked(F, G, len(F), len(s.u))
-    c_lo, c_hi, stages = _contract(s.xdot[None], s.u[None], lo[None], hi[None])
-    failure = _first_failure(stages)
-    if failure is not None:
-        exc = _empty(None, failure[2])
-        raise InconsistentSample(
-            f"data point contradicts the current enclosures ({exc})",
-            component=exc.index,
-        ) from exc
-    (cf_lo, cg_lo), (cf_hi, cg_hi) = _split(c_lo[0], len(F)), _split(c_hi[0], len(F))
-    return Box(cf_lo, cf_hi), Box(cg_lo, cg_hi)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from .intervals import Box
 
 _L_MIN_SCALE = 1e-12
 _EPS = float(np.finfo(float).eps)
+# Tikhonov weight of the optimistic solve's cost, see `solve_optimistic`
+_SIGMA = 1e-6
 
 
 @dataclass(frozen=True)
@@ -103,11 +105,6 @@ class QPOptions:
         check_count("max_total_iters", self.max_total_iters, 1)
 
 
-def box_project(v: np.ndarray, box: Box) -> np.ndarray:
-    """Componentwise clamp onto a box."""
-    return np.minimum(np.maximum(np.asarray(v, dtype=float), box.lo), box.hi)
-
-
 def _theta_seq(K: int) -> np.ndarray:
     """theta_0..theta_K with theta_{k+1}^2 = (1 - theta_{k+1}) theta_k^2 (positive root)."""
     th = np.empty(K + 1)
@@ -164,7 +161,7 @@ def solve_idealistic(
     y0 = qp.box.mid if y0 is None else np.asarray(y0, dtype=float)
     Qi, qi, lo, hi, objective = qp.Qi, qp.qi, qp.box.lo, qp.box.hi, qp.value
 
-    def pg(y):  # box_project(y - qp.gradient(y) / L, qp.box)
+    def pg(y):  # y - qp.gradient(y) / L, clamped onto qp.box
         return np.minimum(np.maximum(y - (Qi @ y + qi) / L, lo), hi)
 
     mu = opts.mu0
@@ -313,25 +310,23 @@ def _kkt_residual(H, h, A, b, y, lam) -> float:
     ))
 
 
-def _factor(cost, sigma):
+def _factor(cost):
     """The orthant-independent part of the solve: H = 2M + sigma I, h,
     L^-1 with H = L L', g = L^-1 h and the unconstrained minimizer.
 
-    It depends only on the cost and sigma, so the cost keeps the factor of
-    the last sigma it was solved with (a cost is immutable).  The arrays
-    are read-only."""
-    kept = cost._factored
-    if kept is not None and kept[0] == sigma:
-        return kept[1]
+    It depends only on the cost, so the cost keeps it (a cost is
+    immutable).  The arrays are read-only."""
+    if cost._factored is not None:
+        return cost._factored
     M = np.block([[cost.R, cost.S.T], [cost.S, cost.Q]])
-    H = 2.0 * M + sigma * np.eye(M.shape[0])
+    H = 2.0 * M + _SIGMA * np.eye(M.shape[0])
     h = np.concatenate([cost.r, cost.q])
     Linv = np.linalg.inv(np.linalg.cholesky(H))
     g = Linv @ h
     fac = (H, h, Linv, g, -Linv.T @ g)
     for a in fac:
         a.flags.writeable = False
-    object.__setattr__(cost, "_factored", (sigma, fac))
+    object.__setattr__(cost, "_factored", fac)
     return fac
 
 
@@ -488,16 +483,16 @@ def _dual_solve_orthant(fac, B, X, orth: OrthantQP, max_iters, start=None):
 def solve_optimistic(
     oqp: OptimisticQP,
     opts: Optional[QPOptions] = None,
-    sigma: float = 1e-6,
     start: Optional[tuple] = None,
 ) -> Tuple[np.ndarray, np.ndarray, float, OptimisticInfo]:
     """Solve every sign-orthant subproblem exactly; return the best (u, x,
     value) and its `OptimisticInfo`.
 
-    The sigma * I Tikhonov term makes the inner problem strongly convex; its
-    effect on the reported cost is bounded by sigma (|u|^2 + |x|^2), returned
-    in the info record.  `opts.max_total_iters` caps the active-set
-    iterations of each orthant; `opts.eps` and `opts.mu0` do not apply.
+    The sigma * I Tikhonov term (sigma = 1e-6) makes the inner problem
+    strongly convex; its effect on the reported cost is bounded by
+    sigma (|u|^2 + |x|^2), returned in the info record.
+    `opts.max_total_iters` caps the active-set iterations of each orthant;
+    `opts.eps` and `opts.mu0` do not apply.
 
     `start` warm-starts each orthant from the active rows of an earlier
     solve, usually the `active_sets` of the previous control step.  It is a
@@ -509,7 +504,7 @@ def solve_optimistic(
     """
     opts = opts or QPOptions()
     cost = oqp.cost
-    fac = _factor(cost, sigma)
+    fac = _factor(cost)
     if start is not None and len(start) != len(oqp.orthants):
         start = None
     best = None
@@ -540,7 +535,7 @@ def solve_optimistic(
         )
     u, x, val, (y, lam, _, A, b, norms) = best
     return u, x, val, OptimisticInfo(
-        orthant=best_orth, iters=total_it, sigma_effect=sigma * float(u @ u + x @ x),
+        orthant=best_orth, iters=total_it, sigma_effect=_SIGMA * float(u @ u + x @ x),
         feasible_orthants=feasible, kkt_residual=_kkt_residual(*fac[:2], A, b, y, lam),
         multipliers=lam / norms, active_sets=tuple(active_sets),
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataReachError, StepTooLarge, check_count
 from .intervals import (
-    Box, Interval, add_pairs, check_shape, mat_vec_pairs, scale_pair, tensor_vec_pairs,
+    Box, Interval, add_pairs, check_shape, mat_vec_pairs, meet, scale_pair, tensor_vec_pairs,
 )
 from .knowledge import KnowledgeBase, LipschitzBounds, _box_query, _jacobian_pairs
 
@@ -292,7 +292,7 @@ def _record(t, R: Box, beta, alpha, S: Box, R_next, domain: Optional[Box]):
         check_shape(domain, Rn.shape)
         clipped = bool(np.count_nonzero((Rn.lo < domain.lo) | (domain.hi < Rn.hi)))
         if clipped:
-            Rn = Rn.intersect(domain)
+            Rn = meet(Rn, domain)
     return ReachStepRecord(t, R, S, beta, alpha, Rn, clipped)
 
 
@@ -340,12 +340,14 @@ def datareach(
     The tube starts from the singleton {x_start}.  On the first failing step
     the tube is truncated and the reason recorded in `failure`.  T must be
     a whole number >= 0; T = 0 gives the tube of the start alone.  dt must
-    be positive and finite, x_start hold kb.n entries and the family's
-    controls kb.m entries.
+    be positive and finite, t0 finite, x_start hold kb.n entries and the
+    family's controls kb.m entries.
     """
     check_count("T", T, 0)
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, not {dt!r}")
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, not {t0!r}")
     R = x_start if isinstance(x_start, Box) else Box.point(x_start)
     if R.shape != (kb.n,):
         raise ValueError(f"x_start must have {kb.n} entries, not shape {R.shape}")

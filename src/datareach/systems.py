@@ -36,7 +36,7 @@ class SystemSpec:
 
     `h_float`, when given, is the true field f(x) + G(x) u on Python floats:
     it maps the state and control as float sequences to the derivative.  The
-    plant simulator (`advance`, `rk4_step`) integrates it; without it the
+    plant simulator (`advance`) integrates it; without it the
     simulator evaluates `h_true` on arrays.  Samples always take their
     derivative from `h_true`.
     """
@@ -291,11 +291,6 @@ def _rk4(rhs, x, u, h, substeps):
         x = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
     return x
-
-
-def rk4_step(sys: SystemSpec, x: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
-    """Classical 4th-order step with the control held constant."""
-    return advance(sys, x, u, h, 1)
 
 
 def advance(sys: SystemSpec, x: np.ndarray, u: np.ndarray, dt: float,

@@ -20,6 +20,13 @@ SAMPLE_DT = 0.1
 T_REF = 1.5  # 15 samples at 0.1 s
 
 
+def fg_rows(F, G):
+    """One stacked row of an f box (n,) and a G box (n, m), as the lo/hi
+    arrays (1, n + n m) that `knowledge._contract` takes."""
+    return (np.concatenate((F.lo, G.lo.ravel()))[None],
+            np.concatenate((F.hi, G.hi.ravel()))[None])
+
+
 def exact_integrator_kb():
     """1-D system xdot = u known exactly through range bounds (all L = 0)."""
     lip = LipschitzBounds([0.0], [[0.0]])

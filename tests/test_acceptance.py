@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FIG_SEED, T_REF, batch_rk4_unicycle, mc_unicycle_rollout
+from conftest import FIG_SEED, T_REF, batch_rk4_unicycle, fg_rows, mc_unicycle_rollout
 from datareach.control import datacontrol_step, norm_cost
 from datareach.intervals import (
     Box,
@@ -22,9 +22,11 @@ from datareach.intervals import (
 )
 from datareach.knowledge import (
     Sample,
+    _contract,
+    _first_failure,
+    _split,
     append_sample,
     build_knowledge,
-    contract_fg,
     f_over,
     G_over,
 )
@@ -79,15 +81,19 @@ def test_02_contraction_golden_case():
         ]
     )
     s = Sample([0.0, 0.0, math.pi / 2], [0.0, 1.0, 0.1], [1.0, 0.1])
-    contract_fg(s, F, G)  # warmup
+    xdot, u, (lo, hi) = s.xdot[None], s.u[None], fg_rows(F, G)
+    _contract(xdot, u, lo, hi)  # warmup
     t0 = time.perf_counter()
-    CF, CG = contract_fg(s, F, G)
+    c_lo, c_hi, stages = _contract(xdot, u, lo, hi)
+    failure = _first_failure(stages)
     dt = time.perf_counter() - t0
+    (cf_lo, cg_lo), (cf_hi, cg_hi) = _split(c_lo[0], 3), _split(c_hi[0], 3)
     tol = 1e-12
     ok = (
-        abs(CF.lo[0] + 0.01) <= tol and abs(CF.hi[0] - 0.06) <= tol
-        and abs(CG.lo[0, 0] + 0.05) <= tol and abs(CG.hi[0, 0] - 0.02) <= tol
-        and abs(CG.lo[0, 1] + 0.1) <= tol and abs(CG.hi[0, 1] - 0.6) <= tol
+        failure is None
+        and abs(cf_lo[0] + 0.01) <= tol and abs(cf_hi[0] - 0.06) <= tol
+        and abs(cg_lo[0, 0] + 0.05) <= tol and abs(cg_hi[0, 0] - 0.02) <= tol
+        and abs(cg_lo[0, 1] + 0.1) <= tol and abs(cg_hi[0, 1] - 0.6) <= tol
         and dt < 1e-3
     )
     assert report(2, "contraction golden endpoints 1e-12", ok, dt, 1e-3)
@@ -99,8 +105,6 @@ def test_03_differential_inclusion_soundness(fig_setup):
     h = 2.5 / 400
     x = x_start.copy()
     violations = 0
-    from datareach.systems import rk4_step
-
     for k in range(400):
         t = T_REF + k * h
         u = np.array([1.0, math.cos(6.0 * (t - T_REF))])
@@ -108,7 +112,7 @@ def test_03_differential_inclusion_soundness(fig_setup):
         enc = f_over(x, kb) + imat_vec(G_over(x, kb), u)
         if not enc.contains(xdot_true, atol=1e-9):
             violations += 1
-        x = rk4_step(sysu, x, u, h)
+        x = advance(sysu, x, u, h, 1)
     dt = time.perf_counter() - t0
     ok = violations == 0 and dt < 1.0
     assert report(3, "inclusion sound at 400/400 grid points", ok, dt, 1.0)

@@ -18,7 +18,7 @@ from datareach.control import (
 )
 from datareach import control
 from datareach.errors import NonConvexAssembly, StepTooLarge
-from datareach.intervals import Box, imat_vec, meet, real_mat_iv
+from datareach.intervals import Box, imat_vec, meet, real_mat_pairs
 from datareach.knowledge import Sample, append_sample, build_knowledge
 from datareach.qpsolve import BoxQP, QPOptions
 from datareach.systems import advance, excite, run_closed_loop, unicycle, unicycle_experiment
@@ -243,10 +243,12 @@ class TestSuboptBound:
         """Sharing the S U and domain terms leaves the bound bitwise unchanged."""
 
         def K_of(cost, B, A, U, X):  # every term recomputed per model
-            SU_abs = real_mat_iv(cost.S, U).mag
+            SU_abs = Box(*real_mat_pairs(cost.S, (U.lo, U.hi))).mag
             reach = B + imat_vec(A, U)
-            term_reach = 2.0 * SU_abs + cost.q + 2.0 * real_mat_iv(cost.Q, reach).mag
-            term_domain = 2.0 * SU_abs + cost.q + 2.0 * real_mat_iv(cost.Q, X).mag
+            QR_abs = Box(*real_mat_pairs(cost.Q, (reach.lo, reach.hi))).mag
+            term_reach = 2.0 * SU_abs + cost.q + 2.0 * QR_abs
+            QX_abs = Box(*real_mat_pairs(cost.Q, (X.lo, X.hi))).mag
+            term_domain = 2.0 * SU_abs + cost.q + 2.0 * QX_abs
             return float(min(np.linalg.norm(term_reach), np.linalg.norm(term_domain)))
 
         def reference(cost, aff, U, X):
@@ -313,6 +315,17 @@ class TestSuboptBound:
 
 
 class TestDataControlStep:
+    @pytest.mark.parametrize("weights", [(2.0, -1.0), (-0.1, 0.5), (0.5, math.nan)])
+    @pytest.mark.parametrize("mode", ["idealistic", "optimistic"])
+    def test_weights_checked_before_any_work(self, mode, weights, monkeypatch):
+        """Weights outside [0, 1] are rejected in either mode before the
+        model is built, not only when an optimistic step falls back."""
+        monkeypatch.setattr(control, "linearize", lambda *a, **k: pytest.fail("linearized"))
+        with pytest.raises(ValueError, match=r"^weights must lie in \[0, 1\]$"):
+            datacontrol_step(exact_integrator_kb(), np.array([1.0]), norm_cost(1, 1),
+                             Box([-1.0], [1.0]), Box([-5.0], [5.0]), 0.1, mode=mode,
+                             wplus=weights[0], wminus=weights[1])
+
     def test_exact_integrator_pushes_to_zero(self):
         kb = exact_integrator_kb()
         cost = norm_cost(1, 1)

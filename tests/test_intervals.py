@@ -16,7 +16,6 @@ from datareach.intervals import (
     mat_mat_pairs,
     mat_vec_pairs,
     meet,
-    real_mat_iv,
     real_mat_pairs,
     scale_pair,
     settle_arrays,
@@ -72,16 +71,16 @@ class TestScalarOps:
         assert Interval(1.5) == Interval(1.5, 1.5)
 
     def test_intersect_paper_case(self):
-        got = Box([-0.01], [1.0]).intersect(Box([-0.15], [0.06]))
+        got = meet(Box([-0.01], [1.0]), Box([-0.15], [0.06]))
         assert got == Box([-0.01], [0.06])
 
     def test_intersect_disjoint(self):
         with pytest.raises(EmptyIntersection):
-            Box([0.0], [1.0]).intersect(Box([2.0], [3.0]))
+            meet(Box([0.0], [1.0]), Box([2.0], [3.0]))
 
     def test_intersect_idempotent(self):
         a = Box([-1.25], [3.5])
-        assert a.intersect(a) == a
+        assert meet(a, a) == a
 
     def test_abs_and_width(self):
         assert Box([-3.0], [2.0]).mag[0] == 3
@@ -159,7 +158,7 @@ class TestAggregates:
     def test_real_mat_iv_sign_split(self):
         M = np.array([[1.0, -2.0]])
         v = Box([0, 1], [1, 3])
-        got = real_mat_iv(M, v)
+        got = Box(*real_mat_pairs(M, (v.lo, v.hi)))
         assert got[0] == Interval(0 - 6, 1 - 2)
 
     def test_real_mat_pairs_split_and_point_forms(self):
@@ -211,11 +210,10 @@ class TestBox:
         [
             lambda a, b: a + b,
             lambda a, b: a - b,
-            lambda a, b: a.intersect(b),
             lambda a, b: a.encloses(b),
             lambda a, b: meet(a, b),
         ],
-        ids=["add", "sub", "intersect", "encloses", "meet"],
+        ids=["add", "sub", "encloses", "meet"],
     )
     def test_shape_mismatch_between_vector_and_column(self, op):
         vec = Box([0.0, 0.0], [1.0, 1.0])
@@ -336,7 +334,7 @@ class TestContainmentProperties:
 
     The real result is evaluated in the kernel's own order (elementwise
     products, then a sum over the same axis), and float rounding is monotone,
-    so containment holds without any tolerance.  `real_mat_iv` goes through
+    so containment holds without any tolerance.  `real_mat_pairs` goes through
     BLAS, so its check allows rounding at 8 ulps of |M| |x|.
     """
 
@@ -396,7 +394,7 @@ class TestContainmentProperties:
     def test_real_mat_iv(self, data, n, m):
         M = data.draw(_array((n, m), _COORD))
         v, xs = data.draw(box_and_points((m,)))
-        enc = real_mat_iv(M, v)
+        enc = Box(*real_mat_pairs(M, (v.lo, v.hi)))
         slack = 8 * np.finfo(float).eps * (np.abs(M) @ np.maximum(np.abs(v.lo), np.abs(v.hi)))
         for x in xs:
             real = M @ x

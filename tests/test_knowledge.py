@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import fg_rows
 from datareach.errors import EmptyIntersection, InconsistentSample
 from datareach.intervals import Box, Interval
 from datareach.knowledge import (
@@ -11,10 +12,12 @@ from datareach.knowledge import (
     Sample,
     SideInfoSet,
     VectorFieldBounds,
+    _contract,
+    _first_failure,
     _jacobian_pairs,
+    _split,
     append_sample,
     build_knowledge,
-    contract_fg,
     f_over,
     f_over_iv,
     G_over,
@@ -49,17 +52,22 @@ class TestContraction:
 
     def test_golden_case(self):
         s, F, G = self.golden_inputs()
-        CF, CG = contract_fg(s, F, G)
-        assert CF.lo[0] == pytest.approx(-0.01, abs=1e-12)
-        assert CF.hi[0] == pytest.approx(0.06, abs=1e-12)
-        assert CG.lo[0, 0] == pytest.approx(-0.05, abs=1e-12)
-        assert CG.hi[0, 0] == pytest.approx(0.02, abs=1e-12)
-        assert CG.lo[0, 1] == pytest.approx(-0.1, abs=1e-12)
-        assert CG.hi[0, 1] == pytest.approx(0.6, abs=1e-12)
+        c_lo, c_hi, stages = _contract(s.xdot[None], s.u[None], *fg_rows(F, G))
+        assert _first_failure(stages) is None
+        (cf_lo, cg_lo), (cf_hi, cg_hi) = _split(c_lo[0], 3), _split(c_hi[0], 3)
+        assert cf_lo[0] == pytest.approx(-0.01, abs=1e-12)
+        assert cf_hi[0] == pytest.approx(0.06, abs=1e-12)
+        assert cg_lo[0, 0] == pytest.approx(-0.05, abs=1e-12)
+        assert cg_hi[0, 0] == pytest.approx(0.02, abs=1e-12)
+        assert cg_lo[0, 1] == pytest.approx(-0.1, abs=1e-12)
+        assert cg_hi[0, 1] == pytest.approx(0.6, abs=1e-12)
 
     def test_contraction_is_contained_and_consistent(self):
         s, F, G = self.golden_inputs()
-        CF, CG = contract_fg(s, F, G)
+        c_lo, c_hi, stages = _contract(s.xdot[None], s.u[None], *fg_rows(F, G))
+        assert _first_failure(stages) is None
+        (cf_lo, cg_lo), (cf_hi, cg_hi) = _split(c_lo[0], 3), _split(c_hi[0], 3)
+        CF, CG = Box(cf_lo, cf_hi), Box(cg_lo, cg_hi)
         assert F.encloses(CF, atol=1e-12)
         tol = 1e-9
         assert np.all(CG.lo >= G.lo - tol) and np.all(CG.hi <= G.hi + tol)
@@ -73,25 +81,37 @@ class TestContraction:
         F = Box([-1.0, -1.0], [1.0, 1.0])
         G = Box([[-2.0], [-2.0]], [[2.0], [2.0]])
         s = Sample([0.0, 0.0], [0.25, -0.5], [0.0])
-        CF, CG = contract_fg(s, F, G)
-        assert np.allclose(CF.lo, s.xdot) and np.allclose(CF.hi, s.xdot)
-        assert np.array_equal(CG.lo, G.lo) and np.array_equal(CG.hi, G.hi)
+        c_lo, c_hi, stages = _contract(s.xdot[None], s.u[None], *fg_rows(F, G))
+        assert _first_failure(stages) is None
+        (cf_lo, cg_lo), (cf_hi, cg_hi) = _split(c_lo[0], 2), _split(c_hi[0], 2)
+        assert np.allclose(cf_lo, s.xdot) and np.allclose(cf_hi, s.xdot)
+        assert np.array_equal(cg_lo, G.lo) and np.array_equal(cg_hi, G.hi)
 
     def test_exact_identification(self):
         F = Box([0.0], [0.0])
         G = Box([[0.0]], [[5.0]])
         s = Sample([0.0], [2.0], [1.0])
-        CF, CG = contract_fg(s, F, G)
-        assert CF[0].lo == 0.0 and CF[0].hi == 0.0
-        assert CG[0, 0].lo == pytest.approx(2.0, abs=1e-9)
-        assert CG[0, 0].hi == pytest.approx(2.0, abs=1e-9)
+        c_lo, c_hi, stages = _contract(s.xdot[None], s.u[None], *fg_rows(F, G))
+        assert _first_failure(stages) is None
+        assert c_lo[0, 0] == 0.0 and c_hi[0, 0] == 0.0
+        assert c_lo[0, 1] == pytest.approx(2.0, abs=1e-9)
+        assert c_hi[0, 1] == pytest.approx(2.0, abs=1e-9)
 
     def test_inconsistent_sample_raises(self):
         F = Box([0.0], [0.1])
         G = Box([[0.0]], [[0.1]])
         s = Sample([0.0], [5.0], [1.0])  # xdot cannot be f + G u
-        with pytest.raises(InconsistentSample):
-            contract_fg(s, F, G)
+        _, _, stages = _contract(s.xdot[None], s.u[None], *fg_rows(F, G))
+        assert _first_failure(stages) == (0, "contract", (0,))
+        # a base whose range bounds at x are F and G rejects the sample
+        side = SideInfoSet(vf_bounds=VectorFieldBounds(Box.point(s.x), F, G))
+        lip = LipschitzBounds([1.0], [[1.0]])
+        with pytest.raises(InconsistentSample) as err:
+            build_knowledge([s], lip, side)
+        assert (err.value.sample_index, err.value.component) == (0, (0,))
+        with pytest.raises(InconsistentSample) as err:
+            append_sample(build_knowledge([], lip, side), s)
+        assert (err.value.sample_index, err.value.component) == (0, (0,))
 
 
 def kb_from_entries(entries_data, L_f, L_G):
@@ -517,7 +537,8 @@ def _clamp_into(child, prior):
 
 
 def _ref_contract_fg(s, F, G):
-    """contract_fg written with interval-box operations, one sample at a time."""
+    """The contraction of f and G at one sample (`knowledge._contract` on one
+    row), written with interval-box operations."""
     from datareach.intervals import imat_vec, meet
     from datareach.knowledge import _MEET_TOL, _PAD, _U_ZERO_TOL
 
@@ -551,7 +572,7 @@ def _ref_residual(s, pd):
 def _ref_entry(base, s):
     from datareach.knowledge import KnowledgeEntry
 
-    return KnowledgeEntry(s.x, *contract_fg(s, *_ref_queries(base, s.x)))
+    return KnowledgeEntry(s.x, *_ref_contract_fg(s, *_ref_queries(base, s.x)))
 
 
 def _ref_invariance(base, samples, tol=1e-9, max_iters=50):
@@ -753,6 +774,8 @@ class TestBatchedPass:
 
     @pytest.mark.parametrize("name", ["unicycle", "quadrotor", "aircraft"])
     def test_contract_fg_matches_box_reference(self, name):
+        """A one-row `_contract` equals the box reference bit for bit, and a
+        corrupted derivative fails in both at the same component."""
         from datareach.knowledge import KnowledgeEntry
         from datareach.systems import by_name, experiment_for
 
@@ -767,22 +790,23 @@ class TestBatchedPass:
         failures = []
         for s in traj:
             F, G = _ref_queries(base, s.x)
-            got, want = contract_fg(s, F, G), _ref_contract_fg(s, F, G)
-            for a, b in zip(got, want):
-                assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
-            base = base.with_entry(KnowledgeEntry(s.x, *got))
+            c_lo, c_hi, stages = _contract(s.xdot[None], s.u[None], *fg_rows(F, G))
+            assert _first_failure(stages) is None
+            (cf_lo, cg_lo), (cf_hi, cg_hi) = _split(c_lo[0], lip.n), _split(c_hi[0], lip.n)
+            want_F, want_G = _ref_contract_fg(s, F, G)
+            assert np.array_equal(cf_lo, want_F.lo) and np.array_equal(cf_hi, want_F.hi)
+            assert np.array_equal(cg_lo, want_G.lo) and np.array_equal(cg_hi, want_G.hi)
+            base = base.with_entry(KnowledgeEntry(s.x, want_F, want_G))
             # a corrupted derivative fails in both, at the same component
             bad = Sample(s.x, s.xdot + 50.0 * (np.arange(lip.n) == lip.n - 1), s.u)
-            got_comp = want_comp = None
+            want_comp = None
             try:
-                _ref_contract_fg(bad, *got)
+                _ref_contract_fg(bad, want_F, want_G)
             except EmptyIntersection as exc:
                 want_comp = exc.index
-            try:
-                contract_fg(bad, *got)
-            except InconsistentSample as exc:
-                got_comp = exc.component
-            assert got_comp == want_comp
+            _, _, stages = _contract(bad.xdot[None], bad.u[None], *fg_rows(want_F, want_G))
+            failure = _first_failure(stages)
+            assert (None if failure is None else failure[2]) == want_comp
             failures.append(want_comp)
         assert any(c is not None for c in failures)
 
@@ -1222,6 +1246,20 @@ class TestKnowledgeSettings:
         traj = excite(sysu, 5, seed=1, dt=0.1)
         with pytest.raises(ValueError, match=f"^{key} must"):
             build_knowledge(traj, sysu.lip, sysu.side, **{key: value})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("where", ["L_f", "L_G"])
+    def test_lipschitz_bounds_rejected(self, where, bad):
+        """A negative, NaN or infinite Lipschitz constant is rejected when the
+        bounds are made, before a build could store NaN enclosures."""
+        lip = unicycle().lip
+        L_f, L_G = lip.L_f.copy(), lip.L_G.copy()
+        if where == "L_f":
+            L_f[2] = bad
+        else:
+            L_G[2, 0] = bad
+        with pytest.raises(ValueError, match="^Lipschitz bounds must be nonnegative and finite$"):
+            LipschitzBounds(L_f, L_G)
 
     @pytest.mark.parametrize("key, value", [
         ("fixpoint_tol", math.nan), ("fixpoint_tol", -1.0),

@@ -115,6 +115,18 @@ class TestMoreDataNeverWidens:
             assert _nested(f_over(q, grown), f_over(q, kb))
 
 
+def _grown_bases(case, appended):
+    """The built base, the `appended` bases `append_sample` grows from it one
+    true sample at a time, and the `rebuild` of the last."""
+    kb, (f, G), rng = case
+    bases = [kb]
+    for _ in range(appended):
+        x, u = rng.uniform(-2.0, 2.0, kb.n), rng.uniform(-2.0, 2.0, kb.m)
+        bases.append(append_sample(bases[-1], Sample(x, f(x) + G(x) @ u, u)))
+    bases.append(rebuild(bases[-1]))
+    return bases
+
+
 class TestSoundness:
     @given(random_bases(), st.integers(1, 4))
     def test_built_appended_and_rebuilt_bases_enclose_the_field(self, case, appended):
@@ -122,11 +134,22 @@ class TestSoundness:
         `rebuild` contain the true f and G, with no tolerance, at their
         samples and at random points."""
         kb, (f, G), rng = case
-        bases = [kb]
-        for _ in range(appended):
-            x, u = rng.uniform(-2.0, 2.0, kb.n), rng.uniform(-2.0, 2.0, kb.m)
-            bases.append(append_sample(bases[-1], Sample(x, f(x) + G(x) @ u, u)))
-        bases.append(rebuild(bases[-1]))
-        for base in bases:
+        for base in _grown_bases(case, appended):
             for x in [*base.xs[1:], *rng.uniform(-2.5, 2.5, (8, kb.n))]:
                 assert f_over(x, base).contains(f(x)) and G_over(x, base).contains(G(x))
+
+    @given(random_bases(), st.integers(1, 4))
+    def test_box_queries_enclose_the_field_over_the_box(self, case, appended):
+        """Over random boxes around random points, `f_over_iv` / `G_over_iv`
+        of the built, appended and rebuilt bases contain the true f and G,
+        with no tolerance, at the box's centre, two random corners and
+        random points of the box."""
+        kb, (f, G), rng = case
+        for base in _grown_bases(case, appended):
+            for _ in range(4):
+                X = _random_box(rng, kb.n)
+                F, GX = f_over_iv(X, base), G_over_iv(X, base)
+                corners = np.where(rng.random((2, kb.n)) < 0.5, X.lo, X.hi)
+                inside = np.clip(X.lo + rng.random((8, kb.n)) * X.width, X.lo, X.hi)
+                for x in [X.mid, *corners, *inside]:
+                    assert F.contains(f(x)) and GX.contains(G(x))

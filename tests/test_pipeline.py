@@ -16,6 +16,7 @@ import pytest
 from conftest import T_REF, FirstOrderCos, alternating_turns
 from datareach.control import linearize
 from datareach.errors import EmptyIntersection, StepTooLarge
+from datareach import intervals
 from datareach.intervals import Box, Interval
 from datareach.knowledge import (
     GradientBounds,
@@ -174,7 +175,7 @@ def ref_reach_step(R, kb, ctrl, t, dt, domain):
         Rn = add(Rn, scale(mat_vec(M2, hS), half_dt2))
         Rn = add(Rn, scale(mat_vec(GS, V1), half_dt2))
     if domain is not None:
-        Rn = Rn.intersect(domain)
+        Rn = intervals.meet(Rn, domain)
     return beta, alpha, S, Rn
 
 

@@ -13,7 +13,7 @@ from conftest import (
     quadrotor_default_tube,
 )
 from datareach.errors import StepTooLarge
-from datareach.intervals import Box, Interval
+from datareach.intervals import Box, Interval, meet
 from datareach.knowledge import LipschitzBounds, build_knowledge
 from datareach.systems import advance, excite, quadrotor, unicycle
 from datareach.reach import (
@@ -202,6 +202,16 @@ class TestDataReachTube:
             with pytest.raises(ValueError, match=widths):
                 datareach(kb, x_start, bad, 0.02, 5)
 
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_start_time_validated(self, unicycle_fig_setup, monkeypatch, t0):
+        """A non-finite t0 is rejected before any step, not stamped on a tube."""
+        from datareach import reach
+
+        _, _, kb, x_start = unicycle_fig_setup
+        monkeypatch.setattr(reach, "datareach_step", lambda *a, **k: pytest.fail("stepped"))
+        with pytest.raises(ValueError, match="^t0 must be finite"):
+            datareach(kb, x_start, ConstantControl([1.0, 0.0]), 0.05, 3, t0=t0)
+
     @pytest.mark.parametrize("period", [0.05, 0.03])
     def test_piecewise_switches_contained(self, unicycle_fig_setup, period):
         """Each grid box contains the trajectory that switches inside the
@@ -278,7 +288,7 @@ def _assert_clip_record(tube, kb, ctrl, domain):
         raw = datareach_step(rec.R, kb, ctrl, rec.t, tube.dt).R_next
         leaves = not domain.encloses(raw)
         assert rec.clipped == leaves
-        assert rec.R_next == (raw.intersect(domain) if leaves else raw)
+        assert rec.R_next == (meet(raw, domain) if leaves else raw)
     assert not tube.steps[-1].clipped
     assert tube.clipped == [i for i, rec in enumerate(tube.steps) if rec.clipped]
 

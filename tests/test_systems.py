@@ -21,7 +21,6 @@ from datareach.systems import (
     excite,
     experiment_for,
     quadrotor,
-    rk4_step,
     run_closed_loop,
     unicycle,
     unicycle_experiment,
@@ -168,14 +167,14 @@ class TestLipschitzSoundness:
 class TestSimulation:
     def test_rk4_linear_exactness(self):
         sysi = integrator_system()
-        x = rk4_step(sysi, np.array([0.0]), np.array([1.0]), 0.1)
+        x = advance(sysi, np.array([0.0]), np.array([1.0]), 0.1, 1)
         assert x[0] == pytest.approx(0.1, abs=1e-15)
 
     def test_unicycle_zero_turnrate_keeps_heading(self):
         sysu = unicycle()
         x = np.array([0.0, 0.0, 0.7])
         for _ in range(20):
-            x = rk4_step(sysu, x, np.array([1.5, 0.0]), 0.05)
+            x = advance(sysu, x, np.array([1.5, 0.0]), 0.05, 1)
         assert x[2] == pytest.approx(0.7, abs=1e-12)
 
     def test_rk4_convergence_order(self):
@@ -187,7 +186,7 @@ class TestSimulation:
         def endpoint(h):
             x = x0.copy()
             for _ in range(int(round(1.0 / h))):
-                x = rk4_step(sysq, x, u, h)
+                x = advance(sysq, x, u, h, 1)
             return x
 
         ref = endpoint(1.0 / 1280)
