@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import AllOrthantsInfeasible, NonConvexAssembly
+from .errors import AllOrthantsInfeasible, NonConvexAssembly, check_finite, check_positive
 from .intervals import (
     Box, add_pairs, check_pair, check_shape, imat_vec, mat_mat_pairs, mat_vec_pairs, meet,
     real_mat_pairs, scale_pair, tensor_vec_pairs,
@@ -124,7 +124,10 @@ class QuadraticCost:
 
 def setpoint_cost(n: int, m: int, index: int, target: float, weight: float = 0.5
                   ) -> Tuple[QuadraticCost, float]:
-    """Cost weight*(y[index] - target)^2 in (Q, S, R, q, r) form plus its constant."""
+    """Cost weight*(y[index] - target)^2 in (Q, S, R, q, r) form plus its
+    constant; target and weight must be finite."""
+    check_finite("target", target)
+    check_finite("weight", weight)
     Q = np.zeros((n, n))
     Q[index, index] = weight
     q = np.zeros(n)
@@ -345,10 +348,12 @@ def datacontrol_step(
     optimistic mode `start` warm-starts the orthant solves (the previous
     step's `info.active_sets`, see `solve_optimistic`).  When every
     optimistic orthant is infeasible the step falls back to the idealistic
-    problem and records `mode_used` "idealistic(fallback)".
+    problem and records `mode_used` "idealistic(fallback)".  dt must be
+    positive and finite.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    check_positive("dt", dt)
     if not (0.0 <= wplus <= 1.0 and 0.0 <= wminus <= 1.0):
         raise ValueError("weights must lie in [0, 1]")
     opts = opts or QPOptions()

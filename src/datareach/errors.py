@@ -73,6 +73,18 @@ def check_count(key: str, value, least) -> int:
     return int(value)
 
 
+def check_finite(key: str, value) -> float:
+    """Return `value` as a float; raise ValueError unless it is a finite
+    number (of any numeric type other than bool)."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(float(value))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{key} must be finite, not {value!r}")
+    return float(value)
+
+
 def check_positive(key: str, value) -> float:
     """Return `value` as a float; raise ValueError unless it is a positive,
     finite number (of any numeric type other than bool)."""

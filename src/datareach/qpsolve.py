@@ -3,11 +3,13 @@
 `solve_idealistic` solves a box-constrained QP by accelerated projected
 gradient with adaptive restart and geometric refinement of the local
 quadratic-growth estimate; it reaches eps-optimality without knowing the
-growth constant.  `solve_optimistic` solves each sign-orthant piece of the
+growth constant.  `solve_optimistic` solves the sign-orthant pieces of the
 coupled (u, next-state) QP exactly with the dual active-set method of
 Goldfarb & Idnani ("A numerically stable dual method for solving strictly
-convex quadratic programs", Math. Prog. 1983).  It factors the cost once for
-all orthants and can start each orthant from the active rows of an earlier
+convex quadratic programs", Math. Prog. 1983), best-first by a lower bound
+on each piece's cost, skipping the pieces the bound rules out (branch and
+bound, Land & Doig, Econometrica 1960).  It factors the cost once for all
+orthants and can start each orthant from the active rows of an earlier
 solve, as in the online active-set strategy of Ferreau, Bock & Diehl (IJRNC
 2008): in a closed loop consecutive steps end on nearly the same active
 sets.  Both read `QPOptions` and return their certificate with the solution:
@@ -21,7 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +34,9 @@ _L_MIN_SCALE = 1e-12
 _EPS = float(np.finfo(float).eps)
 # Tikhonov weight of the optimistic solve's cost, see `solve_optimistic`
 _SIGMA = 1e-6
+# margins that keep the orthant bounds sound, see `_orthant_bounds`
+_BOUND_WIDEN = 1e-9
+_BOUND_ROUND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -236,21 +241,25 @@ class OptimisticQP:
 class OptimisticInfo:
     """Certificate of the chosen orthant solve.
 
-    `iters` sums the active-set iterations over all orthants, including
-    those spent proving an orthant infeasible and the rows a warm start
-    dropped.  `multipliers` belong to the chosen orthant's rows in the order
-    of `orthant_rows`, and `kkt_residual` is the largest of its scaled
-    primal infeasibility, negative multiplier, complementarity and
-    stationarity residuals.  `active_sets` has one entry per orthant: the
-    indices (in `orthant_rows` order) of the rows active at its solution,
-    in the order they entered, or None if the orthant is infeasible.  It is
-    the `start` of the next, nearby solve.
+    `iters` sums the active-set iterations over the solved orthants,
+    including those spent proving an orthant infeasible and the rows a
+    warm start dropped.  `feasible_orthants` counts the solved orthants
+    that are feasible, and `pruned` the orthants whose lower bound ruled
+    them out unsolved.  `multipliers` belong to the chosen orthant's rows
+    in the order of `orthant_rows`, and `kkt_residual` is the largest of
+    its scaled primal infeasibility, negative multiplier, complementarity
+    and stationarity residuals.  `active_sets` has one entry per orthant:
+    the indices (in `orthant_rows` order) of the rows active at its
+    solution, in the order they entered, or None when the orthant has no
+    start: it is infeasible or was skipped.  It is the `start` of the next,
+    nearby solve.
     """
 
     orthant: int
     iters: int
     sigma_effect: float
     feasible_orthants: int
+    pruned: int
     kkt_residual: float
     multipliers: np.ndarray
     active_sets: tuple
@@ -310,9 +319,22 @@ def _kkt_residual(H, h, A, b, y, lam) -> float:
     ))
 
 
-def _factor(cost):
-    """The orthant-independent part of the solve: H = 2M + sigma I, h,
-    L^-1 with H = L L', g = L^-1 h and the unconstrained minimizer.
+class _Factor(NamedTuple):
+    """What the optimistic solve derives from the cost alone, see `_factor`."""
+
+    H: np.ndarray  # 2M + sigma I, the Hessian the orthant solves minimize
+    h: np.ndarray
+    Linv: np.ndarray  # L^-1 with H = L L'
+    g: np.ndarray  # L^-1 h
+    y_min: np.ndarray  # minimizer of 0.5 y'Hy + h'y
+    M: np.ndarray  # joint matrix: the cost is y'My + h'y
+    y_cost: np.ndarray  # a least-squares stationary point of the cost, 2My = -h
+    M_abs: np.ndarray  # |M| and |h|, which scale the bound's rounding margin
+    h_abs: np.ndarray
+
+
+def _factor(cost) -> _Factor:
+    """The orthant-independent part of the solve and of its bounds.
 
     It depends only on the cost, so the cost keeps it (a cost is
     immutable).  The arrays are read-only."""
@@ -323,11 +345,54 @@ def _factor(cost):
     h = np.concatenate([cost.r, cost.q])
     Linv = np.linalg.inv(np.linalg.cholesky(H))
     g = Linv @ h
-    fac = (H, h, Linv, g, -Linv.T @ g)
+    fac = _Factor(H, h, Linv, g, -Linv.T @ g, M, np.linalg.pinv(-2.0 * M) @ h,
+                  np.abs(M), np.abs(h))
     for a in fac:
         a.flags.writeable = False
     object.__setattr__(cost, "_factored", fac)
     return fac
+
+
+def _orthant_bounds(oqp: "OptimisticQP", fac: _Factor) -> np.ndarray:
+    """A lower bound on each orthant's optimal cost, from a box relaxation.
+
+    An orthant's rows confine y = (u, x) to the box u in Ubox,
+    x >= max(B.lo + min_u A_l+- u, X.lo) and x <= min(B.hi + max_u A_s+- u,
+    X.hi).  With y0 = `fac.y_cost` clipped into that box and g the cost's
+    gradient at y0, convexity gives c(y) >= c(y0) + g'(y - y0) on it, whose
+    box minimum is the bound; on a separable cost it is the exact box
+    minimum.  An empty box gives +inf: the orthant is infeasible.
+
+    The bound is kept sound against the solve's own inexactness.  The box
+    is widened by `_BOUND_WIDEN` (1 + the largest |B|, |U| or |X| bound)
+    (1 + the largest row sum of |A|), more than a thousand times what the
+    1e-12 relative feasibility tolerance of `_dual_solve_orthant` lets a
+    solution stray from it.  The bound is then lowered by `_BOUND_ROUND`
+    (1 + the summed magnitudes of the cost's terms on the box), which
+    covers the float rounding of the bound and of the orthant's computed
+    value.  So no orthant's computed value lies below its bound.
+    """
+    orths, B, X = oqp.orthants, oqp.B, oqp.X
+    models = np.array([(o.A_l_plus, o.A_l_minus, o.A_s_plus, o.A_s_minus)
+                       for o in orths])  # (k, 4, n, m)
+    u_lo = np.array([o.Ubox.lo for o in orths])  # (k, m)
+    u_hi = np.array([o.Ubox.hi for o in orths])
+    at_lo, at_hi = models * u_lo[:, None, None], models * u_hi[:, None, None]
+    x_lo = B.lo + np.minimum(at_lo, at_hi).sum(axis=3)[:, :2].max(axis=1)
+    x_hi = B.hi + np.maximum(at_lo, at_hi).sum(axis=3)[:, 2:].min(axis=1)
+    data = np.abs(np.concatenate([B.lo, B.hi, X.lo, X.hi, u_lo.ravel(), u_hi.ravel()])).max()
+    widen = _BOUND_WIDEN * (1.0 + data) * (1.0 + np.abs(models).sum(axis=3).max())
+    lo = np.concatenate([u_lo, np.maximum(x_lo, X.lo)], axis=1) - widen
+    hi = np.concatenate([u_hi, np.minimum(x_hi, X.hi)], axis=1) + widen
+    y0 = np.minimum(np.maximum(fac.y_cost, lo), hi)
+    My = y0 @ fac.M
+    grad = 2.0 * My + fac.h
+    bound = ((My + fac.h) * y0).sum(axis=1) \
+        + np.minimum(grad * (lo - y0), grad * (hi - y0)).sum(axis=1)
+    z = np.maximum(-lo, hi)
+    bound -= _BOUND_ROUND * (1.0 + ((z @ fac.M_abs + fac.h_abs) * z).sum(axis=1))
+    bound[(lo > hi).any(axis=1)] = math.inf
+    return bound
 
 
 def _min_angle(cond: float, p: int) -> float:
@@ -380,9 +445,9 @@ def _enter_start(W, rows, p):
 def _dual_solve_orthant(fac, B, X, orth: OrthantQP, max_iters, start=None):
     """Exact dual active-set solve (Goldfarb & Idnani) of one orthant QP.
 
-    Minimizes 0.5 y'Hy + h'y subject to A y <= b, with `fac` = `_factor`'s
-    (H, h, L^-1, g, unconstrained minimizer).  A cold solve starts at the
-    unconstrained minimizer.  A warm one enters the `start` rows first (see
+    Minimizes 0.5 y'Hy + h'y subject to A y <= b, with `fac` from
+    `_factor`.  A cold solve starts at the unconstrained minimizer.  A warm
+    one enters the `start` rows first (see
     `_enter_start`), holds them at equality and drops the row with the most
     negative multiplier until none is negative; each drop counts as one
     iteration.  From that dual-feasible point the method adds the most
@@ -401,7 +466,7 @@ def _dual_solve_orthant(fac, B, X, orth: OrthantQP, max_iters, start=None):
     is infeasible, and `iters` counts the iterations in both cases.  Raises
     IterationCapExceeded after `max_iters` iterations.
     """
-    _, _, Linv, g, y = fac
+    Linv, g, y = fac.Linv, fac.g, fac.y_min
     y = y.copy()  # the solution may be the kept minimizer; return a fresh array
     A, b = orthant_rows(B, X, orth)
     norms = np.linalg.norm(A, axis=1)
@@ -485,8 +550,14 @@ def solve_optimistic(
     opts: Optional[QPOptions] = None,
     start: Optional[tuple] = None,
 ) -> Tuple[np.ndarray, np.ndarray, float, OptimisticInfo]:
-    """Solve every sign-orthant subproblem exactly; return the best (u, x,
-    value) and its `OptimisticInfo`.
+    """Solve the optimistic problem exactly by branch and bound over its
+    sign orthants; return the best (u, x, value) and its `OptimisticInfo`.
+
+    The orthants are solved in ascending order of a sound lower bound on
+    their cost (`_orthant_bounds`), and an orthant whose bound exceeds the
+    best value found so far is skipped unsolved: its value cannot be
+    smaller.  The chosen orthant is the one with the smallest (value,
+    index) among all orthants, as if every orthant were solved.
 
     The sigma * I Tikhonov term (sigma = 1e-6) makes the inner problem
     strongly convex; its effect on the reported cost is bounded by
@@ -505,38 +576,40 @@ def solve_optimistic(
     opts = opts or QPOptions()
     cost = oqp.cost
     fac = _factor(cost)
-    if start is not None and len(start) != len(oqp.orthants):
+    k = len(oqp.orthants)
+    if start is not None and len(start) != k:
         start = None
+    # -inf, the trivial bound, where one orthant leaves nothing to order or skip
+    bounds = _orthant_bounds(oqp, fac) if k > 1 else [-math.inf] * k
+    order = np.argsort(bounds, kind="stable").tolist()
     best = None
-    best_orth = -1
-    feasible = 0
-    total_it = 0
-    active_sets = []
-    for j, orth in enumerate(oqp.orthants):
+    solved = feasible = total_it = 0
+    active_sets = [None] * k
+    for j in order:
+        if best is not None and bounds[j] > best[0]:
+            break  # the bounds ascend: no orthant left can beat the best
+        solved += 1
         iters, out = _dual_solve_orthant(
-            fac, oqp.B, oqp.X, orth, opts.max_total_iters,
+            fac, oqp.B, oqp.X, oqp.orthants[j], opts.max_total_iters,
             None if start is None else start[j],
         )
         total_it += iters
         if out is None:
-            active_sets.append(None)
             continue
         y, _, active = out[:3]
-        active_sets.append(tuple(int(k) for k in active))
+        active_sets[j] = tuple(int(i) for i in active)
         feasible += 1
-        u, x = y[:cost.m], y[cost.m:]
-        val = cost.value(u, x)
-        if best is None or val < best[2]:
-            best = (u, x, val, out)
-            best_orth = j
+        val = cost.value(y[:cost.m], y[cost.m:])
+        if best is None or (val, j) < best[:2]:
+            best = (val, j, out)
     if best is None:
-        raise AllOrthantsInfeasible(
-            f"all {len(oqp.orthants)} orthant subproblems are infeasible"
-        )
-    u, x, val, (y, lam, _, A, b, norms) = best
+        raise AllOrthantsInfeasible(f"all {k} orthant subproblems are infeasible")
+    val, best_orth, (y, lam, _, A, b, norms) = best
+    u, x = y[:cost.m], y[cost.m:]
     return u, x, val, OptimisticInfo(
         orthant=best_orth, iters=total_it, sigma_effect=_SIGMA * float(u @ u + x @ x),
-        feasible_orthants=feasible, kkt_residual=_kkt_residual(*fac[:2], A, b, y, lam),
+        feasible_orthants=feasible, pruned=k - solved,
+        kkt_residual=_kkt_residual(fac.H, fac.h, A, b, y, lam),
         multipliers=lam / norms, active_sets=tuple(active_sets),
     )
 

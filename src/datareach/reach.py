@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import DataReachError, StepTooLarge, check_count
+from .errors import DataReachError, StepTooLarge, check_count, check_finite, check_positive
 from .intervals import (
     Box, Interval, add_pairs, check_shape, mat_vec_pairs, meet, scale_pair, tensor_vec_pairs,
 )
@@ -52,6 +52,8 @@ class ConstantControl(ControlClass):
 
     def __init__(self, u):
         self.u = u if isinstance(u, Box) else Box.point(u)
+        if not (np.isfinite(self.u.lo).all() and np.isfinite(self.u.hi).all()):
+            raise ValueError(f"u must be finite, not {u!r}")
         self._zero = Box.point(np.zeros(len(self.u)))
 
     def eval_point(self, t):
@@ -73,15 +75,11 @@ class PiecewiseConstantControl(ControlClass):
 
     def __init__(self, values, dt: float, t0: float = 0.0):
         self.values = np.asarray(values, dtype=float)
-        self.dt = float(dt)
         if self.values.ndim != 2 or not self.values.shape[0] \
                 or not np.isfinite(self.values).all():
             raise ValueError("values must be a non-empty finite 2-D array, one control per row")
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, not {dt!r}")
-        self.t0 = float(t0)
-        if not math.isfinite(self.t0):
-            raise ValueError(f"t0 must be finite, not {t0!r}")
+        self.dt = check_positive("dt", dt)
+        self.t0 = check_finite("t0", t0)
         self._zero = Box.point(np.zeros(self.values.shape[1]))
 
     def _index(self, t: float, margin: float = 1e-12) -> int:
@@ -138,8 +136,7 @@ class ConstCosControl(ControlClass):
         self.a1, self.a2 = a1, a2
         for name, value in (("v0", self.v0), ("omega", self.omega), ("t_ref", self.t_ref),
                             ("a1.lo", a1.lo), ("a1.hi", a1.hi), ("a2.lo", a2.lo), ("a2.hi", a2.hi)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, not {value!r}")
+            check_finite(name, value)
 
     def eval_point(self, t):
         c = math.cos(self.omega * (t - self.t_ref))
@@ -308,8 +305,11 @@ def datareach_step(
 
     Second order where the family bounds u' on the step; first order,
     R + dt (f(S) + G(S) V), where `eval_deriv_range` returns None.  The
-    propagated box is intersected with `domain` when one is supplied.
+    propagated box is intersected with `domain` when one is supplied.  t
+    must be finite and dt positive and finite.
     """
+    check_finite("t", t)
+    check_positive("dt", dt)
     V = ctrl.eval_range(t, t + dt)
     V1 = ctrl.eval_deriv_range(t, t + dt)
     beta, alpha, S, fR, GR, fS, GS, Jf, JG = _step_data(R, kb, V, dt)
@@ -344,10 +344,8 @@ def datareach(
     family's controls kb.m entries.
     """
     check_count("T", T, 0)
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, not {dt!r}")
-    if not math.isfinite(t0):
-        raise ValueError(f"t0 must be finite, not {t0!r}")
+    check_positive("dt", dt)
+    check_finite("t0", t0)
     R = x_start if isinstance(x_start, Box) else Box.point(x_start)
     if R.shape != (kb.n,):
         raise ValueError(f"x_start must have {kb.n} entries, not shape {R.shape}")

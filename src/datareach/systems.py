@@ -10,7 +10,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .control import MODES, QuadraticCost, StepLog, datacontrol_step, norm_cost, setpoint_cost
-from .errors import DataReachError, StepTooLarge, check_count, check_positive
+from .errors import DataReachError, StepTooLarge, check_count, check_finite, check_positive
 from .intervals import Box
 from .knowledge import (
     Decoupling,
@@ -295,7 +295,9 @@ def _rk4(rhs, x, u, h, substeps):
 
 def advance(sys: SystemSpec, x: np.ndarray, u: np.ndarray, dt: float,
             substeps: int = 10) -> np.ndarray:
-    """Hold u for dt using `substeps` RK4 sub-steps."""
+    """Hold u for dt using `substeps` RK4 sub-steps; dt must be positive
+    and finite."""
+    check_positive("dt", dt)
     check_count("substeps", substeps, 1)
     x = np.asarray(x, dtype=float).tolist()
     u = np.asarray(u, dtype=float).tolist()
@@ -443,8 +445,7 @@ def check_experiment(sys: SystemSpec, cfg: ExperimentConfig) -> QPOptions:
     for key, least in (("init_len", 1), ("max_steps", 0), ("seed", 0), ("substeps", 1)):
         check_count(key, getattr(cfg, key), least)
     check_positive("M", cfg.M)
-    if not math.isfinite(cfg.stop_level):
-        raise ValueError(f"stop_level must be finite, not {cfg.stop_level!r}")
+    check_finite("stop_level", cfg.stop_level)
     opts = QPOptions(eps=cfg.eps, mu0=cfg.mu0)
     if cfg.weights is not None:
         try:

@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from datareach.intervals import Box
 from datareach.knowledge import LipschitzBounds, SideInfoSet, VectorFieldBounds, build_knowledge
+from datareach.qpsolve import _dual_solve_orthant, _factor, _orthant_bounds
 from datareach.reach import ConstantControl, ConstCosControl, PiecewiseConstantControl, datareach
 from datareach.systems import advance, excite, experiment_for, quadrotor, unicycle
 
@@ -25,6 +26,50 @@ def fg_rows(F, G):
     arrays (1, n + n m) that `knowledge._contract` takes."""
     return (np.concatenate((F.lo, G.lo.ravel()))[None],
             np.concatenate((F.hi, G.hi.ravel()))[None])
+
+
+def exhaustive_optimistic(oqp):
+    """Reference of `solve_optimistic` without bounds: every orthant solved
+    cold, the smallest (value, index) chosen.  Returns (u, x, value,
+    orthant), or None when every orthant is infeasible, and each orthant's
+    value (None where infeasible)."""
+    fac, m = _factor(oqp.cost), oqp.cost.m
+    best, values = None, []
+    for j, orth in enumerate(oqp.orthants):
+        _, out = _dual_solve_orthant(fac, oqp.B, oqp.X, orth, 500_000)
+        if out is None:
+            values.append(None)
+            continue
+        y = out[0]
+        values.append(oqp.cost.value(y[:m], y[m:]))
+        if best is None or values[-1] < best[2]:
+            best = (y[:m], y[m:], values[-1], j)
+    return best, values
+
+
+def assert_matches_exhaustive(oqp, out):
+    """`out`, a `solve_optimistic` result of `oqp` or None if it raised
+    AllOrthantsInfeasible, picks the exhaustive reference's orthant, with
+    (u, x, value) within 1e-10 relative.  Every orthant's bound lies below
+    its value, and every skipped orthant's bound above the chosen value.
+    Returns the number of skipped orthants."""
+    ref, values = exhaustive_optimistic(oqp)
+    bounds = _orthant_bounds(oqp, _factor(oqp.cost))
+    for bound, value in zip(bounds, values):
+        assert value is None or bound <= value
+    assert (out is None) == (ref is None)
+    if out is None:
+        return 0
+    (u, x, val, info), (u0, x0, val0, orthant) = out, ref
+    assert info.orthant == orthant
+    scale = 1.0 + max(np.abs(u0).max(), np.abs(x0).max())
+    assert np.abs(u - u0).max() <= 1e-10 * scale
+    assert np.abs(x - x0).max() <= 1e-10 * scale
+    assert abs(val - val0) <= 1e-10 * (1.0 + abs(val0))
+    k = len(oqp.orthants)
+    skipped = np.argsort(bounds, kind="stable")[k - info.pruned:]
+    assert all(info.active_sets[j] is None and bounds[j] > val for j in skipped)
+    return info.pruned
 
 
 def exact_integrator_kb():

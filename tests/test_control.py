@@ -40,6 +40,15 @@ class TestQuadraticCost:
         y = np.array([1.0, 2.0, -1.0])
         assert cost.value(np.zeros(2), y) == pytest.approx(0.5 * 6.0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("target", math.nan), ("target", math.inf), ("target", -math.inf),
+        ("weight", math.nan), ("weight", math.inf),
+    ])
+    def test_setpoint_cost_must_be_finite(self, key, value):
+        kwargs = {"target": 3.0, "weight": 0.5, key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            setpoint_cost(2, 1, index=1, **kwargs)
+
     def test_setpoint_cost_offset(self):
         cost, off = setpoint_cost(2, 1, index=1, target=3.0)
         y = np.array([0.0, 4.5])
@@ -325,6 +334,14 @@ class TestDataControlStep:
             datacontrol_step(exact_integrator_kb(), np.array([1.0]), norm_cost(1, 1),
                              Box([-1.0], [1.0]), Box([-5.0], [5.0]), 0.1, mode=mode,
                              wplus=weights[0], wminus=weights[1])
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+    @pytest.mark.parametrize("mode", ["idealistic", "optimistic"])
+    def test_dt_checked_before_any_work(self, mode, dt, monkeypatch):
+        monkeypatch.setattr(control, "linearize", lambda *a, **k: pytest.fail("linearized"))
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
+            datacontrol_step(exact_integrator_kb(), np.array([1.0]), norm_cost(1, 1),
+                             Box([-1.0], [1.0]), Box([-5.0], [5.0]), dt, mode=mode)
 
     def test_exact_integrator_pushes_to_zero(self):
         kb = exact_integrator_kb()

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import assert_matches_exhaustive, exhaustive_optimistic
 from datareach.control import (
     AffineOverApprox, QuadraticCost, assemble_optimistic, subopt_bound,
 )
@@ -13,8 +14,10 @@ from datareach.qpsolve import (
     BoxQP,
     QPOptions,
     _SIGMA,
+    _dual_solve_orthant,
     _factor,
     _fixed_rows,
+    _orthant_bounds,
     oracle_boxqp,
     orthant_rows,
     solve_idealistic,
@@ -373,26 +376,31 @@ class TestOptimistic:
         assert checked >= 80
 
     def test_iters_count_infeasible_orthants(self):
-        """Iterations spent proving an orthant infeasible are counted.
+        """Iterations spent proving a solved orthant infeasible are counted.
 
-        x_next = u with X = [1, 2]: the u <= 0 orthant is infeasible, and its
-        solve starts from the cost minimizer (1.5, 1.5), which the u >= 0
-        orthant accepts without an iteration.
+        x1 = u1 + u2 in [-0.5, 0] and x2 = u2 in [0.5, 1]: the u1 >= 0
+        orthant is infeasible, but its box relaxation is not empty, and the
+        cost, smallest at u1 = 2, gives it the lower bound.  So it is solved
+        first, and the u1 <= 0 orthant after it.
         """
-        cost = QuadraticCost(np.eye(1), np.eye(1), np.zeros((1, 1)),
-                             np.array([-3.0]), np.array([-3.0]))
-        aff = AffineOverApprox(Box.point([0.0]), Box.point([[1.0]]),
-                               Box.point([[1.0]]))
-        oqp = assemble_optimistic(cost, aff, Box([-3.0], [3.0]), Box([1.0], [2.0]))
+        cost = QuadraticCost(np.eye(2), np.eye(2), np.zeros((2, 2)),
+                             np.zeros(2), np.array([-4.0, 0.0]))
+        A = Box.point([[1.0, 1.0], [0.0, 1.0]])
+        aff = AffineOverApprox(Box.point([0.0, 0.0]), A, A)
+        oqp = assemble_optimistic(cost, aff, Box([-3.0, 0.0], [3.0, 1.0]),
+                                  Box([-0.5, 0.5], [0.0, 1.0]))
         neg, pos = oqp.orthants
         assert neg.Ubox.hi[0] == 0.0 and pos.Ubox.lo[0] == 0.0
-        with pytest.raises(AllOrthantsInfeasible):
-            solve_optimistic(replace(oqp, orthants=(neg,)))
-        _, _, _, feasible_only = solve_optimistic(replace(oqp, orthants=(pos,)))
+        fac = _factor(cost)
+        bounds = _orthant_bounds(oqp, fac)
+        assert bounds[1] < bounds[0] < math.inf
+        infeasible_iters, out = _dual_solve_orthant(fac, oqp.B, oqp.X, pos, 100)
+        assert out is None and infeasible_iters > 0
+        _, _, _, feasible_only = solve_optimistic(replace(oqp, orthants=(neg,)))
         _, _, _, info = solve_optimistic(oqp)
-        assert info.feasible_orthants == 1 and info.orthant == 1
-        infeasible_iters = info.iters - feasible_only.iters
-        assert infeasible_iters > feasible_only.iters
+        assert (info.orthant, info.feasible_orthants, info.pruned) == (0, 1, 0)
+        assert info.active_sets[1] is None
+        assert info.iters == infeasible_iters + feasible_only.iters
 
     @pytest.mark.parametrize("k", [0, 1, 2, 5, 17, 40])
     def test_orthant_rows_match_a_reference_construction(self, k):
@@ -485,7 +493,7 @@ def assert_identical(out, ref):
     """The same solve bit for bit: (u, x), value and every info field."""
     assert out[0].tobytes() == ref[0].tobytes() and out[1].tobytes() == ref[1].tobytes()
     assert out[2] == ref[2]
-    for name in ("orthant", "iters", "feasible_orthants", "kkt_residual",
+    for name in ("orthant", "iters", "feasible_orthants", "pruned", "kkt_residual",
                  "active_sets", "sigma_effect"):
         assert getattr(out[3], name) == getattr(ref[3], name), name
     assert out[3].multipliers.tobytes() == ref[3].multipliers.tobytes()
@@ -529,6 +537,69 @@ class TestQPOptions:
     def test_rejects_bad_options(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             QPOptions(**kwargs)
+
+
+class TestOrthantPruning:
+    def test_pruned_solve_picks_the_exhaustive_orthant(self):
+        pruned = 0
+        for oqp in kkt_problems():
+            pruned += assert_matches_exhaustive(oqp, solve_or_none(oqp))
+        assert pruned > 0
+
+    def test_warm_pruned_solve_picks_the_exhaustive_orthant(self):
+        """A start from the cold solve, whose skipped orthants have none."""
+        for oqp in kkt_problems():
+            cold = solve_or_none(oqp)
+            if cold is not None:
+                assert_matches_exhaustive(oqp, solve_optimistic(oqp, start=cold[3].active_sets))
+
+    def test_a_tie_goes_to_the_lower_index(self):
+        """x = u <= 0 holds the u >= 0 orthant at u = 0, where the cost
+        u^2 - 2u is 0, as it is at the u <= 0 orthant's optimum.  That
+        orthant's box reaches u = 1, so its bound is lower and it is solved
+        first; the tie still goes to orthant 0, as in the exhaustive loop."""
+        cost = QuadraticCost(np.zeros((1, 1)), np.eye(1), np.zeros((1, 1)),
+                             np.zeros(1), np.array([-2.0]))
+        aff = AffineOverApprox(Box.point([0.0]), Box.point([[1.0]]), Box.point([[1.0]]))
+        oqp = assemble_optimistic(cost, aff, Box([-1.0], [1.0]), Box([-1.0], [0.0]))
+        bounds = _orthant_bounds(oqp, _factor(cost))
+        assert bounds[1] < bounds[0]
+        ref, values = exhaustive_optimistic(oqp)
+        assert values == [0.0, 0.0] and ref[3] == 0
+        assert solve_optimistic(oqp)[3].orthant == 0
+
+    @pytest.mark.parametrize("X_scale", [5.0, 1e8])
+    def test_bound_covers_the_feasibility_tolerance(self, X_scale):
+        """With X = [-1e8, 1e8] the solve's row tolerance is 1e-4, and it
+        accepts x = 1 + 5e-5 against the row x <= 1; the steep cost there
+        lies 2.5e-3 below its minimum over the box, and the bound still
+        lies below it."""
+        w, target = 1e6, 1.0 + 5e-5
+        cost = QuadraticCost(np.array([[w]]), np.eye(1), np.zeros((1, 1)),
+                             np.array([-2.0 * w * target]), np.zeros(1))
+        aff = AffineOverApprox(Box([0.0], [1.0]), Box.point([[0.0]]), Box.point([[0.0]]))
+        oqp = assemble_optimistic(cost, aff, Box([0.0], [1.0]), Box([-X_scale], [X_scale]))
+        box_min = w - 2.0 * w * target
+        (_, x, val, _), _ = exhaustive_optimistic(oqp)
+        assert (x[0] > 1.0 and val < box_min - 1e-3) == (X_scale > 5.0)
+        assert _orthant_bounds(oqp, _factor(cost))[0] <= val
+
+    def test_separable_bound_is_the_box_minimum(self):
+        """On a diagonal cost the bound is the minimum over the orthant's box
+        relaxation, lowered by its margins (by less than 1e-7 here).  The
+        rows of this 1-D problem are that box, so the bound is nearly the
+        chosen orthant's value."""
+        cost = QuadraticCost(np.eye(1), np.eye(1), np.zeros((1, 1)),
+                             np.array([-3.0]), np.array([1.0]))
+        aff = AffineOverApprox(Box([-1.0], [1.0]), Box.point([[0.0]]), Box.point([[0.0]]))
+        oqp = assemble_optimistic(cost, aff, Box([-2.0], [2.0]), Box([-5.0], [5.0]))
+        bounds = _orthant_bounds(oqp, _factor(cost))
+        # u in [-2, 0] and [0, 2] with r = 1: u = -0.5 and u = 0; x = 1
+        expected = [0.25 - 0.5 - 2.0, -2.0]
+        assert np.all(bounds <= expected) and np.all(bounds >= np.subtract(expected, 1e-7))
+        _, _, val, info = solve_optimistic(oqp)
+        assert (info.orthant, info.pruned) == (0, 1)
+        assert bounds[0] <= val <= bounds[0] + 1e-7
 
 
 class TestWarmStart:

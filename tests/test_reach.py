@@ -137,11 +137,21 @@ class TestReachSteps:
         assert rec.R_next[0].lo == pytest.approx(0.2, abs=1e-9)
         assert rec.R_next[0].hi == pytest.approx(0.2, abs=1e-9)
 
-    def test_c0_zero_dt_is_identity(self):
-        kb = exact_integrator_kb()
-        R = Box([-0.5], [0.5])
-        rec = datareach_step(R, kb, RangeOnly([2.0]), 0.0, 0.0)
-        assert np.allclose(rec.R_next.lo, R.lo) and np.allclose(rec.R_next.hi, R.hi)
+    @pytest.mark.parametrize("key, value", [
+        ("t", math.nan), ("t", math.inf), ("t", -math.inf),
+        ("dt", math.nan), ("dt", math.inf), ("dt", -math.inf), ("dt", 0.0), ("dt", -0.1),
+    ])
+    def test_step_time_validated(self, key, value):
+        """A non-finite t, or a dt that is not positive and finite, is
+        rejected before the control family is asked for anything."""
+        class Untouched(ControlClass):
+            def eval_range(self, t0, t1):
+                pytest.fail("evaluated")
+
+        times = {"t": 0.0, "dt": 0.1, key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            datareach_step(Box([0.0], [0.0]), exact_integrator_kb(), Untouched(),
+                           times["t"], times["dt"])
 
     def test_c0_tube_wider_than_second_order(self, unicycle_fig_setup):
         """The first-order step compounds into a strictly coarser tube."""
@@ -333,6 +343,12 @@ class TestControlFamilies:
                 assert box.encloses(u, atol=1e-12)
                 d = -6.0 * math.sin(6.0 * t)
                 assert dbox[1].lo - 1e-12 <= d <= dbox[1].hi + 1e-12
+
+    @pytest.mark.parametrize("u", [[math.inf, 0.0], [0.0, -math.inf],
+                                   Box([0.0, -math.inf], [1.0, 0.0])])
+    def test_constant_control_must_be_finite(self, u):
+        with pytest.raises(ValueError, match="^u must be finite"):
+            ConstantControl(u)
 
     def test_piecewise_constant_range(self):
         ctrl = PiecewiseConstantControl([[0.0], [2.0], [-1.0]], dt=1.0)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import assert_matches_exhaustive
 from datareach.control import AffineOverApprox, assemble_optimistic, norm_cost
 from datareach.errors import StepTooLarge
 from datareach.intervals import Box
@@ -169,6 +170,11 @@ class TestSimulation:
         sysi = integrator_system()
         x = advance(sysi, np.array([0.0]), np.array([1.0]), 0.1, 1)
         assert x[0] == pytest.approx(0.1, abs=1e-15)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+    def test_advance_rejects_bad_dt(self, dt):
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
+            advance(unicycle(), np.zeros(3), np.ones(2), dt)
 
     def test_unicycle_zero_turnrate_keeps_heading(self):
         sysu = unicycle()
@@ -567,6 +573,23 @@ class TestOptimisticWarmStart:
         for lw, lc in zip(warm.logs, cold.logs):
             assert np.abs(lw.u - lc.u).max() <= 1e-9
         assert sum(log.iters for log in warm.logs) < sum(log.iters for log in cold.logs)
+
+    def test_every_step_picks_the_exhaustive_orthant(self, monkeypatch, name, make, cap):
+        """Each step's warm, pruned solve picks the orthant that solving every
+        orthant cold picks; the runs with more than one orthant skip some."""
+        import datareach.control as control
+
+        solves = []
+        solve = control.solve_optimistic
+
+        def spy(oqp, *args, **kwargs):
+            solves.append((oqp, solve(oqp, *args, **kwargs)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(control, "solve_optimistic", spy)
+        optimistic_preset_run(name, make, cap)
+        pruned = sum(assert_matches_exhaustive(oqp, out) for oqp, out in solves)
+        assert (pruned > 0) == (len(solves[0][0].orthants) > 1)
 
     def test_each_step_starts_from_the_previous_active_sets(self, monkeypatch, name,
                                                             make, cap):
