@@ -71,7 +71,6 @@ from .qpsolve import (
     AdaResResult,
     BoxQP,
     OptimisticQP,
-    OrthantQP,
     QPOptions,
     oracle_boxqp,
     solve_idealistic,

@@ -15,14 +15,16 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import AllOrthantsInfeasible, NonConvexAssembly, check_finite, check_positive
+from .errors import (
+    AllOrthantsInfeasible, NonConvexAssembly, check_count, check_finite, check_positive,
+)
 from .intervals import (
     Box, add_pairs, check_pair, check_shape, imat_vec, mat_mat_pairs, mat_vec_pairs, meet,
     real_mat_pairs, scale_pair, tensor_vec_pairs,
 )
 from .knowledge import KnowledgeBase
 from .qpsolve import (
-    AdaResResult, BoxQP, OptimisticInfo, OptimisticQP, OrthantQP, QPOptions, solve_idealistic,
+    AdaResResult, BoxQP, OptimisticInfo, OptimisticQP, QPOptions, solve_idealistic,
     solve_optimistic,
 )
 from .reach import _kept, _pair, _step_data
@@ -38,9 +40,9 @@ def _mag(lo, hi):
 class _LoopTerms:
     """What a closed loop's steps share through one cost, U and X: |U|, Q's
     (max(Q, 0), min(Q, 0)) split, the part 2|S U| + q of `subopt_bound`'s
-    gradient factor and the norm of its domain term, and the sign orthants
-    of U with, per orthant, the (1, m) mask of its nonnegative axes.  The
-    arrays are read-only."""
+    gradient factor and the norm of its domain term, and the (k, m) bounds
+    `u_lo`, `u_hi` of U's k sign orthants with the (k, 1, 1, m) mask of
+    each one's nonnegative axes.  The arrays are read-only."""
 
     U: Box
     X: Box
@@ -48,7 +50,9 @@ class _LoopTerms:
     Q_split: tuple
     SU_q: np.ndarray
     domain_norm: float
-    orthants: tuple  # ((Box, mask), ...)
+    u_lo: np.ndarray
+    u_hi: np.ndarray
+    nonneg: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,8 @@ class QuadraticCost:
         n, m = q.shape[0], r.shape[0]
         if Q.shape != (n, n) or R.shape != (m, m) or S.shape != (n, m):
             raise ValueError("cost matrix shapes are inconsistent")
+        if not all(np.isfinite(a).all() for a in (Q, R, S, q, r)):
+            raise ValueError("Q, R, S, q and r must be finite")
         if not np.allclose(Q, Q.T, atol=1e-10) or not np.allclose(R, R.T, atol=1e-10):
             raise ValueError("Q and R must be symmetric")
         Q, R = 0.5 * (Q + Q.T), 0.5 * (R + R.T)
@@ -104,14 +110,11 @@ class QuadraticCost:
             SU_q = 2.0 * _mag(*check_pair(*real_mat_pairs(self.S, _pair(U)))) + self.q
             Q_X = _mag(*check_pair(*real_mat_pairs(Q_split, _pair(X))))
             domain_norm = np.linalg.norm(SU_q + 2.0 * Q_X)
-            for a in (U_abs, *Q_split, SU_q):
+            u_lo, u_hi = _split_orthants(U)
+            nonneg = (u_lo >= 0.0)[:, None, None, :]
+            for a in (U_abs, *Q_split, SU_q, u_lo, u_hi, nonneg):
                 a.flags.writeable = False
-            orthants = []
-            for box in _split_orthants(U):
-                nonneg = (box.lo >= 0.0)[None, :]
-                nonneg.flags.writeable = False
-                orthants.append((box, nonneg))
-            t = _LoopTerms(U, X, U_abs, Q_split, SU_q, domain_norm, tuple(orthants))
+            t = _LoopTerms(U, X, U_abs, Q_split, SU_q, domain_norm, u_lo, u_hi, nonneg)
             object.__setattr__(self, "_terms", t)
         return t
 
@@ -125,9 +128,12 @@ class QuadraticCost:
 def setpoint_cost(n: int, m: int, index: int, target: float, weight: float = 0.5
                   ) -> Tuple[QuadraticCost, float]:
     """Cost weight*(y[index] - target)^2 in (Q, S, R, q, r) form plus its
-    constant; target and weight must be finite."""
+    constant; index must be a whole number in [0, n), target and weight finite."""
     check_finite("target", target)
     check_finite("weight", weight)
+    index = check_count("index", index, 0)
+    if index >= n:
+        raise ValueError(f"index must be < n = {n}, not {index}")
     Q = np.zeros((n, n))
     Q[index, index] = weight
     q = np.zeros(n)
@@ -137,11 +143,10 @@ def setpoint_cost(n: int, m: int, index: int, target: float, weight: float = 0.5
 
 
 def norm_cost(n: int, m: int, weight: float = 0.5) -> QuadraticCost:
-    """Cost weight * ||y||_2^2."""
-    return QuadraticCost(
-        weight * np.eye(n), np.zeros((m, m)), np.zeros((n, m)),
-        np.zeros(n), np.zeros(m),
-    )
+    """Cost weight * ||y||_2^2; weight must be finite."""
+    check_finite("weight", weight)
+    return QuadraticCost(weight * np.eye(n), np.zeros((m, m)), np.zeros((n, m)),
+                         np.zeros(n), np.zeros(m))
 
 
 @dataclass(frozen=True)
@@ -244,23 +249,21 @@ def assemble_idealistic(
 # ---------------------------------------------------------------------------
 
 def _split_orthants(U: Box):
-    """The sign orthants of U, the last axis varying fastest: an axis whose
-    interior holds 0 splits there."""
+    """The (k, m) lower and upper ends of U's k sign orthants, the last axis
+    varying fastest: an axis whose interior holds 0 splits there."""
     axes = [[(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)] for lo, hi in zip(U.lo, U.hi)]
-    return [Box([p[0] for p in box], [p[1] for p in box]) for box in itertools.product(*axes)]
+    ends = np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, len(axes), 2)
+    return ends[..., 0], ends[..., 1]
 
 
 def assemble_optimistic(
     cost: QuadraticCost, aff: AffineOverApprox, U: Box, X: Box
 ) -> OptimisticQP:
-    """Split U into sign orthants and pick endpoint matrices per the sign rule."""
-    (p_lo, p_hi), (m_lo, m_hi) = _pair(aff.Aplus), _pair(aff.Aminus)
-    orthants = tuple(
-        OrthantQP(np.where(nonneg, p_hi, p_lo), np.where(nonneg, p_lo, p_hi),
-                  np.where(nonneg, m_hi, m_lo), np.where(nonneg, m_lo, m_hi), box)
-        for box, nonneg in cost._loop_terms(U, X).orthants
-    )
-    return OptimisticQP(orthants, cost, aff.B, X)
+    """Split U into sign orthants and pick each model's ends by the sign rule:
+    on a nonnegative axis A_l is the lower end and A_s the upper, else the reverse."""
+    t, ends = cost._loop_terms(U, X), np.stack([*_pair(aff.Aplus), *_pair(aff.Aminus)])
+    return OptimisticQP(np.where(t.nonneg, ends, ends[[1, 0, 3, 2]]), t.u_lo, t.u_hi,
+                        cost, aff.B, X)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .intervals import Box
 
 _L_MIN_SCALE = 1e-12
 _EPS = float(np.finfo(float).eps)
+_ROW_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None]  # +A_l, -A_s in `orthant_rows`
 # Tikhonov weight of the optimistic solve's cost, see `solve_optimistic`
 _SIGMA = 1e-6
 # margins that keep the orthant bounds sound, see `_orthant_bounds`
@@ -219,19 +220,14 @@ def solve_idealistic(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OrthantQP:
-    """One sign-orthant piece of the optimistic problem."""
-
-    A_s_plus: np.ndarray
-    A_l_plus: np.ndarray
-    A_s_minus: np.ndarray
-    A_l_minus: np.ndarray
-    Ubox: Box
-
-
-@dataclass(frozen=True)
 class OptimisticQP:
-    orthants: tuple
+    """The optimistic problem over U's k sign orthants: per orthant, `models`
+    (k, 4, n, m) holds A_l+, A_s+, A_l-, A_s- in `orthant_rows` order and
+    `u_lo`, `u_hi` (k, m) its controls."""
+
+    models: np.ndarray
+    u_lo: np.ndarray
+    u_hi: np.ndarray
     cost: "QuadraticCost"
     B: Box
     X: Box
@@ -265,25 +261,17 @@ class OptimisticInfo:
     active_sets: tuple
 
 
-def orthant_rows(B: Box, X: Box, orth: OrthantQP):
-    """Constraints A y <= b of one orthant in y = (u, x_next).
+def orthant_rows(oqp: OptimisticQP, j: int):
+    """Constraints A y <= b of orthant j in y = (u, x_next).
 
     Row blocks, in order: x >= B.lo + A_l+ u, x <= B.hi + A_s+ u, the same
-    pair for the minus model, u <= Ubox.hi, u >= Ubox.lo, x <= X.hi and
+    pair for the minus model, u <= u_hi[j], u >= u_lo[j], x <= X.hi and
     x >= X.lo.
     """
-    m = orth.Ubox.lo.shape[0]
-    n = B.lo.shape[0]
+    B, X, (n, m) = oqp.B, oqp.X, oqp.models.shape[2:]
     A = _fixed_rows(n, m).copy()
-    A[:n, :m] = orth.A_l_plus
-    np.negative(orth.A_s_plus, out=A[n:2 * n, :m])
-    A[2 * n:3 * n, :m] = orth.A_l_minus
-    np.negative(orth.A_s_minus, out=A[3 * n:4 * n, :m])
-    neg_lo = -B.lo
-    b = np.concatenate(
-        [neg_lo, B.hi, neg_lo, B.hi,
-         orth.Ubox.hi, -orth.Ubox.lo, X.hi, -X.lo]
-    )
+    A[:4 * n, :m] = (oqp.models[j] * _ROW_SIGNS).reshape(4 * n, m)
+    b = np.concatenate([-B.lo, B.hi, -B.lo, B.hi, oqp.u_hi[j], -oqp.u_lo[j], X.hi, -X.lo])
     return A, b
 
 
@@ -292,14 +280,8 @@ def _fixed_rows(n: int, m: int) -> np.ndarray:
     """The `orthant_rows` matrix with its four model blocks in u zero: the
     +-I columns in x of the model rows and the U and X rows, which depend
     only on (n, m).  Read-only; `orthant_rows` fills a copy."""
-    Ix, Iu = np.eye(n), np.eye(m)
-    A = np.zeros((6 * n + 2 * m, m + n))
-    for k, right in enumerate((-Ix, Ix, -Ix, Ix)):
-        A[k * n:(k + 1) * n, m:] = right
-    A[4 * n:4 * n + m, :m] = Iu
-    A[4 * n + m:4 * n + 2 * m, :m] = -Iu
-    A[4 * n + 2 * m:5 * n + 2 * m, m:] = Ix
-    A[5 * n + 2 * m:, m:] = -Ix
+    Ix, Iu, Z = np.eye(n), np.eye(m), np.zeros((n, m))
+    A = np.block([[Z, -Ix], [Z, Ix], [Z, -Ix], [Z, Ix], [Iu, Z.T], [-Iu, Z.T], [Z, Ix], [Z, -Ix]])
     A.flags.writeable = False
     return A
 
@@ -356,7 +338,7 @@ def _factor(cost) -> _Factor:
 def _orthant_bounds(oqp: "OptimisticQP", fac: _Factor) -> np.ndarray:
     """A lower bound on each orthant's optimal cost, from a box relaxation.
 
-    An orthant's rows confine y = (u, x) to the box u in Ubox,
+    Orthant j's rows confine y = (u, x) to the box u in [u_lo[j], u_hi[j]],
     x >= max(B.lo + min_u A_l+- u, X.lo) and x <= min(B.hi + max_u A_s+- u,
     X.hi).  With y0 = `fac.y_cost` clipped into that box and g the cost's
     gradient at y0, convexity gives c(y) >= c(y0) + g'(y - y0) on it, whose
@@ -365,21 +347,18 @@ def _orthant_bounds(oqp: "OptimisticQP", fac: _Factor) -> np.ndarray:
 
     The bound is kept sound against the solve's own inexactness.  The box
     is widened by `_BOUND_WIDEN` (1 + the largest |B|, |U| or |X| bound)
-    (1 + the largest row sum of |A|), more than a thousand times what the
-    1e-12 relative feasibility tolerance of `_dual_solve_orthant` lets a
-    solution stray from it.  The bound is then lowered by `_BOUND_ROUND`
-    (1 + the summed magnitudes of the cost's terms on the box), which
-    covers the float rounding of the bound and of the orthant's computed
-    value.  So no orthant's computed value lies below its bound.
+    (1 + the largest row sum of |A|), more than a hundred times what the
+    per-row feasibility tolerance 1e-12 (1 + |b_i| + |a_i|.|y|) of
+    `_dual_solve_orthant` lets a solution stray from it.  The bound is then
+    lowered by `_BOUND_ROUND` (1 + the summed magnitudes of the cost's
+    terms on the box), which covers the float rounding of the bound and of
+    the orthant's computed value.  So no orthant's computed value lies
+    below its bound.
     """
-    orths, B, X = oqp.orthants, oqp.B, oqp.X
-    models = np.array([(o.A_l_plus, o.A_l_minus, o.A_s_plus, o.A_s_minus)
-                       for o in orths])  # (k, 4, n, m)
-    u_lo = np.array([o.Ubox.lo for o in orths])  # (k, m)
-    u_hi = np.array([o.Ubox.hi for o in orths])
+    models, u_lo, u_hi, B, X = oqp.models, oqp.u_lo, oqp.u_hi, oqp.B, oqp.X
     at_lo, at_hi = models * u_lo[:, None, None], models * u_hi[:, None, None]
-    x_lo = B.lo + np.minimum(at_lo, at_hi).sum(axis=3)[:, :2].max(axis=1)
-    x_hi = B.hi + np.maximum(at_lo, at_hi).sum(axis=3)[:, 2:].min(axis=1)
+    x_lo = B.lo + np.minimum(at_lo, at_hi).sum(axis=3)[:, ::2].max(axis=1)
+    x_hi = B.hi + np.maximum(at_lo, at_hi).sum(axis=3)[:, 1::2].min(axis=1)
     data = np.abs(np.concatenate([B.lo, B.hi, X.lo, X.hi, u_lo.ravel(), u_hi.ravel()])).max()
     widen = _BOUND_WIDEN * (1.0 + data) * (1.0 + np.abs(models).sum(axis=3).max())
     lo = np.concatenate([u_lo, np.maximum(x_lo, X.lo)], axis=1) - widen
@@ -442,22 +421,23 @@ def _enter_start(W, rows, p):
             return active, Q, R
 
 
-def _dual_solve_orthant(fac, B, X, orth: OrthantQP, max_iters, start=None):
+def _dual_solve_orthant(fac, A, b, max_iters, start=None):
     """Exact dual active-set solve (Goldfarb & Idnani) of one orthant QP.
 
     Minimizes 0.5 y'Hy + h'y subject to A y <= b, with `fac` from
-    `_factor`.  A cold solve starts at the unconstrained minimizer.  A warm
-    one enters the `start` rows first (see
-    `_enter_start`), holds them at equality and drops the row with the most
-    negative multiplier until none is negative; each drop counts as one
-    iteration.  From that dual-feasible point the method adds the most
-    violated row in turn; while a row enters, each step either makes it
-    tight (a full step) or drops the active row whose multiplier reaches
-    zero first (a partial step), and each counts as one iteration.  Rows
-    are normalized, and the active normals N enter only through J = L^-T Q
-    from a QR of L^-1 N, which keeps the steps accurate when H is
-    ill-conditioned.  After every full step the active rows hold with
-    equality, so y and their multipliers are recomputed in closed form
+    `_factor` and (A, b) an orthant's `orthant_rows`.  A cold solve
+    starts at the unconstrained minimizer.  A warm one enters the
+    `start` rows first (see `_enter_start`), holds them at equality and
+    drops the row with the most negative multiplier until none is negative;
+    each drop counts as one iteration.  From that dual-feasible point the
+    method adds in turn the row whose violation most exceeds its own
+    tolerance 1e-12 (1 + |b_i| + |a_i|.|y|); while a row enters, each step
+    either makes it tight (a full step) or drops the active row whose
+    multiplier reaches zero first (a partial step), and each counts as one
+    iteration.  Rows are normalized, and the active normals N enter only
+    through J = L^-T Q from a QR of L^-1 N, which keeps the steps accurate
+    when H is ill-conditioned.  After every full step the active rows hold
+    with equality, so y and their multipliers are recomputed in closed form
     rather than carried along.  A `start` entry with an index outside the
     orthant's rows is ignored.
 
@@ -466,9 +446,7 @@ def _dual_solve_orthant(fac, B, X, orth: OrthantQP, max_iters, start=None):
     is infeasible, and `iters` counts the iterations in both cases.  Raises
     IterationCapExceeded after `max_iters` iterations.
     """
-    Linv, g, y = fac.Linv, fac.g, fac.y_min
-    y = y.copy()  # the solution may be the kept minimizer; return a fresh array
-    A, b = orthant_rows(B, X, orth)
+    Linv, g, y = fac.Linv, fac.g, fac.y_min.copy()  # never return the kept y_min
     norms = np.linalg.norm(A, axis=1)
     A, b = A / norms[:, None], b / norms
     p = A.shape[1]
@@ -476,7 +454,6 @@ def _dual_solve_orthant(fac, B, X, orth: OrthantQP, max_iters, start=None):
     lam = np.zeros(A.shape[0])
     active: list = []
     Q, R = np.eye(p), np.zeros((0, 0))
-    tol = 1e-12 * (1.0 + float(np.abs(b).max(initial=0.0)))
     iters = 0
 
     def count_iteration():
@@ -501,8 +478,11 @@ def _dual_solve_orthant(fac, B, X, orth: OrthantQP, max_iters, start=None):
     while True:
         viol = A @ y - b
         viol[active] = -math.inf
-        k = int(np.argmax(viol))
-        if viol[k] <= tol:
+        if viol.max() <= 1e-12:  # no row's tolerance is smaller
+            break
+        excess = viol - 1e-12 * (1.0 + np.abs(b) + np.abs(A) @ np.abs(y))
+        k = int(np.argmax(excess))
+        if excess[k] <= 0.0:
             break
         vk = viol[k]
         while True:  # bring row k into the active set
@@ -574,9 +554,7 @@ def solve_optimistic(
     start every orthant starts cold, from the unconstrained minimizer.
     """
     opts = opts or QPOptions()
-    cost = oqp.cost
-    fac = _factor(cost)
-    k = len(oqp.orthants)
+    cost, fac, k = oqp.cost, _factor(oqp.cost), len(oqp.models)
     if start is not None and len(start) != k:
         start = None
     # -inf, the trivial bound, where one orthant leaves nothing to order or skip
@@ -589,10 +567,8 @@ def solve_optimistic(
         if best is not None and bounds[j] > best[0]:
             break  # the bounds ascend: no orthant left can beat the best
         solved += 1
-        iters, out = _dual_solve_orthant(
-            fac, oqp.B, oqp.X, oqp.orthants[j], opts.max_total_iters,
-            None if start is None else start[j],
-        )
+        iters, out = _dual_solve_orthant(fac, *orthant_rows(oqp, j), opts.max_total_iters,
+                                         None if start is None else start[j])
         total_it += iters
         if out is None:
             continue

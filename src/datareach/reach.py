@@ -165,14 +165,16 @@ class ConstCosControl(ControlClass):
 def beta_of(lip: LipschitzBounds, Vabs: np.ndarray) -> float:
     """Lipschitz constant of the closed-loop field for control magnitudes Vabs."""
     Vabs = np.asarray(Vabs, dtype=float)
-    if (Vabs < 0).any():
-        raise ValueError("control magnitudes must be nonnegative")
+    if not (np.isfinite(Vabs) & (Vabs >= 0.0)).all():
+        raise ValueError(f"Vabs must be finite and nonnegative, not {Vabs}")
     rows = lip.L_f + lip.L_G @ Vabs
     return float(math.sqrt(float(rows @ rows)))
 
 
 def max_step_size(lip: LipschitzBounds, U: Box) -> float:
     """Largest admissible step: callers must pick dt strictly below this."""
+    if not np.isfinite(U.mag).all():
+        raise ValueError(f"U must be bounded, not {U}")
     beta_inf = beta_of(lip, U.mag)
     if beta_inf == 0.0:
         return math.inf

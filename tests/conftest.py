@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from datareach.intervals import Box
 from datareach.knowledge import LipschitzBounds, SideInfoSet, VectorFieldBounds, build_knowledge
-from datareach.qpsolve import _dual_solve_orthant, _factor, _orthant_bounds
+from datareach.qpsolve import _dual_solve_orthant, _factor, _orthant_bounds, orthant_rows
 from datareach.reach import ConstantControl, ConstCosControl, PiecewiseConstantControl, datareach
 from datareach.systems import advance, excite, experiment_for, quadrotor, unicycle
 
@@ -35,8 +35,8 @@ def exhaustive_optimistic(oqp):
     value (None where infeasible)."""
     fac, m = _factor(oqp.cost), oqp.cost.m
     best, values = None, []
-    for j, orth in enumerate(oqp.orthants):
-        _, out = _dual_solve_orthant(fac, oqp.B, oqp.X, orth, 500_000)
+    for j in range(len(oqp.models)):
+        _, out = _dual_solve_orthant(fac, *orthant_rows(oqp, j), 500_000)
         if out is None:
             values.append(None)
             continue
@@ -66,7 +66,7 @@ def assert_matches_exhaustive(oqp, out):
     assert np.abs(u - u0).max() <= 1e-10 * scale
     assert np.abs(x - x0).max() <= 1e-10 * scale
     assert abs(val - val0) <= 1e-10 * (1.0 + abs(val0))
-    k = len(oqp.orthants)
+    k = len(oqp.models)
     skipped = np.argsort(bounds, kind="stable")[k - info.pruned:]
     assert all(info.active_sets[j] is None and bounds[j] > val for j in skipped)
     return info.pruned

@@ -49,6 +49,30 @@ class TestQuadraticCost:
         with pytest.raises(ValueError, match=f"^{key} must be finite"):
             setpoint_cost(2, 1, index=1, **kwargs)
 
+    @pytest.mark.parametrize("index, message", [
+        (3, "^index must be < n = 3, not 3$"), (7, "^index must be < n = 3, not 7$"),
+        (-1, "^index must be >= 0$"), (1.5, "^index must be an integer"),
+        ("1", "^index must be an integer"), (True, "^index must be an integer"),
+    ])
+    def test_setpoint_cost_index_in_range(self, index, message):
+        with pytest.raises(ValueError, match=message):
+            setpoint_cost(3, 2, index=index, target=1.0)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_norm_cost_weight_must_be_finite(self, weight):
+        with pytest.raises(ValueError, match="^weight must be finite"):
+            norm_cost(3, 2, weight=weight)
+
+    @pytest.mark.parametrize("key", list("QRSqr"))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_entries_must_be_finite(self, key, bad):
+        """Checked before symmetry: a NaN would otherwise read as asymmetric."""
+        parts = {"Q": np.eye(2), "R": np.eye(2), "S": np.zeros((2, 2)),
+                 "q": np.zeros(2), "r": np.zeros(2)}
+        parts[key][(0,) * parts[key].ndim] = bad
+        with pytest.raises(ValueError, match="^Q, R, S, q and r must be finite$"):
+            QuadraticCost(**parts)
+
     def test_setpoint_cost_offset(self):
         cost, off = setpoint_cost(2, 1, index=1, target=3.0)
         y = np.array([0.0, 4.5])
@@ -190,12 +214,13 @@ class TestAssembleOptimistic:
                                Box(Alo, Alo + 1.0), Box(Alo, Alo + 0.5))
         U = Box([0.0, 0.0], [1.0, 2.0])
         oqp = assemble_optimistic(cost, aff, U, Box([-9.0], [9.0]))
-        assert len(oqp.orthants) == 1
-        orth = oqp.orthants[0]
-        assert np.allclose(orth.A_s_plus, aff.Aplus.hi)
-        assert np.allclose(orth.A_l_plus, aff.Aplus.lo)
-        assert np.allclose(orth.A_s_minus, aff.Aminus.hi)
-        assert np.allclose(orth.A_l_minus, aff.Aminus.lo)
+        assert oqp.models.shape == (1, 4, 1, 2)
+        A_l_plus, A_s_plus, A_l_minus, A_s_minus = oqp.models[0]
+        assert np.allclose(A_s_plus, aff.Aplus.hi)
+        assert np.allclose(A_l_plus, aff.Aplus.lo)
+        assert np.allclose(A_s_minus, aff.Aminus.hi)
+        assert np.allclose(A_l_minus, aff.Aminus.lo)
+        assert np.array_equal(oqp.u_lo, [U.lo]) and np.array_equal(oqp.u_hi, [U.hi])
 
     def test_sign_indefinite_axis_splits_and_swaps(self):
         cost = norm_cost(1, 1)
@@ -204,10 +229,12 @@ class TestAssembleOptimistic:
                                Box(Alo, Alo + 1.0), Box(Alo, Alo + 1.0))
         oqp = assemble_optimistic(cost, aff, Box([-1.0], [1.0]),
                                   Box([-9.0], [9.0]))
-        assert len(oqp.orthants) == 2
-        neg, pos = sorted(oqp.orthants, key=lambda o: o.Ubox.lo[0])
-        assert pos.A_s_plus[0, 0] == aff.Aplus.hi[0, 0]
-        assert neg.A_s_plus[0, 0] == aff.Aplus.lo[0, 0]  # roles swap for u <= 0
+        assert len(oqp.models) == 2
+        neg, pos = sorted(range(2), key=lambda j: oqp.u_lo[j, 0])
+        assert oqp.u_hi[neg, 0] == 0.0 and oqp.u_lo[pos, 0] == 0.0
+        A_s_plus = oqp.models[:, 1]
+        assert A_s_plus[pos, 0, 0] == aff.Aplus.hi[0, 0]
+        assert A_s_plus[neg, 0, 0] == aff.Aplus.lo[0, 0]  # roles swap for u <= 0
 
     def test_degenerate_model_all_matrices_equal(self):
         cost = norm_cost(1, 1)
@@ -215,8 +242,7 @@ class TestAssembleOptimistic:
         aff = AffineOverApprox(Box.point([0.0]), A, A)
         oqp = assemble_optimistic(cost, aff, Box([0.0], [1.0]),
                                   Box([-9.0], [9.0]))
-        orth = oqp.orthants[0]
-        for mat in (orth.A_s_plus, orth.A_l_plus, orth.A_s_minus, orth.A_l_minus):
+        for mat in oqp.models[0]:
             assert np.allclose(mat, 0.5)
 
 

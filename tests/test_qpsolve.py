@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -8,8 +9,8 @@ from conftest import assert_matches_exhaustive, exhaustive_optimistic
 from datareach.control import (
     AffineOverApprox, QuadraticCost, assemble_optimistic, subopt_bound,
 )
-from datareach.errors import AllOrthantsInfeasible, IterationCapExceeded
-from datareach.intervals import Box
+from datareach.errors import AllOrthantsInfeasible, EmptyIntersection, IterationCapExceeded
+from datareach.intervals import Box, imat_vec, meet
 from datareach.qpsolve import (
     BoxQP,
     QPOptions,
@@ -279,9 +280,11 @@ class TestOptimistic:
         aff = AffineOverApprox(Box.point([0.0, 0.0]),
                                Box.point(np.eye(2)), Box.point(np.eye(2)))
         X = Box([-5.0, -5.0], [5.0, 5.0])
-        assert len(assemble_optimistic(cost, aff, Box([0, 0], [1, 2]), X).orthants) == 1
-        assert len(assemble_optimistic(cost, aff, Box([-1, 0], [1, 2]), X).orthants) == 2
-        assert len(assemble_optimistic(cost, aff, Box([-1, -1], [1, 2]), X).orthants) == 4
+        for U, k in ((Box([0, 0], [1, 2]), 1), (Box([-1, 0], [1, 2]), 2),
+                     (Box([-1, -1], [1, 2]), 4)):
+            oqp = assemble_optimistic(cost, aff, U, X)
+            assert oqp.models.shape == (k, 4, 2, 2)
+            assert oqp.u_lo.shape == oqp.u_hi.shape == (k, 2)
 
     def test_degenerate_matches_idealistic(self):
         from datareach.control import assemble_idealistic, idealistic_coeffs
@@ -354,7 +357,7 @@ class TestOptimistic:
                 u, x, val, info = solve_optimistic(oqp)
             except AllOrthantsInfeasible:
                 continue
-            A, b = orthant_constraints(oqp.orthants[info.orthant], aff.B, X)
+            A, b = orthant_constraints(oqp, info.orthant)
             lam = info.multipliers
             y = np.concatenate([u, x])
             p = y.size
@@ -389,14 +392,13 @@ class TestOptimistic:
         aff = AffineOverApprox(Box.point([0.0, 0.0]), A, A)
         oqp = assemble_optimistic(cost, aff, Box([-3.0, 0.0], [3.0, 1.0]),
                                   Box([-0.5, 0.5], [0.0, 1.0]))
-        neg, pos = oqp.orthants
-        assert neg.Ubox.hi[0] == 0.0 and pos.Ubox.lo[0] == 0.0
+        assert oqp.u_hi[0, 0] == 0.0 and oqp.u_lo[1, 0] == 0.0
         fac = _factor(cost)
         bounds = _orthant_bounds(oqp, fac)
         assert bounds[1] < bounds[0] < math.inf
-        infeasible_iters, out = _dual_solve_orthant(fac, oqp.B, oqp.X, pos, 100)
+        infeasible_iters, out = _dual_solve_orthant(fac, *orthant_rows(oqp, 1), 100)
         assert out is None and infeasible_iters > 0
-        _, _, _, feasible_only = solve_optimistic(replace(oqp, orthants=(neg,)))
+        _, _, _, feasible_only = solve_optimistic(subproblem(oqp, [0]))
         _, _, _, info = solve_optimistic(oqp)
         assert (info.orthant, info.feasible_orthants, info.pruned) == (0, 1, 0)
         assert info.active_sets[1] is None
@@ -407,14 +409,57 @@ class TestOptimistic:
         """Bit for bit, for every orthant, across problem shapes; writing
         into a returned A or b leaves the next call unchanged."""
         oqp = kkt_problems()[k]
-        for orth in oqp.orthants:
-            ref_A, ref_b = orthant_constraints(orth, oqp.B, oqp.X)
-            A, b = orthant_rows(oqp.B, oqp.X, orth)
+        for j in range(len(oqp.models)):
+            ref_A, ref_b = orthant_constraints(oqp, j)
+            A, b = orthant_rows(oqp, j)
             assert A.tobytes() == ref_A.tobytes() and b.tobytes() == ref_b.tobytes()
             A[:] = 7.0
             b[:] = 7.0
-            A, b = orthant_rows(oqp.B, oqp.X, orth)
+            A, b = orthant_rows(oqp, j)
             assert A.tobytes() == ref_A.tobytes() and b.tobytes() == ref_b.tobytes()
+
+    def test_rows_allow_the_model_meet(self):
+        """The sign rule against the model, not against the row format.  At
+        each vertex of every orthant's u box and at one interior u, the
+        x-interval the orthant's rows allow is meet(B + A+ u, B + A- u) cut
+        to X, within 1e-12 relative; where that meet is empty the rows allow
+        no x."""
+        rng = np.random.default_rng(19)
+        met = empty = 0
+        for k in range(60):
+            cost, aff, U, X = random_orthant_problem(rng, same_models=k % 3 == 0)
+            oqp = assemble_optimistic(cost, aff, U, X)
+            m = cost.m
+            assert len(oqp.models) == 2 ** m  # every axis of U holds 0 inside
+            for j in range(len(oqp.models)):
+                lo, hi = oqp.u_lo[j], oqp.u_hi[j]
+                assert U.encloses(Box(lo, hi)) and np.all((lo >= 0.0) | (hi <= 0.0))
+                A, b = orthant_rows(oqp, j)
+                corners = [np.where(c, hi, lo) for c in itertools.product((0, 1), repeat=m)]
+                for u in corners + [lo + rng.uniform(0.1, 0.9, m) * (hi - lo)]:
+                    rhs = b - A[:, :m] @ u
+                    x_lo, x_hi = np.full(cost.n, -math.inf), np.full(cost.n, math.inf)
+                    for a, r in zip(A[:, m:], rhs):
+                        if not a.any():
+                            assert r >= 0.0  # a u row: u lies in the orthant
+                            continue
+                        (c,) = np.flatnonzero(a)
+                        if a[c] > 0.0:
+                            x_hi[c] = min(x_hi[c], r / a[c])
+                        else:
+                            x_lo[c] = max(x_lo[c], r / a[c])
+                    try:
+                        model = meet(aff.B + imat_vec(aff.Aplus, u),
+                                     aff.B + imat_vec(aff.Aminus, u))
+                    except EmptyIntersection:
+                        assert np.any(x_lo > x_hi)
+                        empty += 1
+                        continue
+                    ref_lo, ref_hi = np.maximum(model.lo, X.lo), np.minimum(model.hi, X.hi)
+                    for got, ref in ((x_lo, ref_lo), (x_hi, ref_hi)):
+                        assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+                    met += 1
+        assert met >= 600 and empty >= 20
 
     def test_iteration_cap_raises(self):
         rng = np.random.default_rng(3)
@@ -448,19 +493,26 @@ def random_orthant_problem(rng, same_models):
     return cost, AffineOverApprox(B, Ap, Am), U, X
 
 
-def orthant_constraints(orth, B, X):
-    """Rows A (u, x) <= b of one orthant, in the order the multipliers use."""
-    m, n = orth.Ubox.lo.size, B.lo.size
+def orthant_constraints(oqp, j):
+    """Rows A (u, x) <= b of orthant j, in the order the multipliers use."""
+    B, X, u_lo, u_hi = oqp.B, oqp.X, oqp.u_lo[j], oqp.u_hi[j]
+    m, n = u_lo.size, B.lo.size
     Iu, Ix, Z = np.eye(m), np.eye(n), np.zeros((n, m))
+    A_l_plus, A_s_plus, A_l_minus, A_s_minus = oqp.models[j]
     rows, rhs = [], []
-    for A_lo, A_hi in ((orth.A_l_plus, orth.A_s_plus), (orth.A_l_minus, orth.A_s_minus)):
+    for A_lo, A_hi in ((A_l_plus, A_s_plus), (A_l_minus, A_s_minus)):
         rows += [np.hstack([A_lo, -Ix]), np.hstack([-A_hi, Ix])]  # x >= B.lo + A_lo u
         rhs += [-B.lo, B.hi]                                       # x <= B.hi + A_hi u
     rows += [np.hstack([Iu, Z.T]), np.hstack([-Iu, Z.T]),
              np.hstack([Z, Ix]), np.hstack([Z, -Ix])]
-    rhs += [orth.Ubox.hi, -orth.Ubox.lo, X.hi, -X.lo]
+    rhs += [u_hi, -u_lo, X.hi, -X.lo]
     return np.vstack(rows), np.concatenate(rhs)
 
+
+def subproblem(oqp, orthants):
+    """`oqp` restricted to the listed orthants, in that order."""
+    idx = list(orthants)
+    return replace(oqp, models=oqp.models[idx], u_lo=oqp.u_lo[idx], u_hi=oqp.u_hi[idx])
 
 
 def kkt_problems():
@@ -516,7 +568,7 @@ def feasible_minimizer_problem():
 
 def unit_rows(oqp, j):
     """Rows of orthant j normalized as the solver does."""
-    A, b = orthant_rows(oqp.B, oqp.X, oqp.orthants[j])
+    A, b = orthant_rows(oqp, j)
     norms = np.linalg.norm(A, axis=1)
     return A / norms[:, None], b / norms
 
@@ -570,10 +622,11 @@ class TestOrthantPruning:
 
     @pytest.mark.parametrize("X_scale", [5.0, 1e8])
     def test_bound_covers_the_feasibility_tolerance(self, X_scale):
-        """With X = [-1e8, 1e8] the solve's row tolerance is 1e-4, and it
-        accepts x = 1 + 5e-5 against the row x <= 1; the steep cost there
-        lies 2.5e-3 below its minimum over the box, and the bound still
-        lies below it."""
+        """The steep cost 1e6 (x - 1 - 5e-5)^2 pulls x past the row x <= 1.
+        Each row's tolerance scales with that row's own terms, so a wide X
+        does not loosen it: at every X scale the row holds within 1e-12
+        (1 + |b| + |x|), the value is the cost's minimum over the box and
+        the bound lies below it."""
         w, target = 1e6, 1.0 + 5e-5
         cost = QuadraticCost(np.array([[w]]), np.eye(1), np.zeros((1, 1)),
                              np.array([-2.0 * w * target]), np.zeros(1))
@@ -581,7 +634,8 @@ class TestOrthantPruning:
         oqp = assemble_optimistic(cost, aff, Box([0.0], [1.0]), Box([-X_scale], [X_scale]))
         box_min = w - 2.0 * w * target
         (_, x, val, _), _ = exhaustive_optimistic(oqp)
-        assert (x[0] > 1.0 and val < box_min - 1e-3) == (X_scale > 5.0)
+        assert x[0] - 1.0 <= 1e-12 * (2.0 + abs(x[0]))
+        assert abs(val - box_min) <= 1e-12 * abs(box_min)
         assert _orthant_bounds(oqp, _factor(cost))[0] <= val
 
     def test_separable_bound_is_the_box_minimum(self):
@@ -614,8 +668,7 @@ class TestWarmStart:
             assert warm[3].active_sets == info0.active_sets
             feasible = [j for j, s in enumerate(info0.active_sets) if s is not None]
             _, _, _, info = solve_optimistic(
-                replace(oqp, orthants=tuple(oqp.orthants[j] for j in feasible)),
-                start=tuple(info0.active_sets[j] for j in feasible),
+                subproblem(oqp, feasible), start=tuple(info0.active_sets[j] for j in feasible),
             )
             assert info.iters == 0
 
@@ -669,7 +722,7 @@ class TestWarmStart:
     def test_out_of_range_and_wrong_length_starts_are_ignored(self):
         for oqp in kkt_problems()[:30]:
             cold = solve_optimistic(oqp)
-            k = len(oqp.orthants)
+            k = len(oqp.models)
             nrows = 6 * oqp.cost.n + 2 * oqp.cost.m
             for start in (cold[3].active_sets + ((0,),), cold[3].active_sets[:-1],
                           (), ((nrows,),) * k, ((-1, 0),) * k, (None,) * k):
@@ -724,8 +777,7 @@ class TestWarmStart:
         assert fac is _factor(cost)
         terms = cost._terms
         kept = [*fac, terms.U_abs, *terms.Q_split, terms.SU_q, _fixed_rows(cost.n, cost.m)]
-        for box, mask in terms.orthants:
-            kept += [box.lo, box.hi, mask]
+        kept += [terms.u_lo, terms.u_hi, terms.nonneg]
         for a in kept:
             assert not a.flags.writeable
             for out in (u, x, info.multipliers):

@@ -47,6 +47,12 @@ class TestBeta:
         lip = LipschitzBounds([2.0], [[3.0]])
         assert beta_of(lip, np.array([1.0])) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("Vabs", [[math.nan], [math.inf], [-1.0], [-math.inf]])
+    def test_magnitudes_must_be_finite_and_nonnegative(self, Vabs):
+        lip = LipschitzBounds([2.0], [[3.0]])
+        with pytest.raises(ValueError, match="^Vabs must be finite and nonnegative"):
+            beta_of(lip, np.array(Vabs))
+
     def test_unicycle_values(self, unicycle_system):
         sysu = unicycle_system
         beta_inf = beta_of(sysu.lip, sysu.U.mag)
@@ -66,6 +72,15 @@ class TestMaxStepSize:
     def test_scalar_case(self):
         lip = LipschitzBounds([2.0], [[3.0]])
         assert max_step_size(lip, Box([-1.0], [1.0])) == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (-1.0, math.inf),
+                                        (-math.inf, math.inf)])
+    @pytest.mark.parametrize("L_G", [0.0, 3.0])
+    def test_unbounded_controls_rejected(self, lo, hi, L_G):
+        """At L_G = 0 the product 0 * inf would give NaN."""
+        lip = LipschitzBounds([2.0], [[L_G]])
+        with pytest.raises(ValueError, match="^U must be bounded"):
+            max_step_size(lip, Box([lo], [hi]))
 
 
 class TestRoughEnclosures:

@@ -589,7 +589,7 @@ class TestOptimisticWarmStart:
         monkeypatch.setattr(control, "solve_optimistic", spy)
         optimistic_preset_run(name, make, cap)
         pruned = sum(assert_matches_exhaustive(oqp, out) for oqp, out in solves)
-        assert (pruned > 0) == (len(solves[0][0].orthants) > 1)
+        assert (pruned > 0) == (len(solves[0][0].models) > 1)
 
     def test_each_step_starts_from_the_previous_active_sets(self, monkeypatch, name,
                                                             make, cap):
