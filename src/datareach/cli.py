@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
 import sys as _sys
@@ -13,12 +14,14 @@ import yaml
 
 from . import io as dio
 from .control import MODES
-from .errors import ConfigError, EmptyIntersection, InconsistentSample, StepTooLarge, check_count
+from .errors import (
+    ConfigError, EmptyIntersection, InconsistentSample, StepTooLarge, check_array, check_count,
+    check_positive,
+)
 from .intervals import Interval
 from .knowledge import FIXPOINT_TOL, SideInfoSet, build_knowledge
 from .reach import ConstantControl, ConstCosControl, PiecewiseConstantControl, datareach, max_step_size
 from .systems import (
-    EXCITATIONS,
     ExperimentConfig,
     advance,
     by_name,
@@ -94,7 +97,7 @@ def _integer(value):
     return check_count("value", value, -math.inf)
 
 
-_KIND_NAMES = {_integer: "an integer", float: "a number", _vector: "a list of numbers",
+_KIND_NAMES = {_integer: "an integer", _vector: "a list of numbers",
                _flag: "true or false", _interval: "a [lo, hi] pair"}
 
 
@@ -110,11 +113,21 @@ def _setting(section, key, kind, default):
     return _convert(key, section.get(key, default), kind)
 
 
+@contextlib.contextmanager
+def _config_errors(prefix=""):
+    """Report a ValueError the block raises, such as a library check's, as
+    a config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
 def _system(name):
     """The benchmark system called ``name``; an unknown name is a config error."""
     try:
         return by_name(name)
-    except (KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"unknown system {name!r}") from exc
 
 
@@ -131,10 +144,10 @@ def _outdir(args, cfg) -> Path:
     return out
 
 
-def _required(spec, key, kind):
+def _required(spec, key):
     if key not in spec:
         raise ConfigError(f"control family {spec['family']!r} needs {key}")
-    return _convert(key, spec[key], kind)
+    return spec[key]
 
 
 def _build_control_family(spec, t_ref: float, m: int):
@@ -146,29 +159,24 @@ def _build_control_family(spec, t_ref: float, m: int):
     if not isinstance(fam, str) or fam not in _FAMILY_KEYS:
         raise ConfigError(f"unknown control family {fam!r}")
     _check_keys(spec, _FAMILY_KEYS[fam], f"reach.control, family {fam}")
-    try:
+    with _config_errors("control "):
         if fam == "const_cos":
             return ConstCosControl(
-                v0=_setting(spec, "v0", float, 1.0),
-                omega=_setting(spec, "omega", float, 6.0),
-                t_ref=_setting(spec, "t_ref", float, t_ref),
+                v0=spec.get("v0", 1.0), omega=spec.get("omega", 6.0),
+                t_ref=spec.get("t_ref", t_ref),
                 a1=_setting(spec, "a1", _interval, [0.0, 0.0]),
                 a2=_setting(spec, "a2", _interval, [0.0, 0.0]),
             )
         rows = fam == "piecewise"  # a list of control vectors, not one
         key = "values" if rows else "value"
-        u = _required(spec, key, _vector)
+        u = _convert(key, _required(spec, key), _vector)
         if u.ndim != 1 + rows or u.shape[-1] != m:
             what = "a list of control vectors" if rows else "a control vector"
             raise ConfigError(f"{key} must be {what} of length {m}, not {spec[key]!r}")
-        if not np.isfinite(u).all():
-            raise ConfigError(f"{key} must be finite, not {spec[key]!r}")
+        check_array(key, spec[key])
         if not rows:
             return ConstantControl(u)
-        return PiecewiseConstantControl(u, _required(spec, "dt", float),
-                                        _setting(spec, "t0", float, 0.0))
-    except ValueError as exc:
-        raise ConfigError(f"control {exc}") from exc
+        return PiecewiseConstantControl(u, _required(spec, "dt"), spec.get("t0", 0.0))
 
 
 def cmd_reach(args, cfg) -> int:
@@ -180,23 +188,15 @@ def cmd_reach(args, cfg) -> int:
     preset = experiment_for(sys_name)
     sample_dt = preset.dt
 
-    dt = _setting(section, "dt", float, min(0.02, sample_dt))
-    steps = _setting(section, "steps", _integer, 200)
-    init_len = _setting(section, "init_len", _integer, 15)
-    seed = args.seed if args.seed is not None else _setting(section, "seed", _integer, 2)
-    excitation = section.get("excitation", "mixed")
-    if excitation not in EXCITATIONS:
-        raise ConfigError(f"excitation must be one of {list(EXCITATIONS)}")
-    if not dt > 0.0:
-        raise ConfigError("dt must be positive")
-    for key, value, least in (("steps", steps, 1), ("init_len", init_len, 1), ("seed", seed, 0)):
-        if value < least:
-            raise ConfigError(f"{key} must be >= {least}")
+    with _config_errors():
+        dt = check_positive("dt", section.get("dt", min(0.02, sample_dt)))
+        steps = check_count("steps", section.get("steps", 200), 1)
+        init_len = check_count("init_len", section.get("init_len", 15), 1)
+        seed = check_count("seed", section.get("seed", 2) if args.seed is None else args.seed, 0)
 
     limit = max_step_size(system.lip, system.U)
     if not dt < limit:
-        print(f"reach: dt={dt:g} exceeds the step bound {limit:.6g}", file=_sys.stderr)
-        return EXIT_STEP
+        raise StepTooLarge(dt, limit)
 
     side = system.side
     if "side_level" in section:
@@ -218,11 +218,9 @@ def cmd_reach(args, cfg) -> int:
             raise ConfigError("trajectory dimensions do not match the system")
     else:
         x0 = _setting(section, "x0", _vector, preset.x0)
-        if x0.shape != (system.n,):
-            raise ConfigError(f"x0 must have {system.n} entries")
-        if not np.isfinite(x0).all():
-            raise ConfigError(f"x0 must be finite, not {x0.tolist()}")
-        samples = excite(system, init_len, seed, dt=sample_dt, x0=x0, mode=excitation)
+        with _config_errors():
+            samples = excite(system, init_len, seed, dt=sample_dt, x0=x0,
+                             mode=section.get("excitation", "mixed"))
 
     t_ref = samples[-1].t + sample_dt if samples[-1].t is not None else init_len * sample_dt
     default_family = (
@@ -255,37 +253,23 @@ def cmd_reach(args, cfg) -> int:
 
 
 def _apply_control_overrides(exp: ExperimentConfig, section, args):
-    for key, kind in (("dt", float), ("init_len", _integer), ("max_steps", _integer),
-                      ("stop_level", float), ("eps", float), ("mu0", float), ("x0", _vector)):
+    """The preset with the section's settings; `check_experiment` checks them."""
+    for key in ("init_len", "max_steps", "seed"):
         if key in section:
-            setattr(exp, key, _convert(key, section[key], kind))
-    if "excitation" in section:
-        exp.excitation = section["excitation"]
+            setattr(exp, key, _convert(key, section[key], _integer))
+    for key in ("dt", "stop_level", "eps", "mu0", "excitation", "x0", "mode"):
+        if key in section:
+            setattr(exp, key, section[key])
     if "weights" in section:
-        w = section["weights"]
-        if w == "random":
+        if section["weights"] == "random":
             exp.redraw_weights = True
-        elif isinstance(w, (list, tuple)) and len(w) == 2:
-            exp.weights = (_convert("weights", w[0], float), _convert("weights", w[1], float))
         else:
-            raise ConfigError("weights must be 'random' or a [w_plus, w_minus] pair")
+            exp.weights = section["weights"]
     if args.seed is not None:
         exp.seed = args.seed
-    elif "seed" in section:
-        exp.seed = _convert("seed", section["seed"], _integer)
     if args.mode is not None:
         exp.mode = args.mode
-    elif "mode" in section:
-        exp.mode = section["mode"]
     return exp
-
-
-def _check_experiment(system, exp: ExperimentConfig) -> None:
-    """`check_experiment`, with a setting it rejects as a config error."""
-    try:
-        check_experiment(system, exp)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def cmd_control(args, cfg) -> int:
@@ -295,17 +279,10 @@ def cmd_control(args, cfg) -> int:
     system = _system(sys_name)
     exp = _apply_control_overrides(experiment_for(sys_name), section, args)
     record_reach = _setting(section, "record_reach", _flag, False)
-    _check_experiment(system, exp)
+    with _config_errors():
+        check_experiment(system, exp)
 
-    try:
-        report = run_closed_loop(system, exp)
-    except (InconsistentSample, EmptyIntersection) as exc:
-        print(f"control: {exc}", file=_sys.stderr)
-        return EXIT_DATA
-    except StepTooLarge as exc:
-        print(f"control: {exc}", file=_sys.stderr)
-        return EXIT_STEP
-
+    report = run_closed_loop(system, exp)
     out = _outdir(args, cfg)
     dio.write_steps_csv(out / f"steps_{sys_name}.csv", report)
     dio.write_run_json(out / f"run_{sys_name}.json", report)
@@ -334,7 +311,8 @@ def cmd_benchmark(args, cfg) -> int:
         system = _system(name)
         exp = experiment_for(name, seed=seed, mode=mode)
         exp.max_steps = max_steps
-        _check_experiment(system, exp)
+        with _config_errors():
+            check_experiment(system, exp)
         runs.append((name, system, exp))
 
     rows = []

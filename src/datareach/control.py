@@ -16,7 +16,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import (
-    AllOrthantsInfeasible, NonConvexAssembly, check_count, check_finite, check_positive,
+    AllOrthantsInfeasible, NonConvexAssembly, check_array, check_choice, check_count,
+    check_finite, check_positive, check_unit,
 )
 from .intervals import (
     Box, add_pairs, check_pair, check_shape, imat_vec, mat_mat_pairs, mat_vec_pairs, meet,
@@ -73,18 +74,17 @@ class QuadraticCost:
     _factored: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        Q, R, S, q, r = (np.asarray(getattr(self, key), dtype=float) for key in "QRSqr")
-        n, m = q.shape[0], r.shape[0]
-        if Q.shape != (n, n) or R.shape != (m, m) or S.shape != (n, m):
-            raise ValueError("cost matrix shapes are inconsistent")
-        if not all(np.isfinite(a).all() for a in (Q, R, S, q, r)):
-            raise ValueError("Q, R, S, q and r must be finite")
+        Q, R, S, q, r = (check_array(key, getattr(self, key)) for key in "QRSqr")
+        n, m = q.size, r.size
+        shapes, want = [a.shape for a in (Q, R, S, q, r)], [(n, n), (m, m), (n, m), (n,), (m,)]
+        if shapes != want:
+            raise ValueError(f"Q, R, S, q and r must have shapes {want}, not {shapes}")
         if not np.allclose(Q, Q.T, atol=1e-10) or not np.allclose(R, R.T, atol=1e-10):
             raise ValueError("Q and R must be symmetric")
         Q, R = 0.5 * (Q + Q.T), 0.5 * (R + R.T)
         joint = np.block([[Q, S], [S.T, R]])
         if float(np.linalg.eigvalsh(joint).min()) < -1e-9:
-            raise ValueError("joint cost matrix must be positive semidefinite")
+            raise ValueError("the joint matrix [[Q, S], [S', R]] must be positive semidefinite")
         # read-only copies: a cost is an immutable value, so `_loop_terms`
         # and `qpsolve._factor` may reuse what they computed from it
         for name, val in (("Q", Q), ("R", R), ("S", S), ("q", q), ("r", r)):
@@ -128,9 +128,10 @@ class QuadraticCost:
 def setpoint_cost(n: int, m: int, index: int, target: float, weight: float = 0.5
                   ) -> Tuple[QuadraticCost, float]:
     """Cost weight*(y[index] - target)^2 in (Q, S, R, q, r) form plus its
-    constant; index must be a whole number in [0, n), target and weight finite."""
+    constant; index must be a whole number in [0, n), target finite, weight >= 0."""
+    n, m = check_count("n", n, 1), check_count("m", m, 1)
     check_finite("target", target)
-    check_finite("weight", weight)
+    check_array("weight", weight, (), nonneg=True)
     index = check_count("index", index, 0)
     if index >= n:
         raise ValueError(f"index must be < n = {n}, not {index}")
@@ -143,8 +144,9 @@ def setpoint_cost(n: int, m: int, index: int, target: float, weight: float = 0.5
 
 
 def norm_cost(n: int, m: int, weight: float = 0.5) -> QuadraticCost:
-    """Cost weight * ||y||_2^2; weight must be finite."""
-    check_finite("weight", weight)
+    """Cost weight * ||y||_2^2; weight must be finite and nonnegative."""
+    n, m = check_count("n", n, 1), check_count("m", m, 1)
+    check_array("weight", weight, (), nonneg=True)
     return QuadraticCost(weight * np.eye(n), np.zeros((m, m)), np.zeros((n, m)),
                          np.zeros(n), np.zeros(m))
 
@@ -167,8 +169,9 @@ def linearize(
     """Control-affine linearization of the next-step over-approximation.
 
     The rough enclosure is the explicit one evaluated with the whole control
-    set, so the model is valid for every constant control in U.
+    set, so the model is valid for every constant control in U (dt > 0).
     """
+    check_positive("dt", dt)
     _, _, _, fR, GR, fS, GS, Jf, JG = _step_data(R, kb, U, dt)
     u = _pair(U)
     half_dt2 = 0.5 * dt * dt
@@ -200,9 +203,8 @@ def _band_terms(Jf, JG, u):
 def idealistic_coeffs(
     aff: AffineOverApprox, wplus: float, wminus: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Weighted endpoint selection of one affine trajectory inside the model."""
-    if not (0.0 <= wplus <= 1.0 and 0.0 <= wminus <= 1.0):
-        raise ValueError("weights must lie in [0, 1]")
+    """Weighted endpoint selection (weights in [0, 1]) of one affine trajectory in the model."""
+    check_unit("wplus, wminus", (wplus, wminus), (2,))
     B, Ap, Am = aff.B, aff.Aplus, aff.Aminus
     b_ide = 0.5 * (
         wplus * B.hi + (1.0 - wplus) * B.lo + wminus * B.hi + (1.0 - wminus) * B.lo
@@ -222,14 +224,21 @@ def assemble_idealistic(
     Raises NonConvexAssembly, naming the entry, when the QP data is not
     finite or its Hessian is not positive semidefinite."""
     Q, S, Rm, q, r = cost.Q, cost.S, cost.R, cost.q, cost.r
-    Qi = 2.0 * A_ide.T @ Q @ A_ide + 4.0 * A_ide.T @ S + 2.0 * Rm
-    Qi = 0.5 * (Qi + Qi.T)
-    qi = 2.0 * (S + Q @ A_ide).T @ b_ide + A_ide.T @ q + r
-    pi = float(b_ide @ Q @ b_ide + q @ b_ide)
+    shapes = np.shape(A_ide), np.shape(b_ide)
+    if shapes != ((cost.n, cost.m), (cost.n,)):
+        raise ValueError(f"A_ide and b_ide must have shapes {(cost.n, cost.m)} and "
+                         f"{(cost.n,)}, not {shapes}")
+    # an overflow or a NaN is reported below, naming the entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        Qi = 2.0 * A_ide.T @ Q @ A_ide + 4.0 * A_ide.T @ S + 2.0 * Rm
+        Qi = 0.5 * (Qi + Qi.T)
+        qi = 2.0 * (S + Q @ A_ide).T @ b_ide + A_ide.T @ q + r
+        pi = float(b_ide @ Q @ b_ide + q @ b_ide)
     for name, val in (("Qi", Qi), ("qi", qi), ("pi", np.asarray(pi))):
         if not np.isfinite(val).all():
             at = np.unravel_index(np.argmin(np.isfinite(val)), val.shape)
-            raise NonConvexAssembly(f"idealistic QP entry {name}{list(map(int, at))} is {val[at]}")
+            raise NonConvexAssembly(f"idealistic QP entry {name}{list(map(int, at))} is "
+                                    f"{val[at]}: A_ide or b_ide is not finite or too large")
     eigs = np.linalg.eigvalsh(Qi) if Qi.size else np.zeros(0)
     if eigs.size and float(eigs.min()) < -1e-8:
         raise NonConvexAssembly(
@@ -351,17 +360,19 @@ def datacontrol_step(
     optimistic mode `start` warm-starts the orthant solves (the previous
     step's `info.active_sets`, see `solve_optimistic`).  When every
     optimistic orthant is infeasible the step falls back to the idealistic
-    problem and records `mode_used` "idealistic(fallback)".  dt must be
-    positive and finite.
+    problem and records `mode_used` "idealistic(fallback)".  x must be finite,
+    x and the cost fit kb, dt be positive and the weights lie in [0, 1].
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    check_choice("mode", mode, MODES)
     check_positive("dt", dt)
-    if not (0.0 <= wplus <= 1.0 and 0.0 <= wminus <= 1.0):
-        raise ValueError("weights must lie in [0, 1]")
+    check_unit("wplus, wminus", (wplus, wminus), (2,))
+    if u_prev is not None:
+        check_array("u_prev", u_prev, (kb.m,))
+    if (cost.n, cost.m) != (kb.n, kb.m):
+        raise ValueError(f"cost must have n = {kb.n} and m = {kb.m}, not {cost.n} and {cost.m}")
     opts = opts or QPOptions()
     started = time.perf_counter()
-    R = Box.point(np.asarray(x, dtype=float))
+    R = Box.point(check_array("x", x, (kb.n,)))
     aff = linearize(R, kb, U, dt)
     bound = subopt_bound(cost, aff, U, X)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyIntersection, ShapeMismatch
+from .errors import EmptyIntersection, ShapeMismatch, check_array
 
 # ---------------------------------------------------------------------------
 # scalar intervals
@@ -258,8 +258,8 @@ def tensor_vec_pairs(J, v):
 
 def imat_vec(M: Box, v) -> Box:
     """Interval matrix times interval (or real) vector."""
-    v = v if isinstance(v, Box) else Box.point(v)
     n, m = M.shape
+    v = v if isinstance(v, Box) else Box.point(check_array("v", v, (m,)))
     if len(v) != m:
         raise ShapeMismatch(f"matrix {M.shape} times vector of length {len(v)}")
     return Box(*mat_vec_pairs((M.lo, M.hi), (v.lo, v.hi)))
@@ -271,8 +271,10 @@ def meet(a, b, tol: float = 0.0, pad: float = 0.0):
     Crossings no larger than tol * max(1, |endpoint|) are treated as touching
     intervals perturbed by rounding and become the (tiny) hull of the crossing
     region; larger ones raise EmptyIntersection.  `pad` adds a relative
-    outward margin to the result so repeated cuts cannot erode soundness.
+    outward margin to the result so repeated cuts cannot erode soundness;
+    both must be finite and nonnegative.
     """
+    check_array("tol and pad", (tol, pad), nonneg=True)
     a._check_same(b)
     lo, hi, genuine = meet_arrays(a.lo, a.hi, b.lo, b.hi, tol, pad)
     if genuine.any():

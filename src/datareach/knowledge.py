@@ -14,7 +14,9 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import EmptyIntersection, InconsistentSample, check_count, check_positive
+from .errors import (
+    EmptyIntersection, InconsistentSample, check_array, check_count, check_finite, check_positive,
+)
 from .intervals import (
     Box, Interval, check_shape, meet_arrays, real_mat_pairs, scale_pair, settle_arrays,
 )
@@ -45,9 +47,11 @@ class Sample:
 
     def __post_init__(self):
         for name in ("x", "xdot", "u"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, check_array(name, getattr(self, name)))
         if self.x.shape != self.xdot.shape:
             raise ValueError("x and xdot must have the same length")
+        if self.t is not None:
+            check_finite("t", self.t)
 
 
 @dataclass(frozen=True)
@@ -58,14 +62,12 @@ class LipschitzBounds:
     L_G: np.ndarray  # (n, m)
 
     def __post_init__(self):
-        object.__setattr__(self, "L_f", np.asarray(self.L_f, dtype=float))
-        object.__setattr__(self, "L_G", np.asarray(self.L_G, dtype=float))
+        for name in ("L_f", "L_G"):
+            object.__setattr__(self, name, check_array(name, getattr(self, name), nonneg=True))
         if self.L_f.ndim != 1 or self.L_G.ndim != 2:
             raise ValueError("L_f must be a vector and L_G a matrix")
         if self.L_G.shape[0] != self.L_f.shape[0]:
             raise ValueError("L_f and L_G disagree on the state dimension")
-        if not all(((0 <= L) & (L < np.inf)).all() for L in (self.L_f, self.L_G)):
-            raise ValueError("Lipschitz bounds must be nonnegative and finite")
 
     @property
     def n(self) -> int:
@@ -123,16 +125,13 @@ Contractor = Callable[
 class PartialDynamics:
     """A known linear drift f_kn(x) = P x, with G_kn = 0, and bounds for the
     unknown residual; the knowledge layer derives every enclosure of the
-    known part from P.  ``P`` must be finite and (n, n) for ``lip.n``."""
+    known part from P, a finite (n, n) matrix for ``lip.n``."""
 
     P: np.ndarray  # (n, n)
     lip: LipschitzBounds  # bounds for the unknown residual only
 
     def __post_init__(self):
-        P = np.array(self.P, dtype=float)
-        n = self.lip.n
-        if P.shape != (n, n) or not np.isfinite(P).all():
-            raise ValueError(f"P must be a finite ({n}, {n}) matrix; got shape {P.shape}")
+        P = check_array("P", self.P, (self.lip.n,) * 2)
         P.flags.writeable = False
         object.__setattr__(self, "P", P)
 
@@ -293,7 +292,7 @@ class KnowledgeBase:
     partial dynamics are known) and control that each sample entry is
     contracted from, so that `rebuild` needs nothing but the base.  Entries
     given to the constructor have no sample; their ``xdot`` and ``u`` are
-    NaN, which `rebuild` rejects.
+    NaN, and `rebuild` rejects such a base.
 
     ``lip`` bounds the part learned from data (the residual when partial
     dynamics are known); ``lip_total`` bounds the full system and is what
@@ -580,12 +579,12 @@ def G_over_iv(X: Box, kb: KnowledgeBase) -> Box:
 
 def f_over(x: np.ndarray, kb: KnowledgeBase) -> Box:
     """Interval enclosure of f(x) from the knowledge base: the box query at {x}."""
-    return f_over_iv(Box.point(x), kb)
+    return f_over_iv(Box.point(check_array("x", x, (kb.n,))), kb)
 
 
 def G_over(x: np.ndarray, kb: KnowledgeBase) -> Box:
     """Interval enclosure of G(x) from the knowledge base: the box query at {x}."""
-    return G_over_iv(Box.point(x), kb)
+    return G_over_iv(Box.point(check_array("x", x, (kb.n,))), kb)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +597,8 @@ def _stack(samples, pd: Optional[PartialDynamics], n, m):
     With partial dynamics the derivatives are the residuals left after the
     known part.
     """
+    if shapes := {(s.x.shape, s.u.shape) for s in samples} - {((n,), (m,))}:
+        raise ValueError(f"sample x and u must have shapes {(n,)} and {(m,)}, not {shapes}")
     k = len(samples)
     X = np.array([s.x for s in samples], dtype=float).reshape(k, n)
     XDOT = np.array([s.xdot for s in samples], dtype=float).reshape(k, n)
@@ -650,21 +651,16 @@ def _settled_rows(kb: KnowledgeBase, settled, X):
     return lo, hi, stages
 
 
-def _nan_rows(X, XDOT, U):
-    """Whether each sample row of X, XDOT, U holds a NaN."""
-    return np.isnan(np.concatenate((X, XDOT, U), axis=1)).any(axis=1)
-
-
-def _contract_rows(kb: KnowledgeBase, settled, X, XDOT, U, index, nan):
+def _contract_rows(kb: KnowledgeBase, settled, X, XDOT, U, index):
     """Bound and contract the rows of X, XDOT, U given their settled envelopes.
 
-    ``index`` maps each row to its sample index and ``nan`` is its
-    `_nan_rows`.  Returns the new stacked lo/hi rows; on failure raises
-    what a per-sample loop would raise first, for the lowest failing sample.
+    ``index`` maps each row to its sample index.  Returns the new stacked
+    lo/hi rows; on failure raises what a per-sample loop would raise first,
+    for the lowest failing sample.
     """
     lo, hi, q_stages = _settled_rows(kb, settled, X)
     *new, c_stages = _contract(XDOT, U, lo, hi)
-    failure = _first_failure([(nan[:, None], "nan")] + q_stages + c_stages)
+    failure = _first_failure(q_stages + c_stages)
     if failure is not None:
         _raise_failure(failure, index)
     return new
@@ -673,8 +669,6 @@ def _contract_rows(kb: KnowledgeBase, settled, X, XDOT, U, index, nan):
 def _raise_failure(failure, index):
     row, kind, comp = failure
     idx = int(index[row])
-    if kind == "nan":
-        raise ValueError(f"sample {idx}: interval endpoints must not be NaN")
     if kind != "contract":
         raise _empty(kind, comp)
     raise InconsistentSample(
@@ -754,9 +748,7 @@ def _append(kb: KnowledgeBase, X, XDOT, U, first) -> KnowledgeBase:
     else:
         env = _envelopes(kb, X)
         settled = _settle(*env)
-    new = _contract_rows(
-        kb, settled, X, XDOT, U, range(first, first + X.shape[0]), _nan_rows(X, XDOT, U)
-    )
+    new = _contract_rows(kb, settled, X, XDOT, U, range(first, first + X.shape[0]))
     # the stored columns stay C-ordered however numpy lays out the join
     out = kb._with_cols(
         [np.ascontiguousarray(np.concatenate((a, r.T), axis=1))
@@ -803,15 +795,13 @@ def _iterate_to_invariance(kb, tol, max_iters) -> KnowledgeBase:
     """
     X, XDOT, U = kb.xs[1:], kb.xdot, kb.u
     k = X.shape[0]
-    # the samples do not change between passes, nor does which hold a NaN
-    nan = _nan_rows(X, XDOT, U)
     cache = kb._env
     for passes in range(1, max_iters + 1):
         old = [a[1:] for a in (kb.c_lo, kb.c_hi)]
         if cache is None or np.count_nonzero(cache.dirty) > _DELTA_SHARE * (k + 1):
             env = _envelopes(kb, X)
             rows = None
-            new = _contract_rows(kb, _settle(*env), X, XDOT, U, range(k), nan)
+            new = _contract_rows(kb, _settle(*env), X, XDOT, U, range(k))
         else:
             env = cache.rows
             moved = np.zeros(k, bool)
@@ -825,8 +815,7 @@ def _iterate_to_invariance(kb, tol, max_iters) -> KnowledgeBase:
                 env = (np.maximum(env[0], lo), np.minimum(env[1], hi))
             rows = np.flatnonzero(moved)
             new = _contract_rows(
-                kb, _settle(*(e[rows] for e in env)), X[rows], XDOT[rows], U[rows], rows,
-                nan[rows],
+                kb, _settle(*(e[rows] for e in env)), X[rows], XDOT[rows], U[rows], rows
             )
             old = [a[rows] for a in old]
 
@@ -880,6 +869,8 @@ def rebuild(kb, fixpoint_tol=FIXPOINT_TOL, max_fixpoint_iters=50) -> KnowledgeBa
     whose envelope moved.  The result equals a full Jacobi re-run bit for
     bit; settings, pass count and residual are as in `build_knowledge`.
     """
+    if np.isnan(kb.u).any():
+        raise ValueError("kb holds entries with no sample, which rebuild cannot re-contract")
     return _iterate_to_invariance(kb, *_invariance_settings(fixpoint_tol, max_fixpoint_iters))
 
 

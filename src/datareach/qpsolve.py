@@ -27,7 +27,10 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import AllOrthantsInfeasible, IterationCapExceeded, check_count, check_positive
+from .errors import (
+    AllOrthantsInfeasible, IterationCapExceeded, check_array, check_count, check_finite,
+    check_positive,
+)
 from .intervals import Box
 
 _L_MIN_SCALE = 1e-12
@@ -50,12 +53,10 @@ class BoxQP:
     pi: float = 0.0
 
     def __post_init__(self):
-        Qi = np.asarray(self.Qi, dtype=float)
-        qi = np.asarray(self.qi, dtype=float)
-        if Qi.shape != (qi.shape[0], qi.shape[0]):
+        Qi, qi = check_array("Qi", self.Qi), check_array("qi", self.qi)
+        if qi.ndim != 1 or Qi.shape != (qi.size, qi.size):
             raise ValueError("Qi/qi shapes disagree")
-        if not (np.isfinite(Qi).all() and np.isfinite(qi).all() and np.isfinite(self.pi)):
-            raise ValueError("Qi, qi and pi must be finite")
+        check_finite("pi", self.pi)
         if not np.allclose(Qi, Qi.T, atol=1e-10):
             raise ValueError("Qi must be symmetric")
         Qi = 0.5 * (Qi + Qi.T)
@@ -164,7 +165,7 @@ def solve_idealistic(
     L, eps = smoothness_constant(qp), opts.eps
     if not L > 0:
         raise ValueError(f"smoothness constant must be positive, not {L!r}")
-    y0 = qp.box.mid if y0 is None else np.asarray(y0, dtype=float)
+    y0 = qp.box.mid if y0 is None else check_array("y0", y0, (qp.m,))
     Qi, qi, lo, hi, objective = qp.Qi, qp.qi, qp.box.lo, qp.box.hi, qp.value
 
     def pg(y):  # y - qp.gradient(y) / L, clamped onto qp.box

@@ -17,7 +17,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import DataReachError, StepTooLarge, check_count, check_finite, check_positive
+from .errors import (
+    DataReachError, StepTooLarge, check_array, check_count, check_finite, check_positive,
+)
 from .intervals import (
     Box, Interval, add_pairs, check_shape, mat_vec_pairs, meet, scale_pair, tensor_vec_pairs,
 )
@@ -51,10 +53,8 @@ class ConstantControl(ControlClass):
     """A single constant control value (or box of values)."""
 
     def __init__(self, u):
-        self.u = u if isinstance(u, Box) else Box.point(u)
-        if not (np.isfinite(self.u.lo).all() and np.isfinite(self.u.hi).all()):
-            raise ValueError(f"u must be finite, not {u!r}")
-        self._zero = Box.point(np.zeros(len(self.u)))
+        self.u = Box(*check_array("u", [u.lo, u.hi] if isinstance(u, Box) else [u, u]))
+        self._zero = Box.point(np.zeros(self.u.shape))
 
     def eval_point(self, t):
         return self.u
@@ -74,18 +74,18 @@ class PiecewiseConstantControl(ControlClass):
     """
 
     def __init__(self, values, dt: float, t0: float = 0.0):
-        self.values = np.asarray(values, dtype=float)
-        if self.values.ndim != 2 or not self.values.shape[0] \
-                or not np.isfinite(self.values).all():
-            raise ValueError("values must be a non-empty finite 2-D array, one control per row")
+        self.values = check_array("values", values)
+        if self.values.ndim != 2 or not self.values.shape[0]:
+            raise ValueError("values must be a non-empty 2-D array, one control per row")
         self.dt = check_positive("dt", dt)
         self.t0 = check_finite("t0", t0)
         self._zero = Box.point(np.zeros(self.values.shape[1]))
 
     def _index(self, t: float, margin: float = 1e-12) -> int:
-        """The piece holding t, with `margin` (in pieces) absorbing rounding."""
-        k = int(math.floor((t - self.t0) / self.dt + margin))
-        return min(max(k, 0), self.values.shape[0] - 1)
+        """The piece holding t, with `margin` (in pieces) absorbing rounding;
+        clamped before the floor, so that a far t cannot overflow it."""
+        k = min(max((t - self.t0) / self.dt + margin, 0.0), self.values.shape[0] - 1)
+        return int(math.floor(k))
 
     def eval_point(self, t):
         return Box.point(self.values[self._index(t)])
@@ -132,11 +132,10 @@ class ConstCosControl(ControlClass):
 
     def __init__(self, v0: float = 1.0, omega: float = 6.0, t_ref: float = 0.0,
                  a1: Interval = Interval(0.0), a2: Interval = Interval(0.0)):
-        self.v0, self.omega, self.t_ref = float(v0), float(omega), float(t_ref)
+        self.v0, self.omega, self.t_ref = (check_finite(key, value) for key, value in (
+            ("v0", v0), ("omega", omega), ("t_ref", t_ref)))
         self.a1, self.a2 = a1, a2
-        for name, value in (("v0", self.v0), ("omega", self.omega), ("t_ref", self.t_ref),
-                            ("a1.lo", a1.lo), ("a1.hi", a1.hi), ("a2.lo", a2.lo), ("a2.hi", a2.hi)):
-            check_finite(name, value)
+        check_array("a1 and a2", [a1.lo, a1.hi, a2.lo, a2.hi])
 
     def eval_point(self, t):
         c = math.cos(self.omega * (t - self.t_ref))
@@ -164,18 +163,14 @@ class ConstCosControl(ControlClass):
 
 def beta_of(lip: LipschitzBounds, Vabs: np.ndarray) -> float:
     """Lipschitz constant of the closed-loop field for control magnitudes Vabs."""
-    Vabs = np.asarray(Vabs, dtype=float)
-    if not (np.isfinite(Vabs) & (Vabs >= 0.0)).all():
-        raise ValueError(f"Vabs must be finite and nonnegative, not {Vabs}")
+    Vabs = check_array("Vabs", Vabs, (lip.m,), nonneg=True)
     rows = lip.L_f + lip.L_G @ Vabs
     return float(math.sqrt(float(rows @ rows)))
 
 
 def max_step_size(lip: LipschitzBounds, U: Box) -> float:
     """Largest admissible step: callers must pick dt strictly below this."""
-    if not np.isfinite(U.mag).all():
-        raise ValueError(f"U must be bounded, not {U}")
-    beta_inf = beta_of(lip, U.mag)
+    beta_inf = beta_of(lip, check_array("U", U.mag))
     if beta_inf == 0.0:
         return math.inf
     return 1.0 / (math.sqrt(lip.n) * beta_inf)
@@ -348,9 +343,9 @@ def datareach(
     check_count("T", T, 0)
     check_positive("dt", dt)
     check_finite("t0", t0)
-    R = x_start if isinstance(x_start, Box) else Box.point(x_start)
+    R = x_start if isinstance(x_start, Box) else Box.point(check_array("x_start", x_start))
     if R.shape != (kb.n,):
-        raise ValueError(f"x_start must have {kb.n} entries, not shape {R.shape}")
+        raise ValueError(f"x_start must have shape {(kb.n,)}, not {R.shape}")
     width = ctrl.eval_range(t0, t0 + dt).shape
     if width != (kb.m,):
         raise ValueError(f"control family gives controls of shape {width}, "

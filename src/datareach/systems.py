@@ -10,7 +10,10 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .control import MODES, QuadraticCost, StepLog, datacontrol_step, norm_cost, setpoint_cost
-from .errors import DataReachError, StepTooLarge, check_count, check_finite, check_positive
+from .errors import (
+    DataReachError, StepTooLarge, check_array, check_choice, check_count, check_finite,
+    check_positive, check_unit,
+)
 from .intervals import Box
 from .knowledge import (
     Decoupling,
@@ -268,10 +271,7 @@ _SYSTEMS = {"unicycle": unicycle, "quadrotor": quadrotor, "aircraft": aircraft}
 
 
 def by_name(name: str) -> SystemSpec:
-    try:
-        return _SYSTEMS[name]()
-    except KeyError:
-        raise KeyError(f"unknown system {name!r}; choose from {sorted(_SYSTEMS)}")
+    return _SYSTEMS[check_choice("name", name, sorted(_SYSTEMS))]()
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +295,23 @@ def _rk4(rhs, x, u, h, substeps):
 
 def advance(sys: SystemSpec, x: np.ndarray, u: np.ndarray, dt: float,
             substeps: int = 10) -> np.ndarray:
-    """Hold u for dt using `substeps` RK4 sub-steps; dt must be positive
-    and finite."""
+    """Hold u for dt using `substeps` RK4 sub-steps; x and u must be finite
+    with sys.n and sys.m entries, dt positive and finite."""
     check_positive("dt", dt)
     check_count("substeps", substeps, 1)
-    x = np.asarray(x, dtype=float).tolist()
-    u = np.asarray(u, dtype=float).tolist()
-    if len(x) != sys.n or len(u) != sys.m:
-        raise ValueError(f"{sys.name}: x must have {sys.n} entries and u {sys.m}")
+    x = check_array("x", x, (sys.n,)).tolist()
+    u = check_array("u", u, (sys.m,)).tolist()
     rhs = sys.h_float or (lambda x, u: sys.h_true(np.array(x), np.array(u)).tolist())
     return np.array(_rk4(rhs, x, u, dt / substeps, substeps))
 
 
 EXCITATIONS = ("mixed", "random", "single_axis", "zero")
+
+
+def _excitation_start(sys: SystemSpec, x0, mode: str) -> np.ndarray:
+    """The checked start state (X's centre when None) and mode of an excitation."""
+    check_choice("excitation", mode, EXCITATIONS)
+    return check_array("x0", sys.X.mid if x0 is None else x0, (sys.n,))
 
 
 def excite(sys: SystemSpec, N: int, seed: int, dt: float = 0.1,
@@ -323,14 +327,8 @@ def excite(sys: SystemSpec, N: int, seed: int, dt: float = 0.1,
     check_count("seed", seed, 0)
     check_count("substeps", substeps, 1)
     check_positive("dt", dt)
-    if mode not in EXCITATIONS:
-        raise ValueError(f"unknown excitation mode {mode!r}")
+    x = _excitation_start(sys, x0, mode)
     rng = np.random.default_rng(int(seed))
-    x = np.asarray(sys.X.mid if x0 is None else x0, dtype=float)
-    if x.shape != (sys.n,):
-        raise ValueError(f"x0 must have {sys.n} entries")
-    if not np.isfinite(x).all():
-        raise ValueError(f"x0 must be finite, not {x.tolist()}")
     samples = []
     for i in range(int(N)):
         u = rng.uniform(sys.U.lo, sys.U.hi)
@@ -377,9 +375,6 @@ class ExperimentConfig:
     weights: Optional[tuple] = None  # fixed (w+, w-) override of the seeded draw
     substeps: int = 10
     M: float = 1e3
-
-    def __post_init__(self):
-        self.x0 = np.asarray(self.x0, dtype=float)
 
 
 @dataclass
@@ -434,33 +429,19 @@ class RunReport:
 
 
 def check_experiment(sys: SystemSpec, cfg: ExperimentConfig) -> QPOptions:
-    """Raise ValueError for a setting `run_closed_loop` cannot run; return
-    the solver options of the run."""
-    if cfg.mode not in MODES:
-        raise ValueError(f"mode must be one of {list(MODES)}, not {cfg.mode!r}")
-    if cfg.excitation not in EXCITATIONS:
-        raise ValueError(f"excitation must be one of {list(EXCITATIONS)}")
-    if not cfg.dt > 0.0:
-        raise ValueError("dt must be positive")
+    """Raise ValueError, naming the setting, for a setting `run_closed_loop`
+    cannot run; return the solver options of the run."""
+    check_choice("mode", cfg.mode, MODES)
+    check_positive("dt", cfg.dt)
     for key, least in (("init_len", 1), ("max_steps", 0), ("seed", 0), ("substeps", 1)):
         check_count(key, getattr(cfg, key), least)
     check_positive("M", cfg.M)
-    check_finite("stop_level", cfg.stop_level)
-    opts = QPOptions(eps=cfg.eps, mu0=cfg.mu0)
+    for key in ("stop_level", "cost_offset"):
+        check_finite(key, getattr(cfg, key))
     if cfg.weights is not None:
-        try:
-            w = np.asarray(cfg.weights, dtype=float)
-        except (TypeError, ValueError):
-            w = None
-        if w is None or w.shape != (2,):
-            raise ValueError(f"weights must be a (w+, w-) pair of numbers, not {cfg.weights!r}")
-        if not np.all((0.0 <= w) & (w <= 1.0)):
-            raise ValueError("weights must lie in [0, 1]")
-    if cfg.x0.shape != (sys.n,):
-        raise ValueError(f"x0 must have {sys.n} entries")
-    if not np.isfinite(cfg.x0).all():
-        raise ValueError(f"x0 must be finite, not {cfg.x0.tolist()}")
-    return opts
+        check_unit("weights", cfg.weights, (2,))
+    _excitation_start(sys, cfg.x0, cfg.excitation)
+    return QPOptions(eps=cfg.eps, mu0=cfg.mu0)
 
 
 def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:

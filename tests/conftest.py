@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from datareach.qpsolve import _dual_solve_orthant, _factor, _orthant_bounds, ort
 from datareach.reach import ConstantControl, ConstCosControl, PiecewiseConstantControl, datareach
 from datareach.systems import advance, excite, experiment_for, quadrotor, unicycle
 
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "datareach"
+
 # every property test runs the same examples in every process
 settings.register_profile("datareach", derandomize=True, deadline=None)
 settings.load_profile("datareach")
@@ -19,6 +24,16 @@ settings.load_profile("datareach")
 FIG_SEED = 2
 SAMPLE_DT = 0.1
 T_REF = 1.5  # 15 samples at 0.1 s
+
+
+def exported():
+    """The names `datareach/__init__.py` imports from its modules."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
 
 
 def fg_rows(F, G):

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -214,7 +216,7 @@ class TestReachSettings:
             ({"init_len": 0}, "init_len must be >= 1"),
             ({"steps": "many"}, "steps must be an integer, not 'many'"),
             ({"init_len": "abc"}, "init_len must be an integer, not 'abc'"),
-            ({"dt": "fast"}, "dt must be a number, not 'fast'"),
+            ({"dt": "fast"}, "dt must be positive and finite, not 'fast'"),
             ({"seed": [1]}, "seed must be an integer"),
             ({"x0": "origin"}, "x0 must be a list of numbers"),
             ({"intersect_domain": "false"}, "intersect_domain must be true or false, not 'false'"),
@@ -222,7 +224,8 @@ class TestReachSettings:
             ({"control": {"family": "constant"}}, "control family 'constant' needs value"),
             ({"control": {"family": "piecewise", "values": [[1, 0]]}},
              "control family 'piecewise' needs dt"),
-            ({"control": {"family": "const_cos", "v0": "fast"}}, "v0 must be a number, not 'fast'"),
+            ({"control": {"family": "const_cos", "v0": "fast"}},
+             "control v0 must be numeric, not 'fast'"),
             ({"control": {"family": "constant", "value": [1, 0, 0]}},
              "value must be a control vector of length 2, not [1, 0, 0]"),
             ({"control": {"family": "piecewise", "values": [1, 0], "dt": 0.5}},
@@ -238,7 +241,7 @@ class TestReachSettings:
             ({"control": {"family": "sine"}}, "unknown control family 'sine'"),
             ({"control": 3}, "reach.control must be a mapping, not 3"),
             ({"seed": -1}, "seed must be >= 0"),
-            ({"x0": [1, 2]}, "x0 must have 3 entries"),
+            ({"x0": [1, 2]}, "x0 must have shape (3,), not (2,)"),
             ({"side_level": ["x"]}, "side_level must be one of ['decoupled', "),
             ({"trajectory": 7}, "trajectory must be a file path, not 7"),
             ({"steps": 2.5}, "steps must be an integer, not 2.5"),
@@ -248,7 +251,7 @@ class TestReachSettings:
             ({"control": {"omega": math.nan}}, "control omega must be finite, not nan"),
             ({"control": {"v0": math.inf}}, "control v0 must be finite, not inf"),
             ({"control": {"a1": [-math.inf, math.inf]}},
-             "control a1.lo must be finite, not -inf"),
+             "control a1 and a2 must be finite, not [-inf, inf, 0.0, 0.0]"),
             ({"control": {"t_ref": math.inf}}, "control t_ref must be finite, not inf"),
             ({"control": {"family": "constant", "value": [math.nan, 0]}},
              "value must be finite, not [nan, 0]"),
@@ -304,6 +307,57 @@ class TestReachSettings:
         })
         assert cli.main(["--config", cfg, "--seed", "-1", command]) == cli.EXIT_CONFIG
         assert "config error: seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _contract_cases():
+    """(command, section, key, value) for every numeric key of `reach` and
+    `control` and the bad values of test_contract.py.  A whole number is not
+    set to 1e308, a valid request that never ends, and a number not to 2.5,
+    a valid value; a list key is set to True whole and to each bad number in
+    its first entry."""
+    numbers, counts = [math.inf, math.nan, 1e308, True], [math.inf, math.nan, True, 2.5]
+
+    def listed(first, rest):
+        return [True] + [[v if isinstance(first, float) else [v, *first[1:]], *rest]
+                         for v in numbers[:3]]
+
+    keys = {
+        ("reach", None): {"dt": numbers, "steps": counts, "init_len": counts, "seed": counts,
+                          "x0": listed(0.0, [0.0, 0.0])},
+        ("reach", "const_cos"): {"v0": numbers, "omega": numbers, "t_ref": numbers},
+        ("reach", "constant"): {"value": listed(1.0, [0.0])},
+        ("reach", "piecewise"): {"values": listed([1.0, 0.0], []), "dt": numbers,
+                                 "t0": numbers},
+        ("control", None): {"dt": numbers, "stop_level": numbers, "eps": numbers,
+                            "mu0": numbers, "init_len": counts, "max_steps": counts,
+                            "seed": counts, "x0": listed(0.0, [0.0, 0.0]),
+                            "weights": listed(0.5, [0.5])},
+    }
+    return [(command, family, key, value) for (command, family), values in keys.items()
+            for key, bad in values.items() for value in bad]
+
+
+class TestContractValues:
+    """Each bad value of a numeric key exits 2 with a message naming the key."""
+
+    @pytest.mark.parametrize("command, family, key, value", _contract_cases())
+    def test_rejected_naming_the_key(self, tmp_path, capsys, command, family, key, value):
+        out = tmp_path / "out"
+        section = {"reach": {"dt": 0.02, "steps": 3, "init_len": 5},
+                   "control": {"max_steps": 3}}[command]
+        if family is None:
+            section[key] = value
+        else:
+            section["control"] = {"family": family, "value": [1.0, 0.0],
+                                  "values": [[1.0, 0.0]], "dt": 0.5, key: value}
+            if family != "constant":
+                del section["control"]["value"]
+            if family != "piecewise":
+                del section["control"]["values"], section["control"]["dt"]
+        cfg = write_cfg(tmp_path, {"system": "unicycle", "out": str(out), command: section})
+        assert cli.main(["--config", cfg, command]) == cli.EXIT_CONFIG
+        assert re.match(rf"config error: (control )?{key} must", capsys.readouterr().err)
         assert not out.exists()
 
 

@@ -70,7 +70,7 @@ class TestQuadraticCost:
         parts = {"Q": np.eye(2), "R": np.eye(2), "S": np.zeros((2, 2)),
                  "q": np.zeros(2), "r": np.zeros(2)}
         parts[key][(0,) * parts[key].ndim] = bad
-        with pytest.raises(ValueError, match="^Q, R, S, q and r must be finite$"):
+        with pytest.raises(ValueError, match=f"^{key} must be finite, not "):
             QuadraticCost(**parts)
 
     def test_setpoint_cost_offset(self):
@@ -356,7 +356,8 @@ class TestDataControlStep:
         """Weights outside [0, 1] are rejected in either mode before the
         model is built, not only when an optimistic step falls back."""
         monkeypatch.setattr(control, "linearize", lambda *a, **k: pytest.fail("linearized"))
-        with pytest.raises(ValueError, match=r"^weights must lie in \[0, 1\]$"):
+        with pytest.raises(ValueError,
+                           match=r"^wplus, wminus must (lie in \[0, 1\]|be finite), not "):
             datacontrol_step(exact_integrator_kb(), np.array([1.0]), norm_cost(1, 1),
                              Box([-1.0], [1.0]), Box([-5.0], [5.0]), 0.1, mode=mode,
                              wplus=weights[0], wminus=weights[1])
@@ -368,6 +369,11 @@ class TestDataControlStep:
         with pytest.raises(ValueError, match="^dt must be positive and finite"):
             datacontrol_step(exact_integrator_kb(), np.array([1.0]), norm_cost(1, 1),
                              Box([-1.0], [1.0]), Box([-5.0], [5.0]), dt, mode=mode)
+
+    def test_cost_must_fit_the_base(self):
+        with pytest.raises(ValueError, match="^cost must have n = 1 and m = 1, not 2 and 1$"):
+            datacontrol_step(exact_integrator_kb(), np.array([1.0]), norm_cost(2, 1),
+                             Box([-1.0], [1.0]), Box([-5.0], [5.0]), 0.1)
 
     def test_exact_integrator_pushes_to_zero(self):
         kb = exact_integrator_kb()

@@ -5,20 +5,8 @@ behind it; this test fails on it, naming it.
 """
 
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "datareach"
-
-
-def _exported():
-    """The names `datareach/__init__.py` imports from its modules."""
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {
-        alias.asname or alias.name
-        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+from conftest import PACKAGE, ROOT, exported
 
 
 def _referenced(paths):
@@ -37,4 +25,4 @@ def _referenced(paths):
 def test_every_export_is_used_outside_the_tests():
     sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     used = _referenced(sources + sorted((ROOT / "demos").glob("*.py")))
-    assert sorted(_exported() - used) == []
+    assert sorted(exported() - used) == []

@@ -404,7 +404,7 @@ class TestPartialDynamics:
         from datareach.systems import quadrotor
 
         lip = quadrotor().side.partial_dynamics.lip
-        with pytest.raises(ValueError, match=r"^P must be a finite \(6, 6\) matrix"):
+        with pytest.raises(ValueError, match=r"^P must (have shape \(6, 6\)|be finite), not "):
             PartialDynamics(P, lip)
 
     def test_drift_is_a_read_only_copy(self):
@@ -902,9 +902,8 @@ class TestBatchedPass:
 
     def test_nan_sample_rejected(self):
         lip = LipschitzBounds([1.0], [[1.0]])
-        samples = [Sample([0.0], [0.0], [1.0]), Sample([0.5], [math.nan], [1.0])]
-        with pytest.raises(ValueError, match="NaN"):
-            build_knowledge(samples, lip)
+        with pytest.raises(ValueError, match=r"^xdot must be finite, not \[nan\]"):
+            build_knowledge([Sample([0.0], [0.0], [1.0]), Sample([0.5], [math.nan], [1.0])], lip)
 
     def test_records_passes_and_residual(self):
         sysu = unicycle()
@@ -1258,8 +1257,17 @@ class TestKnowledgeSettings:
             L_f[2] = bad
         else:
             L_G[2, 0] = bad
-        with pytest.raises(ValueError, match="^Lipschitz bounds must be nonnegative and finite$"):
+        with pytest.raises(ValueError, match=f"^{where} must be finite and nonnegative, not "):
             LipschitzBounds(L_f, L_G)
+
+    def test_rebuild_rejects_entries_without_samples(self):
+        """A base from the constructor holds no samples to re-contract."""
+        from datareach.knowledge import KnowledgeBase
+
+        kb = build_knowledge(excite(unicycle(), 5, seed=1, dt=0.1), unicycle().lip)
+        plain = KnowledgeBase(kb.entries, kb.lip, kb.lip_total)
+        with pytest.raises(ValueError, match="^kb holds entries with no sample"):
+            rebuild(plain)
 
     @pytest.mark.parametrize("key, value", [
         ("fixpoint_tol", math.nan), ("fixpoint_tol", -1.0),

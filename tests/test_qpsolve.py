@@ -50,13 +50,13 @@ class TestBoxQPValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             BoxQP(Qi, qi, Box([-1.0, -1.0], [1.0, 1.0]))
 
-    @pytest.mark.parametrize("Qi, qi, pi", [
-        (np.eye(2), [math.nan, 0.0], 0.0),
-        (np.diag([math.inf, 1.0]), np.zeros(2), 0.0),
-        (np.eye(2), np.zeros(2), math.nan),
+    @pytest.mark.parametrize("Qi, qi, pi, key", [
+        (np.eye(2), [math.nan, 0.0], 0.0, "qi"),
+        (np.diag([math.inf, 1.0]), np.zeros(2), 0.0, "Qi"),
+        (np.eye(2), np.zeros(2), math.nan, "pi"),
     ], ids=["qi_nan", "Qi_inf", "pi_nan"])
-    def test_non_finite_data_rejected(self, Qi, qi, pi):
-        with pytest.raises(ValueError, match="^Qi, qi and pi must be finite$"):
+    def test_non_finite_data_rejected(self, Qi, qi, pi, key):
+        with pytest.raises(ValueError, match=f"^{key} must be finite, not "):
             BoxQP(Qi, qi, Box([-1.0, -1.0], [1.0, 1.0]), pi)
 
 
