@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import (
-    AllOrthantsInfeasible, NonConvexAssembly, check_array, check_choice, check_count,
+    LIMIT, AllOrthantsInfeasible, NonConvexAssembly, check_array, check_choice, check_count,
     check_finite, check_positive, check_unit,
 )
 from .intervals import (
@@ -128,19 +128,26 @@ class QuadraticCost:
 def setpoint_cost(n: int, m: int, index: int, target: float, weight: float = 0.5
                   ) -> Tuple[QuadraticCost, float]:
     """Cost weight*(y[index] - target)^2 in (Q, S, R, q, r) form plus its
-    constant; index must be a whole number in [0, n), target finite, weight >= 0."""
+    constant; index must be a whole number in [0, n), target finite, weight >= 0,
+    and the linear term -2 weight target and the constant weight target^2 at
+    most `errors.LIMIT` in magnitude."""
     n, m = check_count("n", n, 1), check_count("m", m, 1)
-    check_finite("target", target)
-    check_array("weight", weight, (), nonneg=True)
+    target = check_finite("target", target)
+    weight = float(check_array("weight", weight, (), nonneg=True))
     index = check_count("index", index, 0)
     if index >= n:
         raise ValueError(f"index must be < n = {n}, not {index}")
+    linear, constant = -2.0 * weight * target, weight * target * target
+    if not max(abs(linear), constant) <= LIMIT:
+        raise ValueError(f"target and weight must give a linear term -2 weight target and a "
+                         f"constant weight target^2 at most {LIMIT:g} in magnitude, not "
+                         f"target={target!r} and weight={weight!r}")
     Q = np.zeros((n, n))
     Q[index, index] = weight
     q = np.zeros(n)
-    q[index] = -2.0 * weight * target
+    q[index] = linear
     cost = QuadraticCost(Q, np.zeros((m, m)), np.zeros((n, m)), q, np.zeros(m))
-    return cost, weight * target * target
+    return cost, constant
 
 
 def norm_cost(n: int, m: int, weight: float = 0.5) -> QuadraticCost:

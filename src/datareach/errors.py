@@ -123,6 +123,16 @@ def check_array(key: str, value, shape=None, nonneg=False) -> np.ndarray:
     return a
 
 
+def check_box(key: str, box):
+    """Return the `Box` `box`; raise ValueError unless every endpoint is at
+    most `LIMIT` in magnitude.  A `Box` holds no NaN and has lo <= hi, so
+    its endpoints lie in [min lo, max hi]."""
+    if (min(box.lo.ravel().tolist(), default=0.0) < -LIMIT
+            or max(box.hi.ravel().tolist(), default=0.0) > LIMIT):
+        _fail(key, box, f"have endpoints at most {LIMIT:g} in magnitude")
+    return box
+
+
 def check_unit(key: str, value, shape=()) -> np.ndarray:
     """`check_array`, for numbers in [0, 1]."""
     a = check_array(key, value, shape)

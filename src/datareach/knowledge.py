@@ -10,12 +10,15 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, mul
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import (
-    EmptyIntersection, InconsistentSample, check_array, check_count, check_finite, check_positive,
+    EmptyIntersection, InconsistentSample, check_array, check_box, check_count, check_finite,
+    check_positive,
 )
 from .intervals import (
     Box, Interval, check_shape, meet_arrays, real_mat_pairs, scale_pair, settle_arrays,
@@ -510,6 +513,102 @@ def _contract(xdot, u, lo, hi):
     return c_lo, c_hi, [(bad, "contract") for bad in stages]
 
 
+# A one-row pass dispatches about as many numpy calls as a batched one, so
+# `_contract_row` redoes `_contract` on Python floats, one component at a
+# time.  It takes the same operations in the same order, and where numpy's
+# choice shows in the bits it chooses as numpy does: np.maximum(a, b) and
+# np.minimum(a, b) return b on a tie, which decides between 0.0 and -0.0,
+# and an axis sum adds its terms in order to +0.0, so [-0.0, -0.0] sums to
+# +0.0.  A settle that finds any crossing swaps the endpoints of every
+# component, not just the crossed ones; that moves only the sign of a zero
+# where lo == hi, and each such zero is next either padded or divided and
+# then padded, which gives the same bits for either sign.  So settling one
+# component at a time gives the bits of settling them all together.
+
+# the float path takes rows whose endpoints, derivatives and controls have
+# magnitudes summing to at most this: every value it then forms (products of
+# two, sums of a few, quotients by |u_l| > _U_ZERO_TOL) is finite, so no NaN
+# arises where numpy's max / min would propagate it and Python's would not
+_ROW_LIMIT = 1e100
+
+
+def _meet_one(alo, ahi, blo, bhi, pad):
+    """`meet_arrays` of one component with ``_MEET_TOL`` and ``pad``, or None
+    at a genuine crossing."""
+    lo = alo if alo > blo else blo
+    hi = ahi if ahi < bhi else bhi
+    if lo > hi:
+        if lo - hi > _MEET_TOL * max(1.0, abs(lo), abs(hi)):
+            return None
+        lo, hi = hi, lo
+    if pad:
+        d = -lo if -lo > hi else hi
+        d = pad * (d if d > 1.0 else 1.0)
+        return lo - d, hi + d
+    return lo, hi
+
+
+def _clamp_one(a, lo, hi):
+    """`_clamp` of one component."""
+    a = a if a > lo else lo
+    return a if a < hi else hi
+
+
+def _contract_row(xdot, u, lo, hi):
+    """`_contract` of one row of Python floats, with the same bits: xdot
+    (n,), u (m,) and lo/hi (n + n m,) as lists.
+
+    Returns the contracted lo/hi lists, or None where a meet or settle
+    crosses genuinely (`_contract` then finds the failure) or where the
+    row's magnitudes exceed ``_ROW_LIMIT``.
+    """
+    n, m = len(xdot), len(u)
+    if not sum(map(abs, xdot + u + lo + hi)) <= _ROW_LIMIT:
+        return None
+    live = [abs(ul) > _U_ZERO_TOL for ul in u]
+    c_lo, c_hi = lo[:], hi[:]
+    for k, x in enumerate(xdot):
+        first = n + k * m
+        G_lo, G_hi = lo[first : first + m], hi[first : first + m]
+        # scale_pair of the G row by u
+        col_lo, col_hi = [], []
+        for a, b in zip(map(mul, G_lo, u), map(mul, G_hi, u)):
+            col_lo.append(a if a < b else b)
+            col_hi.append(a if a > b else b)
+        gu_lo, gu_hi = reduce(add, col_lo, 0.0), reduce(add, col_hi, 0.0)
+        F_lo, F_hi = lo[k], hi[k]
+        f = _meet_one(F_lo, F_hi, x - gu_hi, x - gu_lo, _PAD)
+        if f is None:
+            return None
+        cf_lo = c_lo[k] = _clamp_one(f[0], F_lo, F_hi)
+        cf_hi = c_hi[k] = _clamp_one(f[1], cf_lo, F_hi)
+        s = _meet_one(x - cf_hi, x - cf_lo, gu_lo, gu_hi, _PAD)
+        for l, ul in enumerate(u):
+            if s is None:
+                return None
+            s_lo, s_hi = s
+            # the sums over columns l+1..m-1; the last column's is 0.0
+            tail_lo = reduce(add, col_lo[l + 1 :], 0.0)
+            tail_hi = reduce(add, col_hi[l + 1 :], 0.0)
+            g_lo, g_hi = G_lo[l], G_hi[l]
+            if live[l]:
+                num = _meet_one(s_lo - tail_hi, s_hi - tail_lo, col_lo[l], col_hi[l], 0.0)
+                if num is None:
+                    return None
+                num_lo, num_hi = num
+                a, b = num_lo / ul, num_hi / ul
+                div_pad = 1e-14 * (1.0 + max(-num_lo, num_hi)) / abs(ul)
+                g_lo = _clamp_one((a if a < b else b) - div_pad, G_lo[l], G_hi[l])
+                g_hi = _clamp_one((a if a > b else b) + div_pad, g_lo, G_hi[l])
+                c_lo[first + l], c_hi[first + l] = g_lo, g_hi
+            a, b = g_lo * ul, g_hi * ul
+            s = _meet_one(s_lo - (a if a > b else b), s_hi - (a if a < b else b),
+                          tail_lo, tail_hi, 0.0 if l == m - 1 else _PAD)
+        if s is None:
+            return None
+    return c_lo, c_hi
+
+
 # ---------------------------------------------------------------------------
 # over-approximation queries
 # ---------------------------------------------------------------------------
@@ -568,13 +667,15 @@ def _box_query(kb: KnowledgeBase, X: Box, parts: str = "fG"):
 
 
 def f_over_iv(X: Box, kb: KnowledgeBase) -> Box:
-    """Inclusion-isotone interval enclosure of f over the state box X."""
-    return Box(*_box_query(kb, X, "f")[0])
+    """Inclusion-isotone interval enclosure of f over the state box X, whose
+    endpoints must be at most `errors.LIMIT` in magnitude."""
+    return Box(*_box_query(kb, check_box("X", X), "f")[0])
 
 
 def G_over_iv(X: Box, kb: KnowledgeBase) -> Box:
-    """Inclusion-isotone interval enclosure of G over the state box X."""
-    return Box(*_box_query(kb, X, "G")[0])
+    """Inclusion-isotone interval enclosure of G over the state box X, whose
+    endpoints must be at most `errors.LIMIT` in magnitude."""
+    return Box(*_box_query(kb, check_box("X", X), "G")[0])
 
 
 def f_over(x: np.ndarray, kb: KnowledgeBase) -> Box:
@@ -656,9 +757,15 @@ def _contract_rows(kb: KnowledgeBase, settled, X, XDOT, U, index):
 
     ``index`` maps each row to its sample index.  Returns the new stacked
     lo/hi rows; on failure raises what a per-sample loop would raise first,
-    for the lowest failing sample.
+    for the lowest failing sample.  One row contracts on floats
+    (`_contract_row`); several rows, and a row that fails or that the float
+    path declines, contract batched, so every failure is found in one place.
     """
     lo, hi, q_stages = _settled_rows(kb, settled, X)
+    if X.shape[0] == 1 and _first_failure(q_stages) is None:
+        row = _contract_row(XDOT[0].tolist(), U[0].tolist(), lo[0].tolist(), hi[0].tolist())
+        if row is not None:
+            return [np.array([r]) for r in row]
     *new, c_stages = _contract(XDOT, U, lo, hi)
     failure = _first_failure(q_stages + c_stages)
     if failure is not None:

@@ -18,7 +18,8 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import (
-    DataReachError, StepTooLarge, check_array, check_count, check_finite, check_positive,
+    DataReachError, StepTooLarge, check_array, check_box, check_count, check_finite,
+    check_positive,
 )
 from .intervals import (
     Box, Interval, add_pairs, check_shape, mat_vec_pairs, meet, scale_pair, tensor_vec_pairs,
@@ -303,10 +304,14 @@ def datareach_step(
     Second order where the family bounds u' on the step; first order,
     R + dt (f(S) + G(S) V), where `eval_deriv_range` returns None.  The
     propagated box is intersected with `domain` when one is supplied.  t
-    must be finite and dt positive and finite.
+    must be finite, dt positive and finite, and the endpoints of R and
+    domain at most `errors.LIMIT` in magnitude.
     """
     check_finite("t", t)
     check_positive("dt", dt)
+    check_box("R", R)
+    if domain is not None:
+        check_box("domain", domain)
     V = ctrl.eval_range(t, t + dt)
     V1 = ctrl.eval_deriv_range(t, t + dt)
     beta, alpha, S, fR, GR, fS, GS, Jf, JG = _step_data(R, kb, V, dt)
@@ -338,12 +343,18 @@ def datareach(
     the tube is truncated and the reason recorded in `failure`.  T must be
     a whole number >= 0; T = 0 gives the tube of the start alone.  dt must
     be positive and finite, t0 finite, x_start hold kb.n entries and the
-    family's controls kb.m entries.
+    family's controls kb.m entries, and the endpoints of a Box x_start and
+    of domain be at most `errors.LIMIT` in magnitude.
     """
     check_count("T", T, 0)
     check_positive("dt", dt)
     check_finite("t0", t0)
-    R = x_start if isinstance(x_start, Box) else Box.point(check_array("x_start", x_start))
+    if isinstance(x_start, Box):
+        R = check_box("x_start", x_start)
+    else:
+        R = Box.point(check_array("x_start", x_start))
+    if domain is not None:
+        check_box("domain", domain)
     if R.shape != (kb.n,):
         raise ValueError(f"x_start must have shape {(kb.n,)}, not {R.shape}")
     width = ctrl.eval_range(t0, t0 + dt).shape

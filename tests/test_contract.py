@@ -18,10 +18,11 @@ one bad value at a time into one knob, the others staying at a valid base:
 NaN, +-inf, 0, -1, 1e308 and True for every number, 2.5 for a whole number,
 one bad entry or a wrong shape for an array.  A whole number is never drawn
 at 1e308: that is a valid request for 1e308 iterations or samples, a run
-that never ends.  A `Box` argument is not drawn: `Box` checks its own
-endpoints (the `Box` row).  Records that only the library builds are in
-`OUTPUTS`, and input records with no checks of their own in `RECORDS`, with
-the entry point that checks them.
+that never ends.  `Box` checks its own endpoints for NaN and order (the
+`Box` row) but takes any magnitude, so a `Box` argument (`BoxArg`) is drawn
+with one endpoint at +-1e308 or +-inf.  Records that only the library
+builds are in `OUTPUTS`, and input records with no checks of their own in
+`RECORDS`, with the entry point that checks them.
 """
 
 import dataclasses
@@ -71,6 +72,13 @@ class Arr(NamedTuple):
 
     domain: str
     base: object
+
+
+class BoxArg(NamedTuple):
+    """A `Box` knob: its domain and the (lo, hi) of a valid base box."""
+
+    domain: str
+    base: tuple
 
 
 class Choice(NamedTuple):
@@ -130,6 +138,11 @@ def const_cos(v0, omega, t_ref):
     return ctrl, ctrl.eval_range(1.5, 1.52), ctrl.eval_point(1.5), ctrl.eval_deriv_range(1.5, 1.52)
 
 
+def box_of(value):
+    """The `Box` of a (lo, hi) knob value, or None."""
+    return None if value is None else Box(*value)
+
+
 def closed_loop(**knobs):
     """The unicycle preset for two steps with the drawn settings."""
     cfg = dataclasses.replace(unicycle_experiment(max_steps=2), **knobs)
@@ -142,6 +155,9 @@ STATE = Arr("finite (3,)", [-1.9, -2.4, 1.4])
 CONTROL = Arr("finite (2,)", [1.0, 0.5])
 WEIGHT = Num("finite, >= 0", 0.5)
 ENDPOINTS = ("endpoints",)
+# a box about the base state, and the unicycle's domain
+NEAR_STATE = BoxArg("endpoints", (base().x - 0.1, base().x + 0.1))
+DOMAIN = BoxArg("endpoints, or None", (unicycle().X.lo, unicycle().X.hi))
 
 TABLE = {
     # intervals
@@ -180,8 +196,8 @@ TABLE = {
                    {"fixpoint_tol": Num("positive", 1e-9), "max_fixpoint_iters": Count(1, 50)}),
     "f_over": Row(lambda x: f_over(x, base().kb), {"x": STATE}),
     "G_over": Row(lambda x: G_over(x, base().kb), {"x": STATE}),
-    "f_over_iv": Row(lambda: f_over_iv(Box(base().x - 0.1, base().x + 0.1), base().kb), {}),
-    "G_over_iv": Row(lambda: G_over_iv(Box(base().x - 0.1, base().x + 0.1), base().kb), {}),
+    "f_over_iv": Row(lambda X: f_over_iv(box_of(X), base().kb), {"X": NEAR_STATE}),
+    "G_over_iv": Row(lambda X: G_over_iv(box_of(X), base().kb), {"X": NEAR_STATE}),
     # reach
     "ConstantControl": Row(ConstantControl, {"u": CONTROL}),
     "PiecewiseConstantControl": Row(piecewise, {"values": Arr("finite (k, m), k >= 1",
@@ -197,12 +213,18 @@ TABLE = {
     "max_step_size": Row(lambda L_f, L_G: max_step_size(LipschitzBounds(L_f, L_G), unicycle().U),
                          {"L_f": Arr("finite, >= 0 (n,)", UNICYCLE_L_F),
                           "L_G": Arr("finite, >= 0 (n, m)", UNICYCLE_L_G)}),
-    "datareach_step": Row(lambda t, dt: datareach_step(Box.point(base().x), base().kb,
-                                                       fig_control(), t, dt),
-                          {"t": Num("finite", 1.5), "dt": Num("positive", 0.02)}),
-    "datareach": Row(lambda x_start, dt, T, t0: tube(base().kb, x_start, fig_control(), dt, T, t0),
-                     {"x_start": STATE, "dt": Num("positive", 0.02), "T": Count(0, 3),
-                      "t0": Num("finite", 1.5)}),
+    "datareach_step": Row(lambda R, t, dt, domain: datareach_step(
+                              box_of(R), base().kb, fig_control(), t, dt, box_of(domain)),
+                          {"R": BoxArg("endpoints", (base().x, base().x)),
+                           "t": Num("finite", 1.5), "dt": Num("positive", 0.02),
+                           "domain": DOMAIN}),
+    "datareach": Row(lambda x_start, start_box, dt, T, t0, domain: tube(
+                         base().kb, x_start if start_box is None else box_of(start_box),
+                         fig_control(), dt, T, t0, box_of(domain)),
+                     {"x_start": STATE, "start_box": BoxArg("endpoints, or None", None),
+                      "dt": Num("positive", 0.02), "T": Count(0, 3), "t0": Num("finite", 1.5),
+                      "domain": DOMAIN},
+                     {"start_box": ("x_start",)}),
     # control
     "QuadraticCost": Row(QuadraticCost, {"Q": Arr("finite, symmetric (n, n)", 0.5 * np.eye(3)),
                                          "R": Arr("finite, symmetric (m, m)", np.zeros((2, 2))),
@@ -377,7 +399,25 @@ def _bad_array(data, spec):
     ]))
 
 
+def _bad_box(data, spec):
+    """A valid (lo, hi) with one entry at +-1e308 or +-inf: a lower end
+    pushed down, an upper end pushed up, or both ends moved to it.  A knob
+    whose base is None starts from `NEAR_STATE`."""
+    lo, hi = (np.array(a, dtype=float) for a in (spec.base or NEAR_STATE.base))
+    i = data.draw(st.integers(0, lo.size - 1))
+    v = data.draw(st.sampled_from([1e308, -1e308, math.inf, -math.inf]))
+    if data.draw(st.booleans()):
+        lo[i] = hi[i] = v
+    elif v < 0:
+        lo[i] = v
+    else:
+        hi[i] = v
+    return lo, hi
+
+
 def _bad_value(data, spec):
+    if isinstance(spec, BoxArg):
+        return _bad_box(data, spec)
     if isinstance(spec, Arr):
         return _bad_array(data, spec)
     if isinstance(spec, Count):
@@ -408,3 +448,15 @@ def test_bad_input_is_named_or_harmless(name, knob, data):
     drawn = np.asarray(value)
     _check_rule(name, knob, value, knobs,
                 drawn.dtype.kind not in "fc" or bool(np.isfinite(drawn).all()))
+
+
+def test_setpoint_cost_names_target_and_weight():
+    """Each of target and weight is in range, but the linear term
+    -2 weight target they give is not: the message names both, not the
+    cost's q."""
+    with pytest.raises(ValueError, match=r"^target and weight must") as err:
+        setpoint_cost(3, 2, 0, target=1e75, weight=1e75)
+    assert "q " not in str(err.value)
+    # the constant weight target^2 alone out of range
+    with pytest.raises(ValueError, match=r"^target and weight must"):
+        setpoint_cost(3, 2, 0, target=1e50, weight=1e-2)

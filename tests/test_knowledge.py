@@ -637,10 +637,15 @@ def _batched_run(traj, lip, side, n_init):
     return rebuild(kb)
 
 
+def _same_bytes(a, b):
+    """Equal shapes and bytes: unlike np.array_equal, -0.0 differs from 0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def _assert_same_base(got, want):
-    assert np.array_equal(got.xs, want.xs)
-    assert np.array_equal(got.cf_lo, want.cf[0]) and np.array_equal(got.cf_hi, want.cf[1])
-    assert np.array_equal(got.cg_lo, want.cg[0]) and np.array_equal(got.cg_hi, want.cg[1])
+    assert _same_bytes(got.xs, want.xs)
+    assert _same_bytes(got.cf_lo, want.cf[0]) and _same_bytes(got.cf_hi, want.cf[1])
+    assert _same_bytes(got.cg_lo, want.cg[0]) and _same_bytes(got.cg_hi, want.cg[1])
     assert got.passes == want.passes and got.residual == want.residual
 
 

@@ -1,21 +1,32 @@
-"""Hypothesis properties of the knowledge-base queries, checked without tolerance.
+"""Hypothesis properties of the knowledge base, checked without tolerance.
 
 Bases are built from samples of random Lipschitz systems, so every query is
-consistent.  The conftest profile makes the examples the same in every
-process.
+consistent.  The one-row contraction on Python floats is checked against
+the batched one on drawn rows, consistent or not, byte for byte.  The
+conftest profile makes the examples the same in every process.
 """
 
+import itertools
+from unittest import mock
+
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from datareach import knowledge
+from datareach.errors import DataReachError
 from datareach.intervals import Box
 from datareach.knowledge import (
+    _PAD,
+    _U_ZERO_TOL,
     Decoupling,
     LipschitzBounds,
     Sample,
     SideInfoSet,
     VectorFieldBounds,
+    _contract,
+    _contract_row,
+    _first_failure,
     append_sample,
     build_knowledge,
     f_over,
@@ -153,3 +164,107 @@ class TestSoundness:
                 inside = np.clip(X.lo + rng.random((8, kb.n)) * X.width, X.lo, X.hi)
                 for x in [X.mid, *corners, *inside]:
                     assert F.contains(f(x)) and GX.contains(G(x))
+
+
+# values that make exact ties, signed zeros and touching intervals common;
+# an endpoint at +-_PAD pads to a signed zero
+NICE = (0.0, -0.0, 0.25, -0.5, 1.0, -1.0, 1.5, -2.0, _PAD, -_PAD)
+ZEROS = (0.0, -0.0)
+# controls at, below and above the magnitude under which a column is left alone
+CONTROLS = (0.0, -0.0, _U_ZERO_TOL, -_U_ZERO_TOL, 1.5e-5, -1.5e-5, 5e-6, -5e-6, 0.5, -1.0, 2.0)
+SLACK = (0.0, -0.0, 0.25, 1.0)
+# offsets of a derivative from f + G u: none, and crossings below and above
+# the meet tolerance (1e-8 relative to magnitudes near 1)
+OFFSETS = (0.0, -0.0, 5e-9, -5e-9, 2e-8, -2e-8)
+
+
+@st.composite
+def contraction_rows(draw):
+    """One row (xdot, u, lo, hi) for `_contract`, n in 1..6 and m in 1..3.
+
+    A true f and G give xdot = f + G u plus a drawn offset.  Each
+    enclosure is a pair of signed zeros, the true value widened by drawn
+    slack (none makes it touch), or a sorted pair of drawn numbers.
+    """
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    number = st.one_of(st.sampled_from(NICE), st.floats(-4.0, 4.0))
+    u = [draw(st.one_of(st.sampled_from(CONTROLS), st.floats(-3.0, 3.0))) for _ in range(m)]
+    f = [draw(number) for _ in range(n)]
+    G = [[draw(number) for _ in range(m)] for _ in range(n)]
+    xdot = []
+    for fk, row in zip(f, G):
+        v = fk
+        for g, ul in zip(row, u):
+            v += g * ul
+        xdot.append(v + draw(st.sampled_from(OFFSETS)))
+
+    def enclosure(v):
+        kind = draw(st.sampled_from(["around", "around", "around", "zeros", "pair"]))
+        if kind == "zeros":
+            return draw(st.sampled_from(ZEROS)), draw(st.sampled_from(ZEROS))
+        if kind == "around":
+            return v - draw(st.sampled_from(SLACK)), v + draw(st.sampled_from(SLACK))
+        a, b = draw(number), draw(number)
+        return (a, b) if a <= b else (b, a)
+
+    ends = [enclosure(v) for v in f + [g for row in G for g in row]]
+    return tuple(np.array(a) for a in (xdot, u, [e[0] for e in ends], [e[1] for e in ends]))
+
+
+def _raised(call):
+    try:
+        call()
+    except DataReachError as exc:
+        return (type(exc), str(exc), getattr(exc, "sample_index", None),
+                getattr(exc, "index", getattr(exc, "component", None)))
+    return None
+
+
+def _assert_row_matches(xdot, u, lo, hi):
+    """A consistent row contracts to the bytes of row 0 of `_contract`; on a
+    row where `_contract` finds a failure, the float path declines."""
+    c_lo, c_hi, stages = _contract(*(np.array([a]) for a in (xdot, u, lo, hi)))
+    got = _contract_row(xdot, u, lo, hi)
+    if _first_failure(stages) is not None:
+        assert got is None
+    else:
+        assert got is not None
+        assert np.array(got[0]).tobytes() == c_lo[0].tobytes()
+        assert np.array(got[1]).tobytes() == c_hi[0].tobytes()
+
+
+class TestFloatRow:
+    @settings(max_examples=1000)
+    @given(contraction_rows())
+    def test_matches_the_batched_row_byte_for_byte(self, row):
+        _assert_row_matches(*(a.tolist() for a in row))
+
+    def test_matches_the_batched_row_on_every_small_row(self):
+        """Every one-component, one-column row with endpoints, derivative and
+        control among signed zeros, +-_PAD and 1.  The drawn rows seldom
+        give a clamp an input that ties its bound as a zero of the other
+        sign, which is where a tie's order shows."""
+        values, controls = (0.0, -0.0, _PAD, -_PAD, 1.0), (0.0, -0.0, 1.0)
+        pairs = [(a, b) for a in values for b in values if a <= b]
+        for x, ul, (f_lo, f_hi), (g_lo, g_hi) in itertools.product(
+                values, controls, pairs, pairs):
+            _assert_row_matches([x], [ul], [f_lo, g_lo], [f_hi, g_hi])
+
+    @settings(max_examples=300)
+    @given(contraction_rows())
+    def test_append_raises_what_a_batched_build_raises(self, row):
+        """With zero Lipschitz bounds and the drawn enclosures as range
+        bounds, appending a sample to the seed-only base raises the error a
+        one-sample build raises when its first pass is batched: the same
+        type, message, sample index and component."""
+        xdot, u, lo, hi = row
+        n, m = xdot.size, u.size
+        region = Box(np.full(n, -1.0), np.full(n, 1.0))
+        side = SideInfoSet(vf_bounds=VectorFieldBounds(
+            region, Box(lo[:n], hi[:n]), Box(lo[n:].reshape(n, m), hi[n:].reshape(n, m))))
+        lip = LipschitzBounds(np.zeros(n), np.zeros((n, m)))
+        sample = Sample(np.zeros(n), xdot, u)
+        appended = _raised(lambda: append_sample(build_knowledge([], lip, side), sample))
+        if appended is not None:
+            with mock.patch.object(knowledge, "_contract_row", lambda *row: None):
+                assert _raised(lambda: build_knowledge([sample], lip, side)) == appended

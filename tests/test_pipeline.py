@@ -288,6 +288,8 @@ class TestStepChecks:
     @pytest.mark.parametrize("end", ["lo", "hi"])
     @pytest.mark.parametrize("step", ["second_order", "first_order", "linearize"])
     def test_infinite_heading_is_a_nan_error(self, unicycle_fig_setup, end, step):
+        """An infinite endpoint of R is a ValueError: `datareach_step` names R
+        before any work, and `linearize` meets the NaN it makes."""
         sysu, _, kb, x_start = unicycle_fig_setup
         lo, hi = x_start.copy(), x_start.copy()
         if end == "lo":
@@ -300,8 +302,10 @@ class TestStepChecks:
             "first_order": lambda: datareach_step(R, kb, fig_control(FirstOrderCos), T_REF, DT),
             "linearize": lambda: linearize(R, kb, sysu.U, DT),
         }
+        message = ("interval endpoints must not be NaN" if step == "linearize"
+                   else "^R must have endpoints at most 1e[+]75 in magnitude")
         with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match="interval endpoints must not be NaN"):
+            with pytest.raises(ValueError, match=message):
                 calls[step]()
 
     def test_domain_intersection_still_raises(self, unicycle_fig_setup):
