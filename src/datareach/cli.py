@@ -253,18 +253,11 @@ def cmd_reach(args, cfg) -> int:
 
 
 def _apply_control_overrides(exp: ExperimentConfig, section, args):
-    """The preset with the section's settings; `check_experiment` checks them."""
-    for key in ("init_len", "max_steps", "seed"):
-        if key in section:
-            setattr(exp, key, _convert(key, section[key], _integer))
-    for key in ("dt", "stop_level", "eps", "mu0", "excitation", "x0", "mode"):
-        if key in section:
-            setattr(exp, key, section[key])
-    if "weights" in section:
-        if section["weights"] == "random":
-            exp.redraw_weights = True
-        else:
-            exp.weights = section["weights"]
+    """The preset with the section's settings and the flags, each set as
+    written; `check_experiment` checks them."""
+    for key, value in section.items():
+        if key != "record_reach":
+            setattr(exp, key, value)
     if args.seed is not None:
         exp.seed = args.seed
     if args.mode is not None:

@@ -2,8 +2,8 @@
 
 An `Interval` is a validated scalar [lo, hi] pair with no arithmetic of its
 own: the control families and gradient bounds take their interval parameters
-as `Interval`s, `Box.of` builds a box from nested ones, and indexing a `Box`
-at a full index returns one.  All interval arithmetic runs on arrays.
+as `Interval`s, and indexing a `Box` at a full index returns one.  All
+interval arithmetic runs on arrays.
 
 A `Box` holds lo/hi float64 arrays of any shape, so one type serves interval
 vectors, matrices and rank-3 tensors.  Constructing a `Box` validates it by
@@ -85,11 +85,6 @@ class Box:
     def point(cls, values):
         v = np.asarray(values, dtype=float)
         return cls(v, v)
-
-    @classmethod
-    def of(cls, nested):
-        """Box from nested sequences of Intervals (any depth, rectangular)."""
-        return cls(_endpoints(nested, "lo"), _endpoints(nested, "hi"))
 
     @property
     def shape(self):
@@ -194,12 +189,6 @@ def check_shape(box, shape) -> None:
             f"incompatible operands: Box{shape} vs "
             f"{type(box).__name__}{getattr(box, 'shape', '')}"
         )
-
-
-def _endpoints(nested, end: str):
-    if isinstance(nested, Interval):
-        return getattr(nested, end)
-    return [_endpoints(item, end) for item in nested]
 
 
 # ---------------------------------------------------------------------------

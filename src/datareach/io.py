@@ -6,7 +6,6 @@ import csv
 import json
 import os
 from contextlib import contextmanager
-from pathlib import Path
 from typing import List, Tuple
 
 import numpy as np
@@ -19,6 +18,21 @@ from .systems import RunReport
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _write_csv(path, header: list, rows) -> None:
+    """Write the header row, unless it is empty, and then the rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _trajectory_header(n: int, m: int) -> list:
+    """The trajectory CSV header: t, x1..xn, xdot1..xdotn, u1..um."""
+    return (["t"] + [f"x{i+1}" for i in range(n)]
+            + [f"xdot{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)])
 
 
 @contextmanager
@@ -69,8 +83,7 @@ def read_trajectory_csv(path) -> Tuple[List[Sample], int, int]:
         header = [c.strip() for c in header]
         n = sum(1 for c in header if c.startswith("x") and not c.startswith("xdot"))
         m = sum(1 for c in header if c.startswith("u"))
-        expected = ["t"] + [f"x{i+1}" for i in range(n)] \
-            + [f"xdot{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)]
+        expected = _trajectory_header(n, m)
         if header != expected:
             raise ConfigError(f"bad trajectory header {header}; expected {expected}")
         samples = [
@@ -82,36 +95,24 @@ def read_trajectory_csv(path) -> Tuple[List[Sample], int, int]:
 
 
 def write_trajectory_csv(path, samples: List[Sample]) -> None:
-    n = samples[0].x.shape[0]
-    m = samples[0].u.shape[0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t"] + [f"x{i+1}" for i in range(n)]
-            + [f"xdot{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)]
-        )
-        for s in samples:
-            t = 0.0 if s.t is None else s.t
-            writer.writerow([_fmt(v) for v in [t, *s.x, *s.xdot, *s.u]])
+    _write_csv(path, _trajectory_header(samples[0].x.shape[0], samples[0].u.shape[0]),
+               ([_fmt(v) for v in [0.0 if s.t is None else s.t, *s.x, *s.xdot, *s.u]]
+                for s in samples))
 
 
 def write_tube_csv(path, tube: ReachTube) -> None:
     n = len(tube.steps[0].R)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["i", "t"]
-            + [f"lo_{k+1}" for k in range(n)] + [f"hi_{k+1}" for k in range(n)]
-            + [f"S_lo_{k+1}" for k in range(n)] + [f"S_hi_{k+1}" for k in range(n)]
-            + ["beta"]
-        )
-        for i, rec in enumerate(tube.steps):
-            writer.writerow(
-                [i, _fmt(rec.t)]
-                + [_fmt(v) for v in rec.R.lo] + [_fmt(v) for v in rec.R.hi]
-                + [_fmt(v) for v in rec.S.lo] + [_fmt(v) for v in rec.S.hi]
-                + [_fmt(rec.beta)]
-            )
+    _write_csv(
+        path,
+        ["i", "t"]
+        + [f"lo_{k+1}" for k in range(n)] + [f"hi_{k+1}" for k in range(n)]
+        + [f"S_lo_{k+1}" for k in range(n)] + [f"S_hi_{k+1}" for k in range(n)]
+        + ["beta"],
+        ([i, _fmt(rec.t)]
+         + [_fmt(v) for v in rec.R.lo] + [_fmt(v) for v in rec.R.hi]
+         + [_fmt(v) for v in rec.S.lo] + [_fmt(v) for v in rec.S.hi]
+         + [_fmt(rec.beta)] for i, rec in enumerate(tube.steps)),
+    )
 
 
 def read_tube_csv(path):
@@ -126,18 +127,14 @@ def read_tube_csv(path):
 
 def write_steps_csv(path, report: RunReport) -> None:
     m = report.logs[0].u.shape[0] if report.logs else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["i", "t"] + [f"u_{l+1}" for l in range(m)]
-            + ["cost", "bound", "solver_iters", "micros", "kb_micros"]
-        )
-        for log in report.logs:
-            writer.writerow(
-                [log.i, _fmt(log.t)] + [_fmt(v) for v in log.u]
-                + [_fmt(log.realized_cost), _fmt(log.bound), log.iters,
-                   _fmt(log.micros), _fmt(log.kb_micros)]
-            )
+    _write_csv(
+        path,
+        ["i", "t"] + [f"u_{l+1}" for l in range(m)]
+        + ["cost", "bound", "solver_iters", "micros", "kb_micros"],
+        ([log.i, _fmt(log.t)] + [_fmt(v) for v in log.u]
+         + [_fmt(log.realized_cost), _fmt(log.bound), log.iters,
+            _fmt(log.micros), _fmt(log.kb_micros)] for log in report.logs),
+    )
 
 
 def read_steps_csv(path):
@@ -150,17 +147,12 @@ def write_predicted_boxes_csv(path, report: RunReport) -> None:
     """Each step's `StepLog.predicted_box`, the model's next-state box."""
     boxes = [log.predicted_box for log in report.logs]
     n = len(boxes[0]) if boxes else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["i", "t"]
-            + [f"lo_{k+1}" for k in range(n)] + [f"hi_{k+1}" for k in range(n)]
-        )
-        for log, box in zip(report.logs, boxes):
-            writer.writerow(
-                [log.i, _fmt(log.t)]
-                + [_fmt(v) for v in box.lo] + [_fmt(v) for v in box.hi]
-            )
+    _write_csv(
+        path,
+        ["i", "t"] + [f"lo_{k+1}" for k in range(n)] + [f"hi_{k+1}" for k in range(n)],
+        ([log.i, _fmt(log.t)] + [_fmt(v) for v in box.lo] + [_fmt(v) for v in box.hi]
+         for log, box in zip(report.logs, boxes)),
+    )
 
 
 def write_run_json(path, report: RunReport) -> None:
@@ -169,11 +161,6 @@ def write_run_json(path, report: RunReport) -> None:
 
 
 def write_benchmark_csv(path, rows: List[dict]) -> None:
-    if not rows:
-        Path(path).write_text("")
-        return
-    keys = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
-        writer.writeheader()
-        writer.writerows(rows)
+    """One row per dict, under the first dict's keys; no rows make an empty file."""
+    keys = list(rows[0]) if rows else []
+    _write_csv(path, keys, ([row[k] for k in keys] for row in rows))

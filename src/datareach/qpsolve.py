@@ -83,9 +83,6 @@ class BoxQP:
     def value(self, u: np.ndarray) -> float:
         return float(0.5 * u @ self.Qi @ u + self.qi @ u + self.pi)
 
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        return self.Qi @ u + self.qi
-
 
 @dataclass
 class AdaResResult:
@@ -168,7 +165,7 @@ def solve_idealistic(
     y0 = qp.box.mid if y0 is None else check_array("y0", y0, (qp.m,))
     Qi, qi, lo, hi, objective = qp.Qi, qp.qi, qp.box.lo, qp.box.hi, qp.value
 
-    def pg(y):  # y - qp.gradient(y) / L, clamped onto qp.box
+    def pg(y):  # the gradient step y - (Qi y + qi) / L, clamped onto qp.box
         return np.minimum(np.maximum(y - (Qi @ y + qi) / L, lo), hi)
 
     mu = opts.mu0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,15 +37,14 @@ FloatField = Callable[[Sequence[float], Sequence[float]], Sequence[float]]
 class SystemSpec:
     """Ground-truth control-affine benchmark with its declared side information.
 
-    `h_float`, when given, is the true field f(x) + G(x) u on Python floats:
-    it maps the state and control as float sequences to the derivative.  The
-    plant simulator (`advance`) integrates it; without it the
-    simulator evaluates `h_true` on arrays.  Samples always take their
-    derivative from `h_true`.
+    The dimensions n and m are those of `lip`; `U` must be a `Box` of shape
+    (m,) and `X` one of shape (n,).  `h_float`, when given, is the true
+    field f(x) + G(x) u on Python floats: it maps the state and control as
+    float sequences to the derivative.  The plant simulator (`advance`)
+    integrates it; without it the simulator evaluates `h_true` on arrays.
+    Samples always take their derivative from `h_true`.
     """
 
-    n: int
-    m: int
     f_true: Callable[[np.ndarray], np.ndarray]
     G_true: Callable[[np.ndarray], np.ndarray]
     U: Box
@@ -54,6 +53,19 @@ class SystemSpec:
     side: SideInfoSet
     name: str
     h_float: Optional[FloatField] = None
+
+    def __post_init__(self):
+        for key, box, size in (("U", self.U, self.m), ("X", self.X, self.n)):
+            if not (isinstance(box, Box) and box.shape == (size,)):
+                raise ValueError(f"{key} must be a Box of shape ({size},), not {box!r}")
+
+    @property
+    def n(self) -> int:
+        return self.lip.n
+
+    @property
+    def m(self) -> int:
+        return self.lip.m
 
     def h_true(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return self.f_true(x) + self.G_true(x) @ u
@@ -89,7 +101,7 @@ def unicycle() -> SystemSpec:
     dep_G[:, :, 2] = True
     side = SideInfoSet(decoupling=Decoupling(dep_f, dep_G))
     return SystemSpec(
-        n=3, m=2, f_true=f_true, G_true=G_true,
+        f_true=f_true, G_true=G_true,
         U=Box([-3.0, -math.pi], [3.0, math.pi]),
         X=Box([-5.0, -5.0, -math.pi], [5.0, 5.0, math.pi]),
         lip=lip, side=side, name="unicycle", h_float=h_float,
@@ -186,7 +198,7 @@ def quadrotor() -> SystemSpec:
         partial_dynamics=PartialDynamics(P, lip_resid),
     )
     return SystemSpec(
-        n=6, m=2, f_true=f_true, G_true=G_true,
+        f_true=f_true, G_true=G_true,
         U=Box([0.0, 0.0], [18.4, 18.4]),
         X=Box(
             [-20.0, -10.0, -20.0, -10.0, -math.pi / 2, -5.0],
@@ -260,18 +272,11 @@ def aircraft() -> SystemSpec:
         partial_dynamics=PartialDynamics(P, lip_resid),
     )
     return SystemSpec(
-        n=5, m=2, f_true=f_true, G_true=G_true,
+        f_true=f_true, G_true=G_true,
         U=Box([-5.0, -5.0], [5.0, 5.0]),
         X=Box(np.full(5, -50.0), np.full(5, 150.0)),
         lip=lip_full, side=side, name="aircraft", h_float=h_float,
     )
-
-
-_SYSTEMS = {"unicycle": unicycle, "quadrotor": quadrotor, "aircraft": aircraft}
-
-
-def by_name(name: str) -> SystemSpec:
-    return _SYSTEMS[check_choice("name", name, sorted(_SYSTEMS))]()
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +376,9 @@ class ExperimentConfig:
     excitation: str = "mixed"
     eps: float = 1e-8
     mu0: float = 1.0
-    redraw_weights: bool = False
-    weights: Optional[tuple] = None  # fixed (w+, w-) override of the seeded draw
+    # the selection weights: None draws one seeded (w+, w-) pair, "random"
+    # draws a new pair every step, and a fixed (w+, w-) pair is never redrawn
+    weights: Union[None, str, tuple] = None
     substeps: int = 10
     M: float = 1e3
 
@@ -430,15 +436,18 @@ class RunReport:
 
 def check_experiment(sys: SystemSpec, cfg: ExperimentConfig) -> QPOptions:
     """Raise ValueError, naming the setting, for a setting `run_closed_loop`
-    cannot run; return the solver options of the run."""
+    cannot run, and store each whole-number setting as an int (3.0 as 3);
+    return the solver options of the run."""
     check_choice("mode", cfg.mode, MODES)
     check_positive("dt", cfg.dt)
     for key, least in (("init_len", 1), ("max_steps", 0), ("seed", 0), ("substeps", 1)):
-        check_count(key, getattr(cfg, key), least)
+        setattr(cfg, key, check_count(key, getattr(cfg, key), least))
     check_positive("M", cfg.M)
     for key in ("stop_level", "cost_offset"):
         check_finite(key, getattr(cfg, key))
-    if cfg.weights is not None:
+    if isinstance(cfg.weights, str):
+        check_choice("weights", cfg.weights, ("random",))
+    elif cfg.weights is not None:
         check_unit("weights", cfg.weights, (2,))
     _excitation_start(sys, cfg.x0, cfg.excitation)
     return QPOptions(eps=cfg.eps, mu0=cfg.mu0)
@@ -469,10 +478,11 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
     x = advance(sys, samples[-1].x, samples[-1].u, cfg.dt, cfg.substeps)
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5EED]))
-    if cfg.weights is not None:
-        wplus, wminus = float(cfg.weights[0]), float(cfg.weights[1])
-    else:
+    redraw = isinstance(cfg.weights, str)  # "random", the one string checked above
+    if cfg.weights is None or redraw:
         wplus, wminus = rng.uniform(0.0, 1.0, size=2)
+    else:
+        wplus, wminus = float(cfg.weights[0]), float(cfg.weights[1])
     logs: List[StepLog] = []
     reached = False
     failure = None
@@ -504,7 +514,7 @@ def run_closed_loop(sys: SystemSpec, cfg: ExperimentConfig) -> RunReport:
         x = x_next
         t += cfg.dt
         u_prev, start = u, log.info.active_sets if log.mode_used == "optimistic" else None
-        if cfg.redraw_weights and cfg.weights is None:
+        if redraw:
             wplus, wminus = rng.uniform(0.0, 1.0, size=2)
         if realized <= cfg.stop_level:
             reached = True
@@ -542,7 +552,7 @@ def quadrotor_experiment(seed: int = 1, mode: str = "idealistic",
     return ExperimentConfig(
         dt=0.008, init_len=10, x0=np.array([0.0, 0.0, 5.0, 0.0, 0.0, 0.0]),
         cost=cost, stop_level=0.005, max_steps=max_steps, seed=seed,
-        mode=mode, cost_offset=offset, redraw_weights=True,
+        mode=mode, cost_offset=offset, weights="random",
     )
 
 
@@ -557,11 +567,25 @@ def aircraft_experiment(seed: int = 3, mode: str = "idealistic",
     return ExperimentConfig(
         dt=0.01, init_len=10, x0=np.array([0.0, 0.0, 0.0, 0.0, 100.0]),
         cost=cost, stop_level=0.125, max_steps=max_steps, seed=seed,
-        mode=mode, cost_offset=offset, redraw_weights=True,
+        mode=mode, cost_offset=offset, weights="random",
     )
 
 
+# each preset's system and closed-loop experiment
+_PRESETS = {
+    "unicycle": (unicycle, unicycle_experiment),
+    "quadrotor": (quadrotor, quadrotor_experiment),
+    "aircraft": (aircraft, aircraft_experiment),
+}
+
+
+def _preset(name: str):
+    return _PRESETS[check_choice("name", name, sorted(_PRESETS))]
+
+
+def by_name(name: str) -> SystemSpec:
+    return _preset(name)[0]()
+
+
 def experiment_for(name: str, **kwargs) -> ExperimentConfig:
-    presets = {"unicycle": unicycle_experiment, "quadrotor": quadrotor_experiment,
-               "aircraft": aircraft_experiment}
-    return presets[name](**kwargs)
+    return _preset(name)[1](**kwargs)

@@ -72,14 +72,9 @@ def test_01_step_bound_reproduction():
 
 
 def test_02_contraction_golden_case():
-    F = Box.of([Interval(-0.01, 1.0), Interval(-1, 1), Interval(-1, 1)])
-    G = Box.of(
-        [
-            [Interval(-0.05, 0.05), Interval(-0.1, 1.0)],
-            [Interval(-1, 1), Interval(-1, 1)],
-            [Interval(-1, 1), Interval(-1, 1)],
-        ]
-    )
+    F = Box([-0.01, -1.0, -1.0], [1.0, 1.0, 1.0])
+    G = Box([[-0.05, -0.1], [-1.0, -1.0], [-1.0, -1.0]],
+            [[0.05, 1.0], [1.0, 1.0], [1.0, 1.0]])
     s = Sample([0.0, 0.0, math.pi / 2], [0.0, 1.0, 0.1], [1.0, 0.1])
     xdot, u, (lo, hi) = s.xdot[None], s.u[None], fg_rows(F, G)
     _contract(xdot, u, lo, hi)  # warmup

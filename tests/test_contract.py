@@ -20,9 +20,11 @@ one bad entry or a wrong shape for an array.  A whole number is never drawn
 at 1e308: that is a valid request for 1e308 iterations or samples, a run
 that never ends.  `Box` checks its own endpoints for NaN and order (the
 `Box` row) but takes any magnitude, so a `Box` argument (`BoxArg`) is drawn
-with one endpoint at +-1e308 or +-inf.  Records that only the library
-builds are in `OUTPUTS`, and input records with no checks of their own in
-`RECORDS`, with the entry point that checks them.
+with one endpoint at +-1e308 or +-inf; a knob that must be a `Box` of one
+shape (`BoxShape`) is drawn at another shape or as a bare (lo, hi) pair.
+Records that only the library builds are in `OUTPUTS`, and input records
+with no checks of their own in `RECORDS`, with the entry point that checks
+them.
 """
 
 import dataclasses
@@ -44,10 +46,10 @@ from datareach import (
     LipschitzBounds, PartialDynamics, PiecewiseConstantControl, QPOptions, QuadraticCost,
     Sample, BoxQP, advance, append_sample, assemble_idealistic, assemble_optimistic,
     aircraft, beta_of, build_knowledge, by_name, datacontrol_step, datareach as tube,
-    datareach_step, excite, f_over, f_over_iv, G_over, G_over_iv, idealistic_coeffs,
-    imat_vec, linearize, max_step_size, meet, norm_cost, oracle_boxqp, quadrotor, rebuild,
-    run_closed_loop, setpoint_cost, solve_idealistic, solve_optimistic, subopt_bound,
-    unicycle, unicycle_knowledge_settings,
+    datareach_step, excite, experiment_for, f_over, f_over_iv, G_over, G_over_iv,
+    idealistic_coeffs, imat_vec, linearize, max_step_size, meet, norm_cost, oracle_boxqp,
+    quadrotor, rebuild, run_closed_loop, setpoint_cost, solve_idealistic, solve_optimistic,
+    subopt_bound, unicycle, unicycle_knowledge_settings,
 )
 from datareach.systems import unicycle_experiment
 
@@ -79,6 +81,13 @@ class BoxArg(NamedTuple):
 
     domain: str
     base: tuple
+
+
+class BoxShape(NamedTuple):
+    """A knob that must be a `Box` of one shape: its domain and a valid base box."""
+
+    domain: str
+    base: Box
 
 
 class Choice(NamedTuple):
@@ -285,9 +294,16 @@ TABLE = {
         "stop_level": Num("finite", 0.1), "max_steps": Count(0, 2), "seed": Count(0, 4),
         "mode": Choice("idealistic, optimistic", "idealistic"),
         "excitation": Choice("an excitation", "mixed"), "eps": Num("positive", 1e-8),
-        "mu0": Num("positive", 1.0), "weights": Arr("(w+, w-) in [0, 1]", (0.5, 0.5)),
+        "mu0": Num("positive", 1.0),
+        "weights": Arr("None, 'random' or (w+, w-) in [0, 1]", (0.5, 0.5)),
         "substeps": Count(1, 10), "M": Num("positive", 1e3),
         "cost_offset": Num("finite", 0.0)}),
+    # the spec with the drawn boxes, and two excitation samples, which use both
+    "SystemSpec": Row(lambda U, X: excite(dataclasses.replace(unicycle(), U=U, X=X), 2, 0),
+                      {"U": BoxShape("a Box of shape (m,)", unicycle().U),
+                       "X": BoxShape("a Box of shape (n,)", unicycle().X)}),
+    "experiment_for": Row(experiment_for,
+                          {"name": Choice("unicycle, quadrotor, aircraft", "unicycle")}),
     "unicycle": Row(unicycle, {}),
     "quadrotor": Row(quadrotor, {}),
     "aircraft": Row(aircraft, {}),
@@ -306,7 +322,6 @@ OUTPUTS = {
     "OptimisticQP": "built by assemble_optimistic",
     "AdaResResult": "built by solve_idealistic",
     "RunReport": "built by run_closed_loop",
-    "SystemSpec": "built by unicycle, quadrotor and aircraft",
 }
 
 # input records with no checks of their own, and the entry point that checks them
@@ -316,7 +331,6 @@ RECORDS = {
     "VectorFieldBounds": "build_knowledge checks the box shapes",
     "GradientBounds": "datareach_step and linearize, where the Jacobian bands are built",
     "ExperimentConfig": "run_closed_loop (systems.check_experiment)",
-    "experiment_for": "builds an ExperimentConfig preset; run_closed_loop checks it",
     "ControlClass": "the abstract base of the control families, which have rows",
 }
 
@@ -415,7 +429,19 @@ def _bad_box(data, spec):
     return lo, hi
 
 
+def _bad_shape(data, spec):
+    """The base box of the `BoxShape` knob `spec` cut, extended or lifted
+    to another shape, or its bare (lo, hi) pair."""
+    lo, hi = spec.base.lo, spec.base.hi
+    return data.draw(st.sampled_from([
+        Box(lo[:-1], hi[:-1]), Box(np.append(lo, 0.0), np.append(hi, 0.0)),
+        Box(lo[None], hi[None]), Box(0.0, 0.0), (lo, hi),
+    ]))
+
+
 def _bad_value(data, spec):
+    if isinstance(spec, BoxShape):
+        return _bad_shape(data, spec)
     if isinstance(spec, BoxArg):
         return _bad_box(data, spec)
     if isinstance(spec, Arr):

@@ -234,18 +234,14 @@ class TestBox:
         assert isinstance(col, Box) and col == Box([2.0, 8.0], [3.0, 9.0])
         assert Box([1.0, 2.0], [3.0, 4.0])[1] == Interval(2.0, 4.0)
 
-    def test_of_round_trips_three_level_grid(self):
+    def test_round_trips_three_level_grid(self):
         rng = np.random.default_rng(7)
         lo = rng.normal(size=(2, 3, 4))
         hi = lo + rng.random(size=(2, 3, 4))
-        grid = [
-            [[Interval(lo[i, j, k], hi[i, j, k]) for k in range(4)] for j in range(3)]
-            for i in range(2)
-        ]
-        b = Box.of(grid)
+        b = Box(lo, hi)
         assert b.shape == (2, 3, 4)
         assert np.array_equal(b.lo, lo) and np.array_equal(b.hi, hi)
-        assert b[1, 2, 3] == grid[1][2][3]
+        assert all(b[idx] == Interval(lo[idx], hi[idx]) for idx in np.ndindex(2, 3, 4))
 
     def test_rejects_nan_inverted_and_mismatched_3d(self):
         lo = np.zeros((2, 2, 2))
@@ -483,8 +479,8 @@ class TestRandomizedProperties:
 
 def test_imat_imat_hand_case():
     # 1x2 times 2x1: [0,1]*1 + [1,1]*2 = [2,3]
-    A = Box.of([[Interval(0, 1), Interval(1, 1)]])
-    B = Box.of([[Interval(1, 1)], [Interval(2, 2)]])
+    A = Box([[0.0, 1.0]], [[1.0, 1.0]])
+    B = Box([[1.0], [2.0]], [[1.0], [2.0]])
     got = Box(*mat_mat_pairs(pair(A), pair(B)))
     assert got.shape == (1, 1)
     assert got[0, 0] == Interval(2, 3)

@@ -39,14 +39,9 @@ def eq10_oracle(x, entries, L):
 
 class TestContraction:
     def golden_inputs(self):
-        F = Box.of([Interval(-0.01, 1.0), Interval(-1, 1), Interval(-1, 1)])
-        G = Box.of(
-            [
-                [Interval(-0.05, 0.05), Interval(-0.1, 1.0)],
-                [Interval(-1, 1), Interval(-1, 1)],
-                [Interval(-1, 1), Interval(-1, 1)],
-            ]
-        )
+        F = Box([-0.01, -1.0, -1.0], [1.0, 1.0, 1.0])
+        G = Box([[-0.05, -0.1], [-1.0, -1.0], [-1.0, -1.0]],
+                [[0.05, 1.0], [1.0, 1.0], [1.0, 1.0]])
         s = Sample([0.0, 0.0, math.pi / 2], [0.0, 1.0, 0.1], [1.0, 0.1])
         return s, F, G
 

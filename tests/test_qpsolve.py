@@ -117,7 +117,7 @@ class TestAdaRes:
             L, eps = smoothness_constant(qp), opts.eps
 
             def pg(y):  # the gradient step clamped onto the box
-                return np.minimum(np.maximum(y - qp.gradient(y) / L, qp.box.lo), qp.box.hi)
+                return np.minimum(np.maximum(y - (qp.Qi @ y + qp.qi) / L, qp.box.lo), qp.box.hi)
 
             mu, y_prev_end, y_start, iters = opts.mu0, y0, pg(y0), 1
             best_y, best_val = y_start, qp.value(y_start)
@@ -200,7 +200,7 @@ class TestAdaRes:
         for _ in range(20):
             qp = random_boxqp(rng)
             u = rng.uniform(qp.box.lo, qp.box.hi)
-            g = qp.gradient(u)
+            g = qp.Qi @ u + qp.qi  # the gradient solve_idealistic steps along
             fd = np.empty_like(g)
             h = 1e-6
             for i in range(len(u)):

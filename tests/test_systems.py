@@ -40,7 +40,6 @@ def integrator_system():
         )
     )
     return SystemSpec(
-        n=1, m=1,
         f_true=lambda x: np.zeros(1),
         G_true=lambda x: np.ones((1, 1)),
         U=Box([-1.0], [1.0]),
@@ -107,6 +106,12 @@ class TestBenchmarkDynamics:
         with pytest.raises(ValueError, match=r"^name must be one of \['aircraft', 'quadrotor', "
                                              r"'unicycle'\], not 'hovercraft'$"):
             by_name("hovercraft")
+
+    def test_dimensions_come_from_the_bounds(self):
+        for sys_ in (unicycle(), quadrotor(), aircraft()):
+            assert (sys_.n, sys_.m) == sys_.lip.L_G.shape == (len(sys_.X), len(sys_.U))
+        with pytest.raises(TypeError):
+            replace(unicycle(), m=3)
 
 
 class TestLipschitzSoundness:
@@ -496,6 +501,7 @@ class TestClosedLoop:
         ("eps", math.inf), ("mu0", math.inf), ("mu0", 0.0),
         ("stop_level", math.nan), ("stop_level", math.inf),
         ("x0", np.array([math.nan, 0.0, 0.0])), ("x0", np.array([0.0, -math.inf, 0.0])),
+        ("weights", "sometimes"), ("weights", "Random"),
     ])
     def test_experiment_settings_validated(self, key, value):
         cfg = unicycle_experiment(max_steps=2)
@@ -504,6 +510,15 @@ class TestClosedLoop:
             check_experiment(unicycle(), cfg)
         with pytest.raises(ValueError, match=f"^{key} must"):
             run_closed_loop(unicycle(), cfg)
+
+    def test_whole_number_settings_run_as_ints(self):
+        cfg = unicycle_experiment(max_steps=3)
+        cfg.seed, cfg.max_steps, cfg.init_len = 4.0, 3.0, 10.0
+        rep = run_closed_loop(unicycle(), cfg)
+        assert (cfg.seed, cfg.max_steps, cfg.init_len) == (4, 3, 10)
+        assert type(rep.seed) is int and rep.steps_taken == 3
+        ref = run_closed_loop(unicycle(), unicycle_experiment(max_steps=3))
+        assert np.array_equal(rep.final_state, ref.final_state)
 
     def test_substeps_validated_before_excitation(self, monkeypatch):
         import datareach.systems as systems
@@ -536,6 +551,38 @@ class TestClosedLoop:
 
 OPTIMISTIC_PRESETS = [("unicycle", unicycle, None), ("quadrotor", quadrotor, None),
                       ("aircraft", aircraft, 30)]
+
+
+class TestSelectionWeights:
+    """`ExperimentConfig.weights`: None draws one seeded (w+, w-) pair,
+    "random" a new pair every step, and a fixed pair is never redrawn."""
+
+    @staticmethod
+    def weights_per_step(monkeypatch, weights, steps=6):
+        import datareach.systems as systems
+        from datareach.control import datacontrol_step
+
+        seen = []
+
+        def spy(*args):
+            seen.append((float(args[8]), float(args[9])))
+            return datacontrol_step(*args)
+
+        monkeypatch.setattr(systems, "datacontrol_step", spy)
+        cfg = replace(experiment_for("aircraft", max_steps=steps), weights=weights)
+        assert run_closed_loop(aircraft(), cfg).steps_taken == steps
+        return seen
+
+    def test_fixed_pair_is_never_redrawn(self, monkeypatch):
+        assert self.weights_per_step(monkeypatch, (0.3, 0.7)) == [(0.3, 0.7)] * 6
+
+    def test_random_redraws_after_the_seeded_pair(self, monkeypatch):
+        presets = [experiment_for(name).weights for name in ("quadrotor", "aircraft", "unicycle")]
+        assert presets == ["random", "random", None]
+        once = self.weights_per_step(monkeypatch, None)
+        every = self.weights_per_step(monkeypatch, "random")
+        assert len(set(once)) == 1 and len(set(every)) == 6
+        assert every[0] == once[0]
 
 
 def spy_optimistic_solves(monkeypatch, force_cold=False):
