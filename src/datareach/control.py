@@ -21,7 +21,7 @@ from .errors import (
 )
 from .intervals import (
     Box, add_pairs, check_pair, check_shape, imat_vec, mat_mat_pairs, mat_vec_pairs, meet,
-    real_mat_pairs, scale_pair, tensor_vec_pairs,
+    real_mat_pairs, scale_pair, symmetric, tensor_vec_pairs,
 )
 from .knowledge import KnowledgeBase
 from .qpsolve import (
@@ -39,15 +39,17 @@ def _mag(lo, hi):
 
 @dataclass(frozen=True)
 class _LoopTerms:
-    """What a closed loop's steps share through one cost, U and X: |U|, Q's
-    (max(Q, 0), min(Q, 0)) split, the part 2|S U| + q of `subopt_bound`'s
-    gradient factor and the norm of its domain term, and the (k, m) bounds
-    `u_lo`, `u_hi` of U's k sign orthants with the (k, 1, 1, m) mask of
-    each one's nonnegative axes.  The arrays are read-only."""
+    """What a closed loop's steps share through one cost, U and X: |U| and
+    whether U is sign-symmetric, Q's (max(Q, 0), min(Q, 0)) split, the part
+    2|S U| + q of `subopt_bound`'s gradient factor and the norm of its
+    domain term, and the (k, m) bounds `u_lo`, `u_hi` of U's k sign orthants
+    with the (k, 1, 1, m) mask of each one's nonnegative axes.  The arrays
+    are read-only."""
 
     U: Box
     X: Box
     U_abs: np.ndarray
+    U_sym: bool
     Q_split: tuple
     SU_q: np.ndarray
     domain_norm: float
@@ -114,7 +116,8 @@ class QuadraticCost:
             nonneg = (u_lo >= 0.0)[:, None, None, :]
             for a in (U_abs, *Q_split, SU_q, u_lo, u_hi, nonneg):
                 a.flags.writeable = False
-            t = _LoopTerms(U, X, U_abs, Q_split, SU_q, domain_norm, u_lo, u_hi, nonneg)
+            t = _LoopTerms(U, X, U_abs, symmetric(*_pair(U)), Q_split, SU_q, domain_norm,
+                           u_lo, u_hi, nonneg)
             object.__setattr__(self, "_terms", t)
         return t
 
@@ -179,25 +182,25 @@ def linearize(
     set, so the model is valid for every constant control in U (dt > 0).
     """
     check_positive("dt", dt)
-    _, _, _, fR, GR, fS, GS, Jf, JG = _step_data(R, kb, U, dt)
+    *_, fR, GR, fS, GS, Jf, JG, (jf, jg, u_sym) = _step_data(R, kb, U, dt)
     u = _pair(U)
     half_dt2 = 0.5 * dt * dt
     # fixed while the bands and U repeat; a contractor hook's new bands recompute
-    JGt, JfU = _kept(kb, "linearize", (*Jf, *JG, U), lambda: _band_terms(Jf, JG, u))
+    JGt, JfU = _kept(kb, "linearize", (*Jf, *JG, U), lambda: _band_terms(Jf, JG, u, jg))
     B = add_pairs(add_pairs(_pair(R), scale_pair(fR, dt)),
-                  scale_pair(mat_vec_pairs(Jf, fS), half_dt2))
-    plus = add_pairs(mat_mat_pairs(JfU, GS), tensor_vec_pairs(JGt, fS))
-    minus = add_pairs(mat_mat_pairs(Jf, GS),
-                      tensor_vec_pairs(JGt, add_pairs(fS, mat_vec_pairs(GS, u))))
+                  scale_pair(mat_vec_pairs(Jf, fS, jf), half_dt2))
+    plus = add_pairs(mat_mat_pairs(JfU, GS, jf and jg), tensor_vec_pairs(JGt, fS, jg))
+    GSu = mat_vec_pairs(GS, u, 2 * u_sym)
+    minus = add_pairs(mat_mat_pairs(Jf, GS, jf), tensor_vec_pairs(JGt, add_pairs(fS, GSu), jg))
     GR_dt = scale_pair(GR, dt)
     A = [Box(*add_pairs(GR_dt, scale_pair(a, half_dt2))) for a in (plus, minus)]
     return AffineOverApprox(Box(*B), *A)
 
 
-def _band_terms(Jf, JG, u):
+def _band_terms(Jf, JG, u, jg_sym):
     """JG's (0, 2, 1) transpose and Jf + JG u, as read-only lo/hi pairs."""
     JGt = tuple(np.transpose(a, (0, 2, 1)) for a in JG)
-    JfU = add_pairs(Jf, tensor_vec_pairs(JG, u))
+    JfU = add_pairs(Jf, tensor_vec_pairs(JG, u, jg_sym))
     for a in JfU:
         a.flags.writeable = False
     return JGt, JfU
@@ -288,7 +291,7 @@ def assemble_optimistic(
 
 def _K_of(B, A, U, terms: _LoopTerms) -> float:
     """Gradient-magnitude factor of one model (lo/hi pairs); the domain term is shared."""
-    reach = check_pair(*add_pairs(B, check_pair(*mat_vec_pairs(A, U))))
+    reach = check_pair(*add_pairs(B, check_pair(*mat_vec_pairs(A, U, 2 * terms.U_sym))))
     term_reach = terms.SU_q + 2.0 * _mag(*check_pair(*real_mat_pairs(terms.Q_split, reach)))
     return float(min(np.linalg.norm(term_reach), terms.domain_norm))
 

@@ -14,6 +14,9 @@ error.
 Each formula (sum, real scaling, matrix-vector, matrix-matrix, the tensor
 contraction over the middle axis and the real-matrix product) exists once,
 as an array kernel on (lo, hi) pairs of ndarrays that validates nothing.
+The three product sums share one general kernel, four products per term,
+and one magnitude kernel, one product per term, for an operand its caller
+knows to be sign-symmetric ([-s, s]: a Lipschitz band, a control box).
 The `Box` operations and `imat_vec` wrap those kernels and validate their
 result, and `check_pair` validates a bare pair the same way.
 The reach and linearization step (`reach._step_data` and its callers) runs
@@ -195,7 +198,8 @@ def check_shape(box, shape) -> None:
 # array kernels on (lo, hi) pairs
 # ---------------------------------------------------------------------------
 # Each takes and returns lo/hi ndarray pairs and validates nothing; the shape
-# checks and the validation are the callers'.
+# checks and the validation are the callers'.  The summing kernels take the
+# `sym` of `_prod_sum`.
 
 def _pair_prod(alo, ahi, blo, bhi):
     """Elementwise interval product bounds for broadcastable arrays."""
@@ -209,40 +213,62 @@ def _pair_prod(alo, ahi, blo, bhi):
     )
 
 
+def symmetric(lo, hi) -> bool:
+    """Whether the pair is sign-symmetric, lo = -hi everywhere (NaN is not)."""
+    return not np.count_nonzero(lo != -hi)
+
+
 def add_pairs(a, b):
     """Interval sum of two broadcastable pairs."""
     return a[0] + b[0], a[1] + b[1]
 
 
 def scale_pair(a, c):
-    """Interval times the real c: a scalar, or an array broadcasting against the pair."""
+    """Interval times the real c: a scalar, or an array broadcasting against
+    the pair; a positive float keeps the ends in order."""
     lo, hi = a[0] * c, a[1] * c
+    if isinstance(c, float) and c > 0.0:
+        return lo, hi
     return np.minimum(lo, hi), np.maximum(lo, hi)
 
 
-def _prod_sum(alo, ahi, blo, bhi):
-    """Interval products of broadcastable arrays, summed over axis 1."""
+def mag_prod_sum(a, b):
+    """`_prod_sum` of broadcastable operands one of which is sign-symmetric,
+    from magnitudes: s for [-s, s], max(|l|, |h|) for [l, h].  The product
+    [-s, s]·[l, h] is ±s·max(|l|, |h|), rounded as the largest of the four
+    products is, so hi = Σ a·b and lo = 0 − hi.  By value this is
+    `_prod_sum`; only the sign of a zero may differ."""
+    hi = np.add.reduce(a * b, axis=1)
+    return 0.0 - hi, hi
+
+
+def _prod_sum(alo, ahi, blo, bhi, sym=0):
+    """Interval products of broadcastable arrays, summed over axis 1; sym = 1
+    (2) says the first (second) operand is sign-symmetric, for `mag_prod_sum`."""
+    if sym:  # where lo <= hi, max(-lo, hi) is max(|lo|, |hi|)
+        return mag_prod_sum(ahi if sym == 1 else np.maximum(-alo, ahi),
+                            bhi if sym == 2 else np.maximum(-blo, bhi))
     plo, phi = _pair_prod(alo, ahi, blo, bhi)
-    return plo.sum(axis=1), phi.sum(axis=1)
+    return np.add.reduce(plo, axis=1), np.add.reduce(phi, axis=1)
 
 
-def mat_vec_pairs(M, v):
+def mat_vec_pairs(M, v, sym=0):
     """Interval (n, m) matrix times interval length-m vector."""
-    return _prod_sum(M[0], M[1], v[0][None, :], v[1][None, :])
+    return _prod_sum(M[0], M[1], v[0][None, :], v[1][None, :], sym)
 
 
-def mat_mat_pairs(A, B):
+def mat_mat_pairs(A, B, sym=0):
     """Interval matrix product (n, m) @ (m, p)."""
-    return _prod_sum(A[0][:, :, None], A[1][:, :, None], B[0][None], B[1][None])
+    return _prod_sum(A[0][:, :, None], A[1][:, :, None], B[0][None], B[1][None], sym)
 
 
-def tensor_vec_pairs(J, v):
+def tensor_vec_pairs(J, v, sym=0):
     """Contract a rank-3 interval tensor with a vector over its middle axis.
 
     (J v)_{k,p} = sum_l J_{k,l,p} v_l.  Applied to the (0, 2, 1) transpose of
     J it gives sum_p J_{k,l,p} w_p, as `control.linearize` uses it.
     """
-    return _prod_sum(J[0], J[1], v[0][None, :, None], v[1][None, :, None])
+    return _prod_sum(J[0], J[1], v[0][None, :, None], v[1][None, :, None], sym)
 
 
 def imat_vec(M: Box, v) -> Box:

@@ -95,6 +95,9 @@ def read_trajectory_csv(path) -> Tuple[List[Sample], int, int]:
 
 
 def write_trajectory_csv(path, samples: List[Sample]) -> None:
+    """Write samples under the header `read_trajectory_csv` reads; the first gives n and m."""
+    if not samples:
+        raise ValueError(f"samples must hold at least one sample, not {samples!r}")
     _write_csv(path, _trajectory_header(samples[0].x.shape[0], samples[0].u.shape[0]),
                ([_fmt(v) for v in [0.0 if s.t is None else s.t, *s.x, *s.xdot, *s.u]]
                 for s in samples))

@@ -21,7 +21,7 @@ from .errors import (
     check_positive,
 )
 from .intervals import (
-    Box, Interval, check_shape, meet_arrays, real_mat_pairs, scale_pair, settle_arrays,
+    Box, Interval, add_pairs, check_shape, meet_arrays, real_mat_pairs, scale_pair, settle_arrays,
 )
 
 
@@ -184,6 +184,7 @@ class _Groups:
         self._lip, self._side, self._bands, self.kept = lip, side, None, {}
         n, m, pd, vb = lip.n, lip.m, side.partial_dynamics, side.vf_bounds
         self.P_split = None if pd is None else (np.maximum(pd.P, 0.0), np.minimum(pd.P, 0.0))
+        self.G_zero = np.zeros(n * m)  # the known G_kn = 0, stacked
         self.ranges = None if vb is None else _stacked(vb.f_range, vb.G_range, n, m)
         dec = side.decoupling
         f_masks = dec.f_depends if dec is not None else np.ones((n, n), bool)
@@ -370,10 +371,10 @@ class KnowledgeBase:
 
     def _box_dists(self, X: Box, point: bool):
         """Per-group upper bounds (1, ngroups, N) of |y - x_i| over all y in
-        the box X; for a ``point`` box (lo = hi) that is |x - x_i|."""
-        far = np.abs(X.lo[:, None] - self._cols[0])
-        if not point:
-            np.maximum(far, np.abs(X.hi[:, None] - self._cols[0]), out=far)
+        the box X, max(x_i - lo, hi - x_i); for a ``point`` box (lo = hi)
+        that is |x - x_i|."""
+        xs, lo = self._cols[0], X.lo[:, None]
+        far = np.abs(lo - xs) if point else np.maximum(xs - lo, X.hi[:, None] - xs)
         return self._groups.dists(far[None])
 
 
@@ -649,10 +650,10 @@ def _box_query(kb: KnowledgeBase, X: Box, parts: str = "fG"):
     # failure masks: f settle, G settle, then f meet, G meet
     checks = list(zip(_split(bad[0], n), "fG"))
     if groups.P_split is not None:
-        # P X exactly per component (one product at a point); the + 0.0 of
-        # the zero G part keeps the signed zeros of adding G_kn = 0
+        # P X exactly per component (one product at a point), stacked over
+        # G_kn = 0, whose + 0.0 keeps the signed zeros of adding it
         known = real_mat_pairs(groups.P_split, (X.lo, X.lo if point else X.hi))
-        enc = tuple(np.concatenate((e[:n] + k, e[n:] + 0.0)) for e, k in zip(enc, known))
+        enc = add_pairs(enc, [np.concatenate((k, groups.G_zero)) for k in known])
     vb = kb.side.vf_bounds
     if vb is not None and vb.region.encloses(X):
         *enc, bad = meet_arrays(*enc, *groups.ranges, _MEET_TOL, _PAD)

@@ -22,7 +22,8 @@ from .errors import (
     check_positive,
 )
 from .intervals import (
-    Box, Interval, add_pairs, check_shape, mat_vec_pairs, meet, scale_pair, tensor_vec_pairs,
+    Box, Interval, add_pairs, check_shape, mat_vec_pairs, meet, scale_pair, symmetric,
+    tensor_vec_pairs,
 )
 from .knowledge import KnowledgeBase, LipschitzBounds, _box_query, _jacobian_pairs
 
@@ -245,10 +246,13 @@ def _step_data(R: Box, kb: KnowledgeBase, V: Box, dt: float):
     sqrt(n) beta dt) (its Box construction validates it), then queries f, G
     and the Jacobians over S, running the contractor hook over R and over S.
     Returns beta, the sup-norm alpha of f(R) + G(R) V, S, and f(R), G(R),
-    f(S), G(S), Jf(S), JG(S) as lo/hi pairs.
+    f(S), G(S), Jf(S), JG(S) as lo/hi pairs, and whether Jf, JG and V are
+    sign-symmetric.
     """
-    # the family's beta for the last control box; a loop passes the same U
-    beta = _kept(kb, "beta", (V, kb.lip_total), lambda: beta_of(kb.lip_total, V.mag))
+    # the family's beta and V's symmetry for the last control box; a loop
+    # passes the same U
+    beta, v_sym = _kept(kb, "beta", (V, kb.lip_total),
+                        lambda: (beta_of(kb.lip_total, V.mag), symmetric(V.lo, V.hi)))
     root_n = math.sqrt(len(R))
     denom = 1.0 - root_n * dt * beta
     if denom <= 0.0:
@@ -257,7 +261,7 @@ def _step_data(R: Box, kb: KnowledgeBase, V: Box, dt: float):
     hook = kb.side.algebraic_contractor
     if hook is not None:
         fR, GR, _, _ = _hooked(hook, R, V, fR, GR, None, None)
-    h = add_pairs(fR, mat_vec_pairs(GR, _pair(V)))
+    h = add_pairs(fR, mat_vec_pairs(GR, _pair(V), 2 * v_sym))
     alpha = float(np.max(np.maximum(np.abs(h[0]), np.abs(h[1])))) if len(R) else 0.0
     c = dt * alpha / denom
     S = Box(R.lo - c, R.hi + c)
@@ -265,7 +269,9 @@ def _step_data(R: Box, kb: KnowledgeBase, V: Box, dt: float):
     Jf, JG = _jacobian_pairs(kb)
     if hook is not None:
         fS, GS, Jf, JG = _hooked(hook, S, V, fS, GS, Jf, JG)
-    return beta, alpha, S, fR, GR, fS, GS, Jf, JG
+    # kept while the band arrays repeat; a contractor hook's new bands recompute
+    bands = _kept(kb, "bands", (*Jf, *JG), lambda: (symmetric(*Jf), symmetric(*JG)))
+    return beta, alpha, S, fR, GR, fS, GS, Jf, JG, (*bands, v_sym)
 
 
 def _kept(kb: KnowledgeBase, name, key, make):
@@ -314,16 +320,16 @@ def datareach_step(
         check_box("domain", domain)
     V = ctrl.eval_range(t, t + dt)
     V1 = ctrl.eval_deriv_range(t, t + dt)
-    beta, alpha, S, fR, GR, fS, GS, Jf, JG = _step_data(R, kb, V, dt)
+    beta, alpha, S, fR, GR, fS, GS, Jf, JG, (jf_sym, jg_sym, v_sym) = _step_data(R, kb, V, dt)
     V = _pair(V)
-    hS = add_pairs(fS, mat_vec_pairs(GS, V))
+    hS = add_pairs(fS, mat_vec_pairs(GS, V, 2 * v_sym))
     if V1 is None:
         return _record(t, R, beta, alpha, S, add_pairs(_pair(R), scale_pair(hS, dt)), domain)
     half_dt2 = 0.5 * dt * dt
     hx = add_pairs(fR, mat_vec_pairs(GR, _pair(ctrl.eval_point(t))))
-    M2 = add_pairs(Jf, tensor_vec_pairs(JG, V))
+    M2 = add_pairs(Jf, tensor_vec_pairs(JG, V, jg_sym))
     Rn = add_pairs(_pair(R), scale_pair(hx, dt))
-    Rn = add_pairs(Rn, scale_pair(mat_vec_pairs(M2, hS), half_dt2))
+    Rn = add_pairs(Rn, scale_pair(mat_vec_pairs(M2, hS, jf_sym and jg_sym), half_dt2))
     Rn = add_pairs(Rn, scale_pair(mat_vec_pairs(GS, _pair(V1)), half_dt2))
     return _record(t, R, beta, alpha, S, Rn, domain)
 

@@ -604,6 +604,13 @@ class TestTrajectoryCsv:
         assert "line 3" in capsys.readouterr().err
 
 
+    def test_writing_no_samples_names_them(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        with pytest.raises(ValueError, match=r"^samples must hold at least one sample, not \[\]$"):
+            dio.write_trajectory_csv(path, [])
+        assert not path.exists()
+
+
 BAD_ROWS = pytest.mark.parametrize(
     "corrupt, message",
     [

@@ -11,14 +11,17 @@ from datareach.intervals import (
     Box,
     Interval,
     _pair_prod,
+    _prod_sum,
     add_pairs,
     imat_vec,
+    mag_prod_sum,
     mat_mat_pairs,
     mat_vec_pairs,
     meet,
     real_mat_pairs,
     scale_pair,
     settle_arrays,
+    symmetric,
     tensor_vec_pairs,
 )
 
@@ -447,6 +450,91 @@ class TestKernelIsotonicity:
         M = data.draw(_array((n, m), _COORD))
         v, v_sub = data.draw(pair_and_sub((m,)))
         assert _inside(real_mat_pairs(M, v_sub), real_mat_pairs(M, v))
+
+
+# finite values, exact zeros of both signs and NaN
+_EDGE = st.one_of(st.floats(-1e3, 1e3, allow_nan=False), st.sampled_from([0.0, -0.0, np.nan]))
+
+
+@st.composite
+def general_pair(draw, shape):
+    """A lo/hi pair of two sorted draws; a NaN stays in the end it was drawn in."""
+    a, b = draw(_array(shape, _EDGE)), draw(_array(shape, _EDGE))
+    swap = a > b
+    return np.where(swap, b, a), np.where(swap, a, b)
+
+
+@st.composite
+def symmetric_pair(draw, shape):
+    """A sign-symmetric pair (-s, s): s >= 0, exact zeros of both signs, or NaN."""
+    s = draw(_array(shape, _EDGE))
+    s = np.where(s < 0.0, -s, s)
+    return -s, s
+
+
+def _same_values(got, want) -> bool:
+    return all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
+
+
+_KERNELS = {
+    "mat_vec_pairs": (mat_vec_pairs, lambda n, m, p: ((n, m), (m,))),
+    "mat_mat_pairs": (mat_mat_pairs, lambda n, m, p: ((n, m), (m, p))),
+    "tensor_vec_pairs": (tensor_vec_pairs, lambda n, m, p: ((n, m, p), (m,))),
+    # the (0, 2, 1) transpose `control.linearize` contracts, a strided layout
+    "tensor_vec_pairs_transposed": (
+        lambda J, v, sym=0: tensor_vec_pairs(transposed(J), v, sym),
+        lambda n, m, p: ((n, p, m), (m,))),
+}
+# summed axes (m) past 8 reach numpy's blocked pairwise summation
+_DIMS = st.tuples(_DIM, st.integers(1, 10), _DIM)
+
+
+class TestMagnitudeKernel:
+    """One product serves a sign-symmetric operand: the magnitude kernel
+    equals the general kernel by value, with no tolerance, on operands with
+    exact zeros of both signs and NaN.  Only the sign of a zero may differ;
+    the bytes are held by the benchmark's output hashes."""
+
+    @pytest.mark.parametrize("sym", [1, 2])
+    @pytest.mark.parametrize("name", sorted(_KERNELS))
+    @given(data=st.data(), dims=_DIMS)
+    def test_kernel_equals_general_kernel(self, name, sym, data, dims):
+        kernel, shapes = _KERNELS[name]
+        a, b = (data.draw(symmetric_pair(s) if sym == k else general_pair(s))
+                for k, s in enumerate(shapes(*dims), 1))
+        assert _same_values(kernel(a, b, sym), kernel(a, b))
+
+    @pytest.mark.parametrize("sym", [1, 2])
+    @given(data=st.data(), dims=_DIMS)
+    def test_magnitude_kernel_equals_prod_sum(self, sym, data, dims):
+        """On the (n, m, p) and (1, m, 1) operands of the tensor contraction."""
+        n, m, p = dims
+        a, b = (data.draw(symmetric_pair(s) if sym == k else general_pair(s))
+                for k, s in enumerate([(n, m, p), (1, m, 1)], 1))
+        mags = [x[1] if sym == k else np.maximum(np.abs(x[0]), np.abs(x[1]))
+                for k, x in enumerate((a, b), 1)]
+        assert _same_values(mag_prod_sum(*mags), _prod_sum(*a, *b))
+
+    @given(data=st.data(), n=_DIM, m=_DIM)
+    def test_symmetric(self, data, n, m):
+        s = data.draw(symmetric_pair((n, m)))
+        a = data.draw(general_pair((n, m)))
+        assert symmetric(*s) == (not np.isnan(s[1]).any())
+        assert symmetric(*a) == bool(np.array_equal(a[0], -a[1]))
+
+    @given(data=st.data(), n=_DIM, m=_DIM,
+           c=st.floats(0.0, 1e3, exclude_min=True, allow_subnormal=True))
+    def test_scale_pair_by_a_positive_float(self, data, n, m, c):
+        """The ends keep their order, as the reordering path finds; a NaN
+        stays in the end it was in."""
+        lo, hi = data.draw(general_pair((n, m)))
+        got = scale_pair((lo, hi), c)
+        reordered = np.minimum(lo * c, hi * c), np.maximum(lo * c, hi * c)
+        drawn = np.isnan(lo) | np.isnan(hi)
+        assert _same_values((got[0][~drawn], got[1][~drawn]),
+                            (reordered[0][~drawn], reordered[1][~drawn]))
+        assert np.array_equal(np.isnan(got[0]), np.isnan(lo))
+        assert np.array_equal(np.isnan(got[1]), np.isnan(hi))
 
 
 class TestRandomizedProperties:

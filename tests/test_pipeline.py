@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from conftest import T_REF, FirstOrderCos, alternating_turns
-from datareach.control import linearize
+from datareach import control, intervals, reach
+from datareach.control import datacontrol_step, linearize
 from datareach.errors import EmptyIntersection, StepTooLarge
-from datareach import intervals
 from datareach.intervals import Box, Interval
 from datareach.knowledge import (
     GradientBounds,
@@ -368,3 +368,95 @@ class TestKeptValues:
         side = replace(sysu.side, algebraic_contractor=shrink_with_the_box)
         kb = build_knowledge(samples, sysu.lip, side)
         assert_linearize_matches(kb, [s.x for s in samples], sysu.U, 0.1)
+
+
+class TestSymmetricOperands:
+    """A product with a sign-symmetric operand (lo = -hi: the Lipschitz bands,
+    a control box [-u, u]) takes the one-product magnitude kernel.  The
+    symmetry is decided once per band arrays and per control box."""
+
+    @staticmethod
+    def _models(samples, lip, side, states, U, ctrl, x_start):
+        kb = build_knowledge(samples, lip, side)
+        models = [linearize(Box.point(x), kb, U, 0.1) for x in states]
+        tube = datareach(kb, x_start, ctrl, DT, 30, t0=T_REF)
+        return [end for aff in models for box in (aff.B, aff.Aplus, aff.Aminus)
+                for end in (box.lo, box.hi)] + list(tube.boxes())
+
+    def _assert_general_bitwise(self, monkeypatch, sysu, samples, make_side, x_start):
+        """The library's models and tube equal, byte for byte, those it makes
+        when no operand counts as symmetric; each run takes a new side."""
+        args = ([s.x for s in samples], sysu.U, fig_control(), x_start)
+        got = self._models(samples, sysu.lip, make_side(), *args)
+        with monkeypatch.context() as patch:
+            for module in (reach, control):
+                patch.setattr(module, "symmetric", lambda lo, hi: False)
+            want = self._models(samples, sysu.lip, make_side(), *args)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_hook_narrowing_JG(self, monkeypatch, unicycle_fig_setup):
+        """A hook returns the symmetric JG on its first call and a narrowed,
+        non-symmetric one on every other call after it, so a symmetry kept
+        from earlier bands would be wrong for later ones."""
+        sysu, samples, _, x_start = unicycle_fig_setup
+        narrowed = []
+
+        def make_side():
+            calls = []
+
+            def narrow_every_other(box, ubox, f_enc, G_enc, Jf, JG):
+                if JG is not None:
+                    calls.append(len(calls) % 2 == 1)
+                    if calls[-1]:
+                        JG = Box(JG.lo, 0.5 * JG.hi)
+                return f_enc, G_enc, Jf, JG
+
+            narrowed.append(calls)
+            return replace(sysu.side, algebraic_contractor=narrow_every_other)
+
+        self._assert_general_bitwise(monkeypatch, sysu, samples, make_side, x_start)
+        assert narrowed[0] == narrowed[1] and narrowed[0][:2] == [False, True]
+
+    def test_gradient_bounds_narrowing_JG(self, monkeypatch, unicycle_fig_setup):
+        sysu, samples, _, x_start = unicycle_fig_setup
+        side = replace(sysu.side, grad_bounds=GradientBounds(G={(0, 0, 2): Interval(-0.5, 1.0)}))
+        kb = build_knowledge(samples, sysu.lip, side)
+        sym = reach._step_data(Box.point(x_start), kb, sysu.U, DT)[-1]
+        assert sym == (True, False, True)
+        self._assert_general_bitwise(monkeypatch, sysu, samples, lambda: side, x_start)
+
+    @staticmethod
+    def _count_pair_prods(monkeypatch, call):
+        calls = []
+        general = intervals._pair_prod
+
+        def counted(*args):
+            calls.append(1)
+            return general(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(intervals, "_pair_prod", counted)
+            call()
+        return len(calls)
+
+    @pytest.mark.parametrize("name, general", [("unicycle", 0), ("quadrotor", 7), ("aircraft", 3)])
+    def test_general_products_per_control_step(self, monkeypatch, loop_bases, name, general):
+        """Of the 9 interval products of a step, only those without a
+        symmetric operand run the general kernel: the unicycle has no known
+        drift and a symmetric U; the quadrotor's U = [0, 18.4] is not
+        symmetric; the aircraft's Jf holds its known drift P."""
+        sys_, exp, kb, states = loop_bases[name]
+        for x in states[:5]:
+            step = lambda: datacontrol_step(kb, x, exp.cost, sys_.U, sys_.X, exp.dt)
+            assert self._count_pair_prods(monkeypatch, step) == general
+
+    def test_general_products_per_tube_step(self, monkeypatch, unicycle_fig_setup):
+        """JG V and (Jf + JG V) h(S) take the magnitude kernel; the products
+        with the cosine family's non-symmetric V do not."""
+        _, _, kb, x_start = unicycle_fig_setup
+        R, t = Box.point(x_start), T_REF
+        for _ in range(5):
+            rec = []
+            step = lambda: rec.append(datareach_step(R, kb, fig_control(), t, DT))
+            assert self._count_pair_prods(monkeypatch, step) == 4
+            R, t = rec[0].R_next, t + DT
