@@ -193,8 +193,8 @@ def linearize(
     GSu = mat_vec_pairs(GS, u, 2 * u_sym)
     minus = add_pairs(mat_mat_pairs(Jf, GS, jf), tensor_vec_pairs(JGt, add_pairs(fS, GSu), jg))
     GR_dt = scale_pair(GR, dt)
-    A = [Box(*add_pairs(GR_dt, scale_pair(a, half_dt2))) for a in (plus, minus)]
-    return AffineOverApprox(Box(*B), *A)
+    A = [Box._fresh(*add_pairs(GR_dt, scale_pair(a, half_dt2))) for a in (plus, minus)]
+    return AffineOverApprox(Box._fresh(*B), *A)
 
 
 def _band_terms(Jf, JG, u, jg_sym):
@@ -245,7 +245,7 @@ def assemble_idealistic(
         qi = 2.0 * (S + Q @ A_ide).T @ b_ide + A_ide.T @ q + r
         pi = float(b_ide @ Q @ b_ide + q @ b_ide)
     for name, val in (("Qi", Qi), ("qi", qi), ("pi", np.asarray(pi))):
-        if not np.isfinite(val).all():
+        if np.count_nonzero(np.isfinite(val)) != val.size:
             at = np.unravel_index(np.argmin(np.isfinite(val)), val.shape)
             raise NonConvexAssembly(f"idealistic QP entry {name}{list(map(int, at))} is "
                                     f"{val[at]}: A_ide or b_ide is not finite or too large")
@@ -382,8 +382,8 @@ def datacontrol_step(
         raise ValueError(f"cost must have n = {kb.n} and m = {kb.m}, not {cost.n} and {cost.m}")
     opts = opts or QPOptions()
     started = time.perf_counter()
-    R = Box.point(check_array("x", x, (kb.n,)))
-    aff = linearize(R, kb, U, dt)
+    x = check_array("x", x, (kb.n,))  # a copy, the point box's two ends
+    aff = linearize(Box._fresh(x, x), kb, U, dt)
     bound = subopt_bound(cost, aff, U, X)
 
     mode_used = mode

@@ -7,9 +7,10 @@ interval arithmetic runs on arrays.
 
 A `Box` holds lo/hi float64 arrays of any shape, so one type serves interval
 vectors, matrices and rank-3 tensors.  Constructing a `Box` validates it by
-one fused comparison `(lo <= hi).all()`, which is false at any NaN as well
-as at any inverted component; only then is the cause looked up to pick the
-error.
+one fused reduction, a count of the components with lo <= hi, which comes
+up short at any NaN as well as at any inverted component; only then is the
+cause looked up to pick the error.  `Box(lo, hi)` copies its ends; `Box._fresh` validates
+and freezes arrays the library has just made, without copying them.
 
 Each formula (sum, real scaling, matrix-vector, matrix-matrix, the tensor
 contraction over the middle axis and the real-matrix product) exists once,
@@ -73,17 +74,25 @@ class Box:
     __array_ufunc__ = None  # keep numpy from coercing mixed expressions
 
     def __init__(self, lo, hi):
-        lo = np.array(lo, dtype=float)
-        hi = np.array(hi, dtype=float)
+        self._own(np.array(lo, dtype=float), np.array(hi, dtype=float))
+
+    def _own(self, lo, hi):
         if lo.shape != hi.shape:
             raise ShapeMismatch(f"lo shape {lo.shape} != hi shape {hi.shape}")
         check_pair(lo, hi)
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        self.lo = lo
-        self.hi = hi
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        self.lo, self.hi = lo, hi
 
     # -- constructors ------------------------------------------------------
+    @classmethod
+    def _fresh(cls, lo, hi):
+        """`Box(lo, hi)` on float64 arrays no caller holds, as a kernel
+        returns them: validated and made read-only, but not copied."""
+        box = object.__new__(cls)
+        box._own(lo, hi)
+        return box
+
     @classmethod
     def point(cls, values):
         v = np.asarray(values, dtype=float)
@@ -136,13 +145,11 @@ class Box:
     # -- set operations ------------------------------------------------------
     def contains(self, values, atol: float = 0.0) -> bool:
         v = np.asarray(values, dtype=float)
-        return bool((self.lo - atol <= v).all() and (v <= self.hi + atol).all())
+        return _all((self.lo - atol <= v) & (v <= self.hi + atol))
 
     def encloses(self, other, atol: float = 0.0) -> bool:
         self._check_same(other)
-        return bool(
-            (self.lo - atol <= other.lo).all() and (other.hi <= self.hi + atol).all()
-        )
+        return _all((self.lo - atol <= other.lo) & (other.hi <= self.hi + atol))
 
     # -- descriptors -----------------------------------------------------------
     @property
@@ -172,13 +179,18 @@ class Box:
         return f"Box(lo={self.lo!r}, hi={self.hi!r})"
 
 
+def _all(mask) -> bool:
+    """``mask.all()`` as one count, which is cheaper on small arrays."""
+    return bool(np.count_nonzero(mask) == mask.size)
+
+
 def check_pair(lo, hi):
     """Validate a lo/hi pair as a `Box` does and return it.
 
     One fused test: any NaN or any inverted component makes ``lo <= hi``
     false somewhere; only then is the cause looked up to pick the error.
     """
-    if not (lo <= hi).all():
+    if not _all(lo <= hi):
         if np.isnan(lo).any() or np.isnan(hi).any():
             raise ValueError("interval endpoints must not be NaN")
         raise ValueError("invalid interval bounds: lo > hi somewhere")

@@ -619,9 +619,12 @@ def _unknown(kb: KnowledgeBase, dists) -> Tuple[np.ndarray, np.ndarray]:
     distances (k, ngroups, N): a max / min over the entries along the
     contiguous last axis."""
     groups = kb._groups
-    # (k, n + n m, N), C-ordered; fancy indexing would lay the components outermost
-    slack = np.take(dists, groups.col_group, axis=1)
-    slack *= groups.col_L
+    if dists.shape[1] == 1:  # one group: the same products, broadcast
+        slack = dists * groups.col_L
+    else:
+        # (k, n + n m, N), C-ordered; fancy indexing would lay the components outermost
+        slack = np.take(dists, groups.col_group, axis=1)
+        slack *= groups.col_L
     _, c_lo, c_hi = kb._cols
     lo = (c_lo - slack).max(axis=-1)
     return lo, np.add(c_hi, slack, out=slack).min(axis=-1)
@@ -636,19 +639,19 @@ def _box_query(kb: KnowledgeBase, X: Box, parts: str = "fG"):
     a requested part raises, the f settle and meet before the G ones.
     Nothing here validates the result; see `f_over_iv` / `G_over_iv`.  When
     X is a single point, its pre-settle envelope is left on the base for an
-    `append_sample` at that state, with its settle.
+    `append_sample` at that state, with its settle.  Each stage's failure
+    mask is counted once; only a failure splits the masks into their parts.
     """
     n, groups = kb.n, kb._groups
-    point = bool((X.lo == X.hi).all())
+    point = not np.count_nonzero(X.lo != X.hi)
     env = _unknown(kb, kb._box_dists(X, point))
     lo, hi, bad = settled = _settle(*env)
     if point:
         for a in (*env, *settled):
-            a.flags.writeable = False
+            a.setflags(write=False)
         kb._point = (X.lo.tobytes(), env, settled)
     enc = (lo[0], hi[0])
-    # failure masks: f settle, G settle, then f meet, G meet
-    checks = list(zip(_split(bad[0], n), "fG"))
+    stages = [(bad[0], "fG")]  # failure masks: the settle's, then the meet's
     if groups.P_split is not None:
         # P X exactly per component (one product at a point), stacked over
         # G_kn = 0, whose + 0.0 keeps the signed zeros of adding it
@@ -657,12 +660,14 @@ def _box_query(kb: KnowledgeBase, X: Box, parts: str = "fG"):
     vb = kb.side.vf_bounds
     if vb is not None and vb.region.encloses(X):
         *enc, bad = meet_arrays(*enc, *groups.ranges, _MEET_TOL, _PAD)
-        checks += zip(_split(bad, n), (None, None))
-    for part, what in enumerate("fG"):
-        if what in parts:
-            for bad, kind in checks[part::2]:
-                if np.count_nonzero(bad):
-                    raise _empty(kind, _first_index(bad))
+        stages.append((bad, (None, None)))
+    if any(np.count_nonzero(bad) for bad, _ in stages):
+        # the f settle and meet, then the G ones
+        for part, what in enumerate("fG"):
+            for bad, kinds in stages:
+                bad = _split(bad, n)[part]
+                if what in parts and np.count_nonzero(bad):
+                    raise _empty(kinds[part], _first_index(bad))
     pairs = list(zip(_split(enc[0], n), _split(enc[1], n)))
     return [pairs["fG".index(what)] for what in parts]
 

@@ -18,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import (
-    DataReachError, StepTooLarge, check_array, check_box, check_count, check_finite,
+    LIMIT, DataReachError, StepTooLarge, check_array, check_box, check_count, check_finite,
     check_positive,
 )
 from .intervals import (
@@ -141,22 +141,22 @@ class ConstCosControl(ControlClass):
 
     def eval_point(self, t):
         c = math.cos(self.omega * (t - self.t_ref))
-        return Box([self.v0 + self.a1.lo, c + self.a2.lo],
-                       [self.v0 + self.a1.hi, c + self.a2.hi])
+        return Box._fresh(np.array([self.v0 + self.a1.lo, c + self.a2.lo]),
+                          np.array([self.v0 + self.a1.hi, c + self.a2.hi]))
 
     def eval_range(self, t0, t1):
         phi0 = self.omega * (t0 - self.t_ref)
         phi1 = self.omega * (t1 - self.t_ref)
         c = _cos_range(min(phi0, phi1), max(phi0, phi1))
-        return Box([self.v0 + self.a1.lo, c.lo + self.a2.lo],
-                       [self.v0 + self.a1.hi, c.hi + self.a2.hi])
+        return Box._fresh(np.array([self.v0 + self.a1.lo, c.lo + self.a2.lo]),
+                          np.array([self.v0 + self.a1.hi, c.hi + self.a2.hi]))
 
     def eval_deriv_range(self, t0, t1):
         phi0 = self.omega * (t0 - self.t_ref)
         phi1 = self.omega * (t1 - self.t_ref)
         s = _sin_range(min(phi0, phi1), max(phi0, phi1))
         a, b = s.lo * -self.omega, s.hi * -self.omega
-        return Box([0.0, min(a, b)], [0.0, max(a, b)])
+        return Box._fresh(np.array([0.0, min(a, b)]), np.array([0.0, max(a, b)]))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,11 @@ class ConstCosControl(ControlClass):
 
 def beta_of(lip: LipschitzBounds, Vabs: np.ndarray) -> float:
     """Lipschitz constant of the closed-loop field for control magnitudes Vabs."""
-    Vabs = check_array("Vabs", Vabs, (lip.m,), nonneg=True)
+    return _beta(lip, check_array("Vabs", Vabs, (lip.m,), nonneg=True))
+
+
+def _beta(lip: LipschitzBounds, Vabs: np.ndarray) -> float:
+    """`beta_of` of magnitudes Vabs its caller has checked."""
     rows = lip.L_f + lip.L_G @ Vabs
     return float(math.sqrt(float(rows @ rows)))
 
@@ -251,8 +255,7 @@ def _step_data(R: Box, kb: KnowledgeBase, V: Box, dt: float):
     """
     # the family's beta and V's symmetry for the last control box; a loop
     # passes the same U
-    beta, v_sym = _kept(kb, "beta", (V, kb.lip_total),
-                        lambda: (beta_of(kb.lip_total, V.mag), symmetric(V.lo, V.hi)))
+    beta, v_sym = _kept(kb, "beta", (V, kb.lip_total), lambda: _beta_sym(kb, V))
     root_n = math.sqrt(len(R))
     denom = 1.0 - root_n * dt * beta
     if denom <= 0.0:
@@ -264,7 +267,7 @@ def _step_data(R: Box, kb: KnowledgeBase, V: Box, dt: float):
     h = add_pairs(fR, mat_vec_pairs(GR, _pair(V), 2 * v_sym))
     alpha = float(np.max(np.maximum(np.abs(h[0]), np.abs(h[1])))) if len(R) else 0.0
     c = dt * alpha / denom
-    S = Box(R.lo - c, R.hi + c)
+    S = Box._fresh(R.lo - c, R.hi + c)
     fS, GS = _box_query(kb, S)
     Jf, JG = _jacobian_pairs(kb)
     if hook is not None:
@@ -272,6 +275,16 @@ def _step_data(R: Box, kb: KnowledgeBase, V: Box, dt: float):
     # kept while the band arrays repeat; a contractor hook's new bands recompute
     bands = _kept(kb, "bands", (*Jf, *JG), lambda: (symmetric(*Jf), symmetric(*JG)))
     return beta, alpha, S, fR, GR, fS, GS, Jf, JG, (*bands, v_sym)
+
+
+def _beta_sym(kb: KnowledgeBase, V: Box):
+    """The family's beta for the control box V, and whether V is symmetric.
+    V.mag holds no NaN and no negative, so `beta_of` could reject only a
+    wrong shape or a magnitude past `errors.LIMIT`; only those call it."""
+    Vabs = V.mag
+    if Vabs.shape != (kb.m,) or max(Vabs.tolist(), default=0.0) > LIMIT:
+        beta_of(kb.lip_total, Vabs)  # raises
+    return _beta(kb.lip_total, Vabs), symmetric(V.lo, V.hi)
 
 
 def _kept(kb: KnowledgeBase, name, key, make):
@@ -287,13 +300,17 @@ def _kept(kb: KnowledgeBase, name, key, make):
 def _record(t, R: Box, beta, alpha, S: Box, R_next, domain: Optional[Box]):
     """The step's record.  One fused comparison tells whether R_next leaves
     the domain; only then is it intersected with it, which elsewhere
-    changes nothing."""
-    Rn, clipped = Box(*R_next), False
+    changes nothing.  With no domain, an R_next that a step would reject as
+    its R ends the tube."""
+    Rn, clipped = Box._fresh(*R_next), False
     if domain is not None:
         check_shape(domain, Rn.shape)
         clipped = bool(np.count_nonzero((Rn.lo < domain.lo) | (domain.hi < Rn.hi)))
         if clipped:
             Rn = meet(Rn, domain)
+    elif min(Rn.lo.tolist(), default=0.0) < -LIMIT or max(Rn.hi.tolist(), default=0.0) > LIMIT:
+        raise DataReachError(f"the tube diverged: the box propagated from t = {t:g} has "
+                             f"endpoints beyond {LIMIT:g} in magnitude")
     return ReachStepRecord(t, R, S, beta, alpha, Rn, clipped)
 
 
@@ -309,9 +326,11 @@ def datareach_step(
 
     Second order where the family bounds u' on the step; first order,
     R + dt (f(S) + G(S) V), where `eval_deriv_range` returns None.  The
-    propagated box is intersected with `domain` when one is supplied.  t
-    must be finite, dt positive and finite, and the endpoints of R and
-    domain at most `errors.LIMIT` in magnitude.
+    propagated box is intersected with `domain` when one is supplied; with
+    none, a propagated box with an endpoint beyond `errors.LIMIT` in
+    magnitude raises a DataReachError.  t must be finite, dt positive and
+    finite, and the endpoints of R and domain at most `errors.LIMIT` in
+    magnitude.
     """
     check_finite("t", t)
     check_positive("dt", dt)

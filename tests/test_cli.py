@@ -9,7 +9,8 @@ import yaml
 
 from datareach import cli
 from datareach import io as dio
-from datareach.systems import excite, unicycle
+from datareach.reach import max_step_size
+from datareach.systems import aircraft, excite, unicycle
 
 
 def write_cfg(tmp_path, data):
@@ -64,6 +65,18 @@ class TestReachCommand:
             "reach": {"dt": 0.2, "steps": 5},
         })
         assert cli.main(["--config", cfg, "reach"]) == cli.EXIT_STEP
+
+    def test_diverging_tube_is_a_data_error(self, tmp_path, capsys):
+        """An aircraft tube with no domain that grows past errors.LIMIT."""
+        sysa = aircraft()
+        cfg = write_cfg(tmp_path, {
+            "system": "aircraft",
+            "out": str(tmp_path / "out"),
+            "reach": {"dt": 0.5 * max_step_size(sysa.lip, sysa.U), "steps": 1171,
+                      "init_len": 15, "seed": 4, "intersect_domain": False},
+        })
+        assert cli.main(["--config", cfg, "reach"]) == cli.EXIT_DATA
+        assert "reach: DataReachError: the tube diverged" in capsys.readouterr().err
 
     def test_trajectory_ingestion_roundtrip(self, tmp_path):
         sysu = unicycle()

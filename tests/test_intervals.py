@@ -13,6 +13,7 @@ from datareach.intervals import (
     _pair_prod,
     _prod_sum,
     add_pairs,
+    check_pair,
     imat_vec,
     mag_prod_sum,
     mat_mat_pairs,
@@ -535,6 +536,106 @@ class TestMagnitudeKernel:
                             (reordered[0][~drawn], reordered[1][~drawn]))
         assert np.array_equal(np.isnan(got[0]), np.isnan(lo))
         assert np.array_equal(np.isnan(got[1]), np.isnan(hi))
+
+
+# reference forms of the checks, each reduced by `.all()`
+def _check_pair_by_all(lo, hi):
+    if not (lo <= hi).all():
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("interval endpoints must not be NaN")
+        raise ValueError("invalid interval bounds: lo > hi somewhere")
+    return lo, hi
+
+
+def _box_by_all(lo, hi):
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    if lo.shape != hi.shape:
+        raise ShapeMismatch(f"lo shape {lo.shape} != hi shape {hi.shape}")
+    return _check_pair_by_all(lo, hi)
+
+
+def _encloses_by_all(a, b, atol):
+    return bool((a.lo - atol <= b.lo).all() and (b.hi <= a.hi + atol).all())
+
+
+def _contains_by_all(a, v, atol):
+    return bool((a.lo - atol <= v).all() and (v <= a.hi + atol).all())
+
+
+def _outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return "returned", call()
+    except Exception as exc:  # the comparison is of the error itself
+        return type(exc), str(exc)
+
+
+def _same_outcome(got, want) -> bool:
+    if got[0] != "returned" or want[0] != "returned":
+        return got == want
+    return all(g.shape == w.shape and g.tobytes() == w.tobytes()
+               for g, w in zip(got[1], want[1]))
+
+
+# NaN, infinities, exact zeros of both signs and finite values
+_ODD = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0]),
+                 st.floats(-1e3, 1e3, allow_nan=False))
+# 0-d and empty shapes included
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+_ATOL = st.sampled_from([0.0, -0.0, 1e-12, 0.5, -0.5, np.inf, np.nan])
+
+
+@st.composite
+def _valid_box(draw, shape):
+    """A Box of the shape with ends among _ODD's values other than NaN."""
+    a = draw(_array(shape, _ODD.filter(lambda v: not np.isnan(v))))
+    b = draw(_array(shape, _ODD.filter(lambda v: not np.isnan(v))))
+    return Box(np.minimum(a, b), np.maximum(a, b))
+
+
+class TestOneCountChecks:
+    """`check_pair`, `Box` and `encloses` count the components that pass
+    instead of calling `.all()`; they accept and reject exactly what the
+    `.all()` forms did, with the same messages, and `Box._fresh` builds
+    the box `Box` builds without copying."""
+
+    @given(data=st.data(), shape=_SHAPES, same=st.booleans())
+    def test_box_and_check_pair(self, data, shape, same):
+        lo = data.draw(_array(shape, _ODD))
+        hi = data.draw(_array(shape if same else data.draw(_SHAPES), _ODD))
+        want = _outcome(lambda: _box_by_all(lo, hi))
+        assert _same_outcome(_outcome(lambda: (lambda b: (b.lo, b.hi))(Box(lo, hi))), want)
+        fresh = _outcome(lambda: Box._fresh(lo.copy(), hi.copy()))
+        if want[0] == "returned":
+            assert fresh[1] == Box(lo, hi)
+            assert not fresh[1].lo.flags.writeable and not fresh[1].hi.flags.writeable
+        else:
+            assert fresh == want
+        if same:
+            assert _same_outcome(_outcome(lambda: check_pair(lo, hi)),
+                                 _outcome(lambda: _check_pair_by_all(lo, hi)))
+
+    @given(data=st.data(), shape=_SHAPES, atol=_ATOL)
+    def test_encloses_and_contains(self, data, shape, atol):
+        a, b = data.draw(_valid_box(shape)), data.draw(_valid_box(shape))
+        v = data.draw(_array(shape, _ODD))
+        with np.errstate(invalid="ignore"):  # inf - inf, with an infinite atol
+            for x, y in ((a, b), (b, a), (a, a)):
+                assert x.encloses(y) is _encloses_by_all(x, y, 0.0)
+                assert x.encloses(y, atol=atol) is _encloses_by_all(x, y, atol)
+            assert a.contains(v) is _contains_by_all(a, v, 0.0)
+            assert a.contains(v, atol=atol) is _contains_by_all(a, v, atol)
+
+    def test_fresh_adopts_its_arrays(self):
+        lo, hi = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+        b = Box._fresh(lo, hi)
+        assert b.lo is lo and b.hi is hi and not lo.flags.writeable
+
+    def test_box_leaves_the_callers_arrays_writable(self):
+        lo, hi = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+        Box(lo, hi)
+        Box.point(lo)
+        assert lo.flags.writeable and hi.flags.writeable
 
 
 class TestRandomizedProperties:

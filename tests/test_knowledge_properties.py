@@ -10,8 +10,9 @@ import itertools
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from datareach import knowledge
 from datareach.errors import DataReachError
@@ -27,6 +28,7 @@ from datareach.knowledge import (
     _contract,
     _contract_row,
     _first_failure,
+    _unknown,
     append_sample,
     build_knowledge,
     f_over,
@@ -124,6 +126,25 @@ class TestMoreDataNeverWidens:
             assert _nested(G_over_iv(X, grown), G_over_iv(X, kb))
             q = rng.uniform(-2.5, 2.5, kb.n)
             assert _nested(f_over(q, grown), f_over(q, kb))
+
+
+class TestOneGroupEnvelope:
+    @given(random_bases(), st.data())
+    def test_broadcast_equals_the_take_path(self, case, data):
+        """With one dependency group the envelope scales the distances by
+        one broadcast multiply; its bytes are those of taking the group
+        per component and scaling in place."""
+        kb, _, _ = case
+        groups = kb._groups
+        assume(len(groups.picks) == 1)
+        k = data.draw(st.integers(1, 3))
+        dists = data.draw(hnp.arrays(np.float64, (k, 1, kb.xs.shape[0]), elements=st.one_of(
+            st.floats(0.0, 1e3, allow_subnormal=True), st.sampled_from([0.0, 1e-300]))))
+        slack = np.take(dists, groups.col_group, axis=1)
+        slack *= groups.col_L
+        want = (kb._cols[1] - slack).max(axis=-1), (kb._cols[2] + slack).min(axis=-1)
+        got = _unknown(kb, dists)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def _grown_bases(case, appended):

@@ -8,6 +8,7 @@ bit.
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,9 @@ from datareach.knowledge import (
     build_knowledge,
 )
 from datareach.reach import (
+    ConstantControl,
     ConstCosControl,
+    ReachStepRecord,
     beta_of,
     datareach,
     datareach_step,
@@ -460,3 +463,92 @@ class TestSymmetricOperands:
             step = lambda: rec.append(datareach_step(R, kb, fig_control(), t, DT))
             assert self._count_pair_prods(monkeypatch, step) == 4
             R, t = rec[0].R_next, t + DT
+
+
+class TestValidationWork:
+    """Each check of the step is one count, and the step copies no array it
+    made: it builds its boxes with `Box._fresh`, and no check calls
+    `ndarray.all`."""
+
+    @staticmethod
+    def _work(monkeypatch, call):
+        """(copying Box constructions, ndarray.all calls) made by ``call``."""
+        boxes, alls = [], []
+        init = Box.__init__
+
+        def counted(self, lo, hi):
+            boxes.append(1)
+            init(self, lo, hi)
+
+        def profile(frame, event, arg):
+            if event == "c_call" and getattr(arg, "__qualname__", "") == "ndarray.all":
+                alls.append(1)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Box, "__init__", counted)
+            sys.setprofile(profile)
+            try:
+                call()
+            finally:
+                sys.setprofile(None)
+        return len(boxes), len(alls)
+
+    @pytest.mark.parametrize("setting", ["lipschitz_only", "decoupled", "decoupled_bounds"])
+    def test_per_tube_step(self, monkeypatch, unicycle_fig_setup, setting):
+        """The domain never cuts these steps; a cut adds the copy of `meet`."""
+        sysu, samples, _, x_start = unicycle_fig_setup
+        kb = build_knowledge(samples, sysu.lip, unicycle_knowledge_settings()[setting])
+        R, t = Box.point(x_start), T_REF
+        for _ in range(5):
+            rec = []
+            step = lambda: rec.append(datareach_step(R, kb, fig_control(), t, DT, sysu.X))
+            assert self._work(monkeypatch, step) == (0, 0)
+            assert not rec[0].clipped
+            R, t = rec[0].R_next, t + DT
+
+    @pytest.mark.parametrize("name", ["unicycle", "quadrotor", "aircraft"])
+    def test_per_control_step(self, monkeypatch, loop_bases, name):
+        sys_, exp, kb, states = loop_bases[name]
+        for x in states[:5]:
+            step = lambda: datacontrol_step(kb, x, exp.cost, sys_.U, sys_.X, exp.dt)
+            assert self._work(monkeypatch, step) == (0, 0)
+
+
+class TestPublicConstructors:
+    """What the public constructors promise still holds where the step
+    builds its boxes without copies."""
+
+    def test_record_whose_S_misses_R_raises(self):
+        R = Box([0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="rough enclosure must contain the state box"):
+            ReachStepRecord(0.0, R, Box([0.0, 0.0], [1.0, 0.5]), 0.0, 0.0, R)
+
+    @staticmethod
+    def _assert_unshared(boxes, callers):
+        for box in boxes:
+            for end in (box.lo, box.hi):
+                assert not any(np.shares_memory(end, a) for a in callers)
+
+    def test_tube_shares_no_callers_array(self, unicycle_fig_setup):
+        """The start and a constant control, then a domain that cuts the
+        last 15 steps of a tube."""
+        sysu, samples, kb, x_start = unicycle_fig_setup
+        x, u = x_start.copy(), np.array([0.5, 0.1])
+        tube = datareach(kb, x, ConstantControl(u), DT, 30, t0=T_REF)
+        lo, hi = sysu.X.lo.copy(), sysu.X.hi.copy()
+        domain = Box(lo, hi)
+        kb = build_knowledge(samples, sysu.lip, unicycle_knowledge_settings()["lipschitz_only"])
+        cut = datareach(kb, x, fig_control(), DT, 100, t0=T_REF, domain=domain)
+        assert tube.failure is None and cut.failure is None and len(cut.clipped) == 15
+        self._assert_unshared(
+            [b for rec in tube.steps + cut.steps for b in (rec.R, rec.S, rec.R_next)],
+            (x, u, lo, hi, domain.lo, domain.hi))
+
+    def test_loop_log_shares_no_callers_array(self, loop_bases):
+        sys_, exp, kb, states = loop_bases["unicycle"]
+        x = states[3].copy()
+        U = Box(sys_.U.lo.copy(), sys_.U.hi.copy())
+        _, log = datacontrol_step(kb, x, exp.cost, U, sys_.X, exp.dt)
+        aff = log.aff
+        self._assert_unshared([aff.B, aff.Aplus, aff.Aminus, log.predicted_box],
+                              (x, U.lo, U.hi, sys_.X.lo, sys_.X.hi))

@@ -12,10 +12,10 @@ from conftest import (
     mc_unicycle_rollout,
     quadrotor_default_tube,
 )
-from datareach.errors import StepTooLarge
+from datareach.errors import LIMIT, DataReachError, StepTooLarge
 from datareach.intervals import Box, Interval, meet
 from datareach.knowledge import LipschitzBounds, build_knowledge
-from datareach.systems import advance, excite, quadrotor, unicycle
+from datareach.systems import aircraft, advance, excite, experiment_for, quadrotor, unicycle
 from datareach.reach import (
     ConstantControl,
     ConstCosControl,
@@ -270,6 +270,26 @@ class TestDataReachTube:
         tube = datareach(kb, x_start, ctrl, 0.02, 100, t0=0.0)
         assert tube.failure is not None and "StepTooLarge" in tube.failure
         assert len(tube.steps) < 101
+
+    def test_diverging_tube_records_its_failure(self):
+        """With no domain, the aircraft tube at half the step bound grows
+        past `errors.LIMIT`; the step whose propagated box leaves it ends
+        the tube with a DataReachError, where the next step used to raise a
+        ValueError naming its R."""
+        sysa = aircraft()
+        samples = excite(sysa, 15, seed=4, dt=0.01, x0=experiment_for("aircraft").x0)
+        kb = build_knowledge(samples, sysa.lip, sysa.side)
+        ctrl, dt = ConstantControl(sysa.U.mid), 0.5 * max_step_size(sysa.lip, sysa.U)
+        tube = datareach(kb, samples[-1].x, ctrl, dt, 1171)
+        assert tube.failure.startswith("DataReachError: the tube diverged")
+        assert len(tube.steps) == 1170
+        last = tube.steps[-1]
+        assert -LIMIT <= last.R.lo.min() and last.R.hi.max() <= LIMIT
+        with pytest.raises(DataReachError, match="the tube diverged"):
+            datareach_step(last.R, kb, ctrl, last.t, dt)
+        R = Box(np.full(5, -2.0 * LIMIT), np.full(5, 2.0 * LIMIT))
+        with pytest.raises(ValueError, match="^R must have endpoints at most 1e[+]75"):
+            datareach_step(R, kb, ctrl, last.t, dt)
 
     def test_nominal_containment_short(self, unicycle_fig_setup):
         sysu, _, kb, x_start = unicycle_fig_setup
