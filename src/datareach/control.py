@@ -16,11 +16,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import (
-    LIMIT, AllOrthantsInfeasible, NonConvexAssembly, check_array, check_choice, check_count,
-    check_finite, check_positive, check_unit,
+    LIMIT, AllOrthantsInfeasible, NonConvexAssembly, check_array, check_box, check_choice,
+    check_count, check_finite, check_positive, check_unit,
 )
 from .intervals import (
-    Box, add_pairs, check_pair, check_shape, imat_vec, mat_mat_pairs, mat_vec_pairs, meet,
+    Box, add_pairs, check_pair, imat_vec, mat_mat_pairs, mat_vec_pairs, meet,
     real_mat_pairs, scale_pair, symmetric, tensor_vec_pairs,
 )
 from .knowledge import KnowledgeBase
@@ -103,10 +103,12 @@ class QuadraticCost:
         return self.r.shape[0]
 
     def _loop_terms(self, U: Box, X: Box) -> _LoopTerms:
-        """The step terms that depend only on this cost, U and X, reused
-        while the same (immutable) boxes U and X repeat, as in a closed loop."""
+        """The step terms that depend only on this cost, U and X, checked and
+        made once while the same (immutable) boxes repeat, as in a closed loop."""
         t = self._terms
         if t is None or t.U is not U or t.X is not X:
+            check_box("U", U, (self.m,))
+            check_box("X", X, (self.n,))
             U_abs = _mag(*_pair(U))
             Q_split = (np.maximum(self.Q, 0.0), np.minimum(self.Q, 0.0))
             SU_q = 2.0 * _mag(*check_pair(*real_mat_pairs(self.S, _pair(U)))) + self.q
@@ -180,8 +182,10 @@ def linearize(
 
     The rough enclosure is the explicit one evaluated with the whole control
     set, so the model is valid for every constant control in U (dt > 0).
+    R and U must be `Box`es of shapes (kb.n,) and (kb.m,) within `errors.LIMIT`.
     """
     check_positive("dt", dt)
+    check_box("R", R, (kb.n,))
     *_, fR, GR, fS, GS, Jf, JG, (jf, jg, u_sym) = _step_data(R, kb, U, dt)
     u = _pair(U)
     half_dt2 = 0.5 * dt * dt
@@ -238,6 +242,8 @@ def assemble_idealistic(
     if shapes != ((cost.n, cost.m), (cost.n,)):
         raise ValueError(f"A_ide and b_ide must have shapes {(cost.n, cost.m)} and "
                          f"{(cost.n,)}, not {shapes}")
+    if cost._terms is None or cost._terms.U is not U:  # a loop's U was checked there
+        check_box("U", U, (cost.m,))
     # an overflow or a NaN is reported below, naming the entry
     with np.errstate(over="ignore", invalid="ignore"):
         Qi = 2.0 * A_ide.T @ Q @ A_ide + 4.0 * A_ide.T @ S + 2.0 * Rm
@@ -267,6 +273,12 @@ def assemble_idealistic(
 # optimistic relaxation
 # ---------------------------------------------------------------------------
 
+def _check_fit(cost: QuadraticCost, n: int, m: int):
+    """Raise ValueError unless the cost's dimensions are (n, m)."""
+    if (cost.n, cost.m) != (n, m):
+        raise ValueError(f"cost must have n = {n} and m = {m}, not {cost.n} and {cost.m}")
+
+
 def _split_orthants(U: Box):
     """The (k, m) lower and upper ends of U's k sign orthants, the last axis
     varying fastest: an axis whose interior holds 0 splits there."""
@@ -280,6 +292,7 @@ def assemble_optimistic(
 ) -> OptimisticQP:
     """Split U into sign orthants and pick each model's ends by the sign rule:
     on a nonnegative axis A_l is the lower end and A_s the upper, else the reverse."""
+    _check_fit(cost, *aff.Aplus.shape)
     t, ends = cost._loop_terms(U, X), np.stack([*_pair(aff.Aplus), *_pair(aff.Aminus)])
     return OptimisticQP(np.where(t.nonneg, ends, ends[[1, 0, 3, 2]]), t.u_lo, t.u_hi,
                         cost, aff.B, X)
@@ -300,9 +313,9 @@ def subopt_bound(
     cost: QuadraticCost, aff: AffineOverApprox, U: Box, X: Box
 ) -> float:
     """Bound on |c* - c| for either relaxation, driven by the model widths."""
-    check_shape(U, aff.Aplus.shape[1:])
-    u, B = _pair(U), _pair(aff.B)
+    _check_fit(cost, *aff.Aplus.shape)
     terms = cost._loop_terms(U, X)
+    u, B = _pair(U), _pair(aff.B)
     tp = float(np.linalg.norm(aff.B.width + aff.Aplus.width @ terms.U_abs))
     tm = float(np.linalg.norm(aff.B.width + aff.Aminus.width @ terms.U_abs))
     return max(
@@ -371,18 +384,19 @@ def datacontrol_step(
     step's `info.active_sets`, see `solve_optimistic`).  When every
     optimistic orthant is infeasible the step falls back to the idealistic
     problem and records `mode_used` "idealistic(fallback)".  x must be finite,
-    x and the cost fit kb, dt be positive and the weights lie in [0, 1].
+    x, the cost, U and X fit kb, dt be positive and the weights lie in [0, 1];
+    U and X must be `Box`es with endpoints within `errors.LIMIT`.
     """
     check_choice("mode", mode, MODES)
     check_positive("dt", dt)
     check_unit("wplus, wminus", (wplus, wminus), (2,))
     if u_prev is not None:
         check_array("u_prev", u_prev, (kb.m,))
-    if (cost.n, cost.m) != (kb.n, kb.m):
-        raise ValueError(f"cost must have n = {kb.n} and m = {kb.m}, not {cost.n} and {cost.m}")
+    _check_fit(cost, kb.n, kb.m)
     opts = opts or QPOptions()
     started = time.perf_counter()
     x = check_array("x", x, (kb.n,))  # a copy, the point box's two ends
+    cost._loop_terms(U, X)  # checks U and X when they change
     aff = linearize(Box._fresh(x, x), kb, U, dt)
     bound = subopt_bound(cost, aff, U, X)
 

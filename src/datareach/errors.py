@@ -1,6 +1,7 @@
 """Exception hierarchy and the input checks of every exported entry point."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -123,10 +124,13 @@ def check_array(key: str, value, shape=None, nonneg=False) -> np.ndarray:
     return a
 
 
-def check_box(key: str, box):
-    """Return the `Box` `box`; raise ValueError unless every endpoint is at
-    most `LIMIT` in magnitude.  A `Box` holds no NaN and has lo <= hi, so
-    its endpoints lie in [min lo, max hi]."""
+def check_box(key: str, box, shape):
+    """Return `box`; raise ValueError unless it is a `Box` of the given
+    `shape` whose endpoints are at most `LIMIT` in magnitude.  A `Box` holds
+    no NaN and has lo <= hi, so its endpoints lie in [min lo, max hi]."""
+    # intervals imports this module, so its Box is looked up at the call
+    if not (isinstance(box, sys.modules[f"{__package__}.intervals"].Box) and box.shape == shape):
+        _fail(key, box, f"be a Box of shape {shape}")
     if (min(box.lo.ravel().tolist(), default=0.0) < -LIMIT
             or max(box.hi.ravel().tolist(), default=0.0) > LIMIT):
         _fail(key, box, f"have endpoints at most {LIMIT:g} in magnitude")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyIntersection, ShapeMismatch, check_array
+from .errors import EmptyIntersection, ShapeMismatch, check_array, check_box
 
 # ---------------------------------------------------------------------------
 # scalar intervals
@@ -284,11 +284,12 @@ def tensor_vec_pairs(J, v, sym=0):
 
 
 def imat_vec(M: Box, v) -> Box:
-    """Interval matrix times interval (or real) vector."""
-    n, m = M.shape
-    v = v if isinstance(v, Box) else Box.point(check_array("v", v, (m,)))
-    if len(v) != m:
-        raise ShapeMismatch(f"matrix {M.shape} times vector of length {len(v)}")
+    """Interval matrix times interval (or real) vector: M a `Box` of two
+    axes, v of M's column count, each within `errors.LIMIT` in magnitude."""
+    if not (isinstance(M, Box) and M.lo.ndim == 2):
+        raise ValueError(f"M must be a Box of two axes, not {M!r}")
+    m = check_box("M", M, M.shape).shape[1]
+    v = check_box("v", v, (m,)) if isinstance(v, Box) else Box.point(check_array("v", v, (m,)))
     return Box(*mat_vec_pairs((M.lo, M.hi), (v.lo, v.hi)))
 
 

@@ -673,15 +673,15 @@ def _box_query(kb: KnowledgeBase, X: Box, parts: str = "fG"):
 
 
 def f_over_iv(X: Box, kb: KnowledgeBase) -> Box:
-    """Inclusion-isotone interval enclosure of f over the state box X, whose
-    endpoints must be at most `errors.LIMIT` in magnitude."""
-    return Box(*_box_query(kb, check_box("X", X), "f")[0])
+    """Inclusion-isotone interval enclosure of f over the state box X, a `Box`
+    of shape (kb.n,) whose endpoints must be at most `errors.LIMIT` in magnitude."""
+    return Box(*_box_query(kb, check_box("X", X, (kb.n,)), "f")[0])
 
 
 def G_over_iv(X: Box, kb: KnowledgeBase) -> Box:
-    """Inclusion-isotone interval enclosure of G over the state box X, whose
-    endpoints must be at most `errors.LIMIT` in magnitude."""
-    return Box(*_box_query(kb, check_box("X", X), "G")[0])
+    """Inclusion-isotone interval enclosure of G over the state box X, a `Box`
+    of shape (kb.n,) whose endpoints must be at most `errors.LIMIT` in magnitude."""
+    return Box(*_box_query(kb, check_box("X", X, (kb.n,)), "G")[0])
 
 
 def f_over(x: np.ndarray, kb: KnowledgeBase) -> Box:

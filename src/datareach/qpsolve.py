@@ -28,8 +28,8 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import (
-    AllOrthantsInfeasible, IterationCapExceeded, check_array, check_count, check_finite,
-    check_positive,
+    AllOrthantsInfeasible, IterationCapExceeded, check_array, check_box, check_count,
+    check_finite, check_positive,
 )
 from .intervals import Box
 
@@ -45,7 +45,8 @@ _BOUND_ROUND = 1e-12
 
 @dataclass(frozen=True)
 class BoxQP:
-    """minimize 0.5 u' Qi u + qi' u + pi over a box."""
+    """minimize 0.5 u' Qi u + qi' u + pi over a box, a `Box` of shape (m,)
+    with endpoints at most `errors.LIMIT` in magnitude."""
 
     Qi: np.ndarray
     qi: np.ndarray
@@ -56,6 +57,7 @@ class BoxQP:
         Qi, qi = check_array("Qi", self.Qi), check_array("qi", self.qi)
         if qi.ndim != 1 or Qi.shape != (qi.size, qi.size):
             raise ValueError("Qi/qi shapes disagree")
+        check_box("box", self.box, qi.shape)
         check_finite("pi", self.pi)
         if not np.allclose(Qi, Qi.T, atol=1e-10):
             raise ValueError("Qi must be symmetric")

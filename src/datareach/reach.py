@@ -22,7 +22,7 @@ from .errors import (
     check_positive,
 )
 from .intervals import (
-    Box, Interval, add_pairs, check_shape, mat_vec_pairs, meet, scale_pair, symmetric,
+    Box, Interval, add_pairs, mat_vec_pairs, meet, scale_pair, symmetric,
     tensor_vec_pairs,
 )
 from .knowledge import KnowledgeBase, LipschitzBounds, _box_query, _jacobian_pairs
@@ -138,6 +138,11 @@ class ConstCosControl(ControlClass):
             ("v0", v0), ("omega", omega), ("t_ref", t_ref)))
         self.a1, self.a2 = a1, a2
         check_array("a1 and a2", [a1.lo, a1.hi, a2.lo, a2.hi])
+        # the controls' ends: v0 + a1, and a cosine in [-1, 1] plus a2
+        ends = (self.v0 + a1.lo, self.v0 + a1.hi, a2.lo - 1.0, a2.hi + 1.0)
+        if max(map(abs, ends)) > LIMIT:
+            raise ValueError(f"v0, a1 and a2 must give controls v0 + a1 and cos + a2 at most "
+                             f"{LIMIT:g} in magnitude, not v0={v0!r}, a1={a1!r} and a2={a2!r}")
 
     def eval_point(self, t):
         c = math.cos(self.omega * (t - self.t_ref))
@@ -176,7 +181,7 @@ def _beta(lip: LipschitzBounds, Vabs: np.ndarray) -> float:
 
 def max_step_size(lip: LipschitzBounds, U: Box) -> float:
     """Largest admissible step: callers must pick dt strictly below this."""
-    beta_inf = beta_of(lip, check_array("U", U.mag))
+    beta_inf = beta_of(lip, check_box("U", U, (lip.m,)).mag)
     if beta_inf == 0.0:
         return math.inf
     return 1.0 / (math.sqrt(lip.n) * beta_inf)
@@ -279,11 +284,12 @@ def _step_data(R: Box, kb: KnowledgeBase, V: Box, dt: float):
 
 def _beta_sym(kb: KnowledgeBase, V: Box):
     """The family's beta for the control box V, and whether V is symmetric.
-    V.mag holds no NaN and no negative, so `beta_of` could reject only a
-    wrong shape or a magnitude past `errors.LIMIT`; only those call it."""
-    Vabs = V.mag
-    if Vabs.shape != (kb.m,) or max(Vabs.tolist(), default=0.0) > LIMIT:
-        beta_of(kb.lip_total, Vabs)  # raises
+    A `Box`'s magnitudes hold no NaN and no negative, so `check_box` could
+    reject only another type or shape, or a magnitude past `errors.LIMIT`;
+    only those call it."""
+    Vabs = V.mag if isinstance(V, Box) else None
+    if Vabs is None or Vabs.shape != (kb.m,) or max(Vabs.tolist(), default=0.0) > LIMIT:
+        check_box("U", V, (kb.m,))  # raises
     return _beta(kb.lip_total, Vabs), symmetric(V.lo, V.hi)
 
 
@@ -304,7 +310,6 @@ def _record(t, R: Box, beta, alpha, S: Box, R_next, domain: Optional[Box]):
     its R ends the tube."""
     Rn, clipped = Box._fresh(*R_next), False
     if domain is not None:
-        check_shape(domain, Rn.shape)
         clipped = bool(np.count_nonzero((Rn.lo < domain.lo) | (domain.hi < Rn.hi)))
         if clipped:
             Rn = meet(Rn, domain)
@@ -329,14 +334,15 @@ def datareach_step(
     propagated box is intersected with `domain` when one is supplied; with
     none, a propagated box with an endpoint beyond `errors.LIMIT` in
     magnitude raises a DataReachError.  t must be finite, dt positive and
-    finite, and the endpoints of R and domain at most `errors.LIMIT` in
+    finite, R and domain `Box`es of shape (kb.n,), and the family's controls
+    `Box`es of shape (kb.m,), each with endpoints at most `errors.LIMIT` in
     magnitude.
     """
     check_finite("t", t)
     check_positive("dt", dt)
-    check_box("R", R)
+    check_box("R", R, (kb.n,))
     if domain is not None:
-        check_box("domain", domain)
+        check_box("domain", domain, (kb.n,))
     V = ctrl.eval_range(t, t + dt)
     V1 = ctrl.eval_deriv_range(t, t + dt)
     beta, alpha, S, fR, GR, fS, GS, Jf, JG, (jf_sym, jg_sym, v_sym) = _step_data(R, kb, V, dt)
@@ -368,20 +374,18 @@ def datareach(
     the tube is truncated and the reason recorded in `failure`.  T must be
     a whole number >= 0; T = 0 gives the tube of the start alone.  dt must
     be positive and finite, t0 finite, x_start hold kb.n entries and the
-    family's controls kb.m entries, and the endpoints of a Box x_start and
-    of domain be at most `errors.LIMIT` in magnitude.
+    family's controls kb.m entries, and a Box x_start and domain be `Box`es
+    of shape (kb.n,) with endpoints at most `errors.LIMIT` in magnitude.
     """
     check_count("T", T, 0)
     check_positive("dt", dt)
     check_finite("t0", t0)
     if isinstance(x_start, Box):
-        R = check_box("x_start", x_start)
+        R = check_box("x_start", x_start, (kb.n,))
     else:
-        R = Box.point(check_array("x_start", x_start))
+        R = Box.point(check_array("x_start", x_start, (kb.n,)))
     if domain is not None:
-        check_box("domain", domain)
-    if R.shape != (kb.n,):
-        raise ValueError(f"x_start must have shape {(kb.n,)}, not {R.shape}")
+        check_box("domain", domain, (kb.n,))
     width = ctrl.eval_range(t0, t0 + dt).shape
     if width != (kb.m,):
         raise ValueError(f"control family gives controls of shape {width}, "

@@ -11,8 +11,8 @@ import numpy as np
 
 from .control import MODES, QuadraticCost, StepLog, datacontrol_step, norm_cost, setpoint_cost
 from .errors import (
-    DataReachError, StepTooLarge, check_array, check_choice, check_count, check_finite,
-    check_positive, check_unit,
+    DataReachError, StepTooLarge, check_array, check_box, check_choice, check_count,
+    check_finite, check_positive, check_unit,
 )
 from .intervals import Box
 from .knowledge import (
@@ -38,11 +38,12 @@ class SystemSpec:
     """Ground-truth control-affine benchmark with its declared side information.
 
     The dimensions n and m are those of `lip`; `U` must be a `Box` of shape
-    (m,) and `X` one of shape (n,).  `h_float`, when given, is the true
-    field f(x) + G(x) u on Python floats: it maps the state and control as
-    float sequences to the derivative.  The plant simulator (`advance`)
-    integrates it; without it the simulator evaluates `h_true` on arrays.
-    Samples always take their derivative from `h_true`.
+    (m,) and `X` one of shape (n,), each with endpoints at most `errors.LIMIT`
+    in magnitude.  `h_float`, when given, is the true field f(x) + G(x) u on
+    Python floats: it maps the state and control as float sequences to the
+    derivative.  The plant simulator (`advance`) integrates it; without it
+    the simulator evaluates `h_true` on arrays.  Samples always take their
+    derivative from `h_true`.
     """
 
     f_true: Callable[[np.ndarray], np.ndarray]
@@ -55,9 +56,8 @@ class SystemSpec:
     h_float: Optional[FloatField] = None
 
     def __post_init__(self):
-        for key, box, size in (("U", self.U, self.m), ("X", self.X, self.n)):
-            if not (isinstance(box, Box) and box.shape == (size,)):
-                raise ValueError(f"{key} must be a Box of shape ({size},), not {box!r}")
+        check_box("U", self.U, (self.m,))
+        check_box("X", self.X, (self.n,))
 
     @property
     def n(self) -> int:

@@ -19,9 +19,10 @@ NaN, +-inf, 0, -1, 1e308 and True for every number, 2.5 for a whole number,
 one bad entry or a wrong shape for an array.  A whole number is never drawn
 at 1e308: that is a valid request for 1e308 iterations or samples, a run
 that never ends.  `Box` checks its own endpoints for NaN and order (the
-`Box` row) but takes any magnitude, so a `Box` argument (`BoxArg`) is drawn
-with one endpoint at +-1e308 or +-inf; a knob that must be a `Box` of one
-shape (`BoxShape`) is drawn at another shape or as a bare (lo, hi) pair.
+`Box` row) but takes any magnitude, so a `Box` argument (`BoxArg`), which
+must be a `Box` of one shape with endpoints at most `errors.LIMIT`, is
+drawn with one endpoint at +-1e308 or +-inf, at another shape, or as a
+bare (lo, hi) pair.  Every parameter annotated `Box` is such a knob.
 Records that only the library builds are in `OUTPUTS`, and input records
 with no checks of their own in `RECORDS`, with the entry point that checks
 them.
@@ -29,11 +30,12 @@ them.
 
 import dataclasses
 import functools
+import inspect
 import math
 import re
 import warnings
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -77,17 +79,10 @@ class Arr(NamedTuple):
 
 
 class BoxArg(NamedTuple):
-    """A `Box` knob: its domain and the (lo, hi) of a valid base box."""
+    """A `Box` knob: its domain and a valid base box, or None."""
 
     domain: str
-    base: tuple
-
-
-class BoxShape(NamedTuple):
-    """A knob that must be a `Box` of one shape: its domain and a valid base box."""
-
-    domain: str
-    base: Box
+    base: Optional[Box]
 
 
 class Choice(NamedTuple):
@@ -147,11 +142,6 @@ def const_cos(v0, omega, t_ref):
     return ctrl, ctrl.eval_range(1.5, 1.52), ctrl.eval_point(1.5), ctrl.eval_deriv_range(1.5, 1.52)
 
 
-def box_of(value):
-    """The `Box` of a (lo, hi) knob value, or None."""
-    return None if value is None else Box(*value)
-
-
 def closed_loop(**knobs):
     """The unicycle preset for two steps with the drawn settings."""
     cfg = dataclasses.replace(unicycle_experiment(max_steps=2), **knobs)
@@ -164,9 +154,11 @@ STATE = Arr("finite (3,)", [-1.9, -2.4, 1.4])
 CONTROL = Arr("finite (2,)", [1.0, 0.5])
 WEIGHT = Num("finite, >= 0", 0.5)
 ENDPOINTS = ("endpoints",)
-# a box about the base state, and the unicycle's domain
-NEAR_STATE = BoxArg("endpoints", (base().x - 0.1, base().x + 0.1))
-DOMAIN = BoxArg("endpoints, or None", (unicycle().X.lo, unicycle().X.hi))
+# a box about the base state, and the unicycle's control set and domain
+NEAR_STATE = BoxArg("(n,), endpoints", Box(base().x - 0.1, base().x + 0.1))
+CONTROLS = BoxArg("(m,), endpoints", unicycle().U)
+STATES = BoxArg("(n,), endpoints", unicycle().X)
+DOMAIN = BoxArg("(n,), endpoints, or None", unicycle().X)
 
 TABLE = {
     # intervals
@@ -176,8 +168,9 @@ TABLE = {
     "Interval": Row(Interval, {"lo": Num("endpoint, lo <= hi", -1.0),
                                "hi": Num("endpoint, lo <= hi", 1.0)},
                     {"lo": ENDPOINTS, "hi": ENDPOINTS}),
-    "imat_vec": Row(lambda v: imat_vec(Box([[0.0, 1.0], [-1.0, 2.0]], [[1.0, 2.0], [0.0, 3.0]]), v),
-                    {"v": Arr("finite (2,)", [1.0, 2.0])}),
+    "imat_vec": Row(imat_vec, {"M": BoxArg("(n, 2), endpoints",
+                                           Box([[0.0, 1.0], [-1.0, 2.0]], [[1.0, 2.0], [0.0, 3.0]])),
+                               "v": Arr("finite (2,)", [1.0, 2.0])}),
     "meet": Row(lambda tol, pad: meet(Box([0.0, 0.0], [2.0, 2.0]), Box([1.0, -1.0], [3.0, 1.0]),
                                       tol, pad),
                 {"tol": Num("finite, >= 0", 0.0), "pad": Num("finite, >= 0", 1e-14)}),
@@ -205,8 +198,8 @@ TABLE = {
                    {"fixpoint_tol": Num("positive", 1e-9), "max_fixpoint_iters": Count(1, 50)}),
     "f_over": Row(lambda x: f_over(x, base().kb), {"x": STATE}),
     "G_over": Row(lambda x: G_over(x, base().kb), {"x": STATE}),
-    "f_over_iv": Row(lambda X: f_over_iv(box_of(X), base().kb), {"X": NEAR_STATE}),
-    "G_over_iv": Row(lambda X: G_over_iv(box_of(X), base().kb), {"X": NEAR_STATE}),
+    "f_over_iv": Row(lambda X: f_over_iv(X, base().kb), {"X": NEAR_STATE}),
+    "G_over_iv": Row(lambda X: G_over_iv(X, base().kb), {"X": NEAR_STATE}),
     # reach
     "ConstantControl": Row(ConstantControl, {"u": CONTROL}),
     "PiecewiseConstantControl": Row(piecewise, {"values": Arr("finite (k, m), k >= 1",
@@ -219,18 +212,18 @@ TABLE = {
                    {"L_f": Arr("finite, >= 0 (n,)", UNICYCLE_L_F),
                     "L_G": Arr("finite, >= 0 (n, m)", UNICYCLE_L_G),
                     "Vabs": Arr("finite, >= 0 (m,)", [3.0, math.pi])}),
-    "max_step_size": Row(lambda L_f, L_G: max_step_size(LipschitzBounds(L_f, L_G), unicycle().U),
+    "max_step_size": Row(lambda L_f, L_G, U: max_step_size(LipschitzBounds(L_f, L_G), U),
                          {"L_f": Arr("finite, >= 0 (n,)", UNICYCLE_L_F),
-                          "L_G": Arr("finite, >= 0 (n, m)", UNICYCLE_L_G)}),
+                          "L_G": Arr("finite, >= 0 (n, m)", UNICYCLE_L_G), "U": CONTROLS}),
     "datareach_step": Row(lambda R, t, dt, domain: datareach_step(
-                              box_of(R), base().kb, fig_control(), t, dt, box_of(domain)),
-                          {"R": BoxArg("endpoints", (base().x, base().x)),
+                              R, base().kb, fig_control(), t, dt, domain),
+                          {"R": BoxArg("(n,), endpoints", Box.point(base().x)),
                            "t": Num("finite", 1.5), "dt": Num("positive", 0.02),
                            "domain": DOMAIN}),
     "datareach": Row(lambda x_start, start_box, dt, T, t0, domain: tube(
-                         base().kb, x_start if start_box is None else box_of(start_box),
-                         fig_control(), dt, T, t0, box_of(domain)),
-                     {"x_start": STATE, "start_box": BoxArg("endpoints, or None", None),
+                         base().kb, x_start if start_box is None else start_box,
+                         fig_control(), dt, T, t0, domain),
+                     {"x_start": STATE, "start_box": BoxArg("(n,), endpoints, or None", None),
                       "dt": Num("positive", 0.02), "T": Count(0, 3), "t0": Num("finite", 1.5),
                       "domain": DOMAIN},
                      {"start_box": ("x_start",)}),
@@ -244,30 +237,32 @@ TABLE = {
                                          "index": Count(0, 1), "target": Num("finite", 5.0),
                                          "weight": WEIGHT}),
     "norm_cost": Row(norm_cost, {"n": Count(1, 3), "m": Count(1, 2), "weight": WEIGHT}),
-    "linearize": Row(lambda dt: linearize(Box.point(base().x), base().kb, unicycle().U, dt),
-                     {"dt": Num("positive", 0.05)}),
+    "linearize": Row(lambda R, U, dt: linearize(R, base().kb, U, dt),
+                     {"R": BoxArg("(n,), endpoints", Box.point(base().x)), "U": CONTROLS,
+                      "dt": Num("positive", 0.05)}),
     "idealistic_coeffs": Row(lambda wplus, wminus: idealistic_coeffs(base().aff, wplus, wminus),
                              {"wplus": Num("in [0, 1]", 0.3), "wminus": Num("in [0, 1]", 0.6)}),
     "assemble_idealistic": Row(
-        lambda A_ide, b_ide: assemble_idealistic(base().cost, A_ide, b_ide, unicycle().U),
+        lambda A_ide, b_ide, U: assemble_idealistic(base().cost, A_ide, b_ide, U),
         {"A_ide": Arr("(n, m), a finite QP", idealistic_coeffs(base().aff, 0.5, 0.5)[0]),
-         "b_ide": Arr("(n,), a finite QP", idealistic_coeffs(base().aff, 0.5, 0.5)[1])}),
-    "assemble_optimistic": Row(lambda: assemble_optimistic(base().cost, base().aff,
-                                                           unicycle().U, unicycle().X), {}),
-    "subopt_bound": Row(lambda: subopt_bound(base().cost, base().aff, unicycle().U,
-                                             unicycle().X), {}),
+         "b_ide": Arr("(n,), a finite QP", idealistic_coeffs(base().aff, 0.5, 0.5)[1]),
+         "U": CONTROLS}),
+    "assemble_optimistic": Row(lambda U, X: assemble_optimistic(base().cost, base().aff, U, X),
+                               {"U": CONTROLS, "X": STATES}),
+    "subopt_bound": Row(lambda U, X: subopt_bound(base().cost, base().aff, U, X),
+                        {"U": CONTROLS, "X": STATES}),
     "datacontrol_step": Row(
-        lambda x, dt, mode, wplus, wminus, u_prev: datacontrol_step(
-            base().kb, x, base().cost, unicycle().U, unicycle().X, dt, mode, None, wplus,
-            wminus, u_prev),
-        {"x": STATE, "dt": Num("positive", 0.05), "mode": Choice("idealistic, optimistic",
-                                                                 "idealistic"),
+        lambda x, U, X, dt, mode, wplus, wminus, u_prev: datacontrol_step(
+            base().kb, x, base().cost, U, X, dt, mode, None, wplus, wminus, u_prev),
+        {"x": STATE, "U": CONTROLS, "X": STATES, "dt": Num("positive", 0.05),
+         "mode": Choice("idealistic, optimistic", "idealistic"),
          "wplus": Num("in [0, 1]", 0.3), "wminus": Num("in [0, 1]", 0.6),
          "u_prev": CONTROL}),
     # qpsolve
-    "BoxQP": Row(lambda Qi, qi, pi: BoxQP(Qi, qi, Box([-1.0, -1.0], [1.0, 1.0]), pi),
-                 {"Qi": Arr("finite, symmetric, PSD (m, m)", np.eye(2)),
-                  "qi": Arr("finite (m,)", [1.0, -1.0]), "pi": Num("finite", 0.0)}),
+    "BoxQP": Row(BoxQP, {"Qi": Arr("finite, symmetric, PSD (m, m)", np.eye(2)),
+                         "qi": Arr("finite (m,)", [1.0, -1.0]),
+                         "box": BoxArg("(m,), endpoints", Box([-1.0, -1.0], [1.0, 1.0])),
+                         "pi": Num("finite", 0.0)}),
     "QPOptions": Row(QPOptions, {"eps": Num("positive", 1e-8), "mu0": Num("positive", 1.0),
                                  "max_total_iters": Count(1, 500_000)}),
     "solve_idealistic": Row(lambda y0: solve_idealistic(
@@ -300,8 +295,7 @@ TABLE = {
         "cost_offset": Num("finite", 0.0)}),
     # the spec with the drawn boxes, and two excitation samples, which use both
     "SystemSpec": Row(lambda U, X: excite(dataclasses.replace(unicycle(), U=U, X=X), 2, 0),
-                      {"U": BoxShape("a Box of shape (m,)", unicycle().U),
-                       "X": BoxShape("a Box of shape (n,)", unicycle().X)}),
+                      {"U": CONTROLS, "X": STATES}),
     "experiment_for": Row(experiment_for,
                           {"name": Choice("unicycle, quadrotor, aircraft", "unicycle")}),
     "unicycle": Row(unicycle, {}),
@@ -349,6 +343,40 @@ def test_table_covers_every_export():
     listed = set(TABLE) | set(OUTPUTS) | set(RECORDS)
     assert sorted(exported_callables() - listed) == []
     assert sorted(listed - exported_callables()) == []
+
+
+def _box_parameters():
+    """Each parameter a callable of `TABLE` annotates as `Box` or
+    `Optional[Box]`, as "name.parameter"; the records of `OUTPUTS` and
+    `RECORDS` are listed with their reason already."""
+    for name in sorted(TABLE):
+        for p in inspect.signature(getattr(datareach, name)).parameters.values():
+            if p.annotation in ("Box", "Optional[Box]", Box, Optional[Box]):
+                yield f"{name}.{p.name}"
+
+
+def test_every_box_parameter_is_a_knob():
+    params = list(_box_parameters())
+    assert "datareach.domain" in params and "SystemSpec.U" in params
+    undrawn = [p for p in params
+               if not isinstance(TABLE[p.split(".")[0]].knobs.get(p.split(".")[1]), BoxArg)]
+    assert undrawn == []
+
+
+@pytest.mark.parametrize("call", [subopt_bound, assemble_optimistic])
+def test_cost_must_fit_the_model(call):
+    """A cost of another n than the model's is named, not met by numpy."""
+    with pytest.raises(ValueError, match=r"^cost must have n = 3 and m = 2, not 4 and 2$"):
+        call(norm_cost(4, 2), base().aff, unicycle().U, unicycle().X)
+
+
+@pytest.mark.parametrize("v0, a1", [(1e75, Interval(0.0, 1e75)), (-1e75, Interval(-1e75, 0.0))])
+def test_const_cos_controls_stay_within_the_limit(v0, a1):
+    """Each of v0 and a1 is in range, but the control v0 + a1 is not: the
+    family is refused when it is built, not at the first reach step."""
+    with pytest.raises(ValueError, match=r"^v0, a1 and a2 must give controls v0 \+ a1 and "
+                                         r"cos \+ a2 at most 1e\+75 in magnitude, not v0="):
+        ConstCosControl(v0=v0, a1=a1)
 
 
 def _arrays(out, seen):
@@ -414,34 +442,29 @@ def _bad_array(data, spec):
 
 
 def _bad_box(data, spec):
-    """A valid (lo, hi) with one entry at +-1e308 or +-inf: a lower end
-    pushed down, an upper end pushed up, or both ends moved to it.  A knob
-    whose base is None starts from `NEAR_STATE`."""
-    lo, hi = (np.array(a, dtype=float) for a in (spec.base or NEAR_STATE.base))
+    """The base box of the `BoxArg` knob `spec` with one entry at +-1e308
+    or +-inf (a lower end pushed down, an upper end pushed up, or both ends
+    moved to it), cut, extended or lifted to another shape, or its bare
+    (lo, hi) pair.  A knob whose base is None starts from `NEAR_STATE`."""
+    box = NEAR_STATE.base if spec.base is None else spec.base
+    lo, hi = box.lo.copy(), box.hi.copy()
+    if data.draw(st.booleans()):
+        return data.draw(st.sampled_from([
+            Box(lo[:-1], hi[:-1]), Box(np.append(lo, 0.0), np.append(hi, 0.0)),
+            Box(lo[None], hi[None]), Box(0.0, 0.0), (lo, hi),
+        ]))
     i = data.draw(st.integers(0, lo.size - 1))
     v = data.draw(st.sampled_from([1e308, -1e308, math.inf, -math.inf]))
     if data.draw(st.booleans()):
-        lo[i] = hi[i] = v
+        lo.flat[i] = hi.flat[i] = v
     elif v < 0:
-        lo[i] = v
+        lo.flat[i] = v
     else:
-        hi[i] = v
-    return lo, hi
-
-
-def _bad_shape(data, spec):
-    """The base box of the `BoxShape` knob `spec` cut, extended or lifted
-    to another shape, or its bare (lo, hi) pair."""
-    lo, hi = spec.base.lo, spec.base.hi
-    return data.draw(st.sampled_from([
-        Box(lo[:-1], hi[:-1]), Box(np.append(lo, 0.0), np.append(hi, 0.0)),
-        Box(lo[None], hi[None]), Box(0.0, 0.0), (lo, hi),
-    ]))
+        hi.flat[i] = v
+    return Box(lo, hi)
 
 
 def _bad_value(data, spec):
-    if isinstance(spec, BoxShape):
-        return _bad_shape(data, spec)
     if isinstance(spec, BoxArg):
         return _bad_box(data, spec)
     if isinstance(spec, Arr):
@@ -471,7 +494,7 @@ def test_bad_input_is_named_or_harmless(name, knob, data):
     value = _bad_value(data, row.knobs[knob])
     knobs = {k: spec.base for k, spec in row.knobs.items()}
     knobs[knob] = value
-    drawn = np.asarray(value)
+    drawn = np.asarray([value.lo, value.hi] if isinstance(value, Box) else value)
     _check_rule(name, knob, value, knobs,
                 drawn.dtype.kind not in "fc" or bool(np.isfinite(drawn).all()))
 

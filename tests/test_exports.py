@@ -19,12 +19,7 @@ ALLOWED_MEMBERS = {
 }
 
 # public module-level functions and classes that only the tests read, and why they stay
-ALLOWED_MODULE_NAMES = {
-    "io.read_tube_csv": "ROADMAP item 11: a test helper; move it into the tests or give it a user",
-    "io.read_steps_csv": "ROADMAP item 11: a test helper; move it into the tests or give it a user",
-    "io.write_trajectory_csv": "ROADMAP item 11: no command writes a trajectory file; "
-                               "delete it or give it a user",
-}
+ALLOWED_MODULE_NAMES = {}
 
 
 def _referenced(paths, strings=False):

@@ -272,9 +272,9 @@ class TestValidation:
             Box.point([np.inf, 1.0]) * 0.0
 
     def test_nan_inside_matvec_kernel_raises(self):
-        M = Box([[np.inf, 0.0]], [[np.inf, 1.0]])
+        M = (np.array([[np.inf, 0.0]]), np.array([[np.inf, 1.0]]))
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
-            imat_vec(M, np.zeros(2))
+            Box(*mat_vec_pairs(M, (np.zeros(2), np.zeros(2))))
 
     def test_inverted_input_raises(self):
         with pytest.raises(ValueError, match="lo > hi"):
