@@ -137,6 +137,13 @@ def check_box(key: str, box, shape):
     return box
 
 
+def check_interval(key: str, value):
+    """Return `value`; raise ValueError unless it is an `Interval`."""
+    if not isinstance(value, sys.modules[f"{__package__}.intervals"].Interval):
+        _fail(key, value, "be an Interval")
+    return value
+
+
 def check_unit(key: str, value, shape=()) -> np.ndarray:
     """`check_array`, for numbers in [0, 1]."""
     a = check_array(key, value, shape)

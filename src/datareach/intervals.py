@@ -9,8 +9,8 @@ A `Box` holds lo/hi float64 arrays of any shape, so one type serves interval
 vectors, matrices and rank-3 tensors.  Constructing a `Box` validates it by
 one fused reduction, a count of the components with lo <= hi, which comes
 up short at any NaN as well as at any inverted component; only then is the
-cause looked up to pick the error.  `Box(lo, hi)` copies its ends; `Box._fresh` validates
-and freezes arrays the library has just made, without copying them.
+cause looked up to pick the error.  `Box(lo, hi)` copies its ends; `Box._fresh`
+validates and freezes arrays just made (by `meet`, `Box.point`) without copying.
 
 Each formula (sum, real scaling, matrix-vector, matrix-matrix, the tensor
 contraction over the middle axis and the real-matrix product) exists once,
@@ -95,8 +95,8 @@ class Box:
 
     @classmethod
     def point(cls, values):
-        v = np.asarray(values, dtype=float)
-        return cls(v, v)
+        v = np.array(values, dtype=float)
+        return cls._fresh(v, v)
 
     @property
     def shape(self):
@@ -308,7 +308,7 @@ def meet(a, b, tol: float = 0.0, pad: float = 0.0):
     if genuine.any():
         idx = tuple(int(i) for i in np.argwhere(genuine)[0])
         raise EmptyIntersection(f"empty intersection at component {idx}", index=idx)
-    return Box(lo, hi)
+    return Box._fresh(np.asarray(lo), np.asarray(hi))  # a 0-d meet gives numpy scalars
 
 
 def meet_arrays(alo, ahi, blo, bhi, tol: float = 0.0, pad: float = 0.0):

@@ -332,6 +332,7 @@ class KnowledgeBase:
         self._env: Optional[_Envelopes] = None
         # (state bytes, envelope, settle) of the last point query
         self._point: Optional[Tuple[bytes, tuple, tuple]] = None
+        self._slack = None  # (rows X, their slack against the entries) in a run
 
     def _with_cols(self, cols, inputs=None, passes=0, residual=None) -> "KnowledgeBase":
         """A base with this one's bounds and side information and the given
@@ -417,8 +418,6 @@ def _first_failure(stages):
     ``stages`` lists (mask, kind) pairs in the order one sample evaluates
     them; a row's failure is its first stage with a set mask entry.
     """
-    if not any(np.count_nonzero(bad) for bad, _ in stages):
-        return None
     # whether each row (leading index) of each stage's mask is set anywhere
     hit = np.stack([bad.any(axis=tuple(range(1, bad.ndim))) for bad, _ in stages])
     failing = np.flatnonzero(hit.any(axis=0))
@@ -439,9 +438,31 @@ def _clamp(a, lo, hi, out=None):
     return np.minimum(out, hi, out=out)
 
 
-def _contract(xdot, u, lo, hi):
+class _Controls(NamedTuple):
+    """What `_contract` derives from the controls u (k, m) alone, kept by an
+    invariance run: where |u_l| > _U_ZERO_TOL (live), each column's live
+    count (Python ints), the divisors (u where live, else 1) and their |.|."""
+
+    live: np.ndarray
+    counts: list
+    safe: np.ndarray
+    safe_abs: np.ndarray
+
+    @classmethod
+    def of(cls, u):
+        live = np.abs(u) > _U_ZERO_TOL
+        safe = np.where(live, u, 1.0)
+        return cls(live, live.sum(axis=0).tolist(), safe, np.abs(safe))
+
+    def take(self, rows):
+        live = self.live[rows]
+        return _Controls(live, live.sum(axis=0).tolist(), self.safe[rows], self.safe_abs[rows])
+
+
+def _contract(xdot, u, lo, hi, controls: Optional[_Controls] = None):
     """Contract enclosures of f(x) and G(x) against xdot = f(x) + G(x) u, on
-    stacked rows: xdot (k, n), u (k, m), lo/hi (k, n + n m).
+    stacked rows: xdot (k, n), u (k, m), lo/hi (k, n + n m); ``controls``
+    are u's `_Controls`, derived here when not given.
 
     Sequential two-step forward/backward pruning: first the f-enclosure is cut
     with xdot - G u, then each column of G is cut in turn while a running
@@ -466,9 +487,7 @@ def _contract(xdot, u, lo, hi):
         xdot - cf_hi, xdot - cf_lo, gu_lo, gu_hi, _MEET_TOL, _PAD
     )
     stages.append(bad)
-    live = np.abs(u) > _U_ZERO_TOL
-    # how many rows each column is live on, as Python ints
-    counts = live.sum(axis=0).tolist()
+    live, counts, safe_all, abs_all = controls or _Controls.of(u)
     for l in range(m):
         last = l == m - 1
         # suffix sums over columns l+1..m-1 of G u; the last column's is empty
@@ -483,18 +502,17 @@ def _contract(xdot, u, lo, hi):
                 s_lo - tail_hi, s_hi - tail_lo, col_lo[:, :, l], col_hi[:, :, l],
                 _MEET_TOL,
             )
-            safe = ul
             # a column dead on some rows divides there by 1 and keeps G
+            safe = safe_all[:, l : l + 1]
             mixed = counts[l] < len(u)
             if mixed:
                 live_l = live[:, l : l + 1]
                 bad = bad & live_l
-                safe = np.where(live_l, ul, 1.0)
             stages.append(bad)
             a, b = num_lo / safe, num_hi / safe
             # dividing amplifies rounding by 1/|u_l|; pad accordingly (the
             # settled num_lo <= num_hi, so max(-lo, hi) is max(|lo|, |hi|))
-            div_pad = 1e-14 * (1.0 + np.maximum(-num_lo, num_hi)) / np.abs(safe)
+            div_pad = 1e-14 * (1.0 + np.maximum(-num_lo, num_hi)) / abs_all[:, l : l + 1]
             g_lo = np.minimum(a, b) - div_pad
             g_hi = np.maximum(a, b) + div_pad
             _clamp(g_lo, G_lo[:, :, l], G_hi[:, :, l], out=g_lo)
@@ -618,16 +636,19 @@ def _unknown(kb: KnowledgeBase, dists) -> Tuple[np.ndarray, np.ndarray]:
     """Lipschitz envelope lo/hi (k, n + n m) of the learned f and G, from
     distances (k, ngroups, N): a max / min over the entries along the
     contiguous last axis."""
+    slack, (_, c_lo, c_hi) = _slack(kb, dists), kb._cols
+    return (c_lo - slack).max(axis=-1), np.add(c_hi, slack, out=slack).min(axis=-1)
+
+
+def _slack(kb: KnowledgeBase, dists):
+    """The Lipschitz slack L d (k, n + n m, N) of distances (k, ngroups, N)."""
     groups = kb._groups
     if dists.shape[1] == 1:  # one group: the same products, broadcast
-        slack = dists * groups.col_L
-    else:
-        # (k, n + n m, N), C-ordered; fancy indexing would lay the components outermost
-        slack = np.take(dists, groups.col_group, axis=1)
-        slack *= groups.col_L
-    _, c_lo, c_hi = kb._cols
-    lo = (c_lo - slack).max(axis=-1)
-    return lo, np.add(c_hi, slack, out=slack).min(axis=-1)
+        return dists * groups.col_L
+    # (k, n + n m, N), C-ordered; fancy indexing would lay the components outermost
+    slack = np.take(dists, groups.col_group, axis=1)
+    slack *= groups.col_L
+    return slack
 
 
 def _box_query(kb: KnowledgeBase, X: Box, parts: str = "fG"):
@@ -719,7 +740,11 @@ def _stack(samples, pd: Optional[PartialDynamics], n, m):
 def _envelopes(kb: KnowledgeBase, X):
     """Pre-settle Lipschitz envelopes lo/hi (k, n + n m) of the learned part
     at the rows of X over all entries of ``kb``, computed chunk by chunk
-    along the rows."""
+    along the rows.  A base that an invariance run made for exactly these
+    rows holds their slack, and the envelopes only reduce it."""
+    if kb._slack is not None and kb._slack[0] is X:
+        slack, (_, c_lo, c_hi) = kb._slack[1], kb._cols
+        return (c_lo - slack).max(axis=-1), (c_hi + slack).min(axis=-1)
     N, cols = kb.c_lo.shape
     k = X.shape[0]
     step = max(1, _CHUNK_FLOATS // (N * max(cols, len(kb._groups.picks))))
@@ -734,13 +759,12 @@ def _envelopes(kb: KnowledgeBase, X):
 def _settled_rows(kb: KnowledgeBase, settled, X):
     """Apply the range bounds to the `_settle`d envelopes at the rows of X.
 
-    Returns the stacked lo/hi (k, n + n m) and the failure stages of the
-    settles and range meets, in the order one query evaluates them: the f
-    settle, the G settle, the f meet, the G meet.
+    Returns the stacked lo/hi (k, n + n m) and the (k, n + n m) failure
+    masks of the settle and, with range bounds, of the range meet.
     """
     n, side = kb.n, kb.side
     lo, hi, bad = settled
-    stages = list(zip(_split(bad, n), "fG"))
+    masks = [bad]
     vb = side.vf_bounds
     if vb is not None:
         inside = np.all((vb.region.lo <= X) & (X <= vb.region.hi), axis=1)
@@ -754,28 +778,31 @@ def _settled_rows(kb: KnowledgeBase, settled, X):
         sel = inside[:, None]
         m_lo, m_hi, bad = meet_arrays(lo, hi, *rng, _MEET_TOL, _PAD)
         lo, hi = np.where(sel, m_lo, lo), np.where(sel, m_hi, hi)
-        stages += zip(_split(bad & sel, n), (None, None))
-    return lo, hi, stages
+        masks.append(bad & sel)
+    return lo, hi, masks
 
 
-def _contract_rows(kb: KnowledgeBase, settled, X, XDOT, U, index):
+def _contract_rows(kb: KnowledgeBase, settled, X, XDOT, U, index, controls=None):
     """Bound and contract the rows of X, XDOT, U given their settled envelopes.
 
-    ``index`` maps each row to its sample index.  Returns the new stacked
-    lo/hi rows; on failure raises what a per-sample loop would raise first,
-    for the lowest failing sample.  One row contracts on floats
+    ``index`` maps each row to its sample index; ``controls`` are U's kept
+    `_Controls`, if any.  Returns the new stacked lo/hi rows; once one count
+    of every failure mask is not zero, raises what a per-sample loop would
+    raise first, for the lowest failing sample.  One row contracts on floats
     (`_contract_row`); several rows, and a row that fails or that the float
     path declines, contract batched, so every failure is found in one place.
     """
-    lo, hi, q_stages = _settled_rows(kb, settled, X)
-    if X.shape[0] == 1 and _first_failure(q_stages) is None:
+    lo, hi, q_masks = _settled_rows(kb, settled, X)
+    if X.shape[0] == 1 and not np.count_nonzero(q_masks):
         row = _contract_row(XDOT[0].tolist(), U[0].tolist(), lo[0].tolist(), hi[0].tolist())
         if row is not None:
             return [np.array([r]) for r in row]
-    *new, c_stages = _contract(XDOT, U, lo, hi)
-    failure = _first_failure(q_stages + c_stages)
-    if failure is not None:
-        _raise_failure(failure, index)
+    *new, c_stages = _contract(XDOT, U, lo, hi, controls)
+    if np.count_nonzero(np.concatenate(q_masks + [bad for bad, _ in c_stages], axis=1)):
+        # the f settle, the G settle, the f meet, the G meet, then the contraction
+        q_stages = [stage for bad, kinds in zip(q_masks, ("fG", (None, None)))
+                    for stage in zip(_split(bad, kb.n), kinds)]
+        _raise_failure(_first_failure(q_stages + c_stages), index)
     return new
 
 
@@ -905,58 +932,63 @@ def _iterate_to_invariance(kb, tol, max_iters) -> KnowledgeBase:
     every row against every entry when there is no cache, when more than
     ``_DELTA_SHARE`` of the entries changed, or after a pass that loosened
     an entry.
+
+    A run derives once what its fixed states and controls give: the
+    `_Controls`, and the rows' slack against the entries if it fits one
+    ``_CHUNK_FLOATS`` chunk, which full passes reduce and delta passes read
+    the changed columns of (else every pass computes envelopes by chunks).
+    Passes update one working copy of the enclosures, made a base once.
     """
     X, XDOT, U = kb.xs[1:], kb.xdot, kb.u
     k = X.shape[0]
-    cache = kb._env
+    cache, controls = kb._env, _Controls.of(U)
+    # the working columns, and a base reading them through read-only views
+    x_cols, lo_w, hi_w = kb._cols[0], kb._cols[1].copy(), kb._cols[2].copy()
+    work = kb._with_cols([x_cols, lo_w[:], hi_w[:]])
+    N, cols = kb.c_lo.shape
+    if k * N * max(cols, len(kb._groups.picks)) <= _CHUNK_FLOATS:
+        work._slack = (X, _slack(kb, kb._point_dists(X)))
     for passes in range(1, max_iters + 1):
-        old = [a[1:] for a in (kb.c_lo, kb.c_hi)]
         if cache is None or np.count_nonzero(cache.dirty) > _DELTA_SHARE * (k + 1):
-            env = _envelopes(kb, X)
-            rows = None
-            new = _contract_rows(kb, _settle(*env), X, XDOT, U, range(k))
+            env = _envelopes(work, X)
+            at = slice(1, None)
+            new = _contract_rows(work, _settle(*env), X, XDOT, U, range(k), controls)
         else:
-            env = cache.rows
+            env, changed = cache.rows, np.flatnonzero(cache.dirty)
             moved = np.zeros(k, bool)
-            changed = np.flatnonzero(cache.dirty)
             if changed.size:
                 # np.take returns C-ordered columns, where a[:, changed] would not
-                lo, hi = _envelopes(
-                    kb._with_cols([np.take(a, changed, axis=1) for a in kb._cols]), X
-                )
+                part = work._with_cols([np.take(a, changed, axis=1) for a in work._cols])
+                if work._slack is not None:
+                    part._slack = (X, np.take(work._slack[1], changed, axis=2))
+                lo, hi = _envelopes(part, X)
                 moved = (lo > env[0]).any(axis=1) | (hi < env[1]).any(axis=1)
                 env = (np.maximum(env[0], lo), np.minimum(env[1], hi))
             rows = np.flatnonzero(moved)
-            new = _contract_rows(
-                kb, _settle(*(e[rows] for e in env)), X[rows], XDOT[rows], U[rows], rows
-            )
-            old = [a[rows] for a in old]
+            at = rows + 1
+            new = _contract_rows(work, _settle(*(e[rows] for e in env)), X[rows], XDOT[rows],
+                                 U[rows], rows, controls.take(rows))
 
         # one array of the rows' endpoint changes, lo columns first, gives
         # the residual, the changed entries and the loosening test
-        diff = np.concatenate((new[0] - old[0], new[1] - old[1]), axis=1)
+        diff = np.concatenate((new[0] - lo_w[:, at].T, new[1] - hi_w[:, at].T), axis=1)
         change = np.abs(diff).max(axis=1, initial=0.0)
         residual = float(change.max(initial=0.0))
+        lo_w[:, at], hi_w[:, at] = new[0].T, new[1].T
         dirty = np.zeros(k + 1, bool)
-        at = slice(1, None) if rows is None else rows + 1
-        cols = [kb._cols[0]]
-        for a, r in zip(kb._cols[1:], new):
-            a = a.copy()
-            a[:, at] = r.T
-            cols.append(a)
         dirty[at] = change > 0.0
-        kb = kb._with_cols(cols, passes=passes, residual=residual)
         # keep the envelopes only for a delta pass that can use them: not when
         # the next pass recomputes every row anyway, or when an entry moved
         # outward, which makes the fold inexact
         cache = None
         if (np.count_nonzero(dirty) <= _DELTA_SHARE * (k + 1)
-                and not _loosened(diff, kb.c_lo.shape[1])):
+                and not _loosened(diff, cols)):
             cache = _Envelopes(env, dirty)
-        kb._env = cache
         if residual < tol:
             break
-    return kb
+    out = kb._with_cols([x_cols, lo_w, hi_w], passes=passes, residual=residual)
+    out._env = cache
+    return out
 
 
 def append_sample(kb: KnowledgeBase, sample: Sample) -> KnowledgeBase:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (
     LIMIT, DataReachError, StepTooLarge, check_array, check_box, check_count, check_finite,
-    check_positive,
+    check_interval, check_positive,
 )
 from .intervals import (
     Box, Interval, add_pairs, mat_vec_pairs, meet, scale_pair, symmetric,
@@ -136,7 +136,7 @@ class ConstCosControl(ControlClass):
                  a1: Interval = Interval(0.0), a2: Interval = Interval(0.0)):
         self.v0, self.omega, self.t_ref = (check_finite(key, value) for key, value in (
             ("v0", v0), ("omega", omega), ("t_ref", t_ref)))
-        self.a1, self.a2 = a1, a2
+        self.a1, self.a2 = check_interval("a1", a1), check_interval("a2", a2)
         check_array("a1 and a2", [a1.lo, a1.hi, a2.lo, a2.hi])
         # the controls' ends: v0 + a1, and a cosine in [-1, 1] plus a2
         ends = (self.v0 + a1.lo, self.v0 + a1.hi, a2.lo - 1.0, a2.hi + 1.0)
@@ -247,7 +247,7 @@ def _hooked(hook, X: Box, V: Box, *encs):
     return [None if b is None else _pair(b) for b in out]
 
 
-def _step_data(R: Box, kb: KnowledgeBase, V: Box, dt: float):
+def _step_data(R: Box, kb: KnowledgeBase, V: Box, dt: float, key: str = "U"):
     """The query sequence shared by the reach steps and `control.linearize`.
 
     Checks the step size sqrt(n) beta dt < 1, queries f and G over R, builds
@@ -256,11 +256,11 @@ def _step_data(R: Box, kb: KnowledgeBase, V: Box, dt: float):
     and the Jacobians over S, running the contractor hook over R and over S.
     Returns beta, the sup-norm alpha of f(R) + G(R) V, S, and f(R), G(R),
     f(S), G(S), Jf(S), JG(S) as lo/hi pairs, and whether Jf, JG and V are
-    sign-symmetric.
+    sign-symmetric.  A bad V raises a ValueError naming ``key``.
     """
     # the family's beta and V's symmetry for the last control box; a loop
     # passes the same U
-    beta, v_sym = _kept(kb, "beta", (V, kb.lip_total), lambda: _beta_sym(kb, V))
+    beta, v_sym = _kept(kb, "beta", (V, kb.lip_total), lambda: _beta_sym(kb, V, key))
     root_n = math.sqrt(len(R))
     denom = 1.0 - root_n * dt * beta
     if denom <= 0.0:
@@ -282,14 +282,14 @@ def _step_data(R: Box, kb: KnowledgeBase, V: Box, dt: float):
     return beta, alpha, S, fR, GR, fS, GS, Jf, JG, (*bands, v_sym)
 
 
-def _beta_sym(kb: KnowledgeBase, V: Box):
+def _beta_sym(kb: KnowledgeBase, V: Box, key: str):
     """The family's beta for the control box V, and whether V is symmetric.
     A `Box`'s magnitudes hold no NaN and no negative, so `check_box` could
     reject only another type or shape, or a magnitude past `errors.LIMIT`;
     only those call it."""
     Vabs = V.mag if isinstance(V, Box) else None
     if Vabs is None or Vabs.shape != (kb.m,) or max(Vabs.tolist(), default=0.0) > LIMIT:
-        check_box("U", V, (kb.m,))  # raises
+        check_box(key, V, (kb.m,))  # raises
     return _beta(kb.lip_total, Vabs), symmetric(V.lo, V.hi)
 
 
@@ -345,7 +345,8 @@ def datareach_step(
         check_box("domain", domain, (kb.n,))
     V = ctrl.eval_range(t, t + dt)
     V1 = ctrl.eval_deriv_range(t, t + dt)
-    beta, alpha, S, fR, GR, fS, GS, Jf, JG, (jf_sym, jg_sym, v_sym) = _step_data(R, kb, V, dt)
+    beta, alpha, S, fR, GR, fS, GS, Jf, JG, (jf_sym, jg_sym, v_sym) = _step_data(
+        R, kb, V, dt, "ctrl's control box")
     V = _pair(V)
     hS = add_pairs(fS, mat_vec_pairs(GS, V, 2 * v_sym))
     if V1 is None:

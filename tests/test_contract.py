@@ -22,7 +22,9 @@ that never ends.  `Box` checks its own endpoints for NaN and order (the
 `Box` row) but takes any magnitude, so a `Box` argument (`BoxArg`), which
 must be a `Box` of one shape with endpoints at most `errors.LIMIT`, is
 drawn with one endpoint at +-1e308 or +-inf, at another shape, or as a
-bare (lo, hi) pair.  Every parameter annotated `Box` is such a knob.
+bare (lo, hi) pair.  Every parameter annotated `Box` is such a knob.  An
+`Interval` argument (`IntervalArg`) is drawn as a tuple, a string, None, a
+float, or an `Interval` with an end at +-1e308 or +-inf.
 Records that only the library builds are in `OUTPUTS`, and input records
 with no checks of their own in `RECORDS`, with the entry point that checks
 them.
@@ -85,6 +87,13 @@ class BoxArg(NamedTuple):
     base: Optional[Box]
 
 
+class IntervalArg(NamedTuple):
+    """An `Interval` knob: its domain and a valid base interval."""
+
+    domain: str
+    base: Interval
+
+
 class Choice(NamedTuple):
     """A knob naming one of a fixed set of strings."""
 
@@ -137,8 +146,8 @@ def piecewise(values, dt, t0):
     return ctrl, ctrl.eval_range(0.0, 1.0), ctrl.eval_point(0.3), ctrl.eval_deriv_range(0.0, 0.1)
 
 
-def const_cos(v0, omega, t_ref):
-    ctrl = ConstCosControl(v0, omega, t_ref, Interval(-0.1, 0.1), Interval(-0.01, 0.01))
+def const_cos(v0, omega, t_ref, a1, a2):
+    ctrl = ConstCosControl(v0, omega, t_ref, a1, a2)
     return ctrl, ctrl.eval_range(1.5, 1.52), ctrl.eval_point(1.5), ctrl.eval_deriv_range(1.5, 1.52)
 
 
@@ -207,7 +216,9 @@ TABLE = {
                                                 "dt": Num("positive", 0.5),
                                                 "t0": Num("finite", 0.0)}),
     "ConstCosControl": Row(const_cos, {"v0": Num("finite", 1.0), "omega": Num("finite", 6.0),
-                                       "t_ref": Num("finite", 1.5)}),
+                                       "t_ref": Num("finite", 1.5),
+                                       "a1": IntervalArg("endpoints", Interval(-0.1, 0.1)),
+                                       "a2": IntervalArg("endpoints", Interval(-0.01, 0.01))}),
     "beta_of": Row(lambda L_f, L_G, Vabs: beta_of(LipschitzBounds(L_f, L_G), Vabs),
                    {"L_f": Arr("finite, >= 0 (n,)", UNICYCLE_L_F),
                     "L_G": Arr("finite, >= 0 (n, m)", UNICYCLE_L_G),
@@ -345,22 +356,32 @@ def test_table_covers_every_export():
     assert sorted(listed - exported_callables()) == []
 
 
-def _box_parameters():
-    """Each parameter a callable of `TABLE` annotates as `Box` or
-    `Optional[Box]`, as "name.parameter"; the records of `OUTPUTS` and
+def _parameters(kind):
+    """Each parameter a callable of `TABLE` annotates as ``kind`` or
+    ``Optional[kind]``, as "name.parameter"; the records of `OUTPUTS` and
     `RECORDS` are listed with their reason already."""
+    kinds = (kind.__name__, f"Optional[{kind.__name__}]", kind, Optional[kind])
     for name in sorted(TABLE):
         for p in inspect.signature(getattr(datareach, name)).parameters.values():
-            if p.annotation in ("Box", "Optional[Box]", Box, Optional[Box]):
+            if p.annotation in kinds:
                 yield f"{name}.{p.name}"
 
 
+def _undrawn(params, knob):
+    return [p for p in params
+            if not isinstance(TABLE[p.split(".")[0]].knobs.get(p.split(".")[1]), knob)]
+
+
 def test_every_box_parameter_is_a_knob():
-    params = list(_box_parameters())
+    params = list(_parameters(Box))
     assert "datareach.domain" in params and "SystemSpec.U" in params
-    undrawn = [p for p in params
-               if not isinstance(TABLE[p.split(".")[0]].knobs.get(p.split(".")[1]), BoxArg)]
-    assert undrawn == []
+    assert _undrawn(params, BoxArg) == []
+
+
+def test_every_interval_parameter_is_a_knob():
+    params = list(_parameters(Interval))
+    assert "ConstCosControl.a1" in params and "ConstCosControl.a2" in params
+    assert _undrawn(params, IntervalArg) == []
 
 
 @pytest.mark.parametrize("call", [subopt_bound, assemble_optimistic])
@@ -467,6 +488,11 @@ def _bad_box(data, spec):
 def _bad_value(data, spec):
     if isinstance(spec, BoxArg):
         return _bad_box(data, spec)
+    if isinstance(spec, IntervalArg):
+        return data.draw(st.sampled_from([
+            (spec.base.lo, spec.base.hi), "x", None, 0.5,
+            Interval(-1e308, spec.base.hi), Interval(spec.base.lo, math.inf),
+        ]))
     if isinstance(spec, Arr):
         return _bad_array(data, spec)
     if isinstance(spec, Count):
@@ -494,7 +520,7 @@ def test_bad_input_is_named_or_harmless(name, knob, data):
     value = _bad_value(data, row.knobs[knob])
     knobs = {k: spec.base for k, spec in row.knobs.items()}
     knobs[knob] = value
-    drawn = np.asarray([value.lo, value.hi] if isinstance(value, Box) else value)
+    drawn = np.asarray([value.lo, value.hi] if isinstance(value, (Box, Interval)) else value)
     _check_rule(name, knob, value, knobs,
                 drawn.dtype.kind not in "fc" or bool(np.isfinite(drawn).all()))
 

@@ -291,10 +291,11 @@ class TestValidation:
         lo[0], hi[1] = -5.0, 9.0
         assert np.array_equal(b.lo, [0.0, 1.0]) and np.array_equal(b.hi, [1.0, 2.0])
 
-    def test_point_endpoints_distinct_and_read_only(self):
+    def test_point_holds_one_read_only_copy(self):
+        """Both ends are one read-only copy of the values."""
         v = np.array([1.0, -2.0])
         b = Box.point(v)
-        assert b.lo is not b.hi and not np.shares_memory(b.lo, b.hi)
+        assert b.lo is b.hi and np.array_equal(b.lo, v)
         assert not np.shares_memory(b.lo, v)
         assert not b.lo.flags.writeable and not b.hi.flags.writeable
         with pytest.raises(ValueError):

@@ -880,11 +880,14 @@ class TestBatchedPass:
         assert fe.encloses(Box([-2.0], [3.0])) and ge.encloses(Box([[1.0]], [[1.0]]))
         assert np.allclose(fe.lo, -2.0, rtol=1e-12) and np.allclose(fe.hi, 3.0, rtol=1e-12)
 
-    @pytest.mark.parametrize("chunk_floats", [None, 1])
+    @pytest.mark.parametrize("chunk_floats", [None, 1, 1 << 30])
     def test_rebuild_raises_for_lowest_failing_sample(self, chunk_floats, monkeypatch):
+        """With one sample per chunk (1) the pass computes its envelopes
+        chunk by chunk; by default and with a large chunk the run keeps the
+        rows' slack and the pass reduces it."""
         from datareach import knowledge
 
-        if chunk_floats is not None:  # one sample per chunk
+        if chunk_floats is not None:
             monkeypatch.setattr(knowledge, "_CHUNK_FLOATS", chunk_floats)
         sysu = unicycle()
         traj = excite(sysu, 20, seed=7, dt=0.1, x0=[-2.0, -2.5, math.pi / 2])
@@ -894,11 +897,20 @@ class TestBatchedPass:
         # the same rows with corrupted stored derivatives and no cached
         # envelopes, so the first pass contracts every row
         bad = kb._with_cols(kb._cols, (xdot, kb.u))
+        kept = []
+        envelopes = knowledge._envelopes
+
+        def spy(base, X):
+            kept.append(base._slack is not None and base._slack[0] is X)
+            return envelopes(base, X)
+
+        monkeypatch.setattr(knowledge, "_envelopes", spy)
         with pytest.raises(InconsistentSample) as err:
             rebuild(bad)
         assert err.value.sample_index == 6
         assert err.value.component == (0,)
         assert str(err.value) == "sample 6 contradicts the enclosures at component (0,)"
+        assert kept == [chunk_floats != 1]
 
     def test_nan_sample_rejected(self):
         lip = LipschitzBounds([1.0], [[1.0]])
@@ -934,6 +946,62 @@ class TestBatchedPass:
             assert np.array_equal(got.xdot, np.array([s.xdot for s in resid]))
             assert np.array_equal(got.u, np.array([s.u for s in traj]))
             assert not np.array_equal(got.xdot, np.array([s.xdot for s in traj]))
+
+
+class TestKeptSlack:
+    """An invariance run keeps its rows' slack when it fits one chunk; the
+    bases are those of computing the envelopes chunk by chunk."""
+
+    @staticmethod
+    def _runs(name, N, appended):
+        """The base built from N samples, then after each append and a rebuild."""
+        from datareach.systems import by_name, experiment_for
+
+        sys_ = by_name(name)
+        cfg = experiment_for(name)
+        traj = excite(sys_, N + appended, seed=N, dt=cfg.dt, x0=cfg.x0)
+        kb = build_knowledge(traj[:N], sys_.lip, sys_.side)
+        bases = [kb]
+        for s in traj[N:]:
+            kb = append_sample(kb, s)
+        bases.append(rebuild(kb))
+        return bases
+
+    @pytest.mark.parametrize("name, N", [("unicycle", 10), ("unicycle", 15), ("quadrotor", 35),
+                                         ("quadrotor", 100), ("aircraft", 10), ("aircraft", 300)])
+    def test_bases_match_without_the_kept_slack(self, name, N, monkeypatch):
+        from datareach import knowledge
+
+        chunked = []
+        for chunk_floats in (1, 1 << 30):  # every run chunked, every run kept
+            monkeypatch.setattr(knowledge, "_CHUNK_FLOATS", chunk_floats)
+            chunked.append(self._runs(name, N, 5))
+        for got, want in zip(*chunked):
+            assert all(_same_bytes(a, b) for a, b in zip(got._cols, want._cols))
+            assert (got.passes, got.residual) == (want.passes, want.residual)
+
+    def test_distances_once_per_run(self, monkeypatch):
+        """The unicycle preset build measures its rows against the seed
+        entry (the first pass) and then against every entry once, however
+        many passes it runs."""
+        from datareach import knowledge
+        from datareach.systems import by_name, experiment_for
+
+        calls = []
+        point_dists = knowledge.KnowledgeBase._point_dists
+
+        def spy(kb, X):
+            calls.append((kb.xs.shape[0], X.shape[0]))
+            return point_dists(kb, X)
+
+        monkeypatch.setattr(knowledge.KnowledgeBase, "_point_dists", spy)
+        sys_ = by_name("unicycle")
+        cfg = experiment_for("unicycle")
+        traj = excite(sys_, cfg.init_len, cfg.seed, dt=cfg.dt, x0=cfg.x0,
+                      mode=cfg.excitation, substeps=cfg.substeps)
+        kb = build_knowledge(traj, sys_.lip, sys_.side, M=cfg.M)
+        assert kb.passes == 50
+        assert calls == [(1, 10), (11, 10)]
 
 
 # ---------------------------------------------------------------------------
@@ -1200,16 +1268,22 @@ class TestColumnLayout:
         calls = []
         envelopes = knowledge._envelopes
 
+        # checked when called: a run updates its working columns in place,
+        # so a base handed to `_envelopes` may hold other values afterwards
         def spy(base, X):
-            calls.append((base, X, envelopes(base, X)))
-            return calls[-1][2]
+            lo, hi = envelopes(base, X)
+            for r, x in enumerate(X):
+                _assert_bitwise((lo[r], hi[r]), _entrywise_envelope(base, x, x))
+            if not calls:  # other rows on the run's base: not its kept slack
+                other = X[::-1].copy()
+                for r, pair in enumerate(zip(*envelopes(base, other))):
+                    _assert_bitwise(pair, _entrywise_envelope(base, other[r], other[r]))
+            calls.append(X.shape[0])
+            return lo, hi
 
         monkeypatch.setattr(knowledge, "_envelopes", spy)
         rebuild(kb, max_fixpoint_iters=3)
         assert calls
-        for base, X, (lo, hi) in calls:
-            for r, x in enumerate(X):
-                _assert_bitwise((lo[r], hi[r]), _entrywise_envelope(base, x, x))
 
     @pytest.mark.parametrize("name", BASES)
     def test_public_arrays_are_read_only_views_of_the_columns(self, name):

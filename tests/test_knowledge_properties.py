@@ -200,14 +200,15 @@ OFFSETS = (0.0, -0.0, 5e-9, -5e-9, 2e-8, -2e-8)
 
 
 @st.composite
-def contraction_rows(draw):
-    """One row (xdot, u, lo, hi) for `_contract`, n in 1..6 and m in 1..3.
+def contraction_rows(draw, n=None, m=None):
+    """One row (xdot, u, lo, hi) for `_contract`, n in 1..6 and m in 1..3
+    unless given.
 
     A true f and G give xdot = f + G u plus a drawn offset.  Each
     enclosure is a pair of signed zeros, the true value widened by drawn
     slack (none makes it touch), or a sorted pair of drawn numbers.
     """
-    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    n, m = n or draw(st.integers(1, 6)), m or draw(st.integers(1, 3))
     number = st.one_of(st.sampled_from(NICE), st.floats(-4.0, 4.0))
     u = [draw(st.one_of(st.sampled_from(CONTROLS), st.floats(-3.0, 3.0))) for _ in range(m)]
     f = [draw(number) for _ in range(n)]
@@ -252,6 +253,43 @@ def _assert_row_matches(xdot, u, lo, hi):
         assert got is not None
         assert np.array(got[0]).tobytes() == c_lo[0].tobytes()
         assert np.array(got[1]).tobytes() == c_hi[0].tobytes()
+
+
+# controls at which a column is dead: |u_l| <= _U_ZERO_TOL
+DEAD = (0.0, -0.0, _U_ZERO_TOL, -_U_ZERO_TOL, 5e-6, -5e-6)
+
+
+@st.composite
+def contraction_batches(draw):
+    """Stacked rows (xdot, u, lo, hi) for `_contract`, k in 1..6, with each
+    control column dead on all, some or none of the rows, and a subset of
+    the rows in order, as a delta pass picks them."""
+    n, m, k = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    rows = [draw(contraction_rows(n, m)) for _ in range(k)]
+    xdot, u, lo, hi = (np.array([r[i] for r in rows]) for i in range(4))
+    for l in range(m):
+        dead = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        u[:, l] = [draw(st.sampled_from(DEAD)) if d else v for d, v in zip(dead, u[:, l])]
+    subset = np.flatnonzero(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    return xdot, u, lo, hi, subset
+
+
+class TestKeptControls:
+    @settings(max_examples=300)
+    @given(contraction_batches())
+    def test_indexed_constants_give_the_same_bytes(self, batch):
+        """`_contract` given the batch's `_Controls` indexed by a row subset
+        equals `_contract` deriving them from the subset's controls: rows,
+        failure masks and their kinds, byte for byte."""
+        xdot, u, lo, hi, rows = batch
+        args = [a[rows] for a in (xdot, u, lo, hi)]
+        got = _contract(*args, knowledge._Controls.of(u).take(rows))
+        want = _contract(*args)
+        for g, w in zip(got[:2], want[:2]):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert [kind for _, kind in got[2]] == [kind for _, kind in want[2]]
+        for (g, _), (w, _) in zip(got[2], want[2]):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 class TestFloatRow:

@@ -536,9 +536,35 @@ class TestPublicConstructors:
         kb = build_knowledge(samples, sysu.lip, unicycle_knowledge_settings()["lipschitz_only"])
         cut = datareach(kb, x, fig_control(), DT, 100, t0=T_REF, domain=domain)
         assert tube.failure is None and cut.failure is None and len(cut.clipped) == 15
-        self._assert_unshared(
-            [b for rec in tube.steps + cut.steps for b in (rec.R, rec.S, rec.R_next)],
-            (x, u, lo, hi, domain.lo, domain.hi))
+        boxes = [b for rec in tube.steps + cut.steps for b in (rec.R, rec.S, rec.R_next)]
+        self._assert_unshared(boxes, (x, u, lo, hi, domain.lo, domain.hi))
+        self._assert_read_only(boxes)
+
+    @staticmethod
+    def _assert_read_only(boxes):
+        for box in boxes:
+            for end in (box.lo, box.hi):
+                assert not end.flags.writeable
+                with pytest.raises(ValueError):
+                    end[...] = 0.0
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2)])
+    def test_meet_and_point_boxes_are_read_only_and_unshared(self, shape):
+        """`meet` adopts the arrays it makes, and `Box.point` holds one copy
+        of its values as both ends."""
+        lo, hi, v = np.zeros(shape), np.full(shape, 2.0), np.full(shape, 1.5)
+        other_lo, other_hi = np.ones(shape), np.full(shape, 3.0)
+        a, b = Box(lo, hi), Box(other_lo, other_hi)
+        for tol, pad in ((0.0, 0.0), (1e-8, 1e-14)):
+            cut = intervals.meet(a, b, tol, pad)
+            assert isinstance(cut.lo, np.ndarray) and cut.shape == shape
+            self._assert_unshared([cut], (lo, hi, other_lo, other_hi, a.lo, a.hi, b.lo, b.hi))
+            self._assert_read_only([cut])
+        point = Box.point(v)
+        assert point.lo is point.hi and np.array_equal(point.lo, v)
+        self._assert_unshared([point], (v,))
+        self._assert_read_only([point])
+        assert v.flags.writeable
 
     def test_loop_log_shares_no_callers_array(self, loop_bases):
         sys_, exp, kb, states = loop_bases["unicycle"]

@@ -169,6 +169,20 @@ class TestReachSteps:
             datareach_step(Box([0.0], [0.0]), exact_integrator_kb(), Untouched(),
                            times["t"], times["dt"])
 
+    def test_wrong_control_box_names_its_owner(self):
+        """The reach step names the control family, ``ctrl``, whose box has
+        the wrong width; `linearize` names its control set ``U``."""
+        from datareach.control import linearize
+
+        sysu = unicycle()
+        kb = build_knowledge(excite(sysu, 10, 1), sysu.lip, sysu.side)
+        R, wide = Box.point(kb.xs[-1]), [1.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match=r"^ctrl's control box must be a Box of shape "
+                                             r"\(2,\), not Box\("):
+            datareach_step(R, kb, ConstantControl(wide), 0.0, 0.01)
+        with pytest.raises(ValueError, match=r"^U must be a Box of shape \(2,\), not Box\("):
+            linearize(R, kb, Box.point(wide), 0.01)
+
     def test_c0_tube_wider_than_second_order(self, unicycle_fig_setup):
         """The first-order step compounds into a strictly coarser tube."""
         sysu, _, kb, x_start = unicycle_fig_setup
@@ -416,6 +430,12 @@ class TestControlFamilies:
     def test_piecewise_constant_validated(self, values, dt, t0, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             PiecewiseConstantControl(values, dt=dt, t0=t0)
+
+    @pytest.mark.parametrize("key", ["a1", "a2"])
+    @pytest.mark.parametrize("value", [(0.0, 1.0), "x", None, 0.5])
+    def test_const_cos_parameters_must_be_intervals(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be an Interval, not "):
+            ConstCosControl(**{key: value})
 
     def test_point_inside_range(self, unicycle_fig_setup):
         ctrl = ConstCosControl(t_ref=T_REF, a1=Interval(-0.1, 0.1),
